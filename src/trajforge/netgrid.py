@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 N_ACTIONS = 9
 STAY_ACTION = 4
 
@@ -67,12 +69,20 @@ def shift_action(dx: int, dy: int) -> int:
 
 
 class GridNetwork:
-    """Grid environment; positions are cell indices row * width + col."""
+    """Grid environment; positions are cell indices row * width + col.
+
+    `feasible[cell, a]` is True iff action `a` stays on the grid from `cell`.
+    """
 
     kind = "grid"
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
+        row, col = np.divmod(np.arange(self.n_positions)[:, None], spec.width)
+        dy, dx = np.divmod(np.arange(N_ACTIONS), 3)  # each shift plus one, as in action_shift
+        row, col = row + dy - 1, col + dx - 1
+        self.feasible = (0 <= row) & (row < spec.height) & (0 <= col) & (col < spec.width)
+        self.feasible.flags.writeable = False
 
     @property
     def n_positions(self) -> int:
@@ -93,22 +103,13 @@ class GridNetwork:
         row, col = self.cell_rc(cell)
         return self.cell_of(row + dy, col + dx)
 
-    def feasible_actions(self, cell: int) -> set[int]:
-        row, col = self.cell_rc(cell)
-        acts = set()
-        for a in range(N_ACTIONS):
-            dx, dy = action_shift(a)
-            if 0 <= row + dy < self.spec.height and 0 <= col + dx < self.spec.width:
-                acts.add(a)
-        return acts
-
     def action_between(self, cell: int, nxt: int) -> int:
         r0, c0 = self.cell_rc(cell)
         r1, c1 = self.cell_rc(nxt)
         return shift_action(c1 - c0, r1 - r0)
 
     def neighbors(self, cell: int) -> list[int]:
-        return [self.step(cell, a) for a in sorted(self.feasible_actions(cell))]
+        return [self.step(cell, a) for a in np.flatnonzero(self.feasible[cell]).tolist()]
 
     def reverse_neighbors(self, cell: int) -> list[int]:
         # grid moves are symmetric: the reverse of shift (dx, dy) is (-dx, -dy)
@@ -116,7 +117,10 @@ class GridNetwork:
 
 
 class LinkGraph:
-    """Directed link network; each link's ordered downstream list defines its actions."""
+    """Directed link network; each link's ordered downstream list defines its actions.
+
+    `feasible[link, a]` is True iff `a` indexes the link's downstream list.
+    """
 
     kind = "links"
 
@@ -131,6 +135,9 @@ class LinkGraph:
         self.adjacency = [list(downs) for downs in adjacency]
         self.coords = dict(coords or {})
         self._reverse: list[list[int]] | None = None
+        degree = np.array([len(downs) for downs in adjacency], dtype=np.intp)
+        self.feasible = np.arange(N_ACTIONS) < degree[:, None]
+        self.feasible.flags.writeable = False
 
     @property
     def n_positions(self) -> int:
@@ -141,9 +148,6 @@ class LinkGraph:
         if not 0 <= a < len(downs):
             raise ConnectivityError(f"link {link} has no downstream index {a}")
         return downs[a]
-
-    def feasible_actions(self, link: int) -> set[int]:
-        return set(range(len(self.adjacency[link])))
 
     def action_between(self, link: int, nxt: int) -> int:
         downs = self.adjacency[link]
@@ -171,10 +175,6 @@ Network = GridNetwork | LinkGraph
 def apply_action(net: Network, position: int, a: int) -> int:
     """Next position after taking action `a`; BoundaryError/ConnectivityError if infeasible."""
     return net.step(position, a)
-
-
-def feasible_actions(net: Network, position: int) -> set[int]:
-    return net.feasible_actions(position)
 
 
 def action_index_of(net: Network, position: int, next_position: int) -> int:

@@ -315,85 +315,32 @@ def gather_per_row(a: Tensor, idx) -> Tensor:
     return out
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax along `axis`."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(p, (a,))
+def masked_logsumexp(x, mask) -> np.ndarray:
+    """log sum exp of `x` over the entries where `mask` is True, along the last axis.
 
-    def bwd(g):
-        inner = (g * p).sum(axis=axis, keepdims=True)
-        a.grad += p * (g - inner)
-
-    out._bwd = bwd
-    return out
-
-
-def masked_softmax(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Softmax over entries where `mask` is True; masked entries get probability 0."""
+    Max-shifted for stability; masked entries contribute exactly nothing, and a
+    slice with no allowed entry is rejected. Log-probabilities are x - lse.
+    """
+    x = np.asarray(x, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.data.shape:
-        raise ShapeError(f"mask shape {mask.shape} != data shape {a.data.shape}")
-    if not mask.any(axis=axis).all():
-        raise ValueError("masked_softmax: a slice has no allowed entries")
-    neg = np.where(mask, a.data, -np.inf)
-    shifted = neg - neg.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(p, (a,))
-
-    def bwd(g):
-        inner = (g * p).sum(axis=axis, keepdims=True)
-        a.grad += p * (g - inner)
-
-    out._bwd = bwd
-    return out
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    lp = shifted - lse
-    out = Tensor(lp, (a,))
-
-    def bwd(g):
-        p = np.exp(lp)
-        a.grad += g - p * g.sum(axis=axis, keepdims=True)
-
-    out._bwd = bwd
-    return out
-
-
-def logsumexp(a: Tensor) -> Tensor:
-    """log(sum(exp(x))) of a 1-D tensor, max-subtracted for stability."""
-    if a.data.ndim != 1 or a.data.size == 0:
-        raise ValueError("logsumexp expects a non-empty 1-D tensor")
-    m = a.data.max()
-    out_val = m + math.log(np.exp(a.data - m).sum())
-    out = Tensor(out_val, (a,))
-
-    def bwd(g):
-        a.grad += g * np.exp(a.data - out_val)
-
-    out._bwd = bwd
-    return out
+    if mask.shape != x.shape:
+        raise ShapeError(f"mask shape {mask.shape} != data shape {x.shape}")
+    if not mask.any(axis=-1).all():
+        raise ValueError("masked_logsumexp: a row has no allowed entries")
+    neg = np.where(mask, x, -np.inf)
+    m = neg.max(axis=-1, keepdims=True)
+    return (m + np.log(np.exp(neg - m).sum(axis=-1, keepdims=True)))[..., 0]
 
 
 def masked_logsumexp_rows(a: Tensor, mask: np.ndarray) -> Tensor:
-    """Row-wise logsumexp of a 2-D tensor restricted to `mask` entries."""
+    """Row-wise masked_logsumexp of a 2-D tensor; its gradient is the masked softmax."""
+    x = a.data
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.data.shape:
-        raise ShapeError(f"mask shape {mask.shape} != data shape {a.data.shape}")
-    if not mask.any(axis=1).all():
-        raise ValueError("masked_logsumexp_rows: a row has no allowed entries")
-    neg = np.where(mask, a.data, -np.inf)
-    m = neg.max(axis=1, keepdims=True)
-    out_val = (m + np.log(np.exp(neg - m).sum(axis=1, keepdims=True)))[:, 0]
+    out_val = masked_logsumexp(x, mask)
     out = Tensor(out_val, (a,))
 
     def bwd(g):
-        p = np.exp(neg - out_val[:, None])
+        p = np.exp(np.where(mask, x - out_val[:, None], -np.inf))
         a.grad += p * g[:, None]
 
     out._bwd = bwd
@@ -409,7 +356,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     if targets.size and (targets.min() < 0 or targets.max() >= vocab):
         raise IndexError(f"target index out of range for vocabulary of {vocab}")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
+    lse = masked_logsumexp(shifted, np.ones(shifted.shape, dtype=bool))
     nll = lse - shifted[np.arange(n), targets]
     out = Tensor(nll.mean(), (logits,))
 
@@ -611,19 +558,14 @@ def masked_kl_rows(logits: Tensor, ref_logp: np.ndarray, mask: np.ndarray) -> Te
     `ref_logp` holds constant reference log-probabilities on the allowed entries.
     """
     mask = np.asarray(mask, dtype=bool)
-    neg = np.where(mask, logits.data, -np.inf)
-    m = neg.max(axis=1, keepdims=True)
-    e = np.exp(neg - m)
-    z = e.sum(axis=1, keepdims=True)
-    p = e / z
-    lp = np.where(mask, neg - m - np.log(z), 0.0)
+    lp = np.where(mask, logits.data - masked_logsumexp(logits.data, mask)[:, None], 0.0)
+    p = np.where(mask, np.exp(lp), 0.0)
     ref = np.where(mask, ref_logp, 0.0)
-    kl = (np.where(mask, p * (lp - ref), 0.0)).sum(axis=1)
+    kl = (p * (lp - ref)).sum(axis=1)
     out = Tensor(kl, (logits,))
 
     def bwd(g):
-        inner = np.where(mask, p * ((lp - ref) - kl[:, None]), 0.0)
-        logits.grad += inner * g[:, None]
+        logits.grad += p * ((lp - ref) - kl[:, None]) * g[:, None]
 
     out._bwd = bwd
     return out

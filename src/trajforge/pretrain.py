@@ -11,7 +11,7 @@ from . import numcore as nc
 from . import trajmodel as tm
 from .numcore import make_rng
 from .synthgen import Dataset, Trajectory
-from .tokenizer import encode_episode, windowize
+from .tokenizer import check_vocab, encode_episode, windowize
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -92,13 +92,15 @@ def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
     """Mini-batch behavioral cloning; keeps the best-eval-loss parameters.
 
     Deterministic given cfg.seed. Early-stops after `patience` eval periods
-    without improvement. Returns (model, TrainLog); the model carries the
+    without improvement. Raises EncodingError for a trajectory the model's
+    vocabulary cannot embed. Returns (model, TrainLog); the model carries the
     best-eval checkpoint.
     """
     train_trajs = dataset.train() or dataset.trajectories
     if not train_trajs:
         raise ValueError("empty training split")
     eval_trajs = dataset.eval()
+    check_vocab(train_trajs + eval_trajs, model.cfg.vocab)
     windows = build_windows(train_trajs, model.cfg.context, cfg.stride)
     opt = nc.adamw_init([p.data for p in model.param_tensors()], cfg.lr, cfg.weight_decay, cfg.beta1, cfg.beta2)
     log = TrainLog()
@@ -152,8 +154,9 @@ def eval_policy(dataset: Dataset, model: tm.PolicyModel, split: str = "eval", ch
         mask = np.concatenate([w.decision_mask for w in part])
         actions = np.concatenate([w.action for w in part])[mask]
         logits = out.logits.data[mask]
+        # shifted by the row max as in cross_entropy, so eval and training NLL round alike
         shifted = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1))
+        lse = nc.masked_logsumexp(shifted, np.ones(shifted.shape, dtype=bool))
         total_nll += float((lse - shifted[np.arange(len(actions)), actions]).sum())
         hits += int((logits.argmax(axis=1) == actions).sum())
         count += len(actions)

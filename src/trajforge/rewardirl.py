@@ -20,8 +20,8 @@ from .netgrid import EnvState, Network
 from .numcore import Tensor, make_rng
 from .pretrain import TrainingDivergenceError, apply_step
 from .synthgen import Dataset
-from .tokenizer import VocabSpec
-from .trajmodel import read_param_file, write_param_file
+from .tokenizer import VocabSpec, check_vocab
+from .trajmodel import CheckpointError, read_param_file, write_param_file
 
 N_ACTIONS = netgrid.N_ACTIONS
 LEAKY_SLOPE = 0.01
@@ -139,34 +139,16 @@ def q_values(state: EnvState, critic: CriticModel) -> np.ndarray:
     return q_values_batch(critic, *_state_arrays(state)).data[0]
 
 
-def feasible_mask(net: Network, positions) -> np.ndarray:
-    mask = np.zeros((len(positions), N_ACTIONS), dtype=bool)
-    for i, pos in enumerate(positions):
-        mask[i, sorted(netgrid.feasible_actions(net, int(pos)))] = True
-    return mask
-
-
 def v_star(state: EnvState, critic: CriticModel) -> float:
     """Soft value log sum exp Q(s, a) over feasible actions only."""
-    q = q_values(state, critic)
-    feas = sorted(netgrid.feasible_actions(critic.net, state.position))
-    if not feas:
-        raise ValueError(f"no feasible actions at position {state.position}")
-    m = q[feas].max()
-    return float(m + np.log(np.exp(q[feas] - m).sum()))
+    return float(nc.masked_logsumexp(q_values(state, critic), critic.net.feasible[state.position]))
 
 
 def critic_policy(state: EnvState, critic: CriticModel) -> np.ndarray:
     """Softmax over feasibility-masked action values; infeasible entries are exactly 0."""
     q = q_values(state, critic)
-    feas = sorted(netgrid.feasible_actions(critic.net, state.position))
-    if not feas:
-        raise ValueError(f"no feasible actions at position {state.position}")
-    probs = np.zeros(N_ACTIONS)
-    z = q[feas] - q[feas].max()
-    e = np.exp(z)
-    probs[feas] = e / e.sum()
-    return probs
+    feas = critic.net.feasible[state.position]
+    return np.where(feas, np.exp(q - nc.masked_logsumexp(q, feas)), 0.0)
 
 
 def recover_reward(
@@ -231,8 +213,8 @@ def transitions_from_dataset(dataset: Dataset, split: str = "train") -> Transiti
     pos = np.asarray(cols["pos"], dtype=np.intp)
     nxt = np.asarray(cols["nxt"], dtype=np.intp)
     term = np.asarray(cols["term"], dtype=bool)
-    feas = feasible_mask(dataset.net, pos)
-    next_feas = feasible_mask(dataset.net, nxt)
+    feas = dataset.net.feasible[pos]
+    next_feas = dataset.net.feasible[nxt]
     next_feas[term] = True  # placeholder; the terminal soft value is forced to 0
     return TransitionBatch(
         position=pos,
@@ -294,7 +276,11 @@ class CriticLog:
 
 
 def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
-    """Mini-batch optimization of the imitation objective; deterministic given seed."""
+    """Mini-batch optimization of the imitation objective; deterministic given seed.
+
+    Raises EncodingError for a training trajectory the critic's vocabulary cannot embed.
+    """
+    check_vocab(dataset.train() or dataset.trajectories, critic.cfg.vocab, ("positions", "users", "depart_bins"))
     transitions = transitions_from_dataset(dataset)
     if len(transitions) == 0:
         raise ValueError("dataset has no transitions")
@@ -325,8 +311,6 @@ def save_critic(critic: CriticModel, path, meta: dict | None = None) -> None:
 
 
 def load_critic(path, net: Network, expect_vocab: VocabSpec | None = None) -> tuple[CriticModel, dict]:
-    from .trajmodel import CheckpointError
-
     header, params = read_param_file(path, expect_kind="critic")
     cfg = CriticConfig.from_dict(header["config"])
     if expect_vocab is not None and cfg.vocab != expect_vocab:

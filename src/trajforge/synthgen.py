@@ -16,7 +16,7 @@ import numpy as np
 
 from . import netgrid
 from .netgrid import EnvState, GridNetwork, GridSpec, LinkGraph, Network
-from .numcore import make_rng
+from .numcore import make_rng, masked_logsumexp
 
 N_FEATURES = 3  # progress, turn-change, stay
 
@@ -140,7 +140,7 @@ def oracle_features(net: Network, position: int, destination: int, a: int, prev_
     if there is None:
         progress = -1.0
     else:
-        progress = float(np.sign(here - there))
+        progress = float((here > there) - (here < there))  # sign of the hop change
     turn = 1.0 if prev_action is not None and a != prev_action else 0.0
     stay = 1.0 if nxt == position else 0.0
     return np.array([progress, turn, stay])
@@ -159,13 +159,11 @@ def oracle_action_probs(
     if hops_table[state.position] is None:
         raise GenerationError(f"destination {state.destination} unreachable from {state.position}")
     theta = prefs.theta[state.user_id]
-    feasible = sorted(netgrid.feasible_actions(net, state.position))
+    feasible = net.feasible[state.position]
     scores = np.full(netgrid.N_ACTIONS, -np.inf)
-    for a in feasible:
+    for a in np.flatnonzero(feasible).tolist():
         scores[a] = theta @ oracle_features(net, state.position, state.destination, a, prev_action, hops_table)
-    shifted = scores - scores.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    return np.exp(scores - masked_logsumexp(scores, feasible))
 
 
 def gen_trajectory(
@@ -478,7 +476,7 @@ def ingest_csv(
     def cell_of(lon: float, lat: float) -> int:
         col = min(int((lon - lon_min) / (lon_max - lon_min) * grid.width), grid.width - 1)
         row = min(int((lat - lat_min) / (lat_max - lat_min) * grid.height), grid.height - 1)
-        return row * grid.width + col
+        return net.cell_of(row, col)
 
     interval = resample_minutes * 60.0
     trajectories: list[Trajectory] = []
@@ -506,10 +504,9 @@ def ingest_csv(
             for ts, lon, lat in run:
                 cell = cell_of(lon, lat)
                 if pieces[-1]:
-                    prev_cell = pieces[-1][-1][3]
-                    dr = abs(cell // grid.width - prev_cell // grid.width)
-                    dc = abs(cell % grid.width - prev_cell % grid.width)
-                    if dr > 1 or dc > 1:
+                    try:
+                        net.action_between(pieces[-1][-1][3], cell)
+                    except netgrid.ConnectivityError:
                         pieces.append([])
                 pieces[-1].append((ts, lon, lat, cell))
             for piece in pieces:

@@ -129,6 +129,26 @@ def vocab_sizes(net: Network, config) -> VocabSpec:
     return spec
 
 
+def check_vocab(trajectories, vocab: VocabSpec, fields=("positions", "users", "depart_bins", "speed_bins", "max_timestep")) -> None:
+    """Raise EncodingError naming the first trajectory with a token outside the `fields` tables of `vocab`.
+
+    A trajectory of n positions uses timesteps 0..n-1.
+    """
+    for traj in trajectories:
+        used = {
+            "positions": traj.positions,
+            "users": [traj.user_id],
+            "depart_bins": [traj.depart_bin],
+            "speed_bins": [traj.speed_bin],
+            "max_timestep": [len(traj.positions) - 1],
+        }
+        for name in fields:
+            size = getattr(vocab, name)
+            for value in used[name]:
+                if not 0 <= value < size:
+                    raise EncodingError(f"trajectory {traj.traj_id}: {name} index {value} outside vocabulary of {size}")
+
+
 def encode_episode(traj: Trajectory) -> EpisodeTokens:
     """Token arrays for one trajectory; the terminal step carries the BLANK action."""
     n = len(traj.positions)

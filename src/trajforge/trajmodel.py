@@ -305,35 +305,21 @@ def nll_loss(window: ContextWindow, model: PolicyModel, rng: np.random.Generator
 # ---------------------------------------------------------------------------
 
 
-def masked_action_logits(logits: np.ndarray, feasible) -> np.ndarray:
-    out = np.full(N_ACTIONS, -np.inf)
-    idx = sorted(feasible)
-    if not idx:
-        raise DeadEndError("no feasible actions")
-    out[idx] = logits[idx]
-    return out
-
-
-def masked_log_probs(logits: np.ndarray, feasible, temperature: float = 1.0) -> np.ndarray:
-    """Log probabilities of the feasibility-masked softmax policy."""
-    masked = masked_action_logits(logits, feasible)
+def masked_log_probs(logits: np.ndarray, feasible: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Log probabilities of the softmax policy over the (9,) bool row `feasible`; -inf elsewhere."""
     if temperature <= 0:
         raise ValueError("temperature must be positive for a distribution")
-    z = masked / temperature
-    z -= z[np.isfinite(z)].max()
-    logz = np.log(np.exp(z[np.isfinite(z)]).sum())
-    return z - logz
+    z = np.where(feasible, logits / temperature, -np.inf)
+    return z - nc.masked_logsumexp(z, feasible)
 
 
-def sample_action(logits: np.ndarray, feasible, temperature: float, rng: np.random.Generator) -> int:
-    """Feasibility-masked sampling; temperature 0 is argmax with lowest-index ties."""
-    masked = masked_action_logits(logits, feasible)
+def sample_action(logits: np.ndarray, feasible: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
+    """Sampling restricted to the (9,) bool row `feasible`; temperature 0 is argmax with lowest-index ties."""
+    if not feasible.any():
+        raise DeadEndError("no feasible actions")
     if temperature == 0:
-        return int(np.argmax(masked))
-    lp = masked_log_probs(logits, feasible, temperature)
-    p = np.exp(lp)
-    p[~np.isfinite(lp)] = 0.0
-    p /= p.sum()
+        return int(np.argmax(np.where(feasible, logits, -np.inf)))
+    p = np.exp(masked_log_probs(logits, feasible, temperature))
     return int(rng.choice(N_ACTIONS, p=p))
 
 
@@ -379,8 +365,8 @@ def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) ->
     flag = "truncated"
     while True:
         pos = positions[-1]
-        feasible = netgrid.feasible_actions(net, pos)
-        if not feasible:
+        feasible = net.feasible[pos]
+        if not feasible.any():
             flag = "dead_end"
             break
         window = _trailing_window(ctx, positions, actions, model.cfg.context)
@@ -388,7 +374,7 @@ def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) ->
         logits = out.logits.data[-1]
         temp = ctx.temperature
         a = sample_action(logits, feasible, temp, rng)
-        assert a in feasible
+        assert feasible[a]
         log_probs.append(float(masked_log_probs(logits, feasible, temp if temp > 0 else 1.0)[a]))
         actions.append(a)
         positions.append(netgrid.apply_action(net, pos, a))

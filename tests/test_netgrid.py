@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trajforge import netgrid as ng
+
+
+@st.composite
+def networks(draw):
+    """A grid of random size, or a link graph with random downstream lists."""
+    if draw(st.booleans()):
+        return ng.GridNetwork(ng.GridSpec(draw(st.integers(2, 7)), draw(st.integers(2, 7))))
+    n = draw(st.integers(1, 8))
+    links = st.lists(st.integers(0, n - 1), max_size=ng.N_ACTIONS)
+    return ng.LinkGraph(draw(st.lists(links, min_size=n, max_size=n)))
 
 
 @pytest.fixture
@@ -29,26 +41,30 @@ class TestApplyAction:
 class TestFeasibleActions:
     def test_interior_all_nine(self):
         grid = ng.GridNetwork(ng.GridSpec(5, 5))
-        assert ng.feasible_actions(grid, grid.cell_of(2, 2)) == set(range(9))
+        assert np.flatnonzero(grid.feasible[grid.cell_of(2, 2)]).tolist() == list(range(9))
 
     def test_corner(self, grid3):
-        assert ng.feasible_actions(grid3, 0) == {4, 5, 7, 8}
+        assert np.flatnonzero(grid3.feasible[0]).tolist() == [4, 5, 7, 8]
 
     def test_linkgraph_out_degree(self):
         graph = ng.LinkGraph([[1, 2, 0], [2], [0]])
-        assert ng.feasible_actions(graph, 0) == {0, 1, 2}
+        assert np.flatnonzero(graph.feasible[0]).tolist() == [0, 1, 2]
 
-    def test_matches_apply_action_property(self):
-        grid = ng.GridNetwork(ng.GridSpec(4, 3))
-        for cell in range(grid.n_positions):
-            by_probe = set()
-            for a in range(9):
+    @given(networks())
+    def test_matches_apply_action_property(self, net):
+        assert net.feasible.shape == (net.n_positions, ng.N_ACTIONS)
+        for pos in range(net.n_positions):
+            for a in range(ng.N_ACTIONS):
                 try:
-                    ng.apply_action(grid, cell, a)
-                    by_probe.add(a)
-                except ng.BoundaryError:
-                    pass
-            assert ng.feasible_actions(grid, cell) == by_probe
+                    ng.apply_action(net, pos, a)
+                    applies = True
+                except (ng.BoundaryError, ng.ConnectivityError):
+                    applies = False
+                assert net.feasible[pos, a] == applies
+
+    def test_table_read_only(self, grid3):
+        with pytest.raises(ValueError):
+            grid3.feasible[0, 0] = True
 
 
 class TestActionIndexOf:
@@ -67,7 +83,7 @@ class TestActionIndexOf:
 
     def test_round_trip_property(self, grid3):
         for cell in range(grid3.n_positions):
-            for a in ng.feasible_actions(grid3, cell):
+            for a in np.flatnonzero(grid3.feasible[cell]).tolist():
                 nxt = ng.apply_action(grid3, cell, a)
                 assert ng.action_index_of(grid3, cell, nxt) == a
 

@@ -55,52 +55,82 @@ class TestMatmul:
         np.testing.assert_allclose(a.grad, np.tile(b_val.sum(axis=1), (3, 1)))
 
 
+def masked_probs(x, mask=None):
+    """Softmax as the policy, critic and oracle derive it from masked_logsumexp; exactly 0 where masked."""
+    x = np.asarray(x, dtype=np.float64)
+    mask = np.ones(x.shape, dtype=bool) if mask is None else mask
+    return np.exp(np.where(mask, x, -np.inf) - nc.masked_logsumexp(x, mask)[..., None])
+
+
 class TestSoftmax:
     def test_uniform(self):
-        out = nc.softmax(nc.tensor([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [1 / 3] * 3)
+        np.testing.assert_allclose(masked_probs([0.0, 0.0, 0.0]), [1 / 3] * 3)
 
     def test_analytic(self):
-        out = nc.softmax(nc.tensor([math.log(1.0), math.log(3.0)]))
-        np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-12)
+        np.testing.assert_allclose(masked_probs([math.log(1.0), math.log(3.0)]), [0.25, 0.75], atol=1e-12)
 
     def test_large_inputs_stable(self):
-        out = nc.softmax(nc.tensor([1000.0, 1000.0]))
-        np.testing.assert_allclose(out.data, [0.5, 0.5])
-        assert np.all(np.isfinite(out.data))
+        p = masked_probs([1000.0, 1000.0])
+        np.testing.assert_allclose(p, [0.5, 0.5])
+        assert np.all(np.isfinite(p))
 
     def test_sums_to_one_property(self):
         rng = nc.make_rng(11)
         for _ in range(50):
             x = rng.normal(scale=rng.uniform(0.1, 50), size=(4, 7))
-            p = nc.softmax(nc.tensor(x), axis=-1)
-            np.testing.assert_allclose(p.data.sum(axis=-1), 1.0, atol=1e-12)
+            mask = rng.random((4, 7)) > 0.5
+            mask[np.arange(4), rng.integers(0, 7, size=4)] = True  # every row keeps an entry
+            p = masked_probs(x, mask)
+            np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+            assert np.all(p[~mask] == 0.0)
 
 
 class TestLogsumexp:
+    """nc.masked_logsumexp: the one masked log-sum-exp that every softmax derives from."""
+
     def test_uniform_nine(self):
-        out = nc.logsumexp(nc.tensor(np.zeros(9)))
-        assert out.item() == pytest.approx(math.log(9), abs=1e-12)
+        assert nc.masked_logsumexp(np.zeros(9), np.ones(9, dtype=bool)) == pytest.approx(math.log(9), abs=1e-12)
 
     def test_direct_evaluation(self):
-        out = nc.logsumexp(nc.tensor([1.0, 0.0]))
-        assert out.item() == pytest.approx(math.log(math.exp(1.0) + 1.0), abs=1e-12)
+        out = nc.masked_logsumexp([1.0, 0.0], [True, True])
+        assert out == pytest.approx(math.log(math.exp(1.0) + 1.0), abs=1e-12)
 
     def test_singleton(self):
-        out = nc.logsumexp(nc.tensor([3.25]))
-        assert out.item() == pytest.approx(3.25, abs=1e-12)
+        assert nc.masked_logsumexp([3.25], [True]) == pytest.approx(3.25, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            nc.logsumexp(nc.tensor(np.zeros(0)))
+            nc.masked_logsumexp(np.zeros(0), np.zeros(0, dtype=bool))
+        with pytest.raises(ValueError, match="no allowed entries"):
+            nc.masked_logsumexp(np.zeros((2, 3)), np.array([[True, False, False], [False, False, False]]))
 
     def test_bounds_property(self):
         rng = nc.make_rng(13)
         for _ in range(50):
             x = rng.normal(scale=10, size=rng.integers(1, 12))
-            val = nc.logsumexp(nc.tensor(x)).item()
-            assert val >= x.max() - 1e-12
-            assert val <= x.max() + math.log(len(x)) + 1e-12
+            mask = rng.random(len(x)) > 0.3
+            mask[rng.integers(0, len(x))] = True
+            val = nc.masked_logsumexp(x, mask)
+            assert val >= x[mask].max() - 1e-12
+            assert val <= x[mask].max() + math.log(mask.sum()) + 1e-12
+
+    def test_masked_entries_ignored(self):
+        x = np.array([[0.5, 1e300, -2.0], [7.0, -1.0, np.inf]])
+        mask = np.array([[True, False, True], [True, True, False]])
+        expected = [math.log(math.exp(0.5) + math.exp(-2.0)), math.log(math.exp(7.0) + math.exp(-1.0))]
+        np.testing.assert_allclose(nc.masked_logsumexp(x, mask), expected, rtol=1e-15)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(nc.ShapeError):
+            nc.masked_logsumexp(np.zeros((2, 3)), np.ones(3, dtype=bool))
+
+    def test_rows_op_is_helper_bit_for_bit(self):
+        rng = nc.make_rng(14)
+        x = rng.normal(scale=20, size=(6, 9))
+        mask = rng.random((6, 9)) > 0.4
+        mask[:, 4] = True
+        rows = nc.masked_logsumexp_rows(nc.Tensor(x), mask)
+        assert rows.data.tobytes() == nc.masked_logsumexp(x, mask).tobytes()
 
 
 class TestCrossEntropy:
@@ -277,9 +307,9 @@ class TestCompositeGradients:
             return nc.mean_all(nc.masked_logsumexp_rows(x, mask))
 
         assert nc.finite_diff_check(f, [x], eps=1e-5) <= 1e-6
-        p = nc.masked_softmax(nc.Tensor(x.data), mask)
-        assert np.all(p.data[~mask] == 0.0)
-        np.testing.assert_allclose(p.data.sum(axis=1), 1.0, atol=1e-12)
+        p = masked_probs(x.data, mask)
+        assert np.all(p[~mask] == 0.0)
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_masked_kl(self):
         rng = nc.make_rng(41)
@@ -293,8 +323,7 @@ class TestCompositeGradients:
 
         assert nc.finite_diff_check(f, [logits], eps=1e-5) <= 1e-6
         # KL of a distribution against itself is zero
-        p = nc.masked_softmax(nc.Tensor(logits.data), mask)
-        self_lp = np.where(mask, np.log(np.where(mask, p.data, 1.0)), 0.0)
+        self_lp = np.where(mask, logits.data - nc.masked_logsumexp(logits.data, mask)[:, None], 0.0)
         kl = nc.masked_kl_rows(nc.Tensor(logits.data), self_lp, mask)
         np.testing.assert_allclose(kl.data, 0.0, atol=1e-12)
 
@@ -324,7 +353,7 @@ class TestDeterminism:
             x = nc.Tensor(rng.normal(size=(5, 5)))
             w = nc.Tensor(rng.normal(size=(5, 3)))
             h = nc.gelu(nc.matmul(x, w))
-            loss = nc.mean_all(nc.softmax(h, axis=-1))
+            loss = nc.mean_all(nc.masked_logsumexp_rows(h, np.ones(h.shape, dtype=bool)))
             nc.backward(loss)
             return x.data.tobytes(), loss.data.tobytes(), w.grad.tobytes()
 

@@ -58,6 +58,18 @@ class TestEvalPolicy:
 
 
 class TestPretrain:
+    def test_overlong_ingested_trace_rejected_by_name(self, tmp_path):
+        # 61 fixes 10 minutes apart zig-zag between two adjacent cells: one
+        # 61-position trajectory, longer than max_len 50 lets the model embed
+        path = tmp_path / "zigzag.csv"
+        path.write_text("".join(f"v1,{1201957200 + 600 * i},{116.05 + 0.1 * (i % 2)},39.05\n" for i in range(61)))
+        dataset, _ = sg.ingest_csv(path, ng.GridSpec(4, 4), (116.0, 39.0, 116.4, 39.4))
+        assert [len(t.positions) for t in dataset.trajectories] == [61]
+        vocab = tk.vocab_sizes(dataset.net, {"users": 1})
+        model = tm.PolicyModel(tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, context=12, dropout=0.0))
+        with pytest.raises(tk.EncodingError, match="trajectory 0: max_timestep index 60"):
+            pt.pretrain(dataset, model, pt.TrainConfig(epochs=1))
+
     def test_zero_lr_leaves_eval_loss_unchanged(self):
         dataset, model, _, _ = tiny_setup()
         cfg = pt.TrainConfig(epochs=3, batch_size=8, lr=0.0, weight_decay=0.0, seed=1)

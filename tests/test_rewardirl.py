@@ -85,10 +85,10 @@ class TestVStar:
                     continue
                 state = mkstate(pos, dest)
                 q = ri.q_values(state, critic)
-                feas = sorted(ng.feasible_actions(net, pos))
+                feas = net.feasible[pos]
                 v = ri.v_star(state, critic)
                 assert v >= q[feas].max() - 1e-12
-                assert v <= q[feas].max() + math.log(len(feas)) + 1e-12
+                assert v <= q[feas].max() + math.log(feas.sum()) + 1e-12
 
 
 class TestIqLoss:
@@ -103,7 +103,7 @@ class TestIqLoss:
             next_position=np.array([nxt]),
             is_initial=np.array([initial]),
             is_terminal=np.array([terminal]),
-            feas=ri.feasible_mask(net, [pos]),
+            feas=net.feasible[[pos]],
             next_feas=np.ones((1, 9), dtype=bool),
         )
 
@@ -122,7 +122,7 @@ class TestIqLoss:
         critic = zero_critic(net)
         cfg = ri.IRLConfig(gamma=0.9)
         batch = self._single_transition_batch(net, 4, 8, 8, terminal=False, initial=True)
-        batch.next_feas = ri.feasible_mask(net, [8])
+        batch.next_feas = net.feasible[[8]]
         _, parts = ri.iq_loss(batch, critic, cfg)
         assert parts["initial_term"] == pytest.approx(0.1 * math.log(9), abs=1e-9)
 
@@ -156,6 +156,12 @@ class TestIqLoss:
 
 
 class TestTrainCritic:
+    def test_user_outside_vocabulary_rejected_by_name(self):
+        net, critic = grid_critic(users=1)
+        trajs = [sg.Trajectory(0, 0, 0, 0, [0, 1], [5]), sg.Trajectory(3, 1, 0, 0, [0, 1], [5])]
+        with pytest.raises(tk.EncodingError, match="trajectory 3: users index 1"):
+            ri.train_critic(sg.Dataset(net, trajs, 2), critic, ri.IRLConfig(epochs=1))
+
     def test_zero_lr_unchanged(self):
         cfg_synth = sg.SynthConfig(width=3, height=3, users=2, n_trajectories=8, seed=1, max_len=8)
         dataset, _ = sg.gen_dataset(cfg_synth)

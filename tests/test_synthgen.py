@@ -19,7 +19,7 @@ class TestOracleProbs:
         prefs = prefs_for([[0.0, 0.0, 0.0]])
         state = ng.EnvState(position=12, origin=0, destination=24, depart_bin=0, speed_bin=0, user_id=0)
         probs = sg.oracle_action_probs(state, prefs, grid5)
-        np.testing.assert_allclose(probs[sorted(grid5.feasible_actions(12))], 1 / 9, atol=1e-12)
+        np.testing.assert_allclose(probs[grid5.feasible[12]], 1 / 9, atol=1e-12)
 
     def test_progress_margin(self, grid5):
         prefs = prefs_for([[10.0, 0.0, 0.0]])
@@ -28,7 +28,7 @@ class TestOracleProbs:
         hops = ng.hops_to(grid5, 24)
         reducing = [
             a
-            for a in grid5.feasible_actions(12)
+            for a in np.flatnonzero(grid5.feasible[12])
             if hops[ng.apply_action(grid5, 12, a)] < hops[12]
         ]
         assert probs[reducing].sum() >= 0.99
@@ -60,8 +60,7 @@ class TestOracleProbs:
             probs = sg.oracle_action_probs(state, prefs, grid5, prev_action=prev)
             assert probs.min() >= 0.0
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-            infeasible = set(range(9)) - grid5.feasible_actions(pos)
-            assert all(probs[a] == 0.0 for a in infeasible)
+            assert np.all(probs[~grid5.feasible[pos]] == 0.0)
 
 
 class TestGenTrajectory:

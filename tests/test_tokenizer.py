@@ -116,6 +116,31 @@ class TestWindowize:
         assert windows[1].timestep.tolist() == list(range(8, 20))
 
 
+class TestCheckVocab:
+    VOCAB = tk.VocabSpec(positions=9, actions=10, rtg=2, depart_bins=24, speed_bins=120, users=2, max_timestep=4)
+
+    def test_fitting_trajectory_accepted(self):
+        tk.check_vocab([sg.Trajectory(1, 1, 23, 119, [0, 1, 2, 5], [5, 5, 7])], self.VOCAB)
+
+    @pytest.mark.parametrize(
+        "traj, field",
+        [
+            (sg.Trajectory(7, 0, 0, 0, [0, 9], [5]), "positions"),
+            (sg.Trajectory(7, 2, 0, 0, [0, 1], [5]), "users"),
+            (sg.Trajectory(7, 0, 24, 0, [0, 1], [5]), "depart_bins"),
+            (sg.Trajectory(7, 0, 0, 120, [0, 1], [5]), "speed_bins"),
+            (sg.Trajectory(7, 0, 0, 0, [0, 1, 2, 1, 0], [5, 5, 3, 3]), "max_timestep"),
+        ],
+    )
+    def test_each_field_named(self, traj, field):
+        with pytest.raises(tk.EncodingError, match=f"trajectory 7: {field} index"):
+            tk.check_vocab([traj], self.VOCAB)
+
+    def test_unlisted_fields_ignored(self):
+        long_fast = sg.Trajectory(7, 0, 0, 120, [0, 1, 2, 1, 0], [5, 5, 3, 3])
+        tk.check_vocab([long_fast], self.VOCAB, ("positions", "users", "depart_bins"))
+
+
 class TestVocabSizes:
     def test_grid_counts(self):
         net = ng.GridNetwork(ng.GridSpec(5, 5))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trajforge import netgrid as ng
 from trajforge import numcore as nc
@@ -24,6 +26,11 @@ def sample_window(net, seed=3, user=1, n_users=4, max_len=19):
     prefs = sg.PreferenceParams(make_rng(seed, "theta").normal(size=(n_users, 3)))
     traj = sg.gen_trajectory(seed, (0, net.n_positions - 1), user, prefs, net, max_len, depart_bin=2, speed_bin=7)
     return tk.windowize(tk.encode_episode(traj), 8, 8)[0]
+
+
+logit_rows = st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9).map(np.array)
+feasible_rows = st.lists(st.booleans(), min_size=9, max_size=9).filter(any).map(np.array)
+temperatures = st.floats(0.05, 10.0)
 
 
 def reference_forward(model, window):
@@ -206,23 +213,23 @@ class TestNllLoss:
 class TestSampleAction:
     def test_single_feasible(self):
         rng = make_rng(0)
-        assert tm.sample_action(np.zeros(9), {6}, 1.0, rng) == 6
+        assert tm.sample_action(np.zeros(9), np.arange(9) == 6, 1.0, rng) == 6
 
     def test_greedy_tie_break(self):
         rng = make_rng(0)
         logits = np.array([1.0, 2.0, 2.0, 0, 0, 0, 0, 0, 0])
-        assert tm.sample_action(logits, set(range(9)), 0.0, rng) == 1
+        assert tm.sample_action(logits, np.ones(9, dtype=bool), 0.0, rng) == 1
 
     def test_empty_feasible(self):
         with pytest.raises(tm.DeadEndError):
-            tm.sample_action(np.zeros(9), set(), 1.0, make_rng(0))
+            tm.sample_action(np.zeros(9), np.zeros(9, dtype=bool), 1.0, make_rng(0))
 
     def test_uniform_frequencies_within_3_sigma(self):
         rng = make_rng(123)
         n = 100_000
         counts = np.zeros(9, dtype=int)
         logits = np.zeros(9)
-        feasible = set(range(9))
+        feasible = np.ones(9, dtype=bool)
         for _ in range(n):
             counts[tm.sample_action(logits, feasible, 1.0, rng)] += 1
         expected = n / 9
@@ -231,9 +238,19 @@ class TestSampleAction:
 
     def test_infeasible_never_sampled(self):
         rng = make_rng(7)
-        feasible = {0, 4, 8}
+        feasible = np.isin(np.arange(9), [0, 4, 8])
         for _ in range(200):
-            assert tm.sample_action(np.zeros(9), feasible, 1.0, rng) in feasible
+            assert feasible[tm.sample_action(np.zeros(9), feasible, 1.0, rng)]
+
+    @given(logit_rows, feasible_rows, st.one_of(st.just(0.0), temperatures), st.integers(0, 2**32))
+    def test_feasible_only_property(self, logits, feasible, temperature, seed):
+        assert feasible[tm.sample_action(logits, feasible, temperature, make_rng(seed))]
+
+    @given(logit_rows, feasible_rows, temperatures)
+    def test_masked_log_probs_distribution_property(self, logits, feasible, temperature):
+        p = np.exp(tm.masked_log_probs(logits, feasible, temperature))
+        assert p[feasible].sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(p[~feasible] == 0.0)
 
 
 class TestGenerate:
@@ -260,7 +277,7 @@ class TestGenerate:
         for seed in range(5):
             traj = tm.generate(tm.GenerationContext(0, 24, 0, 0, 0, max_len=19, seed=seed), model, net)
             for pos, act in zip(traj.positions, traj.actions):
-                assert act in ng.feasible_actions(net, pos)
+                assert net.feasible[pos, act]
 
     def test_user_row_swap_swaps_generations(self):
         net, model = small_model()
