@@ -2,6 +2,8 @@
 
 Every differentiable operation builds a node holding its parents and a backward
 closure; `backward` replays the recorded graph in reverse topological order.
+Gradient buffers are lazy: the first gradient to reach a node becomes its
+`.grad` and later ones add into it, so no node shares its buffer with another.
 All stochastic helpers take an explicit counter-based RNG so replays are
 bit-identical.
 """
@@ -125,12 +127,17 @@ class ComputationRecord:
 
 
 def backward(root: Tensor) -> ComputationRecord:
-    """Populate `.grad` on every node reachable from `root` (root grad = 1)."""
+    """Populate `.grad` on every node reachable from `root` (root grad = 1), replacing stale ones.
+
+    Ops add their parents' shares through `_accum`; a node that no share reached gets zeros.
+    """
     record = ComputationRecord.from_root(root)
     for node in record.nodes:
-        node.grad = np.zeros_like(node.data)
+        node.grad = None
     root.grad = np.ones_like(root.data)
     for node in reversed(record.nodes):
+        if node.grad is None:
+            node.grad = np.zeros_like(node.data)
         if node._bwd is not None:
             node._bwd(node.grad)
     return record
@@ -157,6 +164,27 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add gradient share `g` (summed down to `t`'s shape) into `t.grad`. The first share becomes
+    `t.grad`, as is when `fresh` (no other node holds `g`), else as a copy: no two nodes share one."""
+    if g.shape != t.data.shape:
+        g, fresh = _unbroadcast(g, t.data.shape), True
+    if t.grad is None:
+        t.grad = g if fresh else g.copy()
+    else:
+        t.grad += g
+
+
+def _scatter_accum(t: Tensor, flat_idx: np.ndarray, g: np.ndarray) -> None:
+    """Add `g` into `t.grad` at flat positions `flat_idx`, rounding exactly as `np.add.at`:
+    after any gradient `t` already holds, duplicates sum in index order."""
+    weights = g.ravel()
+    if t.grad is not None:
+        flat_idx = np.concatenate([np.arange(t.data.size), flat_idx])
+        weights = np.concatenate([t.grad.ravel(), weights])
+    t.grad = np.bincount(flat_idx, weights=weights, minlength=t.data.size).reshape(t.data.shape)
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -166,8 +194,8 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data, (a, b))
 
     def bwd(g):
-        a.grad += _unbroadcast(g, a.data.shape)
-        b.grad += _unbroadcast(g, b.data.shape)
+        _accum(a, g)
+        _accum(b, g)
 
     out._bwd = bwd
     return out
@@ -178,8 +206,8 @@ def sub(a, b) -> Tensor:
     out = Tensor(a.data - b.data, (a, b))
 
     def bwd(g):
-        a.grad += _unbroadcast(g, a.data.shape)
-        b.grad -= _unbroadcast(g, b.data.shape)
+        _accum(a, g)
+        _accum(b, -g, fresh=True)
 
     out._bwd = bwd
     return out
@@ -190,8 +218,8 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data, (a, b))
 
     def bwd(g):
-        a.grad += _unbroadcast(g * b.data, a.data.shape)
-        b.grad += _unbroadcast(g * a.data, b.data.shape)
+        _accum(a, g * b.data, fresh=True)
+        _accum(b, g * a.data, fresh=True)
 
     out._bwd = bwd
     return out
@@ -203,7 +231,7 @@ def mul_const(a: Tensor, c) -> Tensor:
     out = Tensor(a.data * c, (a,))
 
     def bwd(g):
-        a.grad += _unbroadcast(g * c, a.data.shape)
+        _accum(a, g * c, fresh=True)
 
     out._bwd = bwd
     return out
@@ -214,7 +242,7 @@ def add_const(a: Tensor, c) -> Tensor:
     out = Tensor(a.data + c, (a,))
 
     def bwd(g):
-        a.grad += _unbroadcast(g, a.data.shape)
+        _accum(a, g)
 
     out._bwd = bwd
     return out
@@ -229,8 +257,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data, (a, b))
 
     def bwd(g):
-        a.grad += g @ b.data.T
-        b.grad += a.data.T @ g
+        _accum(a, g @ b.data.T, fresh=True)
+        _accum(b, a.data.T @ g, fresh=True)
 
     out._bwd = bwd
     return out
@@ -240,7 +268,7 @@ def transpose(a: Tensor) -> Tensor:
     out = Tensor(a.data.T, (a,))
 
     def bwd(g):
-        a.grad += g.T
+        _accum(a, g.T)
 
     out._bwd = bwd
     return out
@@ -254,7 +282,7 @@ def concat_rows(tensors) -> Tensor:
     def bwd(g):
         offset = 0
         for t, n in zip(tensors, sizes):
-            t.grad += g[offset : offset + n]
+            _accum(t, g[offset : offset + n])
             offset += n
 
     out._bwd = bwd
@@ -269,7 +297,7 @@ def concat_cols(tensors) -> Tensor:
     def bwd(g):
         offset = 0
         for t, n in zip(tensors, sizes):
-            t.grad += g[:, offset : offset + n]
+            _accum(t, g[:, offset : offset + n])
             offset += n
 
     out._bwd = bwd
@@ -284,7 +312,9 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     out = Tensor(a.data[idx], (a,))
 
     def bwd(g):
-        np.add.at(a.grad, idx, g)
+        width = math.prod(a.data.shape[1:])
+        flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
+        _scatter_accum(a, flat, g)
 
     out._bwd = bwd
     return out
@@ -294,6 +324,8 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     out = Tensor(a.data[:, start:stop], (a,))
 
     def bwd(g):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
         a.grad[:, start:stop] += g
 
     out._bwd = bwd
@@ -309,7 +341,7 @@ def gather_per_row(a: Tensor, idx) -> Tensor:
     out = Tensor(a.data[rows, idx], (a,))
 
     def bwd(g):
-        np.add.at(a.grad, (rows, idx), g)
+        _scatter_accum(a, rows * a.data.shape[1] + idx, g)
 
     out._bwd = bwd
     return out
@@ -341,7 +373,7 @@ def masked_logsumexp_rows(a: Tensor, mask: np.ndarray) -> Tensor:
 
     def bwd(g):
         p = np.exp(np.where(mask, x - out_val[:, None], -np.inf))
-        a.grad += p * g[:, None]
+        _accum(a, p * g[:, None], fresh=True)
 
     out._bwd = bwd
     return out
@@ -363,7 +395,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     def bwd(g):
         p = np.exp(shifted - lse[:, None])
         p[np.arange(n), targets] -= 1.0
-        logits.grad += (g / n) * p
+        _accum(logits, (g / n) * p, fresh=True)
 
     out._bwd = bwd
     return out
@@ -383,14 +415,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def bwd(g):
         reduce_axes = tuple(range(g.ndim - 1))
-        gain.grad += (g * xhat).sum(axis=reduce_axes)
-        bias.grad += g.sum(axis=reduce_axes)
+        _accum(gain, (g * xhat).sum(axis=reduce_axes), fresh=True)
+        _accum(bias, g.sum(axis=reduce_axes), fresh=True)
         dxhat = g * gain.data
-        x.grad += inv_std * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        dx = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        _accum(x, dx, fresh=True)
 
     out._bwd = bwd
     return out
@@ -400,15 +429,15 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation."""
-    inner = _GELU_C * (x.data + 0.044715 * x.data**3)
+    """GELU, tanh approximation; powers by multiplication, which is far cheaper than `**`."""
+    inner = _GELU_C * (x.data + 0.044715 * (x.data * x.data * x.data))
     t = np.tanh(inner)
     out = Tensor(0.5 * x.data * (1.0 + t), (x,))
 
     def bwd(g):
         sech2 = 1.0 - t * t
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x.data**2)
-        x.grad += g * (0.5 * (1.0 + t) + 0.5 * x.data * sech2 * d_inner)
+        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x.data * x.data))
+        _accum(x, g * (0.5 * (1.0 + t) + 0.5 * x.data * sech2 * d_inner), fresh=True)
 
     out._bwd = bwd
     return out
@@ -419,7 +448,7 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     out = Tensor(np.where(pos, x.data, slope * x.data), (x,))
 
     def bwd(g):
-        x.grad += g * np.where(pos, 1.0, slope)
+        _accum(x, g * np.where(pos, 1.0, slope), fresh=True)
 
     out._bwd = bwd
     return out
@@ -430,7 +459,7 @@ def mean_all(x: Tensor) -> Tensor:
     out = Tensor(x.data.mean(), (x,))
 
     def bwd(g):
-        x.grad += g / n
+        _accum(x, np.full(x.data.shape, g / n), fresh=True)
 
     out._bwd = bwd
     return out
@@ -440,7 +469,7 @@ def sum_all(x: Tensor) -> Tensor:
     out = Tensor(x.data.sum(), (x,))
 
     def bwd(g):
-        x.grad += g
+        _accum(x, np.full(x.data.shape, g), fresh=True)
 
     out._bwd = bwd
     return out
@@ -454,7 +483,7 @@ def dot_const(v: Tensor, w) -> Tensor:
     out = Tensor(float(np.dot(v.data.ravel(), w.ravel())), (v,))
 
     def bwd(g):
-        v.grad += g * w
+        _accum(v, g * w, fresh=True)
 
     out._bwd = bwd
     return out
@@ -468,88 +497,60 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     return mul_const(x, keep)
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int):
-    """Multi-head causal self-attention over a (T, d) sequence.
-
-    Returns (context tensor of shape (T, d), attention weights ndarray of
-    shape (n_heads, T, T)); position i attends to positions j <= i only.
-    """
-    t_len, d = q.data.shape
-    if d % n_heads != 0:
-        raise ShapeError(f"model width {d} not divisible by {n_heads} heads")
-    hd = d // n_heads
-    scale = 1.0 / math.sqrt(hd)
-    qh = q.data.reshape(t_len, n_heads, hd)
-    kh = k.data.reshape(t_len, n_heads, hd)
-    vh = v.data.reshape(t_len, n_heads, hd)
-    scores = np.einsum("ihd,jhd->hij", qh, kh) * scale
-    causal = np.tril(np.ones((t_len, t_len), dtype=bool))
-    scores = np.where(causal, scores, -np.inf)
-    shifted = scores - scores.max(axis=2, keepdims=True)
-    e = np.exp(shifted)
-    weights = e / e.sum(axis=2, keepdims=True)
-    ctx = np.einsum("hij,jhd->ihd", weights, vh).reshape(t_len, d)
-    out = Tensor(ctx, (q, k, v))
-
-    def bwd(g):
-        gh = g.reshape(t_len, n_heads, hd)
-        gw = np.einsum("ihd,jhd->hij", gh, vh)
-        gv = np.einsum("hij,ihd->jhd", weights, gh)
-        gs = weights * (gw - (weights * gw).sum(axis=2, keepdims=True))
-        gq = np.einsum("hij,jhd->ihd", gs, kh) * scale
-        gk = np.einsum("hij,ihd->jhd", gs, qh) * scale
-        q.grad += gq.reshape(t_len, d)
-        k.grad += gk.reshape(t_len, d)
-        v.grad += gv.reshape(t_len, d)
-
-    out._bwd = bwd
-    return out, weights
-
-
 def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments):
-    """Causal attention applied independently to contiguous row segments.
+    """Multi-head causal attention applied independently to contiguous row segments.
 
-    `segments` lists each segment's length; rows never attend across segment
-    boundaries. Returns (context, list of per-segment weight arrays).
+    `segments` lists each segment's length; a row attends to itself and earlier rows of its
+    segment. Segments of equal length run as one stacked matmul. Returns (context, list of
+    per-segment (n_heads, T, T) weight arrays in segment order).
     """
     if sum(segments) != q.data.shape[0]:
         raise ShapeError("segment lengths do not cover the sequence")
-    t_total, d = q.data.shape
+    d = q.data.shape[1]
     if d % n_heads != 0:
         raise ShapeError(f"model width {d} not divisible by {n_heads} heads")
     hd = d // n_heads
     scale = 1.0 / math.sqrt(hd)
+    lengths = np.asarray(segments, dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+
+    def heads(x, rows):  # (G, T) row indices -> (G, heads, T, hd)
+        return x[rows].reshape(*rows.shape, n_heads, hd).transpose(0, 2, 1, 3)
+
+    def unheads(xh, rows):
+        return xh.transpose(0, 2, 1, 3).reshape(*rows.shape, d)
+
     ctx = np.empty_like(q.data)
-    saved = []
-    offset = 0
-    for seg in segments:
-        sl = slice(offset, offset + seg)
-        qh = q.data[sl].reshape(seg, n_heads, hd)
-        kh = k.data[sl].reshape(seg, n_heads, hd)
-        vh = v.data[sl].reshape(seg, n_heads, hd)
-        scores = np.einsum("ihd,jhd->hij", qh, kh) * scale
-        causal = np.tril(np.ones((seg, seg), dtype=bool))
-        scores = np.where(causal, scores, -np.inf)
-        shifted = scores - scores.max(axis=2, keepdims=True)
-        e = np.exp(shifted)
-        weights = e / e.sum(axis=2, keepdims=True)
-        ctx[sl] = np.einsum("hij,jhd->ihd", weights, vh).reshape(seg, d)
-        saved.append((sl, seg, qh, kh, vh, weights))
-        offset += seg
+    weights = [None] * len(lengths)
+    groups = []
+    for t_len in np.unique(lengths):
+        members = np.flatnonzero(lengths == t_len)
+        rows = starts[members, None] + np.arange(t_len)
+        qh, kh, vh = heads(q.data, rows), heads(k.data, rows), heads(v.data, rows)
+        scores = (qh @ kh.swapaxes(2, 3)) * scale
+        scores = np.where(np.tril(np.ones((t_len, t_len), dtype=bool)), scores, -np.inf)
+        e = np.exp(scores - scores.max(axis=3, keepdims=True))
+        w = e / e.sum(axis=3, keepdims=True)
+        ctx[rows] = unheads(w @ vh, rows)
+        for j, m in enumerate(members):
+            weights[m] = w[j]
+        groups.append((rows, w))
     out = Tensor(ctx, (q, k, v))
 
     def bwd(g):
-        for sl, seg, qh, kh, vh, weights in saved:
-            gh = g[sl].reshape(seg, n_heads, hd)
-            gw = np.einsum("ihd,jhd->hij", gh, vh)
-            gv = np.einsum("hij,ihd->jhd", weights, gh)
-            gs = weights * (gw - (weights * gw).sum(axis=2, keepdims=True))
-            q.grad[sl] += (np.einsum("hij,jhd->ihd", gs, kh) * scale).reshape(seg, d)
-            k.grad[sl] += (np.einsum("hij,ihd->jhd", gs, qh) * scale).reshape(seg, d)
-            v.grad[sl] += gv.reshape(seg, d)
+        gq, gk, gv = np.empty_like(g), np.empty_like(g), np.empty_like(g)
+        for rows, w in groups:  # heads gathered again, not kept: forward-only passes would hold the copies
+            qh, kh, vh, gh = heads(q.data, rows), heads(k.data, rows), heads(v.data, rows), heads(g, rows)
+            gw = gh @ vh.swapaxes(2, 3)
+            gs = w * (gw - (w * gw).sum(axis=3, keepdims=True))
+            gq[rows] = unheads((gs @ kh) * scale, rows)
+            gk[rows] = unheads((gs.swapaxes(2, 3) @ qh) * scale, rows)
+            gv[rows] = unheads(w.swapaxes(2, 3) @ gh, rows)
+        for t, grad in ((q, gq), (k, gk), (v, gv)):
+            _accum(t, grad, fresh=True)
 
     out._bwd = bwd
-    return out, [w for _, _, _, _, _, w in saved]
+    return out, weights
 
 
 def masked_kl_rows(logits: Tensor, ref_logp: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -565,7 +566,7 @@ def masked_kl_rows(logits: Tensor, ref_logp: np.ndarray, mask: np.ndarray) -> Te
     out = Tensor(kl, (logits,))
 
     def bwd(g):
-        logits.grad += p * ((lp - ref) - kl[:, None]) * g[:, None]
+        _accum(logits, p * ((lp - ref) - kl[:, None]) * g[:, None], fresh=True)
 
     out._bwd = bwd
     return out

@@ -235,20 +235,7 @@ def forward_batch(
     s_tok = nc.add(s_sum, ts)
     a_tok = nc.add(nc.gather_rows(model.emb_action, cat("action")), ts)
 
-    # interleave (R_t, s_t, a_t) per window
-    perm = np.empty(3 * total, dtype=np.intp)
-    s_index = np.empty(total, dtype=np.intp)
-    seq_off = 0
-    step_off = 0
-    for t_len in sizes:
-        rows = np.arange(t_len)
-        perm[seq_off + 3 * rows] = step_off + rows
-        perm[seq_off + 3 * rows + 1] = total + step_off + rows
-        perm[seq_off + 3 * rows + 2] = 2 * total + step_off + rows
-        s_index[step_off + rows] = seq_off + 3 * rows + 1
-        seq_off += 3 * t_len
-        step_off += t_len
-
+    perm, s_index = _interleave(total)
     x = nc.gather_rows(nc.concat_rows([r_tok, s_tok, a_tok]), perm)
     x = nc.layer_norm(x, model.ln_emb_gain, model.ln_emb_bias)
     x = nc.dropout(x, cfg.dropout, rng)
@@ -274,6 +261,12 @@ def forward_batch(
     logits = nc.add(nc.matmul(nc.gather_rows(x, s_index), model.head_w), model.head_b)
     nc.assert_finite(logits, "action logits")
     return BatchForward(logits=logits, sizes=sizes, attention=attention)
+
+
+def _interleave(total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the stacked [R; s; a] tokens (step i of kind k at k*total + i) in (R_t, s_t, a_t)
+    stream order, where it sits at 3i + k; and the stream positions of the state tokens."""
+    return (np.arange(total)[:, None] + total * np.arange(3)).ravel(), 3 * np.arange(total) + 1
 
 
 def forward(
@@ -313,13 +306,16 @@ def masked_log_probs(logits: np.ndarray, feasible: np.ndarray, temperature: floa
     return z - nc.masked_logsumexp(z, feasible)
 
 
-def sample_action(logits: np.ndarray, feasible: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
-    """Sampling restricted to the (9,) bool row `feasible`; temperature 0 is argmax with lowest-index ties."""
+def sample_action(logits: np.ndarray, feasible: np.ndarray, temperature: float, rng: np.random.Generator, log_probs=None) -> int:
+    """Sampling restricted to the (9,) bool row `feasible`; temperature 0 is argmax with lowest-index ties.
+
+    `log_probs`, if given, is `masked_log_probs(logits, feasible, temperature)` computed already; argmax ignores it.
+    """
     if not feasible.any():
         raise DeadEndError("no feasible actions")
     if temperature == 0:
         return int(np.argmax(np.where(feasible, logits, -np.inf)))
-    p = np.exp(masked_log_probs(logits, feasible, temperature))
+    p = np.exp(masked_log_probs(logits, feasible, temperature) if log_probs is None else log_probs)
     return int(rng.choice(N_ACTIONS, p=p))
 
 
@@ -373,9 +369,11 @@ def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) ->
         out = forward(window, model)
         logits = out.logits.data[-1]
         temp = ctx.temperature
-        a = sample_action(logits, feasible, temp, rng)
+        # greedy decoding still scores its moves under the temperature-1 policy
+        lp = masked_log_probs(logits, feasible, temp if temp > 0 else 1.0)
+        a = sample_action(logits, feasible, temp, rng, log_probs=lp)
         assert feasible[a]
-        log_probs.append(float(masked_log_probs(logits, feasible, temp if temp > 0 else 1.0)[a]))
+        log_probs.append(float(lp[a]))
         actions.append(a)
         positions.append(netgrid.apply_action(net, pos, a))
         if positions[-1] == ctx.destination:

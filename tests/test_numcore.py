@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trajforge import numcore as nc
 
@@ -276,7 +278,7 @@ class TestCompositeGradients:
         wv = nc.Tensor(rng.normal(size=(8, 8), scale=0.5))
 
         def f():
-            ctx, _ = nc.causal_attention(nc.matmul(x, wq), nc.matmul(x, wk), nc.matmul(x, wv), n_heads=2)
+            ctx, _ = nc.block_causal_attention(nc.matmul(x, wq), nc.matmul(x, wk), nc.matmul(x, wv), n_heads=2, segments=[4])
             return nc.mean_all(ctx)
 
         assert nc.finite_diff_check(f, [x, wq, wk, wv], eps=1e-5) <= 1e-5
@@ -292,8 +294,8 @@ class TestCompositeGradients:
             n_heads=2,
             segments=[3, 5],
         )
-        solo1, _ = nc.causal_attention(nc.tensor(q1), nc.tensor(k1), nc.tensor(v1), n_heads=2)
-        solo2, _ = nc.causal_attention(nc.tensor(q2), nc.tensor(k2), nc.tensor(v2), n_heads=2)
+        solo1, _ = nc.block_causal_attention(nc.tensor(q1), nc.tensor(k1), nc.tensor(v1), n_heads=2, segments=[3])
+        solo2, _ = nc.block_causal_attention(nc.tensor(q2), nc.tensor(k2), nc.tensor(v2), n_heads=2, segments=[5])
         np.testing.assert_array_equal(joint.data[:3], solo1.data)
         np.testing.assert_array_equal(joint.data[3:], solo2.data)
 
@@ -337,6 +339,141 @@ class TestCompositeGradients:
             return nc.sum_all(nc.slice_cols(rows, 1, 3))
 
         assert nc.finite_diff_check(f, [table], eps=1e-5) <= 1e-8
+
+
+def attention_with_grads(q, k, v, g, n_heads, segments):
+    """Context, weights and q/k/v gradients of block attention under the upstream gradient `g`."""
+    q, k, v = nc.tensor(q), nc.tensor(k), nc.tensor(v)
+    ctx, weights = nc.block_causal_attention(q, k, v, n_heads, segments)
+    nc.backward(nc.sum_all(nc.mul_const(ctx, g)))
+    return ctx.data, weights, q.grad, k.grad, v.grad
+
+
+class TestBlockAttention:
+    """Segments of equal length run stacked; each must still behave as if run alone."""
+
+    @given(
+        segments=st.lists(st.integers(1, 5), min_size=1, max_size=8),
+        n_heads=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_grouped_equals_one_call_per_segment_property(self, segments, n_heads, seed):
+        rng = nc.make_rng(47, seed)
+        q, k, v, g = (rng.normal(size=(sum(segments), 4)) for _ in range(4))
+        ctx, weights, gq, gk, gv = attention_with_grads(q, k, v, g, n_heads, segments)
+        assert len(weights) == len(segments)
+        start = 0
+        for seg, w in zip(segments, weights):
+            sl = slice(start, start + seg)
+            s_ctx, (s_w,), s_gq, s_gk, s_gv = attention_with_grads(q[sl], k[sl], v[sl], g[sl], n_heads, [seg])
+            assert w.shape == (n_heads, seg, seg)
+            np.testing.assert_array_equal(w, s_w)
+            for joint, solo in ((ctx, s_ctx), (gq, s_gq), (gk, s_gk), (gv, s_gv)):
+                np.testing.assert_array_equal(joint[sl], solo)
+            start += seg
+
+    def test_mixed_lengths_finite_differences(self):
+        rng = nc.make_rng(53)
+        x = nc.Tensor(rng.normal(size=(10, 4)))
+        wq, wk, wv = (nc.Tensor(rng.normal(size=(4, 4), scale=0.5)) for _ in range(3))
+        g = rng.normal(size=(10, 4))
+
+        def f():
+            ctx, _ = nc.block_causal_attention(
+                nc.matmul(x, wq), nc.matmul(x, wk), nc.matmul(x, wv), n_heads=2, segments=[3, 1, 3, 2, 1]
+            )
+            return nc.sum_all(nc.mul_const(ctx, g))
+
+        assert nc.finite_diff_check(f, [x, wq, wk, wv], eps=1e-5) <= 1e-5
+
+    def test_segments_must_cover_rows(self):
+        x = nc.tensor(np.zeros((4, 4)))
+        with pytest.raises(nc.ShapeError):
+            nc.block_causal_attention(x, x, x, 2, [1, 2])
+
+
+class TestGatherGradients:
+    def test_duplicates_equal_add_at(self):
+        rng = nc.make_rng(61)
+        table = nc.Tensor(rng.normal(size=(5, 3)))
+        idx = np.array([4, 1, 4, 0, 4, 1, 2])
+        g = rng.normal(size=(7, 3))
+        nc.backward(nc.sum_all(nc.mul_const(nc.gather_rows(table, idx), g)))
+        expected = np.zeros((5, 3))
+        np.add.at(expected, idx, g)
+        np.testing.assert_array_equal(table.grad, expected)
+
+    def test_second_gather_adds_as_add_at(self):
+        # a table read by two gathers: the second one's rows sum onto the first one's gradient in index order
+        rng = nc.make_rng(67)
+        table = nc.Tensor(rng.normal(size=(4, 3)))
+        idx1, idx2 = np.array([0, 3, 3]), np.array([3, 1, 3, 3, 0])
+        g1, g2 = rng.normal(size=(3, 3)) * 1e-3, rng.normal(size=(5, 3)) * 1e3
+        rows1, rows2 = nc.gather_rows(table, idx1), nc.gather_rows(table, idx2)
+        loss = nc.add(nc.sum_all(nc.mul_const(rows1, g1)), nc.sum_all(nc.mul_const(rows2, g2)))
+        order = [id(node) for node in nc.backward(loss).nodes]
+        # backward runs the recorded nodes last to first
+        first, second = (idx2, g2), (idx1, g1)
+        if order.index(id(rows1)) > order.index(id(rows2)):
+            first, second = second, first
+        expected = np.zeros((4, 3))
+        np.add.at(expected, *first)
+        np.add.at(expected, *second)
+        np.testing.assert_array_equal(table.grad, expected)
+
+    def test_per_row_equals_add_at(self):
+        rng = nc.make_rng(71)
+        a = nc.Tensor(rng.normal(size=(4, 6)))
+        idx = np.array([5, 0, 5, 2])
+        g = rng.normal(size=4)
+        nc.backward(nc.sum_all(nc.mul_const(nc.gather_per_row(a, idx), g)))
+        expected = np.zeros((4, 6))
+        np.add.at(expected, (np.arange(4), idx), g)
+        np.testing.assert_array_equal(a.grad, expected)
+
+
+class TestLazyGradients:
+    """The first gradient a node receives is its own array; later ones add into it."""
+
+    def test_fan_out_sums(self):
+        x = nc.tensor([1.0, -2.0, 3.0])
+        nc.backward(nc.sum_all(nc.add(x, x)))
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+        rng = nc.make_rng(73)
+        h = nc.Tensor(rng.normal(size=(3, 4)))
+        w1, w2 = nc.tensor(rng.normal(size=(4, 2))), nc.tensor(rng.normal(size=(4, 5)))
+        nc.backward(nc.add(nc.sum_all(nc.matmul(h, w1)), nc.sum_all(nc.matmul(h, w2))))
+        np.testing.assert_allclose(h.grad, np.tile(w1.data.sum(axis=1) + w2.data.sum(axis=1), (3, 1)), rtol=1e-14)
+
+    def test_siblings_not_aliased(self):
+        a, b = nc.tensor(np.ones(3)), nc.tensor(np.ones(3))
+        out = nc.add(a, b)
+        nc.backward(nc.sum_all(nc.mul_const(out, [3.0, 4.0, 12.0])))
+        nc.clip_grad_norm([a.grad], 1.0)
+        np.testing.assert_allclose(a.grad, [3 / 13, 4 / 13, 12 / 13])
+        np.testing.assert_array_equal(b.grad, [3.0, 4.0, 12.0])
+        np.testing.assert_array_equal(out.grad, [3.0, 4.0, 12.0])
+
+    def test_mean_all_full_shape(self):
+        x = nc.tensor(np.zeros((2, 5)))
+        nc.backward(nc.mean_all(x))
+        assert x.grad.shape == (2, 5)
+        np.testing.assert_array_equal(x.grad, np.full((2, 5), 0.1))
+
+    def test_empty_gather_gives_zeros(self):
+        table = nc.tensor(np.ones((3, 2)))
+        other = nc.tensor([2.0])
+        loss = nc.add(nc.sum_all(nc.gather_rows(table, np.zeros(0, dtype=np.intp))), nc.sum_all(other))
+        nc.backward(loss)
+        assert table.grad is not None
+        np.testing.assert_array_equal(table.grad, np.zeros((3, 2)))
+        np.testing.assert_array_equal(other.grad, [1.0])
+
+    def test_stale_gradients_dropped(self):
+        x = nc.tensor([1.0, 2.0])
+        for _ in range(2):
+            nc.backward(nc.sum_all(nc.mul_const(x, 3.0)))
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
 
 class TestDeterminism:

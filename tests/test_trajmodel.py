@@ -177,6 +177,38 @@ class TestForward:
             tm.forward(window, model)
 
 
+class TestInterleave:
+    def test_matches_per_window_loop(self):
+        sizes = [3, 1, 5, 3, 2]
+        total = sum(sizes)
+        perm = np.empty(3 * total, dtype=np.intp)
+        s_index = np.empty(total, dtype=np.intp)
+        seq_off = step_off = 0
+        for t_len in sizes:
+            rows = np.arange(t_len)
+            for k in range(3):
+                perm[seq_off + 3 * rows + k] = k * total + step_off + rows
+            s_index[step_off + rows] = seq_off + 3 * rows + 1
+            seq_off += 3 * t_len
+            step_off += t_len
+        got_perm, got_s_index = tm._interleave(total)
+        np.testing.assert_array_equal(got_perm, perm)
+        np.testing.assert_array_equal(got_s_index, s_index)
+
+    def test_batch_equals_separate_windows(self):
+        net, model = small_model(layers=2, heads=2)
+        windows = [sample_window(net, seed=s) for s in (3, 4, 5)]
+        windows.append(windows[0].slice(0, 2))
+        joint = tm.forward_batch(windows, model, retain_attention=True)
+        start = 0
+        for w in windows:
+            solo = tm.forward(w, model, retain_attention=True)
+            np.testing.assert_allclose(joint.logits.data[start : start + w.n_steps], solo.logits.data, rtol=1e-12, atol=1e-14)
+            start += w.n_steps
+        for layer in range(2):
+            assert [a.shape for a in joint.attention[layer]] == [(2, 3 * w.n_steps, 3 * w.n_steps) for w in windows]
+
+
 class TestNllLoss:
     def test_uniform_logits_ln9(self):
         net, model = small_model()
@@ -298,6 +330,23 @@ class TestGenerate:
             assert len(traj.actions) == 2
         else:
             assert traj.destination == 24
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.0])
+    def test_log_probs_scored_once_per_move(self, monkeypatch, temperature):
+        net, model = small_model()
+        ctx = tm.GenerationContext(0, 24, 2, 7, 1, max_len=19, temperature=temperature, seed=5)
+        calls = []
+        scorer = tm.masked_log_probs
+        monkeypatch.setattr(tm, "masked_log_probs", lambda *args: calls.append(args) or scorer(*args))
+        res = tm.generate_scored(ctx, model, net)
+        monkeypatch.undo()
+        traj = res.trajectory
+        assert len(calls) == len(traj.actions) == len(res.log_probs)
+        for t, a in enumerate(traj.actions):
+            window = tm._trailing_window(ctx, traj.positions[: t + 1], traj.actions[:t], model.cfg.context)
+            logits = tm.forward(window, model).logits.data[-1]
+            lp = tm.masked_log_probs(logits, net.feasible[traj.positions[t]], temperature or 1.0)
+            assert lp[a].tobytes() == res.log_probs[t].tobytes()
 
     def test_dead_end_flagged(self):
         graph = ng.LinkGraph([[1], []])
