@@ -83,6 +83,7 @@ class GridNetwork:
         row, col = row + dy - 1, col + dx - 1
         self.feasible = (0 <= row) & (row < spec.height) & (0 <= col) & (col < spec.width)
         self.feasible.flags.writeable = False
+        self._hops: dict[int, tuple[int | None, ...]] = {}
 
     @property
     def n_positions(self) -> int:
@@ -138,6 +139,7 @@ class LinkGraph:
         degree = np.array([len(downs) for downs in adjacency], dtype=np.intp)
         self.feasible = np.arange(N_ACTIONS) < degree[:, None]
         self.feasible.flags.writeable = False
+        self._hops: dict[int, tuple[int | None, ...]] = {}
 
     @property
     def n_positions(self) -> int:
@@ -199,18 +201,26 @@ def shortest_hops(net: Network, a: int, b: int) -> int | None:
     return None
 
 
-def hops_to(net: Network, destination: int) -> list[int | None]:
-    """Hop count from every position to `destination` (BFS over reversed edges)."""
-    dist: list[int | None] = [None] * net.n_positions
-    dist[destination] = 0
-    queue = deque([destination])
-    while queue:
-        cur = queue.popleft()
-        for prv in net.reverse_neighbors(cur):
-            if dist[prv] is None:
-                dist[prv] = dist[cur] + 1
-                queue.append(prv)
-    return dist
+def hops_to(net: Network, destination: int) -> tuple[int | None, ...]:
+    """Hop count from every position to `destination` (BFS over reversed edges).
+
+    The search runs once per destination; the network keeps the read-only table for later calls.
+    """
+    table = net._hops.get(destination)
+    if table is None:
+        if not 0 <= destination < net.n_positions:
+            raise ValueError(f"destination {destination} outside network of {net.n_positions} positions")
+        dist: list[int | None] = [None] * net.n_positions
+        dist[destination] = 0
+        queue = deque([destination])
+        while queue:
+            cur = queue.popleft()
+            for prv in net.reverse_neighbors(cur):
+                if dist[prv] is None:
+                    dist[prv] = dist[cur] + 1
+                    queue.append(prv)
+        table = net._hops[destination] = tuple(dist)
+    return table
 
 
 # ---------------------------------------------------------------------------

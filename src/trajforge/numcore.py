@@ -401,17 +401,26 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return out
 
 
+def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+    """Forward formula of `layer_norm` on arrays: (output, normalized x, 1 / std of each row).
+
+    Means are sums over the width, which round exactly as `ndarray.mean` at a fraction of its overhead.
+    """
+    d = x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) / d
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    return xhat * gain + bias, xhat, inv_std
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"gain/bias must have shape ({d},)")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = Tensor(xhat * gain.data + bias.data, (x, gain, bias))
+    out_val, xhat, inv_std = layer_norm_fwd(x.data, gain.data, bias.data, eps)
+    out = Tensor(out_val, (x, gain, bias))
 
     def bwd(g):
         reduce_axes = tuple(range(g.ndim - 1))
@@ -428,11 +437,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def gelu_fwd(x: np.ndarray):
+    """Forward formula of `gelu` on arrays: (output, tanh of the inner term).
+
+    Tanh approximation; powers by multiplication, which is far cheaper than `**`.
+    """
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
 def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation; powers by multiplication, which is far cheaper than `**`."""
-    inner = _GELU_C * (x.data + 0.044715 * (x.data * x.data * x.data))
-    t = np.tanh(inner)
-    out = Tensor(0.5 * x.data * (1.0 + t), (x,))
+    """GELU, tanh approximation (`gelu_fwd`)."""
+    out_val, t = gelu_fwd(x.data)
+    out = Tensor(out_val, (x,))
 
     def bwd(g):
         sech2 = 1.0 - t * t
@@ -497,6 +514,19 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     return mul_const(x, keep)
 
 
+def masked_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, visible: np.ndarray):
+    """Forward formula of attention on per-head arrays: (context, weights).
+
+    `qh` is (..., rows, head dim) and `kh`, `vh` are (..., keys, head dim); query row i attends to
+    key j where `visible[i, j]`, with softmax(q k^T / sqrt(head dim)) weights.
+    """
+    scores = (qh @ kh.swapaxes(-1, -2)) * (1.0 / math.sqrt(qh.shape[-1]))
+    scores = np.where(visible, scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    return w @ vh, w
+
+
 def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments):
     """Multi-head causal attention applied independently to contiguous row segments.
 
@@ -526,12 +556,9 @@ def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segmen
     for t_len in np.unique(lengths):
         members = np.flatnonzero(lengths == t_len)
         rows = starts[members, None] + np.arange(t_len)
-        qh, kh, vh = heads(q.data, rows), heads(k.data, rows), heads(v.data, rows)
-        scores = (qh @ kh.swapaxes(2, 3)) * scale
-        scores = np.where(np.tril(np.ones((t_len, t_len), dtype=bool)), scores, -np.inf)
-        e = np.exp(scores - scores.max(axis=3, keepdims=True))
-        w = e / e.sum(axis=3, keepdims=True)
-        ctx[rows] = unheads(w @ vh, rows)
+        causal = np.tril(np.ones((t_len, t_len), dtype=bool))
+        ctx_h, w = masked_attention(heads(q.data, rows), heads(k.data, rows), heads(v.data, rows), causal)
+        ctx[rows] = unheads(ctx_h, rows)
         for j, m in enumerate(members):
             weights[m] = w[j]
         groups.append((rows, w))

@@ -128,11 +128,9 @@ def check_connectivity(traj: Trajectory, net: Network) -> None:
 # ---------------------------------------------------------------------------
 
 
-def oracle_features(net: Network, position: int, destination: int, a: int, prev_action: int | None, hops_table=None) -> np.ndarray:
-    """(progress, turn-change, stay) for one feasible action."""
+def oracle_features(net: Network, position: int, destination: int, a: int, prev_action: int | None, hops_table) -> np.ndarray:
+    """(progress, turn-change, stay) for one feasible action; `hops_table` is `netgrid.hops_to(net, destination)`."""
     nxt = netgrid.apply_action(net, position, a)
-    if hops_table is None:
-        hops_table = netgrid.hops_to(net, destination)
     here = hops_table[position]
     there = hops_table[nxt]
     if here is None:
@@ -151,11 +149,9 @@ def oracle_action_probs(
     prefs: PreferenceParams,
     net: Network,
     prev_action: int | None = None,
-    hops_table=None,
 ) -> np.ndarray:
     """Softmax of theta_user . f(s, a) over feasible actions; infeasible entries are 0."""
-    if hops_table is None:
-        hops_table = netgrid.hops_to(net, state.destination)
+    hops_table = netgrid.hops_to(net, state.destination)
     if hops_table[state.position] is None:
         raise GenerationError(f"destination {state.destination} unreachable from {state.position}")
     theta = prefs.theta[state.user_id]
@@ -181,8 +177,7 @@ def gen_trajectory(
     origin, destination = od
     if origin == destination:
         raise GenerationError("origin equals destination")
-    hops_table = netgrid.hops_to(net, destination)
-    if hops_table[origin] is None:
+    if netgrid.hops_to(net, destination)[origin] is None:
         raise GenerationError(f"destination {destination} unreachable from {origin}")
     if max_len < 1:
         raise GenerationError("max_len must allow at least one move")
@@ -193,7 +188,7 @@ def gen_trajectory(
     flag = "truncated"
     while True:
         state = EnvState(positions[-1], origin, destination, depart_bin, speed_bin, user)
-        probs = oracle_action_probs(state, prefs, net, prev_action, hops_table)
+        probs = oracle_action_probs(state, prefs, net, prev_action)
         a = int(rng.choice(netgrid.N_ACTIONS, p=probs))
         actions.append(a)
         positions.append(netgrid.apply_action(net, positions[-1], a))

@@ -5,6 +5,19 @@ layer-normalized post-embedding. Blocks are pre-norm causal self-attention and
 GELU feed-forward; action logits are read at each step's state-token position.
 Infeasible actions are masked at sampling time, so generated trajectories are
 valid by construction.
+
+`forward_batch` records the autodiff graph and serves training and evaluation.
+Generation runs the same equations without a graph, incrementally (`_Decoder`):
+- a key/value cache holds each layer's keys and values of the trip's trailing
+  window; a move appends only a_{t-1}, R_t and s_t, and the pending a_t is never
+  computed, because nothing before it attends to it;
+- once the trip passes `context` steps the window drops its first step, which
+  changes every deeper layer's keys and values, so the cache restarts and the
+  whole window is recomputed;
+- only the s_t row's output is read, so the last layer caches the keys and
+  values of every new token but runs its query, attention and feed-forward for
+  that row alone.
+Its logits equal a fresh `forward_batch` of the trailing window to rounding.
 """
 
 from __future__ import annotations
@@ -15,10 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import netgrid, numcore as nc
-from .netgrid import Network
+from .netgrid import EnvState, Network
 from .numcore import Tensor, make_rng
 from .synthgen import GenerationError, Trajectory
-from .tokenizer import BLANK, ContextWindow, VocabSpec, encode_episode
+from .tokenizer import ContextWindow, EncodingError, VocabSpec
 
 N_ACTIONS = netgrid.N_ACTIONS
 
@@ -157,24 +170,13 @@ class PolicyModel:
         return h.digest()
 
 
-def embed_state(state, model: PolicyModel) -> np.ndarray:
-    """Sum of the six element embeddings of one decision context.
+def embed_state(state: EnvState, model: PolicyModel) -> np.ndarray:
+    """Sum of the six element embeddings of one decision context, in `forward_batch`'s order.
 
     The timestep embedding is added at sequence assembly, and the post-embedding
     layer norm is applied there too; this returns the raw element sum.
     """
-    v = model.cfg.vocab
-    checks = (
-        (state.position, v.positions, "position"),
-        (state.origin, v.positions, "origin"),
-        (state.destination, v.positions, "destination"),
-        (state.depart_bin, v.depart_bins, "depart_bin"),
-        (state.speed_bin, v.speed_bins, "speed_bin"),
-        (state.user_id, v.users, "user_id"),
-    )
-    for value, size, name in checks:
-        if not 0 <= value < size:
-            raise IndexError(f"{name} {value} outside vocabulary of {size}")
+    _check_state(state, model.cfg.vocab)
     return (
         model.emb_position.data[state.position]
         + model.emb_origin.data[state.origin]
@@ -185,6 +187,21 @@ def embed_state(state, model: PolicyModel) -> np.ndarray:
     )
 
 
+def _check_state(state: EnvState, vocab: VocabSpec) -> None:
+    """Raise EncodingError naming the first field of `state` outside the tables of `vocab`."""
+    checks = (
+        (state.origin, vocab.positions, "origin"),
+        (state.destination, vocab.positions, "destination"),
+        (state.depart_bin, vocab.depart_bins, "depart_bin"),
+        (state.speed_bin, vocab.speed_bins, "speed_bin"),
+        (state.user_id, vocab.users, "user_id"),
+        (state.position, vocab.positions, "position"),
+    )
+    for value, size, name in checks:
+        if not 0 <= value < size:
+            raise EncodingError(f"{name} {value} outside vocabulary of {size}")
+
+
 @dataclass
 class BatchForward:
     """Forward outputs for a list of windows processed as one graph."""
@@ -192,10 +209,6 @@ class BatchForward:
     logits: Tensor  # (total steps, N_ACTIONS)
     sizes: list[int]
     attention: list | None = None  # [layer][window] -> (heads, 3T, 3T)
-
-    def window_logits(self, b: int) -> np.ndarray:
-        start = sum(self.sizes[:b])
-        return self.logits.data[start : start + self.sizes[b]]
 
 
 def forward_batch(
@@ -345,15 +358,20 @@ class GenerationResult:
 
 
 def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) -> GenerationResult:
-    """Autoregressive rollout; deterministic given (context, model, seed)."""
+    """Autoregressive rollout; deterministic given (context, model, seed).
+
+    Raises EncodingError naming a field of `ctx` outside the model's vocabulary.
+    """
+    vocab = model.cfg.vocab
+    _check_state(EnvState(ctx.origin, ctx.origin, ctx.destination, ctx.depart_bin, ctx.speed_bin, ctx.user_id), vocab)
     if ctx.origin == ctx.destination:
         raise GenerationError("origin equals destination")
     reach = netgrid.hops_to(net, ctx.destination)
     if reach[ctx.origin] is None:
         raise GenerationError(f"destination {ctx.destination} unreachable from {ctx.origin}")
-    vocab = model.cfg.vocab
     max_moves = min(ctx.max_len, vocab.max_timestep - 1)
     rng = make_rng(ctx.seed, "generate", ctx.traj_id)
+    decoder = _Decoder(model, ctx)
 
     positions = [ctx.origin]
     actions: list[int] = []
@@ -365,9 +383,7 @@ def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) ->
         if not feasible.any():
             flag = "dead_end"
             break
-        window = _trailing_window(ctx, positions, actions, model.cfg.context)
-        out = forward(window, model)
-        logits = out.logits.data[-1]
+        logits = decoder.step(pos, actions[-1] if actions else None)
         temp = ctx.temperature
         # greedy decoding still scores its moves under the temperature-1 policy
         lp = masked_log_probs(logits, feasible, temp if temp > 0 else 1.0)
@@ -399,34 +415,73 @@ def generate(ctx: GenerationContext, model: PolicyModel, net: Network) -> Trajec
     return generate_scored(ctx, model, net).trajectory
 
 
-def _trailing_window(ctx: GenerationContext, positions, actions, context: int) -> ContextWindow:
-    """Tokens for the trailing `context` steps; the pending decision is BLANK."""
-    n = len(positions)
-    start = max(0, n - context)
-    rows = range(start, n)
-    rtg = np.array([0 if positions[t] == ctx.destination else 1 for t in rows], dtype=np.int64)
-    action = np.array([actions[t] if t < len(actions) else BLANK for t in rows], dtype=np.int64)
-    size = n - start
-    return ContextWindow(
-        traj_id=ctx.traj_id,
-        flag="partial",
-        rtg=rtg,
-        position=np.array(positions[start:], dtype=np.int64),
-        origin=np.full(size, ctx.origin, dtype=np.int64),
-        destination=np.full(size, ctx.destination, dtype=np.int64),
-        depart=np.full(size, ctx.depart_bin, dtype=np.int64),
-        speed=np.full(size, ctx.speed_bin, dtype=np.int64),
-        user=np.full(size, ctx.user_id, dtype=np.int64),
-        action=action,
-        timestep=np.arange(start, n, dtype=np.int64),
-    )
+class _Decoder:
+    """Graph-free `forward_batch` over the trailing window of one trip, fed one step at a time
+    (the module docstring describes the cache). Rows [0, length) of `keys[i]` and `values[i]` hold
+    layer i's keys and values of the window's tokens."""
+
+    def __init__(self, model: PolicyModel, ctx: GenerationContext):
+        cfg = model.cfg
+        self.model = model
+        self.ctx = ctx
+        self.t = 0
+        self.length = 0
+        # layer-normed tokens of the trip: R_t, s_t, a_t at rows 3t, 3t + 1, 3t + 2
+        self.tokens = np.empty((3 * cfg.vocab.max_timestep, cfg.d_model))
+        self.keys = [np.empty((3 * cfg.context, cfg.d_model)) for _ in model.layers]
+        self.values = [np.empty((3 * cfg.context, cfg.d_model)) for _ in model.layers]
+        self.causal = np.tri(3 * cfg.context, dtype=bool)  # window row i attends to rows j <= i
+
+    def step(self, position: int, prev_action: int | None) -> np.ndarray:
+        """Action logits at step t, the vehicle at `position` after `prev_action` (None at t = 0)."""
+        m, ctx, t = self.model, self.ctx, self.t
+        ts = m.emb_timestep.data
+        lo, hi = max(3 * t - 1, 0), 3 * t + 2
+        new = self.tokens[lo:hi]
+        if t > 0:
+            new[0] = m.emb_action.data[prev_action] + ts[t - 1]
+        new[-2] = m.emb_rtg.data[int(position != ctx.destination)] + ts[t]
+        state = EnvState(position, ctx.origin, ctx.destination, ctx.depart_bin, ctx.speed_bin, ctx.user_id)
+        new[-1] = embed_state(state, m) + ts[t]
+        new[:] = nc.layer_norm_fwd(new, m.ln_emb_gain.data, m.ln_emb_bias.data)[0]
+        self.t = t + 1
+        first = t + 1 - m.cfg.context  # first step of the window, once it slides
+        if first <= 0:
+            return self._run(new)
+        self.length = 0
+        return self._run(self.tokens[3 * first : hi])
+
+    def _run(self, x: np.ndarray) -> np.ndarray:
+        """Append the rows `x` to the window and return the logits read at its last row."""
+        m = self.model
+        n_heads = m.cfg.n_heads
+        past = self.length
+        total = self.length = past + len(x)
+        visible = self.causal[past:total, :total]
+        last = len(m.layers) - 1
+        for i, layer in enumerate(m.layers):
+            h = nc.layer_norm_fwd(x, layer["ln1_gain"].data, layer["ln1_bias"].data)[0]
+            keys, values = self.keys[i], self.values[i]
+            keys[past:total] = h @ layer["wk"].data
+            values[past:total] = h @ layer["wv"].data
+            if i == last:
+                h, x, visible = h[-1:], x[-1:], visible[-1:]
+            q = _heads(h @ layer["wq"].data, n_heads)
+            ctx, _ = nc.masked_attention(q, _heads(keys[:total], n_heads), _heads(values[:total], n_heads), visible)
+            x = x + ctx.transpose(1, 0, 2).reshape(x.shape) @ layer["wo"].data
+            h2 = nc.layer_norm_fwd(x, layer["ln2_gain"].data, layer["ln2_bias"].data)[0]
+            ff = nc.gelu_fwd(h2 @ layer["ff_w1"].data + layer["ff_b1"].data)[0] @ layer["ff_w2"].data
+            x = x + (ff + layer["ff_b2"].data)
+        x = nc.layer_norm_fwd(x, m.ln_f_gain.data, m.ln_f_bias.data)[0]
+        logits = (x @ m.head_w.data + m.head_b.data)[0]
+        if not np.all(np.isfinite(logits)):
+            raise nc.EvaluationError("non-finite values in action logits")
+        return logits
 
 
-def episode_windows(traj: Trajectory, context: int) -> list[ContextWindow]:
-    """Non-overlapping windows (stride = context): each decision step scored once."""
-    from .tokenizer import windowize
-
-    return windowize(encode_episode(traj), context, context)
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(rows, d) -> (heads, rows, d / heads)."""
+    return x.reshape(len(x), n_heads, -1).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------

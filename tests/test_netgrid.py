@@ -118,6 +118,20 @@ class TestShortestHops:
         for cell in range(grid3.n_positions):
             assert table[cell] == ng.shortest_hops(grid3, cell, dest)
 
+    def test_hops_to_cached_per_destination(self, grid3, monkeypatch):
+        dest = grid3.cell_of(2, 1)
+        table = ng.hops_to(grid3, dest)
+        monkeypatch.setattr(grid3, "reverse_neighbors", lambda cell: pytest.fail("breadth-first search ran again"))
+        assert ng.hops_to(grid3, dest) is table
+        assert isinstance(table, tuple)
+        for cell in range(grid3.n_positions):
+            assert table[cell] == ng.shortest_hops(grid3, cell, dest)
+
+    @pytest.mark.parametrize("dest", [-1, 3])
+    def test_hops_to_destination_outside_network(self, dest):
+        with pytest.raises(ValueError, match="outside network"):
+            ng.hops_to(ng.LinkGraph([[1], [2], [0]]), dest)
+
 
 class TestLinkGraphIO:
     def test_round_trip(self, tmp_path):

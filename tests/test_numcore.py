@@ -191,6 +191,18 @@ class TestLayerNorm:
             rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-6)
             assert rel.max() <= 1e-5
 
+    @given(st.integers(1, 40), st.integers(1, 70), st.floats(1e-3, 1e3), st.integers(0, 2**16))
+    def test_sum_means_equal_ndarray_mean_property(self, rows, width, scale, seed):
+        # the array helper divides sums by the width; ndarray.mean must round identically
+        rng = np.random.default_rng(seed)
+        x, gain, bias = scale * rng.normal(size=(rows, width)), rng.normal(size=width), rng.normal(size=width)
+        centered = x - x.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
+        out, xhat, got_inv_std = nc.layer_norm_fwd(x, gain, bias)
+        np.testing.assert_array_equal(got_inv_std, inv_std)
+        np.testing.assert_array_equal(xhat, centered * inv_std)
+        np.testing.assert_array_equal(out, centered * inv_std * gain + bias)
+
 
 class TestAdamW:
     def test_zero_lr_zero_decay_noop(self):

@@ -88,6 +88,47 @@ def reference_forward(model, window):
     return x[1::3] @ g(model.head_w) + g(model.head_b)
 
 
+def trailing_window(ctx, positions, actions, context):
+    """Tokens of the trailing `context` steps of a trip being generated; the pending decision is BLANK."""
+    n = len(positions)
+    start = max(0, n - context)
+    size = n - start
+
+    def full(value):
+        return np.full(size, value, dtype=np.int64)
+
+    return tk.ContextWindow(
+        traj_id=ctx.traj_id,
+        flag="partial",
+        rtg=np.array([int(p != ctx.destination) for p in positions[start:]], dtype=np.int64),
+        position=np.array(positions[start:], dtype=np.int64),
+        origin=full(ctx.origin),
+        destination=full(ctx.destination),
+        depart=full(ctx.depart_bin),
+        speed=full(ctx.speed_bin),
+        user=full(ctx.user_id),
+        action=np.array(actions[start:] + [tk.BLANK], dtype=np.int64),
+        timestep=np.arange(start, n, dtype=np.int64),
+    )
+
+
+def random_walk(net, origin, moves, seed):
+    """Positions and actions of `moves` uniformly random feasible moves from `origin`."""
+    rng = np.random.default_rng(seed)
+    positions, actions = [origin], []
+    for _ in range(moves):
+        a = int(rng.choice(np.flatnonzero(net.feasible[positions[-1]])))
+        actions.append(a)
+        positions.append(ng.apply_action(net, positions[-1], a))
+    return positions, actions
+
+
+def decoder_logits(model, ctx, positions, actions):
+    """Decoder logits at every step of a trip, fed one step at a time as generation does."""
+    decoder = tm._Decoder(model, ctx)
+    return [decoder.step(pos, actions[t - 1] if t else None) for t, pos in enumerate(positions)]
+
+
 class TestEmbedState:
     def test_zero_tables_zero_vector(self):
         net, model = small_model()
@@ -291,6 +332,17 @@ class TestGenerate:
         with pytest.raises(sg.GenerationError):
             tm.generate(tm.GenerationContext(3, 3, 0, 0, 0), model, net)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("origin", 25), ("destination", -1), ("depart_bin", 24), ("speed_bin", -1), ("user_id", 4), ("user_id", -1)],
+    )
+    def test_context_outside_vocabulary_rejected(self, field, value):
+        net, model = small_model()
+        fields = dict(origin=0, destination=24, depart_bin=2, speed_bin=7, user_id=1)
+        fields[field] = value
+        with pytest.raises(tk.EncodingError, match=field):
+            tm.generate_scored(tm.GenerationContext(**fields, max_len=19), model, net)
+
     def test_same_seed_identical(self):
         net, model = small_model()
         ctx = tm.GenerationContext(0, 24, 2, 7, 1, max_len=19, temperature=1.0, seed=42)
@@ -343,8 +395,9 @@ class TestGenerate:
         traj = res.trajectory
         assert len(calls) == len(traj.actions) == len(res.log_probs)
         for t, a in enumerate(traj.actions):
-            window = tm._trailing_window(ctx, traj.positions[: t + 1], traj.actions[:t], model.cfg.context)
-            logits = tm.forward(window, model).logits.data[-1]
+            replay = tm._Decoder(model, ctx)
+            for s in range(t + 1):
+                logits = replay.step(traj.positions[s], traj.actions[s - 1] if s else None)
             lp = tm.masked_log_probs(logits, net.feasible[traj.positions[t]], temperature or 1.0)
             assert lp[a].tobytes() == res.log_probs[t].tobytes()
 
@@ -367,6 +420,33 @@ class TestGenerate:
         }
         assert "dead_end" in flags
         assert flags <= {"dead_end", "complete"}
+
+
+class TestDecoder:
+    @given(
+        st.integers(1, 3),
+        st.sampled_from([1, 2, 4]),
+        st.integers(1, 5),
+        st.integers(1, 12),
+        st.integers(0, 2**16),
+    )
+    def test_matches_forward_batch_property(self, layers, heads, context, moves, seed):
+        # trips shorter and longer than the context: appended steps and slid windows alike
+        net, model = small_model(d=8, layers=layers, heads=heads, context=context, grid=4, seed=seed, init_std=0.5)
+        ctx = tm.GenerationContext(5, 15, 2, 7, 1, seed=seed)
+        positions, actions = random_walk(net, ctx.origin, moves, seed)
+        for t, logits in enumerate(decoder_logits(model, ctx, positions, actions)):
+            window = trailing_window(ctx, positions[: t + 1], actions[:t], context)
+            expected = tm.forward_batch([window], model).logits.data[-1]
+            np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
+
+    def test_slid_window_matches_independent_replay(self):
+        net, model = small_model(d=8, layers=2, heads=2, context=3, seed=4, init_std=0.5)
+        ctx = tm.GenerationContext(0, 24, 2, 7, 1)
+        positions, actions = random_walk(net, ctx.origin, 6, seed=8)
+        logits = decoder_logits(model, ctx, positions, actions)[-1]
+        ref = reference_forward(model, trailing_window(ctx, positions, actions, 3))[-1]
+        np.testing.assert_allclose(logits, ref, rtol=1e-10, atol=1e-12)
 
 
 class TestCheckpoint:
