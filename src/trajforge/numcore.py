@@ -237,17 +237,6 @@ def mul_const(a: Tensor, c) -> Tensor:
     return out
 
 
-def add_const(a: Tensor, c) -> Tensor:
-    c = np.asarray(c, dtype=np.float64)
-    out = Tensor(a.data + c, (a,))
-
-    def bwd(g):
-        _accum(a, g)
-
-    out._bwd = bwd
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -264,16 +253,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.data.T, (a,))
-
-    def bwd(g):
-        _accum(a, g.T)
-
-    out._bwd = bwd
-    return out
-
-
 def concat_rows(tensors) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.data.shape[0] for t in tensors]
@@ -283,21 +262,6 @@ def concat_rows(tensors) -> Tensor:
         offset = 0
         for t, n in zip(tensors, sizes):
             _accum(t, g[offset : offset + n])
-            offset += n
-
-    out._bwd = bwd
-    return out
-
-
-def concat_cols(tensors) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[1] for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors))
-
-    def bwd(g):
-        offset = 0
-        for t, n in zip(tensors, sizes):
-            _accum(t, g[:, offset : offset + n])
             offset += n
 
     out._bwd = bwd
@@ -320,13 +284,14 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     return out
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(a.data[:, start:stop], (a,))
+def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start:stop of `a`; the gradient reaches those rows only."""
+    out = Tensor(a.data[start:stop], (a,))
 
     def bwd(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        a.grad[:, start:stop] += g
+        a.grad[start:stop] += g
 
     out._bwd = bwd
     return out
@@ -487,20 +452,6 @@ def sum_all(x: Tensor) -> Tensor:
 
     def bwd(g):
         _accum(x, np.full(x.data.shape, g), fresh=True)
-
-    out._bwd = bwd
-    return out
-
-
-def dot_const(v: Tensor, w) -> Tensor:
-    """Weighted sum sum(v * w) with constant weights `w`."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != v.data.shape:
-        raise ShapeError(f"weights shape {w.shape} != vector shape {v.data.shape}")
-    out = Tensor(float(np.dot(v.data.ravel(), w.ravel())), (v,))
-
-    def bwd(g):
-        _accum(v, g * w, fresh=True)
 
     out._bwd = bwd
     return out

@@ -6,12 +6,25 @@ LeakyReLU projection) and a per-user preference bias (from summed context and
 user embeddings). Training maximizes a concave margin objective whose optimum
 reproduces the expert's soft policy; per-step rewards are recovered with the
 inverse soft Bellman operator r = Q(s,a) - gamma * V*(s').
+
+Cost. The state projection concat(e_o, e_d, e_link, e_dep) @ w_state is a sum of one
+d-row block of w_state per embedding, so training (`q_values_batch`) projects each table
+whole by its block, and by w_pref, and gathers rows of the projected tables: about
+sum(table rows) * d * (d + 9) multiply-adds per step, against 2B * 4d * d for projecting
+the gathered rows of s and s'. Break-even is near 1.8k table rows at B = 256, far above
+the package's grids (119 rows at the default 25 cells, 24 departure bins and 20 users).
+The context part and the preference term are computed once per batch; Q(s, .) and
+Q(s', .) differ only in the link row. Inference (`q_rows`, under `q_values`, `v_star`,
+`critic_policy` and `recover_reward`) builds no graph and gathers rows before projecting
+them, B * 4d * d multiply-adds, the cheaper order while B is below about a quarter of the
+table rows (a single state or an (s, s') pair).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -112,31 +125,57 @@ class CriticModel:
 
 
 def q_values_batch(critic: CriticModel, position, origin, destination, depart, user) -> Tensor:
-    """(B, 9) action values: LeakyReLU state projection plus user preference bias."""
-    e_o = nc.gather_rows(critic.emb_origin, origin)
-    e_d = nc.gather_rows(critic.emb_destination, destination)
-    e_link = nc.gather_rows(critic.emb_link, position)
-    e_dep = nc.gather_rows(critic.emb_depart, depart)
-    h = nc.leaky_relu(nc.matmul(nc.concat_cols([e_o, e_d, e_link, e_dep]), critic.w_state), LEAKY_SLOPE)
-    base = nc.matmul(h, critic.w_base)
-    pref_vec = nc.add(nc.add(e_o, e_d), nc.add(e_dep, nc.gather_rows(critic.emb_user, user)))
-    pref = nc.matmul(pref_vec, critic.w_pref)
-    return nc.add(base, pref)
+    """Action values with a graph, for training: (k*B, 9) for B contexts and a (k, B) stack of links.
 
+    Row j*B + i holds Q at link position[j, i] in context i; a (B,) `position` gives (B, 9). Each
+    table is projected whole by its block of w_state and by w_pref, rows are gathered from the
+    projections, and the context part and the preference term serve all k link rows.
+    """
+    c, d = critic, critic.cfg.d
+    w_origin, w_destination, w_link, w_depart = (nc.slice_rows(c.w_state, k * d, (k + 1) * d) for k in range(4))
 
-def _state_arrays(state: EnvState):
-    return (
-        np.array([state.position]),
-        np.array([state.origin]),
-        np.array([state.destination]),
-        np.array([state.depart_bin]),
-        np.array([state.user_id]),
+    def proj(table, w, idx):
+        return nc.gather_rows(nc.matmul(table, w), idx)
+
+    ctx = nc.add(
+        nc.add(proj(c.emb_origin, w_origin, origin), proj(c.emb_destination, w_destination, destination)),
+        proj(c.emb_depart, w_depart, depart),
     )
+    pref = nc.add(
+        nc.add(proj(c.emb_origin, c.w_pref, origin), proj(c.emb_destination, c.w_pref, destination)),
+        nc.add(proj(c.emb_depart, c.w_pref, depart), proj(c.emb_user, c.w_pref, user)),
+    )
+    links = np.asarray(position).reshape(-1, len(origin))
+    k = len(links)
+    h = nc.leaky_relu(nc.add(nc.concat_rows([ctx] * k), proj(c.emb_link, w_link, links.ravel())), LEAKY_SLOPE)
+    return nc.add(nc.matmul(h, c.w_base), nc.concat_rows([pref] * k))
+
+
+def q_rows(critic: CriticModel, position, origin, destination, depart, user) -> np.ndarray:
+    """(B, 9) action values on plain arrays, with no graph: `q_values_batch`'s function for inference.
+
+    Indices must lie inside the tables: a negative one would wrap, so callers check (`_state_rows`).
+    """
+    c = critic
+    e_o, e_d, e_dep = c.emb_origin.data[origin], c.emb_destination.data[destination], c.emb_depart.data[depart]
+    h = np.concatenate([e_o, e_d, c.emb_link.data[position], e_dep], axis=1) @ c.w_state.data
+    h = np.where(h >= 0, h, LEAKY_SLOPE * h)
+    return h @ c.w_base.data + ((e_o + e_d) + (e_dep + c.emb_user.data[user])) @ c.w_pref.data
+
+
+def _state_rows(*states: EnvState):
+    """Columns (position, origin, destination, depart, user) of the given states."""
+    rows = np.array(
+        [(s.position, s.origin, s.destination, s.depart_bin, s.user_id) for s in states], dtype=np.intp
+    )
+    if rows.min() < 0:
+        raise IndexError("critic state index out of range")
+    return rows.T
 
 
 def q_values(state: EnvState, critic: CriticModel) -> np.ndarray:
     """Unmasked 9-vector of action values for one state."""
-    return q_values_batch(critic, *_state_arrays(state)).data[0]
+    return q_rows(critic, *_state_rows(state))[0]
 
 
 def v_star(state: EnvState, critic: CriticModel) -> float:
@@ -160,10 +199,10 @@ def recover_reward(
     gamma: float,
 ) -> float:
     """Inverse soft Bellman reward r = Q(s, a) - gamma * V*(s'), with V* = 0 at terminals."""
-    q_sa = float(q_values(state, critic)[action])
     if is_terminal:
-        return q_sa
-    return q_sa - gamma * v_star(next_state, critic)
+        return float(q_values(state, critic)[action])
+    q = q_rows(critic, *_state_rows(state, next_state))
+    return float(q[0, action]) - gamma * float(nc.masked_logsumexp(q[1], critic.net.feasible[next_state.position]))
 
 
 # ---------------------------------------------------------------------------
@@ -198,33 +237,28 @@ def transitions_from_dataset(dataset: Dataset, split: str = "train") -> Transiti
     trajs = dataset.train() if split == "train" else dataset.eval()
     if not trajs:
         trajs = dataset.trajectories
-    cols: dict[str, list] = {k: [] for k in ("pos", "orig", "dest", "dep", "usr", "act", "nxt", "init", "term")}
-    for traj in trajs:
-        for t, a in enumerate(traj.actions):
-            cols["pos"].append(traj.positions[t])
-            cols["orig"].append(traj.origin)
-            cols["dest"].append(traj.destination)
-            cols["dep"].append(traj.depart_bin)
-            cols["usr"].append(traj.user_id)
-            cols["act"].append(a)
-            cols["nxt"].append(traj.positions[t + 1])
-            cols["init"].append(t == 0)
-            cols["term"].append(traj.complete and t == len(traj.actions) - 1)
-    pos = np.asarray(cols["pos"], dtype=np.intp)
-    nxt = np.asarray(cols["nxt"], dtype=np.intp)
-    term = np.asarray(cols["term"], dtype=bool)
+    moves = np.array([len(t.actions) for t in trajs], dtype=np.intp)
+    flat = np.fromiter(chain.from_iterable(t.positions for t in trajs), dtype=np.intp)  # moves + 1 per trip
+    last = np.cumsum(moves + 1) - 1  # each trip's first and last position in `flat`
+    first = last - moves
+    first_move = np.cumsum(moves) - moves  # each trip's first transition
+    pos, nxt = np.delete(flat, last), np.delete(flat, first)
+    is_initial, term = np.zeros(len(pos), dtype=bool), np.zeros(len(pos), dtype=bool)
+    is_initial[first_move] = True
+    complete = np.array([t.complete for t in trajs], dtype=bool)
+    term[(first_move + moves - 1)[complete]] = True
     feas = dataset.net.feasible[pos]
     next_feas = dataset.net.feasible[nxt]
     next_feas[term] = True  # placeholder; the terminal soft value is forced to 0
     return TransitionBatch(
         position=pos,
-        origin=np.asarray(cols["orig"], dtype=np.intp),
-        destination=np.asarray(cols["dest"], dtype=np.intp),
-        depart=np.asarray(cols["dep"], dtype=np.intp),
-        user=np.asarray(cols["usr"], dtype=np.intp),
-        action=np.asarray(cols["act"], dtype=np.intp),
+        origin=np.repeat(flat[first], moves),
+        destination=np.repeat(flat[last], moves),
+        depart=np.repeat(np.array([t.depart_bin for t in trajs], dtype=np.intp), moves),
+        user=np.repeat(np.array([t.user_id for t in trajs], dtype=np.intp), moves),
+        action=np.fromiter(chain.from_iterable(t.actions for t in trajs), dtype=np.intp),
         next_position=nxt,
-        is_initial=np.asarray(cols["init"], dtype=bool),
+        is_initial=is_initial,
         is_terminal=term,
         feas=feas,
         next_feas=next_feas,
@@ -239,13 +273,13 @@ def iq_loss(batch: TransitionBatch, critic: CriticModel, cfg: IRLConfig):
     observed next state (deterministic transitions) and terminal V* is 0.
     Returns (loss tensor, diagnostics dict).
     """
-    if len(batch) == 0:
+    n = len(batch)
+    if n == 0:
         raise ValueError("empty transition batch")
-    q_s = q_values_batch(critic, batch.position, batch.origin, batch.destination, batch.depart, batch.user)
+    links = np.stack([batch.position, batch.next_position])
+    q = q_values_batch(critic, links, batch.origin, batch.destination, batch.depart, batch.user)
+    q_s, q_next = nc.slice_rows(q, 0, n), nc.slice_rows(q, n, 2 * n)
     q_sa = nc.gather_per_row(q_s, batch.action)
-    q_next = q_values_batch(
-        critic, batch.next_position, batch.origin, batch.destination, batch.depart, batch.user
-    )
     v_next = nc.masked_logsumexp_rows(q_next, batch.next_feas)
     v_next_live = nc.mul_const(v_next, (~batch.is_terminal).astype(np.float64))
     margin = nc.sub(q_sa, nc.mul_const(v_next_live, cfg.gamma))
@@ -266,13 +300,13 @@ def iq_loss(batch: TransitionBatch, critic: CriticModel, cfg: IRLConfig):
 
 @dataclass
 class CriticLog:
-    rows: list = field(default_factory=list)  # (epoch, loss)
+    rows: list = field(default_factory=list)  # (epoch, loss, seconds, expert_term, initial_term), epoch means
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,loss,seconds\n")
-            for epoch, loss, seconds in self.rows:
-                fh.write(f"{epoch},{loss!r},{seconds:.3f}\n")
+            fh.write("epoch,loss,seconds,expert_term,initial_term\n")
+            for epoch, loss, seconds, expert, initial in self.rows:
+                fh.write(f"{epoch},{loss!r},{seconds:.3f},{expert!r},{initial!r}\n")
 
 
 def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
@@ -289,15 +323,15 @@ def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         order = make_rng(cfg.seed, "critic-shuffle", epoch).permutation(len(transitions))
-        losses = []
+        parts = []
         for i in range(0, len(order), cfg.batch_size):
-            part = transitions.take(order[i : i + cfg.batch_size])
-            loss, _ = iq_loss(part, critic, cfg)
+            loss, p = iq_loss(transitions.take(order[i : i + cfg.batch_size]), critic, cfg)
             if not np.isfinite(loss.data):
                 raise TrainingDivergenceError(f"non-finite critic loss at epoch {epoch}")
             apply_step(critic, loss, opt, cfg.grad_clip)
-            losses.append(float(loss.data))
-        log.rows.append((epoch, float(np.mean(losses)), time.perf_counter() - t0))
+            parts.append((p["loss"], p["expert_term"], p["initial_term"]))
+        loss, expert, initial = (float(np.mean(col)) for col in zip(*parts))
+        log.rows.append((epoch, loss, time.perf_counter() - t0, expert, initial))
     return critic, log
 
 

@@ -348,9 +348,18 @@ class TestCompositeGradients:
 
         def f():
             rows = nc.gather_rows(table, idx)
-            return nc.sum_all(nc.slice_cols(rows, 1, 3))
+            return nc.sum_all(nc.slice_rows(rows, 1, 3))
 
         assert nc.finite_diff_check(f, [table], eps=1e-5) <= 1e-8
+
+    def test_slice_rows_gradient_reaches_its_rows_only(self):
+        rng = nc.make_rng(44)
+        w = nc.Tensor(rng.normal(size=(6, 3)))
+        g_top, g_bottom = rng.normal(size=(2, 3)), rng.normal(size=(3, 3))
+        top, bottom = nc.slice_rows(w, 0, 2), nc.slice_rows(w, 3, 6)
+        np.testing.assert_array_equal(bottom.data, w.data[3:6])
+        nc.backward(nc.add(nc.sum_all(nc.mul_const(top, g_top)), nc.sum_all(nc.mul_const(bottom, g_bottom))))
+        np.testing.assert_array_equal(w.grad, np.concatenate([g_top, np.zeros((1, 3)), g_bottom]))
 
 
 def attention_with_grads(q, k, v, g, n_heads, segments):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trajforge import netgrid as ng
 from trajforge import numcore as nc
@@ -39,6 +41,114 @@ def mkstate(pos, dest, origin=0, depart=0, user=0, speed=0):
     return ng.EnvState(pos, origin, dest, depart, speed, user)
 
 
+@st.composite
+def networks(draw):
+    """A grid of random size, or a link graph with random downstream lists."""
+    if draw(st.booleans()):
+        return ng.GridNetwork(ng.GridSpec(draw(st.integers(2, 5)), draw(st.integers(2, 5))))
+    n = draw(st.integers(1, 8))
+    links = st.lists(st.integers(0, n - 1), max_size=ng.N_ACTIONS)
+    return ng.LinkGraph(draw(st.lists(links, min_size=n, max_size=n)))
+
+
+@st.composite
+def random_critics(draw):
+    net = draw(networks())
+    spec = {"users": draw(st.integers(1, 4)), "depart_bins": draw(st.integers(1, 6)), "max_len": 10}
+    d, std = draw(st.sampled_from([1, 3, 8])), draw(st.sampled_from([0.02, 0.3, 1.0]))
+    cfg = ri.CriticConfig(vocab=tk.vocab_sizes(net, spec), d=d, init_std=std)
+    return ri.CriticModel(cfg, net, rng=make_rng(draw(st.integers(0, 2**16))))
+
+
+def reference_q(critic, position, origin, destination, depart, user):
+    """The concatenated-embedding formula on plain arrays: LeakyReLU(concat @ w_state) @ w_base + pref @ w_pref."""
+    c = critic
+    e_o, e_d = c.emb_origin.data[origin], c.emb_destination.data[destination]
+    e_dep, e_u = c.emb_depart.data[depart], c.emb_user.data[user]
+    pre = np.concatenate([e_o, e_d, c.emb_link.data[position], e_dep], axis=1) @ c.w_state.data
+    h = np.where(pre >= 0, pre, ri.LEAKY_SLOPE * pre)
+    return h @ c.w_base.data + (e_o + e_d + e_dep + e_u) @ c.w_pref.data
+
+
+def reference_lse(x, mask):
+    m = np.max(np.where(mask, x, -np.inf), axis=1)
+    return m + np.log(np.sum(np.where(mask, np.exp(x - m[:, None]), 0.0), axis=1))
+
+
+def reference_iq_loss(batch, critic, cfg):
+    """(loss, expert_term, initial_term) replayed on plain arrays from the concatenated formula."""
+    ctx = (batch.origin, batch.destination, batch.depart, batch.user)
+    q_s = reference_q(critic, batch.position, *ctx)
+    q_next = reference_q(critic, batch.next_position, *ctx)
+    v_next = np.where(batch.is_terminal, 0.0, reference_lse(q_next, batch.next_feas))
+    margin = q_s[np.arange(len(batch)), batch.action] - cfg.gamma * v_next
+    expert = np.mean(margin - margin * margin / (4 * cfg.alpha_phi))
+    init = batch.is_initial
+    initial = (1 - cfg.gamma) * np.mean(reference_lse(q_s[init], batch.feas[init])) if init.any() else 0.0
+    return initial - expert, expert, initial
+
+
+def reference_transitions(dataset, split="train"):
+    """The per-row builder that `transitions_from_dataset` vectorizes."""
+    trajs = (dataset.train() if split == "train" else dataset.eval()) or dataset.trajectories
+    cols = {k: [] for k in ("pos", "orig", "dest", "dep", "usr", "act", "nxt", "init", "term")}
+    for traj in trajs:
+        for t, a in enumerate(traj.actions):
+            cols["pos"].append(traj.positions[t])
+            cols["orig"].append(traj.origin)
+            cols["dest"].append(traj.destination)
+            cols["dep"].append(traj.depart_bin)
+            cols["usr"].append(traj.user_id)
+            cols["act"].append(a)
+            cols["nxt"].append(traj.positions[t + 1])
+            cols["init"].append(t == 0)
+            cols["term"].append(traj.complete and t == len(traj.actions) - 1)
+    idx = {k: np.asarray(cols[k], dtype=np.intp) for k in ("pos", "orig", "dest", "dep", "usr", "act", "nxt")}
+    term = np.asarray(cols["term"], dtype=bool)
+    next_feas = dataset.net.feasible[idx["nxt"]]
+    next_feas[term] = True
+    return ri.TransitionBatch(
+        idx["pos"], idx["orig"], idx["dest"], idx["dep"], idx["usr"], idx["act"], idx["nxt"],
+        np.asarray(cols["init"], dtype=bool), term, dataset.net.feasible[idx["pos"]], next_feas,
+    )
+
+
+@st.composite
+def datasets(draw):
+    """Random trips (any flag, unconnected moves allowed) on a random network, randomly split."""
+    net = draw(networks())
+    cell = st.integers(0, net.n_positions - 1)
+    trajs = []
+    for i in range(draw(st.integers(0, 6))):
+        positions = draw(st.lists(cell, min_size=2, max_size=7))
+        actions = draw(st.lists(st.integers(0, 8), min_size=len(positions) - 1, max_size=len(positions) - 1))
+        flag = draw(st.sampled_from(["complete", "truncated", "dead_end"]))
+        trajs.append(sg.Trajectory(i, draw(st.integers(0, 3)), draw(st.integers(0, 23)), 0, positions, actions, flag))
+    subset = st.lists(st.integers(0, len(trajs) - 1), unique=True) if trajs else st.just([])
+    return sg.Dataset(net, trajs, 4, draw(subset), draw(subset))
+
+
+def assert_batches_identical(got, want):
+    for name in ri.TransitionBatch.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+class TestTransitions:
+    @given(dataset=datasets(), split=st.sampled_from(["train", "eval"]))
+    def test_matches_per_row_builder_property(self, dataset, split):
+        assert_batches_identical(ri.transitions_from_dataset(dataset, split), reference_transitions(dataset, split))
+
+    def test_empty_train_falls_back_to_all_trips(self):
+        net = ng.GridNetwork(ng.GridSpec(3, 3))
+        trajs = [sg.Trajectory(0, 1, 2, 0, [0, 1, 2], [5, 5], "truncated"), sg.Trajectory(1, 0, 3, 0, [4, 8], [8])]
+        batch = ri.transitions_from_dataset(sg.Dataset(net, trajs, 2, train_idx=[], eval_idx=[1]))
+        np.testing.assert_array_equal(batch.position, [0, 1, 4])
+        np.testing.assert_array_equal(batch.is_initial, [True, False, True])
+        np.testing.assert_array_equal(batch.is_terminal, [False, False, True])
+        assert_batches_identical(batch, reference_transitions(sg.Dataset(net, trajs, 2)))
+
+
 class TestQValues:
     def test_zero_critic_zero_q(self):
         net, _ = grid_critic()
@@ -59,6 +169,28 @@ class TestQValues:
         q2 = ri.q_values(mkstate(4, 8, user=2), critic)
         expected = (critic.emb_user.data[1] - critic.emb_user.data[2]) @ critic.w_pref.data
         np.testing.assert_allclose(q1 - q2, expected, atol=1e-12)
+
+
+class TestQRows:
+    @given(critic=random_critics(), k=st.integers(1, 3), data=st.data())
+    def test_graph_free_equals_training_path_property(self, critic, k, data):
+        v = critic.cfg.vocab
+        rows = max(v.positions, v.depart_bins, v.users)
+        b = data.draw(st.integers(1, 3 * rows), label="batch")  # shorter and longer than the tables
+        rng = make_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        links = rng.integers(0, v.positions, size=(k, b))
+        ctx = [rng.integers(0, n, size=b) for n in (v.positions, v.positions, v.depart_bins, v.users)]
+        q_graph = ri.q_values_batch(critic, links[0] if k == 1 else links, *ctx).data
+        q_free = np.concatenate([ri.q_rows(critic, links[j], *ctx) for j in range(k)])
+        scale = max(1.0, float(np.abs(q_free).max()))
+        np.testing.assert_allclose(q_graph, q_free, rtol=0, atol=1e-12 * scale)
+        q_ref = np.concatenate([reference_q(critic, links[j], *ctx) for j in range(k)])
+        np.testing.assert_allclose(q_free, q_ref, rtol=0, atol=1e-12 * scale)
+
+    def test_negative_state_index_rejected(self):
+        net, critic = grid_critic()
+        with pytest.raises(IndexError):
+            ri.q_values(mkstate(4, 8, user=-1), critic)
 
 
 class TestVStar:
@@ -140,6 +272,43 @@ class TestIqLoss:
         err = nc.finite_diff_check(f, critic.param_tensors(), eps=1e-4)
         assert err <= 1e-4
 
+    def test_matches_concatenated_formula_replay(self):
+        cfg_synth = sg.SynthConfig(width=3, height=3, users=2, n_trajectories=12, seed=7, max_len=8)
+        dataset, _ = sg.gen_dataset(cfg_synth)
+        batch = ri.transitions_from_dataset(dataset)
+        cfg = ri.IRLConfig(gamma=0.8, alpha_phi=0.3)
+        for seed, rows in ((5, slice(None)), (6, ~batch.is_initial)):
+            net, critic = grid_critic(d=8, seed=seed, init_std=0.5)
+            part = batch.take(np.flatnonzero(rows))
+            loss, parts = ri.iq_loss(part, critic, cfg)
+            want = reference_iq_loss(part, critic, cfg)
+            got = (float(loss.data), parts["expert_term"], parts["initial_term"])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_unread_table_rows_get_exactly_zero_gradient(self):
+        net, critic = grid_critic(d=3, seed=12, init_std=0.4)
+        trajs = [sg.Trajectory(0, 1, 2, 0, [0, 1, 2], [5, 5]), sg.Trajectory(1, 1, 5, 0, [4, 5, 2], [5, 1], "truncated")]
+        batch = ri.transitions_from_dataset(sg.Dataset(net, trajs, 2))
+        cfg = ri.IRLConfig()
+
+        def f():
+            return ri.iq_loss(batch, critic, cfg)[0]
+
+        assert nc.finite_diff_check(f, critic.param_tensors(), eps=1e-4) <= 1e-4
+        nc.backward(f())
+        read = {
+            "emb_link": {0, 1, 2, 4, 5},
+            "emb_origin": {0, 4},
+            "emb_destination": {2},
+            "emb_depart": {2, 5},
+            "emb_user": {1},
+        }
+        for name, rows in read.items():
+            grad = getattr(critic, name).grad
+            unread = [r for r in range(len(grad)) if r not in rows]
+            assert np.all(grad[unread] == 0.0), name
+            assert np.all(np.abs(grad[sorted(rows)]).sum(axis=1) > 0), name
+
     def test_terminal_single_transition_optimum(self):
         # gradient descent drives Q(s, a) to the phi optimum 2 * alpha_phi
         net, critic = grid_critic(d=8, seed=6)
@@ -193,6 +362,25 @@ class TestTrainCritic:
         assert hashes[0] == hashes[1]
 
 
+class TestCriticLog:
+    def test_epoch_loss_is_initial_minus_expert(self, tmp_path):
+        cfg_synth = sg.SynthConfig(width=3, height=3, users=2, n_trajectories=20, seed=2, max_len=8)
+        dataset, _ = sg.gen_dataset(cfg_synth)
+        net, critic = grid_critic(seed=4)
+        _, log = ri.train_critic(dataset, critic, ri.IRLConfig(epochs=3, batch_size=16, seed=1))
+        assert [row[0] for row in log.rows] == [0, 1, 2]
+        for _, loss, _, expert, initial in log.rows:
+            assert loss == pytest.approx(initial - expert, abs=1e-12)
+            assert initial != 0.0
+        path = tmp_path / "critic.csv"
+        log.write_csv(path)
+        header, *lines = path.read_text().splitlines()
+        assert header == "epoch,loss,seconds,expert_term,initial_term"
+        for line, row in zip(lines, log.rows, strict=True):
+            fields = line.split(",")
+            assert [float(fields[i]) for i in (1, 3, 4)] == [row[1], row[3], row[4]]
+
+
 class TestRecoverReward:
     def test_zero_critic_rewards(self):
         # terminal: r = Q(s,a) = 0; non-terminal: the soft value of a zero
@@ -218,6 +406,17 @@ class TestRecoverReward:
         nxt = mkstate(6, 17)  # interior, 9 feasible zero-Q actions
         r = ri.recover_reward(state, 4, nxt, False, critic, 0.9)
         assert r == pytest.approx(1.0 - 0.9 * math.log(9), abs=1e-12)
+
+    def test_next_state_with_other_context_is_two_q_calls(self):
+        net, critic = grid_critic(grid=4, users=3, seed=15, init_std=0.5)
+        state = mkstate(5, 15, origin=0, depart=3, user=1)
+        nxt = mkstate(6, 11, origin=2, depart=7, user=2)
+        r = ri.recover_reward(state, 5, nxt, False, critic, 0.9)
+        q_next = ri.q_values(nxt, critic)
+        want = ri.q_values(state, critic)[5] - 0.9 * nc.masked_logsumexp(q_next, net.feasible[6])
+        assert r == pytest.approx(want, abs=1e-12)
+        same_context = mkstate(6, 15, origin=0, depart=3, user=1)
+        assert r != pytest.approx(ri.recover_reward(state, 5, same_context, False, critic, 0.9), abs=1e-6)
 
     def test_discounted_sum_identity(self):
         # exact rearrangement of the reward recursion along a trajectory:
