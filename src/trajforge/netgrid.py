@@ -74,8 +74,6 @@ class GridNetwork:
     `feasible[cell, a]` is True iff action `a` stays on the grid from `cell`.
     """
 
-    kind = "grid"
-
     def __init__(self, spec: GridSpec):
         self.spec = spec
         row, col = np.divmod(np.arange(self.n_positions)[:, None], spec.width)
@@ -122,8 +120,6 @@ class LinkGraph:
 
     `feasible[link, a]` is True iff `a` indexes the link's downstream list.
     """
-
-    kind = "links"
 
     def __init__(self, adjacency: list[list[int]], coords: dict[int, tuple[float, float]] | None = None):
         n = len(adjacency)

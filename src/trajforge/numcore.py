@@ -72,22 +72,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 
-    # Light operator sugar; the module-level functions are the real API.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul_const(self, -1.0)
-
 
 def tensor(data) -> Tensor:
     return Tensor(data)
@@ -426,11 +410,11 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    pos = x.data >= 0
-    out = Tensor(np.where(pos, x.data, slope * x.data), (x,))
+    """Leaky ReLU as max(x, slope * x), valid for 0 <= slope <= 1 and cheaper than selecting on the sign."""
+    out = Tensor(np.maximum(x.data, slope * x.data), (x,))
 
     def bwd(g):
-        _accum(x, g * np.where(pos, 1.0, slope), fresh=True)
+        _accum(x, g * np.where(x.data >= 0, 1.0, slope), fresh=True)
 
     out._bwd = bwd
     return out
@@ -569,8 +553,8 @@ class OptimizerState:
     v: list = field(default_factory=list)
 
 
-def adamw_init(params, lr: float, weight_decay: float, beta1: float = 0.9, beta2: float = 0.999) -> OptimizerState:
-    state = OptimizerState(lr=lr, weight_decay=weight_decay, beta1=beta1, beta2=beta2)
+def adamw_init(params, lr: float, weight_decay: float) -> OptimizerState:
+    state = OptimizerState(lr=lr, weight_decay=weight_decay)
     state.m = [np.zeros_like(p) for p in params]
     state.v = [np.zeros_like(p) for p in params]
     return state

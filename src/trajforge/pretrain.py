@@ -13,6 +13,8 @@ from .numcore import make_rng
 from .synthgen import Dataset, Trajectory
 from .tokenizer import check_vocab, encode_episode, windowize
 
+EVAL_CHUNK = 256  # windows per eval forward pass
+
 
 class TrainingDivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
@@ -26,15 +28,11 @@ class TrainConfig:
     weight_decay: float = 0.05
     grad_clip: float = 1.0
     seed: int = 0
-    eval_period: int = 1
     patience: int = 5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    stride: int | None = None  # window stride; defaults to the context length
     target_train_nll: float | None = None  # optional hard stop once reached
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size, self.eval_period) < 1 or self.lr < 0:
+        if min(self.epochs, self.batch_size) < 1 or self.lr < 0:
             raise ValueError("hyperparameters must be positive")
 
 
@@ -58,11 +56,11 @@ class TrainLog:
                 fh.write(f"{r.epoch},{r.train_nll!r},{r.eval_nll!r},{r.eval_acc!r},{r.seconds:.3f}\n")
 
 
-def build_windows(trajectories: list[Trajectory], context: int, stride: int | None = None):
-    stride = stride or context
+def build_windows(trajectories: list[Trajectory], context: int):
+    """Windows of `context` steps at stride `context`, the last one of each trip right-aligned."""
     windows = []
     for traj in trajectories:
-        windows.extend(windowize(encode_episode(traj), context, stride))
+        windows.extend(windowize(encode_episode(traj), context, context))
     return windows
 
 
@@ -101,8 +99,8 @@ def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
         raise ValueError("empty training split")
     eval_trajs = dataset.eval()
     check_vocab(train_trajs + eval_trajs, model.cfg.vocab)
-    windows = build_windows(train_trajs, model.cfg.context, cfg.stride)
-    opt = nc.adamw_init([p.data for p in model.param_tensors()], cfg.lr, cfg.weight_decay, cfg.beta1, cfg.beta2)
+    windows = build_windows(train_trajs, model.cfg.context)
+    opt = nc.adamw_init([p.data for p in model.param_tensors()], cfg.lr, cfg.weight_decay)
     log = TrainLog()
     best_nll = float("inf")
     best_params = [t.data.copy() for t in model.param_tensors()]
@@ -119,7 +117,7 @@ def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
             apply_step(model, loss, opt, cfg.grad_clip)
             losses.append(float(loss.data))
         train_nll = float(np.mean(losses))
-        if (epoch + 1) % cfg.eval_period == 0 and eval_trajs:
+        if eval_trajs:
             last_eval = eval_policy(dataset, model)
             eval_nll = last_eval[0]
             if eval_nll < best_nll - 1e-9:
@@ -139,17 +137,17 @@ def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
     return model, log
 
 
-def eval_policy(dataset: Dataset, model: tm.PolicyModel, split: str = "eval", chunk: int = 256):
-    """Teacher-forced (nll, top-1 accuracy) over all decision steps; no sampling."""
-    trajs = dataset.eval() if split == "eval" else (dataset.train() or dataset.trajectories)
+def eval_policy(dataset: Dataset, model: tm.PolicyModel):
+    """Teacher-forced (nll, top-1 accuracy) over all decision steps of the eval split; no sampling."""
+    trajs = dataset.eval()
     if not trajs:
-        raise ValueError(f"empty split {split!r}")
+        raise ValueError("empty split 'eval'")
     windows = build_windows(trajs, model.cfg.context)
     total_nll = 0.0
     hits = 0
     count = 0
-    for i in range(0, len(windows), chunk):
-        part = windows[i : i + chunk]
+    for i in range(0, len(windows), EVAL_CHUNK):
+        part = windows[i : i + EVAL_CHUNK]
         out = tm.forward_batch(part, model)
         mask = np.concatenate([w.decision_mask for w in part])
         actions = np.concatenate([w.action for w in part])[mask]

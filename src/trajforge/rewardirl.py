@@ -28,13 +28,13 @@ from itertools import chain
 
 import numpy as np
 
-from . import netgrid, numcore as nc
+from . import checkpoint, netgrid, numcore as nc
+from .checkpoint import ParamModel
 from .netgrid import EnvState, Network
 from .numcore import Tensor, make_rng
 from .pretrain import TrainingDivergenceError, apply_step
 from .synthgen import Dataset
 from .tokenizer import VocabSpec, check_vocab
-from .trajmodel import CheckpointError, read_param_file, write_param_file
 
 N_ACTIONS = netgrid.N_ACTIONS
 LEAKY_SLOPE = 0.01
@@ -46,17 +46,6 @@ class CriticConfig:
     d: int = 64
     init_std: float = 0.02
 
-    def as_dict(self) -> dict:
-        d = dict(vars(self))
-        d["vocab"] = self.vocab.as_dict()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CriticConfig":
-        d = dict(d)
-        d["vocab"] = VocabSpec(**d["vocab"])
-        return cls(**d)
-
 
 @dataclass
 class IRLConfig:
@@ -66,7 +55,6 @@ class IRLConfig:
     batch_size: int = 256
     epochs: int = 150
     seed: int = 0
-    weight_decay: float = 0.0
     grad_clip: float = 1.0
 
     def __post_init__(self):
@@ -76,10 +64,18 @@ class IRLConfig:
             raise ValueError("alpha_phi must be positive")
 
 
-class CriticModel:
-    """Action-value tables bound to a network (feasibility masks come from it)."""
+class CriticModel(ParamModel):
+    """Action-value tables bound to a network (feasibility masks come from it).
+
+    Tables are assigned in RNG draw order, which is the manifest order.
+    """
+
+    kind = "critic"
+    config_type = CriticConfig
 
     def __init__(self, cfg: CriticConfig, net: Network, rng: np.random.Generator | None = None):
+        if net.n_positions != cfg.vocab.positions:
+            raise ValueError(f"network of {net.n_positions} positions for a critic vocabulary of {cfg.vocab.positions}")
         self.cfg = cfg
         self.net = net
         rng = rng if rng is not None else make_rng(0)
@@ -93,35 +89,8 @@ class CriticModel:
         self.w_base = nc.param(rng, (d, N_ACTIONS), std=cfg.init_std)
         self.w_pref = nc.param(rng, (d, N_ACTIONS), std=cfg.init_std)
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("emb_link", self.emb_link),
-            ("emb_origin", self.emb_origin),
-            ("emb_destination", self.emb_destination),
-            ("emb_depart", self.emb_depart),
-            ("emb_user", self.emb_user),
-            ("w_state", self.w_state),
-            ("w_base", self.w_base),
-            ("w_pref", self.w_pref),
-        ]
-
-    def param_tensors(self) -> list[Tensor]:
-        return [t for _, t in self.parameters()]
-
-    def copy(self) -> "CriticModel":
-        clone = CriticModel(self.cfg, self.net, rng=make_rng(0))
-        for (_, src), (_, dst) in zip(self.parameters(), clone.parameters()):
-            dst.data = src.data.copy()
-        return clone
-
-    def params_hash(self) -> bytes:
-        import hashlib
-
-        h = hashlib.sha256()
-        for name, t in self.parameters():
-            h.update(name.encode())
-            h.update(t.data.astype("<f8").tobytes())
-        return h.digest()
+    def build_args(self) -> tuple:
+        return (self.net,)
 
 
 def q_values_batch(critic: CriticModel, position, origin, destination, depart, user) -> Tensor:
@@ -159,7 +128,7 @@ def q_rows(critic: CriticModel, position, origin, destination, depart, user) -> 
     c = critic
     e_o, e_d, e_dep = c.emb_origin.data[origin], c.emb_destination.data[destination], c.emb_depart.data[depart]
     h = np.concatenate([e_o, e_d, c.emb_link.data[position], e_dep], axis=1) @ c.w_state.data
-    h = np.where(h >= 0, h, LEAKY_SLOPE * h)
+    h = np.maximum(h, LEAKY_SLOPE * h)
     return h @ c.w_base.data + ((e_o + e_d) + (e_dep + c.emb_user.data[user])) @ c.w_pref.data
 
 
@@ -318,7 +287,7 @@ def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
     transitions = transitions_from_dataset(dataset)
     if len(transitions) == 0:
         raise ValueError("dataset has no transitions")
-    opt = nc.adamw_init([p.data for p in critic.param_tensors()], cfg.lr, cfg.weight_decay)
+    opt = nc.adamw_init([p.data for p in critic.param_tensors()], cfg.lr, 0.0)
     log = CriticLog()
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
@@ -335,23 +304,6 @@ def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
     return critic, log
 
 
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-
-def save_critic(critic: CriticModel, path, meta: dict | None = None) -> None:
-    write_param_file(path, "critic", critic.cfg.as_dict(), critic.parameters(), meta)
-
-
 def load_critic(path, net: Network, expect_vocab: VocabSpec | None = None) -> tuple[CriticModel, dict]:
-    header, params = read_param_file(path, expect_kind="critic")
-    cfg = CriticConfig.from_dict(header["config"])
-    if expect_vocab is not None and cfg.vocab != expect_vocab:
-        raise CheckpointError(f"{path}: critic vocabulary does not match the expected network")
-    critic = CriticModel(cfg, net, rng=make_rng(0))
-    for name, tensor in critic.parameters():
-        if name not in params or params[name].shape != tensor.data.shape:
-            raise CheckpointError(f"{path}: bad or missing parameter {name}")
-        tensor.data = params[name]
-    return critic, header["meta"]
+    """Rebuild a CriticModel bound to `net` bit-exactly; optional vocabulary compatibility check."""
+    return checkpoint.load(path, CriticModel, expect_vocab, (net,))

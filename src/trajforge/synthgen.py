@@ -246,10 +246,6 @@ def draw_preferences(cfg: SynthConfig) -> PreferenceParams:
     return PreferenceParams(theta)
 
 
-def archetype_of(cfg: SynthConfig, user: int) -> int:
-    return user % len(cfg.archetypes)
-
-
 def gen_dataset(cfg: SynthConfig) -> tuple[Dataset, PreferenceParams]:
     """N oracle trajectories with per-trajectory seeds hash(base_seed, traj_id)."""
     cfg.validate()

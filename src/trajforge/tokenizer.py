@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netgrid
-from .netgrid import EnvState, GridNetwork, Network
-from .synthgen import Trajectory
+from .netgrid import Network
+from .synthgen import SynthConfig, Trajectory
 
 BLANK = netgrid.N_ACTIONS  # embedding row reserved for the missing decision
 
@@ -23,18 +23,8 @@ class EncodingError(ValueError):
 
 
 @dataclass
-class StepTokens:
-    """One step's tokens: goal bit, decision context, and the action taken (or BLANK)."""
-
-    rtg: int
-    state: EnvState
-    action: int
-    timestep: int
-
-
-@dataclass
 class EpisodeTokens:
-    """Arrays of per-step token indices for one trajectory."""
+    """Arrays of per-step token indices for one trajectory, or for a window of one (`slice`)."""
 
     traj_id: int
     flag: str
@@ -56,19 +46,9 @@ class EpisodeTokens:
     def decision_mask(self) -> np.ndarray:
         return self.action != BLANK
 
-    def step(self, t: int) -> StepTokens:
-        state = EnvState(
-            position=int(self.position[t]),
-            origin=int(self.origin[t]),
-            destination=int(self.destination[t]),
-            depart_bin=int(self.depart[t]),
-            speed_bin=int(self.speed[t]),
-            user_id=int(self.user[t]),
-        )
-        return StepTokens(int(self.rtg[t]), state, int(self.action[t]), int(self.timestep[t]))
-
-    def slice(self, start: int, stop: int) -> "ContextWindow":
-        return ContextWindow(
+    def slice(self, start: int, stop: int) -> "EpisodeTokens":
+        """Steps start:stop; absolute timesteps are preserved."""
+        return EpisodeTokens(
             traj_id=self.traj_id,
             flag=self.flag,
             rtg=self.rtg[start:stop],
@@ -81,10 +61,6 @@ class EpisodeTokens:
             action=self.action[start:stop],
             timestep=self.timestep[start:stop],
         )
-
-
-class ContextWindow(EpisodeTokens):
-    """Contiguous slice of an episode; absolute timesteps are preserved."""
 
 
 @dataclass
@@ -101,29 +77,20 @@ class VocabSpec:
 
     def validate(self) -> None:
         for name, size in vars(self).items():
-            if size < 1:
-                raise EncodingError(f"vocabulary {name} must be >= 1, got {size}")
-
-    def as_dict(self) -> dict:
-        return dict(vars(self))
+            if not isinstance(size, int) or size < 1:
+                raise EncodingError(f"vocabulary {name} must be an integer >= 1, got {size!r}")
 
 
-def vocab_sizes(net: Network, config) -> VocabSpec:
-    """Exact embedding-table sizes; `config` supplies users/depart_bins/speed_bins/max_len."""
-    users = getattr(config, "users", None) if not isinstance(config, dict) else config.get("users")
-    depart = (config.get("depart_bins", 24) if isinstance(config, dict) else getattr(config, "depart_bins", 24))
-    speed = (config.get("speed_bins", 120) if isinstance(config, dict) else getattr(config, "speed_bins", 120))
-    max_len = (config.get("max_len", 50) if isinstance(config, dict) else getattr(config, "max_len", 50))
-    if users is None or users < 1:
-        raise EncodingError("config must declare at least 1 user")
+def vocab_sizes(net: Network, config: SynthConfig) -> VocabSpec:
+    """Exact embedding-table sizes of `net` and the users, bins and max_len of `config`."""
     spec = VocabSpec(
         positions=net.n_positions,
         actions=netgrid.N_ACTIONS + 1,
         rtg=2,
-        depart_bins=depart,
-        speed_bins=speed,
-        users=users,
-        max_timestep=max_len + 1,  # a trajectory of max_len moves has max_len + 1 steps
+        depart_bins=config.depart_bins,
+        speed_bins=config.speed_bins,
+        users=config.users,
+        max_timestep=config.max_len + 1,  # a trajectory of max_len moves has max_len + 1 steps
     )
     spec.validate()
     return spec
@@ -188,7 +155,7 @@ def decode_episode(ep: EpisodeTokens) -> Trajectory:
     )
 
 
-def windowize(ep: EpisodeTokens, context: int, stride: int) -> list[ContextWindow]:
+def windowize(ep: EpisodeTokens, context: int, stride: int) -> list[EpisodeTokens]:
     """Sliding windows of at most `context` steps; the last window is right-aligned."""
     if context < 1 or stride < 1:
         raise ValueError("context and stride must be >= 1")

@@ -22,26 +22,22 @@ Its logits equal a fresh `forward_batch` of the trailing window to rounding.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import netgrid, numcore as nc
+from . import checkpoint, netgrid, numcore as nc
+from .checkpoint import CheckpointError, ParamModel  # noqa: F401 (callers catch tm.CheckpointError)
 from .netgrid import EnvState, Network
 from .numcore import Tensor, make_rng
 from .synthgen import GenerationError, Trajectory
-from .tokenizer import ContextWindow, EncodingError, VocabSpec
+from .tokenizer import EncodingError, EpisodeTokens, VocabSpec
 
 N_ACTIONS = netgrid.N_ACTIONS
 
 
 class DeadEndError(RuntimeError):
     """No feasible action is available at the current position."""
-
-
-class CheckpointError(RuntimeError):
-    """Checkpoint file is missing, corrupt, or incompatible."""
 
 
 class LossError(ValueError):
@@ -65,20 +61,15 @@ class ModelConfig:
         if self.context < 1:
             raise ValueError("context must be >= 1")
 
-    def as_dict(self) -> dict:
-        d = dict(vars(self))
-        d["vocab"] = self.vocab.as_dict()
-        return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["vocab"] = VocabSpec(**d["vocab"])
-        return cls(**d)
+class PolicyModel(ParamModel):
+    """Embedding tables, attention blocks, and the action head.
 
+    Parameters are assigned in RNG draw order, which is the manifest order.
+    """
 
-class PolicyModel:
-    """Embedding tables, attention blocks, and the action head."""
+    kind = "policy"
+    config_type = ModelConfig
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None = None):
         self.cfg = cfg
@@ -123,52 +114,6 @@ class PolicyModel:
         self.head_w = nc.param(rng, (d, N_ACTIONS), std=cfg.init_std)
         self.head_b = Tensor(np.zeros(N_ACTIONS))
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        """Stable (name, tensor) ordering; this is the checkpoint manifest order."""
-        named = [
-            ("emb_position", self.emb_position),
-            ("emb_origin", self.emb_origin),
-            ("emb_destination", self.emb_destination),
-            ("emb_depart", self.emb_depart),
-            ("emb_speed", self.emb_speed),
-            ("emb_user", self.emb_user),
-            ("emb_action", self.emb_action),
-            ("emb_rtg", self.emb_rtg),
-            ("emb_timestep", self.emb_timestep),
-            ("ln_emb_gain", self.ln_emb_gain),
-            ("ln_emb_bias", self.ln_emb_bias),
-        ]
-        for i, layer in enumerate(self.layers):
-            for key in ("ln1_gain", "ln1_bias", "wq", "wk", "wv", "wo", "ln2_gain", "ln2_bias", "ff_w1", "ff_b1", "ff_w2", "ff_b2"):
-                named.append((f"layer{i}.{key}", layer[key]))
-        named.extend(
-            [
-                ("ln_f_gain", self.ln_f_gain),
-                ("ln_f_bias", self.ln_f_bias),
-                ("head_w", self.head_w),
-                ("head_b", self.head_b),
-            ]
-        )
-        return named
-
-    def param_tensors(self) -> list[Tensor]:
-        return [t for _, t in self.parameters()]
-
-    def copy(self) -> "PolicyModel":
-        clone = PolicyModel(self.cfg, rng=make_rng(0))
-        for (_, src), (_, dst) in zip(self.parameters(), clone.parameters()):
-            dst.data = src.data.copy()
-        return clone
-
-    def params_hash(self) -> bytes:
-        import hashlib
-
-        h = hashlib.sha256()
-        for name, t in self.parameters():
-            h.update(name.encode())
-            h.update(t.data.astype("<f8").tobytes())
-        return h.digest()
-
 
 def embed_state(state: EnvState, model: PolicyModel) -> np.ndarray:
     """Sum of the six element embeddings of one decision context, in `forward_batch`'s order.
@@ -212,7 +157,7 @@ class BatchForward:
 
 
 def forward_batch(
-    windows: list[ContextWindow],
+    windows: list[EpisodeTokens],
     model: PolicyModel,
     rng: np.random.Generator | None = None,
     retain_attention: bool = False,
@@ -282,16 +227,7 @@ def _interleave(total: int) -> tuple[np.ndarray, np.ndarray]:
     return (np.arange(total)[:, None] + total * np.arange(3)).ravel(), 3 * np.arange(total) + 1
 
 
-def forward(
-    window: ContextWindow,
-    model: PolicyModel,
-    rng: np.random.Generator | None = None,
-    retain_attention: bool = False,
-) -> BatchForward:
-    return forward_batch([window], model, rng=rng, retain_attention=retain_attention)
-
-
-def batch_nll(windows: list[ContextWindow], model: PolicyModel, rng: np.random.Generator | None = None) -> Tensor:
+def batch_nll(windows: list[EpisodeTokens], model: PolicyModel, rng: np.random.Generator | None = None) -> Tensor:
     """Mean cross-entropy over all decision positions of all windows."""
     out = forward_batch(windows, model, rng=rng)
     mask = np.concatenate([w.decision_mask for w in windows])
@@ -300,10 +236,6 @@ def batch_nll(windows: list[ContextWindow], model: PolicyModel, rng: np.random.G
     rows = np.flatnonzero(mask)
     targets = np.concatenate([w.action for w in windows])[rows]
     return nc.cross_entropy(nc.gather_rows(out.logits, rows), targets)
-
-
-def nll_loss(window: ContextWindow, model: PolicyModel, rng: np.random.Generator | None = None) -> Tensor:
-    return batch_nll([window], model, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -484,77 +416,6 @@ def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(len(x), n_heads, -1).transpose(1, 0, 2)
 
 
-# ---------------------------------------------------------------------------
-# Checkpoints: one JSON header line plus a little-endian float64 blob.
-# ---------------------------------------------------------------------------
-
-CKPT_MAGIC = "trajforge-ckpt"
-CKPT_VERSION = 1
-
-
-def write_param_file(path, kind: str, config: dict, named_params, meta: dict | None = None) -> None:
-    manifest = [[name, list(t.data.shape)] for name, t in named_params]
-    header = {
-        "format": CKPT_MAGIC,
-        "version": CKPT_VERSION,
-        "kind": kind,
-        "config": config,
-        "meta": meta or {},
-        "manifest": manifest,
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for _, t in named_params:
-            fh.write(t.data.astype("<f8").tobytes())
-
-
-def read_param_file(path, expect_kind: str | None = None):
-    """Returns (header dict, {name: ndarray}); raises CheckpointError on any mismatch."""
-    try:
-        with open(path, "rb") as fh:
-            header_line = fh.readline()
-            blob = fh.read()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt checkpoint header") from exc
-    if header.get("format") != CKPT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    if header.get("version") != CKPT_VERSION:
-        raise CheckpointError(f"{path}: checkpoint version {header.get('version')} != {CKPT_VERSION}")
-    if expect_kind is not None and header.get("kind") != expect_kind:
-        raise CheckpointError(f"{path}: checkpoint kind {header.get('kind')!r}, expected {expect_kind!r}")
-    expected = sum(int(np.prod(shape)) for _, shape in header["manifest"]) * 8
-    if len(blob) != expected:
-        raise CheckpointError(f"{path}: blob of {len(blob)} bytes, manifest declares {expected}")
-    params = {}
-    offset = 0
-    for name, shape in header["manifest"]:
-        count = int(np.prod(shape))
-        params[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset += count * 8
-    return header, params
-
-
-def save_checkpoint(model: PolicyModel, path, meta: dict | None = None) -> None:
-    write_param_file(path, "policy", model.cfg.as_dict(), model.parameters(), meta)
-
-
 def load_checkpoint(path, expect_vocab: VocabSpec | None = None) -> tuple[PolicyModel, dict]:
     """Rebuild a PolicyModel bit-exactly; optional vocabulary compatibility check."""
-    header, params = read_param_file(path, expect_kind="policy")
-    cfg = ModelConfig.from_dict(header["config"])
-    if expect_vocab is not None and cfg.vocab != expect_vocab:
-        raise CheckpointError(
-            f"{path}: checkpoint vocabulary {cfg.vocab.as_dict()} does not match expected {expect_vocab.as_dict()}"
-        )
-    model = PolicyModel(cfg, rng=make_rng(0))
-    for name, tensor in model.parameters():
-        if name not in params:
-            raise CheckpointError(f"{path}: missing parameter {name}")
-        if params[name].shape != tensor.data.shape:
-            raise CheckpointError(f"{path}: parameter {name} has shape {params[name].shape}, expected {tensor.data.shape}")
-        tensor.data = params[name]
-    return model, header["meta"]
+    return checkpoint.load(path, PolicyModel, expect_vocab)

@@ -40,7 +40,7 @@ class TestEvalPolicy:
             trajs.append(sg.Trajectory(tid, 0, 0, 0, positions, actions, "complete"))
         dataset = sg.Dataset(net, trajs, 1)
         dataset.eval_idx = list(range(len(trajs)))
-        vocab = tk.vocab_sizes(net, {"users": 1, "max_len": 12})
+        vocab = tk.vocab_sizes(net, sg.SynthConfig(users=1, max_len=12))
         model = tm.PolicyModel(tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, context=12, dropout=0.0))
         for _, t in model.parameters():
             t.data = np.zeros_like(t.data)
@@ -65,7 +65,7 @@ class TestPretrain:
         path.write_text("".join(f"v1,{1201957200 + 600 * i},{116.05 + 0.1 * (i % 2)},39.05\n" for i in range(61)))
         dataset, _ = sg.ingest_csv(path, ng.GridSpec(4, 4), (116.0, 39.0, 116.4, 39.4))
         assert [len(t.positions) for t in dataset.trajectories] == [61]
-        vocab = tk.vocab_sizes(dataset.net, {"users": 1})
+        vocab = tk.vocab_sizes(dataset.net, sg.SynthConfig(users=1))
         model = tm.PolicyModel(tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, context=12, dropout=0.0))
         with pytest.raises(tk.EncodingError, match="trajectory 0: max_timestep index 60"):
             pt.pretrain(dataset, model, pt.TrainConfig(epochs=1))
@@ -83,7 +83,7 @@ class TestPretrain:
         traj = sg.gen_trajectory(4, (0, 24), 0, prefs, net, 12)
         dataset = sg.Dataset(net, [traj] * 64, 1)
         dataset.train_idx = list(range(64))
-        vocab = tk.vocab_sizes(net, {"users": 1, "max_len": 12})
+        vocab = tk.vocab_sizes(net, sg.SynthConfig(users=1, max_len=12))
         mcfg = tm.ModelConfig(vocab=vocab, d_model=64, n_layers=2, n_heads=4, context=12, dropout=0.0)
         model = tm.PolicyModel(mcfg, rng=make_rng(2))
         cfg = pt.TrainConfig(epochs=200, batch_size=64, lr=1e-3, weight_decay=0.0, seed=2, target_train_nll=0.005)

@@ -15,13 +15,13 @@ from trajforge.numcore import make_rng
 
 def grid_critic(d=8, grid=3, users=2, seed=1, init_std=0.02):
     net = ng.GridNetwork(ng.GridSpec(grid, grid))
-    vocab = tk.vocab_sizes(net, {"users": users, "max_len": 10})
+    vocab = tk.vocab_sizes(net, sg.SynthConfig(users=users, max_len=10))
     cfg = ri.CriticConfig(vocab=vocab, d=d, init_std=init_std)
     return net, ri.CriticModel(cfg, net, rng=make_rng(seed))
 
 
 def zero_critic(net, users=2, d=8):
-    vocab = tk.vocab_sizes(net, {"users": users, "max_len": 10})
+    vocab = tk.vocab_sizes(net, sg.SynthConfig(users=users, max_len=10))
     critic = ri.CriticModel(ri.CriticConfig(vocab=vocab, d=d), net, rng=make_rng(0))
     for _, t in critic.parameters():
         t.data = np.zeros_like(t.data)
@@ -54,7 +54,7 @@ def networks(draw):
 @st.composite
 def random_critics(draw):
     net = draw(networks())
-    spec = {"users": draw(st.integers(1, 4)), "depart_bins": draw(st.integers(1, 6)), "max_len": 10}
+    spec = sg.SynthConfig(users=draw(st.integers(1, 4)), depart_bins=draw(st.integers(1, 6)), max_len=10)
     d, std = draw(st.sampled_from([1, 3, 8])), draw(st.sampled_from([0.02, 0.3, 1.0]))
     cfg = ri.CriticConfig(vocab=tk.vocab_sizes(net, spec), d=d, init_std=std)
     return ri.CriticModel(cfg, net, rng=make_rng(draw(st.integers(0, 2**16))))
@@ -344,7 +344,7 @@ class TestTrainCritic:
         graph = ng.LinkGraph([[1, 0], [2, 0], [3, 0], []])
         trajs = [sg.Trajectory(i, 0, 0, 0, [0, 1, 2, 3], [0, 0, 0], "complete") for i in range(16)]
         dataset = sg.Dataset(graph, trajs, 1)
-        vocab = tk.vocab_sizes(graph, {"users": 1, "max_len": 8})
+        vocab = tk.vocab_sizes(graph, sg.SynthConfig(users=1, max_len=8))
         critic = ri.CriticModel(ri.CriticConfig(vocab=vocab, d=16), graph, rng=make_rng(2))
         ri.train_critic(dataset, critic, ri.IRLConfig(lr=3e-3, epochs=120, batch_size=64, seed=2))
         for pos in (0, 1, 2):
@@ -477,7 +477,7 @@ class TestCriticCheckpoint:
     def test_round_trip(self, tmp_path):
         net, critic = grid_critic(seed=13)
         path = tmp_path / "critic.ckpt"
-        ri.save_critic(critic, path, meta={"epochs_done": 7})
+        critic.save(path, meta={"epochs_done": 7})
         loaded, meta = ri.load_critic(path, net)
         assert meta == {"epochs_done": 7}
         assert loaded.params_hash() == critic.params_hash()
@@ -487,6 +487,16 @@ class TestCriticCheckpoint:
 
         net, critic = grid_critic()
         path = tmp_path / "critic.ckpt"
-        ri.save_critic(critic, path)
+        critic.save(path)
         with pytest.raises(tm.CheckpointError, match="kind"):
             tm.load_checkpoint(path)
+
+    def test_network_of_wrong_size_rejected(self, tmp_path):
+        net, critic = grid_critic(grid=5)
+        small = ng.GridNetwork(ng.GridSpec(4, 4))
+        with pytest.raises(ValueError, match="16 positions for a critic vocabulary of 25"):
+            ri.CriticModel(critic.cfg, small)
+        path = tmp_path / "critic.ckpt"
+        critic.save(path)
+        with pytest.raises(ValueError, match="16 positions for a critic vocabulary of 25"):
+            ri.load_critic(path, small)

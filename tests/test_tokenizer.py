@@ -144,7 +144,7 @@ class TestCheckVocab:
 class TestVocabSizes:
     def test_grid_counts(self):
         net = ng.GridNetwork(ng.GridSpec(5, 5))
-        spec = tk.vocab_sizes(net, {"users": 20, "max_len": 50})
+        spec = tk.vocab_sizes(net, sg.SynthConfig(users=20, max_len=50))
         assert spec.positions == 25
         assert spec.actions == 10
         assert spec.rtg == 2
@@ -156,7 +156,7 @@ class TestVocabSizes:
     def test_users_required(self):
         net = ng.GridNetwork(ng.GridSpec(3, 3))
         with pytest.raises(tk.EncodingError):
-            tk.vocab_sizes(net, {"users": 0})
+            tk.vocab_sizes(net, sg.SynthConfig(users=0))
 
     def test_from_synth_config(self):
         cfg = sg.SynthConfig(width=4, height=3, users=7, max_len=20)

@@ -15,7 +15,7 @@ from trajforge.numcore import make_rng
 
 def small_model(d=16, layers=1, heads=2, context=8, users=4, grid=5, dropout=0.0, seed=1, max_len=20, init_std=0.02):
     net = ng.GridNetwork(ng.GridSpec(grid, grid))
-    vocab = tk.vocab_sizes(net, {"users": users, "max_len": max_len})
+    vocab = tk.vocab_sizes(net, sg.SynthConfig(users=users, max_len=max_len))
     cfg = tm.ModelConfig(
         vocab=vocab, d_model=d, n_layers=layers, n_heads=heads, context=context, dropout=dropout, init_std=init_std
     )
@@ -97,7 +97,7 @@ def trailing_window(ctx, positions, actions, context):
     def full(value):
         return np.full(size, value, dtype=np.int64)
 
-    return tk.ContextWindow(
+    return tk.EpisodeTokens(
         traj_id=ctx.traj_id,
         flag="partial",
         rtg=np.array([int(p != ctx.destination) for p in positions[start:]], dtype=np.int64),
@@ -163,21 +163,21 @@ class TestForward:
     def test_single_step_shape(self):
         net, model = small_model()
         window = sample_window(net).slice(0, 1)
-        out = tm.forward(window, model)
+        out = tm.forward_batch([window], model)
         assert out.logits.data.shape == (1, 9)
         assert np.all(np.isfinite(out.logits.data))
 
     def test_matches_independent_replay(self):
         net, model = small_model(d=4, layers=1, heads=1)
         window = sample_window(net)
-        out = tm.forward(window, model)
+        out = tm.forward_batch([window], model)
         ref = reference_forward(model, window)
         np.testing.assert_allclose(out.logits.data, ref, rtol=1e-10, atol=1e-12)
 
     def test_matches_replay_multihead_multilayer(self):
         net, model = small_model(d=8, layers=2, heads=2, seed=9)
         window = sample_window(net, seed=11)
-        out = tm.forward(window, model)
+        out = tm.forward_batch([window], model)
         ref = reference_forward(model, window)
         np.testing.assert_allclose(out.logits.data, ref, rtol=1e-10, atol=1e-12)
 
@@ -186,7 +186,7 @@ class TestForward:
         window = sample_window(net)
         t_len = window.n_steps
         assert t_len >= 3
-        base = tm.forward(window, model).logits.data.copy()
+        base = tm.forward_batch([window], model).logits.data.copy()
         cut = t_len - 2
         # perturb everything after s_cut: the action at cut and all later steps
         mutated = window.slice(0, t_len)
@@ -197,14 +197,14 @@ class TestForward:
         mutated.action[cut + 1 :] = 0
         mutated.rtg[cut + 1 :] = 0
         mutated.position[cut + 1 :] = 1
-        after = tm.forward(mutated, model).logits.data
+        after = tm.forward_batch([mutated], model).logits.data
         assert np.array_equal(base[: cut + 1], after[: cut + 1])
         assert not np.array_equal(base[cut + 1 :], after[cut + 1 :])
 
     def test_attention_maps_shape(self):
         net, model = small_model(layers=2, heads=2)
         window = sample_window(net)
-        out = tm.forward(window, model, retain_attention=True)
+        out = tm.forward_batch([window], model, retain_attention=True)
         assert len(out.attention) == 2
         hmat = out.attention[0][0]
         assert hmat.shape == (2, 3 * window.n_steps, 3 * window.n_steps)
@@ -215,7 +215,7 @@ class TestForward:
         net, model = small_model(context=2)
         window = sample_window(net)
         with pytest.raises(ValueError, match="exceeds context"):
-            tm.forward(window, model)
+            tm.forward_batch([window], model)
 
 
 class TestInterleave:
@@ -243,7 +243,7 @@ class TestInterleave:
         joint = tm.forward_batch(windows, model, retain_attention=True)
         start = 0
         for w in windows:
-            solo = tm.forward(w, model, retain_attention=True)
+            solo = tm.forward_batch([w], model, retain_attention=True)
             np.testing.assert_allclose(joint.logits.data[start : start + w.n_steps], solo.logits.data, rtol=1e-12, atol=1e-14)
             start += w.n_steps
         for layer in range(2):
@@ -256,7 +256,7 @@ class TestNllLoss:
         for _, t in model.parameters():
             t.data = np.zeros_like(t.data)
         window = sample_window(net)
-        loss = tm.nll_loss(window, model)
+        loss = tm.batch_nll([window], model)
         assert loss.item() == pytest.approx(math.log(9), abs=1e-12)
 
     def test_no_decision_steps_rejected(self):
@@ -267,7 +267,7 @@ class TestNllLoss:
         terminal_only = ep.slice(ep.n_steps - 1, ep.n_steps)
         assert terminal_only.action[0] == tk.BLANK
         with pytest.raises(tm.LossError):
-            tm.nll_loss(terminal_only, model)
+            tm.batch_nll([terminal_only], model)
 
     def test_gradient_matches_finite_differences(self):
         # well-scaled weights keep gradients away from the guard-denominator floor
@@ -277,7 +277,7 @@ class TestNllLoss:
         window = tk.windowize(tk.encode_episode(traj), 8, 8)[0]
 
         def f():
-            return tm.nll_loss(window, model)
+            return tm.batch_nll([window], model)
 
         err = nc.finite_diff_check(f, model.param_tensors(), eps=1e-4)
         assert err <= 1e-4
@@ -403,7 +403,7 @@ class TestGenerate:
 
     def test_dead_end_flagged(self):
         graph = ng.LinkGraph([[1], []])
-        vocab = tk.vocab_sizes(graph, {"users": 1, "max_len": 5})
+        vocab = tk.vocab_sizes(graph, sg.SynthConfig(users=1, max_len=5))
         cfg = tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, context=4, dropout=0.0)
         model = tm.PolicyModel(cfg, rng=make_rng(0))
         traj = tm.generate(tm.GenerationContext(0, 1, 0, 0, 0, max_len=5, seed=0), model, graph)
@@ -411,7 +411,7 @@ class TestGenerate:
         assert traj.flag == "complete"
         # branch into a cul-de-sac: from 0, action 0 heads toward dest 3, action 1 strands at 2
         graph2 = ng.LinkGraph([[1, 2], [3], [], []])
-        vocab2 = tk.vocab_sizes(graph2, {"users": 1, "max_len": 5})
+        vocab2 = tk.vocab_sizes(graph2, sg.SynthConfig(users=1, max_len=5))
         cfg2 = tm.ModelConfig(vocab=vocab2, d_model=8, n_layers=1, n_heads=1, context=4, dropout=0.0)
         model2 = tm.PolicyModel(cfg2, rng=make_rng(0))
         flags = {
@@ -453,7 +453,7 @@ class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         net, model = small_model(d=8, layers=2)
         path = tmp_path / "policy.ckpt"
-        tm.save_checkpoint(model, path, meta={"epochs_done": 3})
+        model.save(path, meta={"epochs_done": 3})
         loaded, meta = tm.load_checkpoint(path)
         assert meta == {"epochs_done": 3}
         for (n1, t1), (n2, t2) in zip(model.parameters(), loaded.parameters()):
@@ -463,17 +463,17 @@ class TestCheckpoint:
     def test_loss_identical_after_round_trip(self, tmp_path):
         net, model = small_model(d=8)
         window = sample_window(net)
-        before = tm.nll_loss(window, model).item()
+        before = tm.batch_nll([window], model).item()
         path = tmp_path / "p.ckpt"
-        tm.save_checkpoint(model, path)
+        model.save(path)
         loaded, _ = tm.load_checkpoint(path)
-        assert tm.nll_loss(window, loaded).item() == before
+        assert tm.batch_nll([window], loaded).item() == before
 
     def test_vocab_mismatch_rejected(self, tmp_path):
         net, model = small_model(grid=5)
         path = tmp_path / "p.ckpt"
-        tm.save_checkpoint(model, path)
-        other = tk.vocab_sizes(ng.GridNetwork(ng.GridSpec(3, 3)), {"users": 4, "max_len": 20})
+        model.save(path)
+        other = tk.vocab_sizes(ng.GridNetwork(ng.GridSpec(3, 3)), sg.SynthConfig(users=4, max_len=20))
         with pytest.raises(tm.CheckpointError, match="vocabulary"):
             tm.load_checkpoint(path, expect_vocab=other)
 
@@ -486,7 +486,7 @@ class TestCheckpoint:
     def test_truncated_blob_rejected(self, tmp_path):
         net, model = small_model(d=8, layers=1)
         path = tmp_path / "p.ckpt"
-        tm.save_checkpoint(model, path)
+        model.save(path)
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(tm.CheckpointError, match="blob"):
