@@ -441,12 +441,18 @@ def sum_all(x: Tensor) -> Tensor:
     return out
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when rate is 0 or no RNG is supplied."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, rows=None, n_drawn: int = 0) -> Tensor:
+    """Inverted dropout; identity when rate is 0 or no RNG is supplied.
+
+    With `rows`, `x` holds rows `rows` of a taller input of `n_drawn` rows: the mask is drawn at that
+    input's shape and indexed, so dropping rows from an input changes neither the random stream nor
+    the masks of the rows kept.
+    """
     if rng is None or rate <= 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return mul_const(x, keep)
+    if rows is None:
+        return mul_const(x, (rng.random(x.data.shape) >= rate) / (1.0 - rate))
+    return mul_const(x, (rng.random((n_drawn, *x.data.shape[1:])) >= rate)[rows] / (1.0 - rate))
 
 
 def masked_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, visible: np.ndarray):
@@ -462,22 +468,31 @@ def masked_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, visible: np
     return w @ vh, w
 
 
-def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments):
+def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments, q_at=None):
     """Multi-head causal attention applied independently to contiguous row segments.
 
-    `segments` lists each segment's length; a row attends to itself and earlier rows of its
-    segment. Segments of equal length run as one stacked matmul. Returns (context, list of
-    per-segment (n_heads, T, T) weight arrays in segment order).
+    `segments` lists each segment's length in rows of `k` and `v`; a row attends to itself and earlier
+    rows of its segment. By default every row queries. `q_at` gives the query-subset form: the
+    ascending key row at which each row of `q` sits, so only those rows query and the context has one
+    row per query. Segments of one length must then hold their queries at the same offsets. Segments of
+    equal length run as one stacked matmul. Returns (context, list of per-segment (n_heads, queries, T)
+    weight arrays in segment order).
     """
-    if sum(segments) != q.data.shape[0]:
+    lengths = np.asarray(segments, dtype=np.intp)
+    n_keys = k.data.shape[0]
+    if lengths.sum() != n_keys or v.data.shape[0] != n_keys:
         raise ShapeError("segment lengths do not cover the sequence")
+    q_at = np.arange(n_keys) if q_at is None else np.asarray(q_at, dtype=np.intp)
+    if len(q_at) != q.data.shape[0] or np.any(np.diff(q_at) <= 0) or (q_at.size and (q_at[0] < 0 or q_at[-1] >= n_keys)):
+        raise ShapeError("query rows must be ascending key rows, one per row of q")
     d = q.data.shape[1]
     if d % n_heads != 0:
         raise ShapeError(f"model width {d} not divisible by {n_heads} heads")
     hd = d // n_heads
     scale = 1.0 / math.sqrt(hd)
-    lengths = np.asarray(segments, dtype=np.intp)
     starts = np.cumsum(lengths) - lengths
+    counts = np.bincount(np.repeat(np.arange(len(lengths)), lengths)[q_at], minlength=len(lengths))
+    q_starts = np.cumsum(counts) - counts
 
     def heads(x, rows):  # (G, T) row indices -> (G, heads, T, hd)
         return x[rows].reshape(*rows.shape, n_heads, hd).transpose(0, 2, 1, 3)
@@ -491,21 +506,27 @@ def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segmen
     for t_len in np.unique(lengths):
         members = np.flatnonzero(lengths == t_len)
         rows = starts[members, None] + np.arange(t_len)
-        causal = np.tril(np.ones((t_len, t_len), dtype=bool))
-        ctx_h, w = masked_attention(heads(q.data, rows), heads(k.data, rows), heads(v.data, rows), causal)
-        ctx[rows] = unheads(ctx_h, rows)
+        if np.any(counts[members] != counts[members[0]]):
+            raise ShapeError(f"segments of length {t_len} hold different numbers of queries")
+        q_rows = q_starts[members, None] + np.arange(counts[members[0]])
+        offsets = q_at[q_rows] - starts[members, None]
+        if np.any(offsets != offsets[0]):
+            raise ShapeError(f"segments of length {t_len} hold their queries at different offsets")
+        visible = offsets[0][:, None] >= np.arange(t_len)
+        ctx_h, w = masked_attention(heads(q.data, q_rows), heads(k.data, rows), heads(v.data, rows), visible)
+        ctx[q_rows] = unheads(ctx_h, q_rows)
         for j, m in enumerate(members):
             weights[m] = w[j]
-        groups.append((rows, w))
+        groups.append((rows, q_rows, w))
     out = Tensor(ctx, (q, k, v))
 
     def bwd(g):
-        gq, gk, gv = np.empty_like(g), np.empty_like(g), np.empty_like(g)
-        for rows, w in groups:  # heads gathered again, not kept: forward-only passes would hold the copies
-            qh, kh, vh, gh = heads(q.data, rows), heads(k.data, rows), heads(v.data, rows), heads(g, rows)
+        gq, gk, gv = np.empty_like(g), np.empty_like(k.data), np.empty_like(v.data)
+        for rows, q_rows, w in groups:  # heads gathered again, not kept: forward-only passes would hold the copies
+            qh, kh, vh, gh = heads(q.data, q_rows), heads(k.data, rows), heads(v.data, rows), heads(g, q_rows)
             gw = gh @ vh.swapaxes(2, 3)
             gs = w * (gw - (w * gw).sum(axis=3, keepdims=True))
-            gq[rows] = unheads((gs @ kh) * scale, rows)
+            gq[q_rows] = unheads((gs @ kh) * scale, q_rows)
             gk[rows] = unheads((gs.swapaxes(2, 3) @ qh) * scale, rows)
             gv[rows] = unheads(w.swapaxes(2, 3) @ gh, rows)
         for t, grad in ((q, gq), (k, gk), (v, gv)):

@@ -40,6 +40,7 @@ class TrainConfig:
 class TrainLogRow:
     epoch: int
     train_nll: float
+    grad_norm: float  # epoch mean of the global gradient norms before clipping
     eval_nll: float
     eval_acc: float
     seconds: float
@@ -51,9 +52,9 @@ class TrainLog:
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,train_nll,eval_nll,eval_acc,seconds\n")
+            fh.write("epoch,train_nll,grad_norm,eval_nll,eval_acc,seconds\n")
             for r in self.rows:
-                fh.write(f"{r.epoch},{r.train_nll!r},{r.eval_nll!r},{r.eval_acc!r},{r.seconds:.3f}\n")
+                fh.write(f"{r.epoch},{r.train_nll!r},{r.grad_norm!r},{r.eval_nll!r},{r.eval_acc!r},{r.seconds:.3f}\n")
 
 
 def build_windows(trajectories: list[Trajectory], context: int):
@@ -109,12 +110,12 @@ def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         order = batch_order(cfg.seed, epoch, len(windows))
-        losses = []
+        losses, norms = [], []
         for i in range(0, len(order), cfg.batch_size):
             batch = [windows[j] for j in order[i : i + cfg.batch_size]]
             rng_drop = make_rng(cfg.seed, "dropout", epoch, i) if model.cfg.dropout > 0 else None
             loss = supervised_loss(model, batch, rng=rng_drop)
-            apply_step(model, loss, opt, cfg.grad_clip)
+            norms.append(apply_step(model, loss, opt, cfg.grad_clip))
             losses.append(float(loss.data))
         train_nll = float(np.mean(losses))
         if eval_trajs:
@@ -126,7 +127,8 @@ def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
                 bad_evals = 0
             else:
                 bad_evals += 1
-        log.rows.append(TrainLogRow(epoch, train_nll, last_eval[0], last_eval[1], time.perf_counter() - t0))
+        row = TrainLogRow(epoch, train_nll, float(np.mean(norms)), last_eval[0], last_eval[1], time.perf_counter() - t0)
+        log.rows.append(row)
         if eval_trajs and bad_evals > cfg.patience:
             break
         if cfg.target_train_nll is not None and train_nll < cfg.target_train_nll:
@@ -148,10 +150,8 @@ def eval_policy(dataset: Dataset, model: tm.PolicyModel):
     count = 0
     for i in range(0, len(windows), EVAL_CHUNK):
         part = windows[i : i + EVAL_CHUNK]
-        out = tm.forward_batch(part, model)
-        mask = np.concatenate([w.decision_mask for w in part])
-        actions = np.concatenate([w.action for w in part])[mask]
-        logits = out.logits.data[mask]
+        logits = tm.forward_batch(part, model).logits.data
+        actions = np.concatenate([w.action[w.decision_mask] for w in part])
         # shifted by the row max as in cross_entropy, so eval and training NLL round alike
         shifted = logits - logits.max(axis=1, keepdims=True)
         lse = nc.masked_logsumexp(shifted, np.ones(shifted.shape, dtype=bool))

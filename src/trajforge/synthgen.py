@@ -428,17 +428,22 @@ def ingest_csv(
     resample_minutes: float = 10.0,
     column_map: dict[str, int] | None = None,
     max_gap_intervals: int = 2,
+    max_moves: int = SynthConfig.max_len,
 ) -> tuple[Dataset, IngestStats]:
     """vehicle_id,timestamp,lon,lat rows -> resampled grid trajectories.
 
     Each vehicle's stream is resampled to fixed intervals keeping the last fix
     per interval; missing intervals within the gap threshold repeat the cell
     (a stay); larger gaps and non-adjacent cell jumps split the trajectory.
+    A trajectory is split again every `max_moves` moves, so that a model of
+    that `max_len` can embed it; consecutive parts share their boundary cell.
     """
     cols = column_map or {"vehicle_id": 0, "timestamp": 1, "lon": 2, "lat": 3}
     lon_min, lat_min, lon_max, lat_max = bbox
     if lon_max <= lon_min or lat_max <= lat_min:
         raise ConfigError(f"degenerate bbox {bbox}")
+    if max_moves < 1:
+        raise ConfigError("max_moves must be >= 1")
     net = GridNetwork(grid)
     stats = IngestStats()
     fixes: dict[str, list[tuple[float, float, float]]] = {}
@@ -500,6 +505,8 @@ def ingest_csv(
                     except netgrid.ConnectivityError:
                         pieces.append([])
                 pieces[-1].append((ts, lon, lat, cell))
+            # parts of at most max_moves moves; consecutive parts share their boundary cell
+            pieces = [p[s : s + max_moves + 1] for p in pieces for s in range(0, max(len(p) - 1, 1), max_moves)]
             for piece in pieces:
                 if len(piece) < 2:
                     stats.dropped_short += 1

@@ -6,17 +6,25 @@ GELU feed-forward; action logits are read at each step's state-token position.
 Infeasible actions are masked at sampling time, so generated trajectories are
 valid by construction.
 
-`forward_batch` records the autodiff graph and serves training and evaluation.
-Generation runs the same equations without a graph, incrementally (`_Decoder`):
+Both passes compute only the rows that reach a decision. A window with m
+decision steps runs as its first 3m - 1 tokens R_0 s_0 a_0 ... R_{m-1} s_{m-1}:
+attention is causal, so nothing before them attends to the tokens after them
+(the last action, and a terminal step's R, s and BLANK). The last layer needs
+keys and values of every token, but only the state rows' outputs are read, so
+it runs its query, attention output and feed-forward for those rows alone.
+
+`forward_batch` records the autodiff graph and serves training and evaluation;
+a window without decisions is skipped, and dropout masks are drawn for all 3T
+rows of every window, then indexed, so the random stream does not depend on
+the cut. Generation runs the same equations without a graph, incrementally
+(`_Decoder`):
 - a key/value cache holds each layer's keys and values of the trip's trailing
-  window; a move appends only a_{t-1}, R_t and s_t, and the pending a_t is never
-  computed, because nothing before it attends to it;
+  window; a move appends only a_{t-1}, R_t and s_t, and the pending a_t is
+  never computed;
 - once the trip passes `context` steps the window drops its first step, which
   changes every deeper layer's keys and values, so the cache restarts and the
   whole window is recomputed;
-- only the s_t row's output is read, so the last layer caches the keys and
-  values of every new token but runs its query, attention and feed-forward for
-  that row alone.
+- its last layer runs the query for the s_t row alone.
 Its logits equal a fresh `forward_batch` of the trailing window to rounding.
 """
 
@@ -60,6 +68,8 @@ class ModelConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
         if self.context < 1:
             raise ValueError("context must be >= 1")
+        if self.n_layers < 1:
+            raise ValueError("n_layers must be >= 1")
 
 
 class PolicyModel(ParamModel):
@@ -151,20 +161,16 @@ def _check_state(state: EnvState, vocab: VocabSpec) -> None:
 class BatchForward:
     """Forward outputs for a list of windows processed as one graph."""
 
-    logits: Tensor  # (total steps, N_ACTIONS)
-    sizes: list[int]
-    attention: list | None = None  # [layer][window] -> (heads, 3T, 3T)
+    logits: Tensor  # (decision steps, N_ACTIONS), window by window
+    sizes: list[int]  # steps of each input window
 
 
-def forward_batch(
-    windows: list[EpisodeTokens],
-    model: PolicyModel,
-    rng: np.random.Generator | None = None,
-    retain_attention: bool = False,
-) -> BatchForward:
-    """Run the policy over several windows in one recorded graph.
+def forward_batch(windows: list[EpisodeTokens], model: PolicyModel, rng: np.random.Generator | None = None) -> BatchForward:
+    """Run the policy over several windows in one recorded graph; logits of their decision steps.
 
-    Windows are embedded jointly; attention never crosses window boundaries.
+    Windows are embedded jointly; attention never crosses window boundaries. A window's decision
+    steps come first; only its terminal step, if it holds one, has none. Only rows that reach a
+    decision are computed (see the module docstring), and a window without decisions is skipped.
     `rng` enables dropout (training); omit it for deterministic inference.
     """
     cfg = model.cfg
@@ -174,10 +180,19 @@ def forward_batch(
             raise ValueError(f"window of {t_len} steps exceeds context {cfg.context}")
         if t_len < 1:
             raise ValueError("empty window")
-    total = sum(sizes)
+    lengths = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    mask = np.concatenate([w.decision_mask for w in windows])
+    decisions = np.add.reduceat(mask, starts)
+    dec = np.flatnonzero(mask)  # the decision steps, as rows of the concatenated windows
+    if np.any(dec - np.repeat(starts, decisions) >= np.repeat(decisions, decisions)):
+        raise ValueError("a window has a decision step after its terminal step")
+    total = len(dec)
+    if total == 0:
+        return BatchForward(logits=Tensor(np.empty((0, N_ACTIONS))), sizes=sizes)
 
     def cat(name):
-        return np.concatenate([getattr(w, name) for w in windows])
+        return np.concatenate([getattr(w, name) for w in windows])[dec]
 
     ts = nc.gather_rows(model.emb_timestep, cat("timestep"))
     r_tok = nc.add(nc.gather_rows(model.emb_rtg, cat("rtg")), ts)
@@ -193,32 +208,41 @@ def forward_batch(
     s_tok = nc.add(s_sum, ts)
     a_tok = nc.add(nc.gather_rows(model.emb_action, cat("action")), ts)
 
+    # each window runs as its first 3m - 1 tokens: the cut drops its pending action, last in its stream
+    m = decisions[decisions > 0]
     perm, s_index = _interleave(total)
+    perm = np.delete(perm, 3 * np.cumsum(m) - 1)
+    s_rows = s_index - np.repeat(np.arange(len(m)), m)
+    # rows of the untrimmed stream of 3 tokens per step, where dropout masks are drawn
+    n_full = 3 * len(mask)
+    full = 3 * dec[perm % total] + perm // total
+
     x = nc.gather_rows(nc.concat_rows([r_tok, s_tok, a_tok]), perm)
     x = nc.layer_norm(x, model.ln_emb_gain, model.ln_emb_bias)
-    x = nc.dropout(x, cfg.dropout, rng)
+    x = nc.dropout(x, cfg.dropout, rng, full, n_full)
 
-    segments = [3 * t_len for t_len in sizes]
-    attention = [] if retain_attention else None
-    for layer in model.layers:
+    segments = 3 * m - 1
+    q_at = None  # every row queries, up to the last layer
+    last = len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
         h = nc.layer_norm(x, layer["ln1_gain"], layer["ln1_bias"])
-        q = nc.matmul(h, layer["wq"])
         k = nc.matmul(h, layer["wk"])
         v = nc.matmul(h, layer["wv"])
-        ctx, weights = nc.block_causal_attention(q, k, v, cfg.n_heads, segments)
-        if attention is not None:
-            attention.append(weights)
-        attn_out = nc.dropout(nc.matmul(ctx, layer["wo"]), cfg.dropout, rng)
+        if i == last:  # past its keys and values, only the state rows are read
+            x, h, q_at, full = nc.gather_rows(x, s_rows), nc.gather_rows(h, s_rows), s_rows, full[s_rows]
+        q = nc.matmul(h, layer["wq"])
+        ctx, _ = nc.block_causal_attention(q, k, v, cfg.n_heads, segments, q_at)
+        attn_out = nc.dropout(nc.matmul(ctx, layer["wo"]), cfg.dropout, rng, full, n_full)
         x = nc.add(x, attn_out)
         h2 = nc.layer_norm(x, layer["ln2_gain"], layer["ln2_bias"])
         ff = nc.matmul(nc.gelu(nc.add(nc.matmul(h2, layer["ff_w1"]), layer["ff_b1"])), layer["ff_w2"])
-        ff = nc.dropout(nc.add(ff, layer["ff_b2"]), cfg.dropout, rng)
+        ff = nc.dropout(nc.add(ff, layer["ff_b2"]), cfg.dropout, rng, full, n_full)
         x = nc.add(x, ff)
 
     x = nc.layer_norm(x, model.ln_f_gain, model.ln_f_bias)
-    logits = nc.add(nc.matmul(nc.gather_rows(x, s_index), model.head_w), model.head_b)
+    logits = nc.add(nc.matmul(x, model.head_w), model.head_b)
     nc.assert_finite(logits, "action logits")
-    return BatchForward(logits=logits, sizes=sizes, attention=attention)
+    return BatchForward(logits=logits, sizes=sizes)
 
 
 def _interleave(total: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,13 +253,11 @@ def _interleave(total: int) -> tuple[np.ndarray, np.ndarray]:
 
 def batch_nll(windows: list[EpisodeTokens], model: PolicyModel, rng: np.random.Generator | None = None) -> Tensor:
     """Mean cross-entropy over all decision positions of all windows."""
-    out = forward_batch(windows, model, rng=rng)
     mask = np.concatenate([w.decision_mask for w in windows])
     if not mask.any():
         raise LossError("no decision steps in batch")
-    rows = np.flatnonzero(mask)
-    targets = np.concatenate([w.action for w in windows])[rows]
-    return nc.cross_entropy(nc.gather_rows(out.logits, rows), targets)
+    targets = np.concatenate([w.action for w in windows])[mask]
+    return nc.cross_entropy(forward_batch(windows, model, rng=rng).logits, targets)
 
 
 # ---------------------------------------------------------------------------

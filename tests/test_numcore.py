@@ -362,10 +362,10 @@ class TestCompositeGradients:
         np.testing.assert_array_equal(w.grad, np.concatenate([g_top, np.zeros((1, 3)), g_bottom]))
 
 
-def attention_with_grads(q, k, v, g, n_heads, segments):
+def attention_with_grads(q, k, v, g, n_heads, segments, q_at=None):
     """Context, weights and q/k/v gradients of block attention under the upstream gradient `g`."""
     q, k, v = nc.tensor(q), nc.tensor(k), nc.tensor(v)
-    ctx, weights = nc.block_causal_attention(q, k, v, n_heads, segments)
+    ctx, weights = nc.block_causal_attention(q, k, v, n_heads, segments, q_at)
     nc.backward(nc.sum_all(nc.mul_const(ctx, g)))
     return ctx.data, weights, q.grad, k.grad, v.grad
 
@@ -411,6 +411,77 @@ class TestBlockAttention:
         x = nc.tensor(np.zeros((4, 4)))
         with pytest.raises(nc.ShapeError):
             nc.block_causal_attention(x, x, x, 2, [1, 2])
+
+
+def query_rows(segments, seed):
+    """Ascending key rows of a random nonempty query subset per segment length, the same offsets in
+    every segment of that length."""
+    rng = np.random.default_rng(seed)
+    offsets = {}
+    for t_len in sorted(set(segments)):
+        pick = rng.random(t_len) < 0.5
+        pick[rng.integers(t_len)] = True
+        offsets[t_len] = np.flatnonzero(pick)
+    starts = np.cumsum(segments) - np.asarray(segments)
+    return np.concatenate([start + offsets[t_len] for start, t_len in zip(starts, segments)])
+
+
+class TestQuerySubsetAttention:
+    """`q_at` runs attention for some rows only; each must equal its row of the full attention."""
+
+    @given(
+        segments=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+        n_heads=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_full_attention_rows_property(self, segments, n_heads, seed):
+        rng = nc.make_rng(59, seed)
+        q, k, v, g = (rng.normal(size=(sum(segments), 4)) for _ in range(4))
+        q_at = query_rows(segments, seed)
+        g_full = np.zeros_like(g)
+        g_full[q_at] = g[q_at]
+        ctx, weights, gq, gk, gv = attention_with_grads(q, k, v, g_full, n_heads, segments)
+        s_ctx, s_weights, s_gq, s_gk, s_gv = attention_with_grads(q[q_at], k, v, g[q_at], n_heads, segments, q_at)
+        assert s_ctx.shape == (len(q_at), 4)
+        starts = np.cumsum(segments) - np.asarray(segments)
+        for start, w, s_w in zip(starts, weights, s_weights):
+            offsets = q_at[(q_at >= start) & (q_at < start + w.shape[1])] - start
+            np.testing.assert_allclose(s_w, w[:, offsets], rtol=1e-13, atol=1e-15)
+        for subset, full in ((s_ctx, ctx[q_at]), (s_gq, gq[q_at]), (s_gk, gk), (s_gv, gv)):
+            np.testing.assert_allclose(subset, full, rtol=1e-13, atol=1e-15)
+
+    def test_finite_differences(self):
+        rng = nc.make_rng(61)
+        x = nc.Tensor(rng.normal(size=(13, 4)))
+        wq, wk, wv = (nc.Tensor(rng.normal(size=(4, 4), scale=0.5)) for _ in range(3))
+        segments = [5, 2, 5, 1]
+        q_at = np.array([1, 4, 6, 8, 11, 12])  # rows 3j + 1 of segments of 3m - 1 rows
+        g = rng.normal(size=(len(q_at), 4))
+
+        def f():
+            q = nc.matmul(nc.gather_rows(x, q_at), wq)
+            ctx, _ = nc.block_causal_attention(q, nc.matmul(x, wk), nc.matmul(x, wv), 2, segments, q_at)
+            return nc.sum_all(nc.mul_const(ctx, g))
+
+        assert nc.finite_diff_check(f, [x, wq, wk, wv], eps=1e-5) <= 1e-5
+
+    @pytest.mark.parametrize("q_at", [[1, 5], [0, 2], [2, 1], [0, 6], [0]])
+    def test_malformed_queries_rejected(self, q_at):
+        # two segments of 3 rows: queries at different offsets, unordered, out of range, or one row short
+        x = nc.tensor(np.zeros((6, 4)))
+        with pytest.raises(nc.ShapeError):
+            nc.block_causal_attention(nc.tensor(np.zeros((2, 4))), x, x, 2, [3, 3], q_at)
+
+
+class TestDropout:
+    def test_kept_rows_use_the_full_draw(self):
+        x = nc.make_rng(67).normal(size=(12, 5))
+        rows = np.array([0, 1, 2, 4, 7, 11])
+        full_rng, kept_rng = nc.make_rng(71), nc.make_rng(71)
+        full = nc.dropout(nc.tensor(x), 0.3, full_rng)
+        kept = nc.dropout(nc.tensor(x[rows]), 0.3, kept_rng, rows, len(x))
+        np.testing.assert_array_equal(kept.data, full.data[rows])
+        assert full_rng.random() == kept_rng.random()  # the stream moved on by the same draw
 
 
 class TestGatherGradients:

@@ -21,6 +21,16 @@ def tiny_setup(seed=0, users=2, n_traj=24, grid=4, d=16, layers=1, dropout=0.0):
     return dataset, model, prefs, cfg
 
 
+ZIGZAG_BBOX = (116.0, 39.0, 116.4, 39.4)
+
+
+def write_zigzag(tmp_path):
+    """61 fixes 10 minutes apart, zig-zagging between two adjacent cells of a 4x4 grid over ZIGZAG_BBOX."""
+    path = tmp_path / "zigzag.csv"
+    path.write_text("".join(f"v1,{1201957200 + 600 * i},{116.05 + 0.1 * (i % 2)},39.05\n" for i in range(61)))
+    return path
+
+
 class TestEvalPolicy:
     def test_uniform_model_ln9_and_chance_accuracy(self):
         # interior-only random walks: every decision has all 9 actions feasible
@@ -59,16 +69,29 @@ class TestEvalPolicy:
 
 class TestPretrain:
     def test_overlong_ingested_trace_rejected_by_name(self, tmp_path):
-        # 61 fixes 10 minutes apart zig-zag between two adjacent cells: one
-        # 61-position trajectory, longer than max_len 50 lets the model embed
-        path = tmp_path / "zigzag.csv"
-        path.write_text("".join(f"v1,{1201957200 + 600 * i},{116.05 + 0.1 * (i % 2)},39.05\n" for i in range(61)))
-        dataset, _ = sg.ingest_csv(path, ng.GridSpec(4, 4), (116.0, 39.0, 116.4, 39.4))
+        # ingested without splitting, the zig-zag is one 61-position trajectory,
+        # longer than max_len 50 lets the model embed
+        path = write_zigzag(tmp_path)
+        dataset, _ = sg.ingest_csv(path, ng.GridSpec(4, 4), ZIGZAG_BBOX, max_moves=60)
         assert [len(t.positions) for t in dataset.trajectories] == [61]
         vocab = tk.vocab_sizes(dataset.net, sg.SynthConfig(users=1))
         model = tm.PolicyModel(tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, context=12, dropout=0.0))
         with pytest.raises(tk.EncodingError, match="trajectory 0: max_timestep index 60"):
             pt.pretrain(dataset, model, pt.TrainConfig(epochs=1))
+
+    def test_long_ingested_trace_split_and_trained(self, tmp_path):
+        path = write_zigzag(tmp_path)
+        dataset, stats = sg.ingest_csv(path, ng.GridSpec(4, 4), ZIGZAG_BBOX)
+        vocab = tk.vocab_sizes(dataset.net, sg.SynthConfig(users=1))
+        model = tm.PolicyModel(tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, context=12, dropout=0.0))
+        _, log = pt.pretrain(dataset, model, pt.TrainConfig(epochs=1))
+        assert len(log.rows) == 1 and math.isfinite(log.rows[0].train_nll)
+        max_moves = sg.SynthConfig().max_len
+        assert [len(t.actions) for t in dataset.trajectories] == [max_moves, 60 - max_moves]
+        assert stats.trajectories == 2
+        first, second = dataset.trajectories
+        # the parts share their boundary cell, so no move is lost
+        assert first.positions + second.positions[1:] == [i % 2 for i in range(61)]
 
     def test_zero_lr_leaves_eval_loss_unchanged(self):
         dataset, model, _, _ = tiny_setup()
@@ -136,6 +159,29 @@ class TestPretrain:
         opt = nc.adamw_init([p.data for p in model.param_tensors()], 1e-3, 0.0)
         with pytest.raises(pt.TrainingDivergenceError):
             pt.apply_step(model, loss, opt, 1.0)
+
+    def test_logged_grad_norm_is_the_epoch_mean_before_clipping(self, tmp_path):
+        dataset, model, _, _ = tiny_setup(seed=4, d=8, dropout=0.1)
+        replay = model.copy()
+        cfg = pt.TrainConfig(epochs=1, batch_size=8, seed=4, grad_clip=0.05)
+        _, log = pt.pretrain(dataset, model, cfg)
+        from trajforge import numcore as nc
+
+        windows = pt.build_windows(dataset.train(), replay.cfg.context)
+        opt = nc.adamw_init([p.data for p in replay.param_tensors()], cfg.lr, cfg.weight_decay)
+        norms = []
+        order = pt.batch_order(cfg.seed, 0, len(windows))
+        for i in range(0, len(order), cfg.batch_size):
+            loss = pt.supervised_loss(replay, [windows[j] for j in order[i : i + cfg.batch_size]], make_rng(cfg.seed, "dropout", 0, i))
+            nc.backward(loss)
+            norms.append(math.sqrt(sum(float((p.grad**2).sum()) for p in replay.param_tensors())))
+            pt.apply_step(replay, loss, opt, cfg.grad_clip)
+        assert max(norms) > cfg.grad_clip  # clipping was active, and the log holds the norms before it
+        assert log.rows[0].grad_norm == pytest.approx(np.mean(norms), rel=1e-12)
+        log.write_csv(tmp_path / "log.csv")
+        header, row = (tmp_path / "log.csv").read_text().splitlines()
+        assert header.split(",")[2] == "grad_norm"
+        assert float(row.split(",")[2]) == log.rows[0].grad_norm
 
     def test_dropout_training_still_deterministic(self):
         hashes = []

@@ -268,6 +268,11 @@ class TestIngestCSV:
         sg.save_dataset(ds2, out2)
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_max_moves_must_be_positive(self, tmp_path):
+        path = self._write(tmp_path, ["v1,1201957200,116.05,39.05", "v1,1201957800,116.15,39.05"])
+        with pytest.raises(sg.ConfigError, match="max_moves"):
+            sg.ingest_csv(path, self.GRID, self.BBOX, max_moves=0)
+
     def test_epoch_timestamps(self, tmp_path):
         path = self._write(tmp_path, ["v1,1201957200,116.05,39.05", "v1,1201957800,116.15,39.05"])
         ds, stats = sg.ingest_csv(path, self.GRID, self.BBOX)

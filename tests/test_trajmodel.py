@@ -88,8 +88,176 @@ def reference_forward(model, window):
     return x[1::3] @ g(model.head_w) + g(model.head_b)
 
 
+GELU_C = math.sqrt(2 / math.pi)
+
+
+def ln_forward(x, gain, bias):
+    xhat = (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + 1e-5)
+    return xhat * gain + bias, xhat
+
+
+def ln_backward(dy, xhat, x, gain):
+    """(dx, dgain, dbias) of `ln_forward`."""
+    dxhat = dy * gain
+    inv_std = 1 / np.sqrt(x.var(-1, keepdims=True) + 1e-5)
+    dx = inv_std * (dxhat - dxhat.mean(-1, keepdims=True) - xhat * (dxhat * xhat).mean(-1, keepdims=True))
+    return dx, (dy * xhat).sum(0), dy.sum(0)
+
+
+def reference_loss_and_grads(model, windows, masks=None):
+    """Mean action NLL over the decision steps of `windows` and its gradient for every parameter,
+    replayed in plain numpy over all 3T rows of every window in every layer.
+
+    `masks`, if given, lists the dropout masks in draw order (embedding, then each layer's attention
+    and feed-forward outputs), each over the 3 * (total steps) rows of the windows' token streams.
+    """
+    cfg = model.cfg
+    P = {name: t.data for name, t in model.parameters()}
+    G = {name: np.zeros_like(value) for name, value in P.items()}
+    d, hd = cfg.d_model, cfg.d_model // cfg.n_heads
+    heads = [slice(i * hd, (i + 1) * hd) for i in range(cfg.n_heads)]
+    n_layers = len(model.layers)
+    n_dec = sum(int(w.decision_mask.sum()) for w in windows)
+    loss, row0 = 0.0, 0
+    for w in windows:
+        n = 3 * w.n_steps
+        drop = [np.ones((n, d))] * (1 + 2 * n_layers) if masks is None else [m[row0 : row0 + n] for m in masks]
+        row0 += n
+        elements = [
+            ("emb_position", w.position),
+            ("emb_origin", w.origin),
+            ("emb_destination", w.destination),
+            ("emb_depart", w.depart),
+            ("emb_speed", w.speed),
+            ("emb_user", w.user),
+        ]
+        ts = P["emb_timestep"][w.timestep]
+        seq = np.empty((n, d))
+        seq[0::3] = P["emb_rtg"][w.rtg] + ts
+        seq[1::3] = sum(P[name][idx] for name, idx in elements) + ts
+        seq[2::3] = P["emb_action"][w.action] + ts
+        y, seq_hat = ln_forward(seq, P["ln_emb_gain"], P["ln_emb_bias"])
+        x = y * drop[0]
+        caches = []
+        for i in range(n_layers):
+            p = {key: P[f"layer{i}.{key}"] for key in model.layers[i]}
+            h, h_hat = ln_forward(x, p["ln1_gain"], p["ln1_bias"])
+            q, k, v = h @ p["wq"], h @ p["wk"], h @ p["wv"]
+            ctx, probs = np.empty((n, d)), []
+            for sl in heads:
+                scores = np.where(np.tri(n, dtype=bool), q[:, sl] @ k[:, sl].T / math.sqrt(hd), -np.inf)
+                pr = np.exp(scores - scores.max(1, keepdims=True))
+                probs.append(pr / pr.sum(1, keepdims=True))
+                ctx[:, sl] = probs[-1] @ v[:, sl]
+            x1 = x + (ctx @ p["wo"]) * drop[1 + 2 * i]
+            h2, h2_hat = ln_forward(x1, p["ln2_gain"], p["ln2_bias"])
+            u = h2 @ p["ff_w1"] + p["ff_b1"]
+            t = np.tanh(GELU_C * (u + 0.044715 * u**3))
+            gu = 0.5 * u * (1 + t)
+            caches.append((p, x, h, h_hat, q, k, v, probs, ctx, x1, h2, h2_hat, u, t, gu))
+            x = x1 + (gu @ p["ff_w2"] + p["ff_b2"]) * drop[2 + 2 * i]
+        z, z_hat = ln_forward(x, P["ln_f_gain"], P["ln_f_bias"])
+        logits = z[1::3] @ P["head_w"] + P["head_b"]
+        rows = np.flatnonzero(w.decision_mask)
+        shifted = logits - logits.max(1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(1, keepdims=True))
+        loss -= logp[rows, w.action[rows]].sum() / n_dec
+
+        dlogits = np.zeros_like(logits)
+        dlogits[rows] = np.exp(logp[rows])
+        dlogits[rows, w.action[rows]] -= 1
+        dlogits /= n_dec
+        G["head_w"] += z[1::3].T @ dlogits
+        G["head_b"] += dlogits.sum(0)
+        dz = np.zeros((n, d))
+        dz[1::3] = dlogits @ P["head_w"].T
+        dx, dgain, dbias = ln_backward(dz, z_hat, x, P["ln_f_gain"])
+        G["ln_f_gain"] += dgain
+        G["ln_f_bias"] += dbias
+        for i in reversed(range(n_layers)):
+            p, x_in, h, h_hat, q, k, v, probs, ctx, x1, h2, h2_hat, u, t, gu = caches[i]
+            g = {key: G[f"layer{i}.{key}"] for key in p}
+            df = dx * drop[2 + 2 * i]
+            g["ff_b2"] += df.sum(0)
+            g["ff_w2"] += gu.T @ df
+            du = (df @ p["ff_w2"].T) * (0.5 * (1 + t) + 0.5 * u * (1 - t * t) * GELU_C * (1 + 3 * 0.044715 * u * u))
+            g["ff_b1"] += du.sum(0)
+            g["ff_w1"] += h2.T @ du
+            dx1, dgain, dbias = ln_backward(du @ p["ff_w1"].T, h2_hat, x1, p["ln2_gain"])
+            g["ln2_gain"] += dgain
+            g["ln2_bias"] += dbias
+            dx1 += dx
+            da = dx1 * drop[1 + 2 * i]
+            g["wo"] += ctx.T @ da
+            dctx = da @ p["wo"].T
+            dq, dk, dv = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
+            for sl, pr in zip(heads, probs):
+                dv[:, sl] = pr.T @ dctx[:, sl]
+                dp = dctx[:, sl] @ v[:, sl].T
+                ds = pr * (dp - (pr * dp).sum(1, keepdims=True)) / math.sqrt(hd)
+                dq[:, sl] = ds @ k[:, sl]
+                dk[:, sl] = ds.T @ q[:, sl]
+            for key, dm in (("wq", dq), ("wk", dk), ("wv", dv)):
+                g[key] += h.T @ dm
+            dh = dq @ p["wq"].T + dk @ p["wk"].T + dv @ p["wv"].T
+            dx, dgain, dbias = ln_backward(dh, h_hat, x_in, p["ln1_gain"])
+            g["ln1_gain"] += dgain
+            g["ln1_bias"] += dbias
+            dx += dx1
+        dseq, dgain, dbias = ln_backward(dx * drop[0], seq_hat, seq, P["ln_emb_gain"])
+        G["ln_emb_gain"] += dgain
+        G["ln_emb_bias"] += dbias
+        np.add.at(G["emb_rtg"], w.rtg, dseq[0::3])
+        for name, idx in elements:
+            np.add.at(G[name], idx, dseq[1::3])
+        np.add.at(G["emb_action"], w.action, dseq[2::3])
+        np.add.at(G["emb_timestep"], w.timestep, dseq[0::3] + dseq[1::3] + dseq[2::3])
+    return loss, G
+
+
+def random_windows(vocab, specs, seed):
+    """Windows of random tokens, one per (steps, terminal) spec; a terminal window ends in a BLANK step."""
+    rng = np.random.default_rng(seed)
+    windows = []
+    for n, terminal in specs:
+        action = rng.integers(0, tk.BLANK, n)
+        if terminal:
+            action[-1] = tk.BLANK
+        t0 = int(rng.integers(0, vocab.max_timestep - n + 1))
+        windows.append(
+            tk.EpisodeTokens(
+                traj_id=len(windows),
+                flag="complete",
+                rtg=rng.integers(0, vocab.rtg, n),
+                position=rng.integers(0, vocab.positions, n),
+                origin=rng.integers(0, vocab.positions, n),
+                destination=rng.integers(0, vocab.positions, n),
+                depart=rng.integers(0, vocab.depart_bins, n),
+                speed=rng.integers(0, vocab.speed_bins, n),
+                user=rng.integers(0, vocab.users, n),
+                action=action,
+                timestep=np.arange(t0, t0 + n),
+            )
+        )
+    return windows
+
+
+def assert_matches_replay(model, windows, rng=None, masks=None):
+    """`batch_nll` and every parameter gradient equal the full-row replay within 1e-12 relative."""
+    loss = tm.batch_nll(windows, model, rng=rng)
+    nc.backward(loss)
+    ref_loss, ref_grads = reference_loss_and_grads(model, windows, masks)
+    assert abs(loss.item() - ref_loss) <= 1e-12 * abs(ref_loss)
+    for name, t in model.parameters():
+        scale = np.abs(ref_grads[name]).max()
+        assert np.abs(t.grad - ref_grads[name]).max() <= 1e-12 * scale, name
+
+
 def trailing_window(ctx, positions, actions, context):
-    """Tokens of the trailing `context` steps of a trip being generated; the pending decision is BLANK."""
+    """Tokens of the trailing `context` steps of a trip being generated.
+
+    The pending decision gets the placeholder action 0, so `forward_batch` reads the last step;
+    nothing attends to that token."""
     n = len(positions)
     start = max(0, n - context)
     size = n - start
@@ -107,7 +275,7 @@ def trailing_window(ctx, positions, actions, context):
         depart=full(ctx.depart_bin),
         speed=full(ctx.speed_bin),
         user=full(ctx.user_id),
-        action=np.array(actions[start:] + [tk.BLANK], dtype=np.int64),
+        action=np.array(actions[start:] + [0], dtype=np.int64),
         timestep=np.arange(start, n, dtype=np.int64),
     )
 
@@ -201,15 +369,9 @@ class TestForward:
         assert np.array_equal(base[: cut + 1], after[: cut + 1])
         assert not np.array_equal(base[cut + 1 :], after[cut + 1 :])
 
-    def test_attention_maps_shape(self):
-        net, model = small_model(layers=2, heads=2)
-        window = sample_window(net)
-        out = tm.forward_batch([window], model, retain_attention=True)
-        assert len(out.attention) == 2
-        hmat = out.attention[0][0]
-        assert hmat.shape == (2, 3 * window.n_steps, 3 * window.n_steps)
-        # rows are normalized over attended positions
-        np.testing.assert_allclose(hmat.sum(axis=2), 1.0, atol=1e-9)
+    def test_zero_layers_rejected(self):
+        with pytest.raises(ValueError, match="n_layers"):
+            small_model(layers=0)
 
     def test_overlength_window_rejected(self):
         net, model = small_model(context=2)
@@ -240,14 +402,13 @@ class TestInterleave:
         net, model = small_model(layers=2, heads=2)
         windows = [sample_window(net, seed=s) for s in (3, 4, 5)]
         windows.append(windows[0].slice(0, 2))
-        joint = tm.forward_batch(windows, model, retain_attention=True)
+        joint = tm.forward_batch(windows, model)
         start = 0
         for w in windows:
-            solo = tm.forward_batch([w], model, retain_attention=True)
-            np.testing.assert_allclose(joint.logits.data[start : start + w.n_steps], solo.logits.data, rtol=1e-12, atol=1e-14)
-            start += w.n_steps
-        for layer in range(2):
-            assert [a.shape for a in joint.attention[layer]] == [(2, 3 * w.n_steps, 3 * w.n_steps) for w in windows]
+            solo = tm.forward_batch([w], model)
+            decisions = int(w.decision_mask.sum())
+            np.testing.assert_allclose(joint.logits.data[start : start + decisions], solo.logits.data, rtol=1e-12, atol=1e-14)
+            start += decisions
 
 
 class TestNllLoss:
@@ -281,6 +442,62 @@ class TestNllLoss:
 
         err = nc.finite_diff_check(f, model.param_tensors(), eps=1e-4)
         assert err <= 1e-4
+
+
+class TestDecisionRows:
+    """`forward_batch` computes only rows that reach a decision; the loss must not notice."""
+
+    @given(
+        st.integers(1, 3),
+        st.sampled_from([1, 2, 4]),
+        st.integers(1, 5),
+        st.lists(st.tuples(st.integers(1, 5), st.booleans()), min_size=1, max_size=4),
+        st.integers(0, 2**16),
+    )
+    def test_loss_and_gradients_match_full_row_replay_property(self, layers, heads, context, specs, seed):
+        net, model = small_model(d=8, layers=layers, heads=heads, context=context, grid=4, seed=seed, init_std=0.5)
+        windows = random_windows(model.cfg.vocab, [(min(n, context), terminal) for n, terminal in specs], seed)
+        if not any(w.decision_mask.any() for w in windows):
+            with pytest.raises(tm.LossError):
+                tm.batch_nll(windows, model)
+            return
+        assert_matches_replay(model, windows)
+
+    def test_dropout_masks_are_the_full_draw_indexed(self):
+        rate = 0.2
+        net, model = small_model(d=8, layers=2, heads=2, context=4, grid=4, dropout=rate, init_std=0.5)
+        windows = random_windows(model.cfg.vocab, [(4, False), (1, True), (3, True), (4, True), (2, False)], seed=5)
+        rows = 3 * sum(w.n_steps for w in windows)
+        draws = make_rng(7, "dropout")
+        masks = [(draws.random((rows, 8)) >= rate) / (1 - rate) for _ in range(5)]
+        assert_matches_replay(model, windows, rng=make_rng(7, "dropout"), masks=masks)
+
+    def test_terminal_only_windows_change_nothing(self):
+        # at context 1 every trip's last window holds only its terminal step
+        net, model = small_model(d=16, layers=2, heads=2, context=1, seed=3)
+        prefs = sg.PreferenceParams(make_rng(9, "theta").normal(size=(4, 3)))
+        trajs = [sg.gen_trajectory(s, (s % 5, 24 - s), s % 4, prefs, net, 19) for s in range(6)]
+        windows = [w for traj in trajs for w in tk.windowize(tk.encode_episode(traj), 1, 1)]
+        decided = [w for w in windows if w.decision_mask.any()]
+        assert len(windows) - len(decided) == len(trajs)
+        mixed = tm.forward_batch(windows, model)
+        assert mixed.sizes == [1] * len(windows)
+        np.testing.assert_allclose(tm.batch_nll(windows, model).item(), tm.batch_nll(decided, model).item(), rtol=1e-14)
+        np.testing.assert_allclose(mixed.logits.data, tm.forward_batch(decided, model).logits.data, rtol=1e-13, atol=1e-15)
+
+    def test_terminal_windows_gradient_matches_finite_differences(self):
+        net, model = small_model(d=8, layers=2, heads=2, users=2, grid=3, context=3, max_len=6, init_std=0.3)
+        prefs = sg.PreferenceParams(np.array([[2.0, 0.0, -1.0], [1.0, -1.0, 0.0]]))
+        trajs = [sg.gen_trajectory(s, (0, 8), s % 2, prefs, net, 6, depart_bin=1, speed_bin=3) for s in (5, 6)]
+        episodes = [tk.encode_episode(traj) for traj in trajs]
+        windows = [ep.slice(ep.n_steps - n, ep.n_steps) for ep, n in zip(episodes, (3, 2))]
+        windows.append(episodes[0].slice(episodes[0].n_steps - 1, episodes[0].n_steps))  # terminal step alone
+        assert all(w.action[-1] == tk.BLANK for w in windows)
+
+        def f():
+            return tm.batch_nll(windows, model)
+
+        assert nc.finite_diff_check(f, model.param_tensors(), eps=1e-4) <= 1e-4
 
 
 class TestSampleAction:
