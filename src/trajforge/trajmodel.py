@@ -188,8 +188,6 @@ def forward_batch(windows: list[EpisodeTokens], model: PolicyModel, rng: np.rand
     if np.any(dec - np.repeat(starts, decisions) >= np.repeat(decisions, decisions)):
         raise ValueError("a window has a decision step after its terminal step")
     total = len(dec)
-    if total == 0:
-        return BatchForward(logits=Tensor(np.empty((0, N_ACTIONS))), sizes=sizes)
 
     def cat(name):
         return np.concatenate([getattr(w, name) for w in windows])[dec]

@@ -482,6 +482,7 @@ class TestDecisionRows:
         assert len(windows) - len(decided) == len(trajs)
         mixed = tm.forward_batch(windows, model)
         assert mixed.sizes == [1] * len(windows)
+        assert tm.forward_batch([w for w in windows if not w.decision_mask.any()], model).logits.data.shape == (0, 9)
         np.testing.assert_allclose(tm.batch_nll(windows, model).item(), tm.batch_nll(decided, model).item(), rtol=1e-14)
         np.testing.assert_allclose(mixed.logits.data, tm.forward_batch(decided, model).logits.data, rtol=1e-13, atol=1e-15)
 
