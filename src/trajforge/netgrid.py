@@ -175,11 +175,6 @@ def apply_action(net: Network, position: int, a: int) -> int:
     return net.step(position, a)
 
 
-def action_index_of(net: Network, position: int, next_position: int) -> int:
-    """Zero-based action that moves position -> next_position."""
-    return net.action_between(position, next_position)
-
-
 def shortest_hops(net: Network, a: int, b: int) -> int | None:
     """Breadth-first hop count from a to b; None when unreachable."""
     if a == b:

@@ -441,18 +441,11 @@ def sum_all(x: Tensor) -> Tensor:
     return out
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, rows=None, n_drawn: int = 0) -> Tensor:
-    """Inverted dropout; identity when rate is 0 or no RNG is supplied.
-
-    With `rows`, `x` holds rows `rows` of a taller input of `n_drawn` rows: the mask is drawn at that
-    input's shape and indexed, so dropping rows from an input changes neither the random stream nor
-    the masks of the rows kept.
-    """
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout; identity when rate is 0 or no RNG is supplied."""
     if rng is None or rate <= 0.0:
         return x
-    if rows is None:
-        return mul_const(x, (rng.random(x.data.shape) >= rate) / (1.0 - rate))
-    return mul_const(x, (rng.random((n_drawn, *x.data.shape[1:])) >= rate)[rows] / (1.0 - rate))
+    return mul_const(x, (rng.random(x.data.shape) >= rate) / (1.0 - rate))
 
 
 def masked_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, visible: np.ndarray):
@@ -468,15 +461,14 @@ def masked_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, visible: np
     return w @ vh, w
 
 
-def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments, q_at=None):
+def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments, q_at=None) -> Tensor:
     """Multi-head causal attention applied independently to contiguous row segments.
 
     `segments` lists each segment's length in rows of `k` and `v`; a row attends to itself and earlier
     rows of its segment. By default every row queries. `q_at` gives the query-subset form: the
     ascending key row at which each row of `q` sits, so only those rows query and the context has one
     row per query. Segments of one length must then hold their queries at the same offsets. Segments of
-    equal length run as one stacked matmul. Returns (context, list of per-segment (n_heads, queries, T)
-    weight arrays in segment order).
+    equal length run as one stacked matmul.
     """
     lengths = np.asarray(segments, dtype=np.intp)
     n_keys = k.data.shape[0]
@@ -501,7 +493,6 @@ def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segmen
         return xh.transpose(0, 2, 1, 3).reshape(*rows.shape, d)
 
     ctx = np.empty_like(q.data)
-    weights = [None] * len(lengths)
     groups = []
     for t_len in np.unique(lengths):
         members = np.flatnonzero(lengths == t_len)
@@ -515,8 +506,6 @@ def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segmen
         visible = offsets[0][:, None] >= np.arange(t_len)
         ctx_h, w = masked_attention(heads(q.data, q_rows), heads(k.data, rows), heads(v.data, rows), visible)
         ctx[q_rows] = unheads(ctx_h, q_rows)
-        for j, m in enumerate(members):
-            weights[m] = w[j]
         groups.append((rows, q_rows, w))
     out = Tensor(ctx, (q, k, v))
 
@@ -533,7 +522,7 @@ def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segmen
             _accum(t, grad, fresh=True)
 
     out._bwd = bwd
-    return out, weights
+    return out
 
 
 def masked_kl_rows(logits: Tensor, ref_logp: np.ndarray, mask: np.ndarray) -> Tensor:

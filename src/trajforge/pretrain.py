@@ -152,10 +152,7 @@ def eval_policy(dataset: Dataset, model: tm.PolicyModel):
         part = windows[i : i + EVAL_CHUNK]
         logits = tm.forward_batch(part, model).logits.data
         actions = np.concatenate([w.action[w.decision_mask] for w in part])
-        # shifted by the row max as in cross_entropy, so eval and training NLL round alike
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        lse = nc.masked_logsumexp(shifted, np.ones(shifted.shape, dtype=bool))
-        total_nll += float((lse - shifted[np.arange(len(actions)), actions]).sum())
+        total_nll += float(nc.cross_entropy(nc.Tensor(logits), actions).data) * len(actions)
         hits += int((logits.argmax(axis=1) == actions).sum())
         count += len(actions)
     return total_nll / count, hits / count

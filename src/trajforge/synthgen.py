@@ -203,7 +203,7 @@ def gen_trajectory(
 
 @dataclass
 class SynthConfig:
-    """Synthetic benchmark declaration: grid, population prior, and sampling rule."""
+    """Synthetic benchmark declaration: grid, population prior, and uniform origin-destination sampling."""
 
     width: int = 5
     height: int = 5
@@ -215,7 +215,6 @@ class SynthConfig:
     max_len: int = 50
     depart_bins: int = 24
     speed_bins: int = 120
-    od_rule: str = "uniform"
     seed: int = 0
 
     def validate(self) -> None:
@@ -225,8 +224,6 @@ class SynthConfig:
             raise ConfigError("n_trajectories must be >= 0")
         if self.max_len < 1:
             raise ConfigError("max_len must be >= 1")
-        if self.od_rule != "uniform":
-            raise ConfigError(f"unknown od_rule {self.od_rule!r}")
         if not self.archetypes:
             raise ConfigError("at least one archetype is required")
         for arch in self.archetypes:

@@ -14,9 +14,8 @@ keys and values of every token, but only the state rows' outputs are read, so
 it runs its query, attention output and feed-forward for those rows alone.
 
 `forward_batch` records the autodiff graph and serves training and evaluation;
-a window without decisions is skipped, and dropout masks are drawn for all 3T
-rows of every window, then indexed, so the random stream does not depend on
-the cut. Generation runs the same equations without a graph, incrementally
+a window without decisions is skipped, and dropout draws masks for the computed
+rows alone. Generation runs the same equations without a graph, incrementally
 (`_Decoder`):
 - a key/value cache holds each layer's keys and values of the trip's trailing
   window; a move appends only a_{t-1}, R_t and s_t, and the pending a_t is
@@ -211,13 +210,10 @@ def forward_batch(windows: list[EpisodeTokens], model: PolicyModel, rng: np.rand
     perm, s_index = _interleave(total)
     perm = np.delete(perm, 3 * np.cumsum(m) - 1)
     s_rows = s_index - np.repeat(np.arange(len(m)), m)
-    # rows of the untrimmed stream of 3 tokens per step, where dropout masks are drawn
-    n_full = 3 * len(mask)
-    full = 3 * dec[perm % total] + perm // total
 
     x = nc.gather_rows(nc.concat_rows([r_tok, s_tok, a_tok]), perm)
     x = nc.layer_norm(x, model.ln_emb_gain, model.ln_emb_bias)
-    x = nc.dropout(x, cfg.dropout, rng, full, n_full)
+    x = nc.dropout(x, cfg.dropout, rng)
 
     segments = 3 * m - 1
     q_at = None  # every row queries, up to the last layer
@@ -227,14 +223,14 @@ def forward_batch(windows: list[EpisodeTokens], model: PolicyModel, rng: np.rand
         k = nc.matmul(h, layer["wk"])
         v = nc.matmul(h, layer["wv"])
         if i == last:  # past its keys and values, only the state rows are read
-            x, h, q_at, full = nc.gather_rows(x, s_rows), nc.gather_rows(h, s_rows), s_rows, full[s_rows]
+            x, h, q_at = nc.gather_rows(x, s_rows), nc.gather_rows(h, s_rows), s_rows
         q = nc.matmul(h, layer["wq"])
-        ctx, _ = nc.block_causal_attention(q, k, v, cfg.n_heads, segments, q_at)
-        attn_out = nc.dropout(nc.matmul(ctx, layer["wo"]), cfg.dropout, rng, full, n_full)
+        ctx = nc.block_causal_attention(q, k, v, cfg.n_heads, segments, q_at)
+        attn_out = nc.dropout(nc.matmul(ctx, layer["wo"]), cfg.dropout, rng)
         x = nc.add(x, attn_out)
         h2 = nc.layer_norm(x, layer["ln2_gain"], layer["ln2_bias"])
         ff = nc.matmul(nc.gelu(nc.add(nc.matmul(h2, layer["ff_w1"]), layer["ff_b1"])), layer["ff_w2"])
-        ff = nc.dropout(nc.add(ff, layer["ff_b2"]), cfg.dropout, rng, full, n_full)
+        ff = nc.dropout(nc.add(ff, layer["ff_b2"]), cfg.dropout, rng)
         x = nc.add(x, ff)
 
     x = nc.layer_norm(x, model.ln_f_gain, model.ln_f_bias)

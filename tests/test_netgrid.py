@@ -68,24 +68,26 @@ class TestFeasibleActions:
 
 
 class TestActionIndexOf:
+    """`action_between`: the zero-based action that moves a position to the next."""
+
     def test_first_element(self):
         graph = ng.LinkGraph([[4, 7, 9] + [0] * 0, [], [], [], [], [], [], [], [], []])
-        assert ng.action_index_of(graph, 0, 4) == 0
+        assert graph.action_between(0, 4) == 0
 
     def test_third_element(self):
         graph = ng.LinkGraph([[4, 7, 9], [], [], [], [], [], [], [], [], []])
-        assert ng.action_index_of(graph, 0, 9) == 2
+        assert graph.action_between(0, 9) == 2
 
     def test_not_downstream(self):
         graph = ng.LinkGraph([[4, 7, 9], [], [], [], [], [], [], [], [], []])
         with pytest.raises(ng.ConnectivityError):
-            ng.action_index_of(graph, 0, 5)
+            graph.action_between(0, 5)
 
     def test_round_trip_property(self, grid3):
         for cell in range(grid3.n_positions):
             for a in np.flatnonzero(grid3.feasible[cell]).tolist():
                 nxt = ng.apply_action(grid3, cell, a)
-                assert ng.action_index_of(grid3, cell, nxt) == a
+                assert grid3.action_between(cell, nxt) == a
 
 
 class TestShortestHops:

@@ -290,7 +290,7 @@ class TestCompositeGradients:
         wv = nc.Tensor(rng.normal(size=(8, 8), scale=0.5))
 
         def f():
-            ctx, _ = nc.block_causal_attention(nc.matmul(x, wq), nc.matmul(x, wk), nc.matmul(x, wv), n_heads=2, segments=[4])
+            ctx = nc.block_causal_attention(nc.matmul(x, wq), nc.matmul(x, wk), nc.matmul(x, wv), n_heads=2, segments=[4])
             return nc.mean_all(ctx)
 
         assert nc.finite_diff_check(f, [x, wq, wk, wv], eps=1e-5) <= 1e-5
@@ -299,15 +299,15 @@ class TestCompositeGradients:
         rng = nc.make_rng(31)
         q1, k1, v1 = (rng.normal(size=(3, 4)) for _ in range(3))
         q2, k2, v2 = (rng.normal(size=(5, 4)) for _ in range(3))
-        joint, _ = nc.block_causal_attention(
+        joint = nc.block_causal_attention(
             nc.tensor(np.vstack([q1, q2])),
             nc.tensor(np.vstack([k1, k2])),
             nc.tensor(np.vstack([v1, v2])),
             n_heads=2,
             segments=[3, 5],
         )
-        solo1, _ = nc.block_causal_attention(nc.tensor(q1), nc.tensor(k1), nc.tensor(v1), n_heads=2, segments=[3])
-        solo2, _ = nc.block_causal_attention(nc.tensor(q2), nc.tensor(k2), nc.tensor(v2), n_heads=2, segments=[5])
+        solo1 = nc.block_causal_attention(nc.tensor(q1), nc.tensor(k1), nc.tensor(v1), n_heads=2, segments=[3])
+        solo2 = nc.block_causal_attention(nc.tensor(q2), nc.tensor(k2), nc.tensor(v2), n_heads=2, segments=[5])
         np.testing.assert_array_equal(joint.data[:3], solo1.data)
         np.testing.assert_array_equal(joint.data[3:], solo2.data)
 
@@ -363,11 +363,11 @@ class TestCompositeGradients:
 
 
 def attention_with_grads(q, k, v, g, n_heads, segments, q_at=None):
-    """Context, weights and q/k/v gradients of block attention under the upstream gradient `g`."""
+    """Context and q/k/v gradients of block attention under the upstream gradient `g`."""
     q, k, v = nc.tensor(q), nc.tensor(k), nc.tensor(v)
-    ctx, weights = nc.block_causal_attention(q, k, v, n_heads, segments, q_at)
+    ctx = nc.block_causal_attention(q, k, v, n_heads, segments, q_at)
     nc.backward(nc.sum_all(nc.mul_const(ctx, g)))
-    return ctx.data, weights, q.grad, k.grad, v.grad
+    return ctx.data, q.grad, k.grad, v.grad
 
 
 class TestBlockAttention:
@@ -381,14 +381,11 @@ class TestBlockAttention:
     def test_grouped_equals_one_call_per_segment_property(self, segments, n_heads, seed):
         rng = nc.make_rng(47, seed)
         q, k, v, g = (rng.normal(size=(sum(segments), 4)) for _ in range(4))
-        ctx, weights, gq, gk, gv = attention_with_grads(q, k, v, g, n_heads, segments)
-        assert len(weights) == len(segments)
+        ctx, gq, gk, gv = attention_with_grads(q, k, v, g, n_heads, segments)
         start = 0
-        for seg, w in zip(segments, weights):
+        for seg in segments:
             sl = slice(start, start + seg)
-            s_ctx, (s_w,), s_gq, s_gk, s_gv = attention_with_grads(q[sl], k[sl], v[sl], g[sl], n_heads, [seg])
-            assert w.shape == (n_heads, seg, seg)
-            np.testing.assert_array_equal(w, s_w)
+            s_ctx, s_gq, s_gk, s_gv = attention_with_grads(q[sl], k[sl], v[sl], g[sl], n_heads, [seg])
             for joint, solo in ((ctx, s_ctx), (gq, s_gq), (gk, s_gk), (gv, s_gv)):
                 np.testing.assert_array_equal(joint[sl], solo)
             start += seg
@@ -400,7 +397,7 @@ class TestBlockAttention:
         g = rng.normal(size=(10, 4))
 
         def f():
-            ctx, _ = nc.block_causal_attention(
+            ctx = nc.block_causal_attention(
                 nc.matmul(x, wq), nc.matmul(x, wk), nc.matmul(x, wv), n_heads=2, segments=[3, 1, 3, 2, 1]
             )
             return nc.sum_all(nc.mul_const(ctx, g))
@@ -440,13 +437,9 @@ class TestQuerySubsetAttention:
         q_at = query_rows(segments, seed)
         g_full = np.zeros_like(g)
         g_full[q_at] = g[q_at]
-        ctx, weights, gq, gk, gv = attention_with_grads(q, k, v, g_full, n_heads, segments)
-        s_ctx, s_weights, s_gq, s_gk, s_gv = attention_with_grads(q[q_at], k, v, g[q_at], n_heads, segments, q_at)
+        ctx, gq, gk, gv = attention_with_grads(q, k, v, g_full, n_heads, segments)
+        s_ctx, s_gq, s_gk, s_gv = attention_with_grads(q[q_at], k, v, g[q_at], n_heads, segments, q_at)
         assert s_ctx.shape == (len(q_at), 4)
-        starts = np.cumsum(segments) - np.asarray(segments)
-        for start, w, s_w in zip(starts, weights, s_weights):
-            offsets = q_at[(q_at >= start) & (q_at < start + w.shape[1])] - start
-            np.testing.assert_allclose(s_w, w[:, offsets], rtol=1e-13, atol=1e-15)
         for subset, full in ((s_ctx, ctx[q_at]), (s_gq, gq[q_at]), (s_gk, gk), (s_gv, gv)):
             np.testing.assert_allclose(subset, full, rtol=1e-13, atol=1e-15)
 
@@ -460,7 +453,7 @@ class TestQuerySubsetAttention:
 
         def f():
             q = nc.matmul(nc.gather_rows(x, q_at), wq)
-            ctx, _ = nc.block_causal_attention(q, nc.matmul(x, wk), nc.matmul(x, wv), 2, segments, q_at)
+            ctx = nc.block_causal_attention(q, nc.matmul(x, wk), nc.matmul(x, wv), 2, segments, q_at)
             return nc.sum_all(nc.mul_const(ctx, g))
 
         assert nc.finite_diff_check(f, [x, wq, wk, wv], eps=1e-5) <= 1e-5
@@ -471,17 +464,6 @@ class TestQuerySubsetAttention:
         x = nc.tensor(np.zeros((6, 4)))
         with pytest.raises(nc.ShapeError):
             nc.block_causal_attention(nc.tensor(np.zeros((2, 4))), x, x, 2, [3, 3], q_at)
-
-
-class TestDropout:
-    def test_kept_rows_use_the_full_draw(self):
-        x = nc.make_rng(67).normal(size=(12, 5))
-        rows = np.array([0, 1, 2, 4, 7, 11])
-        full_rng, kept_rng = nc.make_rng(71), nc.make_rng(71)
-        full = nc.dropout(nc.tensor(x), 0.3, full_rng)
-        kept = nc.dropout(nc.tensor(x[rows]), 0.3, kept_rng, rows, len(x))
-        np.testing.assert_array_equal(kept.data, full.data[rows])
-        assert full_rng.random() == kept_rng.random()  # the stream moved on by the same draw
 
 
 class TestGatherGradients:

@@ -253,6 +253,19 @@ def assert_matches_replay(model, windows, rng=None, masks=None):
         assert np.abs(t.grad - ref_grads[name]).max() <= 1e-12 * scale, name
 
 
+def computed_rows(windows):
+    """Rows of the windows' joint 3-token streams that `forward_batch` computes, in its order: those of
+    the embedding and every layer but the last (each window's first 3m - 1 tokens), and those of the
+    last layer (each window's m decision state tokens)."""
+    stream, states, row0 = [], [], 0
+    for w in windows:
+        m = int(w.decision_mask.sum())
+        stream.append(row0 + np.arange(max(3 * m - 1, 0)))
+        states.append(row0 + 3 * np.arange(m) + 1)
+        row0 += 3 * w.n_steps
+    return np.concatenate(stream), np.concatenate(states)
+
+
 def trailing_window(ctx, positions, actions, context):
     """Tokens of the trailing `context` steps of a trip being generated.
 
@@ -463,14 +476,29 @@ class TestDecisionRows:
             return
         assert_matches_replay(model, windows)
 
-    def test_dropout_masks_are_the_full_draw_indexed(self):
+    def test_dropout_masks_are_drawn_at_the_computed_rows(self):
         rate = 0.2
         net, model = small_model(d=8, layers=2, heads=2, context=4, grid=4, dropout=rate, init_std=0.5)
         windows = random_windows(model.cfg.vocab, [(4, False), (1, True), (3, True), (4, True), (2, False)], seed=5)
-        rows = 3 * sum(w.n_steps for w in windows)
+        stream, states = computed_rows(windows)
         draws = make_rng(7, "dropout")
-        masks = [(draws.random((rows, 8)) >= rate) / (1 - rate) for _ in range(5)]
+        masks = []
+        for rows in (stream, stream, stream, states, states):  # embedding, layer 0, the last layer
+            mask = np.ones((3 * sum(w.n_steps for w in windows), 8))  # rows no loss reads keep ones
+            mask[rows] = (draws.random((len(rows), 8)) >= rate) / (1 - rate)
+            masks.append(mask)
         assert_matches_replay(model, windows, rng=make_rng(7, "dropout"), masks=masks)
+
+    def test_dropout_stream_advances_by_the_computed_rows(self):
+        net, model = small_model(d=8, layers=3, heads=2, context=4, grid=4, dropout=0.2)
+        windows = random_windows(model.cfg.vocab, [(4, True), (1, True), (3, False), (2, True)], seed=6)
+        stream, states = computed_rows(windows)
+        rng = make_rng(8, "dropout")
+        tm.batch_nll(windows, model, rng)
+        fresh = make_rng(8, "dropout")
+        for rows in [stream] * 5 + [states] * 2:
+            fresh.random((len(rows), 8))
+        assert rng.random() == fresh.random()
 
     def test_terminal_only_windows_change_nothing(self):
         # at context 1 every trip's last window holds only its terminal step
