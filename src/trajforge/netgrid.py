@@ -1,14 +1,16 @@
 """Road environments: a grid world with 9 moves and a link graph with bounded out-degree.
 
-Grid actions map to 3x3 shifts via k = (dy + 1) * 3 + (dx + 1), so action 4 is
-"stay". Link-graph actions index into each link's ordered downstream list.
-Action indices are zero-based throughout; any one-based external convention is
-converted at serialization boundaries.
+Each network is one successor table `succ[pos, a]`: the position that action
+`a` leads to from `pos`, or -1 where `a` is infeasible. Moves, feasibility and
+hop counts are all read off it. Grid actions map to 3x3 shifts via
+k = (dy + 1) * 3 + (dx + 1), so action 4 is "stay". Link-graph actions index
+into each link's ordered downstream list. Action indices are zero-based
+throughout; any one-based external convention is converted at serialization
+boundaries.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,120 +56,88 @@ class EnvState:
     user_id: int
 
 
-def action_shift(a: int) -> tuple[int, int]:
-    """(dx, dy) for grid action a under the fixed k = (dy+1)*3 + (dx+1) mapping."""
-    if not 0 <= a < N_ACTIONS:
-        raise ValueError(f"action {a} outside [0, {N_ACTIONS})")
-    return a % 3 - 1, a // 3 - 1
+class Network:
+    """A road network as one successor table.
 
-
-def shift_action(dx: int, dy: int) -> int:
-    """Inverse of action_shift; raises ConnectivityError for non-adjacent shifts."""
-    if abs(dx) > 1 or abs(dy) > 1:
-        raise ConnectivityError(f"shift ({dx}, {dy}) is not a single move")
-    return (dy + 1) * 3 + (dx + 1)
-
-
-class GridNetwork:
-    """Grid environment; positions are cell indices row * width + col.
-
-    `feasible[cell, a]` is True iff action `a` stays on the grid from `cell`.
+    `succ[pos, a]` is the position that action `a` leads to from `pos`, or -1
+    where `a` is infeasible there; `feasible` is `succ >= 0`. A subclass only
+    builds the table and names the error that an infeasible move raises.
     """
 
-    def __init__(self, spec: GridSpec):
-        self.spec = spec
-        row, col = np.divmod(np.arange(self.n_positions)[:, None], spec.width)
-        dy, dx = np.divmod(np.arange(N_ACTIONS), 3)  # each shift plus one, as in action_shift
-        row, col = row + dy - 1, col + dx - 1
-        self.feasible = (0 <= row) & (row < spec.height) & (0 <= col) & (col < spec.width)
+    infeasible_error: type[ValueError] = ConnectivityError
+
+    def __init__(self, succ: np.ndarray):
+        self.succ = np.asarray(succ, dtype=np.intp)
+        self.succ.flags.writeable = False
+        self.feasible = self.succ >= 0
         self.feasible.flags.writeable = False
-        self._hops: dict[int, tuple[int | None, ...]] = {}
+        self._hops: dict[int, np.ndarray] = {}
 
     @property
     def n_positions(self) -> int:
-        return self.spec.width * self.spec.height
+        return self.succ.shape[0]
 
-    def cell_rc(self, cell: int) -> tuple[int, int]:
-        if not 0 <= cell < self.n_positions:
-            raise ValueError(f"cell {cell} outside grid of {self.n_positions}")
-        return cell // self.spec.width, cell % self.spec.width
+    def check_position(self, pos: int) -> None:
+        """A negative position would wrap round when it indexes `succ`, so none is let through."""
+        if not 0 <= pos < self.n_positions:
+            raise ValueError(f"position {pos} outside network of {self.n_positions} positions")
+
+    def step(self, pos: int, a: int) -> int:
+        self.check_position(pos)
+        nxt = int(self.succ[pos, a]) if 0 <= a < N_ACTIONS else -1
+        if nxt < 0:
+            raise self.infeasible_error(f"action {a} is infeasible at position {pos}")
+        return nxt
+
+    def action_between(self, pos: int, nxt: int) -> int:
+        """The first action that leads from `pos` to `nxt`."""
+        self.check_position(pos)
+        self.check_position(nxt)  # a -1 here would match the infeasible entries
+        hits = np.flatnonzero(self.succ[pos] == nxt)
+        if not hits.size:
+            raise ConnectivityError(f"position {nxt} is not one move from position {pos}")
+        return int(hits[0])
+
+
+class GridNetwork(Network):
+    """Grid environment; positions are cell indices row * width + col."""
+
+    infeasible_error = BoundaryError
+
+    def __init__(self, spec: GridSpec):
+        self.spec = spec
+        row, col = np.divmod(np.arange(spec.width * spec.height)[:, None], spec.width)
+        dy, dx = np.divmod(np.arange(N_ACTIONS), 3)  # each shift plus one: k = (dy + 1) * 3 + (dx + 1)
+        row, col = row + dy - 1, col + dx - 1
+        on_grid = (0 <= row) & (row < spec.height) & (0 <= col) & (col < spec.width)
+        super().__init__(np.where(on_grid, row * spec.width + col, -1))
 
     def cell_of(self, row: int, col: int) -> int:
         if not (0 <= row < self.spec.height and 0 <= col < self.spec.width):
             raise BoundaryError(f"cell ({row}, {col}) outside {self.spec.width}x{self.spec.height} grid")
         return row * self.spec.width + col
 
-    def step(self, cell: int, a: int) -> int:
-        dx, dy = action_shift(a)
-        row, col = self.cell_rc(cell)
-        return self.cell_of(row + dy, col + dx)
 
-    def action_between(self, cell: int, nxt: int) -> int:
-        r0, c0 = self.cell_rc(cell)
-        r1, c1 = self.cell_rc(nxt)
-        return shift_action(c1 - c0, r1 - r0)
-
-    def neighbors(self, cell: int) -> list[int]:
-        return [self.step(cell, a) for a in np.flatnonzero(self.feasible[cell]).tolist()]
-
-    def reverse_neighbors(self, cell: int) -> list[int]:
-        # grid moves are symmetric: the reverse of shift (dx, dy) is (-dx, -dy)
-        return self.neighbors(cell)
-
-
-class LinkGraph:
-    """Directed link network; each link's ordered downstream list defines its actions.
-
-    `feasible[link, a]` is True iff `a` indexes the link's downstream list.
-    """
+class LinkGraph(Network):
+    """Directed link network; each link's ordered downstream list fills its row of `succ`."""
 
     def __init__(self, adjacency: list[list[int]], coords: dict[int, tuple[float, float]] | None = None):
         n = len(adjacency)
+        succ = np.full((n, N_ACTIONS), -1, dtype=np.intp)
         for link, downs in enumerate(adjacency):
             if len(downs) > N_ACTIONS:
                 raise ValueError(f"link {link} has out-degree {len(downs)} > {N_ACTIONS}")
             for d in downs:
                 if not 0 <= d < n:
                     raise ValueError(f"link {link} references unknown downstream link {d}")
-        self.adjacency = [list(downs) for downs in adjacency]
+            succ[link, : len(downs)] = downs
+        super().__init__(succ)
         self.coords = dict(coords or {})
-        self._reverse: list[list[int]] | None = None
-        degree = np.array([len(downs) for downs in adjacency], dtype=np.intp)
-        self.feasible = np.arange(N_ACTIONS) < degree[:, None]
-        self.feasible.flags.writeable = False
-        self._hops: dict[int, tuple[int | None, ...]] = {}
 
     @property
-    def n_positions(self) -> int:
-        return len(self.adjacency)
-
-    def step(self, link: int, a: int) -> int:
-        downs = self.adjacency[link]
-        if not 0 <= a < len(downs):
-            raise ConnectivityError(f"link {link} has no downstream index {a}")
-        return downs[a]
-
-    def action_between(self, link: int, nxt: int) -> int:
-        downs = self.adjacency[link]
-        try:
-            return downs.index(nxt)
-        except ValueError:
-            raise ConnectivityError(f"link {nxt} is not downstream of link {link}") from None
-
-    def neighbors(self, link: int) -> list[int]:
-        return list(self.adjacency[link])
-
-    def reverse_neighbors(self, link: int) -> list[int]:
-        if self._reverse is None:
-            rev: list[list[int]] = [[] for _ in self.adjacency]
-            for src, downs in enumerate(self.adjacency):
-                for d in downs:
-                    rev[d].append(src)
-            self._reverse = rev
-        return self._reverse[link]
-
-
-Network = GridNetwork | LinkGraph
+    def adjacency(self) -> list[list[int]]:
+        """Each link's downstream list, read off `succ`."""
+        return [row[row >= 0].tolist() for row in self.succ]
 
 
 def apply_action(net: Network, position: int, a: int) -> int:
@@ -175,42 +145,27 @@ def apply_action(net: Network, position: int, a: int) -> int:
     return net.step(position, a)
 
 
-def shortest_hops(net: Network, a: int, b: int) -> int | None:
-    """Breadth-first hop count from a to b; None when unreachable."""
-    if a == b:
-        return 0
-    dist = {a: 0}
-    queue = deque([a])
-    while queue:
-        cur = queue.popleft()
-        for nxt in net.neighbors(cur):
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                if nxt == b:
-                    return dist[nxt]
-                queue.append(nxt)
-    return None
+def hops_to(net: Network, destination: int) -> np.ndarray:
+    """Hop count from every position to `destination`, -1 where it cannot be reached.
 
-
-def hops_to(net: Network, destination: int) -> tuple[int | None, ...]:
-    """Hop count from every position to `destination` (BFS over reversed edges).
-
-    The search runs once per destination; the network keeps the read-only table for later calls.
+    One breadth-first search over `succ`, run once per destination; the network
+    keeps the read-only table for later calls.
     """
     table = net._hops.get(destination)
     if table is None:
-        if not 0 <= destination < net.n_positions:
-            raise ValueError(f"destination {destination} outside network of {net.n_positions} positions")
-        dist: list[int | None] = [None] * net.n_positions
-        dist[destination] = 0
-        queue = deque([destination])
-        while queue:
-            cur = queue.popleft()
-            for prv in net.reverse_neighbors(cur):
-                if dist[prv] is None:
-                    dist[prv] = dist[cur] + 1
-                    queue.append(prv)
-        table = net._hops[destination] = tuple(dist)
+        net.check_position(destination)
+        table = np.full(net.n_positions, -1, dtype=np.intp)
+        table[destination] = 0
+        # the extra entry stays False: it is where the -1 of an infeasible action points
+        frontier = np.zeros(net.n_positions + 1, dtype=bool)
+        frontier[destination] = True
+        hops = 0
+        while frontier.any():
+            hops += 1
+            frontier[:-1] = frontier[net.succ].any(axis=1) & (table < 0)
+            table[frontier[:-1]] = hops
+        table.flags.writeable = False
+        net._hops[destination] = table
     return table
 
 

@@ -549,15 +549,17 @@ def masked_kl_rows(logits: Tensor, ref_logp: np.ndarray, mask: np.ndarray) -> Te
 # ---------------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Decoupled-weight-decay Adam state for a fixed parameter list."""
 
     lr: float
     weight_decay: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -575,16 +577,16 @@ def adamw_step(params, grads, state: OptimizerState) -> None:
     if len(params) != len(state.m):
         raise ShapeError(f"{len(params)} params vs optimizer state of {len(state.m)}")
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape or p.shape != m.shape:
             raise ShapeError(f"parameter shape {p.shape} does not match gradient {g.shape}")
         if state.weight_decay:
             p -= state.lr * state.weight_decay * p
-        m[:] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[:] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def clip_grad_norm(grads, max_norm: float) -> float:

@@ -1,9 +1,11 @@
 """Synthetic ground-truth data with known per-user route preferences, plus GPS CSV ingestion.
 
 The synthetic oracle samples actions from softmax(theta_u . f(s, a)) over
-feasible actions, with features f = (progress sign, turn change, stay). The
-stored per-user theta vectors are the recoverable ground truth that the reward
-model is later judged against.
+feasible actions, with features f = (progress sign, turn change, stay). It
+scores all 9 actions at once from the position's row of the network's
+successor table and the destination's hop table. The stored per-user theta
+vectors are the recoverable ground truth that the reward model is later
+judged against.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import netgrid
-from .netgrid import EnvState, GridNetwork, GridSpec, LinkGraph, Network
+from .netgrid import EnvState, GridNetwork, GridSpec, Network
 from .numcore import make_rng, masked_logsumexp
 
 N_FEATURES = 3  # progress, turn-change, stay
@@ -128,37 +130,34 @@ def check_connectivity(traj: Trajectory, net: Network) -> None:
 # ---------------------------------------------------------------------------
 
 
-def oracle_features(net: Network, position: int, destination: int, a: int, prev_action: int | None, hops_table) -> np.ndarray:
-    """(progress, turn-change, stay) for one feasible action; `hops_table` is `netgrid.hops_to(net, destination)`."""
-    nxt = netgrid.apply_action(net, position, a)
-    here = hops_table[position]
-    there = hops_table[nxt]
-    if here is None:
-        raise GenerationError(f"destination {destination} unreachable from {position}")
-    if there is None:
-        progress = -1.0
-    else:
-        progress = float((here > there) - (here < there))  # sign of the hop change
-    turn = 1.0 if prev_action is not None and a != prev_action else 0.0
-    stay = 1.0 if nxt == position else 0.0
-    return np.array([progress, turn, stay])
-
-
 def oracle_action_probs(
     state: EnvState,
     prefs: PreferenceParams,
     net: Network,
     prev_action: int | None = None,
 ) -> np.ndarray:
-    """Softmax of theta_user . f(s, a) over feasible actions; infeasible entries are 0."""
-    hops_table = netgrid.hops_to(net, state.destination)
-    if hops_table[state.position] is None:
+    """Softmax of theta_user . f(s, a) over feasible actions; infeasible entries are 0.
+
+    f(s, a) = (progress, turn, stay): progress is the sign of the drop in hops to
+    the destination (-1 where the next position cannot reach it), turn is 1 when
+    `a` differs from `prev_action`, stay is 1 when `a` keeps the position.
+    """
+    net.check_position(state.position)
+    hops = netgrid.hops_to(net, state.destination)
+    here = hops[state.position]
+    if here < 0:
         raise GenerationError(f"destination {state.destination} unreachable from {state.position}")
+    nxt = net.succ[state.position]
+    there = hops[nxt]
+    progress = np.where(there < 0, -1.0, np.sign(here - there))
+    turn = np.arange(netgrid.N_ACTIONS) != prev_action if prev_action is not None else 0.0
+    stay = nxt == state.position
     theta = prefs.theta[state.user_id]
     feasible = net.feasible[state.position]
-    scores = np.full(netgrid.N_ACTIONS, -np.inf)
-    for a in np.flatnonzero(feasible).tolist():
-        scores[a] = theta @ oracle_features(net, state.position, state.destination, a, prev_action, hops_table)
+    # Term by term, in the order of a 3-term dot product: the features are -1, 0 or 1, so each
+    # product is exact. For an infeasible action, `hops[nxt]` read the last position's entry
+    # through the -1; that score is masked here, before the softmax reads it.
+    scores = np.where(feasible, theta[0] * progress + theta[1] * turn + theta[2] * stay, -np.inf)
     return np.exp(scores - masked_logsumexp(scores, feasible))
 
 
@@ -177,7 +176,7 @@ def gen_trajectory(
     origin, destination = od
     if origin == destination:
         raise GenerationError("origin equals destination")
-    if netgrid.hops_to(net, destination)[origin] is None:
+    if netgrid.hops_to(net, destination)[origin] < 0:
         raise GenerationError(f"destination {destination} unreachable from {origin}")
     if max_len < 1:
         raise GenerationError("max_len must allow at least one move")

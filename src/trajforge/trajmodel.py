@@ -315,7 +315,7 @@ def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) ->
     if ctx.origin == ctx.destination:
         raise GenerationError("origin equals destination")
     reach = netgrid.hops_to(net, ctx.destination)
-    if reach[ctx.origin] is None:
+    if reach[ctx.origin] < 0:
         raise GenerationError(f"destination {ctx.destination} unreachable from {ctx.origin}")
     max_moves = min(ctx.max_len, vocab.max_timestep - 1)
     rng = make_rng(ctx.seed, "generate", ctx.traj_id)

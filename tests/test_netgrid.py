@@ -33,8 +33,14 @@ class TestApplyAction:
         # action 8 is shift (+1, +1): (1,1) -> (2,2) on a 3x3 grid
         assert ng.apply_action(grid3, grid3.cell_of(1, 1), 8) == grid3.cell_of(2, 2)
 
-    def test_mapping_table(self):
-        shifts = [ng.action_shift(a) for a in range(9)]
+    def test_link_graph_infeasible(self):
+        with pytest.raises(ng.ConnectivityError):
+            ng.apply_action(ng.LinkGraph([[1], []]), 1, 0)
+
+    def test_mapping_table(self, grid3):
+        # the centre cell's successors spell out the (dx, dy) shift of each action
+        row, col = np.divmod(grid3.succ[grid3.cell_of(1, 1)], 3)
+        shifts = list(zip((col - 1).tolist(), (row - 1).tolist()))
         assert shifts == [(-1, -1), (0, -1), (1, -1), (-1, 0), (0, 0), (1, 0), (-1, 1), (0, 1), (1, 1)]
 
 
@@ -90,49 +96,90 @@ class TestActionIndexOf:
                 assert grid3.action_between(cell, nxt) == a
 
 
+class TestPositionRange:
+    """A position outside the network is refused by name; a negative one must not wrap round."""
+
+    @pytest.mark.parametrize("pos", [-1, 2, 5])
+    def test_link_graph_step(self, pos):
+        with pytest.raises(ValueError, match="outside network"):
+            ng.apply_action(ng.LinkGraph([[1], [0]]), pos, 0)
+
+    @pytest.mark.parametrize("pos", [-1, 2])
+    def test_link_graph_action_between(self, pos):
+        graph = ng.LinkGraph([[1], [0]])
+        with pytest.raises(ValueError, match="outside network"):
+            graph.action_between(pos, 0)
+        with pytest.raises(ValueError, match="outside network"):
+            graph.action_between(0, pos)
+
+    @pytest.mark.parametrize("pos", [-1, 9])
+    def test_grid(self, grid3, pos):
+        with pytest.raises(ValueError, match="outside network"):
+            ng.apply_action(grid3, pos, 4)
+        with pytest.raises(ValueError, match="outside network"):
+            grid3.action_between(pos, 4)
+
+
 class TestShortestHops:
+    """`hops_to(net, b)[a]`: the fewest moves from a to b, -1 when b cannot be reached."""
+
     def test_same_cell(self, grid3):
-        assert ng.shortest_hops(grid3, 4, 4) == 0
+        assert ng.hops_to(grid3, 4)[4] == 0
 
     def test_adjacent(self, grid3):
-        assert ng.shortest_hops(grid3, 0, 1) == 1
+        assert ng.hops_to(grid3, 1)[0] == 1
 
     def test_diagonal_corner(self, grid3):
-        assert ng.shortest_hops(grid3, grid3.cell_of(0, 0), grid3.cell_of(2, 2)) == 2
+        assert ng.hops_to(grid3, grid3.cell_of(2, 2))[grid3.cell_of(0, 0)] == 2
 
     def test_unreachable(self):
         graph = ng.LinkGraph([[1], [], [1]])
-        assert ng.shortest_hops(graph, 0, 2) is None
+        assert ng.hops_to(graph, 2)[0] == -1
 
     def test_triangle_inequality_property(self):
         grid = ng.GridNetwork(ng.GridSpec(4, 4))
         rng = np.random.default_rng(3)
         for _ in range(50):
             a, b, c = rng.integers(0, grid.n_positions, size=3)
-            dab = ng.shortest_hops(grid, a, b)
-            dbc = ng.shortest_hops(grid, b, c)
-            dac = ng.shortest_hops(grid, a, c)
+            dab = ng.hops_to(grid, b)[a]
+            dbc = ng.hops_to(grid, c)[b]
+            dac = ng.hops_to(grid, c)[a]
             assert dac <= dab + dbc
 
     def test_hops_to_matches_pointwise(self, grid3):
-        dest = grid3.cell_of(2, 1)
-        table = ng.hops_to(grid3, dest)
-        for cell in range(grid3.n_positions):
-            assert table[cell] == ng.shortest_hops(grid3, cell, dest)
+        # a grid move shifts row and column by at most one each: hops are the Chebyshev distance
+        table = ng.hops_to(grid3, grid3.cell_of(2, 1))
+        for row in range(3):
+            for col in range(3):
+                assert table[grid3.cell_of(row, col)] == max(abs(row - 2), abs(col - 1))
 
-    def test_hops_to_cached_per_destination(self, grid3, monkeypatch):
+    def test_hops_to_cached_per_destination(self, grid3):
         dest = grid3.cell_of(2, 1)
         table = ng.hops_to(grid3, dest)
-        monkeypatch.setattr(grid3, "reverse_neighbors", lambda cell: pytest.fail("breadth-first search ran again"))
         assert ng.hops_to(grid3, dest) is table
-        assert isinstance(table, tuple)
-        for cell in range(grid3.n_positions):
-            assert table[cell] == ng.shortest_hops(grid3, cell, dest)
+        assert table.dtype.kind == "i" and table.shape == (grid3.n_positions,)
+        with pytest.raises(ValueError):
+            table[0] = 5
 
     @pytest.mark.parametrize("dest", [-1, 3])
     def test_hops_to_destination_outside_network(self, dest):
         with pytest.raises(ValueError, match="outside network"):
             ng.hops_to(ng.LinkGraph([[1], [2], [0]]), dest)
+
+    @given(networks())
+    def test_breadth_first_equations_property(self, net):
+        for dest in range(net.n_positions):
+            hops = ng.hops_to(net, dest)
+            assert hops[dest] == 0
+            for pos in range(net.n_positions):
+                if pos == dest:
+                    continue
+                after = hops[net.succ[pos][net.feasible[pos]]]
+                reachable = after[after >= 0]
+                if hops[pos] >= 0:
+                    assert hops[pos] == 1 + reachable.min()
+                else:
+                    assert reachable.size == 0
 
 
 class TestLinkGraphIO:

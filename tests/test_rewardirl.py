@@ -11,6 +11,7 @@ from trajforge import rewardirl as ri
 from trajforge import synthgen as sg
 from trajforge import tokenizer as tk
 from trajforge.numcore import make_rng
+from trajforge.pretrain import TrainingDivergenceError
 
 
 def grid_critic(d=8, grid=3, users=2, seed=1, init_std=0.02):
@@ -350,6 +351,14 @@ class TestTrainCritic:
         for pos in (0, 1, 2):
             probs = ri.critic_policy(mkstate(pos, 3), critic)
             assert int(np.argmax(probs)) == 0
+
+    def test_nan_parameter_diverges(self):
+        cfg_synth = sg.SynthConfig(width=3, height=3, users=2, n_trajectories=8, seed=1, max_len=8)
+        dataset, _ = sg.gen_dataset(cfg_synth)
+        net, critic = grid_critic()
+        critic.w_base.data[0, 0] = np.nan
+        with pytest.raises(TrainingDivergenceError):
+            ri.train_critic(dataset, critic, ri.IRLConfig(epochs=1))
 
     def test_deterministic(self):
         cfg_synth = sg.SynthConfig(width=3, height=3, users=2, n_trajectories=10, seed=3, max_len=8)

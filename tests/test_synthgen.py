@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_netgrid import networks
 
 from trajforge import netgrid as ng
 from trajforge import synthgen as sg
+from trajforge.numcore import masked_logsumexp
 
 
 @pytest.fixture
@@ -47,6 +51,12 @@ class TestOracleProbs:
         with pytest.raises(sg.GenerationError):
             sg.oracle_action_probs(state, prefs, graph)
 
+    @pytest.mark.parametrize("net", [ng.GridNetwork(ng.GridSpec(2, 2)), ng.LinkGraph([[1], [0]])], ids=["grid", "links"])
+    def test_position_outside_network(self, net):
+        state = ng.EnvState(position=-1, origin=0, destination=1, depart_bin=0, speed_bin=0, user_id=0)
+        with pytest.raises(ValueError, match="outside network"):
+            sg.oracle_action_probs(state, prefs_for([[1.0, 0.0, 0.0]]), net)
+
     def test_proper_distribution_property(self, grid5):
         rng = np.random.default_rng(5)
         prefs = prefs_for(rng.normal(size=(4, 3)))
@@ -61,6 +71,32 @@ class TestOracleProbs:
             assert probs.min() >= 0.0
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(probs[~grid5.feasible[pos]] == 0.0)
+
+
+    @given(networks(), st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=3), st.none() | st.integers(0, 8), st.data())
+    def test_matches_per_action_reference_property(self, net, theta, prev, data):
+        prefs = prefs_for([theta])
+        dest = data.draw(st.integers(0, net.n_positions - 1))
+        hops = ng.hops_to(net, dest)
+        for pos in np.flatnonzero((hops >= 0) & net.feasible.any(axis=1)).tolist():
+            state = ng.EnvState(pos, pos, dest, 0, 0, 0)
+            probs = sg.oracle_action_probs(state, prefs, net, prev_action=prev)
+            assert probs.tobytes() == reference_probs(state, prefs, net, prev).tobytes()
+
+
+def reference_probs(state, prefs, net, prev_action):
+    """The oracle one feasible action at a time: theta . (progress, turn, stay) as a 3-term dot product."""
+    hops = ng.hops_to(net, state.destination)
+    here = int(hops[state.position])
+    scores = np.full(ng.N_ACTIONS, -np.inf)
+    for a in np.flatnonzero(net.feasible[state.position]).tolist():
+        nxt = ng.apply_action(net, state.position, a)
+        there = int(hops[nxt])
+        progress = -1.0 if there < 0 else float((here > there) - (here < there))
+        turn = 1.0 if prev_action is not None and a != prev_action else 0.0
+        stay = 1.0 if nxt == state.position else 0.0
+        scores[a] = prefs.theta[state.user_id] @ np.array([progress, turn, stay])
+    return np.exp(scores - masked_logsumexp(scores, net.feasible[state.position]))
 
 
 class TestGenTrajectory:
