@@ -5,7 +5,8 @@ dicts (key `k` of layer i is named `layer{i}.k`), in the order its constructor a
 The rule: manifest order = construction order = RNG draw order. The constructor draws each
 parameter from the initialisation RNG as it assigns it, and that order is also the order of
 `parameters()`, the checkpoint manifest, the optimizer state and `params_hash`. Reordering
-a constructor changes all of them at once, so the tests pin both manifests.
+a constructor changes all of them at once, so the tests pin both manifests. A removed
+parameter keeps its draw, discarded, so that every later one starts from the same values.
 
 A checkpoint file is one JSON header line (keys sorted: config, format, kind, manifest,
 meta, version) followed by each parameter as little-endian float64, in manifest order.

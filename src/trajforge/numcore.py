@@ -260,9 +260,12 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     out = Tensor(a.data[idx], (a,))
 
     def bwd(g):
-        width = math.prod(a.data.shape[1:])
-        flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
-        _scatter_accum(a, flat, g)
+        if idx.size > len(a.data) or np.bincount(idx.ravel(), minlength=1).max() > 1:  # more indices than rows must repeat
+            width = math.prod(a.data.shape[1:])
+            _scatter_accum(a, (idx.reshape(-1, 1) * width + np.arange(width)).ravel(), g)
+        else:  # distinct rows round as the bincount does: 0.0 + prior (a signed zero turns positive), + g
+            a.grad = np.zeros_like(a.data) if a.grad is None else a.grad + 0.0
+            a.grad[idx] += g
 
     out._bwd = bwd
     return out

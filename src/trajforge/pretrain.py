@@ -101,6 +101,7 @@ def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
     eval_trajs = dataset.eval()
     check_vocab(train_trajs + eval_trajs, model.cfg.vocab)
     windows = build_windows(train_trajs, model.cfg.context)
+    eval_windows = build_windows(eval_trajs, model.cfg.context)
     opt = nc.adamw_init([p.data for p in model.param_tensors()], cfg.lr, cfg.weight_decay)
     log = TrainLog()
     best_nll = float("inf")
@@ -119,7 +120,7 @@ def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
             losses.append(float(loss.data))
         train_nll = float(np.mean(losses))
         if eval_trajs:
-            last_eval = eval_policy(dataset, model)
+            last_eval = score_windows(eval_windows, model)
             eval_nll = last_eval[0]
             if eval_nll < best_nll - 1e-9:
                 best_nll = eval_nll
@@ -141,10 +142,13 @@ def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
 
 def eval_policy(dataset: Dataset, model: tm.PolicyModel):
     """Teacher-forced (nll, top-1 accuracy) over all decision steps of the eval split; no sampling."""
-    trajs = dataset.eval()
-    if not trajs:
-        raise ValueError("empty split 'eval'")
-    windows = build_windows(trajs, model.cfg.context)
+    return score_windows(build_windows(dataset.eval(), model.cfg.context), model)
+
+
+def score_windows(windows, model: tm.PolicyModel):
+    """Teacher-forced (nll, top-1 accuracy) over all decision steps of `windows`; `pretrain` builds them once."""
+    if not windows:
+        raise ValueError("no windows to score: empty split 'eval'")
     total_nll = 0.0
     hits = 0
     count = 0

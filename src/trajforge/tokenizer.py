@@ -1,8 +1,7 @@
-"""Trajectories to (return-to-go, state, action) token streams and context windows.
+"""Trajectories to (state, action) token streams and context windows.
 
-Per step the token order is (R_t, s_t, a_t); the action of the terminal step is
-the single BLANK placeholder since no decision is made there. rtg is 1 while en
-route and 0 on arrival.
+Per step the token order is (s_t, a_t); the action of the terminal step is the
+single BLANK placeholder since no decision is made there.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ class EpisodeTokens:
 
     traj_id: int
     flag: str
-    rtg: np.ndarray
     position: np.ndarray
     origin: np.ndarray
     destination: np.ndarray
@@ -40,7 +38,7 @@ class EpisodeTokens:
 
     @property
     def n_steps(self) -> int:
-        return len(self.rtg)
+        return len(self.position)
 
     @property
     def decision_mask(self) -> np.ndarray:
@@ -51,7 +49,6 @@ class EpisodeTokens:
         return EpisodeTokens(
             traj_id=self.traj_id,
             flag=self.flag,
-            rtg=self.rtg[start:stop],
             position=self.position[start:stop],
             origin=self.origin[start:stop],
             destination=self.destination[start:stop],
@@ -69,7 +66,6 @@ class VocabSpec:
 
     positions: int
     actions: int  # real actions plus the BLANK row
-    rtg: int
     depart_bins: int
     speed_bins: int
     users: int
@@ -86,7 +82,6 @@ def vocab_sizes(net: Network, config: SynthConfig) -> VocabSpec:
     spec = VocabSpec(
         positions=net.n_positions,
         actions=netgrid.N_ACTIONS + 1,
-        rtg=2,
         depart_bins=config.depart_bins,
         speed_bins=config.speed_bins,
         users=config.users,
@@ -123,12 +118,10 @@ def encode_episode(traj: Trajectory) -> EpisodeTokens:
         raise EncodingError("trajectory must have at least 2 positions")
     if any(not 0 <= a < netgrid.N_ACTIONS for a in traj.actions):
         raise EncodingError(f"trajectory {traj.traj_id} has an action outside [0, {netgrid.N_ACTIONS})")
-    rtg = np.fromiter((0 if p == traj.destination else 1 for p in traj.positions), dtype=np.int64, count=n)
     action = np.concatenate([np.asarray(traj.actions, dtype=np.int64), [BLANK]])
     return EpisodeTokens(
         traj_id=traj.traj_id,
         flag=traj.flag,
-        rtg=rtg,
         position=np.asarray(traj.positions, dtype=np.int64),
         origin=np.full(n, traj.origin, dtype=np.int64),
         destination=np.full(n, traj.destination, dtype=np.int64),

@@ -1,4 +1,4 @@
-"""Autoregressive transformer policy over interleaved (R, s, a) token streams.
+"""Autoregressive transformer policy over interleaved (s, a) token streams.
 
 State tokens are sums of element embeddings plus a learned timestep embedding,
 layer-normalized post-embedding. Blocks are pre-norm causal self-attention and
@@ -7,22 +7,22 @@ Infeasible actions are masked at sampling time, so generated trajectories are
 valid by construction.
 
 Both passes compute only the rows that reach a decision. A window with m
-decision steps runs as its first 3m - 1 tokens R_0 s_0 a_0 ... R_{m-1} s_{m-1}:
-attention is causal, so nothing before them attends to the tokens after them
-(the last action, and a terminal step's R, s and BLANK). The last layer needs
-keys and values of every token, but only the state rows' outputs are read, so
-it runs its query, attention output and feed-forward for those rows alone.
+decision steps runs as its first 2m - 1 tokens s_0 a_0 ... s_{m-1}: attention
+is causal, so nothing before them attends to the tokens after them (the last
+action, and a terminal step's s and BLANK). The last layer needs keys and
+values of every token, but only the state rows' outputs are read, so it runs
+its query, attention output and feed-forward for those rows alone.
 
 `forward_batch` records the autodiff graph and serves training and evaluation;
 a window without decisions is skipped, and dropout draws masks for the computed
 rows alone. Generation runs the same equations without a graph, incrementally
 (`_Decoder`):
 - a key/value cache holds each layer's keys and values of the trip's trailing
-  window; a move appends only a_{t-1}, R_t and s_t, and the pending a_t is
-  never computed;
+  window; a move appends only a_{t-1} and s_t, and the pending a_t is never
+  computed;
 - once the trip passes `context` steps the window drops its first step, which
   changes every deeper layer's keys and values, so the cache restarts and the
-  whole window is recomputed;
+  whole window (2 * context - 1 rows) is recomputed;
 - its last layer runs the query for the s_t row alone.
 Its logits equal a fresh `forward_batch` of the trailing window to rounding.
 """
@@ -96,7 +96,7 @@ class PolicyModel(ParamModel):
         self.emb_speed = emb(v.speed_bins)
         self.emb_user = emb(v.users)
         self.emb_action = emb(v.actions)
-        self.emb_rtg = emb(v.rtg)
+        emb(2)  # the draw of a retired table, kept so that every later parameter starts as it did
         self.emb_timestep = emb(v.max_timestep)
         self.ln_emb_gain = Tensor(np.ones(d))
         self.ln_emb_bias = Tensor(np.zeros(d))
@@ -192,7 +192,6 @@ def forward_batch(windows: list[EpisodeTokens], model: PolicyModel, rng: np.rand
         return np.concatenate([getattr(w, name) for w in windows])[dec]
 
     ts = nc.gather_rows(model.emb_timestep, cat("timestep"))
-    r_tok = nc.add(nc.gather_rows(model.emb_rtg, cat("rtg")), ts)
     s_sum = nc.gather_rows(model.emb_position, cat("position"))
     for name, table in (
         ("origin", model.emb_origin),
@@ -205,17 +204,17 @@ def forward_batch(windows: list[EpisodeTokens], model: PolicyModel, rng: np.rand
     s_tok = nc.add(s_sum, ts)
     a_tok = nc.add(nc.gather_rows(model.emb_action, cat("action")), ts)
 
-    # each window runs as its first 3m - 1 tokens: the cut drops its pending action, last in its stream
+    # each window runs as its first 2m - 1 tokens: the cut drops its pending action, last in its stream
     m = decisions[decisions > 0]
     perm, s_index = _interleave(total)
-    perm = np.delete(perm, 3 * np.cumsum(m) - 1)
+    perm = np.delete(perm, 2 * np.cumsum(m) - 1)
     s_rows = s_index - np.repeat(np.arange(len(m)), m)
 
-    x = nc.gather_rows(nc.concat_rows([r_tok, s_tok, a_tok]), perm)
+    x = nc.gather_rows(nc.concat_rows([s_tok, a_tok]), perm)
     x = nc.layer_norm(x, model.ln_emb_gain, model.ln_emb_bias)
     x = nc.dropout(x, cfg.dropout, rng)
 
-    segments = 3 * m - 1
+    segments = 2 * m - 1
     q_at = None  # every row queries, up to the last layer
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
@@ -240,9 +239,9 @@ def forward_batch(windows: list[EpisodeTokens], model: PolicyModel, rng: np.rand
 
 
 def _interleave(total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the stacked [R; s; a] tokens (step i of kind k at k*total + i) in (R_t, s_t, a_t)
-    stream order, where it sits at 3i + k; and the stream positions of the state tokens."""
-    return (np.arange(total)[:, None] + total * np.arange(3)).ravel(), 3 * np.arange(total) + 1
+    """Rows of the stacked [s; a] tokens (step i of kind k at k*total + i) in (s_t, a_t) stream
+    order, where it sits at 2i + k; and the stream positions of the state tokens."""
+    return (np.arange(total)[:, None] + total * np.arange(2)).ravel(), 2 * np.arange(total)
 
 
 def batch_nll(windows: list[EpisodeTokens], model: PolicyModel, rng: np.random.Generator | None = None) -> Tensor:
@@ -374,21 +373,20 @@ class _Decoder:
         self.ctx = ctx
         self.t = 0
         self.length = 0
-        # layer-normed tokens of the trip: R_t, s_t, a_t at rows 3t, 3t + 1, 3t + 2
-        self.tokens = np.empty((3 * cfg.vocab.max_timestep, cfg.d_model))
-        self.keys = [np.empty((3 * cfg.context, cfg.d_model)) for _ in model.layers]
-        self.values = [np.empty((3 * cfg.context, cfg.d_model)) for _ in model.layers]
-        self.causal = np.tri(3 * cfg.context, dtype=bool)  # window row i attends to rows j <= i
+        # layer-normed tokens of the trip: s_t, a_t at rows 2t, 2t + 1
+        self.tokens = np.empty((2 * cfg.vocab.max_timestep, cfg.d_model))
+        self.keys = [np.empty((2 * cfg.context, cfg.d_model)) for _ in model.layers]
+        self.values = [np.empty((2 * cfg.context, cfg.d_model)) for _ in model.layers]
+        self.causal = np.tri(2 * cfg.context, dtype=bool)  # window row i attends to rows j <= i
 
     def step(self, position: int, prev_action: int | None) -> np.ndarray:
         """Action logits at step t, the vehicle at `position` after `prev_action` (None at t = 0)."""
         m, ctx, t = self.model, self.ctx, self.t
         ts = m.emb_timestep.data
-        lo, hi = max(3 * t - 1, 0), 3 * t + 2
+        lo, hi = max(2 * t - 1, 0), 2 * t + 1
         new = self.tokens[lo:hi]
         if t > 0:
             new[0] = m.emb_action.data[prev_action] + ts[t - 1]
-        new[-2] = m.emb_rtg.data[int(position != ctx.destination)] + ts[t]
         state = EnvState(position, ctx.origin, ctx.destination, ctx.depart_bin, ctx.speed_bin, ctx.user_id)
         new[-1] = embed_state(state, m) + ts[t]
         new[:] = nc.layer_norm_fwd(new, m.ln_emb_gain.data, m.ln_emb_bias.data)[0]
@@ -397,7 +395,7 @@ class _Decoder:
         if first <= 0:
             return self._run(new)
         self.length = 0
-        return self._run(self.tokens[3 * first : hi])
+        return self._run(self.tokens[2 * first : hi])
 
     def _run(self, x: np.ndarray) -> np.ndarray:
         """Append the rows `x` to the window and return the logits read at its last row."""

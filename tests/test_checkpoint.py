@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,11 @@ from trajforge.numcore import make_rng
 DATA = Path(__file__).parent / "data"
 
 # The tiny models of tests/data: checkpoint format version 1, written before the policy and the
-# critic shared `checkpoint.ParamModel`. Their params_hash (sha256 over names and <f8 bytes):
+# critic shared `checkpoint.ParamModel`, and re-written when the return-to-go token was dropped
+# (the policy lost `emb_rtg`, both vocabularies lost `rtg`; the critic's blob kept its bytes).
+# Their params_hash (sha256 over names and <f8 bytes):
 PINNED_HASH = {
-    "policy": "073b616055d014dc8b9a3be978234ae6f61500778990ff2f8971eaa9ea8b28c3",
+    "policy": "345721fe8033b0a876e775d9bf16335d1377b978a39872f667a62b8df234de96",
     "critic": "d418b5adba42a091113d25f40f95d7f07e55444c81c21fcf30198e5796ee41f7",
 }
 
@@ -51,7 +54,7 @@ class TestFormatStability:
 
     def test_policy_manifest_names(self):
         model, _ = tiny_model("policy", n_layers=2)
-        embeddings = ["position", "origin", "destination", "depart", "speed", "user", "action", "rtg", "timestep"]
+        embeddings = ["position", "origin", "destination", "depart", "speed", "user", "action", "timestep"]
         expected = [f"emb_{e}" for e in embeddings] + ["ln_emb_gain", "ln_emb_bias"]
         expected += [f"layer{i}.{key}" for i in range(2) for key in LAYER_KEYS]
         expected += ["ln_f_gain", "ln_f_bias", "head_w", "head_b"]
@@ -85,6 +88,11 @@ def fractional_vocab_size(header):
     return header
 
 
+def rtg_vocab(header):
+    header["config"]["vocab"]["rtg"] = 2
+    return header
+
+
 class TestMalformedHeader:
     @pytest.mark.parametrize("kind", ["policy", "critic"])
     @pytest.mark.parametrize(
@@ -95,8 +103,9 @@ class TestMalformedHeader:
             (drop("meta"), "'meta' is missing"),
             (unknown_config_key, "bad .* config"),
             (fractional_vocab_size, "vocabulary positions must be an integer"),
+            (rtg_vocab, "bad .* config"),
         ],
-        ids=["list", "no-manifest", "no-meta", "unknown-config-key", "fractional-vocab-size"],
+        ids=["list", "no-manifest", "no-meta", "unknown-config-key", "fractional-vocab-size", "rtg-vocab"],
     )
     def test_raises_checkpoint_error(self, kind, edit, message, tmp_path):
         model, load = tiny_model(kind)
@@ -105,4 +114,18 @@ class TestMalformedHeader:
         line, blob = path.read_bytes().split(b"\n", 1)
         path.write_bytes(json.dumps(edit(json.loads(line))).encode() + b"\n" + blob)
         with pytest.raises(tm.CheckpointError, match=message):
+            load(path)
+
+    def test_policy_with_rtg_table_rejected(self, tmp_path):
+        # a policy file from before the return-to-go token was dropped: emb_rtg sits after emb_action
+        model, load = tiny_model("policy")
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        line, blob = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        at = [name for name, _ in header["manifest"]].index("emb_timestep")
+        header["manifest"].insert(at, ["emb_rtg", [2, 8]])
+        offset = 8 * sum(math.prod(shape) for _, shape in header["manifest"][:at])
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob[:offset] + bytes(8 * 16) + blob[offset:])
+        with pytest.raises(tm.CheckpointError, match=r"manifest entry \['emb_rtg'"):
             load(path)

@@ -505,6 +505,25 @@ class TestGatherGradients:
         np.add.at(expected, (np.arange(4), idx), g)
         np.testing.assert_array_equal(a.grad, expected)
 
+    @given(st.lists(st.integers(0, 7), unique=True, max_size=8), st.integers(1, 3), st.booleans(), st.integers(0, 2**16))
+    def test_unique_rows_equal_bincount_path_property(self, idx, width, prior, seed):
+        # distinct rows skip the whole-table bincount; the gradient keeps its bits, signed zeros too
+        rng = nc.make_rng(seed)
+
+        def signed(shape):
+            x = rng.normal(size=shape)
+            return np.where(rng.random(shape) < 0.25, -0.0, x)
+
+        idx = np.asarray(idx, dtype=np.intp)
+        g = signed((len(idx), width))
+        table, reference = nc.Tensor(np.zeros((8, width))), nc.Tensor(np.zeros((8, width)))
+        if prior:
+            table.grad = signed((8, width))
+            reference.grad = table.grad.copy()
+        nc.gather_rows(table, idx)._bwd(g)
+        nc._scatter_accum(reference, (idx.reshape(-1, 1) * width + np.arange(width)).ravel(), g)
+        assert table.grad.tobytes() == reference.grad.tobytes()
+
 
 class TestLazyGradients:
     """The first gradient a node receives is its own array; later ones add into it."""

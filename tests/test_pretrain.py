@@ -183,6 +183,17 @@ class TestPretrain:
         assert header.split(",")[2] == "grad_norm"
         assert float(row.split(",")[2]) == log.rows[0].grad_norm
 
+    def test_each_trip_encoded_once_and_eval_scores_unchanged(self, monkeypatch):
+        dataset, model, _, _ = tiny_setup(seed=2, d=8)
+        encoded, encode = [], pt.encode_episode
+        monkeypatch.setattr(pt, "encode_episode", lambda traj: encoded.append(traj.traj_id) or encode(traj))
+        model, log = pt.pretrain(dataset, model, pt.TrainConfig(epochs=3, batch_size=8, seed=2, patience=3))
+        assert len(log.rows) == 3
+        assert sorted(encoded) == sorted(t.traj_id for t in dataset.train() + dataset.eval())
+        # the returned model holds the best epoch's parameters; eval_policy re-encodes and scores them alike
+        best = min(log.rows, key=lambda r: r.eval_nll)
+        assert pt.eval_policy(dataset, model) == (best.eval_nll, best.eval_acc)
+
     def test_dropout_training_still_deterministic(self):
         hashes = []
         for _ in range(2):

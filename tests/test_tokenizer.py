@@ -14,33 +14,22 @@ class TestEncodeEpisode:
     def test_three_position_complete(self):
         traj = make_traj([0, 1, 2], [5, 5])
         ep = tk.encode_episode(traj)
-        assert ep.rtg.tolist() == [1, 1, 0]
         assert ep.action.tolist() == [5, 5, tk.BLANK]
         assert ep.timestep.tolist() == [0, 1, 2]
 
     def test_truncated_all_en_route(self):
         traj = make_traj([0, 1, 2], [5, 5], flag="truncated")
-        # destination is the last recorded position even when truncated;
-        # rtg is 0 only where the position equals it
+        # destination is the last recorded position even when truncated
         ep = tk.encode_episode(traj)
-        assert ep.rtg.tolist() == [1, 1, 0]
+        assert ep.destination.tolist() == [2, 2, 2]
         traj2 = make_traj([0, 1, 0], [5, 3], flag="truncated")
         ep2 = tk.encode_episode(traj2)
-        assert ep2.rtg[0] == 0 or ep2.rtg.tolist() == [1, 1, 0]
+        assert ep2.destination.tolist() == [0, 0, 0]
 
     def test_length_two(self):
         traj = make_traj([4, 5], [5])
         ep = tk.encode_episode(traj)
-        assert ep.rtg.tolist() == [1, 0]
         assert ep.decision_mask.tolist() == [True, False]
-
-    def test_rtg_iff_destination_property(self):
-        cfg = sg.SynthConfig(users=3, n_trajectories=30, seed=8)
-        ds, _ = sg.gen_dataset(cfg)
-        for traj in ds.trajectories:
-            ep = tk.encode_episode(traj)
-            for t in range(ep.n_steps):
-                assert (ep.rtg[t] == 0) == (ep.position[t] == traj.destination)
 
     def test_exactly_one_blank(self):
         cfg = sg.SynthConfig(users=2, n_trajectories=20, seed=12)
@@ -117,7 +106,7 @@ class TestWindowize:
 
 
 class TestCheckVocab:
-    VOCAB = tk.VocabSpec(positions=9, actions=10, rtg=2, depart_bins=24, speed_bins=120, users=2, max_timestep=4)
+    VOCAB = tk.VocabSpec(positions=9, actions=10, depart_bins=24, speed_bins=120, users=2, max_timestep=4)
 
     def test_fitting_trajectory_accepted(self):
         tk.check_vocab([sg.Trajectory(1, 1, 23, 119, [0, 1, 2, 5], [5, 5, 7])], self.VOCAB)
@@ -147,7 +136,6 @@ class TestVocabSizes:
         spec = tk.vocab_sizes(net, sg.SynthConfig(users=20, max_len=50))
         assert spec.positions == 25
         assert spec.actions == 10
-        assert spec.rtg == 2
         assert spec.depart_bins == 24
         assert spec.speed_bins == 120
         assert spec.users == 20

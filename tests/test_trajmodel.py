@@ -43,7 +43,6 @@ def reference_forward(model, window):
         return t.data
 
     ts = g(model.emb_timestep)[window.timestep]
-    r_tok = g(model.emb_rtg)[window.rtg] + ts
     s_tok = (
         g(model.emb_position)[window.position]
         + g(model.emb_origin)[window.origin]
@@ -54,10 +53,9 @@ def reference_forward(model, window):
         + ts
     )
     a_tok = g(model.emb_action)[window.action] + ts
-    seq = np.empty((3 * t_len, d))
-    seq[0::3] = r_tok
-    seq[1::3] = s_tok
-    seq[2::3] = a_tok
+    seq = np.empty((2 * t_len, d))
+    seq[0::2] = s_tok
+    seq[1::2] = a_tok
 
     def ln(x, gain, bias):
         mu = x.mean(-1, keepdims=True)
@@ -76,7 +74,7 @@ def reference_forward(model, window):
         for head in range(cfg.n_heads):
             sl = slice(head * hd, (head + 1) * hd)
             qh, kh, vh = q[:, sl], k[:, sl], v[:, sl]
-            for i in range(3 * t_len):
+            for i in range(2 * t_len):
                 scores = np.array([qh[i] @ kh[j] / math.sqrt(hd) for j in range(i + 1)])
                 w = np.exp(scores - scores.max())
                 w /= w.sum()
@@ -85,7 +83,7 @@ def reference_forward(model, window):
         h2 = ln(x, layer["ln2_gain"], layer["ln2_bias"])
         x = x + gelu(h2 @ g(layer["ff_w1"]) + g(layer["ff_b1"])) @ g(layer["ff_w2"]) + g(layer["ff_b2"])
     x = ln(x, model.ln_f_gain, model.ln_f_bias)
-    return x[1::3] @ g(model.head_w) + g(model.head_b)
+    return x[0::2] @ g(model.head_w) + g(model.head_b)
 
 
 GELU_C = math.sqrt(2 / math.pi)
@@ -106,10 +104,10 @@ def ln_backward(dy, xhat, x, gain):
 
 def reference_loss_and_grads(model, windows, masks=None):
     """Mean action NLL over the decision steps of `windows` and its gradient for every parameter,
-    replayed in plain numpy over all 3T rows of every window in every layer.
+    replayed in plain numpy over all 2T rows of every window in every layer.
 
     `masks`, if given, lists the dropout masks in draw order (embedding, then each layer's attention
-    and feed-forward outputs), each over the 3 * (total steps) rows of the windows' token streams.
+    and feed-forward outputs), each over the 2 * (total steps) rows of the windows' token streams.
     """
     cfg = model.cfg
     P = {name: t.data for name, t in model.parameters()}
@@ -120,7 +118,7 @@ def reference_loss_and_grads(model, windows, masks=None):
     n_dec = sum(int(w.decision_mask.sum()) for w in windows)
     loss, row0 = 0.0, 0
     for w in windows:
-        n = 3 * w.n_steps
+        n = 2 * w.n_steps
         drop = [np.ones((n, d))] * (1 + 2 * n_layers) if masks is None else [m[row0 : row0 + n] for m in masks]
         row0 += n
         elements = [
@@ -133,9 +131,8 @@ def reference_loss_and_grads(model, windows, masks=None):
         ]
         ts = P["emb_timestep"][w.timestep]
         seq = np.empty((n, d))
-        seq[0::3] = P["emb_rtg"][w.rtg] + ts
-        seq[1::3] = sum(P[name][idx] for name, idx in elements) + ts
-        seq[2::3] = P["emb_action"][w.action] + ts
+        seq[0::2] = sum(P[name][idx] for name, idx in elements) + ts
+        seq[1::2] = P["emb_action"][w.action] + ts
         y, seq_hat = ln_forward(seq, P["ln_emb_gain"], P["ln_emb_bias"])
         x = y * drop[0]
         caches = []
@@ -157,7 +154,7 @@ def reference_loss_and_grads(model, windows, masks=None):
             caches.append((p, x, h, h_hat, q, k, v, probs, ctx, x1, h2, h2_hat, u, t, gu))
             x = x1 + (gu @ p["ff_w2"] + p["ff_b2"]) * drop[2 + 2 * i]
         z, z_hat = ln_forward(x, P["ln_f_gain"], P["ln_f_bias"])
-        logits = z[1::3] @ P["head_w"] + P["head_b"]
+        logits = z[0::2] @ P["head_w"] + P["head_b"]
         rows = np.flatnonzero(w.decision_mask)
         shifted = logits - logits.max(1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(1, keepdims=True))
@@ -167,10 +164,10 @@ def reference_loss_and_grads(model, windows, masks=None):
         dlogits[rows] = np.exp(logp[rows])
         dlogits[rows, w.action[rows]] -= 1
         dlogits /= n_dec
-        G["head_w"] += z[1::3].T @ dlogits
+        G["head_w"] += z[0::2].T @ dlogits
         G["head_b"] += dlogits.sum(0)
         dz = np.zeros((n, d))
-        dz[1::3] = dlogits @ P["head_w"].T
+        dz[0::2] = dlogits @ P["head_w"].T
         dx, dgain, dbias = ln_backward(dz, z_hat, x, P["ln_f_gain"])
         G["ln_f_gain"] += dgain
         G["ln_f_bias"] += dbias
@@ -207,11 +204,10 @@ def reference_loss_and_grads(model, windows, masks=None):
         dseq, dgain, dbias = ln_backward(dx * drop[0], seq_hat, seq, P["ln_emb_gain"])
         G["ln_emb_gain"] += dgain
         G["ln_emb_bias"] += dbias
-        np.add.at(G["emb_rtg"], w.rtg, dseq[0::3])
         for name, idx in elements:
-            np.add.at(G[name], idx, dseq[1::3])
-        np.add.at(G["emb_action"], w.action, dseq[2::3])
-        np.add.at(G["emb_timestep"], w.timestep, dseq[0::3] + dseq[1::3] + dseq[2::3])
+            np.add.at(G[name], idx, dseq[0::2])
+        np.add.at(G["emb_action"], w.action, dseq[1::2])
+        np.add.at(G["emb_timestep"], w.timestep, dseq[0::2] + dseq[1::2])
     return loss, G
 
 
@@ -228,7 +224,6 @@ def random_windows(vocab, specs, seed):
             tk.EpisodeTokens(
                 traj_id=len(windows),
                 flag="complete",
-                rtg=rng.integers(0, vocab.rtg, n),
                 position=rng.integers(0, vocab.positions, n),
                 origin=rng.integers(0, vocab.positions, n),
                 destination=rng.integers(0, vocab.positions, n),
@@ -254,15 +249,15 @@ def assert_matches_replay(model, windows, rng=None, masks=None):
 
 
 def computed_rows(windows):
-    """Rows of the windows' joint 3-token streams that `forward_batch` computes, in its order: those of
-    the embedding and every layer but the last (each window's first 3m - 1 tokens), and those of the
+    """Rows of the windows' joint 2-token streams that `forward_batch` computes, in its order: those of
+    the embedding and every layer but the last (each window's first 2m - 1 tokens), and those of the
     last layer (each window's m decision state tokens)."""
     stream, states, row0 = [], [], 0
     for w in windows:
         m = int(w.decision_mask.sum())
-        stream.append(row0 + np.arange(max(3 * m - 1, 0)))
-        states.append(row0 + 3 * np.arange(m) + 1)
-        row0 += 3 * w.n_steps
+        stream.append(row0 + np.arange(max(2 * m - 1, 0)))
+        states.append(row0 + 2 * np.arange(m))
+        row0 += 2 * w.n_steps
     return np.concatenate(stream), np.concatenate(states)
 
 
@@ -281,7 +276,6 @@ def trailing_window(ctx, positions, actions, context):
     return tk.EpisodeTokens(
         traj_id=ctx.traj_id,
         flag="partial",
-        rtg=np.array([int(p != ctx.destination) for p in positions[start:]], dtype=np.int64),
         position=np.array(positions[start:], dtype=np.int64),
         origin=full(ctx.origin),
         destination=full(ctx.destination),
@@ -372,11 +366,9 @@ class TestForward:
         # perturb everything after s_cut: the action at cut and all later steps
         mutated = window.slice(0, t_len)
         mutated.action = mutated.action.copy()
-        mutated.rtg = mutated.rtg.copy()
         mutated.position = mutated.position.copy()
         mutated.action[cut] = (mutated.action[cut] + 1) % 9
         mutated.action[cut + 1 :] = 0
-        mutated.rtg[cut + 1 :] = 0
         mutated.position[cut + 1 :] = 1
         after = tm.forward_batch([mutated], model).logits.data
         assert np.array_equal(base[: cut + 1], after[: cut + 1])
@@ -397,15 +389,15 @@ class TestInterleave:
     def test_matches_per_window_loop(self):
         sizes = [3, 1, 5, 3, 2]
         total = sum(sizes)
-        perm = np.empty(3 * total, dtype=np.intp)
+        perm = np.empty(2 * total, dtype=np.intp)
         s_index = np.empty(total, dtype=np.intp)
         seq_off = step_off = 0
         for t_len in sizes:
             rows = np.arange(t_len)
-            for k in range(3):
-                perm[seq_off + 3 * rows + k] = k * total + step_off + rows
-            s_index[step_off + rows] = seq_off + 3 * rows + 1
-            seq_off += 3 * t_len
+            for k in range(2):
+                perm[seq_off + 2 * rows + k] = k * total + step_off + rows
+            s_index[step_off + rows] = seq_off + 2 * rows
+            seq_off += 2 * t_len
             step_off += t_len
         got_perm, got_s_index = tm._interleave(total)
         np.testing.assert_array_equal(got_perm, perm)
@@ -484,7 +476,7 @@ class TestDecisionRows:
         draws = make_rng(7, "dropout")
         masks = []
         for rows in (stream, stream, stream, states, states):  # embedding, layer 0, the last layer
-            mask = np.ones((3 * sum(w.n_steps for w in windows), 8))  # rows no loss reads keep ones
+            mask = np.ones((2 * sum(w.n_steps for w in windows), 8))  # rows no loss reads keep ones
             mask[rows] = (draws.random((len(rows), 8)) >= rate) / (1 - rate)
             masks.append(mask)
         assert_matches_replay(model, windows, rng=make_rng(7, "dropout"), masks=masks)
@@ -693,6 +685,19 @@ class TestDecoder:
         logits = decoder_logits(model, ctx, positions, actions)[-1]
         ref = reference_forward(model, trailing_window(ctx, positions, actions, 3))[-1]
         np.testing.assert_allclose(logits, ref, rtol=1e-10, atol=1e-12)
+
+    def test_rows_run_per_move(self):
+        # a move runs a_{t-1} and s_t (s_0 alone at t = 0); a slid window reruns its 2 * context - 1 rows
+        context = 3
+        net, model = small_model(d=8, layers=2, heads=2, context=context, seed=4)
+        ctx = tm.GenerationContext(0, 24, 2, 7, 1)
+        positions, actions = random_walk(net, ctx.origin, 6, seed=8)
+        decoder = tm._Decoder(model, ctx)
+        rows, run = [], decoder._run
+        decoder._run = lambda x: rows.append(len(x)) or run(x)
+        for t, pos in enumerate(positions):
+            decoder.step(pos, actions[t - 1] if t else None)
+        assert rows == [1, 2, 2] + [2 * context - 1] * (len(positions) - context)
 
 
 class TestCheckpoint:
