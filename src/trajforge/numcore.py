@@ -1,7 +1,8 @@
 """Dense float64 tensors with reverse-mode differentiation over a recorded op graph.
 
 Every differentiable operation builds a node holding its parents and a backward
-closure; `backward` replays the recorded graph in reverse topological order.
+closure; `backward` replays the graph in reverse topological order and consumes
+it, so a graph serves one `backward`. Ops inside `no_graph()` record nothing.
 Gradient buffers are lazy: the first gradient to reach a node becomes its
 `.grad` and later ones add into it, so no node shares its buffer with another.
 All stochastic helpers take an explicit counter-based RNG so replays are
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +25,10 @@ class ShapeError(ValueError):
 
 class EvaluationError(RuntimeError):
     """Raised when a checked function produces a non-finite value."""
+
+
+class GraphConsumedError(RuntimeError):
+    """Raised when `backward` reaches a node whose graph an earlier `backward` consumed."""
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +108,8 @@ class ComputationRecord:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise GraphConsumedError("backward reached a node of a graph that an earlier backward consumed")
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -113,7 +121,10 @@ class ComputationRecord:
 def backward(root: Tensor) -> ComputationRecord:
     """Populate `.grad` on every node reachable from `root` (root grad = 1), replacing stale ones.
 
-    Ops add their parents' shares through `_accum`; a node that no share reached gets zeros.
+    Ops add their parents' shares through `_accum`; a node that no share reached gets zeros. Once a
+    node's closure has run, it and the parent links are dropped (`_parents` becomes None), freeing the
+    arrays it saved; a later `backward` that reaches such a consumed node raises `GraphConsumedError`.
+    Every `.grad` stays, the record keeps its order, and leaves (parameters) are never consumed.
     """
     record = ComputationRecord.from_root(root)
     for node in record.nodes:
@@ -124,6 +135,7 @@ def backward(root: Tensor) -> ComputationRecord:
             node.grad = np.zeros_like(node.data)
         if node._bwd is not None:
             node._bwd(node.grad)
+            node._bwd, node._parents = None, None
     return record
 
 
@@ -173,52 +185,63 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_recording = True
+
+
+@contextmanager
+def no_graph():
+    """Ops inside the block record no graph: outputs carry no parents and no closure (process-wide)."""
+    global _recording
+    outer, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = outer
+
+
+def _node(data, parents: tuple, bwd) -> Tensor:
+    """An op's output: a graph node with `parents` and backward closure `bwd`, or a bare tensor under `no_graph`."""
+    return Tensor(data, parents, bwd) if _recording else Tensor(data)
+
+
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data + b.data, (a, b))
 
     def bwd(g):
         _accum(a, g)
         _accum(b, g)
 
-    out._bwd = bwd
-    return out
+    return _node(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data - b.data, (a, b))
 
     def bwd(g):
         _accum(a, g)
         _accum(b, -g, fresh=True)
 
-    out._bwd = bwd
-    return out
+    return _node(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data, (a, b))
 
     def bwd(g):
         _accum(a, g * b.data, fresh=True)
         _accum(b, g * a.data, fresh=True)
 
-    out._bwd = bwd
-    return out
+    return _node(a.data * b.data, (a, b), bwd)
 
 
 def mul_const(a: Tensor, c) -> Tensor:
     """Multiply by a constant (scalar or ndarray); no gradient flows into `c`."""
     c = np.asarray(c, dtype=np.float64)
-    out = Tensor(a.data * c, (a,))
 
     def bwd(g):
         _accum(a, g * c, fresh=True)
 
-    out._bwd = bwd
-    return out
+    return _node(a.data * c, (a,), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -227,20 +250,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.data.shape} x {b.data.shape}")
-    out = Tensor(a.data @ b.data, (a, b))
 
     def bwd(g):
         _accum(a, g @ b.data.T, fresh=True)
         _accum(b, a.data.T @ g, fresh=True)
 
-    out._bwd = bwd
-    return out
+    return _node(a.data @ b.data, (a, b), bwd)
 
 
 def concat_rows(tensors) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.data.shape[0] for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=0), tuple(tensors))
 
     def bwd(g):
         offset = 0
@@ -248,8 +268,7 @@ def concat_rows(tensors) -> Tensor:
             _accum(t, g[offset : offset + n])
             offset += n
 
-    out._bwd = bwd
-    return out
+    return _node(np.concatenate([t.data for t in tensors], axis=0), tuple(tensors), bwd)
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -257,7 +276,6 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise IndexError(f"gather_rows index out of range for table of {a.data.shape[0]} rows")
-    out = Tensor(a.data[idx], (a,))
 
     def bwd(g):
         if idx.size > len(a.data) or np.bincount(idx.ravel(), minlength=1).max() > 1:  # more indices than rows must repeat
@@ -267,21 +285,18 @@ def gather_rows(a: Tensor, idx) -> Tensor:
             a.grad = np.zeros_like(a.data) if a.grad is None else a.grad + 0.0
             a.grad[idx] += g
 
-    out._bwd = bwd
-    return out
+    return _node(a.data[idx], (a,), bwd)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     """Rows start:stop of `a`; the gradient reaches those rows only."""
-    out = Tensor(a.data[start:stop], (a,))
 
     def bwd(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
         a.grad[start:stop] += g
 
-    out._bwd = bwd
-    return out
+    return _node(a.data[start:stop], (a,), bwd)
 
 
 def gather_per_row(a: Tensor, idx) -> Tensor:
@@ -290,13 +305,11 @@ def gather_per_row(a: Tensor, idx) -> Tensor:
     rows = np.arange(a.data.shape[0])
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[1]):
         raise IndexError("gather_per_row column index out of range")
-    out = Tensor(a.data[rows, idx], (a,))
 
     def bwd(g):
         _scatter_accum(a, rows * a.data.shape[1] + idx, g)
 
-    out._bwd = bwd
-    return out
+    return _node(a.data[rows, idx], (a,), bwd)
 
 
 def masked_logsumexp(x, mask) -> np.ndarray:
@@ -321,14 +334,12 @@ def masked_logsumexp_rows(a: Tensor, mask: np.ndarray) -> Tensor:
     x = a.data
     mask = np.asarray(mask, dtype=bool)
     out_val = masked_logsumexp(x, mask)
-    out = Tensor(out_val, (a,))
 
     def bwd(g):
         p = np.exp(np.where(mask, x - out_val[:, None], -np.inf))
         _accum(a, p * g[:, None], fresh=True)
 
-    out._bwd = bwd
-    return out
+    return _node(out_val, (a,), bwd)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -342,15 +353,13 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = masked_logsumexp(shifted, np.ones(shifted.shape, dtype=bool))
     nll = lse - shifted[np.arange(n), targets]
-    out = Tensor(nll.mean(), (logits,))
 
     def bwd(g):
         p = np.exp(shifted - lse[:, None])
         p[np.arange(n), targets] -= 1.0
         _accum(logits, (g / n) * p, fresh=True)
 
-    out._bwd = bwd
-    return out
+    return _node(nll.mean(), (logits,), bwd)
 
 
 def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
@@ -372,7 +381,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"gain/bias must have shape ({d},)")
     out_val, xhat, inv_std = layer_norm_fwd(x.data, gain.data, bias.data, eps)
-    out = Tensor(out_val, (x, gain, bias))
 
     def bwd(g):
         reduce_axes = tuple(range(g.ndim - 1))
@@ -382,8 +390,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         dx = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         _accum(x, dx, fresh=True)
 
-    out._bwd = bwd
-    return out
+    return _node(out_val, (x, gain, bias), bwd)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -401,47 +408,39 @@ def gelu_fwd(x: np.ndarray):
 def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation (`gelu_fwd`)."""
     out_val, t = gelu_fwd(x.data)
-    out = Tensor(out_val, (x,))
 
     def bwd(g):
         sech2 = 1.0 - t * t
         d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x.data * x.data))
         _accum(x, g * (0.5 * (1.0 + t) + 0.5 * x.data * sech2 * d_inner), fresh=True)
 
-    out._bwd = bwd
-    return out
+    return _node(out_val, (x,), bwd)
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     """Leaky ReLU as max(x, slope * x), valid for 0 <= slope <= 1 and cheaper than selecting on the sign."""
-    out = Tensor(np.maximum(x.data, slope * x.data), (x,))
 
     def bwd(g):
         _accum(x, g * np.where(x.data >= 0, 1.0, slope), fresh=True)
 
-    out._bwd = bwd
-    return out
+    return _node(np.maximum(x.data, slope * x.data), (x,), bwd)
 
 
 def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
-    out = Tensor(x.data.mean(), (x,))
 
     def bwd(g):
         _accum(x, np.full(x.data.shape, g / n), fresh=True)
 
-    out._bwd = bwd
-    return out
+    return _node(x.data.mean(), (x,), bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum(), (x,))
 
     def bwd(g):
         _accum(x, np.full(x.data.shape, g), fresh=True)
 
-    out._bwd = bwd
-    return out
+    return _node(x.data.sum(), (x,), bwd)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
@@ -510,7 +509,6 @@ def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segmen
         ctx_h, w = masked_attention(heads(q.data, q_rows), heads(k.data, rows), heads(v.data, rows), visible)
         ctx[q_rows] = unheads(ctx_h, q_rows)
         groups.append((rows, q_rows, w))
-    out = Tensor(ctx, (q, k, v))
 
     def bwd(g):
         gq, gk, gv = np.empty_like(g), np.empty_like(k.data), np.empty_like(v.data)
@@ -524,8 +522,7 @@ def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segmen
         for t, grad in ((q, gq), (k, gk), (v, gv)):
             _accum(t, grad, fresh=True)
 
-    out._bwd = bwd
-    return out
+    return _node(ctx, (q, k, v), bwd)
 
 
 def masked_kl_rows(logits: Tensor, ref_logp: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -538,13 +535,11 @@ def masked_kl_rows(logits: Tensor, ref_logp: np.ndarray, mask: np.ndarray) -> Te
     p = np.where(mask, np.exp(lp), 0.0)
     ref = np.where(mask, ref_logp, 0.0)
     kl = (p * (lp - ref)).sum(axis=1)
-    out = Tensor(kl, (logits,))
 
     def bwd(g):
         _accum(logits, p * ((lp - ref) - kl[:, None]) * g[:, None], fresh=True)
 
-    out._bwd = bwd
-    return out
+    return _node(kl, (logits,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +588,9 @@ def adamw_step(params, grads, state: OptimizerState) -> None:
 
 
 def clip_grad_norm(grads, max_norm: float) -> float:
-    """Scale gradients in place so their global L2 norm is at most `max_norm`."""
+    """Scale gradients in place so their global L2 norm is at most `max_norm` (> 0)."""
+    if not max_norm > 0:
+        raise ValueError(f"max_norm must be positive, got {max_norm}")
     total = math.sqrt(sum(float((g * g).sum()) for g in grads))
     if total > max_norm and total > 0.0:
         scale = max_norm / total

@@ -20,6 +20,13 @@ class TrainingDivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 
 
+def require(cfg, *rules) -> None:
+    """Raise a ValueError naming the first field of `cfg` that breaks its rule; rules are (field, holds, bound)."""
+    for name, holds, bound in rules:
+        if not holds:
+            raise ValueError(f"{name} must be {bound}, got {getattr(cfg, name)!r}")
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 60
@@ -32,8 +39,15 @@ class TrainConfig:
     target_train_nll: float | None = None  # optional hard stop once reached
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size) < 1 or self.lr < 0:
-            raise ValueError("hyperparameters must be positive")
+        require(
+            self,
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("lr", self.lr >= 0, ">= 0"),
+            ("weight_decay", self.weight_decay >= 0, ">= 0"),
+            ("grad_clip", self.grad_clip > 0, "> 0"),
+            ("patience", self.patience >= 0, ">= 0"),
+        )
 
 
 @dataclass
@@ -146,17 +160,21 @@ def eval_policy(dataset: Dataset, model: tm.PolicyModel):
 
 
 def score_windows(windows, model: tm.PolicyModel):
-    """Teacher-forced (nll, top-1 accuracy) over all decision steps of `windows`; `pretrain` builds them once."""
+    """Teacher-forced (nll, top-1 accuracy) over all decision steps of `windows`; `pretrain` builds them once.
+
+    Nothing differentiates the score, so its passes run under `no_graph`.
+    """
     if not windows:
         raise ValueError("no windows to score: empty split 'eval'")
     total_nll = 0.0
     hits = 0
     count = 0
-    for i in range(0, len(windows), EVAL_CHUNK):
-        part = windows[i : i + EVAL_CHUNK]
-        logits = tm.forward_batch(part, model).logits.data
-        actions = np.concatenate([w.action[w.decision_mask] for w in part])
-        total_nll += float(nc.cross_entropy(nc.Tensor(logits), actions).data) * len(actions)
-        hits += int((logits.argmax(axis=1) == actions).sum())
-        count += len(actions)
+    with nc.no_graph():
+        for i in range(0, len(windows), EVAL_CHUNK):
+            part = windows[i : i + EVAL_CHUNK]
+            logits = tm.forward_batch(part, model).logits.data
+            actions = np.concatenate([w.action[w.decision_mask] for w in part])
+            total_nll += float(nc.cross_entropy(nc.Tensor(logits), actions).data) * len(actions)
+            hits += int((logits.argmax(axis=1) == actions).sum())
+            count += len(actions)
     return total_nll / count, hits / count

@@ -32,7 +32,7 @@ from . import checkpoint, netgrid, numcore as nc
 from .checkpoint import ParamModel
 from .netgrid import EnvState, Network
 from .numcore import Tensor, make_rng
-from .pretrain import apply_step
+from .pretrain import apply_step, require
 from .synthgen import Dataset
 from .tokenizer import VocabSpec, check_vocab
 
@@ -58,10 +58,15 @@ class IRLConfig:
     grad_clip: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.alpha_phi <= 0:
-            raise ValueError("alpha_phi must be positive")
+        require(
+            self,
+            ("gamma", 0.0 < self.gamma < 1.0, "in (0, 1)"),
+            ("alpha_phi", self.alpha_phi > 0, "> 0"),
+            ("lr", self.lr >= 0, ">= 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("grad_clip", self.grad_clip > 0, "> 0"),
+        )
 
 
 class CriticModel(ParamModel):

@@ -13,10 +13,11 @@ action, and a terminal step's s and BLANK). The last layer needs keys and
 values of every token, but only the state rows' outputs are read, so it runs
 its query, attention output and feed-forward for those rows alone.
 
-`forward_batch` records the autodiff graph and serves training and evaluation;
-a window without decisions is skipped, and dropout draws masks for the computed
-rows alone. Generation runs the same equations without a graph, incrementally
-(`_Decoder`):
+`forward_batch` serves training, which records the autodiff graph, and
+evaluation, which calls it under `numcore.no_graph` (`pretrain.score_windows`)
+and so records none; a window without decisions is skipped, and dropout draws
+masks for the computed rows alone. Generation runs the same equations without
+a graph, incrementally (`_Decoder`):
 - a key/value cache holds each layer's keys and values of the trip's trailing
   window; a move appends only a_{t-1} and s_t, and the pending a_t is never
   computed;
@@ -69,6 +70,8 @@ class ModelConfig:
             raise ValueError("context must be >= 1")
         if self.n_layers < 1:
             raise ValueError("n_layers must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
 
 
 class PolicyModel(ParamModel):

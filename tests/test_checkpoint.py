@@ -93,6 +93,11 @@ def rtg_vocab(header):
     return header
 
 
+def full_dropout(header):
+    header["config"]["dropout"] = 1.0
+    return header
+
+
 class TestMalformedHeader:
     @pytest.mark.parametrize("kind", ["policy", "critic"])
     @pytest.mark.parametrize(
@@ -114,6 +119,15 @@ class TestMalformedHeader:
         line, blob = path.read_bytes().split(b"\n", 1)
         path.write_bytes(json.dumps(edit(json.loads(line))).encode() + b"\n" + blob)
         with pytest.raises(tm.CheckpointError, match=message):
+            load(path)
+
+    def test_policy_with_out_of_range_dropout_rejected(self, tmp_path):
+        model, load = tiny_model("policy")
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        line, blob = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(json.dumps(full_dropout(json.loads(line))).encode() + b"\n" + blob)
+        with pytest.raises(tm.CheckpointError, match="bad policy config: dropout must lie in"):
             load(path)
 
     def test_policy_with_rtg_table_rejected(self, tmp_path):

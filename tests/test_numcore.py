@@ -569,6 +569,75 @@ class TestLazyGradients:
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
 
+def small_graph(seed=5):
+    """A loss over matmul, layer norm, GELU, attention and cross-entropy, and its three leaves."""
+    rng = nc.make_rng(seed)
+    x, w = nc.Tensor(rng.normal(size=(6, 4))), nc.Tensor(rng.normal(size=(4, 4)))
+    gain, bias = nc.Tensor(np.ones(4)), nc.Tensor(np.zeros(4))
+    h = nc.gelu(nc.layer_norm(nc.matmul(x, w), gain, bias))
+    ctx = nc.block_causal_attention(h, h, h, 2, [2, 4])
+    return nc.cross_entropy(nc.add(ctx, h), [0, 1, 2, 3, 0, 1]), (x, w, gain)
+
+
+class TestGraphConsumption:
+    def test_backward_drops_closures_and_parent_links(self):
+        loss, leaves = small_graph()
+        inner = [id(node) for node in nc.ComputationRecord.from_root(loss).nodes if node._bwd is not None]
+        record = nc.backward(loss)
+        assert [id(node) for node in record.nodes if id(node) in inner] == inner  # order kept
+        for node in record.nodes:
+            assert node.grad is not None
+            if id(node) in inner:
+                assert node._parents is None and node._bwd is None
+            else:
+                assert node._parents == () and node._bwd is None
+        for leaf in leaves:
+            assert any(node is leaf for node in record.nodes)
+
+    def test_second_backward_raises_and_keeps_gradients(self):
+        loss, (x, w, gain) = small_graph()
+        nc.backward(loss)
+        grads = [t.grad.copy() for t in (x, w, gain)]
+        with pytest.raises(nc.GraphConsumedError):
+            nc.backward(loss)
+        for t, g in zip((x, w, gain), grads):
+            np.testing.assert_array_equal(t.grad, g)
+
+    def test_new_graph_over_a_consumed_node_raises(self):
+        x = nc.tensor([1.0, 2.0])
+        h = nc.mul_const(x, 3.0)
+        nc.backward(nc.sum_all(h))
+        with pytest.raises(nc.GraphConsumedError):
+            nc.backward(nc.sum_all(nc.mul(h, x)))
+        nc.backward(nc.sum_all(nc.mul_const(x, 2.0)))  # leaves serve any number of graphs
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+    def test_no_graph_records_nothing_and_changes_no_value(self):
+        recorded, _ = small_graph()
+        with nc.no_graph():
+            bare, (x, _, _) = small_graph()
+            assert nc.dropout(x, 0.5, nc.make_rng(1))._parents == ()
+        assert bare.data.tobytes() == recorded.data.tobytes()
+        assert bare._parents == () and bare._bwd is None
+        assert nc.ComputationRecord.from_root(bare).nodes == [bare]
+        assert small_graph()[0]._bwd is not None  # recording resumes after the block
+
+    def test_no_graph_restores_recording_after_an_error(self):
+        with pytest.raises(nc.ShapeError):
+            with nc.no_graph():
+                nc.matmul(nc.tensor(np.ones((2, 3))), nc.tensor(np.ones((2, 3))))
+        assert nc.add(nc.tensor([1.0]), nc.tensor([2.0]))._bwd is not None
+
+
+class TestClipGradNorm:
+    @pytest.mark.parametrize("max_norm", [0.0, -1.0, float("nan")])
+    def test_non_positive_bound_rejected(self, max_norm):
+        g = np.array([3.0, 4.0])
+        with pytest.raises(ValueError, match="max_norm"):
+            nc.clip_grad_norm([g], max_norm)
+        np.testing.assert_array_equal(g, [3.0, 4.0])
+
+
 class TestDeterminism:
     def test_rng_streams_replay(self):
         a = nc.make_rng(5, "stream").normal(size=10)

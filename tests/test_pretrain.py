@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trajforge import netgrid as ng
+from trajforge import numcore as nc
 from trajforge import pretrain as pt
 from trajforge import synthgen as sg
 from trajforge import tokenizer as tk
@@ -58,6 +59,19 @@ class TestEvalPolicy:
         assert nll == pytest.approx(math.log(9), abs=1e-12)
         assert acc == pytest.approx(1 / 9, abs=0.03)
 
+    def test_scores_without_a_graph(self, monkeypatch):
+        dataset, model, _, _ = tiny_setup()
+        outs, forward = [], tm.forward_batch
+        monkeypatch.setattr(tm, "forward_batch", lambda *a, **k: outs.append(forward(*a, **k)) or outs[-1])
+        scores = pt.eval_policy(dataset, model)
+        assert outs and all(o.logits._parents == () and o.logits._bwd is None for o in outs)
+        monkeypatch.undo()
+        windows = pt.build_windows(dataset.eval(), model.cfg.context)
+        recorded = tm.forward_batch(windows, model).logits.data
+        actions = np.concatenate([w.action[w.decision_mask] for w in windows])
+        assert scores[1] == np.mean(recorded.argmax(axis=1) == actions)
+        assert scores[0] == pytest.approx(float(nc.cross_entropy(nc.Tensor(recorded), actions).data), rel=1e-12)
+
     def test_side_effect_free_and_deterministic(self):
         dataset, model, _, _ = tiny_setup()
         before = model.params_hash()
@@ -65,6 +79,19 @@ class TestEvalPolicy:
         b = pt.eval_policy(dataset, model)
         assert a == b
         assert model.params_hash() == before
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 0), ("batch_size", 0), ("lr", -1e-3), ("weight_decay", -0.1), ("grad_clip", 0.0), ("grad_clip", -1.0), ("patience", -1)],
+    )
+    def test_out_of_range_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            pt.TrainConfig(**{field: value})
+
+    def test_bounds_themselves_accepted(self):
+        pt.TrainConfig(epochs=1, batch_size=1, lr=0.0, weight_decay=0.0, grad_clip=1e-9, patience=0)
 
 
 class TestPretrain:
@@ -172,10 +199,11 @@ class TestPretrain:
         norms = []
         order = pt.batch_order(cfg.seed, 0, len(windows))
         for i in range(0, len(order), cfg.batch_size):
-            loss = pt.supervised_loss(replay, [windows[j] for j in order[i : i + cfg.batch_size]], make_rng(cfg.seed, "dropout", 0, i))
-            nc.backward(loss)
+            batch = [windows[j] for j in order[i : i + cfg.batch_size]]
+            nc.backward(pt.supervised_loss(replay, batch, make_rng(cfg.seed, "dropout", 0, i)))
             norms.append(math.sqrt(sum(float((p.grad**2).sum()) for p in replay.param_tensors())))
-            pt.apply_step(replay, loss, opt, cfg.grad_clip)
+            # backward consumed that graph: the step rebuilds the same loss (same dropout stream)
+            pt.apply_step(replay, pt.supervised_loss(replay, batch, make_rng(cfg.seed, "dropout", 0, i)), opt, cfg.grad_clip)
         assert max(norms) > cfg.grad_clip  # clipping was active, and the log holds the norms before it
         assert log.rows[0].grad_norm == pytest.approx(np.mean(norms), rel=1e-12)
         log.write_csv(tmp_path / "log.csv")

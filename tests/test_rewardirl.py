@@ -325,6 +325,16 @@ class TestIqLoss:
         assert q_sa == pytest.approx(2 * cfg.alpha_phi, abs=1e-4)
 
 
+class TestIRLConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("gamma", 1.0), ("alpha_phi", 0.0), ("lr", -1e-3), ("batch_size", 0), ("epochs", 0), ("grad_clip", 0.0), ("grad_clip", -1.0)],
+    )
+    def test_out_of_range_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ri.IRLConfig(**{field: value})
+
+
 class TestTrainCritic:
     def test_user_outside_vocabulary_rejected_by_name(self):
         net, critic = grid_critic(users=1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,6 +378,41 @@ class TestForward:
     def test_zero_layers_rejected(self):
         with pytest.raises(ValueError, match="n_layers"):
             small_model(layers=0)
+
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1])
+    def test_dropout_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match="dropout"):
+            small_model(dropout=rate)
+
+    def test_no_graph_logits_bit_identical_and_bare(self):
+        net, model = small_model(d=8, layers=2, heads=2, context=4, init_std=0.5)
+        windows = random_windows(model.cfg.vocab, [(4, False), (2, True), (3, True)], seed=3)
+        recorded = tm.forward_batch(windows, model).logits
+        with nc.no_graph():
+            bare = tm.forward_batch(windows, model).logits
+        assert bare.data.tobytes() == recorded.data.tobytes()
+        assert bare._parents == () and bare._bwd is None
+        assert recorded._parents
+
+    def test_no_graph_lowers_peak_memory(self):
+        net, model = small_model(d=32, layers=2, heads=2, context=8)
+        windows = random_windows(model.cfg.vocab, [(8, i % 3 == 0) for i in range(64)], seed=4)
+
+        def peak(graph):
+            tracemalloc.start()
+            try:
+                if graph:
+                    out = tm.forward_batch(windows, model)
+                else:
+                    with nc.no_graph():
+                        out = tm.forward_batch(windows, model)
+                return tracemalloc.get_traced_memory()[1], out
+            finally:
+                tracemalloc.stop()
+
+        recorded, _ = peak(graph=True)
+        bare, _ = peak(graph=False)
+        assert bare < 0.6 * recorded  # ~16 MB with the graph, ~6 MB without
 
     def test_overlength_window_rejected(self):
         net, model = small_model(context=2)
