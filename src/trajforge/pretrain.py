@@ -155,7 +155,8 @@ def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
 
 
 def eval_policy(dataset: Dataset, model: tm.PolicyModel):
-    """Teacher-forced (nll, top-1 accuracy) over all decision steps of the eval split; no sampling."""
+    """Teacher-forced (nll, top-1 accuracy) over the eval split; EncodingError for a trip outside the vocabulary."""
+    check_vocab(dataset.eval(), model.cfg.vocab)
     return score_windows(build_windows(dataset.eval(), model.cfg.context), model)
 
 
@@ -172,9 +173,8 @@ def score_windows(windows, model: tm.PolicyModel):
     with nc.no_graph():
         for i in range(0, len(windows), EVAL_CHUNK):
             part = windows[i : i + EVAL_CHUNK]
-            logits = tm.forward_batch(part, model).logits.data
-            actions = np.concatenate([w.action[w.decision_mask] for w in part])
-            total_nll += float(nc.cross_entropy(nc.Tensor(logits), actions).data) * len(actions)
-            hits += int((logits.argmax(axis=1) == actions).sum())
-            count += len(actions)
+            out = tm.forward_batch(part, model)
+            total_nll += float(nc.cross_entropy(out.logits, out.actions).data) * len(out.actions)
+            hits += int((out.logits.data.argmax(axis=1) == out.actions).sum())
+            count += len(out.actions)
     return total_nll / count, hits / count

@@ -8,16 +8,15 @@ reproduces the expert's soft policy; per-step rewards are recovered with the
 inverse soft Bellman operator r = Q(s,a) - gamma * V*(s').
 
 Cost. The state projection concat(e_o, e_d, e_link, e_dep) @ w_state is a sum of one
-d-row block of w_state per embedding, so training (`q_values_batch`) projects each table
-whole by its block, and by w_pref, and gathers rows of the projected tables: about
-sum(table rows) * d * (d + 9) multiply-adds per step, against 2B * 4d * d for projecting
+d-row block of w_state per embedding, so `q_values_batch` projects each table whole by
+its block, and by w_pref, and gathers rows of the projected tables: about
+sum(table rows) * d * (d + 9) multiply-adds per call, against 2B * 4d * d for projecting
 the gathered rows of s and s'. Break-even is near 1.8k table rows at B = 256, far above
 the package's grids (119 rows at the default 25 cells, 24 departure bins and 20 users).
 The context part and the preference term are computed once per batch; Q(s, .) and
-Q(s', .) differ only in the link row. Inference (`q_rows`, under `q_values`, `v_star`,
-`critic_policy` and `recover_reward`) builds no graph and gathers rows before projecting
-them, B * 4d * d multiply-adds, the cheaper order while B is below about a quarter of the
-table rows (a single state or an (s, s') pair).
+Q(s', .) differ only in the link row. Inference (`q_values`, `v_star`, `critic_policy`
+and `recover_reward`) is the same `q_values_batch`, and `recover_reward` the same
+`bellman_margin` as training, run under `numcore.no_graph`.
 """
 
 from __future__ import annotations
@@ -34,10 +33,11 @@ from .netgrid import EnvState, Network
 from .numcore import Tensor, make_rng
 from .pretrain import apply_step, require
 from .synthgen import Dataset
-from .tokenizer import VocabSpec, check_vocab
+from .tokenizer import VocabSpec, check_state, check_vocab
 
 N_ACTIONS = netgrid.N_ACTIONS
 LEAKY_SLOPE = 0.01
+CRITIC_FIELDS = ("positions", "users", "depart_bins")  # the tables a critic reads; it has no speed bins
 
 
 @dataclass
@@ -125,31 +125,21 @@ def q_values_batch(critic: CriticModel, position, origin, destination, depart, u
     return nc.add(nc.matmul(h, c.w_base), nc.concat_rows([pref] * k))
 
 
-def q_rows(critic: CriticModel, position, origin, destination, depart, user) -> np.ndarray:
-    """(B, 9) action values on plain arrays, with no graph: `q_values_batch`'s function for inference.
+def _q_states(critic: CriticModel, *states: EnvState) -> np.ndarray:
+    """(len(states), 9) action values, each state in its own context: `q_values_batch` with no graph.
 
-    Indices must lie inside the tables: a negative one would wrap, so callers check (`_state_rows`).
+    Raises EncodingError naming a field of a state outside the critic's tables.
     """
-    c = critic
-    e_o, e_d, e_dep = c.emb_origin.data[origin], c.emb_destination.data[destination], c.emb_depart.data[depart]
-    h = np.concatenate([e_o, e_d, c.emb_link.data[position], e_dep], axis=1) @ c.w_state.data
-    h = np.maximum(h, LEAKY_SLOPE * h)
-    return h @ c.w_base.data + ((e_o + e_d) + (e_dep + c.emb_user.data[user])) @ c.w_pref.data
-
-
-def _state_rows(*states: EnvState):
-    """Columns (position, origin, destination, depart, user) of the given states."""
-    rows = np.array(
-        [(s.position, s.origin, s.destination, s.depart_bin, s.user_id) for s in states], dtype=np.intp
-    )
-    if rows.min() < 0:
-        raise IndexError("critic state index out of range")
-    return rows.T
+    for s in states:
+        check_state(s, critic.cfg.vocab, CRITIC_FIELDS)
+    cols = np.array([(s.position, s.origin, s.destination, s.depart_bin, s.user_id) for s in states], dtype=np.intp)
+    with nc.no_graph():
+        return q_values_batch(critic, *cols.T).data
 
 
 def q_values(state: EnvState, critic: CriticModel) -> np.ndarray:
     """Unmasked 9-vector of action values for one state."""
-    return q_rows(critic, *_state_rows(state))[0]
+    return _q_states(critic, state)[0]
 
 
 def v_star(state: EnvState, critic: CriticModel) -> float:
@@ -164,6 +154,18 @@ def critic_policy(state: EnvState, critic: CriticModel) -> np.ndarray:
     return np.where(feas, np.exp(q - nc.masked_logsumexp(q, feas)), 0.0)
 
 
+def bellman_margin(q_s: Tensor, q_next: Tensor, action, next_position, is_terminal, net: Network, gamma: float) -> Tensor:
+    """(B,) inverse soft Bellman margins Q(s, a) - gamma * V*(s') from the (B, 9) action values at s and s'.
+
+    V*(s') is the log-sum-exp of Q(s', .) over the actions feasible at s', and 0 on terminal rows. A
+    terminal row's mask is the all-True placeholder, since its s' may be a dead end with no feasible action.
+    """
+    is_terminal = np.asarray(is_terminal, dtype=bool)
+    v_next = nc.masked_logsumexp_rows(q_next, net.feasible[next_position] | is_terminal[:, None])
+    v_next_live = nc.mul_const(v_next, (~is_terminal).astype(np.float64))
+    return nc.sub(nc.gather_per_row(q_s, action), nc.mul_const(v_next_live, gamma))
+
+
 def recover_reward(
     state: EnvState,
     action: int,
@@ -173,10 +175,10 @@ def recover_reward(
     gamma: float,
 ) -> float:
     """Inverse soft Bellman reward r = Q(s, a) - gamma * V*(s'), with V* = 0 at terminals."""
-    if is_terminal:
-        return float(q_values(state, critic)[action])
-    q = q_rows(critic, *_state_rows(state, next_state))
-    return float(q[0, action]) - gamma * float(nc.masked_logsumexp(q[1], critic.net.feasible[next_state.position]))
+    q = _q_states(critic, state, next_state)
+    with nc.no_graph():
+        r = bellman_margin(Tensor(q[:1]), Tensor(q[1:]), [action], [next_state.position], [is_terminal], critic.net, gamma)
+    return float(r.data[0])
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +199,6 @@ class TransitionBatch:
     next_position: np.ndarray
     is_initial: np.ndarray
     is_terminal: np.ndarray
-    feas: np.ndarray  # (B, 9) at s
-    next_feas: np.ndarray  # (B, 9) at s'; all-True placeholder on terminal rows
 
     def __len__(self) -> int:
         return len(self.position)
@@ -208,9 +208,12 @@ class TransitionBatch:
 
 
 def transitions_from_dataset(dataset: Dataset, split: str = "train") -> TransitionBatch:
-    trajs = dataset.train() if split == "train" else dataset.eval()
-    if not trajs:
-        trajs = dataset.trajectories
+    """Every transition of the "train" split (all trips when it is empty) or of the "eval" split."""
+    if split not in ("train", "eval"):
+        raise ValueError(f"split must be 'train' or 'eval', got {split!r}")
+    trajs = dataset.train() or dataset.trajectories if split == "train" else dataset.eval()
+    if not trajs and split == "eval":
+        raise ValueError("no transitions: empty split 'eval'")
     moves = np.array([len(t.actions) for t in trajs], dtype=np.intp)
     flat = np.fromiter(chain.from_iterable(t.positions for t in trajs), dtype=np.intp)  # moves + 1 per trip
     last = np.cumsum(moves + 1) - 1  # each trip's first and last position in `flat`
@@ -221,9 +224,6 @@ def transitions_from_dataset(dataset: Dataset, split: str = "train") -> Transiti
     is_initial[first_move] = True
     complete = np.array([t.complete for t in trajs], dtype=bool)
     term[(first_move + moves - 1)[complete]] = True
-    feas = dataset.net.feasible[pos]
-    next_feas = dataset.net.feasible[nxt]
-    next_feas[term] = True  # placeholder; the terminal soft value is forced to 0
     return TransitionBatch(
         position=pos,
         origin=np.repeat(flat[first], moves),
@@ -234,8 +234,6 @@ def transitions_from_dataset(dataset: Dataset, split: str = "train") -> Transiti
         next_position=nxt,
         is_initial=is_initial,
         is_terminal=term,
-        feas=feas,
-        next_feas=next_feas,
     )
 
 
@@ -253,15 +251,12 @@ def iq_loss(batch: TransitionBatch, critic: CriticModel, cfg: IRLConfig):
     links = np.stack([batch.position, batch.next_position])
     q = q_values_batch(critic, links, batch.origin, batch.destination, batch.depart, batch.user)
     q_s, q_next = nc.slice_rows(q, 0, n), nc.slice_rows(q, n, 2 * n)
-    q_sa = nc.gather_per_row(q_s, batch.action)
-    v_next = nc.masked_logsumexp_rows(q_next, batch.next_feas)
-    v_next_live = nc.mul_const(v_next, (~batch.is_terminal).astype(np.float64))
-    margin = nc.sub(q_sa, nc.mul_const(v_next_live, cfg.gamma))
+    margin = bellman_margin(q_s, q_next, batch.action, batch.next_position, batch.is_terminal, critic.net, cfg.gamma)
     phi = nc.sub(margin, nc.mul_const(nc.mul(margin, margin), 1.0 / (4.0 * cfg.alpha_phi)))
     expert_term = nc.mean_all(phi)
     init_rows = np.flatnonzero(batch.is_initial)
     if len(init_rows):
-        v0 = nc.masked_logsumexp_rows(nc.gather_rows(q_s, init_rows), batch.feas[init_rows])
+        v0 = nc.masked_logsumexp_rows(nc.gather_rows(q_s, init_rows), critic.net.feasible[batch.position[init_rows]])
         initial_term = nc.mul_const(nc.mean_all(v0), 1.0 - cfg.gamma)
         loss = nc.sub(initial_term, expert_term)
         init_val = float(initial_term.data)
@@ -288,7 +283,7 @@ def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
 
     Raises EncodingError for a training trajectory the critic's vocabulary cannot embed.
     """
-    check_vocab(dataset.train() or dataset.trajectories, critic.cfg.vocab, ("positions", "users", "depart_bins"))
+    check_vocab(dataset.train() or dataset.trajectories, critic.cfg.vocab, CRITIC_FIELDS)
     transitions = transitions_from_dataset(dataset)
     if len(transitions) == 0:
         raise ValueError("dataset has no transitions")

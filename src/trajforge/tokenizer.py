@@ -11,10 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netgrid
-from .netgrid import Network
+from .netgrid import EnvState, Network
 from .synthgen import SynthConfig, Trajectory
 
 BLANK = netgrid.N_ACTIONS  # embedding row reserved for the missing decision
+_STATE_TABLES = dict(  # the table each field of a decision state indexes, in checking order
+    origin="positions", destination="positions", depart_bin="depart_bins",
+    speed_bin="speed_bins", user_id="users", position="positions",
+)
 
 
 class EncodingError(ValueError):
@@ -109,6 +113,14 @@ def check_vocab(trajectories, vocab: VocabSpec, fields=("positions", "users", "d
             for value in used[name]:
                 if not 0 <= value < size:
                     raise EncodingError(f"trajectory {traj.traj_id}: {name} index {value} outside vocabulary of {size}")
+
+
+def check_state(state: EnvState, vocab: VocabSpec, fields=("positions", "users", "depart_bins", "speed_bins")) -> None:
+    """Raise EncodingError naming the first field of `state` outside the `fields` tables of `vocab`."""
+    for name, table in _STATE_TABLES.items():
+        value, size = getattr(state, name), getattr(vocab, table)
+        if table in fields and not 0 <= value < size:
+            raise EncodingError(f"{name} {value} outside vocabulary of {size}")
 
 
 def encode_episode(traj: Trajectory) -> EpisodeTokens:

@@ -26,6 +26,12 @@ a graph, incrementally (`_Decoder`):
   whole window (2 * context - 1 rows) is recomputed;
 - its last layer runs the query for the s_t row alone.
 Its logits equal a fresh `forward_batch` of the trailing window to rounding.
+
+The decoder keeps its array path, unlike the critic's inference, which runs training code
+under `no_graph`: a decoder sharing `forward_batch`'s block loop under `no_graph` gave the
+same trips about 12% slower, 1923-2061 against 2229-2286 moves/s, from per-op overhead at
+one query row (seed 1, 80 held-out contexts, 2-epoch policy, medians of 5 passes, 3
+alternating runs). Sharing the loop belongs with a decoder that batches many trips.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .checkpoint import CheckpointError, ParamModel  # noqa: F401 (callers catch
 from .netgrid import EnvState, Network
 from .numcore import Tensor, make_rng
 from .synthgen import GenerationError, Trajectory
-from .tokenizer import EncodingError, EpisodeTokens, VocabSpec
+from .tokenizer import EpisodeTokens, VocabSpec, check_state
 
 N_ACTIONS = netgrid.N_ACTIONS
 
@@ -133,7 +139,7 @@ def embed_state(state: EnvState, model: PolicyModel) -> np.ndarray:
     The timestep embedding is added at sequence assembly, and the post-embedding
     layer norm is applied there too; this returns the raw element sum.
     """
-    _check_state(state, model.cfg.vocab)
+    check_state(state, model.cfg.vocab)
     return (
         model.emb_position.data[state.position]
         + model.emb_origin.data[state.origin]
@@ -144,26 +150,12 @@ def embed_state(state: EnvState, model: PolicyModel) -> np.ndarray:
     )
 
 
-def _check_state(state: EnvState, vocab: VocabSpec) -> None:
-    """Raise EncodingError naming the first field of `state` outside the tables of `vocab`."""
-    checks = (
-        (state.origin, vocab.positions, "origin"),
-        (state.destination, vocab.positions, "destination"),
-        (state.depart_bin, vocab.depart_bins, "depart_bin"),
-        (state.speed_bin, vocab.speed_bins, "speed_bin"),
-        (state.user_id, vocab.users, "user_id"),
-        (state.position, vocab.positions, "position"),
-    )
-    for value, size, name in checks:
-        if not 0 <= value < size:
-            raise EncodingError(f"{name} {value} outside vocabulary of {size}")
-
-
 @dataclass
 class BatchForward:
     """Forward outputs for a list of windows processed as one graph."""
 
     logits: Tensor  # (decision steps, N_ACTIONS), window by window
+    actions: np.ndarray  # the action taken at each decision step, the cross-entropy target of its row
     sizes: list[int]  # steps of each input window
 
 
@@ -205,7 +197,8 @@ def forward_batch(windows: list[EpisodeTokens], model: PolicyModel, rng: np.rand
     ):
         s_sum = nc.add(s_sum, nc.gather_rows(table, cat(name)))
     s_tok = nc.add(s_sum, ts)
-    a_tok = nc.add(nc.gather_rows(model.emb_action, cat("action")), ts)
+    actions = cat("action")
+    a_tok = nc.add(nc.gather_rows(model.emb_action, actions), ts)
 
     # each window runs as its first 2m - 1 tokens: the cut drops its pending action, last in its stream
     m = decisions[decisions > 0]
@@ -238,7 +231,7 @@ def forward_batch(windows: list[EpisodeTokens], model: PolicyModel, rng: np.rand
     x = nc.layer_norm(x, model.ln_f_gain, model.ln_f_bias)
     logits = nc.add(nc.matmul(x, model.head_w), model.head_b)
     nc.assert_finite(logits, "action logits")
-    return BatchForward(logits=logits, sizes=sizes)
+    return BatchForward(logits=logits, actions=actions, sizes=sizes)
 
 
 def _interleave(total: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,11 +242,10 @@ def _interleave(total: int) -> tuple[np.ndarray, np.ndarray]:
 
 def batch_nll(windows: list[EpisodeTokens], model: PolicyModel, rng: np.random.Generator | None = None) -> Tensor:
     """Mean cross-entropy over all decision positions of all windows."""
-    mask = np.concatenate([w.decision_mask for w in windows])
-    if not mask.any():
+    if not any(w.decision_mask.any() for w in windows):
         raise LossError("no decision steps in batch")
-    targets = np.concatenate([w.action for w in windows])[mask]
-    return nc.cross_entropy(forward_batch(windows, model, rng=rng).logits, targets)
+    out = forward_batch(windows, model, rng=rng)
+    return nc.cross_entropy(out.logits, out.actions)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +305,7 @@ def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) ->
     Raises EncodingError naming a field of `ctx` outside the model's vocabulary.
     """
     vocab = model.cfg.vocab
-    _check_state(EnvState(ctx.origin, ctx.origin, ctx.destination, ctx.depart_bin, ctx.speed_bin, ctx.user_id), vocab)
+    check_state(EnvState(ctx.origin, ctx.origin, ctx.destination, ctx.depart_bin, ctx.speed_bin, ctx.user_id), vocab)
     if ctx.origin == ctx.destination:
         raise GenerationError("origin equals destination")
     reach = netgrid.hops_to(net, ctx.destination)

@@ -81,6 +81,14 @@ class TestEvalPolicy:
         assert model.params_hash() == before
 
 
+    def test_eval_user_outside_vocabulary_rejected_by_name(self):
+        dataset, model, _, _ = tiny_setup(users=2)
+        bad = dataset.trajectories[dataset.eval_idx[0]]
+        bad.user_id = 2
+        with pytest.raises(tk.EncodingError, match=f"trajectory {bad.traj_id}: users index 2"):
+            pt.eval_policy(dataset, model)
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize(
         "field, value",

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from trajforge import netgrid as ng
@@ -81,17 +82,24 @@ def reference_iq_loss(batch, critic, cfg):
     ctx = (batch.origin, batch.destination, batch.depart, batch.user)
     q_s = reference_q(critic, batch.position, *ctx)
     q_next = reference_q(critic, batch.next_position, *ctx)
-    v_next = np.where(batch.is_terminal, 0.0, reference_lse(q_next, batch.next_feas))
+    next_feas = critic.net.feasible[batch.next_position]
+    next_feas[batch.is_terminal] = True  # placeholder; the terminal soft value is forced to 0
+    v_next = np.where(batch.is_terminal, 0.0, reference_lse(q_next, next_feas))
     margin = q_s[np.arange(len(batch)), batch.action] - cfg.gamma * v_next
     expert = np.mean(margin - margin * margin / (4 * cfg.alpha_phi))
     init = batch.is_initial
-    initial = (1 - cfg.gamma) * np.mean(reference_lse(q_s[init], batch.feas[init])) if init.any() else 0.0
+    feas = critic.net.feasible[batch.position]
+    initial = (1 - cfg.gamma) * np.mean(reference_lse(q_s[init], feas[init])) if init.any() else 0.0
     return initial - expert, expert, initial
 
 
 def reference_transitions(dataset, split="train"):
     """The per-row builder that `transitions_from_dataset` vectorizes."""
-    trajs = (dataset.train() if split == "train" else dataset.eval()) or dataset.trajectories
+    if split not in ("train", "eval"):
+        raise ValueError(f"split must be 'train' or 'eval', got {split!r}")
+    trajs = dataset.train() or dataset.trajectories if split == "train" else dataset.eval()
+    if split == "eval" and not trajs:
+        raise ValueError("no transitions: empty split 'eval'")
     cols = {k: [] for k in ("pos", "orig", "dest", "dep", "usr", "act", "nxt", "init", "term")}
     for traj in trajs:
         for t, a in enumerate(traj.actions):
@@ -105,12 +113,9 @@ def reference_transitions(dataset, split="train"):
             cols["init"].append(t == 0)
             cols["term"].append(traj.complete and t == len(traj.actions) - 1)
     idx = {k: np.asarray(cols[k], dtype=np.intp) for k in ("pos", "orig", "dest", "dep", "usr", "act", "nxt")}
-    term = np.asarray(cols["term"], dtype=bool)
-    next_feas = dataset.net.feasible[idx["nxt"]]
-    next_feas[term] = True
     return ri.TransitionBatch(
         idx["pos"], idx["orig"], idx["dest"], idx["dep"], idx["usr"], idx["act"], idx["nxt"],
-        np.asarray(cols["init"], dtype=bool), term, dataset.net.feasible[idx["pos"]], next_feas,
+        np.asarray(cols["init"], dtype=bool), np.asarray(cols["term"], dtype=bool),
     )
 
 
@@ -138,7 +143,19 @@ def assert_batches_identical(got, want):
 class TestTransitions:
     @given(dataset=datasets(), split=st.sampled_from(["train", "eval"]))
     def test_matches_per_row_builder_property(self, dataset, split):
+        if split == "eval" and not dataset.eval():
+            for build in (ri.transitions_from_dataset, reference_transitions):
+                with pytest.raises(ValueError, match="empty split 'eval'"):
+                    build(dataset, split)
+            return
         assert_batches_identical(ri.transitions_from_dataset(dataset, split), reference_transitions(dataset, split))
+
+    @pytest.mark.parametrize("split", ["evl", "Train", "", "all"])
+    def test_unknown_split_rejected(self, split):
+        net = ng.GridNetwork(ng.GridSpec(3, 3))
+        dataset = sg.Dataset(net, [sg.Trajectory(0, 1, 2, 0, [0, 1, 2], [5, 5])], 2, train_idx=[0], eval_idx=[0])
+        with pytest.raises(ValueError, match="split must be 'train' or 'eval'"):
+            ri.transitions_from_dataset(dataset, split)
 
     def test_empty_train_falls_back_to_all_trips(self):
         net = ng.GridNetwork(ng.GridSpec(3, 3))
@@ -181,17 +198,55 @@ class TestQRows:
         rng = make_rng(data.draw(st.integers(0, 2**16), label="seed"))
         links = rng.integers(0, v.positions, size=(k, b))
         ctx = [rng.integers(0, n, size=b) for n in (v.positions, v.positions, v.depart_bins, v.users)]
-        q_graph = ri.q_values_batch(critic, links[0] if k == 1 else links, *ctx).data
-        q_free = np.concatenate([ri.q_rows(critic, links[j], *ctx) for j in range(k)])
-        scale = max(1.0, float(np.abs(q_free).max()))
-        np.testing.assert_allclose(q_graph, q_free, rtol=0, atol=1e-12 * scale)
+        position = links[0] if k == 1 else links
+        q_graph = ri.q_values_batch(critic, position, *ctx).data
+        with nc.no_graph():
+            q_free = ri.q_values_batch(critic, position, *ctx).data
+        assert q_free.tobytes() == q_graph.tobytes()
         q_ref = np.concatenate([reference_q(critic, links[j], *ctx) for j in range(k)])
+        scale = max(1.0, float(np.abs(q_ref).max()))
         np.testing.assert_allclose(q_free, q_ref, rtol=0, atol=1e-12 * scale)
+        i = data.draw(st.integers(0, b - 1), label="row")
+        state = ng.EnvState(int(links[0, i]), int(ctx[0][i]), int(ctx[1][i]), int(ctx[2][i]), 0, int(ctx[3][i]))
+        np.testing.assert_allclose(ri.q_values(state, critic), q_graph[i], rtol=0, atol=1e-12 * scale)
 
     def test_negative_state_index_rejected(self):
         net, critic = grid_critic()
-        with pytest.raises(IndexError):
+        with pytest.raises(tk.EncodingError, match="user_id -1"):
             ri.q_values(mkstate(4, 8, user=-1), critic)
+
+    @pytest.mark.parametrize("end", ["below", "above"])
+    @pytest.mark.parametrize(
+        "field, table",
+        [
+            ("position", "positions"),
+            ("origin", "positions"),
+            ("destination", "positions"),
+            ("depart_bin", "depart_bins"),
+            ("user_id", "users"),
+        ],
+    )
+    def test_state_outside_vocabulary_rejected_by_name(self, field, table, end):
+        net, critic = grid_critic(users=3)
+        value = -1 if end == "below" else getattr(critic.cfg.vocab, table)
+        good = ng.EnvState(4, 0, 8, 2, 0, 1)
+        bad = dataclasses.replace(good, **{field: value})
+        calls = [
+            lambda: ri.q_values(bad, critic),
+            lambda: ri.v_star(bad, critic),
+            lambda: ri.critic_policy(bad, critic),
+            lambda: ri.recover_reward(bad, 8, good, False, critic, 0.9),
+            lambda: ri.recover_reward(good, 8, bad, False, critic, 0.9),
+        ]
+        for call in calls:
+            with pytest.raises(tk.EncodingError, match=f"^{field} {value} outside vocabulary"):
+                call()
+
+    def test_speed_bin_not_read(self):
+        net, critic = grid_critic()
+        state = mkstate(4, 8)
+        far = dataclasses.replace(state, speed_bin=critic.cfg.vocab.speed_bins)
+        assert ri.q_values(far, critic).tobytes() == ri.q_values(state, critic).tobytes()
 
 
 class TestVStar:
@@ -236,8 +291,6 @@ class TestIqLoss:
             next_position=np.array([nxt]),
             is_initial=np.array([initial]),
             is_terminal=np.array([terminal]),
-            feas=net.feasible[[pos]],
-            next_feas=np.ones((1, 9), dtype=bool),
         )
 
     def test_terminal_transition_is_neg_phi(self):
@@ -255,7 +308,6 @@ class TestIqLoss:
         critic = zero_critic(net)
         cfg = ri.IRLConfig(gamma=0.9)
         batch = self._single_transition_batch(net, 4, 8, 8, terminal=False, initial=True)
-        batch.next_feas = net.feasible[[8]]
         _, parts = ri.iq_loss(batch, critic, cfg)
         assert parts["initial_term"] == pytest.approx(0.1 * math.log(9), abs=1e-9)
 
@@ -401,6 +453,48 @@ class TestCriticLog:
 
 
 class TestRecoverReward:
+    @given(dataset=datasets(), data=st.data())
+    def test_equals_iq_loss_margin_property(self, dataset, data):
+        net = dataset.net
+        vocab = tk.vocab_sizes(net, sg.SynthConfig(users=4, depart_bins=24, max_len=10))
+        d, std = data.draw(st.sampled_from([1, 3, 8])), data.draw(st.sampled_from([0.02, 0.3, 1.0]))
+        critic_cfg = ri.CriticConfig(vocab=vocab, d=d, init_std=std)
+        critic = ri.CriticModel(critic_cfg, net, rng=make_rng(data.draw(st.integers(0, 2**16))))
+        batch = ri.transitions_from_dataset(dataset)
+        # a real move starts where some action is feasible; one into a dead end that does not end the trip has no soft value
+        live = net.feasible[batch.position].any(axis=1) & (batch.is_terminal | net.feasible[batch.next_position].any(axis=1))
+        batch = batch.take(np.flatnonzero(live))
+        assume(len(batch) > 0)
+        cfg = ri.IRLConfig(gamma=data.draw(st.sampled_from([0.5, 0.9])))
+        margins, bellman_margin = [], ri.bellman_margin
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ri, "bellman_margin", lambda *args: margins.append(bellman_margin(*args)) or margins[-1])
+            ri.iq_loss(batch, critic, cfg)
+        (want,) = [m.data for m in margins]
+        got = [
+            ri.recover_reward(
+                ng.EnvState(batch.position[i], batch.origin[i], batch.destination[i], batch.depart[i], 0, batch.user[i]),
+                int(batch.action[i]),
+                ng.EnvState(batch.next_position[i], batch.origin[i], batch.destination[i], batch.depart[i], 0, batch.user[i]),
+                bool(batch.is_terminal[i]),
+                critic,
+                cfg.gamma,
+            )
+            for i in range(len(batch))
+        ]
+        scale = max(1.0, float(np.abs(want).max()))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    def test_terminal_at_dead_end_destination_is_q(self):
+        # link 1 has no downstream link: no action is feasible at the trip's destination
+        graph = ng.LinkGraph([[1, 0], []])
+        vocab = tk.vocab_sizes(graph, sg.SynthConfig(users=2, max_len=10))
+        critic = ri.CriticModel(ri.CriticConfig(vocab=vocab, d=8, init_std=0.5), graph, rng=make_rng(3))
+        assert not graph.feasible[1].any()
+        state = mkstate(0, 1, user=1)
+        r = ri.recover_reward(state, 0, mkstate(1, 1, user=1), True, critic, 0.9)
+        assert r == pytest.approx(float(ri.q_values(state, critic)[0]), abs=1e-12)
+
     def test_zero_critic_rewards(self):
         # terminal: r = Q(s,a) = 0; non-terminal: the soft value of a zero
         # critic is ln(#feasible), so r = -gamma * ln 9 at interior next states

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from trajforge import netgrid as ng
@@ -630,12 +630,37 @@ class TestGenerate:
         ctx2 = tm.GenerationContext(0, 24, 2, 7, 1, max_len=19, temperature=0.0, seed=999)
         assert tm.generate(ctx1, model, net).positions == tm.generate(ctx2, model, net).positions
 
-    def test_all_actions_feasible(self):
-        net, model = small_model()
-        for seed in range(5):
-            traj = tm.generate(tm.GenerationContext(0, 24, 0, 0, 0, max_len=19, seed=seed), model, net)
-            for pos, act in zip(traj.positions, traj.actions):
-                assert net.feasible[pos, act]
+    @given(
+        on_grid=st.booleans(),
+        temperature=st.sampled_from([0.0, 1.0]),
+        seed=st.integers(0, 2**16),
+        model_seed=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_all_actions_feasible(self, on_grid, temperature, seed, model_seed, data):
+        if on_grid:
+            net = ng.GridNetwork(ng.GridSpec(4, 4))
+        else:  # links 3 and 5 are dead ends: no downstream link
+            net = ng.LinkGraph([[1, 2], [4, 0], [3, 5], [], [1, 3, 6], [], [4]])
+        vocab = tk.vocab_sizes(net, sg.SynthConfig(users=2, max_len=12))
+        cfg = tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=2, context=4, dropout=0.0, init_std=0.5)
+        model = tm.PolicyModel(cfg, rng=make_rng(model_seed))
+        cell = st.integers(0, net.n_positions - 1)
+        origin, destination = data.draw(cell, label="origin"), data.draw(cell, label="destination")
+        assume(origin != destination and ng.hops_to(net, destination)[origin] >= 0)
+        ctx = tm.GenerationContext(origin, destination, 1, 2, 1, max_len=12, temperature=temperature, seed=seed)
+        res = tm.generate_scored(ctx, model, net)
+        traj = res.trajectory
+        for pos, act in zip(traj.positions, traj.actions):
+            assert net.feasible[pos, act]
+        last = traj.positions[-1]
+        assert (traj.flag == "complete") == (last == destination)
+        if traj.flag == "dead_end":
+            assert not net.feasible[last].any()
+        if traj.flag == "truncated":
+            assert len(traj.actions) == ctx.max_len and net.feasible[last].any()
+        lp = res.log_probs
+        assert lp.shape == (len(traj.actions),) and np.all(np.isfinite(lp)) and np.all(lp <= 0.0)
 
     def test_user_row_swap_swaps_generations(self):
         net, model = small_model()
