@@ -11,7 +11,7 @@ from . import numcore as nc
 from . import trajmodel as tm
 from .numcore import make_rng
 from .synthgen import Dataset, Trajectory
-from .tokenizer import check_vocab, encode_episode, windowize
+from .tokenizer import check_vocab, encode_trips, windowize
 
 EVAL_CHUNK = 256  # windows per eval forward pass
 
@@ -73,10 +73,7 @@ class TrainLog:
 
 def build_windows(trajectories: list[Trajectory], context: int):
     """Windows of `context` steps at stride `context`, the last one of each trip right-aligned."""
-    windows = []
-    for traj in trajectories:
-        windows.extend(windowize(encode_episode(traj), context, context))
-    return windows
+    return windowize(encode_trips(trajectories), context, context)
 
 
 def supervised_loss(model: tm.PolicyModel, windows, rng=None):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .netgrid import EnvState, Network
 from .numcore import Tensor, make_rng
 from .pretrain import apply_step, require
 from .synthgen import Dataset
-from .tokenizer import VocabSpec, check_state, check_vocab
+from .tokenizer import VocabSpec, check_state, check_vocab, encode_trips
 
 N_ACTIONS = netgrid.N_ACTIONS
 LEAKY_SLOPE = 0.01
@@ -214,26 +213,20 @@ def transitions_from_dataset(dataset: Dataset, split: str = "train") -> Transiti
     trajs = dataset.train() or dataset.trajectories if split == "train" else dataset.eval()
     if not trajs and split == "eval":
         raise ValueError("no transitions: empty split 'eval'")
-    moves = np.array([len(t.actions) for t in trajs], dtype=np.intp)
-    flat = np.fromiter(chain.from_iterable(t.positions for t in trajs), dtype=np.intp)  # moves + 1 per trip
-    last = np.cumsum(moves + 1) - 1  # each trip's first and last position in `flat`
-    first = last - moves
-    first_move = np.cumsum(moves) - moves  # each trip's first transition
-    pos, nxt = np.delete(flat, last), np.delete(flat, first)
-    is_initial, term = np.zeros(len(pos), dtype=bool), np.zeros(len(pos), dtype=bool)
-    is_initial[first_move] = True
-    complete = np.array([t.complete for t in trajs], dtype=bool)
-    term[(first_move + moves - 1)[complete]] = True
+    steps = encode_trips(trajs)
+    dec = np.flatnonzero(steps.decision_mask)  # every move; the row after each is its s'
+    complete = np.zeros(steps.n_steps, dtype=bool)
+    complete[~steps.decision_mask] = [t.complete for t in trajs]  # read at each trip's terminal step
     return TransitionBatch(
-        position=pos,
-        origin=np.repeat(flat[first], moves),
-        destination=np.repeat(flat[last], moves),
-        depart=np.repeat(np.array([t.depart_bin for t in trajs], dtype=np.intp), moves),
-        user=np.repeat(np.array([t.user_id for t in trajs], dtype=np.intp), moves),
-        action=np.fromiter(chain.from_iterable(t.actions for t in trajs), dtype=np.intp),
-        next_position=nxt,
-        is_initial=is_initial,
-        is_terminal=term,
+        position=steps.position[dec],
+        origin=steps.origin[dec],
+        destination=steps.destination[dec],
+        depart=steps.depart[dec],
+        user=steps.user[dec],
+        action=steps.action[dec],
+        next_position=steps.position[dec + 1],
+        is_initial=steps.timestep[dec] == 0,
+        is_terminal=complete[dec + 1],
     )
 
 
@@ -281,12 +274,21 @@ class CriticLog:
 def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
     """Mini-batch optimization of the imitation objective; deterministic given seed.
 
-    Raises EncodingError for a training trajectory the critic's vocabulary cannot embed.
+    Raises EncodingError for a training trajectory the critic's vocabulary cannot embed, and
+    ValueError for one that moves, other than as its complete last move, into a position with
+    no feasible action, where V*(s') is undefined.
     """
-    check_vocab(dataset.train() or dataset.trajectories, critic.cfg.vocab, CRITIC_FIELDS)
+    trajs = dataset.train() or dataset.trajectories
+    check_vocab(trajs, critic.cfg.vocab, CRITIC_FIELDS)
     transitions = transitions_from_dataset(dataset)
     if len(transitions) == 0:
         raise ValueError("dataset has no transitions")
+    stuck = np.flatnonzero(~transitions.is_terminal & ~critic.net.feasible[transitions.next_position].any(axis=1))
+    if len(stuck):
+        traj, pos = trajs[np.cumsum(transitions.is_initial)[stuck[0]] - 1], transitions.next_position[stuck[0]]
+        raise ValueError(
+            f"trajectory {traj.traj_id}: a move that does not complete it reaches position {pos}, which has no feasible action"
+        )
     opt = nc.adamw_init([p.data for p in critic.param_tensors()], cfg.lr, 0.0)
     log = CriticLog()
     for epoch in range(cfg.epochs):

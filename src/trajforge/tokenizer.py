@@ -1,12 +1,16 @@
-"""Trajectories to (state, action) token streams and context windows.
+"""Trajectories to one table of (state, action) steps, and context windows of it.
 
-Per step the token order is (s_t, a_t); the action of the terminal step is the
-single BLANK placeholder since no decision is made there.
+Per step the token order is (s_t, a_t). `encode_trips` lays trips back to back, one row per
+step; each trip ends in its terminal step, whose action is the single BLANK placeholder since
+no decision is made there. So a trip ends at each BLANK step, and the row after a decision
+step holds s', the state its move leads to. The policy's windows (`windowize`) and the
+critic's transitions (`rewardirl.transitions_from_dataset`) are both read from this table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -27,10 +31,8 @@ class EncodingError(ValueError):
 
 @dataclass
 class EpisodeTokens:
-    """Arrays of per-step token indices for one trajectory, or for a window of one (`slice`)."""
+    """Per-step token indices of trips laid back to back (`encode_trips`), or of a window of one trip (`slice`)."""
 
-    traj_id: int
-    flag: str
     position: np.ndarray
     origin: np.ndarray
     destination: np.ndarray
@@ -50,18 +52,7 @@ class EpisodeTokens:
 
     def slice(self, start: int, stop: int) -> "EpisodeTokens":
         """Steps start:stop; absolute timesteps are preserved."""
-        return EpisodeTokens(
-            traj_id=self.traj_id,
-            flag=self.flag,
-            position=self.position[start:stop],
-            origin=self.origin[start:stop],
-            destination=self.destination[start:stop],
-            depart=self.depart[start:stop],
-            speed=self.speed[start:stop],
-            user=self.user[start:stop],
-            action=self.action[start:stop],
-            timestep=self.timestep[start:stop],
-        )
+        return EpisodeTokens(*(getattr(self, name)[start:stop] for name in self.__dataclass_fields__))
 
 
 @dataclass
@@ -123,52 +114,57 @@ def check_state(state: EnvState, vocab: VocabSpec, fields=("positions", "users",
             raise EncodingError(f"{name} {value} outside vocabulary of {size}")
 
 
-def encode_episode(traj: Trajectory) -> EpisodeTokens:
-    """Token arrays for one trajectory; the terminal step carries the BLANK action."""
-    n = len(traj.positions)
-    if n < 2:
-        raise EncodingError("trajectory must have at least 2 positions")
-    if any(not 0 <= a < netgrid.N_ACTIONS for a in traj.actions):
-        raise EncodingError(f"trajectory {traj.traj_id} has an action outside [0, {netgrid.N_ACTIONS})")
-    action = np.concatenate([np.asarray(traj.actions, dtype=np.int64), [BLANK]])
+def encode_trips(trajectories) -> EpisodeTokens:
+    """One table of the trips' steps, back to back; each trip's terminal step carries the BLANK action."""
+    for traj in trajectories:
+        if any(not 0 <= a < netgrid.N_ACTIONS for a in traj.actions):
+            raise EncodingError(f"trajectory {traj.traj_id} has an action outside [0, {netgrid.N_ACTIONS})")
+    steps = np.array([len(t.positions) for t in trajectories], dtype=np.int64)
+    n = int(steps.sum())
+
+    def per_trip(values):
+        return np.repeat(np.array(values, dtype=np.int64), steps)
+
     return EpisodeTokens(
-        traj_id=traj.traj_id,
-        flag=traj.flag,
-        position=np.asarray(traj.positions, dtype=np.int64),
-        origin=np.full(n, traj.origin, dtype=np.int64),
-        destination=np.full(n, traj.destination, dtype=np.int64),
-        depart=np.full(n, traj.depart_bin, dtype=np.int64),
-        speed=np.full(n, traj.speed_bin, dtype=np.int64),
-        user=np.full(n, traj.user_id, dtype=np.int64),
-        action=action,
-        timestep=np.arange(n, dtype=np.int64),
+        position=np.fromiter(chain.from_iterable(t.positions for t in trajectories), dtype=np.int64, count=n),
+        origin=per_trip([t.origin for t in trajectories]),
+        destination=per_trip([t.destination for t in trajectories]),
+        depart=per_trip([t.depart_bin for t in trajectories]),
+        speed=per_trip([t.speed_bin for t in trajectories]),
+        user=per_trip([t.user_id for t in trajectories]),
+        action=np.fromiter(chain.from_iterable((*t.actions, BLANK) for t in trajectories), dtype=np.int64, count=n),
+        timestep=np.arange(n, dtype=np.int64) - np.repeat(np.cumsum(steps) - steps, steps),
     )
 
 
-def decode_episode(ep: EpisodeTokens) -> Trajectory:
-    """Inverse of encode_episode; exact round trip."""
-    if ep.action[-1] != BLANK:
-        raise EncodingError("episode does not end in a BLANK action")
+def decode_episode(ep: EpisodeTokens, traj_id: int, flag: str) -> Trajectory:
+    """Inverse of `encode_trips` for a table of one trip; exact round trip."""
+    if ep.n_steps == 0 or ep.action[-1] != BLANK or not ep.decision_mask[:-1].all():
+        raise EncodingError("table does not hold one trip ending in its BLANK step")
     return Trajectory(
-        traj_id=ep.traj_id,
+        traj_id=traj_id,
         user_id=int(ep.user[0]),
         depart_bin=int(ep.depart[0]),
         speed_bin=int(ep.speed[0]),
         positions=[int(p) for p in ep.position],
         actions=[int(a) for a in ep.action[:-1]],
-        flag=ep.flag,
+        flag=flag,
     )
 
 
-def windowize(ep: EpisodeTokens, context: int, stride: int) -> list[EpisodeTokens]:
-    """Sliding windows of at most `context` steps; the last window is right-aligned."""
+def windowize(tokens: EpisodeTokens, context: int, stride: int) -> list[EpisodeTokens]:
+    """Sliding windows of at most `context` steps within each trip of `tokens`; a trip's last window is right-aligned.
+
+    Raises EncodingError for a non-empty table that does not end in a BLANK step, whose last trip has no end.
+    """
     if context < 1 or stride < 1:
         raise ValueError("context and stride must be >= 1")
-    n = ep.n_steps
-    if n <= context:
-        return [ep.slice(0, n)]
+    if tokens.n_steps and tokens.action[-1] != BLANK:
+        raise EncodingError("step table does not end in a BLANK step")
     stride = min(stride, context)  # a larger stride would leave steps uncovered
-    starts = list(range(0, n - context + 1, stride))
-    if starts[-1] != n - context:
-        starts.append(n - context)
-    return [ep.slice(s, s + context) for s in starts]
+    windows, start = [], 0
+    for stop in (np.flatnonzero(~tokens.decision_mask) + 1).tolist():  # one past each trip's terminal step
+        last = max(stop - context, start)
+        windows.extend(tokens.slice(s, min(s + context, stop)) for s in [*range(start, last, stride), last])
+        start = stop
+    return windows

@@ -302,9 +302,12 @@ class GenerationResult:
 def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) -> GenerationResult:
     """Autoregressive rollout; deterministic given (context, model, seed).
 
-    Raises EncodingError naming a field of `ctx` outside the model's vocabulary.
+    Raises EncodingError naming a field of `ctx` outside the model's vocabulary, and ValueError
+    for a network whose positions are not the model's.
     """
     vocab = model.cfg.vocab
+    if net.n_positions != vocab.positions:
+        raise ValueError(f"network of {net.n_positions} positions for a policy vocabulary of {vocab.positions}")
     check_state(EnvState(ctx.origin, ctx.origin, ctx.destination, ctx.depart_bin, ctx.speed_bin, ctx.user_id), vocab)
     if ctx.origin == ctx.destination:
         raise GenerationError("origin equals destination")
@@ -339,8 +342,6 @@ def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) ->
             break
         if len(actions) >= max_moves:
             break
-    if len(positions) < 2:
-        raise GenerationError("no move was possible from the origin")
     traj = Trajectory(
         traj_id=ctx.traj_id,
         user_id=ctx.user_id,

@@ -221,11 +221,11 @@ class TestPretrain:
 
     def test_each_trip_encoded_once_and_eval_scores_unchanged(self, monkeypatch):
         dataset, model, _, _ = tiny_setup(seed=2, d=8)
-        encoded, encode = [], pt.encode_episode
-        monkeypatch.setattr(pt, "encode_episode", lambda traj: encoded.append(traj.traj_id) or encode(traj))
+        encoded, encode = [], pt.encode_trips
+        monkeypatch.setattr(pt, "encode_trips", lambda trajs: encoded.append([t.traj_id for t in trajs]) or encode(trajs))
         model, log = pt.pretrain(dataset, model, pt.TrainConfig(epochs=3, batch_size=8, seed=2, patience=3))
         assert len(log.rows) == 3
-        assert sorted(encoded) == sorted(t.traj_id for t in dataset.train() + dataset.eval())
+        assert encoded == [[t.traj_id for t in dataset.train()], [t.traj_id for t in dataset.eval()]]
         # the returned model holds the best epoch's parameters; eval_policy re-encodes and scores them alike
         best = min(log.rows, key=lambda r: r.eval_nll)
         assert pt.eval_policy(dataset, model) == (best.eval_nll, best.eval_acc)

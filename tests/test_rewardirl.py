@@ -394,6 +394,16 @@ class TestTrainCritic:
         with pytest.raises(tk.EncodingError, match="trajectory 3: users index 1"):
             ri.train_critic(sg.Dataset(net, trajs, 2), critic, ri.IRLConfig(epochs=1))
 
+    def test_dead_end_trip_rejected_by_name(self):
+        # link 1 has no downstream link; ending there is fine only as a complete trip's last move
+        graph = ng.LinkGraph([[1, 2], [], [0]])
+        critic = ri.CriticModel(ri.CriticConfig(tk.vocab_sizes(graph, sg.SynthConfig(users=1)), d=8), graph, rng=make_rng(0))
+        reached = sg.Trajectory(3, 0, 0, 0, [2, 0, 1], [0, 0], "complete")
+        stuck = sg.Trajectory(4, 0, 0, 0, [2, 0, 1], [0, 0], "dead_end")
+        ri.train_critic(sg.Dataset(graph, [reached], 1), critic, ri.IRLConfig(epochs=1))
+        with pytest.raises(ValueError, match="^trajectory 4: .* position 1, which has no feasible action$"):
+            ri.train_critic(sg.Dataset(graph, [reached, stuck], 1), critic, ri.IRLConfig(epochs=1))
+
     def test_zero_lr_unchanged(self):
         cfg_synth = sg.SynthConfig(width=3, height=3, users=2, n_trajectories=8, seed=1, max_len=8)
         dataset, _ = sg.gen_dataset(cfg_synth)

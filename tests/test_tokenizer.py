@@ -1,65 +1,87 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from trajforge import netgrid as ng
+from trajforge import pretrain as pt
+from trajforge import rewardirl as ri
 from trajforge import synthgen as sg
 from trajforge import tokenizer as tk
 
+FIELDS = ("position", "origin", "destination", "depart", "speed", "user", "action", "timestep")
 
-def make_traj(positions, actions, flag="complete", user=0, depart=3, speed=40):
-    return sg.Trajectory(0, user, depart, speed, positions, actions, flag)
+
+def make_traj(positions, actions, flag="complete", user=0, depart=3, speed=40, traj_id=0):
+    return sg.Trajectory(traj_id, user, depart, speed, positions, actions, flag)
+
+
+@st.composite
+def trip_lists(draw, min_size=0):
+    """Random trips, unconnected moves allowed; trip i has user i, so a window names its trip."""
+    trips = []
+    for i in range(draw(st.integers(min_size, 5))):
+        positions = draw(st.lists(st.integers(0, 24), min_size=2, max_size=30))
+        actions = draw(st.lists(st.integers(0, tk.BLANK - 1), min_size=len(positions) - 1, max_size=len(positions) - 1))
+        flag = draw(st.sampled_from(["complete", "truncated", "dead_end"]))
+        trips.append(sg.Trajectory(draw(st.integers(0, 999)), i, draw(st.integers(0, 23)), draw(st.integers(0, 119)), positions, actions, flag))
+    return trips
+
+
+SYNTHETIC_TRIPS = sg.gen_dataset(sg.SynthConfig(users=4, n_trajectories=40, seed=3))[0].trajectories
 
 
 class TestEncodeEpisode:
     def test_three_position_complete(self):
-        traj = make_traj([0, 1, 2], [5, 5])
-        ep = tk.encode_episode(traj)
+        ep = tk.encode_trips([make_traj([0, 1, 2], [5, 5])])
         assert ep.action.tolist() == [5, 5, tk.BLANK]
         assert ep.timestep.tolist() == [0, 1, 2]
 
     def test_truncated_all_en_route(self):
-        traj = make_traj([0, 1, 2], [5, 5], flag="truncated")
         # destination is the last recorded position even when truncated
-        ep = tk.encode_episode(traj)
-        assert ep.destination.tolist() == [2, 2, 2]
-        traj2 = make_traj([0, 1, 0], [5, 3], flag="truncated")
-        ep2 = tk.encode_episode(traj2)
-        assert ep2.destination.tolist() == [0, 0, 0]
+        ep = tk.encode_trips([make_traj([0, 1, 2], [5, 5], flag="truncated"), make_traj([0, 1, 0], [5, 3], flag="truncated")])
+        assert ep.destination.tolist() == [2, 2, 2, 0, 0, 0]
 
     def test_length_two(self):
-        traj = make_traj([4, 5], [5])
-        ep = tk.encode_episode(traj)
+        ep = tk.encode_trips([make_traj([4, 5], [5])])
         assert ep.decision_mask.tolist() == [True, False]
 
     def test_exactly_one_blank(self):
         cfg = sg.SynthConfig(users=2, n_trajectories=20, seed=12)
         ds, _ = sg.gen_dataset(cfg)
-        for traj in ds.trajectories:
-            ep = tk.encode_episode(traj)
-            assert int((ep.action == tk.BLANK).sum()) == 1
-            assert ep.action[-1] == tk.BLANK
+        ep = tk.encode_trips(ds.trajectories)
+        ends = np.cumsum([len(t.positions) for t in ds.trajectories]) - 1
+        np.testing.assert_array_equal(np.flatnonzero(ep.action == tk.BLANK), ends)
 
     def test_bad_action_rejected(self):
-        traj = make_traj([0, 1], [5])
-        traj.actions = [12]
-        with pytest.raises(tk.EncodingError):
-            tk.encode_episode(traj)
+        trips = [make_traj([0, 1], [5], traj_id=i) for i in range(3)]
+        trips[1].actions = [12]
+        with pytest.raises(tk.EncodingError, match=r"^trajectory 1 has an action outside \[0, 9\)$"):
+            tk.encode_trips(trips)
+
+    @given(trip_lists(min_size=1))
+    def test_batched_equals_sequential_property(self, trips):
+        table = tk.encode_trips(trips)
+        for name in FIELDS:
+            got = getattr(table, name)
+            want = np.concatenate([getattr(tk.encode_trips([t]), name) for t in trips])
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
 
 
 class TestDecode:
-    def test_round_trip_exact(self):
-        cfg = sg.SynthConfig(users=4, n_trajectories=40, seed=3)
-        ds, _ = sg.gen_dataset(cfg)
-        for traj in ds.trajectories:
-            back = tk.decode_episode(tk.encode_episode(traj))
-            assert back.positions == traj.positions
-            assert back.actions == traj.actions
-            assert back.flag == traj.flag
-            assert (back.user_id, back.depart_bin, back.speed_bin) == (
-                traj.user_id,
-                traj.depart_bin,
-                traj.speed_bin,
-            )
+    @given(trip_lists())
+    @example(SYNTHETIC_TRIPS)
+    def test_round_trip_exact(self, trips):
+        for traj in trips:
+            assert tk.decode_episode(tk.encode_trips([traj]), traj.traj_id, traj.flag) == traj
+
+    def test_more_or_less_than_one_trip_rejected(self):
+        two = tk.encode_trips([make_traj([0, 1], [5]), make_traj([1, 2], [5])])
+        for table in (two, two.slice(0, 1), two.slice(0, 0)):
+            with pytest.raises(tk.EncodingError, match="one trip"):
+                tk.decode_episode(table, 0, "complete")
 
 
 class TestWindowize:
@@ -69,7 +91,7 @@ class TestWindowize:
         net = ng.GridNetwork(ng.GridSpec(n_steps + 1, 2))
         traj = sg.Trajectory(0, 0, 0, 0, positions, actions, "complete")
         sg.check_connectivity(traj, net)
-        return tk.encode_episode(traj)
+        return tk.encode_trips([traj])
 
     def test_short_episode_single_window(self):
         windows = tk.windowize(self._episode(5), context=12, stride=8)
@@ -86,23 +108,62 @@ class TestWindowize:
         assert starts == [0, 8]
         assert int(windows[-1].timestep[-1]) == 19
 
-    def test_coverage_property(self):
-        rng = np.random.default_rng(4)
-        for _ in range(30):
-            n = int(rng.integers(2, 40))
-            k = int(rng.integers(1, 15))
-            stride = int(rng.integers(1, 15))
-            ep = self._episode(n)
-            windows = tk.windowize(ep, k, stride)
-            covered = set()
-            for w in windows:
-                assert 1 <= w.n_steps <= k
-                covered.update(int(t) for t, a in zip(w.timestep, w.action) if a != tk.BLANK)
-            assert covered == {t for t in range(n - 1)}
+    @given(trip_lists(), st.integers(1, 15), st.integers(1, 15))
+    def test_coverage_property(self, trips, k, stride):
+        covered = []
+        for w in tk.windowize(tk.encode_trips(trips), k, stride):
+            assert 1 <= w.n_steps <= k
+            traj = trips[w.user[0]]  # no window crosses a trip: one user, consecutive steps, BLANK last if at all
+            assert (w.user == w.user[0]).all() and w.decision_mask[:-1].all()
+            assert w.position.tolist() == traj.positions[w.timestep[0] : w.timestep[-1] + 1]
+            covered.extend((int(w.user[0]), int(t)) for t in w.timestep[w.decision_mask])
+        assert set(covered) == {(i, t) for i, traj in enumerate(trips) for t in range(len(traj.actions))}
 
     def test_absolute_timesteps_preserved(self):
         windows = tk.windowize(self._episode(20), context=12, stride=8)
         assert windows[1].timestep.tolist() == list(range(8, 20))
+
+    def test_table_without_final_blank_rejected(self):
+        table = tk.encode_trips([make_traj([0, 1, 2], [5, 5]), make_traj([2, 1], [3])])
+        assert tk.windowize(table.slice(0, 0), 4, 4) == []
+        for stop in (2, 4):
+            with pytest.raises(tk.EncodingError, match="does not end in a BLANK step"):
+                tk.windowize(table.slice(0, stop), 4, 4)
+
+
+def arrays_digest(arrays):
+    """SHA-256 over each array's dtype, shape and bytes, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestFormat:
+    def test_window_and_transition_arrays_pinned(self):
+        # a change to these digests is a change of the token format: update them on purpose only
+        dataset = sg.split(sg.gen_dataset(sg.SynthConfig(n_trajectories=200, seed=1))[0], 0.2, seed=1)
+        got = {}
+        for split, trips in (("train", dataset.train()), ("eval", dataset.eval())):
+            windows = pt.build_windows(trips, 12)
+            batch = ri.transitions_from_dataset(dataset, split)
+            got[split] = (
+                len(windows),
+                arrays_digest(getattr(w, name) for w in windows for name in FIELDS),
+                len(batch),
+                arrays_digest(getattr(batch, name) for name in ri.TransitionBatch.__dataclass_fields__),
+            )
+        assert got == {
+            "train": (
+                171, "9509ca188840215a37a383cf5d5046b01dfba87a74f581f3b161c1cb3ab56e37",
+                580, "8e5e54ad638f0f3eed8fee932d6423e55a5d8f99ff9a562bf6b7fa0e8aa28743",
+            ),
+            "eval": (
+                34, "29d3ca27754a1b9447ba512904e48a4f05ebcbbe4f7c386beb59f2f1c1cdc7d0",
+                130, "6e39e21d16397612295ac1a762c7de28e71f7f7eff3783c3100803e41c888b30",
+            ),
+        }
 
 
 class TestCheckVocab:

@@ -26,7 +26,7 @@ def small_model(d=16, layers=1, heads=2, context=8, users=4, grid=5, dropout=0.0
 def sample_window(net, seed=3, user=1, n_users=4, max_len=19):
     prefs = sg.PreferenceParams(make_rng(seed, "theta").normal(size=(n_users, 3)))
     traj = sg.gen_trajectory(seed, (0, net.n_positions - 1), user, prefs, net, max_len, depart_bin=2, speed_bin=7)
-    return tk.windowize(tk.encode_episode(traj), 8, 8)[0]
+    return tk.windowize(tk.encode_trips([traj]), 8, 8)[0]
 
 
 logit_rows = st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9).map(np.array)
@@ -223,8 +223,6 @@ def random_windows(vocab, specs, seed):
         t0 = int(rng.integers(0, vocab.max_timestep - n + 1))
         windows.append(
             tk.EpisodeTokens(
-                traj_id=len(windows),
-                flag="complete",
                 position=rng.integers(0, vocab.positions, n),
                 origin=rng.integers(0, vocab.positions, n),
                 destination=rng.integers(0, vocab.positions, n),
@@ -275,8 +273,6 @@ def trailing_window(ctx, positions, actions, context):
         return np.full(size, value, dtype=np.int64)
 
     return tk.EpisodeTokens(
-        traj_id=ctx.traj_id,
-        flag="partial",
         position=np.array(positions[start:], dtype=np.int64),
         origin=full(ctx.origin),
         destination=full(ctx.destination),
@@ -465,7 +461,7 @@ class TestNllLoss:
         net, model = small_model()
         prefs = sg.PreferenceParams(np.ones((1, 3)))
         traj = sg.gen_trajectory(2, (0, 1), 0, prefs, net, 19)
-        ep = tk.encode_episode(traj)
+        ep = tk.encode_trips([traj])
         terminal_only = ep.slice(ep.n_steps - 1, ep.n_steps)
         assert terminal_only.action[0] == tk.BLANK
         with pytest.raises(tm.LossError):
@@ -476,7 +472,7 @@ class TestNllLoss:
         net, model = small_model(d=8, layers=1, heads=2, users=2, grid=3, max_len=6, init_std=0.3)
         prefs = sg.PreferenceParams(np.array([[2.0, 0.0, -1.0], [1.0, -1.0, 0.0]]))
         traj = sg.gen_trajectory(5, (0, 8), 0, prefs, net, 6, depart_bin=1, speed_bin=3)
-        window = tk.windowize(tk.encode_episode(traj), 8, 8)[0]
+        window = tk.windowize(tk.encode_trips([traj]), 8, 8)[0]
 
         def f():
             return tm.batch_nll([window], model)
@@ -533,7 +529,7 @@ class TestDecisionRows:
         net, model = small_model(d=16, layers=2, heads=2, context=1, seed=3)
         prefs = sg.PreferenceParams(make_rng(9, "theta").normal(size=(4, 3)))
         trajs = [sg.gen_trajectory(s, (s % 5, 24 - s), s % 4, prefs, net, 19) for s in range(6)]
-        windows = [w for traj in trajs for w in tk.windowize(tk.encode_episode(traj), 1, 1)]
+        windows = tk.windowize(tk.encode_trips(trajs), 1, 1)
         decided = [w for w in windows if w.decision_mask.any()]
         assert len(windows) - len(decided) == len(trajs)
         mixed = tm.forward_batch(windows, model)
@@ -546,7 +542,7 @@ class TestDecisionRows:
         net, model = small_model(d=8, layers=2, heads=2, users=2, grid=3, context=3, max_len=6, init_std=0.3)
         prefs = sg.PreferenceParams(np.array([[2.0, 0.0, -1.0], [1.0, -1.0, 0.0]]))
         trajs = [sg.gen_trajectory(s, (0, 8), s % 2, prefs, net, 6, depart_bin=1, speed_bin=3) for s in (5, 6)]
-        episodes = [tk.encode_episode(traj) for traj in trajs]
+        episodes = [tk.encode_trips([traj]) for traj in trajs]
         windows = [ep.slice(ep.n_steps - n, ep.n_steps) for ep, n in zip(episodes, (3, 2))]
         windows.append(episodes[0].slice(episodes[0].n_steps - 1, episodes[0].n_steps))  # terminal step alone
         assert all(w.action[-1] == tk.BLANK for w in windows)
@@ -605,6 +601,11 @@ class TestGenerate:
         net, model = small_model()
         with pytest.raises(sg.GenerationError):
             tm.generate(tm.GenerationContext(3, 3, 0, 0, 0), model, net)
+
+    def test_network_of_wrong_size_rejected(self):
+        net, model = small_model()
+        with pytest.raises(ValueError, match="network of 9 positions for a policy vocabulary of 25"):
+            tm.generate_scored(tm.GenerationContext(0, 8, 0, 0, 0, max_len=10), model, ng.GridNetwork(ng.GridSpec(3, 3)))
 
     @pytest.mark.parametrize(
         "field, value",
