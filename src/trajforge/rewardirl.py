@@ -141,15 +141,24 @@ def q_values(state: EnvState, critic: CriticModel) -> np.ndarray:
     return _q_states(critic, state)[0]
 
 
+def _live_row(critic: CriticModel, position: int) -> np.ndarray:
+    """The feasible actions at `position`; ValueError naming a dead end, which has no soft value."""
+    feas = critic.net.feasible[position]
+    if not feas.any():
+        raise ValueError(f"position {position} has no feasible action")
+    return feas
+
+
 def v_star(state: EnvState, critic: CriticModel) -> float:
     """Soft value log sum exp Q(s, a) over feasible actions only."""
-    return float(nc.masked_logsumexp(q_values(state, critic), critic.net.feasible[state.position]))
+    q = q_values(state, critic)
+    return float(nc.masked_logsumexp(q, _live_row(critic, state.position)))
 
 
 def critic_policy(state: EnvState, critic: CriticModel) -> np.ndarray:
     """Softmax over feasibility-masked action values; infeasible entries are exactly 0."""
     q = q_values(state, critic)
-    feas = critic.net.feasible[state.position]
+    feas = _live_row(critic, state.position)
     return np.where(feas, np.exp(q - nc.masked_logsumexp(q, feas)), 0.0)
 
 
@@ -173,8 +182,15 @@ def recover_reward(
     critic: CriticModel,
     gamma: float,
 ) -> float:
-    """Inverse soft Bellman reward r = Q(s, a) - gamma * V*(s'), with V* = 0 at terminals."""
+    """Inverse soft Bellman reward r = Q(s, a) - gamma * V*(s'), with V* = 0 at terminals.
+
+    Raises ValueError for an action outside [0, 9), and for a non-terminal s' with no feasible action.
+    """
     q = _q_states(critic, state, next_state)
+    if not 0 <= action < N_ACTIONS:
+        raise ValueError(f"action {action} outside [0, {N_ACTIONS})")
+    if not is_terminal:
+        _live_row(critic, next_state.position)
     with nc.no_graph():
         r = bellman_margin(Tensor(q[:1]), Tensor(q[1:]), [action], [next_state.position], [is_terminal], critic.net, gamma)
     return float(r.data[0])

@@ -6,6 +6,10 @@ scores all 9 actions at once from the position's row of the network's
 successor table and the destination's hop table. The stored per-user theta
 vectors are the recoverable ground truth that the reward model is later
 judged against.
+
+`roll_out` is the one loop that builds a trip, for this oracle and for the
+learned policy (`trajmodel.generate_scored`) alike: each passes it the choice
+of a move, and it sets the trip's flag, one of `FLAGS`.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .netgrid import EnvState, GridNetwork, GridSpec, Network
 from .numcore import make_rng, masked_logsumexp
 
 N_FEATURES = 3  # progress, turn-change, stay
+FLAGS = ("complete", "truncated", "dead_end")  # reached the destination, ran out of moves, stuck
 
 
 class GenerationError(RuntimeError):
@@ -65,9 +70,11 @@ class Trajectory:
     speed_bin: int
     positions: list[int]
     actions: list[int]
-    flag: str = "complete"  # complete | truncated | dead_end
+    flag: str = "complete"  # one of FLAGS
 
     def __post_init__(self):
+        if self.flag not in FLAGS:
+            raise ValueError(f"trajectory {self.traj_id}: flag {self.flag!r} is not one of {', '.join(FLAGS)}")
         if len(self.positions) < 2:
             raise ValueError("trajectory needs at least 2 positions")
         if len(self.actions) != len(self.positions) - 1:
@@ -161,6 +168,32 @@ def oracle_action_probs(
     return np.exp(scores - masked_logsumexp(scores, feasible))
 
 
+def roll_out(net: Network, origin: int, destination: int, max_moves: int, choose) -> tuple[list[int], list[int], str]:
+    """The one loop that builds a trip: positions, actions and flag of a roll-out from `origin`.
+
+    `choose(position, prev_action)` picks each move (prev_action is None at the first). The trip
+    is "complete" on reaching `destination`, "dead_end" at a position with no feasible action, and
+    "truncated" after `max_moves` moves. Its ends and move limit are checked once, here.
+    """
+    if origin == destination:
+        raise GenerationError("origin equals destination")
+    if netgrid.hops_to(net, destination)[origin] < 0:
+        raise GenerationError(f"destination {destination} unreachable from {origin}")
+    if max_moves < 1:
+        raise GenerationError("max_len must allow at least one move")
+    positions, actions = [origin], []
+    while len(actions) < max_moves:
+        pos = positions[-1]
+        if not net.feasible[pos].any():
+            return positions, actions, "dead_end"
+        a = choose(pos, actions[-1] if actions else None)
+        actions.append(a)
+        positions.append(netgrid.apply_action(net, pos, a))
+        if positions[-1] == destination:
+            return positions, actions, "complete"
+    return positions, actions, "truncated"
+
+
 def gen_trajectory(
     seed,
     od: tuple[int, int],
@@ -172,31 +205,15 @@ def gen_trajectory(
     speed_bin: int = 0,
     traj_id: int = 0,
 ) -> Trajectory:
-    """Sample one trajectory from the oracle policy; deterministic given seed."""
+    """Sample one trajectory of at most `max_len` moves from the oracle policy; deterministic given seed."""
     origin, destination = od
-    if origin == destination:
-        raise GenerationError("origin equals destination")
-    if netgrid.hops_to(net, destination)[origin] < 0:
-        raise GenerationError(f"destination {destination} unreachable from {origin}")
-    if max_len < 1:
-        raise GenerationError("max_len must allow at least one move")
     rng = make_rng(seed) if isinstance(seed, int) else make_rng(*seed)
-    positions = [origin]
-    actions: list[int] = []
-    prev_action: int | None = None
-    flag = "truncated"
-    while True:
-        state = EnvState(positions[-1], origin, destination, depart_bin, speed_bin, user)
-        probs = oracle_action_probs(state, prefs, net, prev_action)
-        a = int(rng.choice(netgrid.N_ACTIONS, p=probs))
-        actions.append(a)
-        positions.append(netgrid.apply_action(net, positions[-1], a))
-        prev_action = a
-        if positions[-1] == destination:
-            flag = "complete"
-            break
-        if len(actions) >= max_len:  # max_len caps the number of moves
-            break
+
+    def choose(pos: int, prev_action: int | None) -> int:
+        state = EnvState(pos, origin, destination, depart_bin, speed_bin, user)
+        return int(rng.choice(netgrid.N_ACTIONS, p=oracle_action_probs(state, prefs, net, prev_action)))
+
+    positions, actions, flag = roll_out(net, origin, destination, max_len, choose)
     return Trajectory(traj_id, user, depart_bin, speed_bin, positions, actions, flag)
 
 

@@ -24,8 +24,13 @@ a graph, incrementally (`_Decoder`):
 - once the trip passes `context` steps the window drops its first step, which
   changes every deeper layer's keys and values, so the cache restarts and the
   whole window (2 * context - 1 rows) is recomputed;
-- its last layer runs the query for the s_t row alone.
-Its logits equal a fresh `forward_batch` of the trailing window to rounding.
+- its last layer runs the query for the s_t row alone;
+- it looks up the trip's five context rows once, and adds each state's position
+  row, those five rows and the timestep row in `forward_batch`'s order, so its
+  state tokens hold the same bits as `forward_batch`'s. A reassociated sum
+  would change the last ulp, which a trained policy's sampling amplifies.
+Its logits equal a fresh `forward_batch` of the trailing window to rounding. The
+move loop itself is `synthgen.roll_out`, shared with the synthetic oracle.
 
 The decoder keeps its array path, unlike the critic's inference, which runs training code
 under `no_graph`: a decoder sharing `forward_batch`'s block loop under `no_graph` gave the
@@ -44,7 +49,7 @@ from . import checkpoint, netgrid, numcore as nc
 from .checkpoint import CheckpointError, ParamModel  # noqa: F401 (callers catch tm.CheckpointError)
 from .netgrid import EnvState, Network
 from .numcore import Tensor, make_rng
-from .synthgen import GenerationError, Trajectory
+from .synthgen import Trajectory, roll_out
 from .tokenizer import EpisodeTokens, VocabSpec, check_state
 
 N_ACTIONS = netgrid.N_ACTIONS
@@ -131,23 +136,6 @@ class PolicyModel(ParamModel):
         self.ln_f_bias = Tensor(np.zeros(d))
         self.head_w = nc.param(rng, (d, N_ACTIONS), std=cfg.init_std)
         self.head_b = Tensor(np.zeros(N_ACTIONS))
-
-
-def embed_state(state: EnvState, model: PolicyModel) -> np.ndarray:
-    """Sum of the six element embeddings of one decision context, in `forward_batch`'s order.
-
-    The timestep embedding is added at sequence assembly, and the post-embedding
-    layer norm is applied there too; this returns the raw element sum.
-    """
-    check_state(state, model.cfg.vocab)
-    return (
-        model.emb_position.data[state.position]
-        + model.emb_origin.data[state.origin]
-        + model.emb_destination.data[state.destination]
-        + model.emb_depart.data[state.depart_bin]
-        + model.emb_speed.data[state.speed_bin]
-        + model.emb_user.data[state.user_id]
-    )
 
 
 @dataclass
@@ -300,57 +288,31 @@ class GenerationResult:
 
 
 def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) -> GenerationResult:
-    """Autoregressive rollout; deterministic given (context, model, seed).
+    """Autoregressive rollout through `synthgen.roll_out`; deterministic given (context, model, seed).
 
-    Raises EncodingError naming a field of `ctx` outside the model's vocabulary, and ValueError
-    for a network whose positions are not the model's.
+    Raises EncodingError naming a field of `ctx` outside the model's vocabulary, ValueError
+    for a network whose positions are not the model's, and GenerationError as `roll_out` does.
     """
     vocab = model.cfg.vocab
     if net.n_positions != vocab.positions:
         raise ValueError(f"network of {net.n_positions} positions for a policy vocabulary of {vocab.positions}")
     check_state(EnvState(ctx.origin, ctx.origin, ctx.destination, ctx.depart_bin, ctx.speed_bin, ctx.user_id), vocab)
-    if ctx.origin == ctx.destination:
-        raise GenerationError("origin equals destination")
-    reach = netgrid.hops_to(net, ctx.destination)
-    if reach[ctx.origin] < 0:
-        raise GenerationError(f"destination {ctx.destination} unreachable from {ctx.origin}")
-    max_moves = min(ctx.max_len, vocab.max_timestep - 1)
     rng = make_rng(ctx.seed, "generate", ctx.traj_id)
     decoder = _Decoder(model, ctx)
-
-    positions = [ctx.origin]
-    actions: list[int] = []
+    temp = ctx.temperature
     log_probs: list[float] = []
-    flag = "truncated"
-    while True:
-        pos = positions[-1]
+
+    def choose(pos: int, prev_action: int | None) -> int:
+        logits = decoder.step(pos, prev_action)
         feasible = net.feasible[pos]
-        if not feasible.any():
-            flag = "dead_end"
-            break
-        logits = decoder.step(pos, actions[-1] if actions else None)
-        temp = ctx.temperature
         # greedy decoding still scores its moves under the temperature-1 policy
         lp = masked_log_probs(logits, feasible, temp if temp > 0 else 1.0)
         a = sample_action(logits, feasible, temp, rng, log_probs=lp)
-        assert feasible[a]
         log_probs.append(float(lp[a]))
-        actions.append(a)
-        positions.append(netgrid.apply_action(net, pos, a))
-        if positions[-1] == ctx.destination:
-            flag = "complete"
-            break
-        if len(actions) >= max_moves:
-            break
-    traj = Trajectory(
-        traj_id=ctx.traj_id,
-        user_id=ctx.user_id,
-        depart_bin=ctx.depart_bin,
-        speed_bin=ctx.speed_bin,
-        positions=positions,
-        actions=actions,
-        flag=flag,
-    )
+        return a
+
+    positions, actions, flag = roll_out(net, ctx.origin, ctx.destination, min(ctx.max_len, vocab.max_timestep - 1), choose)
+    traj = Trajectory(ctx.traj_id, ctx.user_id, ctx.depart_bin, ctx.speed_bin, positions, actions, flag)
     return GenerationResult(traj, np.asarray(log_probs))
 
 
@@ -366,7 +328,14 @@ class _Decoder:
     def __init__(self, model: PolicyModel, ctx: GenerationContext):
         cfg = model.cfg
         self.model = model
-        self.ctx = ctx
+        # the trip's fixed rows, looked up once and added in `forward_batch`'s order
+        self.context_rows = (
+            model.emb_origin.data[ctx.origin],
+            model.emb_destination.data[ctx.destination],
+            model.emb_depart.data[ctx.depart_bin],
+            model.emb_speed.data[ctx.speed_bin],
+            model.emb_user.data[ctx.user_id],
+        )
         self.t = 0
         self.length = 0
         # layer-normed tokens of the trip: s_t, a_t at rows 2t, 2t + 1
@@ -377,14 +346,14 @@ class _Decoder:
 
     def step(self, position: int, prev_action: int | None) -> np.ndarray:
         """Action logits at step t, the vehicle at `position` after `prev_action` (None at t = 0)."""
-        m, ctx, t = self.model, self.ctx, self.t
+        m, t = self.model, self.t
+        origin, destination, depart, speed, user = self.context_rows
         ts = m.emb_timestep.data
         lo, hi = max(2 * t - 1, 0), 2 * t + 1
         new = self.tokens[lo:hi]
         if t > 0:
             new[0] = m.emb_action.data[prev_action] + ts[t - 1]
-        state = EnvState(position, ctx.origin, ctx.destination, ctx.depart_bin, ctx.speed_bin, ctx.user_id)
-        new[-1] = embed_state(state, m) + ts[t]
+        new[-1] = m.emb_position.data[position] + origin + destination + depart + speed + user + ts[t]
         new[:] = nc.layer_norm_fwd(new, m.ln_emb_gain.data, m.ln_emb_bias.data)[0]
         self.t = t + 1
         first = t + 1 - m.cfg.context  # first step of the window, once it slides

@@ -43,6 +43,13 @@ def mkstate(pos, dest, origin=0, depart=0, user=0, speed=0):
     return ng.EnvState(pos, origin, dest, depart, speed, user)
 
 
+def dead_end_critic():
+    """A critic on links 0 -> 1 -> 2, where link 2 has no downstream link."""
+    graph = ng.LinkGraph([[1], [2], []])
+    vocab = tk.vocab_sizes(graph, sg.SynthConfig(users=2, max_len=10))
+    return ri.CriticModel(ri.CriticConfig(vocab=vocab, d=8, init_std=0.5), graph, rng=make_rng(3))
+
+
 @st.composite
 def networks(draw):
     """A grid of random size, or a link graph with random downstream lists."""
@@ -278,6 +285,13 @@ class TestVStar:
                 assert v >= q[feas].max() - 1e-12
                 assert v <= q[feas].max() + math.log(feas.sum()) + 1e-12
 
+    def test_dead_end_rejected_by_name(self):
+        critic = dead_end_critic()
+        with pytest.raises(ValueError, match="^position 2 has no feasible action"):
+            ri.v_star(mkstate(2, 0), critic)
+        with pytest.raises(tk.EncodingError, match="^user_id 2 outside vocabulary"):
+            ri.v_star(mkstate(2, 0, user=2), critic)
+
 
 class TestIqLoss:
     def _single_transition_batch(self, net, pos, act, nxt, terminal=True, initial=False):
@@ -505,6 +519,20 @@ class TestRecoverReward:
         r = ri.recover_reward(state, 0, mkstate(1, 1, user=1), True, critic, 0.9)
         assert r == pytest.approx(float(ri.q_values(state, critic)[0]), abs=1e-12)
 
+    @pytest.mark.parametrize("action", [9, -1])
+    def test_action_outside_range_rejected_by_name(self, action):
+        net, critic = grid_critic()
+        with pytest.raises(ValueError, match=rf"^action {action} outside \[0, 9\)"):
+            ri.recover_reward(mkstate(4, 8), action, mkstate(5, 8), False, critic, 0.9)
+        with pytest.raises(tk.EncodingError, match="^position -1 outside vocabulary"):  # the states are checked first
+            ri.recover_reward(mkstate(-1, 8), action, mkstate(5, 8), False, critic, 0.9)
+
+    def test_non_terminal_dead_end_next_state_rejected_by_name(self):
+        critic = dead_end_critic()
+        with pytest.raises(ValueError, match="^position 2 has no feasible action"):
+            ri.recover_reward(mkstate(1, 0), 0, mkstate(2, 0), False, critic, 0.9)
+        assert math.isfinite(ri.recover_reward(mkstate(1, 2), 0, mkstate(2, 2), True, critic, 0.9))
+
     def test_zero_critic_rewards(self):
         # terminal: r = Q(s,a) = 0; non-terminal: the soft value of a zero
         # critic is ln(#feasible), so r = -gamma * ln 9 at interior next states
@@ -594,6 +622,10 @@ class TestCriticPolicy:
         for a in (0, 1, 2, 3, 6):
             assert probs[a] == 0.0
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_dead_end_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^position 2 has no feasible action"):
+            ri.critic_policy(mkstate(2, 0), dead_end_critic())
 
 
 class TestCriticCheckpoint:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from test_netgrid import networks
 
 from trajforge import netgrid as ng
 from trajforge import synthgen as sg
-from trajforge.numcore import masked_logsumexp
+from trajforge import tokenizer as tk
+from trajforge import trajmodel as tm
+from trajforge.numcore import make_rng, masked_logsumexp
 
 
 @pytest.fixture
@@ -123,6 +125,85 @@ class TestGenTrajectory:
         with pytest.raises(sg.GenerationError):
             sg.gen_trajectory(0, (3, 3), 0, prefs_for([[0, 0, 0]]), grid5, max_len=5)
 
+    def test_dead_end_ends_the_trip(self):
+        # link 4 has no downstream link; at zero weights the oracle sometimes enters it on its way to 5
+        graph = ng.LinkGraph([[1, 2], [3], [3, 4], [0, 5], [], [2]])
+        trips = [sg.gen_trajectory(s, (0, 5), 0, prefs_for([[0, 0, 0]]), graph, max_len=10) for s in range(30)]
+        assert {t.flag for t in trips} == {"complete", "dead_end"}
+        assert all(t.positions[-1] == 4 for t in trips if t.flag == "dead_end")
+
+
+@st.composite
+def roll_out_networks(draw):
+    """A grid, or a link graph whose only traps are dead ends: a cycle through its live links, random
+    extra links among them all, and dead-end links with no downstream link, which live links may enter."""
+    if draw(st.booleans()):
+        return ng.GridNetwork(ng.GridSpec(draw(st.integers(2, 5)), draw(st.integers(2, 5))))
+    live, dead = draw(st.integers(2, 6)), draw(st.integers(0, 3))
+    label = draw(st.permutations(range(live + dead)))
+    adjacency = [[] for _ in label]
+    for i in range(live):
+        downs = [(i + 1) % live] + draw(st.lists(st.integers(0, live + dead - 1), max_size=4))
+        adjacency[label[i]] = [label[j] for j in downs]
+    return ng.LinkGraph(adjacency)
+
+
+def assert_rolled_out(traj, net, origin, destination, max_moves):
+    """The invariants of a `roll_out` trip."""
+    sg.check_connectivity(traj, net)
+    assert traj.positions[0] == origin
+    assert destination not in traj.positions[:-1]
+    last, moves = traj.positions[-1], len(traj.actions)
+    assert (traj.flag == "complete") == (last == destination)
+    assert all(net.feasible[p].any() for p in traj.positions[:-1])
+    if traj.flag == "dead_end":
+        assert not net.feasible[last].any() and moves < max_moves
+    assert (traj.flag == "truncated") == (moves == max_moves and last != destination)
+
+
+class TestRollOut:
+    @given(roll_out_networks(), st.integers(1, 12), st.integers(0, 2**16), st.data())
+    def test_oracle_and_policy_trips_property(self, net, max_moves, seed, data):
+        cell = st.integers(0, net.n_positions - 1)
+        destination = data.draw(cell, label="destination")
+        hops = ng.hops_to(net, destination)
+        starts = np.flatnonzero((hops > 0) & net.feasible.any(axis=1)).tolist()
+        assume(starts)
+        origin = data.draw(st.sampled_from(starts), label="origin")
+        prefs = prefs_for([data.draw(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3), label="theta")])
+        oracle = sg.gen_trajectory(seed, (origin, destination), 0, prefs, net, max_moves, depart_bin=1, speed_bin=2)
+        assert_rolled_out(oracle, net, origin, destination, max_moves)
+        vocab = tk.vocab_sizes(net, sg.SynthConfig(users=2, max_len=12))
+        cfg = tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=2, context=4, dropout=0.0, init_std=0.5)
+        model = tm.PolicyModel(cfg, rng=make_rng(seed))
+        for temperature in (1.0, 0.0):
+            ctx = tm.GenerationContext(origin, destination, 1, 2, 1, max_moves, temperature, seed)
+            assert_rolled_out(tm.generate(ctx, model, net), net, origin, destination, max_moves)
+
+    def test_choose_sees_each_position_and_the_previous_move(self):
+        grid = ng.GridNetwork(ng.GridSpec(3, 3))
+        seen = []
+        out = sg.roll_out(grid, 0, 8, 5, lambda pos, prev: seen.append((pos, prev)) or 8)  # 8: one cell down-right
+        assert out == ([0, 4, 8], [8, 8], "complete")
+        assert seen == [(0, None), (4, 8)]
+
+    def test_infeasible_choice_raises(self):
+        with pytest.raises(ng.BoundaryError):
+            sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), 0, 8, 5, lambda pos, prev: 0)
+
+    @pytest.mark.parametrize(
+        "origin, destination, max_moves, message",
+        [
+            (3, 3, 5, "origin equals destination"),
+            (1, 0, 5, "destination 0 unreachable from 1"),
+            (0, 1, 0, "max_len must allow at least one move"),
+        ],
+    )
+    def test_checked_once_at_entry(self, origin, destination, max_moves, message):
+        graph = ng.LinkGraph([[1], [2], [1], [0]])
+        with pytest.raises(sg.GenerationError, match=message):
+            sg.roll_out(graph, origin, destination, max_moves, lambda pos, prev: pytest.fail("chose a move"))
+
 
 class TestGenDataset:
     def test_empty(self):
@@ -213,6 +294,12 @@ class TestDatasetIO:
         path = tmp_path / "bad.txt"
         path.write_text("#grid 3 3 1000.0\n#users 1\n0|0|0|0|0,5|1|complete\n")
         with pytest.raises(ValueError, match="does not lead"):
+            sg.load_dataset(path)
+
+    def test_unknown_flag_rejected_on_load(self, tmp_path):
+        path = tmp_path / "typo.txt"
+        path.write_text("#grid 3 3 1000.0\n#users 1\n7|0|0|0|0,1|5|compelte\n")
+        with pytest.raises(ValueError, match="trajectory 7: flag 'compelte' is not one of complete, truncated, dead_end"):
             sg.load_dataset(path)
 
     def test_preferences_round_trip(self, tmp_path):

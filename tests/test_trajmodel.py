@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -301,36 +302,6 @@ def decoder_logits(model, ctx, positions, actions):
     return [decoder.step(pos, actions[t - 1] if t else None) for t, pos in enumerate(positions)]
 
 
-class TestEmbedState:
-    def test_zero_tables_zero_vector(self):
-        net, model = small_model()
-        for _, t in model.parameters():
-            t.data = np.zeros_like(t.data)
-        state = ng.EnvState(0, 0, 24, 2, 7, 1)
-        np.testing.assert_array_equal(tm.embed_state(state, model), np.zeros(model.cfg.d_model))
-
-    def test_user_difference_is_row_difference(self):
-        net, model = small_model()
-        s1 = ng.EnvState(3, 0, 24, 2, 7, 1)
-        s2 = ng.EnvState(3, 0, 24, 2, 7, 2)
-        diff = tm.embed_state(s1, model) - tm.embed_state(s2, model)
-        np.testing.assert_allclose(diff, model.emb_user.data[1] - model.emb_user.data[2], atol=1e-15)
-
-    def test_sum_order_invariant(self):
-        # commutativity: the state embedding equals the sum of its six element rows
-        net, model = small_model()
-        state = ng.EnvState(7, 0, 24, 5, 11, 3)
-        manual = (
-            model.emb_position.data[7]
-            + model.emb_origin.data[0]
-            + model.emb_destination.data[24]
-            + model.emb_depart.data[5]
-            + model.emb_speed.data[11]
-            + model.emb_user.data[3]
-        )
-        np.testing.assert_allclose(tm.embed_state(state, model), manual, atol=1e-15)
-
-
 class TestForward:
     def test_single_step_shape(self):
         net, model = small_model()
@@ -618,6 +589,30 @@ class TestGenerate:
         with pytest.raises(tk.EncodingError, match=field):
             tm.generate_scored(tm.GenerationContext(**fields, max_len=19), model, net)
 
+    def test_vocabulary_of_one_timestep_rejected(self):
+        # the origin's timestep is the vocabulary's only one, which leaves no room for a move
+        net = ng.GridNetwork(ng.GridSpec(5, 5))
+        cfg = tm.ModelConfig(vocab=tk.vocab_sizes(net, sg.SynthConfig(users=4, max_len=0)), d_model=8, n_heads=2)
+        model = tm.PolicyModel(cfg, rng=make_rng(0))
+        with pytest.raises(sg.GenerationError, match="max_len must allow at least one move"):
+            tm.generate_scored(tm.GenerationContext(0, 24, 2, 7, 1, max_len=19), model, net)
+
+    def test_trips_pinned(self):
+        # SHA-256 of the positions, actions and flags of 40 contexts at temperatures 1 and 0; log-prob
+        # bytes are left out, as they depend on the BLAS build. Most trips outrun the 4-step context.
+        net, model = small_model(layers=2, context=4, max_len=12, seed=7)
+        trips = sg.gen_dataset(sg.SynthConfig(users=4, n_trajectories=40, max_len=12, seed=3))[0].trajectories
+        digest, moves = hashlib.sha256(), []
+        for temperature in (1.0, 0.0):
+            for t in trips:
+                fields = dict(depart_bin=t.depart_bin, speed_bin=t.speed_bin, user_id=t.user_id, traj_id=t.traj_id)
+                ctx = tm.GenerationContext(t.origin, t.destination, max_len=12, temperature=temperature, seed=5, **fields)
+                traj = tm.generate(ctx, model, net)
+                digest.update(repr((traj.positions, traj.actions, traj.flag)).encode())
+                moves.append(len(traj.actions))
+        assert sum(m > 4 for m in moves) > 40
+        assert digest.hexdigest() == "7575ad619100e3a6731d83e68ae6771aae132c13d0cdb90f408f8a872e894f73"
+
     def test_same_seed_identical(self):
         net, model = small_model()
         ctx = tm.GenerationContext(0, 24, 2, 7, 1, max_len=19, temperature=1.0, seed=42)
@@ -747,6 +742,27 @@ class TestDecoder:
         logits = decoder_logits(model, ctx, positions, actions)[-1]
         ref = reference_forward(model, trailing_window(ctx, positions, actions, 3))[-1]
         np.testing.assert_allclose(logits, ref, rtol=1e-10, atol=1e-12)
+
+    @given(st.integers(1, 4), st.integers(1, 9), st.integers(0, 2**16))
+    def test_state_tokens_are_the_ordered_element_sum_property(self, context, moves, seed):
+        # every state row, slid windows included, is the layer norm of forward_batch's ordered sum, bit for bit
+        net, model = small_model(d=8, context=context, grid=4, seed=seed, init_std=0.5)
+        ctx = tm.GenerationContext(5, 15, 2, 7, 1)
+        positions, actions = random_walk(net, ctx.origin, moves, seed)
+        decoder = tm._Decoder(model, ctx)
+        for t, pos in enumerate(positions):
+            decoder.step(pos, actions[t - 1] if t else None)
+            s_sum = (
+                model.emb_position.data[pos]
+                + model.emb_origin.data[ctx.origin]
+                + model.emb_destination.data[ctx.destination]
+                + model.emb_depart.data[ctx.depart_bin]
+                + model.emb_speed.data[ctx.speed_bin]
+                + model.emb_user.data[ctx.user_id]
+                + model.emb_timestep.data[t]
+            )
+            want = nc.layer_norm_fwd(s_sum[None], model.ln_emb_gain.data, model.ln_emb_bias.data)[0][0]
+            assert decoder.tokens[2 * t].tobytes() == want.tobytes()
 
     def test_rows_run_per_move(self):
         # a move runs a_{t-1} and s_t (s_0 alone at t = 0); a slid window reruns its 2 * context - 1 rows
