@@ -71,6 +71,8 @@ class Network:
         self.succ.flags.writeable = False
         self.feasible = self.succ >= 0
         self.feasible.flags.writeable = False
+        self.dead_end = ~self.feasible.any(axis=1)  # no feasible action: a trip that lands here cannot go on
+        self.dead_end.flags.writeable = False
         self._hops: dict[int, np.ndarray] = {}
 
     @property
@@ -167,6 +169,17 @@ def hops_to(net: Network, destination: int) -> np.ndarray:
         table.flags.writeable = False
         net._hops[destination] = table
     return table
+
+
+def hops_stack(net: Network, destinations) -> tuple[np.ndarray, np.ndarray]:
+    """The `hops_to` tables of many destinations, stacked once: `table[index[i]]` is
+    `hops_to(net, destinations[i])`, with one row per distinct destination."""
+    first: dict[int, int] = {}
+    index = np.array([first.setdefault(d, len(first)) for d in np.asarray(destinations).tolist()], dtype=np.intp)
+    table = np.empty((len(first), net.n_positions), dtype=np.intp)
+    for destination, row in first.items():
+        table[row] = hops_to(net, destination)
+    return table, index
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,10 @@ class GraphConsumedError(RuntimeError):
     """Raised when `backward` reaches a node whose graph an earlier `backward` consumed."""
 
 
+class DistributionError(ValueError):
+    """Raised when probabilities are not finite, non-negative and summing to 1."""
+
+
 # ---------------------------------------------------------------------------
 # RNG
 # ---------------------------------------------------------------------------
@@ -50,6 +54,31 @@ def make_rng(*key) -> np.random.Generator:
             h.update(b"i" + int(part).to_bytes(16, "little", signed=True))
     seed_int = int.from_bytes(h.digest(), "little")
     return np.random.Generator(np.random.Philox(key=seed_int))
+
+
+SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)  # `Generator.choice`'s tolerance on the sum of p
+
+
+def inverse_cdf(p, u) -> np.ndarray:
+    """The index that `Generator.choice(len(row), p=row)` draws from each row of `p` when its
+    uniform double is `u`, row by row: the count of `cdf <= u`, with `cdf = cumsum(row)` divided by
+    its last entry. That is `choice`'s `searchsorted(cdf, u, side="right")`, as `cdf` never
+    decreases, so a generator's `random()` doubles fed in here draw what `choice` would have drawn.
+    The count is read as the first entry above `u`; the last entry is 1, above every uniform.
+
+    A row must be finite, non-negative and sum to 1 within `SUM_ATOL`, as `choice` requires;
+    `DistributionError` names the first row that is not.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    cdf = p.cumsum(axis=-1)
+    total = cdf[..., -1:]
+    if not (p.min() >= 0 and np.abs(total - 1.0).max() <= SUM_ATOL):  # a NaN fails both tests, an inf the second
+        rows = p.reshape(-1, p.shape[-1])
+        valid = (rows >= 0).all(axis=1) & (np.abs(total.reshape(-1) - 1.0) <= SUM_ATOL)
+        row = int(np.argmin(valid))
+        raise DistributionError(f"row {row}: probabilities must be finite, non-negative and sum to 1, got {rows[row]}")
+    cdf /= total
+    return (cdf > np.asarray(u)[..., None]).argmax(axis=-1)
 
 
 # ---------------------------------------------------------------------------

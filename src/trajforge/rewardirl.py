@@ -299,7 +299,7 @@ def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
     transitions = transitions_from_dataset(dataset)
     if len(transitions) == 0:
         raise ValueError("dataset has no transitions")
-    stuck = np.flatnonzero(~transitions.is_terminal & ~critic.net.feasible[transitions.next_position].any(axis=1))
+    stuck = np.flatnonzero(~transitions.is_terminal & critic.net.dead_end[transitions.next_position])
     if len(stuck):
         traj, pos = trajs[np.cumsum(transitions.is_initial)[stuck[0]] - 1], transitions.next_position[stuck[0]]
         raise ValueError(

@@ -7,13 +7,24 @@ successor table and the destination's hop table. The stored per-user theta
 vectors are the recoverable ground truth that the reward model is later
 judged against.
 
-`roll_out` is the one loop that builds a trip, for this oracle and for the
-learned policy (`trajmodel.generate_scored`) alike: each passes it the choice
-of a move, and it sets the trip's flag, one of `FLAGS`.
+`roll_out` is the one move loop, for this oracle and for the learned policy
+(`trajmodel.generate_scored`) alike. It advances B trips in lockstep: each step
+asks the caller's `choose` for one move per live trip, checks every landing and
+sets the trip's flag, one of `FLAGS`; a finished trip leaves the batch.
+`gen_dataset` rolls out all of its trips in one call, while `gen_trajectory`
+and `generate_scored` are calls of one trip. The oracle scores the live rows in
+one pass (`oracle_rows`) and samples them with `numcore.inverse_cdf`.
+
+Each trip keeps its own stream, make_rng(seed, "traj-roll", tid), and no trip's
+generator outlives its set-up: its uniforms are drawn up front with `random`,
+which yields the same doubles that `Generator.choice` draws one move at a time,
+and `inverse_cdf` maps each to the index that `choice` returns. So the batch
+draws the very trips that one call per trip draws.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -22,7 +33,7 @@ import numpy as np
 
 from . import netgrid
 from .netgrid import EnvState, GridNetwork, GridSpec, Network
-from .numcore import make_rng, masked_logsumexp
+from .numcore import inverse_cdf, make_rng, masked_logsumexp
 
 N_FEATURES = 3  # progress, turn-change, stay
 FLAGS = ("complete", "truncated", "dead_end")  # reached the destination, ran out of moves, stuck
@@ -137,6 +148,42 @@ def check_connectivity(traj: Trajectory, net: Network) -> None:
 # ---------------------------------------------------------------------------
 
 
+def oracle_rows(prefs: PreferenceParams, net: Network, users, destinations):
+    """The oracle of B trips, scored a batch of rows at a time.
+
+    Returns `probs(rows, positions, prev_actions)`: the (len(rows), 9) action probabilities of
+    trips `rows` at `positions`, after `prev_actions` (-1 at a trip's first move). Row i equals
+    `oracle_action_probs` at that state bit for bit. The trips' `hops_to` tables are stacked once,
+    here, so a roll-out reads them at every step without rebuilding them.
+    """
+    theta = prefs.theta[np.asarray(users, dtype=np.intp)]
+    destinations = np.asarray(destinations, dtype=np.intp)
+    table, index = netgrid.hops_stack(net, destinations)
+    actions = np.arange(netgrid.N_ACTIONS)
+
+    def probs(rows: np.ndarray, positions: np.ndarray, prev_actions: np.ndarray) -> np.ndarray:
+        hops = index[rows]
+        here = table[hops, positions]
+        if (here < 0).any():
+            i = int(np.argmax(here < 0))
+            raise GenerationError(f"destination {destinations[rows[i]]} unreachable from {positions[i]}")
+        nxt = net.succ[positions]
+        there = table[hops[:, None], nxt]
+        progress = np.where(there < 0, -1.0, np.sign(here[:, None] - there))
+        prev = prev_actions[:, None]
+        turn = (actions != prev) & (prev >= 0)
+        stay = nxt == positions[:, None]
+        w = theta[rows]
+        feasible = net.feasible[positions]
+        # Term by term, in the order of a 3-term dot product: the features are -1, 0 or 1, so each
+        # product is exact. For an infeasible action, `there` read the last position's entry
+        # through the -1; that score is masked here, before the softmax reads it.
+        scores = np.where(feasible, w[:, :1] * progress + w[:, 1:2] * turn + w[:, 2:] * stay, -np.inf)
+        return np.exp(scores - masked_logsumexp(scores, feasible)[:, None])
+
+    return probs
+
+
 def oracle_action_probs(
     state: EnvState,
     prefs: PreferenceParams,
@@ -147,51 +194,96 @@ def oracle_action_probs(
 
     f(s, a) = (progress, turn, stay): progress is the sign of the drop in hops to
     the destination (-1 where the next position cannot reach it), turn is 1 when
-    `a` differs from `prev_action`, stay is 1 when `a` keeps the position.
+    `a` differs from `prev_action`, stay is 1 when `a` keeps the position. This is
+    the one-row call of `oracle_rows`.
     """
     net.check_position(state.position)
-    hops = netgrid.hops_to(net, state.destination)
-    here = hops[state.position]
-    if here < 0:
-        raise GenerationError(f"destination {state.destination} unreachable from {state.position}")
-    nxt = net.succ[state.position]
-    there = hops[nxt]
-    progress = np.where(there < 0, -1.0, np.sign(here - there))
-    turn = np.arange(netgrid.N_ACTIONS) != prev_action if prev_action is not None else 0.0
-    stay = nxt == state.position
-    theta = prefs.theta[state.user_id]
-    feasible = net.feasible[state.position]
-    # Term by term, in the order of a 3-term dot product: the features are -1, 0 or 1, so each
-    # product is exact. For an infeasible action, `hops[nxt]` read the last position's entry
-    # through the -1; that score is masked here, before the softmax reads it.
-    scores = np.where(feasible, theta[0] * progress + theta[1] * turn + theta[2] * stay, -np.inf)
-    return np.exp(scores - masked_logsumexp(scores, feasible))
+    probs = oracle_rows(prefs, net, [state.user_id], [state.destination])
+    prev = -1 if prev_action is None else prev_action
+    return probs(np.zeros(1, dtype=np.intp), np.array([state.position]), np.array([prev]))[0]
 
 
-def roll_out(net: Network, origin: int, destination: int, max_moves: int, choose) -> tuple[list[int], list[int], str]:
-    """The one loop that builds a trip: positions, actions and flag of a roll-out from `origin`.
+def roll_out(net: Network, origins, destinations, max_moves: int, choose) -> list[tuple[list[int], list[int], str]]:
+    """The one move loop: B trips from `origins` to `destinations`, advanced in lockstep.
 
-    `choose(position, prev_action)` picks each move (prev_action is None at the first). The trip
-    is "complete" on reaching `destination`, "dead_end" at a position with no feasible action, and
-    "truncated" after `max_moves` moves. Its ends and move limit are checked once, here.
+    Each step calls `choose(rows, positions, prev_actions)` once for the trips still under way:
+    their rows (indices into `origins`), positions and previous moves (-1 at the first move). It
+    returns one action per row. Every live trip has made the same number of moves, so a caller can
+    read step-indexed data such as pre-drawn uniforms by counting its calls. Each landing is
+    checked: a trip is "complete" at its destination, else "dead_end" where no action is feasible
+    (also on its last allowed move), else "truncated" after `max_moves` moves. A finished trip
+    leaves the batch, so later steps compute only live rows.
+
+    The ends and the move limit are checked once, here, and a bad trip raises `GenerationError`
+    naming its row. Returns (positions, actions, flag) per trip, in row order.
     """
-    if origin == destination:
-        raise GenerationError("origin equals destination")
-    if netgrid.hops_to(net, destination)[origin] < 0:
-        raise GenerationError(f"destination {destination} unreachable from {origin}")
+    origins = np.asarray(origins, dtype=np.intp)
+    destinations = np.asarray(destinations, dtype=np.intp)
+    if origins.ndim != 1 or origins.shape != destinations.shape:
+        raise ValueError("origins and destinations must be 1-D and of one length")
+    for row, (origin, destination) in enumerate(zip(origins.tolist(), destinations.tolist())):
+        try:
+            net.check_position(origin)
+            net.check_position(destination)
+        except ValueError as exc:
+            raise GenerationError(f"row {row}: {exc}") from None
+        if origin == destination:
+            raise GenerationError(f"row {row}: origin equals destination")
+        if netgrid.hops_to(net, destination)[origin] < 0:
+            raise GenerationError(f"row {row}: destination {destination} unreachable from {origin}")
     if max_moves < 1:
         raise GenerationError("max_len must allow at least one move")
-    positions, actions = [origin], []
-    while len(actions) < max_moves:
-        pos = positions[-1]
-        if not net.feasible[pos].any():
-            return positions, actions, "dead_end"
-        a = choose(pos, actions[-1] if actions else None)
-        actions.append(a)
-        positions.append(netgrid.apply_action(net, pos, a))
-        if positions[-1] == destination:
-            return positions, actions, "complete"
-    return positions, actions, "truncated"
+    if not len(origins):
+        return []
+    # True where a landing leaves no feasible action, and in the extra last entry, which the -1 of an
+    # infeasible move reads
+    stuck_at = np.append(net.dead_end, True)
+    paths = [[origin] for origin in origins.tolist()]
+    moves = [[] for _ in paths]
+    flags = ["truncated"] * len(paths)  # unless a landing ends the trip
+    rows, positions, prev, targets = np.arange(len(paths)), origins, np.full(len(paths), -1), destinations
+    for _ in range(max_moves):
+        actions = np.asarray(choose(rows, positions, prev), dtype=np.intp)
+        taken = actions.tolist()
+        if actions.shape != rows.shape:
+            raise ValueError(f"choose returned {actions.shape} actions for {len(rows)} trips")
+        if min(taken) < 0 or max(taken) >= netgrid.N_ACTIONS:
+            nxt = np.full(len(rows), -1)  # not a move: the landing check below names the first
+        else:
+            nxt = net.succ[positions, actions]
+        for row, landing, a in zip(rows.tolist(), nxt.tolist(), taken):
+            paths[row].append(landing)
+            moves[row].append(a)
+        arrived = nxt == targets
+        ended = arrived | stuck_at[nxt]
+        if np.count_nonzero(ended):  # one test per step, so that a batch of one stays cheap
+            bad = nxt < 0
+            for pos, a in zip(positions[bad].tolist(), actions[bad].tolist()):
+                net.step(pos, a)  # raises the network's error for the first move that is not one
+            for row, complete in zip(rows[ended].tolist(), arrived[ended].tolist()):
+                flags[row] = "complete" if complete else "dead_end"
+            live = ~ended
+            rows, nxt, actions, targets = rows[live], nxt[live], actions[live], targets[live]
+            if not rows.size:
+                break
+        positions, prev = nxt, actions
+    return list(zip(paths, moves, flags))
+
+
+def oracle_trips(prefs: PreferenceParams, net: Network, users, origins, destinations, uniforms: np.ndarray):
+    """`roll_out` of B oracle trips; trip i's move t is drawn by `uniforms[i, t]`, and its move limit
+    is the width of `uniforms`.
+
+    Drawn with `numcore.inverse_cdf`, a row of uniforms taken from a generator's `random` draws the
+    moves that the generator's `choice` would draw, one call per move.
+    """
+    oracle = functools.cache(lambda: oracle_rows(prefs, net, users, destinations))  # built after roll_out's checks
+    columns = iter(uniforms.T)  # one column per lockstep step
+
+    def choose(rows, positions, prev_actions):
+        return inverse_cdf(oracle()(rows, positions, prev_actions), next(columns)[rows])
+
+    return roll_out(net, origins, destinations, uniforms.shape[1], choose)
 
 
 def gen_trajectory(
@@ -206,14 +298,9 @@ def gen_trajectory(
     traj_id: int = 0,
 ) -> Trajectory:
     """Sample one trajectory of at most `max_len` moves from the oracle policy; deterministic given seed."""
-    origin, destination = od
     rng = make_rng(seed) if isinstance(seed, int) else make_rng(*seed)
-
-    def choose(pos: int, prev_action: int | None) -> int:
-        state = EnvState(pos, origin, destination, depart_bin, speed_bin, user)
-        return int(rng.choice(netgrid.N_ACTIONS, p=oracle_action_probs(state, prefs, net, prev_action)))
-
-    positions, actions, flag = roll_out(net, origin, destination, max_len, choose)
+    uniforms = rng.random((1, max(max_len, 0)))
+    [(positions, actions, flag)] = oracle_trips(prefs, net, [user], [od[0]], [od[1]], uniforms)
     return Trajectory(traj_id, user, depart_bin, speed_bin, positions, actions, flag)
 
 
@@ -260,11 +347,14 @@ def draw_preferences(cfg: SynthConfig) -> PreferenceParams:
 
 
 def gen_dataset(cfg: SynthConfig) -> tuple[Dataset, PreferenceParams]:
-    """N oracle trajectories with per-trajectory seeds hash(base_seed, traj_id)."""
+    """N oracle trajectories, rolled out in one batch; trip `tid` draws its context from
+    make_rng(seed, "traj", tid) and its moves from make_rng(seed, "traj-roll", tid), as
+    `gen_trajectory` would with that key."""
     cfg.validate()
     net = GridNetwork(GridSpec(cfg.width, cfg.height, cfg.cell_size_m))
     prefs = draw_preferences(cfg)
-    trajectories = []
+    contexts = np.empty((cfg.n_trajectories, 5), dtype=np.intp)  # user, origin, destination, depart, speed
+    uniforms = np.empty((cfg.n_trajectories, cfg.max_len))
     for tid in range(cfg.n_trajectories):
         rng = make_rng(cfg.seed, "traj", tid)
         user = int(rng.integers(0, cfg.users))
@@ -274,18 +364,14 @@ def gen_dataset(cfg: SynthConfig) -> tuple[Dataset, PreferenceParams]:
             destination = int(rng.integers(0, net.n_positions))
         depart = int(rng.integers(0, cfg.depart_bins))
         speed = int(rng.integers(0, cfg.speed_bins))
-        traj = gen_trajectory(
-            (cfg.seed, "traj-roll", tid),
-            (origin, destination),
-            user,
-            prefs,
-            net,
-            cfg.max_len,
-            depart_bin=depart,
-            speed_bin=speed,
-            traj_id=tid,
-        )
-        trajectories.append(traj)
+        contexts[tid] = user, origin, destination, depart, speed
+        uniforms[tid] = make_rng(cfg.seed, "traj-roll", tid).random(cfg.max_len)
+    users, origins, destinations, departs, speeds = contexts.T
+    rolled = oracle_trips(prefs, net, users, origins, destinations, uniforms)
+    trajectories = [
+        Trajectory(tid, user, depart, speed, *trip)
+        for tid, (user, depart, speed, trip) in enumerate(zip(users.tolist(), departs.tolist(), speeds.tolist(), rolled))
+    ]
     return Dataset(net, trajectories, cfg.users), prefs
 
 

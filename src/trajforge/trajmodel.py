@@ -29,8 +29,14 @@ a graph, incrementally (`_Decoder`):
   row, those five rows and the timestep row in `forward_batch`'s order, so its
   state tokens hold the same bits as `forward_batch`'s. A reassociated sum
   would change the last ulp, which a trained policy's sampling amplifies.
-Its logits equal a fresh `forward_batch` of the trailing window to rounding. The
-move loop itself is `synthgen.roll_out`, shared with the synthetic oracle.
+Its logits equal a fresh `forward_batch` of the trailing window to rounding.
+
+The move loop itself is `synthgen.roll_out`, shared with the synthetic oracle:
+it advances a batch of trips in lockstep, and `generate_scored` is its call of
+one trip, whose `choose` runs one decoder step. The decoder serves one trip per
+call; a decoder over the loop's B rows is the step that batches generation.
+A sampled move draws one `random()` double from the trip's own stream and maps
+it through `numcore.inverse_cdf`, which picks what `Generator.choice` would.
 
 The decoder keeps its array path, unlike the critic's inference, which runs training code
 under `no_graph`: a decoder sharing `forward_batch`'s block loop under `no_graph` gave the
@@ -259,7 +265,7 @@ def sample_action(logits: np.ndarray, feasible: np.ndarray, temperature: float, 
     if temperature == 0:
         return int(np.argmax(np.where(feasible, logits, -np.inf)))
     p = np.exp(masked_log_probs(logits, feasible, temperature) if log_probs is None else log_probs)
-    return int(rng.choice(N_ACTIONS, p=p))
+    return int(nc.inverse_cdf(p, rng.random()))
 
 
 @dataclass
@@ -302,16 +308,18 @@ def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) ->
     temp = ctx.temperature
     log_probs: list[float] = []
 
-    def choose(pos: int, prev_action: int | None) -> int:
-        logits = decoder.step(pos, prev_action)
+    def choose(rows: np.ndarray, positions: np.ndarray, prev_actions: np.ndarray) -> list[int]:
+        pos = int(positions[0])
+        logits = decoder.step(pos, int(prev_actions[0]))
         feasible = net.feasible[pos]
         # greedy decoding still scores its moves under the temperature-1 policy
         lp = masked_log_probs(logits, feasible, temp if temp > 0 else 1.0)
         a = sample_action(logits, feasible, temp, rng, log_probs=lp)
         log_probs.append(float(lp[a]))
-        return a
+        return [a]
 
-    positions, actions, flag = roll_out(net, ctx.origin, ctx.destination, min(ctx.max_len, vocab.max_timestep - 1), choose)
+    max_moves = min(ctx.max_len, vocab.max_timestep - 1)
+    [(positions, actions, flag)] = roll_out(net, [ctx.origin], [ctx.destination], max_moves, choose)
     traj = Trajectory(ctx.traj_id, ctx.user_id, ctx.depart_bin, ctx.speed_bin, positions, actions, flag)
     return GenerationResult(traj, np.asarray(log_probs))
 
@@ -344,8 +352,8 @@ class _Decoder:
         self.values = [np.empty((2 * cfg.context, cfg.d_model)) for _ in model.layers]
         self.causal = np.tri(2 * cfg.context, dtype=bool)  # window row i attends to rows j <= i
 
-    def step(self, position: int, prev_action: int | None) -> np.ndarray:
-        """Action logits at step t, the vehicle at `position` after `prev_action` (None at t = 0)."""
+    def step(self, position: int, prev_action: int) -> np.ndarray:
+        """Action logits at step t, the vehicle at `position` after `prev_action` (unread at t = 0)."""
         m, t = self.model, self.t
         origin, destination, depart, speed, user = self.context_rows
         ts = m.emb_timestep.data

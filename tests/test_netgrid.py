@@ -166,6 +166,19 @@ class TestShortestHops:
         with pytest.raises(ValueError, match="outside network"):
             ng.hops_to(ng.LinkGraph([[1], [2], [0]]), dest)
 
+    @given(networks(), st.data())
+    def test_stack_rows_are_the_tables_property(self, net, data):
+        destinations = data.draw(st.lists(st.integers(0, net.n_positions - 1), max_size=6))
+        table, index = ng.hops_stack(net, destinations)
+        assert len(table) == len(set(destinations)) and index.shape == (len(destinations),)
+        for d, row in zip(destinations, index):
+            np.testing.assert_array_equal(table[row], ng.hops_to(net, d))
+
+    def test_dead_end_has_no_feasible_action(self):
+        graph = ng.LinkGraph([[1], [], [0, 1]])
+        assert graph.dead_end.tolist() == [False, True, False]
+        assert not ng.GridNetwork(ng.GridSpec(2, 2)).dead_end.any()
+
     @given(networks())
     def test_breadth_first_equations_property(self, net):
         for dest in range(net.n_positions):

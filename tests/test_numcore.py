@@ -638,6 +638,55 @@ class TestClipGradNorm:
         np.testing.assert_array_equal(g, [3.0, 4.0])
 
 
+probability_rows = (
+    st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9)
+    .map(lambda w: [x if x > 0.25 else 0.0 for x in w])  # about a quarter masked to zero
+    .filter(lambda w: sum(w) > 0)
+    .map(lambda w: np.asarray(w) / sum(w))
+)
+
+
+class TestInverseCdf:
+    @given(probability_rows, st.integers(0, 2**32))
+    def test_draws_what_choice_draws_property(self, p, seed):
+        choice, uniform = nc.make_rng(seed, "choice"), nc.make_rng(seed, "choice")
+        for _ in range(3):
+            assert nc.inverse_cdf(p, uniform.random()) == choice.choice(9, p=p)
+
+    @given(st.lists(probability_rows, min_size=1, max_size=5), st.integers(0, 2**32))
+    def test_rows_draw_as_one_row_each_property(self, rows, seed):
+        p = np.stack(rows)
+        u = nc.make_rng(seed).random(len(rows))
+        assert nc.inverse_cdf(p, u).tolist() == [nc.inverse_cdf(row, x) for row, x in zip(rows, u.tolist())]
+
+    def test_masked_entries_never_drawn(self):
+        p = np.array([0.0, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0])
+        assert nc.inverse_cdf(np.tile(p, (3, 1)), [0.0, 0.4999, 0.9999]).tolist() == [1, 1, 4]
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [0.5, 0.5, np.nan],
+            [0.5, 0.5, np.inf],
+            [1.5, -0.5, 0.0],
+            [0.5, 0.4, 0.0],
+            [0.0, 0.0, 0.0],
+        ],
+        ids=["nan", "inf", "negative", "sum-below-one", "zeros"],
+    )
+    def test_rejects_what_choice_rejects(self, p):
+        p = np.array(p)
+        with pytest.raises(ValueError):
+            nc.make_rng(0).choice(3, p=p)
+        with pytest.raises(nc.DistributionError, match="row 1: probabilities must be finite, non-negative and sum to 1"):
+            nc.inverse_cdf(np.stack([np.array([1.0, 0.0, 0.0]), p]), [0.5, 0.5])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sum_within_choice_tolerance_accepted(self, seed):
+        p = np.array([0.5, 0.5 + 0.5 * nc.SUM_ATOL])
+        assert nc.inverse_cdf(p, nc.make_rng(seed).random()) == nc.make_rng(seed).choice(2, p=p)
+
+
 class TestDeterminism:
     def test_rng_streams_replay(self):
         a = nc.make_rng(5, "stream").normal(size=10)

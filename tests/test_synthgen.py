@@ -20,6 +20,21 @@ def prefs_for(theta_rows):
     return sg.PreferenceParams(np.asarray(theta_rows, dtype=float))
 
 
+@st.composite
+def roll_out_networks(draw):
+    """A grid, or a link graph whose only traps are dead ends: a cycle through its live links, random
+    extra links among them all, and dead-end links with no downstream link, which live links may enter."""
+    if draw(st.booleans()):
+        return ng.GridNetwork(ng.GridSpec(draw(st.integers(2, 5)), draw(st.integers(2, 5))))
+    live, dead = draw(st.integers(2, 6)), draw(st.integers(0, 3))
+    label = draw(st.permutations(range(live + dead)))
+    adjacency = [[] for _ in label]
+    for i in range(live):
+        downs = [(i + 1) % live] + draw(st.lists(st.integers(0, live + dead - 1), max_size=4))
+        adjacency[label[i]] = [label[j] for j in downs]
+    return ng.LinkGraph(adjacency)
+
+
 class TestOracleProbs:
     def test_zero_weights_uniform(self, grid5):
         prefs = prefs_for([[0.0, 0.0, 0.0]])
@@ -86,6 +101,31 @@ class TestOracleProbs:
             assert probs.tobytes() == reference_probs(state, prefs, net, prev).tobytes()
 
 
+    @given(roll_out_networks(), st.data())
+    def test_rows_match_per_state_property(self, net, data):
+        users = data.draw(st.integers(1, 3), label="users")
+        theta = st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=3)
+        prefs = prefs_for(data.draw(st.lists(theta, min_size=users, max_size=users), label="theta"))
+        cell = st.integers(0, net.n_positions - 1)
+        states = []
+        for _ in range(data.draw(st.integers(1, 6), label="rows")):
+            dest = data.draw(cell)
+            starts = np.flatnonzero((ng.hops_to(net, dest) >= 0) & ~net.dead_end).tolist()
+            if starts:
+                prev = data.draw(st.sampled_from([-1, *range(ng.N_ACTIONS)]))
+                states.append((data.draw(st.integers(0, users - 1)), dest, data.draw(st.sampled_from(starts)), prev))
+        assume(states)
+        user, dest, pos, prev = (np.array(column) for column in zip(*states))
+        probs = sg.oracle_rows(prefs, net, user, dest)
+        rows = np.arange(len(states))
+        for i in (rows, rows[::-1], rows[-1:]):  # all rows, in either order, and one alone
+            got = probs(i, pos[i], prev[i])
+            for j, row in enumerate(i.tolist()):
+                state = ng.EnvState(pos[row], pos[row], dest[row], 0, 0, user[row])
+                prev_action = None if prev[row] < 0 else int(prev[row])
+                assert got[j].tobytes() == sg.oracle_action_probs(state, prefs, net, prev_action).tobytes()
+
+
 def reference_probs(state, prefs, net, prev_action):
     """The oracle one feasible action at a time: theta . (progress, turn, stay) as a 3-term dot product."""
     hops = ng.hops_to(net, state.destination)
@@ -133,21 +173,6 @@ class TestGenTrajectory:
         assert all(t.positions[-1] == 4 for t in trips if t.flag == "dead_end")
 
 
-@st.composite
-def roll_out_networks(draw):
-    """A grid, or a link graph whose only traps are dead ends: a cycle through its live links, random
-    extra links among them all, and dead-end links with no downstream link, which live links may enter."""
-    if draw(st.booleans()):
-        return ng.GridNetwork(ng.GridSpec(draw(st.integers(2, 5)), draw(st.integers(2, 5))))
-    live, dead = draw(st.integers(2, 6)), draw(st.integers(0, 3))
-    label = draw(st.permutations(range(live + dead)))
-    adjacency = [[] for _ in label]
-    for i in range(live):
-        downs = [(i + 1) % live] + draw(st.lists(st.integers(0, live + dead - 1), max_size=4))
-        adjacency[label[i]] = [label[j] for j in downs]
-    return ng.LinkGraph(adjacency)
-
-
 def assert_rolled_out(traj, net, origin, destination, max_moves):
     """The invariants of a `roll_out` trip."""
     sg.check_connectivity(traj, net)
@@ -156,9 +181,10 @@ def assert_rolled_out(traj, net, origin, destination, max_moves):
     last, moves = traj.positions[-1], len(traj.actions)
     assert (traj.flag == "complete") == (last == destination)
     assert all(net.feasible[p].any() for p in traj.positions[:-1])
-    if traj.flag == "dead_end":
-        assert not net.feasible[last].any() and moves < max_moves
-    assert (traj.flag == "truncated") == (moves == max_moves and last != destination)
+    stuck = not net.feasible[last].any()
+    assert (traj.flag == "dead_end") == (last != destination and stuck)
+    assert (traj.flag == "truncated") == (moves == max_moves and last != destination and not stuck)
+    assert moves <= max_moves
 
 
 class TestRollOut:
@@ -183,13 +209,50 @@ class TestRollOut:
     def test_choose_sees_each_position_and_the_previous_move(self):
         grid = ng.GridNetwork(ng.GridSpec(3, 3))
         seen = []
-        out = sg.roll_out(grid, 0, 8, 5, lambda pos, prev: seen.append((pos, prev)) or 8)  # 8: one cell down-right
-        assert out == ([0, 4, 8], [8, 8], "complete")
-        assert seen == [(0, None), (4, 8)]
+
+        def choose(rows, pos, prev):
+            seen.append((rows.tolist(), pos.tolist(), prev.tolist()))
+            return [8] * len(rows)  # 8: one cell down-right
+
+        assert sg.roll_out(grid, [0], [8], 5, choose) == [([0, 4, 8], [8, 8], "complete")]
+        assert seen == [([0], [0], [-1]), ([0], [4], [8])]
+
+    def test_finished_rows_leave_the_batch(self):
+        # row 0 arrives after one move, row 2 after two; row 1 runs out of moves
+        grid = ng.GridNetwork(ng.GridSpec(4, 4))
+        seen = []
+
+        def choose(rows, pos, prev):
+            seen.append((rows.tolist(), pos.tolist(), prev.tolist()))
+            return [8] * len(rows)
+
+        out = sg.roll_out(grid, [0, 1, 0], [5, 0, 10], 2, choose)
+        assert out == [([0, 5], [8], "complete"), ([1, 6, 11], [8, 8], "truncated"), ([0, 5, 10], [8, 8], "complete")]
+        assert seen == [([0, 1, 2], [0, 1, 0], [-1, -1, -1]), ([1, 2], [6, 5], [8, 8])]
 
     def test_infeasible_choice_raises(self):
         with pytest.raises(ng.BoundaryError):
-            sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), 0, 8, 5, lambda pos, prev: 0)
+            sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), [0], [8], 5, lambda rows, pos, prev: [0])
+
+    @pytest.mark.parametrize("action", [-1, 9])
+    def test_out_of_range_choice_raises(self, action):
+        # -1 would index succ from its end, 9 past it; neither is a move
+        with pytest.raises(ng.BoundaryError, match=f"action {action} is infeasible at position 0"):
+            sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), [0], [8], 5, lambda rows, pos, prev: [action])
+
+    def test_one_action_per_row_required(self):
+        with pytest.raises(ValueError, match=r"choose returned \(0,\) actions for 2 trips"):
+            sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), [0, 1], [8, 7], 5, lambda rows, pos, prev: [])
+
+    def test_infeasible_choice_named_in_a_batch(self):
+        # action 5 moves one cell right: fine from 0, off the grid from 2
+        with pytest.raises(ng.BoundaryError, match="action 5 is infeasible at position 2"):
+            sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), [0, 2], [8, 6], 5, lambda rows, pos, prev: [5] * len(rows))
+
+    def test_dead_end_on_the_last_allowed_move(self):
+        # link 2 has no downstream link; the one move allowed enters it
+        graph = ng.LinkGraph([[1, 2], [0], []])
+        assert sg.roll_out(graph, [0], [1], 1, lambda rows, pos, prev: [1]) == [([0, 2], [1], "dead_end")]
 
     @pytest.mark.parametrize(
         "origin, destination, max_moves, message",
@@ -202,10 +265,60 @@ class TestRollOut:
     def test_checked_once_at_entry(self, origin, destination, max_moves, message):
         graph = ng.LinkGraph([[1], [2], [1], [0]])
         with pytest.raises(sg.GenerationError, match=message):
-            sg.roll_out(graph, origin, destination, max_moves, lambda pos, prev: pytest.fail("chose a move"))
+            sg.roll_out(graph, [origin], [destination], max_moves, lambda rows, pos, prev: pytest.fail("chose a move"))
+
+    def test_bad_row_named(self):
+        graph = ng.LinkGraph([[1], [2], [1], [0]])
+        with pytest.raises(sg.GenerationError, match="row 2: destination 0 unreachable from 1"):
+            sg.roll_out(graph, [3, 0, 1], [0, 2, 0], 5, lambda rows, pos, prev: pytest.fail("chose a move"))
+
+    @pytest.mark.parametrize("od", [(25, 3), (-1, 3), (3, 25), (3, -1)])
+    def test_ends_outside_the_network_rejected(self, grid5, od):
+        # an origin past the last cell used to fail inside numpy; one of -1 wrapped round to the last cell
+        bad = od[0] if od[0] not in range(25) else od[1]
+        with pytest.raises(sg.GenerationError, match=f"row 0: position {bad} outside network of 25 positions"):
+            sg.gen_trajectory(0, od, 0, prefs_for([[1.0, 0.0, 0.0]]), grid5, max_len=5)
+
+    def test_empty_batch(self, grid5):
+        assert sg.roll_out(grid5, [], [], 5, lambda rows, pos, prev: pytest.fail("chose a move")) == []
 
 
 class TestGenDataset:
+    @given(st.integers(0, 2**16), st.integers(1, 4), st.integers(0, 30), st.integers(1, 20), st.integers(2, 5))
+    def test_equals_per_trip_gen_trajectory_property(self, seed, users, n_trajectories, max_len, width):
+        cfg = sg.SynthConfig(width=width, height=3, users=users, n_trajectories=n_trajectories, max_len=max_len, seed=seed)
+        ds, prefs = sg.gen_dataset(cfg)
+        assert len(ds.trajectories) == n_trajectories
+        for tid, traj in enumerate(ds.trajectories):
+            # the per-trip context draw, as gen_dataset makes it
+            rng = make_rng(seed, "traj", tid)
+            user, origin, destination = (int(rng.integers(0, n)) for n in (users, ds.net.n_positions, ds.net.n_positions))
+            while destination == origin:
+                destination = int(rng.integers(0, ds.net.n_positions))
+            depart, speed = int(rng.integers(0, cfg.depart_bins)), int(rng.integers(0, cfg.speed_bins))
+            key = (seed, "traj-roll", tid)
+            alone = sg.gen_trajectory(key, (origin, destination), user, prefs, ds.net, max_len, depart, speed, tid)
+            assert traj == alone
+
+    @given(roll_out_networks(), st.integers(1, 12), st.integers(0, 2**16), st.data())
+    def test_batch_equals_per_trip_calls_on_dead_end_graphs_property(self, net, max_len, seed, data):
+        theta = st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3)
+        prefs = prefs_for(data.draw(st.lists(theta, min_size=2, max_size=2), label="theta"))
+        cell = st.integers(0, net.n_positions - 1)
+        trips = []
+        for _ in range(data.draw(st.integers(1, 8), label="trips")):
+            destination = data.draw(cell)
+            starts = np.flatnonzero((ng.hops_to(net, destination) > 0) & ~net.dead_end).tolist()
+            if starts:
+                trips.append((data.draw(st.integers(0, 1)), data.draw(st.sampled_from(starts)), destination))
+        assume(trips)
+        users, origins, destinations = zip(*trips)
+        uniforms = np.stack([make_rng(seed, "trip", i).random(max_len) for i in range(len(trips))])
+        rolled = sg.oracle_trips(prefs, net, users, origins, destinations, uniforms)
+        for i, (user, origin, destination) in enumerate(trips):
+            alone = sg.gen_trajectory((seed, "trip", i), (origin, destination), user, prefs, net, max_len)
+            assert rolled[i] == (alone.positions, alone.actions, alone.flag)
+
     def test_empty(self):
         cfg = sg.SynthConfig(n_trajectories=0, users=1)
         ds, prefs = sg.gen_dataset(cfg)

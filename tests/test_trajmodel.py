@@ -716,6 +716,17 @@ class TestGenerate:
         assert "dead_end" in flags
         assert flags <= {"dead_end", "complete"}
 
+    def test_dead_end_on_the_last_allowed_move_flagged_dead_end(self):
+        # test_all_actions_feasible's link graph: the twelfth and last move enters dead-end link 3,
+        # which the trip loop used to flag "truncated"
+        net = ng.LinkGraph([[1, 2], [4, 0], [3, 5], [], [1, 3, 6], [], [4]])
+        vocab = tk.vocab_sizes(net, sg.SynthConfig(users=2, max_len=12))
+        cfg = tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=2, context=4, dropout=0.0, init_std=0.5)
+        model = tm.PolicyModel(cfg, rng=make_rng(0))
+        traj = tm.generate(tm.GenerationContext(1, 2, 1, 2, 1, max_len=12, temperature=1.0, seed=27), model, net)
+        assert traj.positions == [1, 0, 1, 4, 1, 4, 6, 4, 6, 4, 6, 4, 3]
+        assert traj.flag == "dead_end"
+
 
 class TestDecoder:
     @given(
