@@ -4,9 +4,11 @@ A `ParamModel`'s parameters are its `Tensor` attributes and the tensors of its `
 dicts (key `k` of layer i is named `layer{i}.k`), in the order its constructor assigns them.
 The rule: manifest order = construction order = RNG draw order. The constructor draws each
 parameter from the initialisation RNG as it assigns it, and that order is also the order of
-`parameters()`, the checkpoint manifest, the optimizer state and `params_hash`. Reordering
-a constructor changes all of them at once, so the tests pin both manifests. A removed
-parameter keeps its draw, discarded, so that every later one starts from the same values.
+`parameters()`, the checkpoint manifest, `params_hash` and the layout of `vector`: the one
+float64 array that holds every parameter, of which each parameter's `data` is a view. Copy,
+checkpoint blob, best snapshot and optimizer state are each one array in that layout.
+Reordering a constructor changes all of them at once, so the tests pin both manifests. A
+removed parameter keeps its draw, discarded, so that every later one starts from the same values.
 
 A checkpoint file is one JSON header line (keys sorted: config, format, kind, manifest,
 meta, version) followed by each parameter as little-endian float64, in manifest order.
@@ -58,6 +60,17 @@ class ParamModel:
     def param_tensors(self) -> list[Tensor]:
         return [t for _, t in self.parameters()]
 
+    def bind_vector(self) -> None:
+        """Gather the parameters, in manifest order, into one float64 `self.vector` whose views become their `data`.
+
+        A subclass constructor's last statement; copy, checkpoint and optimizer then act on the vector."""
+        named = self.parameters()
+        self.vector = np.concatenate([t.data.ravel() for _, t in named])
+        offset = 0
+        for _, t in named:
+            t.data = self.vector[offset : offset + t.data.size].reshape(t.data.shape)
+            offset += t.data.size
+
     def params_hash(self) -> bytes:
         h = hashlib.sha256()
         for name, t in self.parameters():
@@ -67,24 +80,21 @@ class ParamModel:
 
     def copy(self):
         clone = type(self)(self.cfg, *self.build_args(), rng=make_rng(0))
-        for dst, src in zip(clone.param_tensors(), self.param_tensors()):
-            dst.data = src.data.copy()
+        clone.vector[:] = self.vector
         return clone
 
     def save(self, path, meta: dict | None = None) -> None:
-        named = self.parameters()
         header = {
             "format": MAGIC,
             "version": VERSION,
             "kind": self.kind,
             "config": dataclasses.asdict(self.cfg),
             "meta": meta or {},
-            "manifest": _manifest(named),
+            "manifest": _manifest(self.parameters()),
         }
         with open(path, "wb") as fh:
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            for _, t in named:
-                fh.write(t.data.astype("<f8").tobytes())
+            fh.write(self.vector.astype("<f8").tobytes())
 
 
 def _manifest(named) -> list:
@@ -96,7 +106,8 @@ def load(path, model_type: type, expect_vocab: VocabSpec | None = None, build_ar
 
     The model is constructed as `model_type(cfg, *build_args, rng=...)`. Raises CheckpointError
     for a file that cannot be read, is not a checkpoint of `model_type.kind`, or whose config,
-    vocabulary (when `expect_vocab` is given), manifest or blob does not fit.
+    vocabulary (when `expect_vocab` is given), manifest or blob does not fit, or whose blob holds
+    a non-finite value.
     """
     kind = model_type.kind
     try:
@@ -126,16 +137,14 @@ def load(path, model_type: type, expect_vocab: VocabSpec | None = None, build_ar
     if expect_vocab is not None and cfg.vocab != expect_vocab:
         raise CheckpointError(f"{path}: {kind} vocabulary {cfg.vocab} does not match expected {expect_vocab}")
     model = model_type(cfg, *build_args, rng=make_rng(0))
-    named = model.parameters()
-    expected = _manifest(named)
+    expected = _manifest(model.parameters())
     if header["manifest"] != expected:
         found, wanted = next(pair for pair in zip_longest(header["manifest"], expected) if pair[0] != pair[1])
         raise CheckpointError(f"{path}: manifest entry {found}, a {kind} of this config has {wanted}")
-    size = sum(t.data.size for _, t in named) * 8
-    if len(blob) != size:
-        raise CheckpointError(f"{path}: blob of {len(blob)} bytes, manifest declares {size}")
-    offset = 0
-    for _, t in named:
-        t.data = np.frombuffer(blob, dtype="<f8", count=t.data.size, offset=offset).reshape(t.data.shape).copy()
-        offset += t.data.size * 8
+    if len(blob) != model.vector.size * 8:
+        raise CheckpointError(f"{path}: blob of {len(blob)} bytes, manifest declares {model.vector.size * 8}")
+    model.vector[:] = np.frombuffer(blob, dtype="<f8")
+    bad = next((name for name, t in model.parameters() if not np.isfinite(t.data).all()), None)
+    if bad is not None:
+        raise CheckpointError(f"{path}: parameter {bad} holds a non-finite value")
     return model, header["meta"]

@@ -583,37 +583,31 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """Decoupled-weight-decay Adam state for a fixed parameter list."""
+    """Decoupled-weight-decay Adam state for one parameter vector."""
 
     lr: float
     weight_decay: float
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
 
 
-def adamw_init(params, lr: float, weight_decay: float) -> OptimizerState:
-    state = OptimizerState(lr=lr, weight_decay=weight_decay)
-    state.m = [np.zeros_like(p) for p in params]
-    state.v = [np.zeros_like(p) for p in params]
-    return state
+def adamw_init(vector: np.ndarray, lr: float, weight_decay: float) -> OptimizerState:
+    return OptimizerState(lr, weight_decay, np.zeros_like(vector), np.zeros_like(vector))
 
 
-def adamw_step(params, grads, state: OptimizerState) -> None:
-    """One in-place update: decoupled decay plus bias-corrected Adam step."""
-    if len(params) != len(state.m):
-        raise ShapeError(f"{len(params)} params vs optimizer state of {len(state.m)}")
+def adamw_step(vector: np.ndarray, grad: np.ndarray, state: OptimizerState) -> None:
+    """One in-place update of `vector`: decoupled decay plus bias-corrected Adam step."""
+    if vector.shape != grad.shape or vector.shape != state.m.shape:
+        raise ShapeError(f"parameter vector {vector.shape}, gradient {grad.shape}, optimizer state {state.m.shape}")
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1**state.step
     bc2 = 1.0 - ADAM_BETA2**state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ShapeError(f"parameter shape {p.shape} does not match gradient {g.shape}")
-        if state.weight_decay:
-            p -= state.lr * state.weight_decay * p
-        m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    if state.weight_decay:
+        vector -= state.lr * state.weight_decay * vector
+    state.m[:] = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    state.v[:] = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grad * grad)
+    vector -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
 
 
 def clip_grad_norm(grads, max_norm: float) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import numcore as nc
 from . import trajmodel as tm
+from .checkpoint import ParamModel
 from .numcore import make_rng
 from .synthgen import Dataset, Trajectory
 from .tokenizer import check_vocab, encode_trips, windowize
@@ -81,15 +82,14 @@ def supervised_loss(model: tm.PolicyModel, windows, rng=None):
     return tm.batch_nll(windows, model, rng=rng)
 
 
-def apply_step(model: tm.PolicyModel, loss, opt_state: nc.OptimizerState, grad_clip: float) -> float:
-    """Backward, clip the global gradient norm, and take one optimizer step."""
+def apply_step(model: ParamModel, loss, opt_state: nc.OptimizerState, grad_clip: float) -> float:
+    """Backward, clip the global gradient norm, and take one optimizer step on `model.vector`."""
     if not np.isfinite(loss.data):
         raise TrainingDivergenceError(f"non-finite loss {float(loss.data)}")
     nc.backward(loss)
-    params = model.param_tensors()
-    grads = [p.grad for p in params]
+    grads = [p.grad for p in model.param_tensors()]
     norm = nc.clip_grad_norm(grads, grad_clip)
-    nc.adamw_step([p.data for p in params], grads, opt_state)
+    nc.adamw_step(model.vector, np.concatenate([g.ravel() for g in grads]), opt_state)
     return norm
 
 
@@ -113,10 +113,10 @@ def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
     check_vocab(train_trajs + eval_trajs, model.cfg.vocab)
     windows = build_windows(train_trajs, model.cfg.context)
     eval_windows = build_windows(eval_trajs, model.cfg.context)
-    opt = nc.adamw_init([p.data for p in model.param_tensors()], cfg.lr, cfg.weight_decay)
+    opt = nc.adamw_init(model.vector, cfg.lr, cfg.weight_decay)
     log = TrainLog()
     best_nll = float("inf")
-    best_params = [t.data.copy() for t in model.param_tensors()]
+    best_params = model.vector.copy()
     bad_evals = 0
     last_eval = (float("nan"), float("nan"))
     for epoch in range(cfg.epochs):
@@ -135,7 +135,7 @@ def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
             eval_nll = last_eval[0]
             if eval_nll < best_nll - 1e-9:
                 best_nll = eval_nll
-                best_params = [t.data.copy() for t in model.param_tensors()]
+                best_params = model.vector.copy()
                 bad_evals = 0
             else:
                 bad_evals += 1
@@ -146,8 +146,7 @@ def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
         if cfg.target_train_nll is not None and train_nll < cfg.target_train_nll:
             break
     if eval_trajs:
-        for tensor, data in zip(model.param_tensors(), best_params):
-            tensor.data = data
+        model.vector[:] = best_params
     return model, log
 
 

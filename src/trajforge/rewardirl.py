@@ -92,6 +92,7 @@ class CriticModel(ParamModel):
         self.w_state = nc.param(rng, (4 * d, d), std=cfg.init_std)
         self.w_base = nc.param(rng, (d, N_ACTIONS), std=cfg.init_std)
         self.w_pref = nc.param(rng, (d, N_ACTIONS), std=cfg.init_std)
+        self.bind_vector()
 
     def build_args(self) -> tuple:
         return (self.net,)
@@ -305,7 +306,7 @@ def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
         raise ValueError(
             f"trajectory {traj.traj_id}: a move that does not complete it reaches position {pos}, which has no feasible action"
         )
-    opt = nc.adamw_init([p.data for p in critic.param_tensors()], cfg.lr, 0.0)
+    opt = nc.adamw_init(critic.vector, cfg.lr, 0.0)
     log = CriticLog()
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()

@@ -417,8 +417,19 @@ def save_dataset(dataset: Dataset, path) -> None:
             )
 
 
+def _header_fields(line: str, names: str) -> list[str]:
+    """The fields after a header line's `#tag`; ValueError unless there is one per word of `names`."""
+    tag, *fields = line.split()
+    if len(fields) != len(names.split()):
+        raise ValueError(f"{tag} needs {names}, got {' '.join(fields) or 'nothing'}")
+    return fields
+
+
 def load_dataset(path, net: Network | None = None) -> Dataset:
-    """Parse a dataset file and verify the connectivity invariant of every line."""
+    """Parse a dataset file and verify the connectivity invariant of every line.
+
+    A line that does not parse raises a ValueError that starts with `path:line_no`.
+    """
     user_count = None
     trajectories = []
     with open(path, encoding="utf-8") as fh:
@@ -426,31 +437,33 @@ def load_dataset(path, net: Network | None = None) -> Dataset:
             line = raw.rstrip("\n")
             if not line:
                 continue
-            if line.startswith("#grid"):
-                _, w, h, cell_m = line.split()
-                net = GridNetwork(GridSpec(int(w), int(h), float(cell_m)))
-                continue
-            if line.startswith("#links"):
-                if net is None:
-                    raise ValueError(f"{path}:{line_no}: link-graph dataset needs an explicit network")
-                continue
-            if line.startswith("#users"):
-                user_count = int(line.split()[1])
-                continue
-            parts = line.split("|")
-            if len(parts) != 7:
-                raise ValueError(f"{path}:{line_no}: expected 7 fields, got {len(parts)}")
-            tid, user, depart, speed, pos_s, act_s, flag = parts
-            traj = Trajectory(
-                traj_id=int(tid),
-                user_id=int(user),
-                depart_bin=int(depart),
-                speed_bin=int(speed),
-                positions=[int(p) for p in pos_s.split(",")],
-                actions=[int(a) for a in act_s.split(",") if a],
-                flag=flag,
-            )
-            trajectories.append(traj)
+            try:
+                if line.startswith("#grid"):
+                    w, h, cell_m = _header_fields(line, "width height cell_m")
+                    net = GridNetwork(GridSpec(int(w), int(h), float(cell_m)))
+                elif line.startswith("#links"):
+                    if net is None:
+                        raise ValueError("link-graph dataset needs an explicit network")
+                elif line.startswith("#users"):
+                    (count,) = _header_fields(line, "count")
+                    user_count = int(count)
+                else:
+                    parts = line.split("|")
+                    if len(parts) != 7:
+                        raise ValueError(f"expected 7 fields, got {len(parts)}")
+                    tid, user, depart, speed, pos_s, act_s, flag = parts
+                    traj = Trajectory(
+                        traj_id=int(tid),
+                        user_id=int(user),
+                        depart_bin=int(depart),
+                        speed_bin=int(speed),
+                        positions=[int(p) for p in pos_s.split(",")],
+                        actions=[int(a) for a in act_s.split(",") if a],
+                        flag=flag,
+                    )
+                    trajectories.append(traj)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
     if net is None:
         raise ValueError(f"{path}: missing #grid header and no network supplied")
     if user_count is None:

@@ -142,6 +142,7 @@ class PolicyModel(ParamModel):
         self.ln_f_bias = Tensor(np.zeros(d))
         self.head_w = nc.param(rng, (d, N_ACTIONS), std=cfg.init_std)
         self.head_b = Tensor(np.zeros(N_ACTIONS))
+        self.bind_vector()
 
 
 @dataclass

@@ -2,9 +2,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajforge import netgrid as ng
+from trajforge import pretrain as pt
 from trajforge import rewardirl as ri
 from trajforge import synthgen as sg
 from trajforge import tokenizer as tk
@@ -64,6 +68,77 @@ class TestFormatStability:
         critic, _ = tiny_model("critic")
         expected = ["emb_link", "emb_origin", "emb_destination", "emb_depart", "emb_user", "w_state", "w_base", "w_pref"]
         assert [name for name, _ in critic.parameters()] == expected
+
+
+def assert_bound(model):
+    """Every parameter's `data` is a view of `model.vector`, which holds them in manifest order."""
+    named = model.parameters()
+    assert all(np.shares_memory(t.data, model.vector) for _, t in named)
+    np.testing.assert_array_equal(model.vector, np.concatenate([t.data.ravel() for _, t in named]))
+
+
+def tiny_training_setup(seed=0, dropout=0.0):
+    """A 24-trip data set on a 4x4 grid with a tiny policy and a tiny critic for it."""
+    cfg = sg.SynthConfig(width=4, height=4, users=2, n_trajectories=24, seed=seed, max_len=12)
+    dataset, _ = sg.gen_dataset(cfg)
+    dataset = sg.split(dataset, 0.25, seed=seed)
+    vocab = tk.vocab_sizes(dataset.net, cfg)
+    policy = tm.PolicyModel(tm.ModelConfig(vocab, d_model=8, n_layers=1, n_heads=2, context=12, dropout=dropout), rng=make_rng(seed))
+    critic = ri.CriticModel(ri.CriticConfig(vocab, d=8), dataset.net, rng=make_rng(seed))
+    return dataset, policy, critic
+
+
+class TestParameterVector:
+    @pytest.mark.parametrize("kind", ["policy", "critic"])
+    def test_bound_at_construction_load_and_copy(self, kind):
+        model, load = tiny_model(kind, n_layers=2)
+        assert_bound(model)
+        loaded, _ = load(DATA / f"{kind}_tiny.ckpt")
+        assert_bound(loaded)
+        clone = loaded.copy()
+        assert_bound(clone)
+        assert not np.shares_memory(clone.vector, loaded.vector)
+        assert clone.params_hash() == loaded.params_hash()
+
+    def test_bound_after_pretrain_restores_best_epoch(self):
+        dataset, policy, _ = tiny_training_setup()
+        _, log = pt.pretrain(dataset, policy, pt.TrainConfig(epochs=6, batch_size=8, lr=5e-3, seed=0, patience=6))
+        best = min(range(len(log.rows)), key=lambda e: log.rows[e].eval_nll)
+        assert best < len(log.rows) - 1  # the restore path ran
+        assert_bound(policy)
+        assert pt.eval_policy(dataset, policy)[0] == log.rows[best].eval_nll
+
+    def test_bound_after_train_critic(self):
+        dataset, _, critic = tiny_training_setup()
+        before = critic.vector.copy()
+        ri.train_critic(dataset, critic, ri.IRLConfig(epochs=2, batch_size=16, seed=0))
+        assert_bound(critic)
+        assert not np.array_equal(critic.vector, before)
+
+    @settings(max_examples=5)
+    @given(st.integers(0, 2**32 - 1))
+    def test_last_ulp_rounding_is_not_amplified_property(self, seed):
+        """Parameters moved by -1/0/+1 ulp train to within 1e-12 of the unmoved run, and sample the same trips."""
+
+        def run(perturb):
+            dataset, policy, critic = tiny_training_setup(dropout=0.1)
+            rng = np.random.default_rng(seed)
+            for model in (policy, critic):
+                if perturb:
+                    model.vector[:] = np.nextafter(model.vector, model.vector + rng.integers(-1, 2, model.vector.size))
+            pt.pretrain(dataset, policy, pt.TrainConfig(epochs=3, batch_size=8, lr=5e-3, seed=0))
+            ri.train_critic(dataset, critic, ri.IRLConfig(epochs=3, batch_size=16, seed=0))
+            contexts = [
+                tm.GenerationContext(t.origin, t.destination, t.depart_bin, t.speed_bin, t.user_id, max_len=12, seed=seed, traj_id=t.traj_id)
+                for t in dataset.eval()
+            ]
+            trips = [tm.generate(ctx, policy, dataset.net) for ctx in contexts]
+            return policy.vector, critic.vector, [(t.positions, t.actions, t.flag) for t in trips]
+
+        (policy, critic, trips), (policy_moved, critic_moved, trips_moved) = run(False), run(True)
+        np.testing.assert_allclose(policy_moved, policy, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(critic_moved, critic, rtol=0, atol=1e-12)
+        assert trips_moved == trips
 
 
 def list_header(header):
@@ -128,6 +203,20 @@ class TestMalformedHeader:
         line, blob = path.read_bytes().split(b"\n", 1)
         path.write_bytes(json.dumps(full_dropout(json.loads(line))).encode() + b"\n" + blob)
         with pytest.raises(tm.CheckpointError, match="bad policy config: dropout must lie in"):
+            load(path)
+
+    @pytest.mark.parametrize("kind", ["policy", "critic"])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_parameter_named_at_load(self, kind, value, tmp_path):
+        model, load = tiny_model(kind)
+        names = [name for name, _ in model.parameters()]
+        target = names[len(names) // 2]
+        # the first non-finite parameter is named, though a later one is non-finite too
+        for name in (target, names[-1]):
+            dict(model.parameters())[name].data.flat[-1] = value
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        with pytest.raises(tm.CheckpointError, match=rf"parameter {target} holds a non-finite value"):
             load(path)
 
     def test_policy_with_rtg_table_rejected(self, tmp_path):

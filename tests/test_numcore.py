@@ -208,31 +208,31 @@ class TestAdamW:
     def test_zero_lr_zero_decay_noop(self):
         p = np.array([1.0, -2.0])
         g = np.array([0.3, 0.7])
-        state = nc.adamw_init([p], lr=0.0, weight_decay=0.0)
-        nc.adamw_step([p], [g], state)
+        state = nc.adamw_init(p, lr=0.0, weight_decay=0.0)
+        nc.adamw_step(p, g, state)
         np.testing.assert_array_equal(p, [1.0, -2.0])
         assert state.step == 1
 
     def test_single_step_hand_replay(self):
         p = np.array([1.0])
         g = np.array([1.0])
-        state = nc.adamw_init([p], lr=0.1, weight_decay=0.0)
-        nc.adamw_step([p], [g], state)
+        state = nc.adamw_init(p, lr=0.1, weight_decay=0.0)
+        nc.adamw_step(p, g, state)
         # bias-corrected moments give a unit direction: p = 1 - 0.1 * 1/(1 + eps)
         assert p[0] == pytest.approx(0.9, abs=1e-7)
 
     def test_decay_only_multiplicative_shrink(self):
         p = np.array([2.0, -4.0])
         g = np.zeros(2)
-        state = nc.adamw_init([p], lr=0.05, weight_decay=0.1)
-        nc.adamw_step([p], [g], state)
+        state = nc.adamw_init(p, lr=0.05, weight_decay=0.1)
+        nc.adamw_step(p, g, state)
         np.testing.assert_allclose(p, np.array([2.0, -4.0]) * (1 - 0.05 * 0.1))
 
     def test_shape_mismatch(self):
         p = np.zeros(3)
-        state = nc.adamw_init([p], lr=0.1, weight_decay=0.0)
+        state = nc.adamw_init(p, lr=0.1, weight_decay=0.0)
         with pytest.raises(nc.ShapeError):
-            nc.adamw_step([p], [np.zeros(4)], state)
+            nc.adamw_step(p, np.zeros(4), state)
 
 
 class TestFiniteDiffCheck:

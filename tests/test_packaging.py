@@ -62,3 +62,33 @@ def test_numcore_holds_only_called_functions():
     refs = numcore_references()
     assert sorted(public - refs - set(UNCALLED_NUMCORE)) == [], "public numcore functions that nothing in src/ calls"
     assert sorted(set(UNCALLED_NUMCORE) & refs) == [], "allowlisted numcore functions that src/ now calls"
+
+
+# The functions of src/ that may rebind a tensor's `data`. Every other write goes through the
+# array: a parameter's `data` is a view of its model's `vector`, and a rebound one would drop out
+# of copy, checkpoint, best snapshot and optimizer without an error.
+DATA_BINDERS = {("numcore.py", "Tensor.__init__"), ("checkpoint.py", "ParamModel.bind_vector")}
+
+
+def data_stores() -> list[tuple[str, str, int]]:
+    """(file, enclosing class/function path, line) of each store to a `.data` attribute in src/."""
+    found = []
+
+    def visit(node, path_name, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path_name, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "data" and isinstance(child.ctx, ast.Store):
+                found.append((path_name, scope, child.lineno))
+            visit(child, path_name, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "")
+    return found
+
+
+def test_tensor_data_is_rebound_only_by_its_binders():
+    stores = data_stores()
+    assert DATA_BINDERS <= {(name, scope) for name, scope, _ in stores}, "a binder no longer assigns `.data`"
+    assert [s for s in stores if s[:2] not in DATA_BINDERS] == [], "`.data` assigned outside the binders"

@@ -53,8 +53,7 @@ class TestEvalPolicy:
         dataset.eval_idx = list(range(len(trajs)))
         vocab = tk.vocab_sizes(net, sg.SynthConfig(users=1, max_len=12))
         model = tm.PolicyModel(tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, context=12, dropout=0.0))
-        for _, t in model.parameters():
-            t.data = np.zeros_like(t.data)
+        model.vector[:] = 0.0
         nll, acc = pt.eval_policy(dataset, model)
         assert nll == pytest.approx(math.log(9), abs=1e-12)
         assert acc == pytest.approx(1 / 9, abs=0.03)
@@ -160,7 +159,7 @@ class TestPretrain:
         windows = pt.build_windows(dataset.train(), model.cfg.context)[:8]
         from trajforge import numcore as nc
 
-        opt = nc.adamw_init([p.data for p in model.param_tensors()], 1e-3, 0.0)
+        opt = nc.adamw_init(model.vector, 1e-3, 0.0)
         losses = []
         for _ in range(10):
             loss = pt.supervised_loss(model, windows)
@@ -191,7 +190,7 @@ class TestPretrain:
 
         loss = pt.supervised_loss(model, windows)
         loss.data = np.float64("nan")
-        opt = nc.adamw_init([p.data for p in model.param_tensors()], 1e-3, 0.0)
+        opt = nc.adamw_init(model.vector, 1e-3, 0.0)
         with pytest.raises(pt.TrainingDivergenceError):
             pt.apply_step(model, loss, opt, 1.0)
 
@@ -203,7 +202,7 @@ class TestPretrain:
         from trajforge import numcore as nc
 
         windows = pt.build_windows(dataset.train(), replay.cfg.context)
-        opt = nc.adamw_init([p.data for p in replay.param_tensors()], cfg.lr, cfg.weight_decay)
+        opt = nc.adamw_init(replay.vector, cfg.lr, cfg.weight_decay)
         norms = []
         order = pt.batch_order(cfg.seed, 0, len(windows))
         for i in range(0, len(order), cfg.batch_size):

@@ -25,8 +25,7 @@ def grid_critic(d=8, grid=3, users=2, seed=1, init_std=0.02):
 def zero_critic(net, users=2, d=8):
     vocab = tk.vocab_sizes(net, sg.SynthConfig(users=users, max_len=10))
     critic = ri.CriticModel(ri.CriticConfig(vocab=vocab, d=d), net, rng=make_rng(0))
-    for _, t in critic.parameters():
-        t.data = np.zeros_like(t.data)
+    critic.vector[:] = 0.0
     return critic
 
 
@@ -182,14 +181,14 @@ class TestQValues:
 
     def test_zero_pref_user_invariant(self):
         net, critic = grid_critic(users=3)
-        critic.w_pref.data = np.zeros_like(critic.w_pref.data)
+        critic.w_pref.data[:] = 0.0
         q_a = ri.q_values(mkstate(4, 8, user=0), critic)
         q_b = ri.q_values(mkstate(4, 8, user=2), critic)
         np.testing.assert_array_equal(q_a, q_b)
 
     def test_zero_base_user_difference_is_linear(self):
         net, critic = grid_critic(users=3)
-        critic.w_base.data = np.zeros_like(critic.w_base.data)
+        critic.w_base.data[:] = 0.0
         q1 = ri.q_values(mkstate(4, 8, user=1), critic)
         q2 = ri.q_values(mkstate(4, 8, user=2), critic)
         expected = (critic.emb_user.data[1] - critic.emb_user.data[2]) @ critic.w_pref.data
@@ -381,7 +380,7 @@ class TestIqLoss:
         net, critic = grid_critic(d=8, seed=6)
         cfg = ri.IRLConfig(alpha_phi=0.5, lr=5e-3)
         batch = self._single_transition_batch(net, 4, 8, 8)
-        opt = nc.adamw_init([p.data for p in critic.param_tensors()], cfg.lr, 0.0)
+        opt = nc.adamw_init(critic.vector, cfg.lr, 0.0)
         from trajforge.pretrain import apply_step
 
         for _ in range(3000):

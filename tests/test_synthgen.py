@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -407,6 +409,22 @@ class TestDatasetIO:
         path = tmp_path / "bad.txt"
         path.write_text("#grid 3 3 1000.0\n#users 1\n0|0|0|0|0,5|1|complete\n")
         with pytest.raises(ValueError, match="does not lead"):
+            sg.load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("#users", "#users needs count, got nothing"),
+            ("#grid 3", "#grid needs width height cell_m, got 3"),
+            ("0|x|0|0|0,1|5|complete", "invalid literal for int"),
+            ("0|0|0|0|0,y|5|complete", "invalid literal for int"),
+        ],
+        ids=["users-without-count", "grid-without-height", "non-integer-user", "non-integer-position"],
+    )
+    def test_malformed_line_named_by_path_and_line(self, line, message, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"#grid 3 3 1000.0\n\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {message}"):
             sg.load_dataset(path)
 
     def test_unknown_flag_rejected_on_load(self, tmp_path):

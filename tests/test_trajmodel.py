@@ -422,8 +422,7 @@ class TestInterleave:
 class TestNllLoss:
     def test_uniform_logits_ln9(self):
         net, model = small_model()
-        for _, t in model.parameters():
-            t.data = np.zeros_like(t.data)
+        model.vector[:] = 0.0
         window = sample_window(net)
         loss = tm.batch_nll([window], model)
         assert loss.item() == pytest.approx(math.log(9), abs=1e-12)
@@ -661,9 +660,8 @@ class TestGenerate:
     def test_user_row_swap_swaps_generations(self):
         net, model = small_model()
         swapped = model.copy()
-        rows = swapped.emb_user.data.copy()
+        rows = swapped.emb_user.data
         rows[[1, 2]] = rows[[2, 1]]
-        swapped.emb_user.data = rows
         ctx_u1 = tm.GenerationContext(0, 24, 2, 7, 1, max_len=19, temperature=1.0, seed=11)
         ctx_u2 = tm.GenerationContext(0, 24, 2, 7, 2, max_len=19, temperature=1.0, seed=11)
         a = tm.generate(ctx_u1, model, net)
