@@ -14,9 +14,9 @@ sum(table rows) * d * (d + 9) multiply-adds per call, against 2B * 4d * d for pr
 the gathered rows of s and s'. Break-even is near 1.8k table rows at B = 256, far above
 the package's grids (119 rows at the default 25 cells, 24 departure bins and 20 users).
 The context part and the preference term are computed once per batch; Q(s, .) and
-Q(s', .) differ only in the link row. Inference (`q_values`, `v_star`, `critic_policy`
-and `recover_reward`) is the same `q_values_batch`, and `recover_reward` the same
-`bellman_margin` as training, run under `numcore.no_graph`.
+Q(s', .) differ only in the link row. Inference runs the training code over rows under
+`numcore.no_graph`: `reward_rows` gives `iq_loss`'s margins and `log_policy_rows` the masked
+log-policy; `recover_reward` and `critic_policy` are their one-row calls on `EnvState`s.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .netgrid import EnvState, Network
 from .numcore import Tensor, make_rng
 from .pretrain import apply_step, require
 from .synthgen import Dataset
-from .tokenizer import VocabSpec, check_state, check_vocab, encode_trips
+from .tokenizer import EncodingError, VocabSpec, check_vocab, encode_trips
 
 N_ACTIONS = netgrid.N_ACTIONS
 LEAKY_SLOPE = 0.01
@@ -119,48 +119,10 @@ def q_values_batch(critic: CriticModel, position, origin, destination, depart, u
         nc.add(proj(c.emb_origin, c.w_pref, origin), proj(c.emb_destination, c.w_pref, destination)),
         nc.add(proj(c.emb_depart, c.w_pref, depart), proj(c.emb_user, c.w_pref, user)),
     )
-    links = np.asarray(position).reshape(-1, len(origin))
+    links = np.atleast_2d(position)
     k = len(links)
     h = nc.leaky_relu(nc.add(nc.concat_rows([ctx] * k), proj(c.emb_link, w_link, links.ravel())), LEAKY_SLOPE)
     return nc.add(nc.matmul(h, c.w_base), nc.concat_rows([pref] * k))
-
-
-def _q_states(critic: CriticModel, *states: EnvState) -> np.ndarray:
-    """(len(states), 9) action values, each state in its own context: `q_values_batch` with no graph.
-
-    Raises EncodingError naming a field of a state outside the critic's tables.
-    """
-    for s in states:
-        check_state(s, critic.cfg.vocab, CRITIC_FIELDS)
-    cols = np.array([(s.position, s.origin, s.destination, s.depart_bin, s.user_id) for s in states], dtype=np.intp)
-    with nc.no_graph():
-        return q_values_batch(critic, *cols.T).data
-
-
-def q_values(state: EnvState, critic: CriticModel) -> np.ndarray:
-    """Unmasked 9-vector of action values for one state."""
-    return _q_states(critic, state)[0]
-
-
-def _live_row(critic: CriticModel, position: int) -> np.ndarray:
-    """The feasible actions at `position`; ValueError naming a dead end, which has no soft value."""
-    feas = critic.net.feasible[position]
-    if not feas.any():
-        raise ValueError(f"position {position} has no feasible action")
-    return feas
-
-
-def v_star(state: EnvState, critic: CriticModel) -> float:
-    """Soft value log sum exp Q(s, a) over feasible actions only."""
-    q = q_values(state, critic)
-    return float(nc.masked_logsumexp(q, _live_row(critic, state.position)))
-
-
-def critic_policy(state: EnvState, critic: CriticModel) -> np.ndarray:
-    """Softmax over feasibility-masked action values; infeasible entries are exactly 0."""
-    q = q_values(state, critic)
-    feas = _live_row(critic, state.position)
-    return np.where(feas, np.exp(q - nc.masked_logsumexp(q, feas)), 0.0)
 
 
 def bellman_margin(q_s: Tensor, q_next: Tensor, action, next_position, is_terminal, net: Network, gamma: float) -> Tensor:
@@ -175,26 +137,68 @@ def bellman_margin(q_s: Tensor, q_next: Tensor, action, next_position, is_termin
     return nc.sub(nc.gather_per_row(q_s, action), nc.mul_const(v_next_live, gamma))
 
 
-def recover_reward(
-    state: EnvState,
-    action: int,
-    next_state: EnvState,
-    is_terminal: bool,
-    critic: CriticModel,
-    gamma: float,
-) -> float:
-    """Inverse soft Bellman reward r = Q(s, a) - gamma * V*(s'), with V* = 0 at terminals.
+def _margins(batch: TransitionBatch, critic: CriticModel, gamma: float) -> tuple[Tensor, Tensor]:
+    """Q(s, .) and the (B,) Bellman margins of `batch`: one `q_values_batch` call over the stacked s and s' links."""
+    n = len(batch)
+    links = np.array([batch.position, batch.next_position])
+    q = q_values_batch(critic, links, batch.origin, batch.destination, batch.depart, batch.user)
+    q_s, q_next = nc.slice_rows(q, 0, n), nc.slice_rows(q, n, 2 * n)
+    return q_s, bellman_margin(q_s, q_next, batch.action, batch.next_position, batch.is_terminal, critic.net, gamma)
 
-    Raises ValueError for an action outside [0, 9), and for a non-terminal s' with no feasible action.
+
+def _check_rows(critic: CriticModel, cols: dict, ends=None) -> None:
+    """Raise for the first row of the (B,) index columns `cols` that the critic cannot score, naming it.
+
+    First the indices: EncodingError outside the critic's tables, ValueError for an action outside [0, 9).
+    Then ValueError at a dead-end position, or at a dead-end next_position on a row whose `ends` is False.
     """
-    q = _q_states(critic, state, next_state)
-    if not 0 <= action < N_ACTIONS:
-        raise ValueError(f"action {action} outside [0, {N_ACTIONS})")
-    if not is_terminal:
-        _live_row(critic, next_state.position)
+    v = critic.cfg.vocab
+    size = dict.fromkeys(("position", "origin", "destination", "next_position"), v.positions) | dict(depart=v.depart_bins, user=v.users)
+    names, idx = list(cols), np.array(list(cols.values()), dtype=np.intp)
+    limits = np.array([size.get(name, N_ACTIONS) for name in names])  # the one other column is the action
+    bad = idx.view(np.uintp) >= limits[:, None]  # a negative index reads as a huge unsigned one
+    if np.count_nonzero(bad):
+        row, col = np.argwhere(bad.T)[0]  # the first bad row, and its first bad column
+        error, bound = (EncodingError, f"vocabulary of {limits[col]}") if names[col] in size else (ValueError, f"[0, {N_ACTIONS})")
+        raise error(f"row {row}: {names[col]} {idx[col, row]} outside {bound}")
+    dead_s = critic.net.dead_end[cols["position"]]
+    stuck = dead_s if ends is None else dead_s | (critic.net.dead_end[cols["next_position"]] & ~ends)
+    if np.count_nonzero(stuck):
+        row = int(np.argmax(stuck))
+        name = "position" if dead_s[row] else "next_position"
+        raise ValueError(f"row {row}: {name} {cols[name][row]} has no feasible action")
+
+
+def reward_rows(batch: TransitionBatch, critic: CriticModel, gamma: float) -> np.ndarray:
+    """(B,) rewards r = Q(s, a) - gamma * V*(s'), V* = 0 on terminal rows: `iq_loss`'s margins with no graph (`_check_rows` first)."""
+    names = ("position", "origin", "destination", "depart", "user", "next_position", "action")
+    _check_rows(critic, {name: getattr(batch, name) for name in names}, np.asarray(batch.is_terminal, dtype=bool))
     with nc.no_graph():
-        r = bellman_margin(Tensor(q[:1]), Tensor(q[1:]), [action], [next_state.position], [is_terminal], critic.net, gamma)
-    return float(r.data[0])
+        return _margins(batch, critic, gamma)[1].data
+
+
+def log_policy_rows(critic: CriticModel, position, origin, destination, depart, user) -> np.ndarray:
+    """(B, 9) log-softmax of Q(s, .) over each row's feasible actions, exactly -inf elsewhere; rows checked by `_check_rows`."""
+    _check_rows(critic, dict(position=position, origin=origin, destination=destination, depart=depart, user=user))
+    with nc.no_graph():
+        q = q_values_batch(critic, position, origin, destination, depart, user).data
+    feas = critic.net.feasible[position]
+    return np.where(feas, q - nc.masked_logsumexp(q, feas)[:, None], -np.inf)
+
+
+def critic_policy(state: EnvState, critic: CriticModel) -> np.ndarray:
+    """Softmax of Q(s, .) over the actions feasible at one state, exactly 0 elsewhere: a one-row `log_policy_rows`."""
+    cols = np.array([state.position, state.origin, state.destination, state.depart_bin, state.user_id])
+    return np.exp(log_policy_rows(critic, *cols[:, None])[0])
+
+
+def recover_reward(state: EnvState, action: int, next_state: EnvState, is_terminal: bool, critic: CriticModel, gamma: float) -> float:
+    """The reward of one move, a one-row `reward_rows`; ValueError names a trip-context field that `next_state` does not share."""
+    for name in ("origin", "destination", "depart_bin", "user_id"):
+        if getattr(next_state, name) != getattr(state, name):
+            raise ValueError(f"next_state {name} {getattr(next_state, name)} differs from the state's {getattr(state, name)}")
+    cols = np.array([state.position, state.origin, state.destination, state.depart_bin, state.user_id, action, next_state.position])
+    return float(reward_rows(TransitionBatch(*cols[:, None], np.zeros(1, dtype=bool), np.array([is_terminal])), critic, gamma)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +259,9 @@ def iq_loss(batch: TransitionBatch, critic: CriticModel, cfg: IRLConfig):
     observed next state (deterministic transitions) and terminal V* is 0.
     Returns (loss tensor, diagnostics dict).
     """
-    n = len(batch)
-    if n == 0:
+    if len(batch) == 0:
         raise ValueError("empty transition batch")
-    links = np.stack([batch.position, batch.next_position])
-    q = q_values_batch(critic, links, batch.origin, batch.destination, batch.depart, batch.user)
-    q_s, q_next = nc.slice_rows(q, 0, n), nc.slice_rows(q, n, 2 * n)
-    margin = bellman_margin(q_s, q_next, batch.action, batch.next_position, batch.is_terminal, critic.net, cfg.gamma)
+    q_s, margin = _margins(batch, critic, cfg.gamma)
     phi = nc.sub(margin, nc.mul_const(nc.mul(margin, margin), 1.0 / (4.0 * cfg.alpha_phi)))
     expert_term = nc.mean_all(phi)
     init_rows = np.flatnonzero(batch.is_initial)

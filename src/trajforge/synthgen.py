@@ -484,16 +484,33 @@ def save_preferences(prefs: PreferenceParams, path) -> None:
 
 
 def load_preferences(path) -> PreferenceParams:
-    rows = []
+    """Read `save_preferences`' CSV: one `user_id,progress,turn,stay` row per user, in any order.
+
+    A row that does not parse raises a ValueError that starts with `path:line_no`, as does a repeated
+    user_id; a user_id below the largest one with no row of its own is named too.
+    """
+    rows: dict[int, list[float]] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("user_id,"):
             raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            if line.strip():
-                parts = line.strip().split(",")
-                rows.append([float(x) for x in parts[1:4]])
-    return PreferenceParams(np.asarray(rows))
+        for line_no, raw in enumerate(fh, start=2):
+            if not raw.strip():
+                continue
+            try:
+                parts = raw.strip().split(",")
+                if len(parts) != 1 + N_FEATURES:
+                    raise ValueError(f"expected {1 + N_FEATURES} fields, got {len(parts)}")
+                user = int(parts[0])
+                if user < 0 or user in rows:
+                    raise ValueError(f"user_id {user} is {'negative' if user < 0 else 'repeated'}")
+                rows[user] = [float(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    missing = sorted(set(range(len(rows))) - set(rows))
+    if missing:
+        raise ValueError(f"{path}: no row for user_id {missing[0]}")
+    return PreferenceParams(np.asarray([rows[u] for u in range(len(rows))]))
 
 
 # ---------------------------------------------------------------------------

@@ -106,11 +106,11 @@ def check_vocab(trajectories, vocab: VocabSpec, fields=("positions", "users", "d
                     raise EncodingError(f"trajectory {traj.traj_id}: {name} index {value} outside vocabulary of {size}")
 
 
-def check_state(state: EnvState, vocab: VocabSpec, fields=("positions", "users", "depart_bins", "speed_bins")) -> None:
-    """Raise EncodingError naming the first field of `state` outside the `fields` tables of `vocab`."""
+def check_state(state: EnvState, vocab: VocabSpec) -> None:
+    """Raise EncodingError naming the first field of `state` outside its table of `vocab`."""
     for name, table in _STATE_TABLES.items():
         value, size = getattr(state, name), getattr(vocab, table)
-        if table in fields and not 0 <= value < size:
+        if not 0 <= value < size:
             raise EncodingError(f"{name} {value} outside vocabulary of {size}")
 
 

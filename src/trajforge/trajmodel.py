@@ -325,10 +325,6 @@ def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) ->
     return GenerationResult(traj, np.asarray(log_probs))
 
 
-def generate(ctx: GenerationContext, model: PolicyModel, net: Network) -> Trajectory:
-    return generate_scored(ctx, model, net).trajectory
-
-
 class _Decoder:
     """Graph-free `forward_batch` over the trailing window of one trip, fed one step at a time
     (the module docstring describes the cache). Rows [0, length) of `keys[i]` and `values[i]` hold

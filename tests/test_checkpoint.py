@@ -132,7 +132,7 @@ class TestParameterVector:
                 tm.GenerationContext(t.origin, t.destination, t.depart_bin, t.speed_bin, t.user_id, max_len=12, seed=seed, traj_id=t.traj_id)
                 for t in dataset.eval()
             ]
-            trips = [tm.generate(ctx, policy, dataset.net) for ctx in contexts]
+            trips = [tm.generate_scored(ctx, policy, dataset.net).trajectory for ctx in contexts]
             return policy.vector, critic.vector, [(t.positions, t.actions, t.flag) for t in trips]
 
         (policy, critic, trips), (policy_moved, critic_moved, trips_moved) = run(False), run(True)

@@ -221,6 +221,25 @@ class TestAdamW:
         # bias-corrected moments give a unit direction: p = 1 - 0.1 * 1/(1 + eps)
         assert p[0] == pytest.approx(0.9, abs=1e-7)
 
+    def test_two_step_replay_against_textbook_formula(self):
+        # Decoupled weight decay (Loshchilov & Hutter), then Adam's bias-corrected step, per element.
+        # Unequal gradients keep m/sqrt(v) away from +-1, where an update by the sign of m would also fit.
+        lr, wd, b1, b2, eps = 0.1, 0.01, 0.9, 0.999, 1e-8
+        assert (nc.ADAM_BETA1, nc.ADAM_BETA2, nc.ADAM_EPS) == (b1, b2, eps)
+        grads = [np.array([1.0, 0.1]), np.array([-0.5, 0.3])]
+        p = np.array([0.5, -1.0])
+        want, m, v = p.copy(), np.zeros(2), np.zeros(2)
+        for t, g in enumerate(grads, start=1):
+            want = want - lr * wd * want
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g**2
+            want = want - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+        state = nc.adamw_init(p, lr=lr, weight_decay=wd)
+        for g in grads:
+            nc.adamw_step(p, g, state)
+        assert state.step == 2
+        np.testing.assert_allclose(p, want, rtol=0, atol=1e-12)
+
     def test_decay_only_multiplicative_shrink(self):
         p = np.array([2.0, -4.0])
         g = np.zeros(2)

@@ -21,6 +21,7 @@ def test_declared_console_scripts_resolve():
 
 
 SRC = PYPROJECT.parent / "src" / "trajforge"
+PERFBENCH = PYPROJECT.parent / "perfbench"
 
 # public numcore functions that nothing in src/ calls, each kept for a reason
 UNCALLED_NUMCORE = {
@@ -92,3 +93,35 @@ def test_tensor_data_is_rebound_only_by_its_binders():
     stores = data_stores()
     assert DATA_BINDERS <= {(name, scope) for name, scope, _ in stores}, "a binder no longer assigns `.data`"
     assert [s for s in stores if s[:2] not in DATA_BINDERS] == [], "`.data` assigned outside the binders"
+
+
+def perfbench_reads() -> set[tuple[str, str]]:
+    """(module, name) of each trajforge name that perfbench/ reads: `module.name` attributes of the modules
+    it imports by `from trajforge import ...`, and the names of each `from trajforge.module import ...`."""
+    reads = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "trajforge":
+                modules |= {a.asname or a.name: a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("trajforge."):
+                reads |= {(node.module.removeprefix("trajforge."), a.name) for a in node.names}
+        reads |= {
+            (modules[n.value.id], n.attr)
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in modules
+        }
+    return reads
+
+
+def test_names_that_perfbench_reads_exist():
+    """A refactor that deletes or renames a name the benchmark calls fails here, not in a benchmark run."""
+    reads = perfbench_reads()
+    assert {("rewardirl", "recover_reward"), ("rewardirl", "critic_policy"), ("numcore", "make_rng")} <= reads
+    missing = [
+        f"trajforge.{module}.{name}"
+        for module, name in sorted(reads)
+        if not hasattr(importlib.import_module(f"trajforge.{module}"), name)
+    ]
+    assert missing == [], "names that perfbench/ reads but trajforge no longer has"

@@ -147,11 +147,11 @@ class TestPretrain:
         model, log = pt.pretrain(dataset, model, cfg)
         assert min(row.train_nll for row in log.rows) < 0.01
         # a model trained on a progress-seeking route makes the direct move greedily
-        direct = tm.generate(
+        direct = tm.generate_scored(
             tm.GenerationContext(traj.positions[0], traj.positions[1], traj.depart_bin, traj.speed_bin, 0, max_len=11, temperature=0.0),
             model,
             net,
-        )
+        ).trajectory
         assert direct.positions[1] == traj.positions[1]
 
     def test_frozen_batch_descent_property(self):

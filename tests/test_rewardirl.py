@@ -42,6 +42,32 @@ def mkstate(pos, dest, origin=0, depart=0, user=0, speed=0):
     return ng.EnvState(pos, origin, dest, depart, speed, user)
 
 
+def state_cols(*states):
+    """`q_values_batch`'s (B,) columns (position, origin, destination, depart, user) of `states`."""
+    return [np.array(c) for c in zip(*((s.position, s.origin, s.destination, s.depart_bin, s.user_id) for s in states))]
+
+
+def q_of(state, critic):
+    """Q(s, .) at one state: a one-row `q_values_batch` with no graph."""
+    with nc.no_graph():
+        return ri.q_values_batch(critic, *state_cols(state)).data[0]
+
+
+def v_of(state, critic):
+    """V*(s) = Q(s, a) - log pi(a|s), read at the first feasible action a."""
+    log_pi = ri.log_policy_rows(critic, *state_cols(state))[0]
+    a = int(np.argmax(np.isfinite(log_pi)))
+    return float(q_of(state, critic)[a] - log_pi[a])
+
+
+def move_batch(rows, is_terminal=None):
+    """A TransitionBatch of (state, action, next_state) moves; next_state shares the trip context of state."""
+    s, a, s2 = zip(*rows)
+    n = len(rows)
+    terminal = np.zeros(n, dtype=bool) if is_terminal is None else np.asarray(is_terminal, dtype=bool)
+    return ri.TransitionBatch(*state_cols(*s), np.array(a), np.array([x.position for x in s2]), np.zeros(n, dtype=bool), terminal)
+
+
 def dead_end_critic():
     """A critic on links 0 -> 1 -> 2, where link 2 has no downstream link."""
     graph = ng.LinkGraph([[1], [2], []])
@@ -60,8 +86,16 @@ def networks(draw):
 
 
 @st.composite
-def random_critics(draw):
-    net = draw(networks())
+def dead_end_graphs(draw):
+    """A link graph whose last link has no downstream link, so a trip can end in a dead end."""
+    n = draw(st.integers(2, 8))
+    links = st.lists(st.integers(0, n - 1), max_size=ng.N_ACTIONS)
+    return ng.LinkGraph([*draw(st.lists(links, min_size=n - 1, max_size=n - 1)), []])
+
+
+@st.composite
+def random_critics(draw, nets=None):
+    net = draw(nets if nets is not None else networks())
     spec = sg.SynthConfig(users=draw(st.integers(1, 4)), depart_bins=draw(st.integers(1, 6)), max_len=10)
     d, std = draw(st.sampled_from([1, 3, 8])), draw(st.sampled_from([0.02, 0.3, 1.0]))
     cfg = ri.CriticConfig(vocab=tk.vocab_sizes(net, spec), d=d, init_std=std)
@@ -177,20 +211,20 @@ class TestQValues:
     def test_zero_critic_zero_q(self):
         net, _ = grid_critic()
         critic = zero_critic(net)
-        np.testing.assert_array_equal(ri.q_values(mkstate(4, 8), critic), np.zeros(9))
+        np.testing.assert_array_equal(q_of(mkstate(4, 8), critic), np.zeros(9))
 
     def test_zero_pref_user_invariant(self):
         net, critic = grid_critic(users=3)
         critic.w_pref.data[:] = 0.0
-        q_a = ri.q_values(mkstate(4, 8, user=0), critic)
-        q_b = ri.q_values(mkstate(4, 8, user=2), critic)
+        q_a = q_of(mkstate(4, 8, user=0), critic)
+        q_b = q_of(mkstate(4, 8, user=2), critic)
         np.testing.assert_array_equal(q_a, q_b)
 
     def test_zero_base_user_difference_is_linear(self):
         net, critic = grid_critic(users=3)
         critic.w_base.data[:] = 0.0
-        q1 = ri.q_values(mkstate(4, 8, user=1), critic)
-        q2 = ri.q_values(mkstate(4, 8, user=2), critic)
+        q1 = q_of(mkstate(4, 8, user=1), critic)
+        q2 = q_of(mkstate(4, 8, user=2), critic)
         expected = (critic.emb_user.data[1] - critic.emb_user.data[2]) @ critic.w_pref.data
         np.testing.assert_allclose(q1 - q2, expected, atol=1e-12)
 
@@ -214,12 +248,12 @@ class TestQRows:
         np.testing.assert_allclose(q_free, q_ref, rtol=0, atol=1e-12 * scale)
         i = data.draw(st.integers(0, b - 1), label="row")
         state = ng.EnvState(int(links[0, i]), int(ctx[0][i]), int(ctx[1][i]), int(ctx[2][i]), 0, int(ctx[3][i]))
-        np.testing.assert_allclose(ri.q_values(state, critic), q_graph[i], rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(q_of(state, critic), q_graph[i], rtol=0, atol=1e-12 * scale)
 
     def test_negative_state_index_rejected(self):
         net, critic = grid_critic()
-        with pytest.raises(tk.EncodingError, match="user_id -1"):
-            ri.q_values(mkstate(4, 8, user=-1), critic)
+        with pytest.raises(tk.EncodingError, match="^row 0: user -1"):
+            ri.critic_policy(mkstate(4, 8, user=-1), critic)
 
     @pytest.mark.parametrize("end", ["below", "above"])
     @pytest.mark.parametrize(
@@ -235,41 +269,57 @@ class TestQRows:
     def test_state_outside_vocabulary_rejected_by_name(self, field, table, end):
         net, critic = grid_critic(users=3)
         value = -1 if end == "below" else getattr(critic.cfg.vocab, table)
-        good = ng.EnvState(4, 0, 8, 2, 0, 1)
+        size = getattr(critic.cfg.vocab, table)
+        col = {"depart_bin": "depart", "user_id": "user"}.get(field, field)
+        good, good_next = ng.EnvState(4, 0, 8, 2, 0, 1), ng.EnvState(5, 0, 8, 2, 0, 1)
         bad = dataclasses.replace(good, **{field: value})
-        calls = [
-            lambda: ri.q_values(bad, critic),
-            lambda: ri.v_star(bad, critic),
-            lambda: ri.critic_policy(bad, critic),
-            lambda: ri.recover_reward(bad, 8, good, False, critic, 0.9),
-            lambda: ri.recover_reward(good, 8, bad, False, critic, 0.9),
-        ]
-        for call in calls:
-            with pytest.raises(tk.EncodingError, match=f"^{field} {value} outside vocabulary"):
-                call()
+        bad_next = good_next if field == "position" else dataclasses.replace(good_next, **{field: value})  # one trip context
+        rows = [(good, 8, good_next), (good, 5, good_next), (bad, 8, bad_next)]
+        calls = {
+            0: [
+                lambda: ri.critic_policy(bad, critic),
+                lambda: ri.recover_reward(bad, 8, bad_next, False, critic, 0.9),
+            ],
+            2: [
+                lambda: ri.log_policy_rows(critic, *state_cols(good, good, bad)),
+                lambda: ri.reward_rows(move_batch(rows), critic, 0.9),
+            ],
+        }
+        for row, row_calls in calls.items():
+            for call in row_calls:
+                with pytest.raises(tk.EncodingError, match=f"^row {row}: {col} {value} outside vocabulary of {size}$"):
+                    call()
+        if field == "position":  # the same index as s', which only the reward reads
+            with pytest.raises(tk.EncodingError, match=f"^row 0: next_position {value} outside vocabulary of {size}$"):
+                ri.recover_reward(good, 8, bad, False, critic, 0.9)
+            with pytest.raises(tk.EncodingError, match=f"^row 2: next_position {value} outside vocabulary of {size}$"):
+                ri.reward_rows(move_batch([*rows[:2], (good, 8, bad)]), critic, 0.9)
 
     def test_speed_bin_not_read(self):
         net, critic = grid_critic()
         state = mkstate(4, 8)
         far = dataclasses.replace(state, speed_bin=critic.cfg.vocab.speed_bins)
-        assert ri.q_values(far, critic).tobytes() == ri.q_values(state, critic).tobytes()
+        assert ri.critic_policy(far, critic).tobytes() == ri.critic_policy(state, critic).tobytes()
+        nxt = mkstate(5, 8)
+        far_next = dataclasses.replace(nxt, speed_bin=-1)  # not part of the trip context the critic reads
+        assert ri.recover_reward(far, 5, far_next, False, critic, 0.9) == ri.recover_reward(state, 5, nxt, False, critic, 0.9)
 
 
 class TestVStar:
     def test_zero_critic_interior_ln9(self):
         net, _ = grid_critic()
         critic = zero_critic(net)
-        assert ri.v_star(mkstate(4, 8), critic) == pytest.approx(math.log(9), abs=1e-12)
+        assert v_of(mkstate(4, 8), critic) == pytest.approx(math.log(9), abs=1e-12)
 
     def test_single_feasible_action(self):
         graph = ng.LinkGraph([[1], []])
         critic = stub_critic_with_q(graph, 0, [2.5])
-        assert ri.v_star(mkstate(0, 1), critic) == pytest.approx(2.5, abs=1e-12)
+        assert v_of(mkstate(0, 1), critic) == pytest.approx(2.5, abs=1e-12)
 
     def test_two_action_hand_value(self):
         graph = ng.LinkGraph([[1, 2], [], []])
         critic = stub_critic_with_q(graph, 0, [1.0, 0.0])
-        assert ri.v_star(mkstate(0, 1), critic) == pytest.approx(math.log(math.e + 1.0), abs=1e-12)
+        assert v_of(mkstate(0, 1), critic) == pytest.approx(math.log(math.e + 1.0), abs=1e-12)
 
     def test_bounds_property(self):
         net, critic = grid_critic(seed=7)
@@ -278,18 +328,20 @@ class TestVStar:
                 if dest == pos:
                     continue
                 state = mkstate(pos, dest)
-                q = ri.q_values(state, critic)
+                q = q_of(state, critic)
                 feas = net.feasible[pos]
-                v = ri.v_star(state, critic)
+                v = v_of(state, critic)
                 assert v >= q[feas].max() - 1e-12
                 assert v <= q[feas].max() + math.log(feas.sum()) + 1e-12
 
     def test_dead_end_rejected_by_name(self):
         critic = dead_end_critic()
-        with pytest.raises(ValueError, match="^position 2 has no feasible action"):
-            ri.v_star(mkstate(2, 0), critic)
-        with pytest.raises(tk.EncodingError, match="^user_id 2 outside vocabulary"):
-            ri.v_star(mkstate(2, 0, user=2), critic)
+        with pytest.raises(ValueError, match="^row 0: position 2 has no feasible action$"):
+            v_of(mkstate(2, 0), critic)
+        with pytest.raises(ValueError, match="^row 1: position 2 has no feasible action$"):
+            ri.log_policy_rows(critic, *state_cols(mkstate(1, 0), mkstate(2, 0), mkstate(2, 0)))
+        with pytest.raises(tk.EncodingError, match="^row 0: user 2 outside vocabulary"):
+            v_of(mkstate(2, 0, user=2), critic)
 
 
 class TestIqLoss:
@@ -311,7 +363,7 @@ class TestIqLoss:
         cfg = ri.IRLConfig(alpha_phi=0.5)
         batch = self._single_transition_batch(net, 4, 8, 8)
         loss, parts = ri.iq_loss(batch, critic, cfg)
-        q_sa = ri.q_values(mkstate(4, 8), critic)[8]
+        q_sa = q_of(mkstate(4, 8), critic)[8]
         phi = q_sa - q_sa**2 / (4 * cfg.alpha_phi)
         assert float(loss.data) == pytest.approx(-phi, abs=1e-12)
         assert parts["initial_term"] == 0.0
@@ -386,7 +438,7 @@ class TestIqLoss:
         for _ in range(3000):
             loss, _ = ri.iq_loss(batch, critic, cfg)
             apply_step(critic, loss, opt, 10.0)
-        q_sa = ri.q_values(mkstate(4, 8), critic)[8]
+        q_sa = q_of(mkstate(4, 8), critic)[8]
         assert q_sa == pytest.approx(2 * cfg.alpha_phi, abs=1e-4)
 
 
@@ -516,21 +568,29 @@ class TestRecoverReward:
         assert not graph.feasible[1].any()
         state = mkstate(0, 1, user=1)
         r = ri.recover_reward(state, 0, mkstate(1, 1, user=1), True, critic, 0.9)
-        assert r == pytest.approx(float(ri.q_values(state, critic)[0]), abs=1e-12)
+        assert r == pytest.approx(float(q_of(state, critic)[0]), abs=1e-12)
 
     @pytest.mark.parametrize("action", [9, -1])
     def test_action_outside_range_rejected_by_name(self, action):
         net, critic = grid_critic()
-        with pytest.raises(ValueError, match=rf"^action {action} outside \[0, 9\)"):
+        with pytest.raises(ValueError, match=rf"^row 0: action {action} outside \[0, 9\)$"):
             ri.recover_reward(mkstate(4, 8), action, mkstate(5, 8), False, critic, 0.9)
-        with pytest.raises(tk.EncodingError, match="^position -1 outside vocabulary"):  # the states are checked first
+        with pytest.raises(tk.EncodingError, match="^row 0: position -1 outside vocabulary"):  # a row's states come first
             ri.recover_reward(mkstate(-1, 8), action, mkstate(5, 8), False, critic, 0.9)
+        rows = [(mkstate(4, 8), 5, mkstate(5, 8)), (mkstate(5, 8), action, mkstate(6, 8)), (mkstate(-1, 8), 5, mkstate(5, 8))]
+        with pytest.raises(ValueError, match=rf"^row 1: action {action} outside \[0, 9\)$"):  # the first bad row
+            ri.reward_rows(move_batch(rows), critic, 0.9)
 
     def test_non_terminal_dead_end_next_state_rejected_by_name(self):
         critic = dead_end_critic()
-        with pytest.raises(ValueError, match="^position 2 has no feasible action"):
+        with pytest.raises(ValueError, match="^row 0: next_position 2 has no feasible action$"):
             ri.recover_reward(mkstate(1, 0), 0, mkstate(2, 0), False, critic, 0.9)
         assert math.isfinite(ri.recover_reward(mkstate(1, 2), 0, mkstate(2, 2), True, critic, 0.9))
+        rows = [(mkstate(1, 2), 0, mkstate(2, 2)), (mkstate(0, 2), 0, mkstate(1, 2)), (mkstate(1, 0), 0, mkstate(2, 0))]
+        with pytest.raises(ValueError, match="^row 2: next_position 2 has no feasible action$"):
+            ri.reward_rows(move_batch(rows, is_terminal=[True, False, False]), critic, 0.9)
+        with pytest.raises(ValueError, match="^row 1: position 2 has no feasible action$"):  # a move cannot start there
+            ri.reward_rows(move_batch([rows[1], (mkstate(2, 0), 0, mkstate(2, 0))], is_terminal=[False, True]), critic, 0.9)
 
     def test_zero_critic_rewards(self):
         # terminal: r = Q(s,a) = 0; non-terminal: the soft value of a zero
@@ -546,7 +606,7 @@ class TestRecoverReward:
         net, critic = grid_critic(seed=9)
         state = mkstate(4, 8)
         r = ri.recover_reward(state, 8, mkstate(8, 8), True, critic, 0.9)
-        assert r == pytest.approx(float(ri.q_values(state, critic)[8]), abs=1e-15)
+        assert r == pytest.approx(float(q_of(state, critic)[8]), abs=1e-15)
 
     def test_unit_q_against_nine_zero_actions(self):
         net, _ = grid_critic(grid=5)
@@ -557,16 +617,14 @@ class TestRecoverReward:
         r = ri.recover_reward(state, 4, nxt, False, critic, 0.9)
         assert r == pytest.approx(1.0 - 0.9 * math.log(9), abs=1e-12)
 
-    def test_next_state_with_other_context_is_two_q_calls(self):
+    @pytest.mark.parametrize("field, value", [("origin", 2), ("destination", 11), ("depart_bin", 7), ("user_id", 2)])
+    def test_next_state_with_other_context_rejected_by_name(self, field, value):
+        # s' shares the trip context of s: a pair whose contexts differ is no move of any trip
         net, critic = grid_critic(grid=4, users=3, seed=15, init_std=0.5)
         state = mkstate(5, 15, origin=0, depart=3, user=1)
-        nxt = mkstate(6, 11, origin=2, depart=7, user=2)
-        r = ri.recover_reward(state, 5, nxt, False, critic, 0.9)
-        q_next = ri.q_values(nxt, critic)
-        want = ri.q_values(state, critic)[5] - 0.9 * nc.masked_logsumexp(q_next, net.feasible[6])
-        assert r == pytest.approx(want, abs=1e-12)
-        same_context = mkstate(6, 15, origin=0, depart=3, user=1)
-        assert r != pytest.approx(ri.recover_reward(state, 5, same_context, False, critic, 0.9), abs=1e-6)
+        nxt = dataclasses.replace(mkstate(6, 15, origin=0, depart=3, user=1), **{field: value})
+        with pytest.raises(ValueError, match=f"^next_state {field} {value} differs from the state's {getattr(state, field)}$"):
+            ri.recover_reward(state, 5, nxt, False, critic, 0.9)
 
     def test_discounted_sum_identity(self):
         # exact rearrangement of the reward recursion along a trajectory:
@@ -591,14 +649,99 @@ class TestRecoverReward:
                 for t in range(T)
             ]
             lhs = sum(gamma**t * r for t, r in enumerate(rewards))
-            rhs = float(ri.q_values(states[0], critic)[traj.actions[0]])
+            rhs = float(q_of(states[0], critic)[traj.actions[0]])
             if not traj.complete:
-                rhs -= gamma**T * ri.v_star(states[T], critic)
+                rhs -= gamma**T * v_of(states[T], critic)
             rhs -= sum(
-                gamma**t * (ri.v_star(states[t], critic) - float(ri.q_values(states[t], critic)[traj.actions[t]]))
+                gamma**t * (v_of(states[t], critic) - float(q_of(states[t], critic)[traj.actions[t]]))
                 for t in range(1, T)
             )
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+@st.composite
+def scored_rows(draw):
+    """A random critic and 1-12 moves it can score: every s is live, and a dead-end s' ends its trip."""
+    critic = draw(random_critics(st.one_of(networks(), dead_end_graphs())))
+    net, v = critic.net, critic.cfg.vocab
+    live = np.flatnonzero(~net.dead_end)
+    assume(len(live) > 0)
+    b = draw(st.integers(1, 12))
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    position, next_position = rng.choice(live, size=b), rng.integers(0, v.positions, size=b)
+    ctx = [rng.integers(0, n, size=b) for n in (v.positions, v.positions, v.depart_bins, v.users)]
+    terminal = (rng.random(b) < 0.3) | net.dead_end[next_position]
+    return critic, ri.TransitionBatch(position, *ctx, rng.integers(0, 9, size=b), next_position, rng.random(b) < 0.5, terminal)
+
+
+def row_states(batch, i):
+    """Row i of `batch` as (state, action, next_state, is_terminal) for the one-row calls."""
+    state = ng.EnvState(*(int(getattr(batch, f)[i]) for f in ("position", "origin", "destination", "depart")), 0, int(batch.user[i]))
+    return state, int(batch.action[i]), dataclasses.replace(state, position=int(batch.next_position[i])), bool(batch.is_terminal[i])
+
+
+def policy_cols(batch):
+    return batch.position, batch.origin, batch.destination, batch.depart, batch.user
+
+
+class TestRowScorers:
+    @given(case=scored_rows(), gamma=st.sampled_from([0.5, 0.9]))
+    def test_rows_equal_one_row_calls_property(self, case, gamma):
+        critic, batch = case
+        rewards = ri.reward_rows(batch, critic, gamma)
+        log_pi = ri.log_policy_rows(critic, *policy_cols(batch))
+        rows = [row_states(batch, i) for i in range(len(batch))]
+        one_rewards = np.array([ri.recover_reward(s, a, s2, end, critic, gamma) for s, a, s2, end in rows])
+        one_policies = np.array([ri.critic_policy(s, critic) for s, _, _, _ in rows])
+        if len(batch) == 1:
+            assert rewards.tobytes() == one_rewards.tobytes()
+            assert np.exp(log_pi).tobytes() == one_policies.tobytes()
+        scale = max(1.0, float(np.abs(one_rewards).max()))
+        np.testing.assert_allclose(rewards, one_rewards, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(np.exp(log_pi), one_policies, rtol=0, atol=1e-12)
+        feasible = critic.net.feasible[batch.position]
+        assert np.all(log_pi[~feasible] == -np.inf)
+        assert np.all(np.isfinite(log_pi[feasible]))
+
+    @given(
+        case=scored_rows(),
+        kind=st.sampled_from(["position", "origin", "destination", "depart", "user", "next_position", "action", "dead s", "dead s'"]),
+        data=st.data(),
+    )
+    def test_errors_name_the_first_bad_row_property(self, case, kind, data):
+        critic, batch = case
+        assume(len(batch) >= 2)
+        net, v = critic.net, critic.cfg.vocab
+        first = data.draw(st.integers(1, len(batch) - 1), label="first bad row")
+        bad = [first, *data.draw(st.lists(st.integers(first + 1, len(batch) - 1), max_size=3) if first + 1 < len(batch) else st.just([]))]
+        batch = batch.take(np.arange(len(batch)))  # a copy to corrupt
+        scores_s = kind not in ("next_position", "action", "dead s'")  # log_policy_rows reads s only
+        if kind.startswith("dead"):
+            assume(net.dead_end.any())
+            dead = int(np.flatnonzero(net.dead_end)[0])
+            column = "position" if kind == "dead s" else "next_position"
+            getattr(batch, column)[bad] = dead
+            batch.is_terminal[bad] = False
+            error, message = ValueError, f"{column} {dead} has no feasible action"
+        else:
+            size = ng.N_ACTIONS if kind == "action" else getattr(v, {"depart": "depart_bins", "user": "users"}.get(kind, "positions"))
+            value = data.draw(st.sampled_from([-1, size]), label="value")
+            getattr(batch, kind)[bad] = value
+            error, message = (ValueError, rf"action {value} outside \[0, 9\)") if kind == "action" else (
+                tk.EncodingError, f"{kind} {value} outside vocabulary of {size}"
+            )
+        with pytest.raises(error, match=f"^row {first}: {message}$"):
+            ri.reward_rows(batch, critic, 0.9)
+        if scores_s:
+            with pytest.raises(error, match=f"^row {first}: {message}$"):
+                ri.log_policy_rows(critic, *policy_cols(batch))
+
+
+    def test_no_rows_score_to_empty_arrays(self):
+        net, critic = grid_critic()
+        batch = move_batch([(mkstate(4, 8), 5, mkstate(5, 8))]).take(np.arange(0))
+        assert ri.reward_rows(batch, critic, 0.9).shape == (0,)
+        assert ri.log_policy_rows(critic, *policy_cols(batch)).shape == (0, ng.N_ACTIONS)
 
 
 class TestCriticPolicy:
@@ -623,7 +766,7 @@ class TestCriticPolicy:
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_dead_end_rejected_by_name(self):
-        with pytest.raises(ValueError, match="^position 2 has no feasible action"):
+        with pytest.raises(ValueError, match="^row 0: position 2 has no feasible action$"):
             ri.critic_policy(mkstate(2, 0), dead_end_critic())
 
 

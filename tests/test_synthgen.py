@@ -206,7 +206,7 @@ class TestRollOut:
         model = tm.PolicyModel(cfg, rng=make_rng(seed))
         for temperature in (1.0, 0.0):
             ctx = tm.GenerationContext(origin, destination, 1, 2, 1, max_moves, temperature, seed)
-            assert_rolled_out(tm.generate(ctx, model, net), net, origin, destination, max_moves)
+            assert_rolled_out(tm.generate_scored(ctx, model, net).trajectory, net, origin, destination, max_moves)
 
     def test_choose_sees_each_position_and_the_previous_move(self):
         grid = ng.GridNetwork(ng.GridSpec(3, 3))
@@ -439,6 +439,28 @@ class TestDatasetIO:
         sg.save_preferences(prefs, path)
         loaded = sg.load_preferences(path)
         np.testing.assert_array_equal(loaded.theta, prefs.theta)
+
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            (["0,1.0,x,0.5"], ":2: could not convert string to float: 'x'$"),
+            (["0,1.0"], ":2: expected 4 fields, got 2$"),
+            (["0,1,2,3", "1,4,5,6,7"], ":3: expected 4 fields, got 5$"),
+            (["0,1,2,3", "0,4,5,6"], ":3: user_id 0 is repeated$"),
+            (["-1,1,2,3"], ":2: user_id -1 is negative$"),
+            (["0,1,2,3", "", "2,4,5,6"], ": no row for user_id 1$"),
+            (["1,4,5,6", "0,1,2,3"], [[1, 2, 3], [4, 5, 6]]),  # each row at its user_id, not at its line
+        ],
+        ids=["bad-float", "short-row", "long-row", "repeated-user", "negative-user", "missing-user", "out-of-order"],
+    )
+    def test_preferences_rows_read_by_user_id(self, tmp_path, rows, want):
+        path = tmp_path / "theta.csv"
+        path.write_text("\n".join(["user_id,theta_progress,theta_turn,theta_stay", *rows]) + "\n")
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{want}"):
+                sg.load_preferences(path)
+        else:
+            np.testing.assert_array_equal(sg.load_preferences(path).theta, want)
 
 
 class TestIngestCSV:

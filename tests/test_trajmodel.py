@@ -570,7 +570,7 @@ class TestGenerate:
     def test_null_trip_rejected(self):
         net, model = small_model()
         with pytest.raises(sg.GenerationError):
-            tm.generate(tm.GenerationContext(3, 3, 0, 0, 0), model, net)
+            tm.generate_scored(tm.GenerationContext(3, 3, 0, 0, 0), model, net).trajectory
 
     def test_network_of_wrong_size_rejected(self):
         net, model = small_model()
@@ -606,7 +606,7 @@ class TestGenerate:
             for t in trips:
                 fields = dict(depart_bin=t.depart_bin, speed_bin=t.speed_bin, user_id=t.user_id, traj_id=t.traj_id)
                 ctx = tm.GenerationContext(t.origin, t.destination, max_len=12, temperature=temperature, seed=5, **fields)
-                traj = tm.generate(ctx, model, net)
+                traj = tm.generate_scored(ctx, model, net).trajectory
                 digest.update(repr((traj.positions, traj.actions, traj.flag)).encode())
                 moves.append(len(traj.actions))
         assert sum(m > 4 for m in moves) > 40
@@ -615,15 +615,15 @@ class TestGenerate:
     def test_same_seed_identical(self):
         net, model = small_model()
         ctx = tm.GenerationContext(0, 24, 2, 7, 1, max_len=19, temperature=1.0, seed=42)
-        a = tm.generate(ctx, model, net)
-        b = tm.generate(ctx, model, net)
+        a = tm.generate_scored(ctx, model, net).trajectory
+        b = tm.generate_scored(ctx, model, net).trajectory
         assert a.positions == b.positions and a.actions == b.actions
 
     def test_greedy_deterministic_function(self):
         net, model = small_model()
         ctx1 = tm.GenerationContext(0, 24, 2, 7, 1, max_len=19, temperature=0.0, seed=1)
         ctx2 = tm.GenerationContext(0, 24, 2, 7, 1, max_len=19, temperature=0.0, seed=999)
-        assert tm.generate(ctx1, model, net).positions == tm.generate(ctx2, model, net).positions
+        assert tm.generate_scored(ctx1, model, net).trajectory.positions == tm.generate_scored(ctx2, model, net).trajectory.positions
 
     @given(
         on_grid=st.booleans(),
@@ -664,13 +664,13 @@ class TestGenerate:
         rows[[1, 2]] = rows[[2, 1]]
         ctx_u1 = tm.GenerationContext(0, 24, 2, 7, 1, max_len=19, temperature=1.0, seed=11)
         ctx_u2 = tm.GenerationContext(0, 24, 2, 7, 2, max_len=19, temperature=1.0, seed=11)
-        a = tm.generate(ctx_u1, model, net)
-        b = tm.generate(ctx_u2, swapped, net)
+        a = tm.generate_scored(ctx_u1, model, net).trajectory
+        b = tm.generate_scored(ctx_u2, swapped, net).trajectory
         assert a.positions == b.positions and a.actions == b.actions
 
     def test_max_len_truncates(self):
         net, model = small_model()
-        traj = tm.generate(tm.GenerationContext(0, 24, 0, 0, 0, max_len=2, seed=3), model, net)
+        traj = tm.generate_scored(tm.GenerationContext(0, 24, 0, 0, 0, max_len=2, seed=3), model, net).trajectory
         if traj.flag == "truncated":
             assert len(traj.actions) == 2
         else:
@@ -699,7 +699,7 @@ class TestGenerate:
         vocab = tk.vocab_sizes(graph, sg.SynthConfig(users=1, max_len=5))
         cfg = tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, context=4, dropout=0.0)
         model = tm.PolicyModel(cfg, rng=make_rng(0))
-        traj = tm.generate(tm.GenerationContext(0, 1, 0, 0, 0, max_len=5, seed=0), model, graph)
+        traj = tm.generate_scored(tm.GenerationContext(0, 1, 0, 0, 0, max_len=5, seed=0), model, graph).trajectory
         # link 1 is the destination, so this completes; dead ends only occur mid-route
         assert traj.flag == "complete"
         # branch into a cul-de-sac: from 0, action 0 heads toward dest 3, action 1 strands at 2
@@ -708,7 +708,7 @@ class TestGenerate:
         cfg2 = tm.ModelConfig(vocab=vocab2, d_model=8, n_layers=1, n_heads=1, context=4, dropout=0.0)
         model2 = tm.PolicyModel(cfg2, rng=make_rng(0))
         flags = {
-            tm.generate(tm.GenerationContext(0, 3, 0, 0, 0, max_len=5, temperature=1.0, seed=s), model2, graph2).flag
+            tm.generate_scored(tm.GenerationContext(0, 3, 0, 0, 0, max_len=5, temperature=1.0, seed=s), model2, graph2).trajectory.flag
             for s in range(12)
         }
         assert "dead_end" in flags
@@ -721,7 +721,7 @@ class TestGenerate:
         vocab = tk.vocab_sizes(net, sg.SynthConfig(users=2, max_len=12))
         cfg = tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=2, context=4, dropout=0.0, init_std=0.5)
         model = tm.PolicyModel(cfg, rng=make_rng(0))
-        traj = tm.generate(tm.GenerationContext(1, 2, 1, 2, 1, max_len=12, temperature=1.0, seed=27), model, net)
+        traj = tm.generate_scored(tm.GenerationContext(1, 2, 1, 2, 1, max_len=12, temperature=1.0, seed=27), model, net).trajectory
         assert traj.positions == [1, 0, 1, 4, 1, 4, 6, 4, 6, 4, 6, 4, 3]
         assert traj.flag == "dead_end"
 
