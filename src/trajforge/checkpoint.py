@@ -12,6 +12,9 @@ removed parameter keeps its draw, discarded, so that every later one starts from
 
 A checkpoint file is one JSON header line (keys sorted: config, format, kind, manifest,
 meta, version) followed by each parameter as little-endian float64, in manifest order.
+
+`require` is the field check that the configs' `__post_init__` run: the model configs that
+a checkpoint rebuilds, and the trainers' and generation's configs.
 """
 
 from __future__ import annotations
@@ -28,6 +31,13 @@ from .tokenizer import VocabSpec
 
 MAGIC = "trajforge-ckpt"
 VERSION = 1
+
+
+def require(cfg, *rules) -> None:
+    """Raise a ValueError naming the first field of `cfg` that breaks its rule; rules are (field, holds, bound)."""
+    for name, holds, bound in rules:
+        if not holds:
+            raise ValueError(f"{name} must be {bound}, got {getattr(cfg, name)!r}")
 
 
 class CheckpointError(RuntimeError):

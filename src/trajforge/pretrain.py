@@ -9,7 +9,7 @@ import numpy as np
 
 from . import numcore as nc
 from . import trajmodel as tm
-from .checkpoint import ParamModel
+from .checkpoint import ParamModel, require
 from .numcore import make_rng
 from .synthgen import Dataset, Trajectory
 from .tokenizer import check_vocab, encode_trips, windowize
@@ -19,13 +19,6 @@ EVAL_CHUNK = 256  # windows per eval forward pass
 
 class TrainingDivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
-
-
-def require(cfg, *rules) -> None:
-    """Raise a ValueError naming the first field of `cfg` that breaks its rule; rules are (field, holds, bound)."""
-    for name, holds, bound in rules:
-        if not holds:
-            raise ValueError(f"{name} must be {bound}, got {getattr(cfg, name)!r}")
 
 
 @dataclass
@@ -77,6 +70,11 @@ def build_windows(trajectories: list[Trajectory], context: int):
     return windowize(encode_trips(trajectories), context, context)
 
 
+def _checked_windows(trajectories: list[Trajectory], model: tm.PolicyModel):
+    """`build_windows` of the step table that `check_vocab` checked against the model's vocabulary."""
+    return windowize(check_vocab(trajectories, model.cfg.vocab), model.cfg.context, model.cfg.context)
+
+
 def supervised_loss(model: tm.PolicyModel, windows, rng=None):
     """Mean action cross-entropy over every decision position in the batch."""
     return tm.batch_nll(windows, model, rng=rng)
@@ -106,13 +104,12 @@ def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
     vocabulary cannot embed. Returns (model, TrainLog); the model carries the
     best-eval checkpoint.
     """
-    train_trajs = dataset.train() or dataset.trajectories
+    train_trajs = dataset.train()
     if not train_trajs:
         raise ValueError("empty training split")
     eval_trajs = dataset.eval()
-    check_vocab(train_trajs + eval_trajs, model.cfg.vocab)
-    windows = build_windows(train_trajs, model.cfg.context)
-    eval_windows = build_windows(eval_trajs, model.cfg.context)
+    windows = _checked_windows(train_trajs, model)
+    eval_windows = _checked_windows(eval_trajs, model)
     opt = nc.adamw_init(model.vector, cfg.lr, cfg.weight_decay)
     log = TrainLog()
     best_nll = float("inf")
@@ -152,8 +149,7 @@ def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
 
 def eval_policy(dataset: Dataset, model: tm.PolicyModel):
     """Teacher-forced (nll, top-1 accuracy) over the eval split; EncodingError for a trip outside the vocabulary."""
-    check_vocab(dataset.eval(), model.cfg.vocab)
-    return score_windows(build_windows(dataset.eval(), model.cfg.context), model)
+    return score_windows(_checked_windows(dataset.eval(), model), model)
 
 
 def score_windows(windows, model: tm.PolicyModel):

@@ -17,6 +17,11 @@ The context part and the preference term are computed once per batch; Q(s, .) an
 Q(s', .) differ only in the link row. Inference runs the training code over rows under
 `numcore.no_graph`: `reward_rows` gives `iq_loss`'s margins and `log_policy_rows` the masked
 log-policy; `recover_reward` and `critic_policy` are their one-row calls on `EnvState`s.
+
+Checks. Rows are checked once per batch by `_check_rows`: `tokenizer.check_columns`, the one
+vocabulary check, against `tokenizer.COLUMN_TABLES`, then the dead-end rule. The scorers name
+a bad row by its index, and `train_critic` by its trajectory. The critic has no speed or
+timestep tables, so its columns leave them out.
 """
 
 from __future__ import annotations
@@ -27,16 +32,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checkpoint, netgrid, numcore as nc
-from .checkpoint import ParamModel
+from .checkpoint import ParamModel, require
 from .netgrid import EnvState, Network
 from .numcore import Tensor, make_rng
-from .pretrain import apply_step, require
+from .pretrain import apply_step
 from .synthgen import Dataset
-from .tokenizer import EncodingError, VocabSpec, check_vocab, encode_trips
+from .tokenizer import VocabSpec, check_columns, encode_trips
 
 N_ACTIONS = netgrid.N_ACTIONS
 LEAKY_SLOPE = 0.01
-CRITIC_FIELDS = ("positions", "users", "depart_bins")  # the tables a critic reads; it has no speed bins
+COLUMNS = ("position", "origin", "destination", "depart", "user", "next_position", "action")  # a transition's checked columns
 
 
 @dataclass
@@ -44,6 +49,9 @@ class CriticConfig:
     vocab: VocabSpec
     d: int = 64
     init_std: float = 0.02
+
+    def __post_init__(self):
+        require(self, ("d", self.d >= 1, ">= 1"), ("init_std", 0.0 <= self.init_std < np.inf, "finite and >= 0"))
 
 
 @dataclass
@@ -146,33 +154,24 @@ def _margins(batch: TransitionBatch, critic: CriticModel, gamma: float) -> tuple
     return q_s, bellman_margin(q_s, q_next, batch.action, batch.next_position, batch.is_terminal, critic.net, gamma)
 
 
-def _check_rows(critic: CriticModel, cols: dict, ends=None) -> None:
-    """Raise for the first row of the (B,) index columns `cols` that the critic cannot score, naming it.
+def _check_rows(critic: CriticModel, cols: dict, ends=None, where=lambda row: f"row {row}") -> None:
+    """Raise for the first row of the (B,) index columns `cols` that the critic cannot score, naming it by `where(row)`.
 
-    First the indices: EncodingError outside the critic's tables, ValueError for an action outside [0, 9).
-    Then ValueError at a dead-end position, or at a dead-end next_position on a row whose `ends` is False.
+    First the indices (`check_columns`): EncodingError outside the critic's tables, ValueError for an action
+    outside [0, 9). Then ValueError at a dead-end position, or at a dead-end next_position on a row whose `ends` is False.
     """
-    v = critic.cfg.vocab
-    size = dict.fromkeys(("position", "origin", "destination", "next_position"), v.positions) | dict(depart=v.depart_bins, user=v.users)
-    names, idx = list(cols), np.array(list(cols.values()), dtype=np.intp)
-    limits = np.array([size.get(name, N_ACTIONS) for name in names])  # the one other column is the action
-    bad = idx.view(np.uintp) >= limits[:, None]  # a negative index reads as a huge unsigned one
-    if np.count_nonzero(bad):
-        row, col = np.argwhere(bad.T)[0]  # the first bad row, and its first bad column
-        error, bound = (EncodingError, f"vocabulary of {limits[col]}") if names[col] in size else (ValueError, f"[0, {N_ACTIONS})")
-        raise error(f"row {row}: {names[col]} {idx[col, row]} outside {bound}")
+    check_columns(critic.cfg.vocab, cols, where)
     dead_s = critic.net.dead_end[cols["position"]]
     stuck = dead_s if ends is None else dead_s | (critic.net.dead_end[cols["next_position"]] & ~ends)
     if np.count_nonzero(stuck):
         row = int(np.argmax(stuck))
         name = "position" if dead_s[row] else "next_position"
-        raise ValueError(f"row {row}: {name} {cols[name][row]} has no feasible action")
+        raise ValueError(f"{where(row)}: {name} {cols[name][row]} has no feasible action")
 
 
 def reward_rows(batch: TransitionBatch, critic: CriticModel, gamma: float) -> np.ndarray:
     """(B,) rewards r = Q(s, a) - gamma * V*(s'), V* = 0 on terminal rows: `iq_loss`'s margins with no graph (`_check_rows` first)."""
-    names = ("position", "origin", "destination", "depart", "user", "next_position", "action")
-    _check_rows(critic, {name: getattr(batch, name) for name in names}, np.asarray(batch.is_terminal, dtype=bool))
+    _check_rows(critic, {name: getattr(batch, name) for name in COLUMNS}, np.asarray(batch.is_terminal, dtype=bool))
     with nc.no_graph():
         return _margins(batch, critic, gamma)[1].data
 
@@ -228,10 +227,10 @@ class TransitionBatch:
 
 
 def transitions_from_dataset(dataset: Dataset, split: str = "train") -> TransitionBatch:
-    """Every transition of the "train" split (all trips when it is empty) or of the "eval" split."""
+    """Every transition of the "train" split (`Dataset.train`) or of the "eval" split."""
     if split not in ("train", "eval"):
         raise ValueError(f"split must be 'train' or 'eval', got {split!r}")
-    trajs = dataset.train() or dataset.trajectories if split == "train" else dataset.eval()
+    trajs = dataset.train() if split == "train" else dataset.eval()
     if not trajs and split == "eval":
         raise ValueError("no transitions: empty split 'eval'")
     steps = encode_trips(trajs)
@@ -291,21 +290,18 @@ class CriticLog:
 def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
     """Mini-batch optimization of the imitation objective; deterministic given seed.
 
-    Raises EncodingError for a training trajectory the critic's vocabulary cannot embed, and
-    ValueError for one that moves, other than as its complete last move, into a position with
-    no feasible action, where V*(s') is undefined.
+    `_check_rows` names the training trajectory of the first transition that the critic cannot
+    score: EncodingError for an index outside its vocabulary, and ValueError for a move out of a
+    position with no feasible action, or into one other than as a complete trip's last move,
+    where V*(s') is undefined.
     """
-    trajs = dataset.train() or dataset.trajectories
-    check_vocab(trajs, critic.cfg.vocab, CRITIC_FIELDS)
+    trajs = dataset.train()
     transitions = transitions_from_dataset(dataset)
     if len(transitions) == 0:
         raise ValueError("dataset has no transitions")
-    stuck = np.flatnonzero(~transitions.is_terminal & critic.net.dead_end[transitions.next_position])
-    if len(stuck):
-        traj, pos = trajs[np.cumsum(transitions.is_initial)[stuck[0]] - 1], transitions.next_position[stuck[0]]
-        raise ValueError(
-            f"trajectory {traj.traj_id}: a move that does not complete it reaches position {pos}, which has no feasible action"
-        )
+    trip = np.cumsum(transitions.is_initial) - 1  # each trip's first move is its one initial transition
+    cols = {name: getattr(transitions, name) for name in COLUMNS}
+    _check_rows(critic, cols, transitions.is_terminal, lambda row: f"trajectory {trajs[trip[row]].traj_id}")
     opt = nc.adamw_init(critic.vector, cfg.lr, 0.0)
     log = CriticLog()
     for epoch in range(cfg.epochs):

@@ -123,6 +123,9 @@ class Dataset:
     eval_idx: list[int] = field(default_factory=list)
 
     def train(self) -> list[Trajectory]:
+        """The training split; every trip of a dataset with no split at all."""
+        if not self.train_idx and not self.eval_idx:
+            return list(self.trajectories)
         return [self.trajectories[i] for i in self.train_idx]
 
     def eval(self) -> list[Trajectory]:
@@ -334,6 +337,8 @@ class SynthConfig:
                 raise ConfigError(f"archetype {arch} must have {N_FEATURES} weights")
         if not 1 <= self.depart_bins <= 24 or not 1 <= self.speed_bins <= 120:
             raise ConfigError("depart_bins in [1,24], speed_bins in [1,120]")
+        if not self.theta_sigma >= 0:
+            raise ConfigError(f"theta_sigma must be >= 0, got {self.theta_sigma!r}")
 
 
 def draw_preferences(cfg: SynthConfig) -> PreferenceParams:

@@ -5,6 +5,10 @@ step; each trip ends in its terminal step, whose action is the single BLANK plac
 no decision is made there. So a trip ends at each BLANK step, and the row after a decision
 step holds s', the state its move leads to. The policy's windows (`windowize`) and the
 critic's transitions (`rewardirl.transitions_from_dataset`) are both read from this table.
+
+`COLUMN_TABLES` names the `VocabSpec` table that each index column reads, and `check_columns`
+is the one vocabulary check: the trainers (`check_vocab`, `rewardirl.train_critic`), the
+critic's row scorers and `trajmodel.generate_scored` all reject an out-of-table index through it.
 """
 
 from __future__ import annotations
@@ -15,13 +19,13 @@ from itertools import chain
 import numpy as np
 
 from . import netgrid
-from .netgrid import EnvState, Network
+from .netgrid import Network
 from .synthgen import SynthConfig, Trajectory
 
 BLANK = netgrid.N_ACTIONS  # embedding row reserved for the missing decision
-_STATE_TABLES = dict(  # the table each field of a decision state indexes, in checking order
-    origin="positions", destination="positions", depart_bin="depart_bins",
-    speed_bin="speed_bins", user_id="users", position="positions",
+COLUMN_TABLES = dict(  # the VocabSpec table each index column reads; `action` is the one column outside them
+    position="positions", origin="positions", destination="positions", next_position="positions",
+    depart="depart_bins", speed="speed_bins", user="users", timestep="max_timestep",
 )
 
 
@@ -86,32 +90,33 @@ def vocab_sizes(net: Network, config: SynthConfig) -> VocabSpec:
     return spec
 
 
-def check_vocab(trajectories, vocab: VocabSpec, fields=("positions", "users", "depart_bins", "speed_bins", "max_timestep")) -> None:
-    """Raise EncodingError naming the first trajectory with a token outside the `fields` tables of `vocab`.
+def check_columns(vocab: VocabSpec, columns: dict, where) -> None:
+    """Raise for the first row of the (B,) index `columns` with an index outside its table of `vocab`.
 
-    A trajectory of n positions uses timesteps 0..n-1.
+    `columns` maps names of `COLUMN_TABLES`, and `action`, to equal-length arrays. The error names
+    the first bad row by `where(row)`, then that row's first bad column in `columns` order, and
+    its value: EncodingError outside a table, ValueError for an action outside [0, 9).
     """
-    for traj in trajectories:
-        used = {
-            "positions": traj.positions,
-            "users": [traj.user_id],
-            "depart_bins": [traj.depart_bin],
-            "speed_bins": [traj.speed_bin],
-            "max_timestep": [len(traj.positions) - 1],
-        }
-        for name in fields:
-            size = getattr(vocab, name)
-            for value in used[name]:
-                if not 0 <= value < size:
-                    raise EncodingError(f"trajectory {traj.traj_id}: {name} index {value} outside vocabulary of {size}")
+    names, idx = list(columns), np.array(list(columns.values()), dtype=np.intp)
+    limits = np.array([getattr(vocab, COLUMN_TABLES[name]) if name != "action" else netgrid.N_ACTIONS for name in names])
+    bad = idx.view(np.uintp) >= limits[:, None]  # a negative index reads as a huge unsigned one
+    if np.count_nonzero(bad):
+        row, col = np.argwhere(bad.T)[0]  # the first bad row, and its first bad column
+        if names[col] == "action":
+            raise ValueError(f"{where(row)}: action {idx[col, row]} outside [0, {netgrid.N_ACTIONS})")
+        raise EncodingError(f"{where(row)}: {names[col]} {idx[col, row]} outside vocabulary of {limits[col]}")
 
 
-def check_state(state: EnvState, vocab: VocabSpec) -> None:
-    """Raise EncodingError naming the first field of `state` outside its table of `vocab`."""
-    for name, table in _STATE_TABLES.items():
-        value, size = getattr(state, name), getattr(vocab, table)
-        if not 0 <= value < size:
-            raise EncodingError(f"{name} {value} outside vocabulary of {size}")
+def check_vocab(trajectories, vocab: VocabSpec) -> EpisodeTokens:
+    """The step table of `trajectories` (`encode_trips`), its index columns checked by `check_columns`.
+
+    EncodingError names the trajectory of the first bad step; a trajectory of n positions uses timesteps 0..n-1.
+    """
+    tokens = encode_trips(trajectories)
+    trip = np.cumsum(~tokens.decision_mask) - ~tokens.decision_mask  # trips ended before each step
+    cols = {name: getattr(tokens, name) for name in tokens.__dataclass_fields__ if name != "action"}
+    check_columns(vocab, cols, lambda row: f"trajectory {trajectories[trip[row]].traj_id}")
+    return tokens
 
 
 def encode_trips(trajectories) -> EpisodeTokens:

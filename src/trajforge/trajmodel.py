@@ -52,11 +52,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint, netgrid, numcore as nc
-from .checkpoint import CheckpointError, ParamModel  # noqa: F401 (callers catch tm.CheckpointError)
-from .netgrid import EnvState, Network
+from .checkpoint import CheckpointError, ParamModel, require  # noqa: F401 (callers catch tm.CheckpointError)
+from .netgrid import Network
 from .numcore import Tensor, make_rng
 from .synthgen import Trajectory, roll_out
-from .tokenizer import EpisodeTokens, VocabSpec, check_state
+from .tokenizer import EpisodeTokens, VocabSpec, check_columns
 
 N_ACTIONS = netgrid.N_ACTIONS
 
@@ -81,6 +81,13 @@ class ModelConfig:
     init_std: float = 0.02
 
     def __post_init__(self):
+        require(
+            self,
+            ("d_model", self.d_model >= 1, ">= 1"),
+            ("n_heads", self.n_heads >= 1, ">= 1"),
+            ("ff_mult", self.ff_mult >= 1, ">= 1"),
+            ("init_std", 0.0 <= self.init_std < np.inf, "finite and >= 0"),
+        )
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
         if self.context < 1:
@@ -282,10 +289,7 @@ class GenerationContext:
     traj_id: int = 0
 
     def __post_init__(self):
-        if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        require(self, ("max_len", self.max_len >= 1, ">= 1"), ("temperature", self.temperature >= 0, ">= 0"))
 
 
 @dataclass
@@ -297,13 +301,14 @@ class GenerationResult:
 def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) -> GenerationResult:
     """Autoregressive rollout through `synthgen.roll_out`; deterministic given (context, model, seed).
 
-    Raises EncodingError naming a field of `ctx` outside the model's vocabulary, ValueError
+    Raises EncodingError (`check_columns`) naming an index of `ctx` outside the model's vocabulary, ValueError
     for a network whose positions are not the model's, and GenerationError as `roll_out` does.
     """
     vocab = model.cfg.vocab
     if net.n_positions != vocab.positions:
         raise ValueError(f"network of {net.n_positions} positions for a policy vocabulary of {vocab.positions}")
-    check_state(EnvState(ctx.origin, ctx.origin, ctx.destination, ctx.depart_bin, ctx.speed_bin, ctx.user_id), vocab)
+    trip = dict(origin=[ctx.origin], destination=[ctx.destination], depart=[ctx.depart_bin], speed=[ctx.speed_bin], user=[ctx.user_id])
+    check_columns(vocab, trip, lambda row: "generation context")
     rng = make_rng(ctx.seed, "generate", ctx.traj_id)
     decoder = _Decoder(model, ctx)
     temp = ctx.temperature

@@ -32,6 +32,22 @@ UNCALLED_NUMCORE = {
 }
 
 
+def test_only_tokenizer_names_encoding_error():
+    """`tokenizer.check_columns` is the one vocabulary check: no other src module imports or names EncodingError."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "tokenizer.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                (isinstance(node, ast.Name) and node.id == "EncodingError")
+                or (isinstance(node, ast.Attribute) and node.attr == "EncodingError")
+                or (isinstance(node, ast.alias) and "EncodingError" in (node.name, node.asname))
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], "EncodingError outside tokenizer.py"
+
+
 def numcore_references() -> set[str]:
     """Names of numcore reached from src/: `nc.f` attributes and names imported from numcore in the
     other modules, and names that numcore's own code loads."""

@@ -84,7 +84,7 @@ class TestEvalPolicy:
         dataset, model, _, _ = tiny_setup(users=2)
         bad = dataset.trajectories[dataset.eval_idx[0]]
         bad.user_id = 2
-        with pytest.raises(tk.EncodingError, match=f"trajectory {bad.traj_id}: users index 2"):
+        with pytest.raises(tk.EncodingError, match=f"^trajectory {bad.traj_id}: user 2 outside vocabulary of 2$"):
             pt.eval_policy(dataset, model)
 
 
@@ -102,6 +102,12 @@ class TestTrainConfig:
 
 
 class TestPretrain:
+    def test_eval_split_alone_not_trained_on(self):
+        dataset, model, _, _ = tiny_setup()
+        only_eval = sg.Dataset(dataset.net, dataset.trajectories[:6], dataset.user_count, train_idx=[], eval_idx=[0, 1])
+        with pytest.raises(ValueError, match="^empty training split$"):
+            pt.pretrain(only_eval, model, pt.TrainConfig(epochs=1))
+
     def test_overlong_ingested_trace_rejected_by_name(self, tmp_path):
         # ingested without splitting, the zig-zag is one 61-position trajectory,
         # longer than max_len 50 lets the model embed
@@ -110,7 +116,7 @@ class TestPretrain:
         assert [len(t.positions) for t in dataset.trajectories] == [61]
         vocab = tk.vocab_sizes(dataset.net, sg.SynthConfig(users=1))
         model = tm.PolicyModel(tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, context=12, dropout=0.0))
-        with pytest.raises(tk.EncodingError, match="trajectory 0: max_timestep index 60"):
+        with pytest.raises(tk.EncodingError, match="^trajectory 0: timestep 51 outside vocabulary of 51$"):
             pt.pretrain(dataset, model, pt.TrainConfig(epochs=1))
 
     def test_long_ingested_trace_split_and_trained(self, tmp_path):
@@ -220,8 +226,8 @@ class TestPretrain:
 
     def test_each_trip_encoded_once_and_eval_scores_unchanged(self, monkeypatch):
         dataset, model, _, _ = tiny_setup(seed=2, d=8)
-        encoded, encode = [], pt.encode_trips
-        monkeypatch.setattr(pt, "encode_trips", lambda trajs: encoded.append([t.traj_id for t in trajs]) or encode(trajs))
+        encoded, encode = [], tk.encode_trips
+        monkeypatch.setattr(tk, "encode_trips", lambda trajs: encoded.append([t.traj_id for t in trajs]) or encode(trajs))
         model, log = pt.pretrain(dataset, model, pt.TrainConfig(epochs=3, batch_size=8, seed=2, patience=3))
         assert len(log.rows) == 3
         assert encoded == [[t.traj_id for t in dataset.train()], [t.traj_id for t in dataset.eval()]]

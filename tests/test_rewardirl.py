@@ -137,7 +137,7 @@ def reference_transitions(dataset, split="train"):
     """The per-row builder that `transitions_from_dataset` vectorizes."""
     if split not in ("train", "eval"):
         raise ValueError(f"split must be 'train' or 'eval', got {split!r}")
-    trajs = dataset.train() or dataset.trajectories if split == "train" else dataset.eval()
+    trajs = dataset.train() if split == "train" else dataset.eval()
     if split == "eval" and not trajs:
         raise ValueError("no transitions: empty split 'eval'")
     cols = {k: [] for k in ("pos", "orig", "dest", "dep", "usr", "act", "nxt", "init", "term")}
@@ -200,11 +200,13 @@ class TestTransitions:
     def test_empty_train_falls_back_to_all_trips(self):
         net = ng.GridNetwork(ng.GridSpec(3, 3))
         trajs = [sg.Trajectory(0, 1, 2, 0, [0, 1, 2], [5, 5], "truncated"), sg.Trajectory(1, 0, 3, 0, [4, 8], [8])]
-        batch = ri.transitions_from_dataset(sg.Dataset(net, trajs, 2, train_idx=[], eval_idx=[1]))
+        batch = ri.transitions_from_dataset(sg.Dataset(net, trajs, 2))  # no split at all
         np.testing.assert_array_equal(batch.position, [0, 1, 4])
         np.testing.assert_array_equal(batch.is_initial, [True, False, True])
         np.testing.assert_array_equal(batch.is_terminal, [False, False, True])
         assert_batches_identical(batch, reference_transitions(sg.Dataset(net, trajs, 2)))
+        # an eval split with an empty training split trains on nothing, never on its eval trips
+        assert len(ri.transitions_from_dataset(sg.Dataset(net, trajs, 2, train_idx=[], eval_idx=[1]))) == 0
 
 
 class TestQValues:
@@ -452,12 +454,32 @@ class TestIRLConfig:
             ri.IRLConfig(**{field: value})
 
 
+class TestCriticConfig:
+    @pytest.mark.parametrize("field, value", [("d", 0), ("d", -1), ("init_std", float("nan")), ("init_std", -0.5), ("init_std", float("inf"))])
+    def test_out_of_range_rejected_by_name(self, field, value):
+        vocab = tk.vocab_sizes(ng.GridNetwork(ng.GridSpec(3, 3)), sg.SynthConfig(users=2))
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ri.CriticConfig(vocab, **{field: value})
+
+
 class TestTrainCritic:
     def test_user_outside_vocabulary_rejected_by_name(self):
         net, critic = grid_critic(users=1)
         trajs = [sg.Trajectory(0, 0, 0, 0, [0, 1], [5]), sg.Trajectory(3, 1, 0, 0, [0, 1], [5])]
-        with pytest.raises(tk.EncodingError, match="trajectory 3: users index 1"):
+        with pytest.raises(tk.EncodingError, match="^trajectory 3: user 1 outside vocabulary of 1$"):
             ri.train_critic(sg.Dataset(net, trajs, 2), critic, ri.IRLConfig(epochs=1))
+
+    def test_speed_bin_and_length_outside_policy_tables_accepted(self):
+        # the critic has no speed or timestep tables, so a trip the policy cannot embed still trains it
+        net, critic = grid_critic(users=1)
+        vocab = critic.cfg.vocab
+        positions = [0, 1, 2, 5, 8, 7, 6, 3, 0, 1, 2, 5, 8]
+        trip = sg.Trajectory(0, 0, 0, vocab.speed_bins, positions, [5] * (len(positions) - 1))
+        assert len(positions) > vocab.max_timestep
+        with pytest.raises(tk.EncodingError, match=f"^trajectory 0: speed {vocab.speed_bins} outside"):
+            tk.check_vocab([trip], vocab)
+        _, log = ri.train_critic(sg.Dataset(net, [trip], 1), critic, ri.IRLConfig(epochs=1))
+        assert len(log.rows) == 1 and np.isfinite(log.rows[0][1])
 
     def test_dead_end_trip_rejected_by_name(self):
         # link 1 has no downstream link; ending there is fine only as a complete trip's last move
@@ -466,7 +488,7 @@ class TestTrainCritic:
         reached = sg.Trajectory(3, 0, 0, 0, [2, 0, 1], [0, 0], "complete")
         stuck = sg.Trajectory(4, 0, 0, 0, [2, 0, 1], [0, 0], "dead_end")
         ri.train_critic(sg.Dataset(graph, [reached], 1), critic, ri.IRLConfig(epochs=1))
-        with pytest.raises(ValueError, match="^trajectory 4: .* position 1, which has no feasible action$"):
+        with pytest.raises(ValueError, match="^trajectory 4: next_position 1 has no feasible action$"):
             ri.train_critic(sg.Dataset(graph, [reached, stuck], 1), critic, ri.IRLConfig(epochs=1))
 
     def test_zero_lr_unchanged(self):

@@ -286,6 +286,11 @@ class TestRollOut:
 
 
 class TestGenDataset:
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
+    def test_theta_sigma_below_zero_rejected_by_name(self, sigma):
+        with pytest.raises(sg.ConfigError, match=f"^theta_sigma must be >= 0, got {sigma}$"):
+            sg.gen_dataset(sg.SynthConfig(theta_sigma=sigma, n_trajectories=1))
+
     @given(st.integers(0, 2**16), st.integers(1, 4), st.integers(0, 30), st.integers(1, 20), st.integers(2, 5))
     def test_equals_per_trip_gen_trajectory_property(self, seed, users, n_trajectories, max_len, width):
         cfg = sg.SynthConfig(width=width, height=3, users=users, n_trajectories=n_trajectories, max_len=max_len, seed=seed)
@@ -358,6 +363,14 @@ class TestSplit:
                     sg.Trajectory(len(trajs), user, 0, 0, [0, 1], [5], "complete")
                 )
         return sg.Dataset(net, trajs, len(counts))
+
+    def test_train_is_every_trip_only_without_a_split(self):
+        ds = self._dataset([3, 3])
+        assert ds.train() == ds.trajectories
+        ds.eval_idx = [0, 1]
+        assert ds.train() == []
+        ds.train_idx = [5, 2]
+        assert ds.train() == [ds.trajectories[5], ds.trajectories[2]]
 
     def test_even_split(self):
         ds = sg.split(self._dataset([10]), 0.5, seed=1)

@@ -183,12 +183,55 @@ class TestCheckVocab:
         ],
     )
     def test_each_field_named(self, traj, field):
-        with pytest.raises(tk.EncodingError, match=f"trajectory 7: {field} index"):
+        # the first bad step is named: a last position of 9 is first read as step 0's destination
+        column = dict(positions="destination 9", users="user 2", depart_bins="depart 24", speed_bins="speed 120", max_timestep="timestep 4")
+        with pytest.raises(tk.EncodingError, match=f"^trajectory 7: {column[field]} outside vocabulary of "):
             tk.check_vocab([traj], self.VOCAB)
 
-    def test_unlisted_fields_ignored(self):
-        long_fast = sg.Trajectory(7, 0, 0, 120, [0, 1, 2, 1, 0], [5, 5, 3, 3])
-        tk.check_vocab([long_fast], self.VOCAB, ("positions", "users", "depart_bins"))
+    def test_trip_of_first_bad_step_named_and_table_returned(self):
+        trips = [make_traj([0, 1, 2], [5, 5], traj_id=3), make_traj([0, 1], [5], user=2, traj_id=7), make_traj([0, 1], [5], depart=24, traj_id=9)]
+        with pytest.raises(tk.EncodingError, match="^trajectory 7: user 2 outside vocabulary of 2$"):
+            tk.check_vocab(trips, self.VOCAB)
+        with pytest.raises(tk.EncodingError, match="^trajectory 9: depart 24 outside vocabulary of 24$"):
+            tk.check_vocab([trips[0], trips[2]], self.VOCAB)
+        table, want = tk.check_vocab(trips[:1], self.VOCAB), tk.encode_trips(trips[:1])
+        for name in FIELDS:
+            assert np.array_equal(getattr(table, name), getattr(want, name))
+
+
+@st.composite
+def vocab_columns(draw):
+    """A random vocabulary and index columns in random order, each value in [-3, size + 3) of its table."""
+    vocab = tk.VocabSpec(*(draw(st.integers(1, 6)) for _ in range(6)))
+    names = draw(st.lists(st.sampled_from([*tk.COLUMN_TABLES, "action"]), min_size=1, unique=True))
+    rows = draw(st.integers(0, 6))
+    columns = {}
+    for name in names:
+        size = ng.N_ACTIONS if name == "action" else getattr(vocab, tk.COLUMN_TABLES[name])
+        columns[name] = np.array(draw(st.lists(st.integers(-3, size + 2), min_size=rows, max_size=rows)), dtype=np.int64)
+    return vocab, columns
+
+
+class TestCheckColumns:
+    @given(vocab_columns())
+    @example((tk.VocabSpec(3, 10, 1, 1, 1, 1), {"user": np.array([0, -1]), "position": np.array([0, 3])}))
+    def test_first_bad_row_then_column_named_property(self, case):
+        vocab, columns = case
+        size = {name: ng.N_ACTIONS if name == "action" else getattr(vocab, tk.COLUMN_TABLES[name]) for name in columns}
+        rows = len(next(iter(columns.values())))
+        bad = [(row, name) for row in range(rows) for name in columns if not 0 <= columns[name][row] < size[name]]
+        if not bad:
+            tk.check_columns(vocab, columns, lambda row: f"at {row}")
+            return
+        row, name = bad[0]
+        value = columns[name][row]
+        if name == "action":
+            error, message = ValueError, rf"^at {row}: action {value} outside \[0, 9\)$"
+        else:
+            error, message = tk.EncodingError, f"^at {row}: {name} {value} outside vocabulary of {size[name]}$"
+        with pytest.raises(error, match=message) as info:
+            tk.check_columns(vocab, columns, lambda row: f"at {row}")
+        assert type(info.value) is error
 
 
 class TestVocabSizes:

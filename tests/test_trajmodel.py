@@ -346,6 +346,12 @@ class TestForward:
         with pytest.raises(ValueError, match="n_layers"):
             small_model(layers=0)
 
+    @pytest.mark.parametrize("field, value", [("n_heads", 0), ("d_model", 0), ("ff_mult", 0), ("init_std", -1.0), ("init_std", float("nan"))])
+    def test_degenerate_width_or_scale_rejected_by_name(self, field, value):
+        vocab = tk.vocab_sizes(ng.GridNetwork(ng.GridSpec(3, 3)), sg.SynthConfig(users=2))
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            tm.ModelConfig(vocab, **{field: value})
+
     @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1])
     def test_dropout_outside_unit_interval_rejected(self, rate):
         with pytest.raises(ValueError, match="dropout"):
@@ -585,8 +591,14 @@ class TestGenerate:
         net, model = small_model()
         fields = dict(origin=0, destination=24, depart_bin=2, speed_bin=7, user_id=1)
         fields[field] = value
-        with pytest.raises(tk.EncodingError, match=field):
+        column = dict(depart_bin="depart", speed_bin="speed", user_id="user").get(field, field)
+        with pytest.raises(tk.EncodingError, match=f"^generation context: {column} {value} outside vocabulary"):
             tm.generate_scored(tm.GenerationContext(**fields, max_len=19), model, net)
+
+    @pytest.mark.parametrize("temperature", [float("nan"), -0.5])
+    def test_temperature_not_at_least_zero_rejected_by_name(self, temperature):
+        with pytest.raises(ValueError, match=f"^temperature must be >= 0, got {temperature}$"):
+            tm.GenerationContext(0, 24, 2, 7, 1, temperature=temperature)
 
     def test_vocabulary_of_one_timestep_rejected(self):
         # the origin's timestep is the vocabulary's only one, which leaves no room for a move
