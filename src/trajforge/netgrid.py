@@ -189,6 +189,8 @@ def hops_stack(net: Network, destinations) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_link_graph(path) -> LinkGraph:
+    """Parse a link-graph file; a line that does not parse, or names a negative link, raises a
+    ValueError that starts with `path:line_no`."""
     adjacency: dict[int, list[int]] = {}
     coords: dict[int, tuple[float, float]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -196,21 +198,26 @@ def load_link_graph(path) -> LinkGraph:
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if parts and parts[0] == "coords":
-                    if len(parts) != 4:
-                        raise ValueError(f"{path}:{line_no}: malformed coords line")
-                    coords[int(parts[1])] = (float(parts[2]), float(parts[3]))
-                continue
-            if ":" not in line:
-                raise ValueError(f"{path}:{line_no}: expected 'link_id: down,...'")
-            head, _, tail = line.partition(":")
-            link = int(head.strip())
-            downs = [int(tok) for tok in tail.split(",") if tok.strip()]
-            if link in adjacency:
-                raise ValueError(f"{path}:{line_no}: duplicate link {link}")
-            adjacency[link] = downs
+            try:
+                if line.startswith("#"):
+                    parts = line[1:].split()
+                    if parts and parts[0] == "coords":
+                        if len(parts) != 4:
+                            raise ValueError("malformed coords line")
+                        coords[int(parts[1])] = (float(parts[2]), float(parts[3]))
+                    continue
+                if ":" not in line:
+                    raise ValueError("expected 'link_id: down,...'")
+                head, _, tail = line.partition(":")
+                link = int(head.strip())
+                downs = [int(tok) for tok in tail.split(",") if tok.strip()]
+                if link < 0:
+                    raise ValueError(f"negative link {link}")
+                if link in adjacency:
+                    raise ValueError(f"duplicate link {link}")
+                adjacency[link] = downs
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
     if not adjacency:
         raise ValueError(f"{path}: empty link graph")
     n = max(adjacency) + 1

@@ -7,13 +7,15 @@ successor table and the destination's hop table. The stored per-user theta
 vectors are the recoverable ground truth that the reward model is later
 judged against.
 
-`roll_out` is the one move loop, for this oracle and for the learned policy
-(`trajmodel.generate_scored`) alike. It advances B trips in lockstep: each step
-asks the caller's `choose` for one move per live trip, checks every landing and
+`roll_out` is the one move loop, and the one place a move is drawn, for this
+oracle and for the learned policy (`trajmodel.generate_scored`) alike. It
+advances B trips in lockstep: each step asks the caller's `probs` for the live
+trips' action probabilities, draws one move per trip by mapping the trip's
+uniform for that step through `numcore.inverse_cdf`, checks every landing and
 sets the trip's flag, one of `FLAGS`; a finished trip leaves the batch.
 `gen_dataset` rolls out all of its trips in one call, while `gen_trajectory`
 and `generate_scored` are calls of one trip. The oracle scores the live rows in
-one pass (`oracle_rows`) and samples them with `numcore.inverse_cdf`.
+one pass (`oracle_rows`).
 
 Each trip keeps its own stream, make_rng(seed, "traj-roll", tid), and no trip's
 generator outlives its set-up: its uniforms are drawn up front with `random`,
@@ -31,9 +33,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import netgrid
+from . import netgrid, numcore
 from .netgrid import EnvState, GridNetwork, GridSpec, Network
-from .numcore import inverse_cdf, make_rng, masked_logsumexp
+from .numcore import make_rng, masked_logsumexp
 
 N_FEATURES = 3  # progress, turn-change, stay
 FLAGS = ("complete", "truncated", "dead_end")  # reached the destination, ran out of moves, stuck
@@ -157,9 +159,15 @@ def oracle_rows(prefs: PreferenceParams, net: Network, users, destinations):
     Returns `probs(rows, positions, prev_actions)`: the (len(rows), 9) action probabilities of
     trips `rows` at `positions`, after `prev_actions` (-1 at a trip's first move). Row i equals
     `oracle_action_probs` at that state bit for bit. The trips' `hops_to` tables are stacked once,
-    here, so a roll-out reads them at every step without rebuilding them.
+    here, so a roll-out reads them at every step without rebuilding them. A user without a row of
+    `prefs.theta` raises `GenerationError` naming its row.
     """
-    theta = prefs.theta[np.asarray(users, dtype=np.intp)]
+    users = np.asarray(users, dtype=np.intp)
+    outside = (users < 0) | (users >= prefs.n_users)
+    if outside.any():
+        row = int(np.argmax(outside))
+        raise GenerationError(f"row {row}: user {users[row]} outside the {prefs.n_users} users of the preferences")
+    theta = prefs.theta[users]
     destinations = np.asarray(destinations, dtype=np.intp)
     table, index = netgrid.hops_stack(net, destinations)
     actions = np.arange(netgrid.N_ACTIONS)
@@ -206,24 +214,28 @@ def oracle_action_probs(
     return probs(np.zeros(1, dtype=np.intp), np.array([state.position]), np.array([prev]))[0]
 
 
-def roll_out(net: Network, origins, destinations, max_moves: int, choose) -> list[tuple[list[int], list[int], str]]:
-    """The one move loop: B trips from `origins` to `destinations`, advanced in lockstep.
+def roll_out(net: Network, origins, destinations, uniforms, probs) -> list[tuple[list[int], list[int], str]]:
+    """The one move loop and the one place a move is drawn: B trips from `origins` to `destinations`,
+    advanced in lockstep.
 
-    Each step calls `choose(rows, positions, prev_actions)` once for the trips still under way:
-    their rows (indices into `origins`), positions and previous moves (-1 at the first move). It
-    returns one action per row. Every live trip has made the same number of moves, so a caller can
-    read step-indexed data such as pre-drawn uniforms by counting its calls. Each landing is
-    checked: a trip is "complete" at its destination, else "dead_end" where no action is feasible
-    (also on its last allowed move), else "truncated" after `max_moves` moves. A finished trip
-    leaves the batch, so later steps compute only live rows.
+    Each step calls `probs(rows, positions, prev_actions)` once for the trips still under way: their
+    rows (indices into `origins`), positions and previous moves (-1 at the first move). It returns
+    their (len(rows), 9) action probabilities; trip i's move t is `numcore.inverse_cdf` of its row
+    at `uniforms[i, t]`, and the width of `uniforms` is the move limit. Each landing is checked: a
+    trip is "complete" at its destination, else "dead_end" where no action is feasible (also on its
+    last allowed move), else "truncated" after its last allowed move. A finished trip leaves the
+    batch, so later steps compute only live rows, and no trip asks for a move at a dead end.
 
     The ends and the move limit are checked once, here, and a bad trip raises `GenerationError`
     naming its row. Returns (positions, actions, flag) per trip, in row order.
     """
     origins = np.asarray(origins, dtype=np.intp)
     destinations = np.asarray(destinations, dtype=np.intp)
+    uniforms = np.asarray(uniforms, dtype=np.float64)
     if origins.ndim != 1 or origins.shape != destinations.shape:
         raise ValueError("origins and destinations must be 1-D and of one length")
+    if uniforms.ndim != 2 or len(uniforms) != len(origins):
+        raise ValueError(f"uniforms of shape {uniforms.shape} for {len(origins)} trips: need one row per trip")
     for row, (origin, destination) in enumerate(zip(origins.tolist(), destinations.tolist())):
         try:
             net.check_position(origin)
@@ -234,7 +246,7 @@ def roll_out(net: Network, origins, destinations, max_moves: int, choose) -> lis
             raise GenerationError(f"row {row}: origin equals destination")
         if netgrid.hops_to(net, destination)[origin] < 0:
             raise GenerationError(f"row {row}: destination {destination} unreachable from {origin}")
-    if max_moves < 1:
+    if uniforms.shape[1] < 1:
         raise GenerationError("max_len must allow at least one move")
     if not len(origins):
         return []
@@ -245,16 +257,13 @@ def roll_out(net: Network, origins, destinations, max_moves: int, choose) -> lis
     moves = [[] for _ in paths]
     flags = ["truncated"] * len(paths)  # unless a landing ends the trip
     rows, positions, prev, targets = np.arange(len(paths)), origins, np.full(len(paths), -1), destinations
-    for _ in range(max_moves):
-        actions = np.asarray(choose(rows, positions, prev), dtype=np.intp)
-        taken = actions.tolist()
-        if actions.shape != rows.shape:
-            raise ValueError(f"choose returned {actions.shape} actions for {len(rows)} trips")
-        if min(taken) < 0 or max(taken) >= netgrid.N_ACTIONS:
-            nxt = np.full(len(rows), -1)  # not a move: the landing check below names the first
-        else:
-            nxt = net.succ[positions, actions]
-        for row, landing, a in zip(rows.tolist(), nxt.tolist(), taken):
+    for column in uniforms.T:
+        p = np.asarray(probs(rows, positions, prev), dtype=np.float64)
+        if p.shape != (len(rows), netgrid.N_ACTIONS):
+            raise ValueError(f"probs returned shape {p.shape} for {len(rows)} trips")
+        actions = numcore.inverse_cdf(p, column[rows])
+        nxt = net.succ[positions, actions]
+        for row, landing, a in zip(rows.tolist(), nxt.tolist(), actions.tolist()):
             paths[row].append(landing)
             moves[row].append(a)
         arrived = nxt == targets
@@ -274,19 +283,9 @@ def roll_out(net: Network, origins, destinations, max_moves: int, choose) -> lis
 
 
 def oracle_trips(prefs: PreferenceParams, net: Network, users, origins, destinations, uniforms: np.ndarray):
-    """`roll_out` of B oracle trips; trip i's move t is drawn by `uniforms[i, t]`, and its move limit
-    is the width of `uniforms`.
-
-    Drawn with `numcore.inverse_cdf`, a row of uniforms taken from a generator's `random` draws the
-    moves that the generator's `choice` would draw, one call per move.
-    """
+    """`roll_out` of B oracle trips; trip i's move t is drawn by `uniforms[i, t]`."""
     oracle = functools.cache(lambda: oracle_rows(prefs, net, users, destinations))  # built after roll_out's checks
-    columns = iter(uniforms.T)  # one column per lockstep step
-
-    def choose(rows, positions, prev_actions):
-        return inverse_cdf(oracle()(rows, positions, prev_actions), next(columns)[rows])
-
-    return roll_out(net, origins, destinations, uniforms.shape[1], choose)
+    return roll_out(net, origins, destinations, uniforms, lambda *step: oracle()(*step))
 
 
 def gen_trajectory(
@@ -433,7 +432,8 @@ def _header_fields(line: str, names: str) -> list[str]:
 def load_dataset(path, net: Network | None = None) -> Dataset:
     """Parse a dataset file and verify the connectivity invariant of every line.
 
-    A line that does not parse raises a ValueError that starts with `path:line_no`.
+    A line that does not parse raises a ValueError that starts with `path:line_no`, as does a
+    user_id, depart_bin or speed_bin that is negative or does not fit in int64.
     """
     user_count = None
     trajectories = []
@@ -457,11 +457,13 @@ def load_dataset(path, net: Network | None = None) -> Dataset:
                     if len(parts) != 7:
                         raise ValueError(f"expected 7 fields, got {len(parts)}")
                     tid, user, depart, speed, pos_s, act_s, flag = parts
+                    context = dict(user_id=int(user), depart_bin=int(depart), speed_bin=int(speed))
+                    for name, value in context.items():
+                        if not 0 <= value < 2**63:
+                            raise ValueError(f"{name} {value} outside [0, 2**63)")
                     traj = Trajectory(
                         traj_id=int(tid),
-                        user_id=int(user),
-                        depart_bin=int(depart),
-                        speed_bin=int(speed),
+                        **context,
                         positions=[int(p) for p in pos_s.split(",")],
                         actions=[int(a) for a in act_s.split(",") if a],
                         flag=flag,
@@ -526,9 +528,13 @@ def load_preferences(path) -> PreferenceParams:
 def _parse_timestamp(token: str) -> float:
     token = token.strip()
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite timestamp {token!r}")
+        return value
     try:
         dt = datetime.fromisoformat(token)
     except ValueError as exc:
@@ -574,8 +580,14 @@ def ingest_csv(
     """
     cols = column_map or {"vehicle_id": 0, "timestamp": 1, "lon": 2, "lat": 3}
     lon_min, lat_min, lon_max, lat_max = bbox
+    if not all(map(math.isfinite, bbox)):
+        raise ConfigError(f"bbox edges must be finite, got {bbox}")
     if lon_max <= lon_min or lat_max <= lat_min:
         raise ConfigError(f"degenerate bbox {bbox}")
+    if not 0 < resample_minutes < math.inf:
+        raise ConfigError(f"resample_minutes must be finite and > 0, got {resample_minutes!r}")
+    if not max_gap_intervals >= 1:
+        raise ConfigError(f"max_gap_intervals must be >= 1, got {max_gap_intervals!r}")
     if max_moves < 1:
         raise ConfigError("max_moves must be >= 1")
     net = GridNetwork(grid)

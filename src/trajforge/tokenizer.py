@@ -97,9 +97,14 @@ def check_columns(vocab: VocabSpec, columns: dict, where) -> None:
     the first bad row by `where(row)`, then that row's first bad column in `columns` order, and
     its value: EncodingError outside a table, ValueError for an action outside [0, 9).
     """
-    names, idx = list(columns), np.array(list(columns.values()), dtype=np.intp)
+    names, values = list(columns), list(columns.values())
     limits = np.array([getattr(vocab, COLUMN_TABLES[name]) if name != "action" else netgrid.N_ACTIONS for name in names])
-    bad = idx.view(np.uintp) >= limits[:, None]  # a negative index reads as a huge unsigned one
+    try:
+        idx = np.array(values, dtype=np.intp)
+        bad = idx.view(np.uintp) >= limits[:, None]  # a negative index reads as a huge unsigned one
+    except OverflowError:  # an index past int64, outside every table: compare the Python ints
+        idx = np.array(values, dtype=object)
+        bad = (idx < 0) | (idx >= limits[:, None])
     if np.count_nonzero(bad):
         row, col = np.argwhere(bad.T)[0]  # the first bad row, and its first bad column
         if names[col] == "action":
@@ -120,10 +125,27 @@ def check_vocab(trajectories, vocab: VocabSpec) -> EpisodeTokens:
 
 
 def encode_trips(trajectories) -> EpisodeTokens:
-    """One table of the trips' steps, back to back; each trip's terminal step carries the BLANK action."""
+    """One table of the trips' steps, back to back; each trip's terminal step carries the BLANK action.
+
+    EncodingError names the first trip with an action outside [0, 9), then the first trip with an
+    index that does not fit in int64, and its field.
+    """
     for traj in trajectories:
         if any(not 0 <= a < netgrid.N_ACTIONS for a in traj.actions):
             raise EncodingError(f"trajectory {traj.traj_id} has an action outside [0, {netgrid.N_ACTIONS})")
+    try:
+        return _step_table(trajectories)
+    except OverflowError:
+        for traj in trajectories:
+            fields = dict(position=traj.positions, depart=[traj.depart_bin], speed=[traj.speed_bin], user=[traj.user_id])
+            for name, values in fields.items():
+                for value in values:
+                    if not -(2**63) <= value < 2**63:
+                        raise EncodingError(f"trajectory {traj.traj_id}: {name} {value} outside int64") from None
+        raise
+
+
+def _step_table(trajectories) -> EpisodeTokens:
     steps = np.array([len(t.positions) for t in trajectories], dtype=np.int64)
     n = int(steps.sum())
 

@@ -32,11 +32,14 @@ a graph, incrementally (`_Decoder`):
 Its logits equal a fresh `forward_batch` of the trailing window to rounding.
 
 The move loop itself is `synthgen.roll_out`, shared with the synthetic oracle:
-it advances a batch of trips in lockstep, and `generate_scored` is its call of
-one trip, whose `choose` runs one decoder step. The decoder serves one trip per
-call; a decoder over the loop's B rows is the step that batches generation.
-A sampled move draws one `random()` double from the trip's own stream and maps
-it through `numcore.inverse_cdf`, which picks what `Generator.choice` would.
+it advances a batch of trips in lockstep and draws every move, and
+`generate_scored` is its call of one trip, whose `probs` runs one decoder step
+and returns the policy's action probabilities (at temperature 0, the one-hot
+row of the feasible argmax). The decoder serves one trip per call; a decoder
+over the loop's B rows is the step that batches generation. A move is drawn by
+one `random()` double from the trip's own stream, drawn up front, which
+`roll_out` maps through `numcore.inverse_cdf`: it picks what
+`Generator.choice` would.
 
 The decoder keeps its array path, unlike the critic's inference, which runs training code
 under `no_graph`: a decoder sharing `forward_batch`'s block loop under `no_graph` gave the
@@ -59,10 +62,6 @@ from .synthgen import Trajectory, roll_out
 from .tokenizer import EpisodeTokens, VocabSpec, check_columns
 
 N_ACTIONS = netgrid.N_ACTIONS
-
-
-class DeadEndError(RuntimeError):
-    """No feasible action is available at the current position."""
 
 
 class LossError(ValueError):
@@ -263,19 +262,6 @@ def masked_log_probs(logits: np.ndarray, feasible: np.ndarray, temperature: floa
     return z - nc.masked_logsumexp(z, feasible)
 
 
-def sample_action(logits: np.ndarray, feasible: np.ndarray, temperature: float, rng: np.random.Generator, log_probs=None) -> int:
-    """Sampling restricted to the (9,) bool row `feasible`; temperature 0 is argmax with lowest-index ties.
-
-    `log_probs`, if given, is `masked_log_probs(logits, feasible, temperature)` computed already; argmax ignores it.
-    """
-    if not feasible.any():
-        raise DeadEndError("no feasible actions")
-    if temperature == 0:
-        return int(np.argmax(np.where(feasible, logits, -np.inf)))
-    p = np.exp(masked_log_probs(logits, feasible, temperature) if log_probs is None else log_probs)
-    return int(nc.inverse_cdf(p, rng.random()))
-
-
 @dataclass
 class GenerationContext:
     origin: int
@@ -301,6 +287,9 @@ class GenerationResult:
 def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) -> GenerationResult:
     """Autoregressive rollout through `synthgen.roll_out`; deterministic given (context, model, seed).
 
+    Each move is scored by `masked_log_probs` at the temperature (at 1 when greedy), and `log_probs`
+    holds that score of the move drawn.
+
     Raises EncodingError (`check_columns`) naming an index of `ctx` outside the model's vocabulary, ValueError
     for a network whose positions are not the model's, and GenerationError as `roll_out` does.
     """
@@ -309,25 +298,25 @@ def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) ->
         raise ValueError(f"network of {net.n_positions} positions for a policy vocabulary of {vocab.positions}")
     trip = dict(origin=[ctx.origin], destination=[ctx.destination], depart=[ctx.depart_bin], speed=[ctx.speed_bin], user=[ctx.user_id])
     check_columns(vocab, trip, lambda row: "generation context")
-    rng = make_rng(ctx.seed, "generate", ctx.traj_id)
+    max_moves = min(ctx.max_len, vocab.max_timestep - 1)
+    uniforms = make_rng(ctx.seed, "generate", ctx.traj_id).random((1, max_moves))
     decoder = _Decoder(model, ctx)
     temp = ctx.temperature
-    log_probs: list[float] = []
+    scored: list[np.ndarray] = []  # each move's log-probabilities
 
-    def choose(rows: np.ndarray, positions: np.ndarray, prev_actions: np.ndarray) -> list[int]:
+    def probs(rows: np.ndarray, positions: np.ndarray, prev_actions: np.ndarray) -> np.ndarray:
         pos = int(positions[0])
         logits = decoder.step(pos, int(prev_actions[0]))
         feasible = net.feasible[pos]
         # greedy decoding still scores its moves under the temperature-1 policy
-        lp = masked_log_probs(logits, feasible, temp if temp > 0 else 1.0)
-        a = sample_action(logits, feasible, temp, rng, log_probs=lp)
-        log_probs.append(float(lp[a]))
-        return [a]
+        scored.append(masked_log_probs(logits, feasible, temp if temp > 0 else 1.0))
+        if temp == 0:  # the one-hot row of the argmax, lowest index on ties
+            return np.eye(N_ACTIONS)[[np.argmax(np.where(feasible, logits, -np.inf))]]
+        return np.exp(scored[-1])[None]
 
-    max_moves = min(ctx.max_len, vocab.max_timestep - 1)
-    [(positions, actions, flag)] = roll_out(net, [ctx.origin], [ctx.destination], max_moves, choose)
+    [(positions, actions, flag)] = roll_out(net, [ctx.origin], [ctx.destination], uniforms, probs)
     traj = Trajectory(ctx.traj_id, ctx.user_id, ctx.depart_bin, ctx.speed_bin, positions, actions, flag)
-    return GenerationResult(traj, np.asarray(log_probs))
+    return GenerationResult(traj, np.array([lp[a] for lp, a in zip(scored, actions)]))
 
 
 class _Decoder:

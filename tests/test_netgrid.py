@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -203,6 +205,25 @@ class TestLinkGraphIO:
         loaded = ng.load_link_graph(path)
         assert loaded.adjacency == graph.adjacency
         assert loaded.coords == graph.coords
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1: x", "invalid literal for int"),
+            ("x: 1", "invalid literal for int"),
+            ("# coords a 1.0 2.0", "invalid literal for int"),
+            ("# coords 0 1.0 y", "could not convert string to float"),
+            ("# coords 0 1.0", "malformed coords line"),
+            ("0 1", "expected 'link_id: down,...'"),
+            ("-1: 0", "negative link -1"),
+            ("0: 0", "duplicate link 0"),
+        ],
+    )
+    def test_malformed_line_named_by_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "net.links"
+        path.write_text(f"0: 0\n\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {re.escape(message)}"):
+            ng.load_link_graph(path)
 
     def test_out_degree_cap(self):
         with pytest.raises(ValueError, match="out-degree"):

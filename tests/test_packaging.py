@@ -32,20 +32,41 @@ UNCALLED_NUMCORE = {
 }
 
 
+def references(tree: ast.AST, name: str) -> list[ast.AST]:
+    """The nodes of `tree` that name `name`: as a name, an attribute or an import."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+    ]
+
+
 def test_only_tokenizer_names_encoding_error():
     """`tokenizer.check_columns` is the one vocabulary check: no other src module imports or names EncodingError."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "tokenizer.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (
-                (isinstance(node, ast.Name) and node.id == "EncodingError")
-                or (isinstance(node, ast.Attribute) and node.attr == "EncodingError")
-                or (isinstance(node, ast.alias) and "EncodingError" in (node.name, node.asname))
-            ):
-                found.append(f"{path.name}:{node.lineno}")
+        found += [f"{path.name}:{node.lineno}" for node in references(ast.parse(path.read_text(encoding="utf-8")), "EncodingError")]
     assert found == [], "EncodingError outside tokenizer.py"
+
+
+def test_only_roll_out_draws_a_move():
+    """`synthgen.roll_out` is the one place a move is drawn: nothing else in src/ imports or names
+    `inverse_cdf`, apart from numcore's own definition, which is no reference."""
+    found, inside = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "synthgen.py":
+            roll_out = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "roll_out")
+            allowed = {id(node) for node in ast.walk(roll_out)}
+        for node in references(tree, "inverse_cdf"):
+            (inside if id(node) in allowed else found).append(f"{path.name}:{node.lineno}")
+    assert inside, "roll_out no longer draws with inverse_cdf"
+    assert found == [], "inverse_cdf referenced outside synthgen.roll_out"
 
 
 def numcore_references() -> set[str]:

@@ -119,6 +119,17 @@ class TestPretrain:
         with pytest.raises(tk.EncodingError, match="^trajectory 0: timestep 51 outside vocabulary of 51$"):
             pt.pretrain(dataset, model, pt.TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("value", [2**64, -(2**64)])
+    def test_user_outside_int64_rejected_by_name(self, value):
+        # an index past int64 used to escape as numpy's OverflowError
+        dataset, model, _, _ = tiny_setup(users=2)
+        bad = dataset.trajectories[dataset.train_idx[1]]
+        bad.user_id = value
+        with pytest.raises(tk.EncodingError, match=f"^trajectory {bad.traj_id}: user {value} outside int64$"):
+            pt.pretrain(dataset, model, pt.TrainConfig(epochs=1))
+        with pytest.raises(tk.EncodingError, match=f"^trajectory {bad.traj_id}: user {value} outside int64$"):
+            pt.build_windows([bad], model.cfg.context)
+
     def test_long_ingested_trace_split_and_trained(self, tmp_path):
         path = write_zigzag(tmp_path)
         dataset, stats = sg.ingest_csv(path, ng.GridSpec(4, 4), ZIGZAG_BBOX)

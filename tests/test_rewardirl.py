@@ -469,6 +469,16 @@ class TestTrainCritic:
         with pytest.raises(tk.EncodingError, match="^trajectory 3: user 1 outside vocabulary of 1$"):
             ri.train_critic(sg.Dataset(net, trajs, 2), critic, ri.IRLConfig(epochs=1))
 
+    @pytest.mark.parametrize("field", ["user_id", "depart_bin"])
+    def test_index_outside_int64_rejected_by_name(self, field):
+        # an index past int64 used to escape as numpy's OverflowError
+        net, critic = grid_critic(users=1)
+        trajs = [sg.Trajectory(0, 0, 0, 0, [0, 1], [5]), sg.Trajectory(3, 0, 0, 0, [0, 1], [5])]
+        setattr(trajs[1], field, 2**64)
+        column = dict(user_id="user", depart_bin="depart")[field]
+        with pytest.raises(tk.EncodingError, match=f"^trajectory 3: {column} {2**64} outside int64$"):
+            ri.train_critic(sg.Dataset(net, trajs, 2), critic, ri.IRLConfig(epochs=1))
+
     def test_speed_bin_and_length_outside_policy_tables_accepted(self):
         # the critic has no speed or timestep tables, so a trip the policy cannot embed still trains it
         net, critic = grid_critic(users=1)

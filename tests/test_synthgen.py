@@ -70,6 +70,19 @@ class TestOracleProbs:
         with pytest.raises(sg.GenerationError):
             sg.oracle_action_probs(state, prefs, graph)
 
+    @pytest.mark.parametrize("user", [-1, 20, 2**40])
+    def test_user_outside_preferences_named(self, user):
+        # -1 used to read the last user's weights and sample that user's trip; 20 failed inside numpy
+        ds, prefs = sg.gen_dataset(sg.SynthConfig(seed=1))
+        state = ng.EnvState(position=3, origin=3, destination=24, depart_bin=0, speed_bin=0, user_id=user)
+        message = f"row 0: user {user} outside the 20 users of the preferences"
+        with pytest.raises(sg.GenerationError, match=f"^{re.escape(message)}$"):
+            sg.gen_trajectory(3, (0, 24), user, prefs, ds.net, 50)
+        with pytest.raises(sg.GenerationError, match=f"^{re.escape(message)}$"):
+            sg.oracle_action_probs(state, prefs, ds.net)
+        with pytest.raises(sg.GenerationError, match=f"^row 1: user {user} outside"):
+            sg.oracle_trips(prefs, ds.net, [0, user], [0, 0], [24, 24], np.zeros((2, 5)))
+
     @pytest.mark.parametrize("net", [ng.GridNetwork(ng.GridSpec(2, 2)), ng.LinkGraph([[1], [0]])], ids=["grid", "links"])
     def test_position_outside_network(self, net):
         state = ng.EnvState(position=-1, origin=0, destination=1, depart_bin=0, speed_bin=0, user_id=0)
@@ -208,53 +221,60 @@ class TestRollOut:
             ctx = tm.GenerationContext(origin, destination, 1, 2, 1, max_moves, temperature, seed)
             assert_rolled_out(tm.generate_scored(ctx, model, net).trajectory, net, origin, destination, max_moves)
 
-    def test_choose_sees_each_position_and_the_previous_move(self):
+    def test_probs_sees_each_position_and_the_previous_move(self):
         grid = ng.GridNetwork(ng.GridSpec(3, 3))
         seen = []
 
-        def choose(rows, pos, prev):
+        def probs(rows, pos, prev):
             seen.append((rows.tolist(), pos.tolist(), prev.tolist()))
-            return [8] * len(rows)  # 8: one cell down-right
+            return one_hot(8, len(rows))  # 8: one cell down-right
 
-        assert sg.roll_out(grid, [0], [8], 5, choose) == [([0, 4, 8], [8, 8], "complete")]
+        assert sg.roll_out(grid, [0], [8], uniform_rows(1, 5), probs) == [([0, 4, 8], [8, 8], "complete")]
         assert seen == [([0], [0], [-1]), ([0], [4], [8])]
+
+    def test_move_drawn_from_each_trips_uniform(self):
+        # two trips at one cell with one row of probabilities: each trip's uniform picks its move
+        grid = ng.GridNetwork(ng.GridSpec(3, 3))
+        half = np.zeros(ng.N_ACTIONS)
+        half[[5, 8]] = 0.5  # one cell right, one cell down-right
+        out = sg.roll_out(grid, [0, 0], [2, 8], np.array([[0.7, 0.7], [0.2, 0.7]]), lambda rows, pos, prev: np.tile(half, (len(rows), 1)))
+        assert [moves for _, moves, _ in out] == [[8, 8], [5, 8]]
 
     def test_finished_rows_leave_the_batch(self):
         # row 0 arrives after one move, row 2 after two; row 1 runs out of moves
         grid = ng.GridNetwork(ng.GridSpec(4, 4))
         seen = []
 
-        def choose(rows, pos, prev):
+        def probs(rows, pos, prev):
             seen.append((rows.tolist(), pos.tolist(), prev.tolist()))
-            return [8] * len(rows)
+            return one_hot(8, len(rows))
 
-        out = sg.roll_out(grid, [0, 1, 0], [5, 0, 10], 2, choose)
+        out = sg.roll_out(grid, [0, 1, 0], [5, 0, 10], uniform_rows(3, 2), probs)
         assert out == [([0, 5], [8], "complete"), ([1, 6, 11], [8, 8], "truncated"), ([0, 5, 10], [8, 8], "complete")]
         assert seen == [([0, 1, 2], [0, 1, 0], [-1, -1, -1]), ([1, 2], [6, 5], [8, 8])]
 
     def test_infeasible_choice_raises(self):
         with pytest.raises(ng.BoundaryError):
-            sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), [0], [8], 5, lambda rows, pos, prev: [0])
-
-    @pytest.mark.parametrize("action", [-1, 9])
-    def test_out_of_range_choice_raises(self, action):
-        # -1 would index succ from its end, 9 past it; neither is a move
-        with pytest.raises(ng.BoundaryError, match=f"action {action} is infeasible at position 0"):
-            sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), [0], [8], 5, lambda rows, pos, prev: [action])
+            sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), [0], [8], uniform_rows(1, 5), lambda rows, pos, prev: one_hot(0, 1))
 
     def test_one_action_per_row_required(self):
-        with pytest.raises(ValueError, match=r"choose returned \(0,\) actions for 2 trips"):
-            sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), [0, 1], [8, 7], 5, lambda rows, pos, prev: [])
+        with pytest.raises(ValueError, match=r"probs returned shape \(0, 9\) for 2 trips"):
+            sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), [0, 1], [8, 7], uniform_rows(2, 5), lambda rows, pos, prev: one_hot(0, 0))
+
+    @pytest.mark.parametrize("shape", [(5,), (1, 5), (3, 5), (2, 5, 1)])
+    def test_one_row_of_uniforms_per_trip_required(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"uniforms of shape {shape} for 2 trips")):
+            sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), [0, 1], [8, 7], np.zeros(shape), lambda rows, pos, prev: pytest.fail("drew a move"))
 
     def test_infeasible_choice_named_in_a_batch(self):
         # action 5 moves one cell right: fine from 0, off the grid from 2
         with pytest.raises(ng.BoundaryError, match="action 5 is infeasible at position 2"):
-            sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), [0, 2], [8, 6], 5, lambda rows, pos, prev: [5] * len(rows))
+            sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), [0, 2], [8, 6], uniform_rows(2, 5), lambda rows, pos, prev: one_hot(5, len(rows)))
 
     def test_dead_end_on_the_last_allowed_move(self):
         # link 2 has no downstream link; the one move allowed enters it
         graph = ng.LinkGraph([[1, 2], [0], []])
-        assert sg.roll_out(graph, [0], [1], 1, lambda rows, pos, prev: [1]) == [([0, 2], [1], "dead_end")]
+        assert sg.roll_out(graph, [0], [1], uniform_rows(1, 1), lambda rows, pos, prev: one_hot(1, 1)) == [([0, 2], [1], "dead_end")]
 
     @pytest.mark.parametrize(
         "origin, destination, max_moves, message",
@@ -267,12 +287,12 @@ class TestRollOut:
     def test_checked_once_at_entry(self, origin, destination, max_moves, message):
         graph = ng.LinkGraph([[1], [2], [1], [0]])
         with pytest.raises(sg.GenerationError, match=message):
-            sg.roll_out(graph, [origin], [destination], max_moves, lambda rows, pos, prev: pytest.fail("chose a move"))
+            sg.roll_out(graph, [origin], [destination], uniform_rows(1, max_moves), lambda rows, pos, prev: pytest.fail("drew a move"))
 
     def test_bad_row_named(self):
         graph = ng.LinkGraph([[1], [2], [1], [0]])
         with pytest.raises(sg.GenerationError, match="row 2: destination 0 unreachable from 1"):
-            sg.roll_out(graph, [3, 0, 1], [0, 2, 0], 5, lambda rows, pos, prev: pytest.fail("chose a move"))
+            sg.roll_out(graph, [3, 0, 1], [0, 2, 0], uniform_rows(3, 5), lambda rows, pos, prev: pytest.fail("drew a move"))
 
     @pytest.mark.parametrize("od", [(25, 3), (-1, 3), (3, 25), (3, -1)])
     def test_ends_outside_the_network_rejected(self, grid5, od):
@@ -282,7 +302,17 @@ class TestRollOut:
             sg.gen_trajectory(0, od, 0, prefs_for([[1.0, 0.0, 0.0]]), grid5, max_len=5)
 
     def test_empty_batch(self, grid5):
-        assert sg.roll_out(grid5, [], [], 5, lambda rows, pos, prev: pytest.fail("chose a move")) == []
+        assert sg.roll_out(grid5, [], [], uniform_rows(0, 5), lambda rows, pos, prev: pytest.fail("drew a move")) == []
+
+
+def one_hot(action, n):
+    """`n` rows of action probabilities that put all mass on `action`."""
+    return np.tile(np.arange(ng.N_ACTIONS) == action, (n, 1)).astype(float)
+
+
+def uniform_rows(trips, max_moves):
+    """`roll_out` uniforms of `trips` trips allowed `max_moves` moves; a one-hot row draws the same move from any."""
+    return make_rng(0).random((trips, max_moves))
 
 
 class TestGenDataset:
@@ -431,8 +461,18 @@ class TestDatasetIO:
             ("#grid 3", "#grid needs width height cell_m, got 3"),
             ("0|x|0|0|0,1|5|complete", "invalid literal for int"),
             ("0|0|0|0|0,y|5|complete", "invalid literal for int"),
+            # indices that used to pass, or to escape later as numpy's OverflowError
+            ("0|-1|0|0|0,1|5|complete", r"user_id -1 outside \[0, 2\*\*63\)$"),
+            ("0|0|-3|0|0,1|5|complete", r"depart_bin -3 outside \[0, 2\*\*63\)$"),
+            ("0|0|0|-3|0,1|5|complete", r"speed_bin -3 outside \[0, 2\*\*63\)$"),
+            ("0|0|100000000000000000000|0|0,1|5|complete", r"depart_bin 100000000000000000000 outside \[0, 2\*\*63\)$"),
+            ("0|0|0|100000000000000000000|0,1|5|complete", r"speed_bin 100000000000000000000 outside \[0, 2\*\*63\)$"),
+            ("0|9223372036854775808|0|0|0,1|5|complete", r"user_id 9223372036854775808 outside \[0, 2\*\*63\)$"),
         ],
-        ids=["users-without-count", "grid-without-height", "non-integer-user", "non-integer-position"],
+        ids=[
+            "users-without-count", "grid-without-height", "non-integer-user", "non-integer-position",
+            "negative-user", "negative-depart", "negative-speed", "huge-depart", "huge-speed", "user-past-int64",
+        ],
     )
     def test_malformed_line_named_by_path_and_line(self, line, message, tmp_path):
         path = tmp_path / "bad.txt"
@@ -566,3 +606,33 @@ class TestIngestCSV:
         path = self._write(tmp_path, ["v1,1201957200,116.05,39.05", "v1,1201957800,116.15,39.05"])
         ds, stats = sg.ingest_csv(path, self.GRID, self.BBOX)
         assert stats.trajectories == 1
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_timestamp_counted_unparsable(self, tmp_path, stamp):
+        path = self._write(
+            tmp_path,
+            ["v1,1201957200,116.05,39.05", f"v1,{stamp},116.25,39.05", "v1,1201957800,116.15,39.05"],
+        )
+        _, stats = sg.ingest_csv(path, self.GRID, self.BBOX)
+        assert stats.unparsable == 1
+        assert stats.trajectories == 1
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (dict(resample_minutes=0), "resample_minutes must be finite and > 0, got 0"),
+            (dict(resample_minutes=-10.0), "resample_minutes must be finite and > 0, got -10.0"),
+            (dict(resample_minutes=float("nan")), "resample_minutes must be finite and > 0, got nan"),
+            (dict(bbox=(116.0, 39.0, float("nan"), 39.5)), "bbox edges must be finite, got (116.0, 39.0, nan, 39.5)"),
+            (dict(bbox=(116.0, -float("inf"), 116.5, 39.5)), "bbox edges must be finite, got (116.0, -inf, 116.5, 39.5)"),
+            (dict(max_gap_intervals=-1), "max_gap_intervals must be >= 1, got -1"),
+            (dict(max_gap_intervals=0), "max_gap_intervals must be >= 1, got 0"),
+            (dict(max_gap_intervals=float("nan")), "max_gap_intervals must be >= 1, got nan"),
+        ],
+    )
+    def test_bad_option_rejected_by_name(self, tmp_path, options, message):
+        # these used to raise ZeroDivisionError or a bare ValueError, count every fix out of the box, or drop every piece
+        path = self._write(tmp_path, ["v1,1201957200,116.05,39.05", "v1,1201957800,116.15,39.05"])
+        options = dict(dict(bbox=self.BBOX), **options)
+        with pytest.raises(sg.ConfigError, match=f"^{re.escape(message)}$"):
+            sg.ingest_csv(path, self.GRID, **options)

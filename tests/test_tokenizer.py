@@ -188,6 +188,18 @@ class TestCheckVocab:
         with pytest.raises(tk.EncodingError, match=f"^trajectory 7: {column[field]} outside vocabulary of "):
             tk.check_vocab([traj], self.VOCAB)
 
+    @pytest.mark.parametrize("value", [2**64, -(2**64), 2**63])
+    @pytest.mark.parametrize("field", ["position", "user", "depart", "speed"])
+    def test_index_outside_int64_named(self, field, value):
+        # an index past int64 used to escape as numpy's OverflowError; the first trip fits
+        positions = [0, value] if field == "position" else [0, 1]
+        context = {field: value} if field != "position" else {}
+        trips = [make_traj([0, 1], [5], traj_id=3), make_traj(positions, [5], traj_id=7, **context)]
+        with pytest.raises(tk.EncodingError, match=f"^trajectory 7: {field} {value} outside int64$"):
+            tk.check_vocab(trips, self.VOCAB)
+        with pytest.raises(tk.EncodingError, match=f"^trajectory 7: {field} {value} outside int64$"):
+            tk.encode_trips(trips)
+
     def test_trip_of_first_bad_step_named_and_table_returned(self):
         trips = [make_traj([0, 1, 2], [5, 5], traj_id=3), make_traj([0, 1], [5], user=2, traj_id=7), make_traj([0, 1], [5], depart=24, traj_id=9)]
         with pytest.raises(tk.EncodingError, match="^trajectory 7: user 2 outside vocabulary of 2$"):
@@ -215,6 +227,10 @@ def vocab_columns(draw):
 class TestCheckColumns:
     @given(vocab_columns())
     @example((tk.VocabSpec(3, 10, 1, 1, 1, 1), {"user": np.array([0, -1]), "position": np.array([0, 3])}))
+    # indices past int64, which used to escape as numpy's OverflowError; an earlier bad row is still named first
+    @example((tk.VocabSpec(3, 10, 2, 2, 2, 2), {"position": [0, 1, 2], "user": [0, 2**64, 0]}))
+    @example((tk.VocabSpec(3, 10, 2, 2, 2, 2), {"position": [3, 1], "user": [0, -(2**64)]}))
+    @example((tk.VocabSpec(3, 10, 2, 2, 2, 2), {"action": [0, 9], "user": [0, 2**63]}))
     def test_first_bad_row_then_column_named_property(self, case):
         vocab, columns = case
         size = {name: ng.N_ACTIONS if name == "action" else getattr(vocab, tk.COLUMN_TABLES[name]) for name in columns}

@@ -529,41 +529,49 @@ class TestDecisionRows:
         assert nc.finite_diff_check(f, model.param_tensors(), eps=1e-4) <= 1e-4
 
 
+def draw_moves(p, u):
+    """The first moves that `roll_out` draws from the (9,) action probabilities `p` at the uniforms
+    `u`, one trip per uniform, from the centre of a 3x3 grid, where every action is feasible."""
+    u = np.asarray(u, dtype=float).reshape(-1, 1)
+    trips = sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), [4] * len(u), [0] * len(u), u, lambda rows, pos, prev: np.tile(p, (len(rows), 1)))
+    return np.array([moves[0] for _, moves, _ in trips])
+
+
 class TestSampleAction:
+    """A move is drawn by `synthgen.roll_out` from the policy's probabilities; the greedy rows are `generate_scored`'s."""
+
     def test_single_feasible(self):
-        rng = make_rng(0)
-        assert tm.sample_action(np.zeros(9), np.arange(9) == 6, 1.0, rng) == 6
+        p = np.exp(tm.masked_log_probs(np.zeros(9), np.arange(9) == 6, 1.0))
+        assert draw_moves(p, make_rng(0).random()).tolist() == [6]
 
     def test_greedy_tie_break(self):
-        rng = make_rng(0)
-        logits = np.array([1.0, 2.0, 2.0, 0, 0, 0, 0, 0, 0])
-        assert tm.sample_action(logits, np.ones(9, dtype=bool), 0.0, rng) == 1
-
-    def test_empty_feasible(self):
-        with pytest.raises(tm.DeadEndError):
-            tm.sample_action(np.zeros(9), np.zeros(9, dtype=bool), 1.0, make_rng(0))
+        # at an all-zero parameter vector every logit is 0, so every feasible action ties
+        net, model = small_model(layers=2, max_len=12)
+        model.vector[:] = 0.0
+        for origin, destination in ((0, 24), (24, 0), (12, 4), (7, 20)):
+            ctx = tm.GenerationContext(origin, destination, 2, 7, 1, max_len=12, temperature=0.0, seed=3)
+            res = tm.generate_scored(ctx, model, net)
+            traj = res.trajectory
+            assert traj.actions == [int(np.argmax(net.feasible[p])) for p in traj.positions[:-1]]
+            uniform = [np.log(1.0 / net.feasible[p].sum()) for p in traj.positions[:-1]]
+            np.testing.assert_allclose(res.log_probs, uniform, rtol=1e-15)
 
     def test_uniform_frequencies_within_3_sigma(self):
-        rng = make_rng(123)
         n = 100_000
-        counts = np.zeros(9, dtype=int)
-        logits = np.zeros(9)
-        feasible = np.ones(9, dtype=bool)
-        for _ in range(n):
-            counts[tm.sample_action(logits, feasible, 1.0, rng)] += 1
+        counts = np.bincount(draw_moves(np.full(9, 1 / 9), make_rng(123).random(n)), minlength=9)
         expected = n / 9
         sigma = math.sqrt(n * (1 / 9) * (8 / 9))
         assert np.all(np.abs(counts - expected) <= 3 * sigma)
 
     def test_infeasible_never_sampled(self):
-        rng = make_rng(7)
         feasible = np.isin(np.arange(9), [0, 4, 8])
-        for _ in range(200):
-            assert feasible[tm.sample_action(np.zeros(9), feasible, 1.0, rng)]
+        p = np.exp(tm.masked_log_probs(np.zeros(9), feasible, 1.0))
+        assert feasible[draw_moves(p, make_rng(7).random(200))].all()
 
-    @given(logit_rows, feasible_rows, st.one_of(st.just(0.0), temperatures), st.integers(0, 2**32))
+    @given(logit_rows, feasible_rows, temperatures, st.integers(0, 2**32))
     def test_feasible_only_property(self, logits, feasible, temperature, seed):
-        assert feasible[tm.sample_action(logits, feasible, temperature, make_rng(seed))]
+        p = np.exp(tm.masked_log_probs(logits, feasible, temperature))
+        assert feasible[draw_moves(p, make_rng(seed).random())].all()
 
     @given(logit_rows, feasible_rows, temperatures)
     def test_masked_log_probs_distribution_property(self, logits, feasible, temperature):
@@ -585,7 +593,10 @@ class TestGenerate:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("origin", 25), ("destination", -1), ("depart_bin", 24), ("speed_bin", -1), ("user_id", 4), ("user_id", -1)],
+        [
+            ("origin", 25), ("destination", -1), ("depart_bin", 24), ("speed_bin", -1), ("user_id", 4), ("user_id", -1),
+            ("user_id", 2**64), ("origin", -(2**64)), ("speed_bin", 2**63),  # past int64: used to escape as OverflowError
+        ],
     )
     def test_context_outside_vocabulary_rejected(self, field, value):
         net, model = small_model()
