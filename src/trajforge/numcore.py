@@ -32,7 +32,11 @@ class GraphConsumedError(RuntimeError):
 
 
 class DistributionError(ValueError):
-    """Raised when probabilities are not finite, non-negative and summing to 1."""
+    """Raised when probabilities are not finite, non-negative and summing to 1; `row` is the first row that is not."""
+
+    def __init__(self, row: int, problem: str):
+        super().__init__(f"row {row}: {problem}")
+        self.row, self.problem = row, problem
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +80,7 @@ def inverse_cdf(p, u) -> np.ndarray:
         rows = p.reshape(-1, p.shape[-1])
         valid = (rows >= 0).all(axis=1) & (np.abs(total.reshape(-1) - 1.0) <= SUM_ATOL)
         row = int(np.argmin(valid))
-        raise DistributionError(f"row {row}: probabilities must be finite, non-negative and sum to 1, got {rows[row]}")
+        raise DistributionError(row, f"probabilities must be finite, non-negative and sum to 1, got {rows[row]}")
     cdf /= total
     return (cdf > np.asarray(u)[..., None]).argmax(axis=-1)
 

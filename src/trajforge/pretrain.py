@@ -1,4 +1,4 @@
-"""Phase-1 trainer: behavioral cloning of actions with cross-entropy over token windows."""
+"""Phase-1 trainer: behavioral cloning of actions with cross-entropy over one token window per trip."""
 
 from __future__ import annotations
 
@@ -66,13 +66,13 @@ class TrainLog:
 
 
 def build_windows(trajectories: list[Trajectory], context: int):
-    """Windows of `context` steps at stride `context`, the last one of each trip right-aligned."""
-    return windowize(encode_trips(trajectories), context, context)
+    """One window per trip (`windowize`); EncodingError for a trip of more than `context` steps."""
+    return windowize(encode_trips(trajectories), context)
 
 
 def _checked_windows(trajectories: list[Trajectory], model: tm.PolicyModel):
     """`build_windows` of the step table that `check_vocab` checked against the model's vocabulary."""
-    return windowize(check_vocab(trajectories, model.cfg.vocab), model.cfg.context, model.cfg.context)
+    return windowize(check_vocab(trajectories, model.cfg.vocab), model.cfg.context)
 
 
 def supervised_loss(model: tm.PolicyModel, windows, rng=None):

@@ -39,6 +39,7 @@ from .numcore import make_rng, masked_logsumexp
 
 N_FEATURES = 3  # progress, turn-change, stay
 FLAGS = ("complete", "truncated", "dead_end")  # reached the destination, ran out of moves, stuck
+CSV_COLUMNS = ("vehicle_id", "timestamp", "lon", "lat")  # the first fields of an `ingest_csv` row, in order
 
 
 class GenerationError(RuntimeError):
@@ -261,7 +262,10 @@ def roll_out(net: Network, origins, destinations, uniforms, probs) -> list[tuple
         p = np.asarray(probs(rows, positions, prev), dtype=np.float64)
         if p.shape != (len(rows), netgrid.N_ACTIONS):
             raise ValueError(f"probs returned shape {p.shape} for {len(rows)} trips")
-        actions = numcore.inverse_cdf(p, column[rows])
+        try:
+            actions = numcore.inverse_cdf(p, column[rows])
+        except numcore.DistributionError as exc:  # name the trip, not its place among the live rows
+            raise numcore.DistributionError(int(rows[exc.row]), exc.problem) from None
         nxt = net.succ[positions, actions]
         for row, landing, a in zip(rows.tolist(), nxt.tolist(), actions.tolist()):
             paths[row].append(landing)
@@ -433,7 +437,8 @@ def load_dataset(path, net: Network | None = None) -> Dataset:
     """Parse a dataset file and verify the connectivity invariant of every line.
 
     A line that does not parse raises a ValueError that starts with `path:line_no`, as does a
-    user_id, depart_bin or speed_bin that is negative or does not fit in int64.
+    user_id, depart_bin or speed_bin that is negative or does not fit in int64, a position outside
+    the network, and a trajectory line before the #grid header of a file without a network supplied.
     """
     user_count = None
     trajectories = []
@@ -468,6 +473,10 @@ def load_dataset(path, net: Network | None = None) -> Dataset:
                         actions=[int(a) for a in act_s.split(",") if a],
                         flag=flag,
                     )
+                    if net is None:
+                        raise ValueError("a trajectory line before the #grid header")
+                    for pos in traj.positions:
+                        net.check_position(pos)
                     trajectories.append(traj)
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
@@ -566,7 +575,6 @@ def ingest_csv(
     grid: GridSpec,
     bbox: tuple[float, float, float, float],
     resample_minutes: float = 10.0,
-    column_map: dict[str, int] | None = None,
     max_gap_intervals: int = 2,
     max_moves: int = SynthConfig.max_len,
 ) -> tuple[Dataset, IngestStats]:
@@ -578,7 +586,6 @@ def ingest_csv(
     A trajectory is split again every `max_moves` moves, so that a model of
     that `max_len` can embed it; consecutive parts share their boundary cell.
     """
-    cols = column_map or {"vehicle_id": 0, "timestamp": 1, "lon": 2, "lat": 3}
     lon_min, lat_min, lon_max, lat_max = bbox
     if not all(map(math.isfinite, bbox)):
         raise ConfigError(f"bbox edges must be finite, got {bbox}")
@@ -596,16 +603,13 @@ def ingest_csv(
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
-            if not line or line.lower().startswith("vehicle_id"):
+            if not line or line.lower().startswith(CSV_COLUMNS[0]):
                 continue
             stats.rows += 1
-            parts = line.split(",")
-            try:
-                vid = parts[cols["vehicle_id"]].strip()
-                ts = _parse_timestamp(parts[cols["timestamp"]])
-                lon = float(parts[cols["lon"]])
-                lat = float(parts[cols["lat"]])
-            except (ValueError, IndexError):
+            try:  # a row of fewer fields fails to unpack
+                vid, stamp, lon, lat = line.split(",")[: len(CSV_COLUMNS)]
+                vid, ts, lon, lat = vid.strip(), _parse_timestamp(stamp), float(lon), float(lat)
+            except ValueError:
                 stats.unparsable += 1
                 continue
             if not (lon_min <= lon < lon_max and lat_min <= lat < lat_max):

@@ -1,4 +1,4 @@
-"""Trajectories to one table of (state, action) steps, and context windows of it.
+"""Trajectories to one table of (state, action) steps, and the policy's one window per trip of it.
 
 Per step the token order is (s_t, a_t). `encode_trips` lays trips back to back, one row per
 step; each trip ends in its terminal step, whose action is the single BLANK placeholder since
@@ -179,19 +179,17 @@ def decode_episode(ep: EpisodeTokens, traj_id: int, flag: str) -> Trajectory:
     )
 
 
-def windowize(tokens: EpisodeTokens, context: int, stride: int) -> list[EpisodeTokens]:
-    """Sliding windows of at most `context` steps within each trip of `tokens`; a trip's last window is right-aligned.
+def windowize(tokens: EpisodeTokens, context: int) -> list[EpisodeTokens]:
+    """One window per trip of `tokens`: the trip's steps, in order.
 
-    Raises EncodingError for a non-empty table that does not end in a BLANK step, whose last trip has no end.
+    Raises EncodingError for a non-empty table that does not end in a BLANK step, whose last trip has no end,
+    and for a trip of more than `context` steps, naming it by its place in the table.
     """
-    if context < 1 or stride < 1:
-        raise ValueError("context and stride must be >= 1")
     if tokens.n_steps and tokens.action[-1] != BLANK:
         raise EncodingError("step table does not end in a BLANK step")
-    stride = min(stride, context)  # a larger stride would leave steps uncovered
-    windows, start = [], 0
-    for stop in (np.flatnonzero(~tokens.decision_mask) + 1).tolist():  # one past each trip's terminal step
-        last = max(stop - context, start)
-        windows.extend(tokens.slice(s, min(s + context, stop)) for s in [*range(start, last, stride), last])
-        start = stop
+    stops = (np.flatnonzero(~tokens.decision_mask) + 1).tolist()  # one past each trip's terminal step
+    windows = [tokens.slice(start, stop) for start, stop in zip([0, *stops], stops)]
+    for i, w in enumerate(windows):
+        if w.n_steps > context:
+            raise EncodingError(f"trip {i} of {w.n_steps} steps exceeds context {context}")
     return windows

@@ -18,18 +18,16 @@ evaluation, which calls it under `numcore.no_graph` (`pretrain.score_windows`)
 and so records none; a window without decisions is skipped, and dropout draws
 masks for the computed rows alone. Generation runs the same equations without
 a graph, incrementally (`_Decoder`):
-- a key/value cache holds each layer's keys and values of the trip's trailing
-  window; a move appends only a_{t-1} and s_t, and the pending a_t is never
-  computed;
-- once the trip passes `context` steps the window drops its first step, which
-  changes every deeper layer's keys and values, so the cache restarts and the
-  whole window (2 * context - 1 rows) is recomputed;
+- a key/value cache holds each layer's keys and values of the whole trip so
+  far; a move appends only a_{t-1} and s_t (s_0 alone at t = 0), and the
+  pending a_t is never computed. A window is the whole trip, since `context` is
+  the vocabulary's `max_timestep`, so nothing ever leaves the cache;
 - its last layer runs the query for the s_t row alone;
 - it looks up the trip's five context rows once, and adds each state's position
   row, those five rows and the timestep row in `forward_batch`'s order, so its
   state tokens hold the same bits as `forward_batch`'s. A reassociated sum
   would change the last ulp, which a trained policy's sampling amplifies.
-Its logits equal a fresh `forward_batch` of the trailing window to rounding.
+Its logits equal a fresh `forward_batch` of the trip so far to rounding.
 
 The move loop itself is `synthgen.roll_out`, shared with the synthetic oracle:
 it advances a batch of trips in lockstep and draws every move, and
@@ -74,7 +72,6 @@ class ModelConfig:
     d_model: int = 64
     n_layers: int = 2
     n_heads: int = 4
-    context: int = 12
     dropout: float = 0.1
     ff_mult: int = 4
     init_std: float = 0.02
@@ -89,12 +86,15 @@ class ModelConfig:
         )
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
-        if self.context < 1:
-            raise ValueError("context must be >= 1")
         if self.n_layers < 1:
             raise ValueError("n_layers must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+
+    @property
+    def context(self) -> int:
+        """Steps in a window: the vocabulary's `max_timestep`, so every trip the model can embed is one window."""
+        return self.vocab.max_timestep
 
 
 class PolicyModel(ParamModel):
@@ -320,9 +320,9 @@ def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) ->
 
 
 class _Decoder:
-    """Graph-free `forward_batch` over the trailing window of one trip, fed one step at a time
-    (the module docstring describes the cache). Rows [0, length) of `keys[i]` and `values[i]` hold
-    layer i's keys and values of the window's tokens."""
+    """Graph-free `forward_batch` over one trip, fed one step at a time (the module docstring
+    describes the cache). After t steps, rows [0, 2t - 1) of `keys[i]` and `values[i]` hold layer
+    i's keys and values of the trip's tokens s_0 a_0 ... s_{t-1}."""
 
     def __init__(self, model: PolicyModel, ctx: GenerationContext):
         cfg = model.cfg
@@ -336,37 +336,28 @@ class _Decoder:
             model.emb_user.data[ctx.user_id],
         )
         self.t = 0
-        self.length = 0
-        # layer-normed tokens of the trip: s_t, a_t at rows 2t, 2t + 1
-        self.tokens = np.empty((2 * cfg.vocab.max_timestep, cfg.d_model))
         self.keys = [np.empty((2 * cfg.context, cfg.d_model)) for _ in model.layers]
         self.values = [np.empty((2 * cfg.context, cfg.d_model)) for _ in model.layers]
-        self.causal = np.tri(2 * cfg.context, dtype=bool)  # window row i attends to rows j <= i
+        self.causal = np.tri(2 * cfg.context, dtype=bool)  # token i attends to tokens j <= i
 
     def step(self, position: int, prev_action: int) -> np.ndarray:
         """Action logits at step t, the vehicle at `position` after `prev_action` (unread at t = 0)."""
         m, t = self.model, self.t
         origin, destination, depart, speed, user = self.context_rows
         ts = m.emb_timestep.data
-        lo, hi = max(2 * t - 1, 0), 2 * t + 1
-        new = self.tokens[lo:hi]
+        new = np.empty((min(t, 1) + 1, m.cfg.d_model))  # a_{t-1} and s_t; s_0 alone
         if t > 0:
             new[0] = m.emb_action.data[prev_action] + ts[t - 1]
         new[-1] = m.emb_position.data[position] + origin + destination + depart + speed + user + ts[t]
-        new[:] = nc.layer_norm_fwd(new, m.ln_emb_gain.data, m.ln_emb_bias.data)[0]
         self.t = t + 1
-        first = t + 1 - m.cfg.context  # first step of the window, once it slides
-        if first <= 0:
-            return self._run(new)
-        self.length = 0
-        return self._run(self.tokens[2 * first : hi])
+        return self._run(nc.layer_norm_fwd(new, m.ln_emb_gain.data, m.ln_emb_bias.data)[0])
 
     def _run(self, x: np.ndarray) -> np.ndarray:
-        """Append the rows `x` to the window and return the logits read at its last row."""
+        """Append the rows `x` to the trip's tokens and return the logits read at its last row."""
         m = self.model
         n_heads = m.cfg.n_heads
-        past = self.length
-        total = self.length = past + len(x)
+        total = 2 * self.t - 1  # the trip's tokens so far, `x` the last of them
+        past = total - len(x)
         visible = self.causal[past:total, :total]
         last = len(m.layers) - 1
         for i, layer in enumerate(m.layers):

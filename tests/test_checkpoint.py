@@ -19,7 +19,9 @@ DATA = Path(__file__).parent / "data"
 
 # The tiny models of tests/data: checkpoint format version 1, written before the policy and the
 # critic shared `checkpoint.ParamModel`, and re-written when the return-to-go token was dropped
-# (the policy lost `emb_rtg`, both vocabularies lost `rtg`; the critic's blob kept its bytes).
+# (the policy lost `emb_rtg`, both vocabularies lost `rtg`; the critic's blob kept its bytes), and
+# the policy's again when its window length became the vocabulary's `max_timestep` (its config
+# lost `context`; blob and meta kept their bytes).
 # Their params_hash (sha256 over names and <f8 bytes):
 PINNED_HASH = {
     "policy": "345721fe8033b0a876e775d9bf16335d1377b978a39872f667a62b8df234de96",
@@ -38,7 +40,7 @@ def tiny_model(kind, n_layers=1):
     """The fixture model of `kind`, rebuilt from its seed, and a loader for its checkpoints."""
     net, vocab = tiny_net_vocab()
     if kind == "policy":
-        cfg = tm.ModelConfig(vocab, d_model=8, n_layers=n_layers, n_heads=2, context=4)
+        cfg = tm.ModelConfig(vocab, d_model=8, n_layers=n_layers, n_heads=2)
         return tm.PolicyModel(cfg, rng=make_rng(5, "policy-fixture")), tm.load_checkpoint
     critic = ri.CriticModel(ri.CriticConfig(vocab, d=8), net, rng=make_rng(5, "critic-fixture"))
     return critic, lambda path: ri.load_critic(path, net)
@@ -83,7 +85,7 @@ def tiny_training_setup(seed=0, dropout=0.0):
     dataset, _ = sg.gen_dataset(cfg)
     dataset = sg.split(dataset, 0.25, seed=seed)
     vocab = tk.vocab_sizes(dataset.net, cfg)
-    policy = tm.PolicyModel(tm.ModelConfig(vocab, d_model=8, n_layers=1, n_heads=2, context=12, dropout=dropout), rng=make_rng(seed))
+    policy = tm.PolicyModel(tm.ModelConfig(vocab, d_model=8, n_layers=1, n_heads=2, dropout=dropout), rng=make_rng(seed))
     critic = ri.CriticModel(ri.CriticConfig(vocab, d=8), dataset.net, rng=make_rng(seed))
     return dataset, policy, critic
 
@@ -218,6 +220,16 @@ class TestMalformedHeader:
         model.save(path)
         with pytest.raises(tm.CheckpointError, match=rf"parameter {target} holds a non-finite value"):
             load(path)
+
+    def test_policy_with_context_rejected(self, tmp_path):
+        # the committed policy file as it was while the window length was a config field of its own
+        line, blob = (DATA / "policy_tiny.ckpt").read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        header["config"]["context"] = 4
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
+        with pytest.raises(tm.CheckpointError, match="bad policy config: .*'context'"):
+            tm.load_checkpoint(path)
 
     def test_policy_with_rtg_table_rejected(self, tmp_path):
         # a policy file from before the return-to-go token was dropped: emb_rtg sits after emb_action

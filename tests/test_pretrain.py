@@ -17,7 +17,7 @@ def tiny_setup(seed=0, users=2, n_traj=24, grid=4, d=16, layers=1, dropout=0.0):
     dataset, prefs = sg.gen_dataset(cfg)
     dataset = sg.split(dataset, 0.25, seed=seed)
     vocab = tk.vocab_sizes(dataset.net, cfg)
-    mcfg = tm.ModelConfig(vocab=vocab, d_model=d, n_layers=layers, n_heads=2, context=12, dropout=dropout)
+    mcfg = tm.ModelConfig(vocab=vocab, d_model=d, n_layers=layers, n_heads=2, dropout=dropout)
     model = tm.PolicyModel(mcfg, rng=make_rng(seed))
     return dataset, model, prefs, cfg
 
@@ -52,7 +52,7 @@ class TestEvalPolicy:
         dataset = sg.Dataset(net, trajs, 1)
         dataset.eval_idx = list(range(len(trajs)))
         vocab = tk.vocab_sizes(net, sg.SynthConfig(users=1, max_len=12))
-        model = tm.PolicyModel(tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, context=12, dropout=0.0))
+        model = tm.PolicyModel(tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, dropout=0.0))
         model.vector[:] = 0.0
         nll, acc = pt.eval_policy(dataset, model)
         assert nll == pytest.approx(math.log(9), abs=1e-12)
@@ -115,7 +115,7 @@ class TestPretrain:
         dataset, _ = sg.ingest_csv(path, ng.GridSpec(4, 4), ZIGZAG_BBOX, max_moves=60)
         assert [len(t.positions) for t in dataset.trajectories] == [61]
         vocab = tk.vocab_sizes(dataset.net, sg.SynthConfig(users=1))
-        model = tm.PolicyModel(tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, context=12, dropout=0.0))
+        model = tm.PolicyModel(tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, dropout=0.0))
         with pytest.raises(tk.EncodingError, match="^trajectory 0: timestep 51 outside vocabulary of 51$"):
             pt.pretrain(dataset, model, pt.TrainConfig(epochs=1))
 
@@ -134,7 +134,7 @@ class TestPretrain:
         path = write_zigzag(tmp_path)
         dataset, stats = sg.ingest_csv(path, ng.GridSpec(4, 4), ZIGZAG_BBOX)
         vocab = tk.vocab_sizes(dataset.net, sg.SynthConfig(users=1))
-        model = tm.PolicyModel(tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, context=12, dropout=0.0))
+        model = tm.PolicyModel(tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, dropout=0.0))
         _, log = pt.pretrain(dataset, model, pt.TrainConfig(epochs=1))
         assert len(log.rows) == 1 and math.isfinite(log.rows[0].train_nll)
         max_moves = sg.SynthConfig().max_len
@@ -158,7 +158,7 @@ class TestPretrain:
         dataset = sg.Dataset(net, [traj] * 64, 1)
         dataset.train_idx = list(range(64))
         vocab = tk.vocab_sizes(net, sg.SynthConfig(users=1, max_len=12))
-        mcfg = tm.ModelConfig(vocab=vocab, d_model=64, n_layers=2, n_heads=4, context=12, dropout=0.0)
+        mcfg = tm.ModelConfig(vocab=vocab, d_model=64, n_layers=2, n_heads=4, dropout=0.0)
         model = tm.PolicyModel(mcfg, rng=make_rng(2))
         cfg = pt.TrainConfig(epochs=200, batch_size=64, lr=1e-3, weight_decay=0.0, seed=2, target_train_nll=0.005)
         model, log = pt.pretrain(dataset, model, cfg)

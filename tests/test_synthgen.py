@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from test_netgrid import networks
 
 from trajforge import netgrid as ng
+from trajforge import numcore as nc
 from trajforge import synthgen as sg
 from trajforge import tokenizer as tk
 from trajforge import trajmodel as tm
@@ -215,7 +216,7 @@ class TestRollOut:
         oracle = sg.gen_trajectory(seed, (origin, destination), 0, prefs, net, max_moves, depart_bin=1, speed_bin=2)
         assert_rolled_out(oracle, net, origin, destination, max_moves)
         vocab = tk.vocab_sizes(net, sg.SynthConfig(users=2, max_len=12))
-        cfg = tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=2, context=4, dropout=0.0, init_std=0.5)
+        cfg = tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=2, dropout=0.0, init_std=0.5)
         model = tm.PolicyModel(cfg, rng=make_rng(seed))
         for temperature in (1.0, 0.0):
             ctx = tm.GenerationContext(origin, destination, 1, 2, 1, max_moves, temperature, seed)
@@ -270,6 +271,14 @@ class TestRollOut:
         # action 5 moves one cell right: fine from 0, off the grid from 2
         with pytest.raises(ng.BoundaryError, match="action 5 is infeasible at position 2"):
             sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), [0, 2], [8, 6], uniform_rows(2, 5), lambda rows, pos, prev: one_hot(5, len(rows)))
+
+    def test_bad_probability_row_named_by_its_trip(self):
+        # trip 0 arrives after one move; then trip 1, alone in the batch, gets a NaN row
+        def probs(rows, pos, prev):
+            return one_hot(8, len(rows)) if len(rows) == 2 else np.full((1, ng.N_ACTIONS), np.nan)
+
+        with pytest.raises(nc.DistributionError, match="^row 1: probabilities must be finite"):
+            sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), [0, 0], [4, 8], uniform_rows(2, 5), probs)
 
     def test_dead_end_on_the_last_allowed_move(self):
         # link 2 has no downstream link; the one move allowed enters it
@@ -468,16 +477,26 @@ class TestDatasetIO:
             ("0|0|100000000000000000000|0|0,1|5|complete", r"depart_bin 100000000000000000000 outside \[0, 2\*\*63\)$"),
             ("0|0|0|100000000000000000000|0,1|5|complete", r"speed_bin 100000000000000000000 outside \[0, 2\*\*63\)$"),
             ("0|9223372036854775808|0|0|0,1|5|complete", r"user_id 9223372036854775808 outside \[0, 2\*\*63\)$"),
+            # positions outside the 3x3 grid used to escape without path and line
+            ("0|0|0|0|-1,0|5|complete", "position -1 outside network of 9 positions$"),
+            ("0|0|0|0|9,10|5|complete", "position 9 outside network of 9 positions$"),
         ],
         ids=[
             "users-without-count", "grid-without-height", "non-integer-user", "non-integer-position",
             "negative-user", "negative-depart", "negative-speed", "huge-depart", "huge-speed", "user-past-int64",
+            "negative-position", "position-past-network",
         ],
     )
     def test_malformed_line_named_by_path_and_line(self, line, message, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text(f"#grid 3 3 1000.0\n\n{line}\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {message}"):
+            sg.load_dataset(path)
+
+    def test_trajectory_before_grid_header_named(self, tmp_path):
+        path = tmp_path / "late.txt"
+        path.write_text("#users 1\n0|0|0|0|0,1|5|complete\n#grid 3 3 1000.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: a trajectory line before the #grid header$"):
             sg.load_dataset(path)
 
     def test_unknown_flag_rejected_on_load(self, tmp_path):

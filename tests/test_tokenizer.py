@@ -94,41 +94,50 @@ class TestWindowize:
         return tk.encode_trips([traj])
 
     def test_short_episode_single_window(self):
-        windows = tk.windowize(self._episode(5), context=12, stride=8)
+        windows = tk.windowize(self._episode(5), context=12)
         assert len(windows) == 1
         assert windows[0].n_steps == 5
 
     def test_exact_fit_single_window(self):
-        windows = tk.windowize(self._episode(12), context=12, stride=12)
+        windows = tk.windowize(self._episode(12), context=12)
         assert len(windows) == 1
 
-    def test_stride_with_right_alignment(self):
-        windows = tk.windowize(self._episode(20), context=12, stride=8)
-        starts = [int(w.timestep[0]) for w in windows]
-        assert starts == [0, 8]
-        assert int(windows[-1].timestep[-1]) == 19
+    def test_trip_longer_than_context_rejected(self):
+        table = tk.encode_trips([make_traj([0, 1], [5]), make_traj(list(range(13)), [5] * 12)])
+        with pytest.raises(tk.EncodingError, match="^trip 1 of 13 steps exceeds context 12$"):
+            tk.windowize(table, context=12)
 
-    @given(trip_lists(), st.integers(1, 15), st.integers(1, 15))
-    def test_coverage_property(self, trips, k, stride):
+    @given(trip_lists(), st.integers(1, 31))
+    def test_coverage_property(self, trips, k):
+        table = tk.encode_trips(trips)
+        if any(len(traj.positions) > k for traj in trips):
+            with pytest.raises(tk.EncodingError, match="exceeds context"):
+                tk.windowize(table, k)
+            return
+        windows = tk.windowize(table, k)
+        assert len(windows) == len(trips)  # one window per trip
         covered = []
-        for w in tk.windowize(tk.encode_trips(trips), k, stride):
+        for w in windows:
             assert 1 <= w.n_steps <= k
             traj = trips[w.user[0]]  # no window crosses a trip: one user, consecutive steps, BLANK last if at all
             assert (w.user == w.user[0]).all() and w.decision_mask[:-1].all()
             assert w.position.tolist() == traj.positions[w.timestep[0] : w.timestep[-1] + 1]
             covered.extend((int(w.user[0]), int(t)) for t in w.timestep[w.decision_mask])
         assert set(covered) == {(i, t) for i, traj in enumerate(trips) for t in range(len(traj.actions))}
+        for name in FIELDS:  # put back together, the windows are the step table
+            got = np.concatenate([getattr(w, name) for w in windows]) if windows else getattr(table, name)
+            assert got.tobytes() == getattr(table, name).tobytes(), name
 
     def test_absolute_timesteps_preserved(self):
-        windows = tk.windowize(self._episode(20), context=12, stride=8)
-        assert windows[1].timestep.tolist() == list(range(8, 20))
+        windows = tk.windowize(tk.encode_trips([make_traj([0, 1, 2], [5, 5]), make_traj(list(range(20)), [5] * 19)]), context=20)
+        assert windows[1].timestep.tolist() == list(range(20))
 
     def test_table_without_final_blank_rejected(self):
         table = tk.encode_trips([make_traj([0, 1, 2], [5, 5]), make_traj([2, 1], [3])])
-        assert tk.windowize(table.slice(0, 0), 4, 4) == []
+        assert tk.windowize(table.slice(0, 0), 4) == []
         for stop in (2, 4):
             with pytest.raises(tk.EncodingError, match="does not end in a BLANK step"):
-                tk.windowize(table.slice(0, stop), 4, 4)
+                tk.windowize(table.slice(0, stop), 4)
 
 
 def arrays_digest(arrays):
@@ -143,10 +152,11 @@ def arrays_digest(arrays):
 class TestFormat:
     def test_window_and_transition_arrays_pinned(self):
         # a change to these digests is a change of the token format: update them on purpose only
-        dataset = sg.split(sg.gen_dataset(sg.SynthConfig(n_trajectories=200, seed=1))[0], 0.2, seed=1)
+        cfg = sg.SynthConfig(n_trajectories=200, seed=1)
+        dataset = sg.split(sg.gen_dataset(cfg)[0], 0.2, seed=1)
         got = {}
         for split, trips in (("train", dataset.train()), ("eval", dataset.eval())):
-            windows = pt.build_windows(trips, 12)
+            windows = pt.build_windows(trips, tk.vocab_sizes(dataset.net, cfg).max_timestep)
             batch = ri.transitions_from_dataset(dataset, split)
             got[split] = (
                 len(windows),
@@ -156,11 +166,11 @@ class TestFormat:
             )
         assert got == {
             "train": (
-                171, "9509ca188840215a37a383cf5d5046b01dfba87a74f581f3b161c1cb3ab56e37",
+                168, "ca878a760c2ede7c6053a11cb621455a36661399ee9a4c10bbb5f2695ff78048",
                 580, "8e5e54ad638f0f3eed8fee932d6423e55a5d8f99ff9a562bf6b7fa0e8aa28743",
             ),
             "eval": (
-                34, "29d3ca27754a1b9447ba512904e48a4f05ebcbbe4f7c386beb59f2f1c1cdc7d0",
+                32, "3f479be6651e65aa785937feef66f5479909431837de525bb25609d336d51623",
                 130, "6e39e21d16397612295ac1a762c7de28e71f7f7eff3783c3100803e41c888b30",
             ),
         }

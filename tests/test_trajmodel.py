@@ -15,19 +15,17 @@ from trajforge import trajmodel as tm
 from trajforge.numcore import make_rng
 
 
-def small_model(d=16, layers=1, heads=2, context=8, users=4, grid=5, dropout=0.0, seed=1, max_len=20, init_std=0.02):
+def small_model(d=16, layers=1, heads=2, users=4, grid=5, dropout=0.0, seed=1, max_len=20, init_std=0.02):
     net = ng.GridNetwork(ng.GridSpec(grid, grid))
     vocab = tk.vocab_sizes(net, sg.SynthConfig(users=users, max_len=max_len))
-    cfg = tm.ModelConfig(
-        vocab=vocab, d_model=d, n_layers=layers, n_heads=heads, context=context, dropout=dropout, init_std=init_std
-    )
+    cfg = tm.ModelConfig(vocab=vocab, d_model=d, n_layers=layers, n_heads=heads, dropout=dropout, init_std=init_std)
     return net, tm.PolicyModel(cfg, rng=make_rng(seed))
 
 
 def sample_window(net, seed=3, user=1, n_users=4, max_len=19):
     prefs = sg.PreferenceParams(make_rng(seed, "theta").normal(size=(n_users, 3)))
     traj = sg.gen_trajectory(seed, (0, net.n_positions - 1), user, prefs, net, max_len, depart_bin=2, speed_bin=7)
-    return tk.windowize(tk.encode_trips([traj]), 8, 8)[0]
+    return tk.encode_trips([traj]).slice(0, 8)  # its first 8 steps
 
 
 logit_rows = st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9).map(np.array)
@@ -261,27 +259,25 @@ def computed_rows(windows):
     return np.concatenate(stream), np.concatenate(states)
 
 
-def trailing_window(ctx, positions, actions, context):
-    """Tokens of the trailing `context` steps of a trip being generated.
+def prefix_window(ctx, positions, actions):
+    """Tokens of the whole trip so far, of a trip being generated.
 
     The pending decision gets the placeholder action 0, so `forward_batch` reads the last step;
     nothing attends to that token."""
     n = len(positions)
-    start = max(0, n - context)
-    size = n - start
 
     def full(value):
-        return np.full(size, value, dtype=np.int64)
+        return np.full(n, value, dtype=np.int64)
 
     return tk.EpisodeTokens(
-        position=np.array(positions[start:], dtype=np.int64),
+        position=np.array(positions, dtype=np.int64),
         origin=full(ctx.origin),
         destination=full(ctx.destination),
         depart=full(ctx.depart_bin),
         speed=full(ctx.speed_bin),
         user=full(ctx.user_id),
-        action=np.array(actions[start:] + [0], dtype=np.int64),
-        timestep=np.arange(start, n, dtype=np.int64),
+        action=np.array(actions + [0], dtype=np.int64),
+        timestep=np.arange(n, dtype=np.int64),
     )
 
 
@@ -358,7 +354,7 @@ class TestForward:
             small_model(dropout=rate)
 
     def test_no_graph_logits_bit_identical_and_bare(self):
-        net, model = small_model(d=8, layers=2, heads=2, context=4, init_std=0.5)
+        net, model = small_model(d=8, layers=2, heads=2, init_std=0.5)
         windows = random_windows(model.cfg.vocab, [(4, False), (2, True), (3, True)], seed=3)
         recorded = tm.forward_batch(windows, model).logits
         with nc.no_graph():
@@ -368,7 +364,7 @@ class TestForward:
         assert recorded._parents
 
     def test_no_graph_lowers_peak_memory(self):
-        net, model = small_model(d=32, layers=2, heads=2, context=8)
+        net, model = small_model(d=32, layers=2, heads=2)
         windows = random_windows(model.cfg.vocab, [(8, i % 3 == 0) for i in range(64)], seed=4)
 
         def peak(graph):
@@ -388,7 +384,7 @@ class TestForward:
         assert bare < 0.6 * recorded  # ~16 MB with the graph, ~6 MB without
 
     def test_overlength_window_rejected(self):
-        net, model = small_model(context=2)
+        net, model = small_model(max_len=1)  # a window holds at most 2 steps
         window = sample_window(net)
         with pytest.raises(ValueError, match="exceeds context"):
             tm.forward_batch([window], model)
@@ -448,7 +444,7 @@ class TestNllLoss:
         net, model = small_model(d=8, layers=1, heads=2, users=2, grid=3, max_len=6, init_std=0.3)
         prefs = sg.PreferenceParams(np.array([[2.0, 0.0, -1.0], [1.0, -1.0, 0.0]]))
         traj = sg.gen_trajectory(5, (0, 8), 0, prefs, net, 6, depart_bin=1, speed_bin=3)
-        window = tk.windowize(tk.encode_trips([traj]), 8, 8)[0]
+        window = tk.encode_trips([traj])
 
         def f():
             return tm.batch_nll([window], model)
@@ -468,7 +464,7 @@ class TestDecisionRows:
         st.integers(0, 2**16),
     )
     def test_loss_and_gradients_match_full_row_replay_property(self, layers, heads, context, specs, seed):
-        net, model = small_model(d=8, layers=layers, heads=heads, context=context, grid=4, seed=seed, init_std=0.5)
+        net, model = small_model(d=8, layers=layers, heads=heads, grid=4, seed=seed, max_len=context - 1, init_std=0.5)
         windows = random_windows(model.cfg.vocab, [(min(n, context), terminal) for n, terminal in specs], seed)
         if not any(w.decision_mask.any() for w in windows):
             with pytest.raises(tm.LossError):
@@ -478,7 +474,7 @@ class TestDecisionRows:
 
     def test_dropout_masks_are_drawn_at_the_computed_rows(self):
         rate = 0.2
-        net, model = small_model(d=8, layers=2, heads=2, context=4, grid=4, dropout=rate, init_std=0.5)
+        net, model = small_model(d=8, layers=2, heads=2, grid=4, dropout=rate, init_std=0.5)
         windows = random_windows(model.cfg.vocab, [(4, False), (1, True), (3, True), (4, True), (2, False)], seed=5)
         stream, states = computed_rows(windows)
         draws = make_rng(7, "dropout")
@@ -490,7 +486,7 @@ class TestDecisionRows:
         assert_matches_replay(model, windows, rng=make_rng(7, "dropout"), masks=masks)
 
     def test_dropout_stream_advances_by_the_computed_rows(self):
-        net, model = small_model(d=8, layers=3, heads=2, context=4, grid=4, dropout=0.2)
+        net, model = small_model(d=8, layers=3, heads=2, grid=4, dropout=0.2)
         windows = random_windows(model.cfg.vocab, [(4, True), (1, True), (3, False), (2, True)], seed=6)
         stream, states = computed_rows(windows)
         rng = make_rng(8, "dropout")
@@ -501,11 +497,12 @@ class TestDecisionRows:
         assert rng.random() == fresh.random()
 
     def test_terminal_only_windows_change_nothing(self):
-        # at context 1 every trip's last window holds only its terminal step
-        net, model = small_model(d=16, layers=2, heads=2, context=1, seed=3)
+        # one-step windows sliced off each trip: each trip's last one holds only its terminal step
+        net, model = small_model(d=16, layers=2, heads=2, seed=3)
         prefs = sg.PreferenceParams(make_rng(9, "theta").normal(size=(4, 3)))
         trajs = [sg.gen_trajectory(s, (s % 5, 24 - s), s % 4, prefs, net, 19) for s in range(6)]
-        windows = tk.windowize(tk.encode_trips(trajs), 1, 1)
+        table = tk.encode_trips(trajs)
+        windows = [table.slice(i, i + 1) for i in range(table.n_steps)]
         decided = [w for w in windows if w.decision_mask.any()]
         assert len(windows) - len(decided) == len(trajs)
         mixed = tm.forward_batch(windows, model)
@@ -515,7 +512,7 @@ class TestDecisionRows:
         np.testing.assert_allclose(mixed.logits.data, tm.forward_batch(decided, model).logits.data, rtol=1e-13, atol=1e-15)
 
     def test_terminal_windows_gradient_matches_finite_differences(self):
-        net, model = small_model(d=8, layers=2, heads=2, users=2, grid=3, context=3, max_len=6, init_std=0.3)
+        net, model = small_model(d=8, layers=2, heads=2, users=2, grid=3, max_len=6, init_std=0.3)
         prefs = sg.PreferenceParams(np.array([[2.0, 0.0, -1.0], [1.0, -1.0, 0.0]]))
         trajs = [sg.gen_trajectory(s, (0, 8), s % 2, prefs, net, 6, depart_bin=1, speed_bin=3) for s in (5, 6)]
         episodes = [tk.encode_trips([traj]) for traj in trajs]
@@ -621,8 +618,8 @@ class TestGenerate:
 
     def test_trips_pinned(self):
         # SHA-256 of the positions, actions and flags of 40 contexts at temperatures 1 and 0; log-prob
-        # bytes are left out, as they depend on the BLAS build. Most trips outrun the 4-step context.
-        net, model = small_model(layers=2, context=4, max_len=12, seed=7)
+        # bytes are left out, as they depend on the BLAS build. Most trips run past 4 moves.
+        net, model = small_model(layers=2, max_len=12, seed=7)
         trips = sg.gen_dataset(sg.SynthConfig(users=4, n_trajectories=40, max_len=12, seed=3))[0].trajectories
         digest, moves = hashlib.sha256(), []
         for temperature in (1.0, 0.0):
@@ -661,7 +658,7 @@ class TestGenerate:
         else:  # links 3 and 5 are dead ends: no downstream link
             net = ng.LinkGraph([[1, 2], [4, 0], [3, 5], [], [1, 3, 6], [], [4]])
         vocab = tk.vocab_sizes(net, sg.SynthConfig(users=2, max_len=12))
-        cfg = tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=2, context=4, dropout=0.0, init_std=0.5)
+        cfg = tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=2, dropout=0.0, init_std=0.5)
         model = tm.PolicyModel(cfg, rng=make_rng(model_seed))
         cell = st.integers(0, net.n_positions - 1)
         origin, destination = data.draw(cell, label="origin"), data.draw(cell, label="destination")
@@ -720,7 +717,7 @@ class TestGenerate:
     def test_dead_end_flagged(self):
         graph = ng.LinkGraph([[1], []])
         vocab = tk.vocab_sizes(graph, sg.SynthConfig(users=1, max_len=5))
-        cfg = tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, context=4, dropout=0.0)
+        cfg = tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, dropout=0.0)
         model = tm.PolicyModel(cfg, rng=make_rng(0))
         traj = tm.generate_scored(tm.GenerationContext(0, 1, 0, 0, 0, max_len=5, seed=0), model, graph).trajectory
         # link 1 is the destination, so this completes; dead ends only occur mid-route
@@ -728,7 +725,7 @@ class TestGenerate:
         # branch into a cul-de-sac: from 0, action 0 heads toward dest 3, action 1 strands at 2
         graph2 = ng.LinkGraph([[1, 2], [3], [], []])
         vocab2 = tk.vocab_sizes(graph2, sg.SynthConfig(users=1, max_len=5))
-        cfg2 = tm.ModelConfig(vocab=vocab2, d_model=8, n_layers=1, n_heads=1, context=4, dropout=0.0)
+        cfg2 = tm.ModelConfig(vocab=vocab2, d_model=8, n_layers=1, n_heads=1, dropout=0.0)
         model2 = tm.PolicyModel(cfg2, rng=make_rng(0))
         flags = {
             tm.generate_scored(tm.GenerationContext(0, 3, 0, 0, 0, max_len=5, temperature=1.0, seed=s), model2, graph2).trajectory.flag
@@ -742,7 +739,7 @@ class TestGenerate:
         # which the trip loop used to flag "truncated"
         net = ng.LinkGraph([[1, 2], [4, 0], [3, 5], [], [1, 3, 6], [], [4]])
         vocab = tk.vocab_sizes(net, sg.SynthConfig(users=2, max_len=12))
-        cfg = tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=2, context=4, dropout=0.0, init_std=0.5)
+        cfg = tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=2, dropout=0.0, init_std=0.5)
         model = tm.PolicyModel(cfg, rng=make_rng(0))
         traj = tm.generate_scored(tm.GenerationContext(1, 2, 1, 2, 1, max_len=12, temperature=1.0, seed=27), model, net).trajectory
         assert traj.positions == [1, 0, 1, 4, 1, 4, 6, 4, 6, 4, 6, 4, 3]
@@ -753,35 +750,28 @@ class TestDecoder:
     @given(
         st.integers(1, 3),
         st.sampled_from([1, 2, 4]),
-        st.integers(1, 5),
         st.integers(1, 12),
         st.integers(0, 2**16),
     )
-    def test_matches_forward_batch_property(self, layers, heads, context, moves, seed):
-        # trips shorter and longer than the context: appended steps and slid windows alike
-        net, model = small_model(d=8, layers=layers, heads=heads, context=context, grid=4, seed=seed, init_std=0.5)
+    def test_matches_forward_batch_property(self, layers, heads, moves, seed):
+        # at every move, the decoder's cache of the trip so far scores what a fresh pass over it does
+        net, model = small_model(d=8, layers=layers, heads=heads, grid=4, seed=seed, init_std=0.5)
         ctx = tm.GenerationContext(5, 15, 2, 7, 1, seed=seed)
         positions, actions = random_walk(net, ctx.origin, moves, seed)
         for t, logits in enumerate(decoder_logits(model, ctx, positions, actions)):
-            window = trailing_window(ctx, positions[: t + 1], actions[:t], context)
+            window = prefix_window(ctx, positions[: t + 1], actions[:t])
             expected = tm.forward_batch([window], model).logits.data[-1]
             np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
 
-    def test_slid_window_matches_independent_replay(self):
-        net, model = small_model(d=8, layers=2, heads=2, context=3, seed=4, init_std=0.5)
-        ctx = tm.GenerationContext(0, 24, 2, 7, 1)
-        positions, actions = random_walk(net, ctx.origin, 6, seed=8)
-        logits = decoder_logits(model, ctx, positions, actions)[-1]
-        ref = reference_forward(model, trailing_window(ctx, positions, actions, 3))[-1]
-        np.testing.assert_allclose(logits, ref, rtol=1e-10, atol=1e-12)
-
-    @given(st.integers(1, 4), st.integers(1, 9), st.integers(0, 2**16))
-    def test_state_tokens_are_the_ordered_element_sum_property(self, context, moves, seed):
-        # every state row, slid windows included, is the layer norm of forward_batch's ordered sum, bit for bit
-        net, model = small_model(d=8, context=context, grid=4, seed=seed, init_std=0.5)
+    @given(st.integers(1, 9), st.integers(0, 2**16))
+    def test_state_tokens_are_the_ordered_element_sum_property(self, moves, seed):
+        # every state row is the layer norm of forward_batch's ordered sum, bit for bit
+        net, model = small_model(d=8, grid=4, seed=seed, init_std=0.5)
         ctx = tm.GenerationContext(5, 15, 2, 7, 1)
         positions, actions = random_walk(net, ctx.origin, moves, seed)
         decoder = tm._Decoder(model, ctx)
+        tokens, run = [], decoder._run
+        decoder._run = lambda x: tokens.append(x[-1].copy()) or run(x)
         for t, pos in enumerate(positions):
             decoder.step(pos, actions[t - 1] if t else None)
             s_sum = (
@@ -794,12 +784,11 @@ class TestDecoder:
                 + model.emb_timestep.data[t]
             )
             want = nc.layer_norm_fwd(s_sum[None], model.ln_emb_gain.data, model.ln_emb_bias.data)[0][0]
-            assert decoder.tokens[2 * t].tobytes() == want.tobytes()
+            assert tokens[t].tobytes() == want.tobytes()
 
     def test_rows_run_per_move(self):
-        # a move runs a_{t-1} and s_t (s_0 alone at t = 0); a slid window reruns its 2 * context - 1 rows
-        context = 3
-        net, model = small_model(d=8, layers=2, heads=2, context=context, seed=4)
+        # a move runs a_{t-1} and s_t (s_0 alone at t = 0)
+        net, model = small_model(d=8, layers=2, heads=2, seed=4)
         ctx = tm.GenerationContext(0, 24, 2, 7, 1)
         positions, actions = random_walk(net, ctx.origin, 6, seed=8)
         decoder = tm._Decoder(model, ctx)
@@ -807,7 +796,7 @@ class TestDecoder:
         decoder._run = lambda x: rows.append(len(x)) or run(x)
         for t, pos in enumerate(positions):
             decoder.step(pos, actions[t - 1] if t else None)
-        assert rows == [1, 2, 2] + [2 * context - 1] * (len(positions) - context)
+        assert rows == [1] + [2] * (len(positions) - 1)
 
 
 class TestCheckpoint:
