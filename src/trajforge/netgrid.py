@@ -127,11 +127,7 @@ class LinkGraph(Network):
         n = len(adjacency)
         succ = np.full((n, N_ACTIONS), -1, dtype=np.intp)
         for link, downs in enumerate(adjacency):
-            if len(downs) > N_ACTIONS:
-                raise ValueError(f"link {link} has out-degree {len(downs)} > {N_ACTIONS}")
-            for d in downs:
-                if not 0 <= d < n:
-                    raise ValueError(f"link {link} references unknown downstream link {d}")
+            _check_downstream(link, downs, n)
             succ[link, : len(downs)] = downs
         super().__init__(succ)
         self.coords = dict(coords or {})
@@ -142,9 +138,13 @@ class LinkGraph(Network):
         return [row[row >= 0].tolist() for row in self.succ]
 
 
-def apply_action(net: Network, position: int, a: int) -> int:
-    """Next position after taking action `a`; BoundaryError/ConnectivityError if infeasible."""
-    return net.step(position, a)
+def _check_downstream(link: int, downs: list[int], n: int) -> None:
+    """ValueError unless link `link`'s downstream list fits a row of `succ` and names only links below `n`."""
+    if len(downs) > N_ACTIONS:
+        raise ValueError(f"link {link} has out-degree {len(downs)} > {N_ACTIONS}")
+    for d in downs:
+        if not 0 <= d < n:
+            raise ValueError(f"link {link} references unknown downstream link {d}")
 
 
 def hops_to(net: Network, destination: int) -> np.ndarray:
@@ -189,9 +189,11 @@ def hops_stack(net: Network, destinations) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_link_graph(path) -> LinkGraph:
-    """Parse a link-graph file; a line that does not parse, or names a negative link, raises a
-    ValueError that starts with `path:line_no`."""
+    """Parse a link-graph file; a line that does not parse, names a negative link, lists more than 9
+    downstream links or one that the file does not define raises a ValueError that starts with
+    `path:line_no`."""
     adjacency: dict[int, list[int]] = {}
+    line_of: dict[int, int] = {}
     coords: dict[int, tuple[float, float]] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -215,12 +217,17 @@ def load_link_graph(path) -> LinkGraph:
                     raise ValueError(f"negative link {link}")
                 if link in adjacency:
                     raise ValueError(f"duplicate link {link}")
-                adjacency[link] = downs
+                adjacency[link], line_of[link] = downs, line_no
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
     if not adjacency:
         raise ValueError(f"{path}: empty link graph")
     n = max(adjacency) + 1
+    for link, downs in adjacency.items():
+        try:
+            _check_downstream(link, downs, n)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_of[link]}: {exc}") from exc
     return LinkGraph([adjacency.get(i, []) for i in range(n)], coords)
 
 

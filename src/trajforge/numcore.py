@@ -105,15 +105,8 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
-
-
-def tensor(data) -> Tensor:
-    return Tensor(data)
 
 
 def param(rng: np.random.Generator, shape, std: float = 0.02) -> Tensor:
@@ -349,7 +342,7 @@ def masked_logsumexp(x, mask) -> np.ndarray:
     """log sum exp of `x` over the entries where `mask` is True, along the last axis.
 
     Max-shifted for stability; masked entries contribute exactly nothing, and a
-    slice with no allowed entry is rejected. Log-probabilities are x - lse.
+    slice with no allowed entry is rejected. `masked_log_softmax` turns it into log-probabilities.
     """
     x = np.asarray(x, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -362,6 +355,13 @@ def masked_logsumexp(x, mask) -> np.ndarray:
     return (m + np.log(np.exp(neg - m).sum(axis=-1, keepdims=True)))[..., 0]
 
 
+def masked_log_softmax(x, mask) -> np.ndarray:
+    """Log-softmax of `x` over the entries where `mask` is True, along the last axis; exactly -inf
+    elsewhere, whatever `x` holds there. The one masked softmax of the policy, critic and oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(mask, x - masked_logsumexp(x, mask)[..., None], -np.inf)
+
+
 def masked_logsumexp_rows(a: Tensor, mask: np.ndarray) -> Tensor:
     """Row-wise masked_logsumexp of a 2-D tensor; its gradient is the masked softmax."""
     x = a.data
@@ -369,8 +369,7 @@ def masked_logsumexp_rows(a: Tensor, mask: np.ndarray) -> Tensor:
     out_val = masked_logsumexp(x, mask)
 
     def bwd(g):
-        p = np.exp(np.where(mask, x - out_val[:, None], -np.inf))
-        _accum(a, p * g[:, None], fresh=True)
+        _accum(a, np.exp(masked_log_softmax(x, mask)) * g[:, None], fresh=True)
 
     return _node(out_val, (a,), bwd)
 
@@ -468,14 +467,6 @@ def mean_all(x: Tensor) -> Tensor:
     return _node(x.data.mean(), (x,), bwd)
 
 
-def sum_all(x: Tensor) -> Tensor:
-
-    def bwd(g):
-        _accum(x, np.full(x.data.shape, g), fresh=True)
-
-    return _node(x.data.sum(), (x,), bwd)
-
-
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout; identity when rate is 0 or no RNG is supplied."""
     if rng is None or rate <= 0.0:
@@ -564,8 +555,8 @@ def masked_kl_rows(logits: Tensor, ref_logp: np.ndarray, mask: np.ndarray) -> Te
     `ref_logp` holds constant reference log-probabilities on the allowed entries.
     """
     mask = np.asarray(mask, dtype=bool)
-    lp = np.where(mask, logits.data - masked_logsumexp(logits.data, mask)[:, None], 0.0)
-    p = np.where(mask, np.exp(lp), 0.0)
+    log_p = masked_log_softmax(logits.data, mask)
+    p, lp = np.exp(log_p), np.where(mask, log_p, 0.0)
     ref = np.where(mask, ref_logp, 0.0)
     kl = (p * (lp - ref)).sum(axis=1)
 
@@ -624,43 +615,3 @@ def clip_grad_norm(grads, max_norm: float) -> float:
         for g in grads:
             g *= scale
     return total
-
-
-# ---------------------------------------------------------------------------
-# Gradient validation harness
-# ---------------------------------------------------------------------------
-
-
-def finite_diff_check(f, params, eps: float = 1e-4) -> float:
-    """Max relative error between reverse-mode gradients of f() and central differences.
-
-    `f` must rebuild its forward pass from the current parameter values on
-    every call. The denominator is guarded by max(|analytic|, |numeric|, 1e-8).
-    """
-    if not 0.0 < eps <= 1e-2:
-        raise ValueError(f"eps must lie in (0, 1e-2], got {eps}")
-    for p in params:
-        p.grad = np.zeros_like(p.data)
-    loss = f()
-    if not np.isfinite(loss.data):
-        raise EvaluationError("loss is not finite at the evaluation point")
-    backward(loss)
-    analytic = [p.grad.copy() for p in params]
-
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        a_flat = a.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(f().data)
-            flat[i] = orig - eps
-            f_minus = float(f().data)
-            flat[i] = orig
-            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-                raise EvaluationError("loss is not finite at a perturbed point")
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(a_flat[i] - numeric) / denom)
-    return worst

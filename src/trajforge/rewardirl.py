@@ -181,8 +181,7 @@ def log_policy_rows(critic: CriticModel, position, origin, destination, depart, 
     _check_rows(critic, dict(position=position, origin=origin, destination=destination, depart=depart, user=user))
     with nc.no_graph():
         q = q_values_batch(critic, position, origin, destination, depart, user).data
-    feas = critic.net.feasible[position]
-    return np.where(feas, q - nc.masked_logsumexp(q, feas)[:, None], -np.inf)
+    return nc.masked_log_softmax(q, critic.net.feasible[position])
 
 
 def critic_policy(state: EnvState, critic: CriticModel) -> np.ndarray:

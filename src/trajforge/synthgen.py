@@ -13,9 +13,9 @@ advances B trips in lockstep: each step asks the caller's `probs` for the live
 trips' action probabilities, draws one move per trip by mapping the trip's
 uniform for that step through `numcore.inverse_cdf`, checks every landing and
 sets the trip's flag, one of `FLAGS`; a finished trip leaves the batch.
-`gen_dataset` rolls out all of its trips in one call, while `gen_trajectory`
-and `generate_scored` are calls of one trip. The oracle scores the live rows in
-one pass (`oracle_rows`).
+`gen_dataset` rolls out all of its trips in one call (`oracle_trips`), while
+`generate_scored` is a call of one trip. The oracle scores the live rows in one
+pass (`oracle_rows`).
 
 Each trip keeps its own stream, make_rng(seed, "traj-roll", tid), and no trip's
 generator outlives its set-up: its uniforms are drawn up front with `random`,
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import netgrid, numcore
 from .netgrid import EnvState, GridNetwork, GridSpec, Network
-from .numcore import make_rng, masked_logsumexp
+from .numcore import make_rng, masked_log_softmax
 
 N_FEATURES = 3  # progress, turn-change, stay
 FLAGS = ("complete", "truncated", "dead_end")  # reached the destination, ran out of moves, stuck
@@ -139,7 +139,7 @@ def check_connectivity(traj: Trajectory, net: Network) -> None:
     """Every recorded move must reproduce the next position."""
     for t, a in enumerate(traj.actions):
         try:
-            landed = netgrid.apply_action(net, traj.positions[t], a)
+            landed = net.step(traj.positions[t], a)
         except (netgrid.BoundaryError, netgrid.ConnectivityError):
             landed = None
         if landed != traj.positions[t + 1]:
@@ -186,12 +186,11 @@ def oracle_rows(prefs: PreferenceParams, net: Network, users, destinations):
         turn = (actions != prev) & (prev >= 0)
         stay = nxt == positions[:, None]
         w = theta[rows]
-        feasible = net.feasible[positions]
         # Term by term, in the order of a 3-term dot product: the features are -1, 0 or 1, so each
         # product is exact. For an infeasible action, `there` read the last position's entry
-        # through the -1; that score is masked here, before the softmax reads it.
-        scores = np.where(feasible, w[:, :1] * progress + w[:, 1:2] * turn + w[:, 2:] * stay, -np.inf)
-        return np.exp(scores - masked_logsumexp(scores, feasible)[:, None])
+        # through the -1; the softmax masks that score.
+        scores = w[:, :1] * progress + w[:, 1:2] * turn + w[:, 2:] * stay
+        return np.exp(masked_log_softmax(scores, net.feasible[positions]))
 
     return probs
 
@@ -292,24 +291,6 @@ def oracle_trips(prefs: PreferenceParams, net: Network, users, origins, destinat
     return roll_out(net, origins, destinations, uniforms, lambda *step: oracle()(*step))
 
 
-def gen_trajectory(
-    seed,
-    od: tuple[int, int],
-    user: int,
-    prefs: PreferenceParams,
-    net: Network,
-    max_len: int,
-    depart_bin: int = 0,
-    speed_bin: int = 0,
-    traj_id: int = 0,
-) -> Trajectory:
-    """Sample one trajectory of at most `max_len` moves from the oracle policy; deterministic given seed."""
-    rng = make_rng(seed) if isinstance(seed, int) else make_rng(*seed)
-    uniforms = rng.random((1, max(max_len, 0)))
-    [(positions, actions, flag)] = oracle_trips(prefs, net, [user], [od[0]], [od[1]], uniforms)
-    return Trajectory(traj_id, user, depart_bin, speed_bin, positions, actions, flag)
-
-
 @dataclass
 class SynthConfig:
     """Synthetic benchmark declaration: grid, population prior, and uniform origin-destination sampling."""
@@ -356,8 +337,8 @@ def draw_preferences(cfg: SynthConfig) -> PreferenceParams:
 
 def gen_dataset(cfg: SynthConfig) -> tuple[Dataset, PreferenceParams]:
     """N oracle trajectories, rolled out in one batch; trip `tid` draws its context from
-    make_rng(seed, "traj", tid) and its moves from make_rng(seed, "traj-roll", tid), as
-    `gen_trajectory` would with that key."""
+    make_rng(seed, "traj", tid) and its moves from make_rng(seed, "traj-roll", tid): the trip that
+    `oracle_trips` draws for it alone."""
     cfg.validate()
     net = GridNetwork(GridSpec(cfg.width, cfg.height, cfg.cell_size_m))
     prefs = draw_preferences(cfg)
@@ -503,7 +484,7 @@ def load_preferences(path) -> PreferenceParams:
     """Read `save_preferences`' CSV: one `user_id,progress,turn,stay` row per user, in any order.
 
     A row that does not parse raises a ValueError that starts with `path:line_no`, as does a repeated
-    user_id; a user_id below the largest one with no row of its own is named too.
+    user_id or a non-finite weight; a user_id below the largest one with no row of its own is named too.
     """
     rows: dict[int, list[float]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -520,7 +501,10 @@ def load_preferences(path) -> PreferenceParams:
                 user = int(parts[0])
                 if user < 0 or user in rows:
                     raise ValueError(f"user_id {user} is {'negative' if user < 0 else 'repeated'}")
-                rows[user] = [float(x) for x in parts[1:]]
+                weights = [float(x) for x in parts[1:]]
+                if not all(map(math.isfinite, weights)):
+                    raise ValueError(f"non-finite weight in {','.join(parts[1:])}")
+                rows[user] = weights
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
     missing = sorted(set(range(len(rows))) - set(rows))

@@ -254,14 +254,6 @@ def batch_nll(windows: list[EpisodeTokens], model: PolicyModel, rng: np.random.G
 # ---------------------------------------------------------------------------
 
 
-def masked_log_probs(logits: np.ndarray, feasible: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Log probabilities of the softmax policy over the (9,) bool row `feasible`; -inf elsewhere."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive for a distribution")
-    z = np.where(feasible, logits / temperature, -np.inf)
-    return z - nc.masked_logsumexp(z, feasible)
-
-
 @dataclass
 class GenerationContext:
     origin: int
@@ -287,8 +279,8 @@ class GenerationResult:
 def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) -> GenerationResult:
     """Autoregressive rollout through `synthgen.roll_out`; deterministic given (context, model, seed).
 
-    Each move is scored by `masked_log_probs` at the temperature (at 1 when greedy), and `log_probs`
-    holds that score of the move drawn.
+    Each move is scored by `numcore.masked_log_softmax` of the logits over the temperature (over 1
+    when greedy), and `log_probs` holds that score of the move drawn.
 
     Raises EncodingError (`check_columns`) naming an index of `ctx` outside the model's vocabulary, ValueError
     for a network whose positions are not the model's, and GenerationError as `roll_out` does.
@@ -301,16 +293,15 @@ def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) ->
     max_moves = min(ctx.max_len, vocab.max_timestep - 1)
     uniforms = make_rng(ctx.seed, "generate", ctx.traj_id).random((1, max_moves))
     decoder = _Decoder(model, ctx)
-    temp = ctx.temperature
+    temp = ctx.temperature if ctx.temperature > 0 else 1.0  # greedy decoding scores its moves at temperature 1
     scored: list[np.ndarray] = []  # each move's log-probabilities
 
     def probs(rows: np.ndarray, positions: np.ndarray, prev_actions: np.ndarray) -> np.ndarray:
         pos = int(positions[0])
         logits = decoder.step(pos, int(prev_actions[0]))
         feasible = net.feasible[pos]
-        # greedy decoding still scores its moves under the temperature-1 policy
-        scored.append(masked_log_probs(logits, feasible, temp if temp > 0 else 1.0))
-        if temp == 0:  # the one-hot row of the argmax, lowest index on ties
+        scored.append(nc.masked_log_softmax(logits / temp, feasible))
+        if ctx.temperature == 0:  # the one-hot row of the argmax, lowest index on ties
             return np.eye(N_ACTIONS)[[np.argmax(np.where(feasible, logits, -np.inf))]]
         return np.exp(scored[-1])[None]
 

@@ -24,20 +24,22 @@ def grid3():
 
 
 class TestApplyAction:
+    """`Network.step`: the position an action leads to, or the network's error for an infeasible one."""
+
     def test_stay(self, grid3):
-        assert ng.apply_action(grid3, 4, 4) == 4
+        assert grid3.step(4, 4) == 4
 
     def test_corner_boundary(self, grid3):
         with pytest.raises(ng.BoundaryError):
-            ng.apply_action(grid3, 0, 0)  # shift (-1, -1) from (0, 0)
+            grid3.step(0, 0)  # shift (-1, -1) from (0, 0)
 
     def test_declared_mapping(self, grid3):
         # action 8 is shift (+1, +1): (1,1) -> (2,2) on a 3x3 grid
-        assert ng.apply_action(grid3, grid3.cell_of(1, 1), 8) == grid3.cell_of(2, 2)
+        assert grid3.step(grid3.cell_of(1, 1), 8) == grid3.cell_of(2, 2)
 
     def test_link_graph_infeasible(self):
         with pytest.raises(ng.ConnectivityError):
-            ng.apply_action(ng.LinkGraph([[1], []]), 1, 0)
+            ng.LinkGraph([[1], []]).step(1, 0)
 
     def test_mapping_table(self, grid3):
         # the centre cell's successors spell out the (dx, dy) shift of each action
@@ -64,7 +66,7 @@ class TestFeasibleActions:
         for pos in range(net.n_positions):
             for a in range(ng.N_ACTIONS):
                 try:
-                    ng.apply_action(net, pos, a)
+                    net.step(pos, a)
                     applies = True
                 except (ng.BoundaryError, ng.ConnectivityError):
                     applies = False
@@ -94,7 +96,7 @@ class TestActionIndexOf:
     def test_round_trip_property(self, grid3):
         for cell in range(grid3.n_positions):
             for a in np.flatnonzero(grid3.feasible[cell]).tolist():
-                nxt = ng.apply_action(grid3, cell, a)
+                nxt = grid3.step(cell, a)
                 assert grid3.action_between(cell, nxt) == a
 
 
@@ -104,7 +106,7 @@ class TestPositionRange:
     @pytest.mark.parametrize("pos", [-1, 2, 5])
     def test_link_graph_step(self, pos):
         with pytest.raises(ValueError, match="outside network"):
-            ng.apply_action(ng.LinkGraph([[1], [0]]), pos, 0)
+            ng.LinkGraph([[1], [0]]).step(pos, 0)
 
     @pytest.mark.parametrize("pos", [-1, 2])
     def test_link_graph_action_between(self, pos):
@@ -117,7 +119,7 @@ class TestPositionRange:
     @pytest.mark.parametrize("pos", [-1, 9])
     def test_grid(self, grid3, pos):
         with pytest.raises(ValueError, match="outside network"):
-            ng.apply_action(grid3, pos, 4)
+            grid3.step(pos, 4)
         with pytest.raises(ValueError, match="outside network"):
             grid3.action_between(pos, 4)
 
@@ -217,6 +219,9 @@ class TestLinkGraphIO:
             ("0 1", "expected 'link_id: down,...'"),
             ("-1: 0", "negative link -1"),
             ("0: 0", "duplicate link 0"),
+            ("1: -1", "link 1 references unknown downstream link -1"),
+            ("1: 7", "link 1 references unknown downstream link 7"),  # links 0 and 1 only
+            ("1: " + ",".join(["0"] * 10), "link 1 has out-degree 10 > 9"),
         ],
     )
     def test_malformed_line_named_by_path_and_line(self, tmp_path, line, message):

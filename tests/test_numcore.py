@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from helpers import finite_diff_check, total
 
 from trajforge import numcore as nc
 
@@ -26,20 +27,20 @@ def fd_grad(f, x, eps=1e-6):
 
 class TestMatmul:
     def test_identity(self):
-        x = nc.tensor([[2.0, -1.0], [0.5, 3.0]])
-        eye = nc.tensor(np.eye(2))
+        x = nc.Tensor([[2.0, -1.0], [0.5, 3.0]])
+        eye = nc.Tensor(np.eye(2))
         out = nc.matmul(eye, x)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_hand_product(self):
-        a = nc.tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = nc.tensor([[1.0], [1.0]])
+        a = nc.Tensor([[1.0, 2.0], [3.0, 4.0]])
+        b = nc.Tensor([[1.0], [1.0]])
         out = nc.matmul(a, b)
         np.testing.assert_allclose(out.data, [[3.0], [7.0]])
 
     def test_shape_mismatch_names_shapes(self):
-        a = nc.tensor(np.zeros((2, 3)))
-        b = nc.tensor(np.zeros((2, 3)))
+        a = nc.Tensor(np.zeros((2, 3)))
+        b = nc.Tensor(np.zeros((2, 3)))
         with pytest.raises(nc.ShapeError, match=r"\(2, 3\)"):
             nc.matmul(a, b)
 
@@ -48,9 +49,9 @@ class TestMatmul:
         a = nc.Tensor(rng.normal(size=(3, 4)))
         b_val = rng.normal(size=(4, 2))
 
-        loss = nc.sum_all(nc.matmul(a, nc.tensor(b_val)))
+        loss = total(nc.matmul(a, nc.Tensor(b_val)))
         nc.backward(loss)
-        numeric = fd_grad(lambda: float(nc.sum_all(nc.matmul(nc.Tensor(a.data), nc.tensor(b_val))).data), a.data)
+        numeric = fd_grad(lambda: float(total(nc.matmul(nc.Tensor(a.data), nc.Tensor(b_val))).data), a.data)
         rel = np.abs(a.grad - numeric) / np.maximum(np.abs(numeric), 1e-8)
         assert rel.max() <= 1e-6
         # grad of sum(A@B) wrt A is the row-broadcast of B's column sums
@@ -58,10 +59,9 @@ class TestMatmul:
 
 
 def masked_probs(x, mask=None):
-    """Softmax as the policy, critic and oracle derive it from masked_logsumexp; exactly 0 where masked."""
-    x = np.asarray(x, dtype=np.float64)
-    mask = np.ones(x.shape, dtype=bool) if mask is None else mask
-    return np.exp(np.where(mask, x, -np.inf) - nc.masked_logsumexp(x, mask)[..., None])
+    """Softmax as the policy, critic and oracle take it, from `masked_log_softmax`; exactly 0 where masked."""
+    mask = np.ones(np.shape(x), dtype=bool) if mask is None else mask
+    return np.exp(nc.masked_log_softmax(x, mask))
 
 
 class TestSoftmax:
@@ -82,6 +82,7 @@ class TestSoftmax:
             x = rng.normal(scale=rng.uniform(0.1, 50), size=(4, 7))
             mask = rng.random((4, 7)) > 0.5
             mask[np.arange(4), rng.integers(0, 7, size=4)] = True  # every row keeps an entry
+            x[~mask] = rng.choice([np.nan, np.inf, -np.inf, 1e300], size=(~mask).sum())  # masked entries are never read
             p = masked_probs(x, mask)
             np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
             assert np.all(p[~mask] == 0.0)
@@ -137,18 +138,18 @@ class TestLogsumexp:
 
 class TestCrossEntropy:
     def test_perfect_prediction_limit(self):
-        logits = nc.tensor([[60.0, 0.0, 0.0]])
+        logits = nc.Tensor([[60.0, 0.0, 0.0]])
         out = nc.cross_entropy(logits, [0])
-        assert out.item() == pytest.approx(0.0, abs=1e-20)
+        assert float(out.data) == pytest.approx(0.0, abs=1e-20)
 
     def test_uniform_nine(self):
-        logits = nc.tensor(np.zeros((5, 9)))
+        logits = nc.Tensor(np.zeros((5, 9)))
         out = nc.cross_entropy(logits, [0, 3, 8, 2, 4])
-        assert out.item() == pytest.approx(math.log(9), abs=1e-12)
+        assert float(out.data) == pytest.approx(math.log(9), abs=1e-12)
 
     def test_out_of_range_target(self):
         with pytest.raises(IndexError):
-            nc.cross_entropy(nc.tensor(np.zeros((2, 4))), [0, 4])
+            nc.cross_entropy(nc.Tensor(np.zeros((2, 4))), [0, 4])
 
     def test_grad_matches_finite_differences(self):
         rng = nc.make_rng(17)
@@ -163,13 +164,13 @@ class TestCrossEntropy:
 
 class TestLayerNorm:
     def test_constant_vector_zeroed(self):
-        x = nc.tensor([4.0, 4.0, 4.0])
-        out = nc.layer_norm(x, nc.tensor(np.ones(3)), nc.tensor(np.zeros(3)))
+        x = nc.Tensor([4.0, 4.0, 4.0])
+        out = nc.layer_norm(x, nc.Tensor(np.ones(3)), nc.Tensor(np.zeros(3)))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_two_point_scale(self):
         # variance of [1, -1] is 1; epsilon shrinks the output slightly
-        out = nc.layer_norm(nc.tensor([1.0, -1.0]), nc.tensor(np.ones(2)), nc.tensor(np.zeros(2)))
+        out = nc.layer_norm(nc.Tensor([1.0, -1.0]), nc.Tensor(np.ones(2)), nc.Tensor(np.zeros(2)))
         expected = 1.0 / math.sqrt(1.0 + 1e-5)
         np.testing.assert_allclose(out.data, [expected, -expected], atol=1e-12)
 
@@ -180,7 +181,7 @@ class TestLayerNorm:
         bias = nc.Tensor(rng.normal(size=6))
 
         def run():
-            return nc.sum_all(nc.mul(nc.layer_norm(x, gain, bias), x2_const))
+            return total(nc.mul(nc.layer_norm(x, gain, bias), x2_const))
 
         x2_const = rng.normal(size=(4, 6))
         loss = run()
@@ -256,32 +257,32 @@ class TestAdamW:
 
 class TestFiniteDiffCheck:
     def test_square(self):
-        p = nc.tensor([3.0])
+        p = nc.Tensor([3.0])
 
         def f():
-            return nc.sum_all(nc.mul(p, p))
+            return total(nc.mul(p, p))
 
-        err = nc.finite_diff_check(f, [p], eps=1e-4)
+        err = finite_diff_check(f, [p], eps=1e-4)
         assert err <= 1e-9
 
     def test_constant_function(self):
-        p = nc.tensor([1.0, 2.0])
+        p = nc.Tensor([1.0, 2.0])
 
         def f():
-            return nc.tensor(5.0)
+            return nc.Tensor(5.0)
 
-        err = nc.finite_diff_check(f, [p])
+        err = finite_diff_check(f, [p])
         assert err == 0.0
 
     def test_eps_bounds(self):
-        p = nc.tensor([1.0])
+        p = nc.Tensor([1.0])
         with pytest.raises(ValueError):
-            nc.finite_diff_check(lambda: nc.sum_all(p), [p], eps=0.5)
+            finite_diff_check(lambda: total(p), [p], eps=0.5)
 
     def test_nonfinite_rejected(self):
-        p = nc.tensor([1.0])
+        p = nc.Tensor([1.0])
         with pytest.raises(nc.EvaluationError):
-            nc.finite_diff_check(lambda: nc.tensor(float("nan")), [p])
+            finite_diff_check(lambda: nc.Tensor(float("nan")), [p])
 
 
 class TestCompositeGradients:
@@ -299,7 +300,7 @@ class TestCompositeGradients:
             h = nc.gelu(nc.add(nc.matmul(x, w1), b1))
             return nc.mean_all(nc.matmul(h, w2))
 
-        assert nc.finite_diff_check(f, [x, w1, b1, w2], eps=1e-5) <= 1e-6
+        assert finite_diff_check(f, [x, w1, b1, w2], eps=1e-5) <= 1e-6
 
     def test_attention_block(self):
         rng = nc.make_rng(29)
@@ -312,21 +313,21 @@ class TestCompositeGradients:
             ctx = nc.block_causal_attention(nc.matmul(x, wq), nc.matmul(x, wk), nc.matmul(x, wv), n_heads=2, segments=[4])
             return nc.mean_all(ctx)
 
-        assert nc.finite_diff_check(f, [x, wq, wk, wv], eps=1e-5) <= 1e-5
+        assert finite_diff_check(f, [x, wq, wk, wv], eps=1e-5) <= 1e-5
 
     def test_block_attention_matches_separate(self):
         rng = nc.make_rng(31)
         q1, k1, v1 = (rng.normal(size=(3, 4)) for _ in range(3))
         q2, k2, v2 = (rng.normal(size=(5, 4)) for _ in range(3))
         joint = nc.block_causal_attention(
-            nc.tensor(np.vstack([q1, q2])),
-            nc.tensor(np.vstack([k1, k2])),
-            nc.tensor(np.vstack([v1, v2])),
+            nc.Tensor(np.vstack([q1, q2])),
+            nc.Tensor(np.vstack([k1, k2])),
+            nc.Tensor(np.vstack([v1, v2])),
             n_heads=2,
             segments=[3, 5],
         )
-        solo1 = nc.block_causal_attention(nc.tensor(q1), nc.tensor(k1), nc.tensor(v1), n_heads=2, segments=[3])
-        solo2 = nc.block_causal_attention(nc.tensor(q2), nc.tensor(k2), nc.tensor(v2), n_heads=2, segments=[5])
+        solo1 = nc.block_causal_attention(nc.Tensor(q1), nc.Tensor(k1), nc.Tensor(v1), n_heads=2, segments=[3])
+        solo2 = nc.block_causal_attention(nc.Tensor(q2), nc.Tensor(k2), nc.Tensor(v2), n_heads=2, segments=[5])
         np.testing.assert_array_equal(joint.data[:3], solo1.data)
         np.testing.assert_array_equal(joint.data[3:], solo2.data)
 
@@ -339,7 +340,7 @@ class TestCompositeGradients:
         def f():
             return nc.mean_all(nc.masked_logsumexp_rows(x, mask))
 
-        assert nc.finite_diff_check(f, [x], eps=1e-5) <= 1e-6
+        assert finite_diff_check(f, [x], eps=1e-5) <= 1e-6
         p = masked_probs(x.data, mask)
         assert np.all(p[~mask] == 0.0)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
@@ -354,7 +355,7 @@ class TestCompositeGradients:
         def f():
             return nc.mean_all(nc.masked_kl_rows(logits, ref, mask))
 
-        assert nc.finite_diff_check(f, [logits], eps=1e-5) <= 1e-6
+        assert finite_diff_check(f, [logits], eps=1e-5) <= 1e-6
         # KL of a distribution against itself is zero
         self_lp = np.where(mask, logits.data - nc.masked_logsumexp(logits.data, mask)[:, None], 0.0)
         kl = nc.masked_kl_rows(nc.Tensor(logits.data), self_lp, mask)
@@ -367,9 +368,9 @@ class TestCompositeGradients:
 
         def f():
             rows = nc.gather_rows(table, idx)
-            return nc.sum_all(nc.slice_rows(rows, 1, 3))
+            return total(nc.slice_rows(rows, 1, 3))
 
-        assert nc.finite_diff_check(f, [table], eps=1e-5) <= 1e-8
+        assert finite_diff_check(f, [table], eps=1e-5) <= 1e-8
 
     def test_slice_rows_gradient_reaches_its_rows_only(self):
         rng = nc.make_rng(44)
@@ -377,15 +378,15 @@ class TestCompositeGradients:
         g_top, g_bottom = rng.normal(size=(2, 3)), rng.normal(size=(3, 3))
         top, bottom = nc.slice_rows(w, 0, 2), nc.slice_rows(w, 3, 6)
         np.testing.assert_array_equal(bottom.data, w.data[3:6])
-        nc.backward(nc.add(nc.sum_all(nc.mul_const(top, g_top)), nc.sum_all(nc.mul_const(bottom, g_bottom))))
+        nc.backward(nc.add(total(nc.mul_const(top, g_top)), total(nc.mul_const(bottom, g_bottom))))
         np.testing.assert_array_equal(w.grad, np.concatenate([g_top, np.zeros((1, 3)), g_bottom]))
 
 
 def attention_with_grads(q, k, v, g, n_heads, segments, q_at=None):
     """Context and q/k/v gradients of block attention under the upstream gradient `g`."""
-    q, k, v = nc.tensor(q), nc.tensor(k), nc.tensor(v)
+    q, k, v = nc.Tensor(q), nc.Tensor(k), nc.Tensor(v)
     ctx = nc.block_causal_attention(q, k, v, n_heads, segments, q_at)
-    nc.backward(nc.sum_all(nc.mul_const(ctx, g)))
+    nc.backward(total(nc.mul_const(ctx, g)))
     return ctx.data, q.grad, k.grad, v.grad
 
 
@@ -419,12 +420,12 @@ class TestBlockAttention:
             ctx = nc.block_causal_attention(
                 nc.matmul(x, wq), nc.matmul(x, wk), nc.matmul(x, wv), n_heads=2, segments=[3, 1, 3, 2, 1]
             )
-            return nc.sum_all(nc.mul_const(ctx, g))
+            return total(nc.mul_const(ctx, g))
 
-        assert nc.finite_diff_check(f, [x, wq, wk, wv], eps=1e-5) <= 1e-5
+        assert finite_diff_check(f, [x, wq, wk, wv], eps=1e-5) <= 1e-5
 
     def test_segments_must_cover_rows(self):
-        x = nc.tensor(np.zeros((4, 4)))
+        x = nc.Tensor(np.zeros((4, 4)))
         with pytest.raises(nc.ShapeError):
             nc.block_causal_attention(x, x, x, 2, [1, 2])
 
@@ -473,16 +474,16 @@ class TestQuerySubsetAttention:
         def f():
             q = nc.matmul(nc.gather_rows(x, q_at), wq)
             ctx = nc.block_causal_attention(q, nc.matmul(x, wk), nc.matmul(x, wv), 2, segments, q_at)
-            return nc.sum_all(nc.mul_const(ctx, g))
+            return total(nc.mul_const(ctx, g))
 
-        assert nc.finite_diff_check(f, [x, wq, wk, wv], eps=1e-5) <= 1e-5
+        assert finite_diff_check(f, [x, wq, wk, wv], eps=1e-5) <= 1e-5
 
     @pytest.mark.parametrize("q_at", [[1, 5], [0, 2], [2, 1], [0, 6], [0]])
     def test_malformed_queries_rejected(self, q_at):
         # two segments of 3 rows: queries at different offsets, unordered, out of range, or one row short
-        x = nc.tensor(np.zeros((6, 4)))
+        x = nc.Tensor(np.zeros((6, 4)))
         with pytest.raises(nc.ShapeError):
-            nc.block_causal_attention(nc.tensor(np.zeros((2, 4))), x, x, 2, [3, 3], q_at)
+            nc.block_causal_attention(nc.Tensor(np.zeros((2, 4))), x, x, 2, [3, 3], q_at)
 
 
 class TestGatherGradients:
@@ -491,7 +492,7 @@ class TestGatherGradients:
         table = nc.Tensor(rng.normal(size=(5, 3)))
         idx = np.array([4, 1, 4, 0, 4, 1, 2])
         g = rng.normal(size=(7, 3))
-        nc.backward(nc.sum_all(nc.mul_const(nc.gather_rows(table, idx), g)))
+        nc.backward(total(nc.mul_const(nc.gather_rows(table, idx), g)))
         expected = np.zeros((5, 3))
         np.add.at(expected, idx, g)
         np.testing.assert_array_equal(table.grad, expected)
@@ -503,7 +504,7 @@ class TestGatherGradients:
         idx1, idx2 = np.array([0, 3, 3]), np.array([3, 1, 3, 3, 0])
         g1, g2 = rng.normal(size=(3, 3)) * 1e-3, rng.normal(size=(5, 3)) * 1e3
         rows1, rows2 = nc.gather_rows(table, idx1), nc.gather_rows(table, idx2)
-        loss = nc.add(nc.sum_all(nc.mul_const(rows1, g1)), nc.sum_all(nc.mul_const(rows2, g2)))
+        loss = nc.add(total(nc.mul_const(rows1, g1)), total(nc.mul_const(rows2, g2)))
         order = [id(node) for node in nc.backward(loss).nodes]
         # backward runs the recorded nodes last to first
         first, second = (idx2, g2), (idx1, g1)
@@ -519,7 +520,7 @@ class TestGatherGradients:
         a = nc.Tensor(rng.normal(size=(4, 6)))
         idx = np.array([5, 0, 5, 2])
         g = rng.normal(size=4)
-        nc.backward(nc.sum_all(nc.mul_const(nc.gather_per_row(a, idx), g)))
+        nc.backward(total(nc.mul_const(nc.gather_per_row(a, idx), g)))
         expected = np.zeros((4, 6))
         np.add.at(expected, (np.arange(4), idx), g)
         np.testing.assert_array_equal(a.grad, expected)
@@ -548,43 +549,44 @@ class TestLazyGradients:
     """The first gradient a node receives is its own array; later ones add into it."""
 
     def test_fan_out_sums(self):
-        x = nc.tensor([1.0, -2.0, 3.0])
-        nc.backward(nc.sum_all(nc.add(x, x)))
+        x = nc.Tensor([1.0, -2.0, 3.0])
+        nc.backward(total(nc.add(x, x)))
         np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
         rng = nc.make_rng(73)
         h = nc.Tensor(rng.normal(size=(3, 4)))
-        w1, w2 = nc.tensor(rng.normal(size=(4, 2))), nc.tensor(rng.normal(size=(4, 5)))
-        nc.backward(nc.add(nc.sum_all(nc.matmul(h, w1)), nc.sum_all(nc.matmul(h, w2))))
+        w1, w2 = nc.Tensor(rng.normal(size=(4, 2))), nc.Tensor(rng.normal(size=(4, 5)))
+        nc.backward(nc.add(total(nc.matmul(h, w1)), total(nc.matmul(h, w2))))
         np.testing.assert_allclose(h.grad, np.tile(w1.data.sum(axis=1) + w2.data.sum(axis=1), (3, 1)), rtol=1e-14)
 
     def test_siblings_not_aliased(self):
-        a, b = nc.tensor(np.ones(3)), nc.tensor(np.ones(3))
+        a, b = nc.Tensor(np.ones(3)), nc.Tensor(np.ones(3))
         out = nc.add(a, b)
-        nc.backward(nc.sum_all(nc.mul_const(out, [3.0, 4.0, 12.0])))
+        nc.backward(total(nc.mul_const(out, [3.0, 4.0, 12.0])))
         nc.clip_grad_norm([a.grad], 1.0)
         np.testing.assert_allclose(a.grad, [3 / 13, 4 / 13, 12 / 13])
         np.testing.assert_array_equal(b.grad, [3.0, 4.0, 12.0])
         np.testing.assert_array_equal(out.grad, [3.0, 4.0, 12.0])
 
     def test_mean_all_full_shape(self):
-        x = nc.tensor(np.zeros((2, 5)))
+        x = nc.Tensor(np.zeros((2, 5)))
         nc.backward(nc.mean_all(x))
         assert x.grad.shape == (2, 5)
         np.testing.assert_array_equal(x.grad, np.full((2, 5), 0.1))
 
     def test_empty_gather_gives_zeros(self):
-        table = nc.tensor(np.ones((3, 2)))
-        other = nc.tensor([2.0])
-        loss = nc.add(nc.sum_all(nc.gather_rows(table, np.zeros(0, dtype=np.intp))), nc.sum_all(other))
+        table = nc.Tensor(np.ones((3, 2)))
+        other = nc.Tensor([[2.0, 2.0]])
+        # the empty gather joins other's row: `total` of an empty tensor would average nothing
+        loss = total(nc.concat_rows([nc.gather_rows(table, np.zeros(0, dtype=np.intp)), other]))
         nc.backward(loss)
         assert table.grad is not None
         np.testing.assert_array_equal(table.grad, np.zeros((3, 2)))
-        np.testing.assert_array_equal(other.grad, [1.0])
+        np.testing.assert_array_equal(other.grad, [[1.0, 1.0]])
 
     def test_stale_gradients_dropped(self):
-        x = nc.tensor([1.0, 2.0])
+        x = nc.Tensor([1.0, 2.0])
         for _ in range(2):
-            nc.backward(nc.sum_all(nc.mul_const(x, 3.0)))
+            nc.backward(total(nc.mul_const(x, 3.0)))
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
 
@@ -623,12 +625,12 @@ class TestGraphConsumption:
             np.testing.assert_array_equal(t.grad, g)
 
     def test_new_graph_over_a_consumed_node_raises(self):
-        x = nc.tensor([1.0, 2.0])
+        x = nc.Tensor([1.0, 2.0])
         h = nc.mul_const(x, 3.0)
-        nc.backward(nc.sum_all(h))
+        nc.backward(total(h))
         with pytest.raises(nc.GraphConsumedError):
-            nc.backward(nc.sum_all(nc.mul(h, x)))
-        nc.backward(nc.sum_all(nc.mul_const(x, 2.0)))  # leaves serve any number of graphs
+            nc.backward(total(nc.mul(h, x)))
+        nc.backward(total(nc.mul_const(x, 2.0)))  # leaves serve any number of graphs
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
     def test_no_graph_records_nothing_and_changes_no_value(self):
@@ -644,8 +646,8 @@ class TestGraphConsumption:
     def test_no_graph_restores_recording_after_an_error(self):
         with pytest.raises(nc.ShapeError):
             with nc.no_graph():
-                nc.matmul(nc.tensor(np.ones((2, 3))), nc.tensor(np.ones((2, 3))))
-        assert nc.add(nc.tensor([1.0]), nc.tensor([2.0]))._bwd is not None
+                nc.matmul(nc.Tensor(np.ones((2, 3))), nc.Tensor(np.ones((2, 3))))
+        assert nc.add(nc.Tensor([1.0]), nc.Tensor([2.0]))._bwd is not None
 
 
 class TestClipGradNorm:

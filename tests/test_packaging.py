@@ -25,10 +25,7 @@ PERFBENCH = PYPROJECT.parent / "perfbench"
 
 # public numcore functions that nothing in src/ calls, each kept for a reason
 UNCALLED_NUMCORE = {
-    "sum_all": "the test harness: a scalar loss for gradient checks",
-    "finite_diff_check": "the test harness: gradient checks of every differentiable op",
     "masked_kl_rows": "kept for phase-2 fine-tuning",
-    "tensor": "the constructor alias that the tests use",
 }
 
 
@@ -67,6 +64,16 @@ def test_only_roll_out_draws_a_move():
             (inside if id(node) in allowed else found).append(f"{path.name}:{node.lineno}")
     assert inside, "roll_out no longer draws with inverse_cdf"
     assert found == [], "inverse_cdf referenced outside synthgen.roll_out"
+
+
+def test_only_numcore_names_masked_logsumexp():
+    """Every masked softmax is `numcore.masked_log_softmax`: no src module but numcore imports or names
+    `masked_logsumexp`, so none can write the log-softmax out by hand."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "numcore.py":
+            found += [f"{path.name}:{node.lineno}" for node in references(ast.parse(path.read_text(encoding="utf-8")), "masked_logsumexp")]
+    assert found == [], "masked_logsumexp named outside numcore.py"
 
 
 def numcore_references() -> set[str]:

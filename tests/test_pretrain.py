@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import oracle_trip
 
 from trajforge import netgrid as ng
 from trajforge import numcore as nc
@@ -45,7 +46,7 @@ class TestEvalPolicy:
             for _ in range(4):
                 a = int(rng.integers(0, 9))
                 actions.append(a)
-                positions.append(ng.apply_action(net, positions[-1], a))
+                positions.append(net.step(positions[-1], a))
             if positions[-1] == positions[0]:
                 continue
             trajs.append(sg.Trajectory(tid, 0, 0, 0, positions, actions, "complete"))
@@ -154,7 +155,7 @@ class TestPretrain:
     def test_memorizes_single_trajectory(self):
         net = ng.GridNetwork(ng.GridSpec(5, 5))
         prefs = sg.PreferenceParams(np.array([[8.0, 0.0, -1.0]]))
-        traj = sg.gen_trajectory(4, (0, 24), 0, prefs, net, 12)
+        traj = oracle_trip(4, (0, 24), 0, prefs, net, 12)
         dataset = sg.Dataset(net, [traj] * 64, 1)
         dataset.train_idx = list(range(64))
         vocab = tk.vocab_sizes(net, sg.SynthConfig(users=1, max_len=12))

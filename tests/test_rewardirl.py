@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from helpers import finite_diff_check, oracle_trip
 
 from trajforge import netgrid as ng
 from trajforge import numcore as nc
@@ -389,7 +390,7 @@ class TestIqLoss:
             loss, _ = ri.iq_loss(batch, critic, cfg)
             return loss
 
-        err = nc.finite_diff_check(f, critic.param_tensors(), eps=1e-4)
+        err = finite_diff_check(f, critic.param_tensors(), eps=1e-4)
         assert err <= 1e-4
 
     def test_matches_concatenated_formula_replay(self):
@@ -414,7 +415,7 @@ class TestIqLoss:
         def f():
             return ri.iq_loss(batch, critic, cfg)[0]
 
-        assert nc.finite_diff_check(f, critic.param_tensors(), eps=1e-4) <= 1e-4
+        assert finite_diff_check(f, critic.param_tensors(), eps=1e-4) <= 1e-4
         nc.backward(f())
         read = {
             "emb_link": {0, 1, 2, 4, 5},
@@ -666,7 +667,7 @@ class TestRecoverReward:
         gamma = 0.9
         prefs = sg.PreferenceParams(np.array([[3.0, -1.0, -1.0], [1.0, 0.0, 0.0]]))
         for seed in range(6):
-            traj = sg.gen_trajectory(seed, (0, 15), seed % 2, prefs, net, 8)
+            traj = oracle_trip(seed, (0, 15), seed % 2, prefs, net, 8)
             states = [traj.state_at(t) for t in range(len(traj.positions))]
             T = len(traj.actions)
             rewards = [

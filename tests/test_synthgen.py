@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from helpers import oracle_trip
 from test_netgrid import networks
 
 from trajforge import netgrid as ng
@@ -53,7 +54,7 @@ class TestOracleProbs:
         reducing = [
             a
             for a in np.flatnonzero(grid5.feasible[12])
-            if hops[ng.apply_action(grid5, 12, a)] < hops[12]
+            if hops[grid5.step(12, a)] < hops[12]
         ]
         assert probs[reducing].sum() >= 0.99
 
@@ -78,7 +79,7 @@ class TestOracleProbs:
         state = ng.EnvState(position=3, origin=3, destination=24, depart_bin=0, speed_bin=0, user_id=user)
         message = f"row 0: user {user} outside the 20 users of the preferences"
         with pytest.raises(sg.GenerationError, match=f"^{re.escape(message)}$"):
-            sg.gen_trajectory(3, (0, 24), user, prefs, ds.net, 50)
+            oracle_trip(3, (0, 24), user, prefs, ds.net, 50)
         with pytest.raises(sg.GenerationError, match=f"^{re.escape(message)}$"):
             sg.oracle_action_probs(state, prefs, ds.net)
         with pytest.raises(sg.GenerationError, match=f"^row 1: user {user} outside"):
@@ -148,7 +149,7 @@ def reference_probs(state, prefs, net, prev_action):
     here = int(hops[state.position])
     scores = np.full(ng.N_ACTIONS, -np.inf)
     for a in np.flatnonzero(net.feasible[state.position]).tolist():
-        nxt = ng.apply_action(net, state.position, a)
+        nxt = net.step(state.position, a)
         there = int(hops[nxt])
         progress = -1.0 if there < 0 else float((here > there) - (here < there))
         turn = 1.0 if prev_action is not None and a != prev_action else 0.0
@@ -158,33 +159,35 @@ def reference_probs(state, prefs, net, prev_action):
 
 
 class TestGenTrajectory:
+    """One oracle trip: an `oracle_trips` batch of one (`helpers.oracle_trip`)."""
+
     def test_adjacent_od_progress_seeker(self, grid5):
         prefs = prefs_for([[12.0, 0.0, 0.0]])
-        traj = sg.gen_trajectory(1, (12, 13), 0, prefs, grid5, max_len=50)
+        traj = oracle_trip(1, (12, 13), 0, prefs, grid5, max_len=50)
         assert traj.complete
         assert traj.positions == [12, 13]
         assert len(traj.actions) == 1
 
     def test_same_seed_identical(self, grid5):
         prefs = prefs_for([[1.0, -0.5, 0.0]])
-        a = sg.gen_trajectory(7, (0, 24), 0, prefs, grid5, max_len=50)
-        b = sg.gen_trajectory(7, (0, 24), 0, prefs, grid5, max_len=50)
+        a = oracle_trip(7, (0, 24), 0, prefs, grid5, max_len=50)
+        b = oracle_trip(7, (0, 24), 0, prefs, grid5, max_len=50)
         assert a.positions == b.positions and a.actions == b.actions
 
     def test_max_len_one_truncates(self, grid5):
         prefs = prefs_for([[0.0, 0.0, 0.0]])
-        traj = sg.gen_trajectory(3, (0, 24), 0, prefs, grid5, max_len=1)
+        traj = oracle_trip(3, (0, 24), 0, prefs, grid5, max_len=1)
         assert traj.flag == "truncated"
         assert len(traj.actions) == 1
 
     def test_origin_equals_destination_rejected(self, grid5):
         with pytest.raises(sg.GenerationError):
-            sg.gen_trajectory(0, (3, 3), 0, prefs_for([[0, 0, 0]]), grid5, max_len=5)
+            oracle_trip(0, (3, 3), 0, prefs_for([[0, 0, 0]]), grid5, max_len=5)
 
     def test_dead_end_ends_the_trip(self):
         # link 4 has no downstream link; at zero weights the oracle sometimes enters it on its way to 5
         graph = ng.LinkGraph([[1, 2], [3], [3, 4], [0, 5], [], [2]])
-        trips = [sg.gen_trajectory(s, (0, 5), 0, prefs_for([[0, 0, 0]]), graph, max_len=10) for s in range(30)]
+        trips = [oracle_trip(s, (0, 5), 0, prefs_for([[0, 0, 0]]), graph, max_len=10) for s in range(30)]
         assert {t.flag for t in trips} == {"complete", "dead_end"}
         assert all(t.positions[-1] == 4 for t in trips if t.flag == "dead_end")
 
@@ -213,7 +216,7 @@ class TestRollOut:
         assume(starts)
         origin = data.draw(st.sampled_from(starts), label="origin")
         prefs = prefs_for([data.draw(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3), label="theta")])
-        oracle = sg.gen_trajectory(seed, (origin, destination), 0, prefs, net, max_moves, depart_bin=1, speed_bin=2)
+        oracle = oracle_trip(seed, (origin, destination), 0, prefs, net, max_moves, depart_bin=1, speed_bin=2)
         assert_rolled_out(oracle, net, origin, destination, max_moves)
         vocab = tk.vocab_sizes(net, sg.SynthConfig(users=2, max_len=12))
         cfg = tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=2, dropout=0.0, init_std=0.5)
@@ -308,7 +311,7 @@ class TestRollOut:
         # an origin past the last cell used to fail inside numpy; one of -1 wrapped round to the last cell
         bad = od[0] if od[0] not in range(25) else od[1]
         with pytest.raises(sg.GenerationError, match=f"row 0: position {bad} outside network of 25 positions"):
-            sg.gen_trajectory(0, od, 0, prefs_for([[1.0, 0.0, 0.0]]), grid5, max_len=5)
+            oracle_trip(0, od, 0, prefs_for([[1.0, 0.0, 0.0]]), grid5, max_len=5)
 
     def test_empty_batch(self, grid5):
         assert sg.roll_out(grid5, [], [], uniform_rows(0, 5), lambda rows, pos, prev: pytest.fail("drew a move")) == []
@@ -343,7 +346,7 @@ class TestGenDataset:
                 destination = int(rng.integers(0, ds.net.n_positions))
             depart, speed = int(rng.integers(0, cfg.depart_bins)), int(rng.integers(0, cfg.speed_bins))
             key = (seed, "traj-roll", tid)
-            alone = sg.gen_trajectory(key, (origin, destination), user, prefs, ds.net, max_len, depart, speed, tid)
+            alone = oracle_trip(key, (origin, destination), user, prefs, ds.net, max_len, depart, speed, tid)
             assert traj == alone
 
     @given(roll_out_networks(), st.integers(1, 12), st.integers(0, 2**16), st.data())
@@ -362,7 +365,7 @@ class TestGenDataset:
         uniforms = np.stack([make_rng(seed, "trip", i).random(max_len) for i in range(len(trips))])
         rolled = sg.oracle_trips(prefs, net, users, origins, destinations, uniforms)
         for i, (user, origin, destination) in enumerate(trips):
-            alone = sg.gen_trajectory((seed, "trip", i), (origin, destination), user, prefs, net, max_len)
+            alone = oracle_trip((seed, "trip", i), (origin, destination), user, prefs, net, max_len)
             assert rolled[i] == (alone.positions, alone.actions, alone.flag)
 
     def test_empty(self):
@@ -520,10 +523,11 @@ class TestDatasetIO:
             (["0,1,2,3", "1,4,5,6,7"], ":3: expected 4 fields, got 5$"),
             (["0,1,2,3", "0,4,5,6"], ":3: user_id 0 is repeated$"),
             (["-1,1,2,3"], ":2: user_id -1 is negative$"),
+            (["0,1.0,nan,0.5"], ":2: non-finite weight in 1.0,nan,0.5$"),
             (["0,1,2,3", "", "2,4,5,6"], ": no row for user_id 1$"),
             (["1,4,5,6", "0,1,2,3"], [[1, 2, 3], [4, 5, 6]]),  # each row at its user_id, not at its line
         ],
-        ids=["bad-float", "short-row", "long-row", "repeated-user", "negative-user", "missing-user", "out-of-order"],
+        ids=["bad-float", "short-row", "long-row", "repeated-user", "negative-user", "non-finite-weight", "missing-user", "out-of-order"],
     )
     def test_preferences_rows_read_by_user_id(self, tmp_path, rows, want):
         path = tmp_path / "theta.csv"
