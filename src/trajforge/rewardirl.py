@@ -13,6 +13,10 @@ its block, and by w_pref, and gathers rows of the projected tables: about
 sum(table rows) * d * (d + 9) multiply-adds per call, against 2B * 4d * d for projecting
 the gathered rows of s and s'. Break-even is near 1.8k table rows at B = 256, far above
 the package's grids (119 rows at the default 25 cells, 24 departure bins and 20 users).
+The backward costs about twice that for the projections' two matmuls, plus the gathers'
+shares. At these sizes no table exceeds `numcore.ONEHOT_MAX_ROWS` rows, so each share is a
+one-hot product of table rows * gathered rows * width multiply-adds: about 2.2M per step at
+B = 256 and d = 64, a third of it for the 2B link rows, in place of a bincount per table.
 The context part and the preference term are computed once per batch; Q(s, .) and
 Q(s', .) differ only in the link row. Inference runs the training code over rows under
 `numcore.no_graph`: `reward_rows` gives `iq_loss`'s margins and `log_policy_rows` the masked

@@ -43,7 +43,8 @@ The decoder keeps its array path, unlike the critic's inference, which runs trai
 under `no_graph`: a decoder sharing `forward_batch`'s block loop under `no_graph` gave the
 same trips about 12% slower, 1923-2061 against 2229-2286 moves/s, from per-op overhead at
 one query row (seed 1, 80 held-out contexts, 2-epoch policy, medians of 5 passes, 3
-alternating runs). Sharing the loop belongs with a decoder that batches many trips.
+alternating runs; measured at context 12, when the window still slid, not at the whole-trip
+context of today). Sharing the loop belongs with a decoder that batches many trips.
 """
 
 from __future__ import annotations

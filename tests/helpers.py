@@ -1,5 +1,5 @@
 """What several test modules share: a scalar loss and a finite-difference check over numcore's
-recorded graph, and one oracle trip."""
+recorded graph, a reference AdamW step, and one oracle trip."""
 
 import math
 
@@ -48,6 +48,18 @@ def finite_diff_check(f, params, eps: float = 1e-4) -> float:
             denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
             worst = max(worst, abs(a_flat[i] - numeric) / denom)
     return worst
+
+
+def reference_adamw_step(vector: np.ndarray, grad: np.ndarray, state: nc.OptimizerState) -> None:
+    """`numcore.adamw_step` as three whole-array formulas, each making its own temporaries."""
+    state.step += 1
+    bc1 = 1.0 - nc.ADAM_BETA1**state.step
+    bc2 = 1.0 - nc.ADAM_BETA2**state.step
+    if state.weight_decay:
+        vector -= state.lr * state.weight_decay * vector
+    state.m[:] = nc.ADAM_BETA1 * state.m + (1.0 - nc.ADAM_BETA1) * grad
+    state.v[:] = nc.ADAM_BETA2 * state.v + (1.0 - nc.ADAM_BETA2) * (grad * grad)
+    vector -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + nc.ADAM_EPS)
 
 
 def oracle_trip(seed, od, user, prefs, net, max_len, depart_bin=0, speed_bin=0, traj_id=0) -> sg.Trajectory:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from helpers import finite_diff_check, total
+from helpers import finite_diff_check, reference_adamw_step, total
 
 from trajforge import numcore as nc
 
@@ -107,6 +107,25 @@ class TestLogsumexp:
         with pytest.raises(ValueError, match="no allowed entries"):
             nc.masked_logsumexp(np.zeros((2, 3)), np.array([[True, False, False], [False, False, False]]))
 
+    def test_fully_masked_row_named_by_the_guard(self):
+        # the mask is read only when some row max is -inf; a fully masked row still raises the guard's message
+        message = "^masked_logsumexp: a row has no allowed entries$"
+        with pytest.raises(ValueError, match=message):
+            nc.masked_logsumexp(np.array([1.0, np.nan, 2.0]), np.zeros(3, dtype=bool))
+        x = np.array([[1.0, np.nan, 2.0], [0.5, np.inf, -1.0], [3.0, 4.0, 5.0]])
+        with pytest.raises(ValueError, match=message):
+            nc.masked_logsumexp(x, np.array([[True, False, True], [False, False, False], [True, True, True]]))
+        with pytest.raises(ValueError, match=message):
+            nc.masked_logsumexp(np.zeros((2, 0)), np.zeros((2, 0), dtype=bool))
+
+    def test_row_of_allowed_minus_inf_passes_the_guard(self):
+        # a row max of -inf from allowed entries is not a fully masked row: the guard reads the mask and lets it through
+        x = np.array([[-np.inf, -np.inf, 1.0], [0.0, 2.0, 1.0]])
+        with np.errstate(invalid="ignore"):  # -inf - -inf
+            out = nc.masked_logsumexp(x, np.array([[True, True, False], [True, False, True]]))
+        assert math.isnan(out[0])
+        assert out[1] == pytest.approx(math.log(1.0 + math.e), abs=1e-15)
+
     def test_bounds_property(self):
         rng = nc.make_rng(13)
         for _ in range(50):
@@ -134,6 +153,19 @@ class TestLogsumexp:
         mask[:, 4] = True
         rows = nc.masked_logsumexp_rows(nc.Tensor(x), mask)
         assert rows.data.tobytes() == nc.masked_logsumexp(x, mask).tobytes()
+
+    @given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**16))
+    def test_rows_gradient_is_masked_softmax_bit_for_bit_property(self, n, width, seed):
+        # the backward reuses the forward's log-sum-exp; masked entries may hold anything
+        rng = nc.make_rng(seed)
+        x = rng.normal(scale=10, size=(n, width))
+        mask = rng.random((n, width)) > 0.4
+        mask[np.arange(n), rng.integers(0, width, n)] = True
+        x[~mask] = rng.choice([np.nan, np.inf, -np.inf, 1e300], size=int((~mask).sum()))
+        g = rng.normal(size=n)
+        a = nc.Tensor(x)
+        nc.masked_logsumexp_rows(a, mask)._bwd(g)
+        assert a.grad.tobytes() == (np.exp(nc.masked_log_softmax(x, mask)) * g[:, None]).tobytes()
 
 
 class TestCrossEntropy:
@@ -253,6 +285,32 @@ class TestAdamW:
         state = nc.adamw_init(p, lr=0.1, weight_decay=0.0)
         with pytest.raises(nc.ShapeError):
             nc.adamw_step(p, np.zeros(4), state)
+
+    def test_second_moment_shape_mismatch(self):
+        p = np.zeros(3)
+        state = nc.adamw_init(p, lr=0.1, weight_decay=0.0)
+        state.v = np.zeros(4)
+        with pytest.raises(nc.ShapeError, match=r"\(4,\)"):
+            nc.adamw_step(p, np.zeros(3), state)
+        assert state.step == 0 and p.tobytes() == np.zeros(3).tobytes()
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_in_place_step_keeps_the_formulas_bytes(self, weight_decay):
+        # five steps in place against the whole-array formulas: vector, m and v hold the same bytes, grad is untouched
+        rng = nc.make_rng(83)
+        p = rng.normal(size=257)
+        replay = p.copy()
+        state, ref = nc.adamw_init(p, 3e-2, weight_decay), nc.adamw_init(replay, 3e-2, weight_decay)
+        for _ in range(5):
+            g = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=257)
+            g[rng.random(257) < 0.1] = -0.0
+            kept = g.copy()
+            nc.adamw_step(p, g, state)
+            reference_adamw_step(replay, g, ref)
+            assert g.tobytes() == kept.tobytes()
+            for got, want in ((p, replay), (state.m, ref.m), (state.v, ref.v)):
+                assert got.tobytes() == want.tobytes()
+        assert state.step == ref.step == 5
 
 
 class TestFiniteDiffCheck:
@@ -486,19 +544,34 @@ class TestQuerySubsetAttention:
             nc.block_causal_attention(nc.Tensor(np.zeros((2, 4))), x, x, 2, [3, 3], q_at)
 
 
+def signed_normal(rng, shape):
+    """Normal draws with about a quarter of the entries -0.0."""
+    x = rng.normal(size=shape)
+    return np.where(rng.random(shape) < 0.25, -0.0, x)
+
+
+def onehot_share(rows, idx, g):
+    """`gather_rows`' one-hot backward share, built independently: onehot(idx) @ g, one column per index."""
+    idx = np.asarray(idx).ravel()
+    return (np.arange(rows)[:, None] == idx).astype(np.float64) @ g.reshape(idx.size, -1)
+
+
 class TestGatherGradients:
     def test_duplicates_equal_add_at(self):
+        # 7 indices into 5 rows: the one-hot product
         rng = nc.make_rng(61)
         table = nc.Tensor(rng.normal(size=(5, 3)))
         idx = np.array([4, 1, 4, 0, 4, 1, 2])
         g = rng.normal(size=(7, 3))
         nc.backward(total(nc.mul_const(nc.gather_rows(table, idx), g)))
+        assert table.grad.tobytes() == onehot_share(5, idx, g).tobytes()
         expected = np.zeros((5, 3))
         np.add.at(expected, idx, g)
-        np.testing.assert_array_equal(table.grad, expected)
+        np.testing.assert_allclose(table.grad, expected, rtol=0, atol=1e-15 * np.abs(g).sum())
 
     def test_second_gather_adds_as_add_at(self):
-        # a table read by two gathers: the second one's rows sum onto the first one's gradient in index order
+        # a table read by two gathers: 5 indices into 4 rows take the one-hot product, which adds its summed
+        # share onto any gradient the table holds; 3 indices with a duplicate take the bincount, as np.add.at
         rng = nc.make_rng(67)
         table = nc.Tensor(rng.normal(size=(4, 3)))
         idx1, idx2 = np.array([0, 3, 3]), np.array([3, 1, 3, 3, 0])
@@ -510,10 +583,43 @@ class TestGatherGradients:
         first, second = (idx2, g2), (idx1, g1)
         if order.index(id(rows1)) > order.index(id(rows2)):
             first, second = second, first
-        expected = np.zeros((4, 3))
-        np.add.at(expected, *first)
-        np.add.at(expected, *second)
-        np.testing.assert_array_equal(table.grad, expected)
+        expected = None
+        for idx, g in (first, second):
+            if len(idx) > 4:
+                share = onehot_share(4, idx, g)
+                expected = share if expected is None else expected + share
+            else:
+                expected = np.zeros((4, 3)) if expected is None else expected
+                np.add.at(expected, idx, g)
+        assert table.grad.tobytes() == expected.tobytes()
+        add_at = np.zeros((4, 3))
+        np.add.at(add_at, *first)
+        np.add.at(add_at, *second)
+        np.testing.assert_allclose(table.grad, add_at, rtol=0, atol=1e-15 * (np.abs(g1).sum() + np.abs(g2).sum()))
+
+    @given(st.integers(1, 2 * nc.ONEHOT_MAX_ROWS), st.integers(1, 64), st.integers(0, 4 * nc.ONEHOT_MAX_ROWS), st.booleans(), st.integers(0, 2**16))
+    def test_branches_pinned_and_near_add_at_property(self, rows, width, n, prior, seed):
+        # tables on both sides of the one-hot limit: the product equals prior + onehot @ g, every other
+        # branch equals the bincount, and both stay within 1e-15 of the summed magnitudes of np.add.at
+        rng = nc.make_rng(seed)
+        idx = rng.integers(0, rows, n)
+        g = signed_normal(rng, (n, width))
+        table, reference = nc.Tensor(np.zeros((rows, width))), nc.Tensor(np.zeros((rows, width)))
+        add_at = np.zeros((rows, width))
+        if prior:
+            table.grad = signed_normal(rng, (rows, width))
+            reference.grad, add_at = table.grad.copy(), table.grad.copy()
+        magnitude = np.abs(g).sum() + np.abs(add_at).sum()
+        nc.gather_rows(table, idx)._bwd(g)
+        if rows < n and rows <= nc.ONEHOT_MAX_ROWS:
+            share = onehot_share(rows, idx, g)
+            expected = reference.grad + share if prior else share
+        else:
+            nc._scatter_accum(reference, (idx.reshape(-1, 1) * width + np.arange(width)).ravel(), g)
+            expected = reference.grad
+        assert table.grad.tobytes() == expected.tobytes()
+        np.add.at(add_at, idx, g)
+        assert np.abs(table.grad - add_at).max(initial=0.0) <= 1e-15 * magnitude
 
     def test_per_row_equals_add_at(self):
         rng = nc.make_rng(71)
@@ -529,16 +635,11 @@ class TestGatherGradients:
     def test_unique_rows_equal_bincount_path_property(self, idx, width, prior, seed):
         # distinct rows skip the whole-table bincount; the gradient keeps its bits, signed zeros too
         rng = nc.make_rng(seed)
-
-        def signed(shape):
-            x = rng.normal(size=shape)
-            return np.where(rng.random(shape) < 0.25, -0.0, x)
-
         idx = np.asarray(idx, dtype=np.intp)
-        g = signed((len(idx), width))
+        g = signed_normal(rng, (len(idx), width))
         table, reference = nc.Tensor(np.zeros((8, width))), nc.Tensor(np.zeros((8, width)))
         if prior:
-            table.grad = signed((8, width))
+            table.grad = signed_normal(rng, (8, width))
             reference.grad = table.grad.copy()
         nc.gather_rows(table, idx)._bwd(g)
         nc._scatter_accum(reference, (idx.reshape(-1, 1) * width + np.arange(width)).ravel(), g)
