@@ -4,9 +4,11 @@ Every differentiable operation builds a node holding its parents and a backward
 closure; `backward` replays the graph in reverse topological order and consumes
 it, so a graph serves one `backward`. Ops inside `no_graph()` record nothing.
 Gradient buffers are lazy: the first gradient to reach a node becomes its
-`.grad` and later ones add into it, so no node shares its buffer with another.
-All stochastic helpers take an explicit counter-based RNG so replays are
-bit-identical.
+`.grad` and later ones add into it. Leaves (tensors without a closure, such as
+parameters and inputs) keep their gradients; an interior node drops its own once
+its closure has run, so that closure owns its `g` and may hand it to a parent
+as that parent's `.grad`. No two tensors share a gradient buffer. All stochastic
+helpers take an explicit counter-based RNG so replays are bit-identical.
 """
 
 from __future__ import annotations
@@ -145,12 +147,13 @@ class ComputationRecord:
 
 
 def backward(root: Tensor) -> ComputationRecord:
-    """Populate `.grad` on every node reachable from `root` (root grad = 1), replacing stale ones.
+    """Populate `.grad` on every leaf reachable from `root` (root grad = 1), replacing stale ones.
 
     Ops add their parents' shares through `_accum`; a node that no share reached gets zeros. Once a
-    node's closure has run, it and the parent links are dropped (`_parents` becomes None), freeing the
-    arrays it saved; a later `backward` that reaches such a consumed node raises `GraphConsumedError`.
-    Every `.grad` stays, the record keeps its order, and leaves (parameters) are never consumed.
+    node's closure has run, its `.grad`, closure and parent links are dropped (`_parents` becomes
+    None), freeing the arrays it saved, so an interior gradient lives only until its closure has
+    passed it on; a later `backward` that reaches such a consumed node raises `GraphConsumedError`.
+    Leaves (parameters and inputs) keep their `.grad` and are never consumed; the record keeps its order.
     """
     record = ComputationRecord.from_root(root)
     for node in record.nodes:
@@ -161,7 +164,7 @@ def backward(root: Tensor) -> ComputationRecord:
             node.grad = np.zeros_like(node.data)
         if node._bwd is not None:
             node._bwd(node.grad)
-            node._bwd, node._parents = None, None
+            node._bwd, node._parents, node.grad = None, None, None
     return record
 
 
@@ -188,7 +191,8 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     """Add gradient share `g` (summed down to `t`'s shape) into `t.grad`. The first share becomes
-    `t.grad`, as is when `fresh` (no other node holds `g`), else as a copy: no two nodes share one."""
+    `t.grad`, as is when `fresh` (the caller owns `g` and hands it over: an array it made, or the
+    closure's own `g`, which `backward` releases), else as a copy: no two tensors share one."""
     if g.shape != t.data.shape:
         g, fresh = _unbroadcast(g, t.data.shape), True
     if t.grad is None:
@@ -235,9 +239,9 @@ def _node(data, parents: tuple, bwd) -> Tensor:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
-    def bwd(g):
-        _accum(a, g)
+    def bwd(g):  # `b` takes its share first, so `g` itself can go to `a` (`a is b` sums g + g either way)
         _accum(b, g)
+        _accum(a, g, fresh=True)
 
     return _node(a.data + b.data, (a, b), bwd)
 
@@ -246,8 +250,8 @@ def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
     def bwd(g):
-        _accum(a, g)
         _accum(b, -g, fresh=True)
+        _accum(a, g, fresh=True)
 
     return _node(a.data - b.data, (a, b), bwd)
 
@@ -272,12 +276,16 @@ def mul_const(a: Tensor, c) -> Tensor:
     return _node(a.data * c, (a,), bwd)
 
 
+def _check_matmul(op: str, a: Tensor, b: Tensor) -> None:
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"{op} expects 2-D operands, got {a.data.shape} and {b.data.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"{op} inner dimensions differ: {a.data.shape} x {b.data.shape}")
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.data.shape} x {b.data.shape}")
+    _check_matmul("matmul", a, b)
 
     def bwd(g):
         _accum(a, g @ b.data.T, fresh=True)
@@ -286,7 +294,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data @ b.data, (a, b), bwd)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`add(matmul(x, w), b)` as one node, with its bits: the bias is added into the product in
+    place, so the graph keeps no pre-bias product, and the backward reads `g` where `add` copied it."""
+    _check_matmul("linear", x, w)
+    if b.data.shape != (w.data.shape[1],):
+        raise ShapeError(f"linear bias {b.data.shape} does not match weight {w.data.shape}")
+    out = x.data @ w.data
+    out += b.data
+
+    def bwd(g):
+        _accum(b, g)
+        _accum(x, g @ w.data.T, fresh=True)
+        _accum(w, x.data.T @ g, fresh=True)
+
+    return _node(out, (x, w, b), bwd)
+
+
 def concat_rows(tensors) -> Tensor:
+    """Stack tensors by rows. The backward copies each slice of `g` it passes on: a view would keep
+    the whole of `g` alive for as long as its parent holds the slice."""
     tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.data.shape[0] for t in tensors]
 
@@ -460,20 +487,46 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu_fwd(x: np.ndarray):
     """Forward formula of `gelu` on arrays: (output, tanh of the inner term).
 
-    Tanh approximation; powers by multiplication, which is far cheaper than `**`.
+    Tanh approximation, 0.5 x (1 + tanh(c (x + 0.044715 x^3))); powers by multiplication, which is
+    far cheaper than `**`. Only `t` and the output are allocated, each built in place, with the
+    bits of the whole-array formula: every step only commutes its operands, and the output's
+    `((1 + t) * 0.5) * x` equals `(0.5 * x) * (1 + t)`, as halving is exact except below 2^-1021,
+    where `1 + t` is exactly 1. `gelu` keeps `t` for its backward.
     """
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= 0.5
+    out *= x
+    return out, t
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation (`gelu_fwd`)."""
+    """GELU, tanh approximation (`gelu_fwd`). The node keeps `t` and reads `x`'s data; the backward
+    builds `g * (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2))` in two scratch arrays,
+    step by step in that formula's order with at most its operands commuted, so with its bits."""
     out_val, t = gelu_fwd(x.data)
 
     def bwd(g):
-        sech2 = 1.0 - t * t
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x.data * x.data))
-        _accum(x, g * (0.5 * (1.0 + t) + 0.5 * x.data * sech2 * d_inner), fresh=True)
+        xd = x.data
+        term = xd * 0.5
+        s = t * t
+        np.subtract(1.0, s, out=s)  # sech^2
+        term *= s
+        np.multiply(xd, xd, out=s)
+        s *= 3 * 0.044715
+        s += 1.0
+        s *= _GELU_C  # d inner / dx
+        term *= s
+        np.add(t, 1.0, out=s)
+        s *= 0.5
+        s += term
+        s *= g
+        _accum(x, s, fresh=True)
 
     return _node(out_val, (x,), bwd)
 
@@ -497,10 +550,20 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when rate is 0 or no RNG is supplied."""
+    """Inverted dropout; identity when rate is 0 or no RNG is supplied.
+
+    Keeps entry i where `rng.random(shape)[i] >= rate`. The node keeps that boolean mask, 1 byte an
+    entry, and both passes multiply by `keep / (1 - rate)`, the bits of `mul_const` by that array.
+    """
     if rng is None or rate <= 0.0:
         return x
-    return mul_const(x, (rng.random(x.data.shape) >= rate) / (1.0 - rate))
+    keep = rng.random(x.data.shape) >= rate
+
+    def bwd(g):
+        g *= keep / (1.0 - rate)
+        _accum(x, g, fresh=True)
+
+    return _node(x.data * (keep / (1.0 - rate)), (x,), bwd)
 
 
 def masked_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, visible: np.ndarray):

@@ -3,6 +3,8 @@
 State tokens are sums of element embeddings plus a learned timestep embedding,
 layer-normalized post-embedding. Blocks are pre-norm causal self-attention and
 GELU feed-forward; action logits are read at each step's state-token position.
+In `forward_batch`, the feed-forward's two affine maps and the action head are
+each one `numcore.linear` node, so the graph keeps no pre-bias product.
 Infeasible actions are masked at sampling time, so generated trajectories are
 valid by construction.
 
@@ -226,12 +228,12 @@ def forward_batch(windows: list[EpisodeTokens], model: PolicyModel, rng: np.rand
         attn_out = nc.dropout(nc.matmul(ctx, layer["wo"]), cfg.dropout, rng)
         x = nc.add(x, attn_out)
         h2 = nc.layer_norm(x, layer["ln2_gain"], layer["ln2_bias"])
-        ff = nc.matmul(nc.gelu(nc.add(nc.matmul(h2, layer["ff_w1"]), layer["ff_b1"])), layer["ff_w2"])
-        ff = nc.dropout(nc.add(ff, layer["ff_b2"]), cfg.dropout, rng)
+        ff = nc.gelu(nc.linear(h2, layer["ff_w1"], layer["ff_b1"]))
+        ff = nc.dropout(nc.linear(ff, layer["ff_w2"], layer["ff_b2"]), cfg.dropout, rng)
         x = nc.add(x, ff)
 
     x = nc.layer_norm(x, model.ln_f_gain, model.ln_f_bias)
-    logits = nc.add(nc.matmul(x, model.head_w), model.head_b)
+    logits = nc.linear(x, model.head_w, model.head_b)
     nc.assert_finite(logits, "action logits")
     return BatchForward(logits=logits, actions=actions, sizes=sizes)
 

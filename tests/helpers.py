@@ -1,5 +1,5 @@
 """What several test modules share: a scalar loss and a finite-difference check over numcore's
-recorded graph, a reference AdamW step, and one oracle trip."""
+recorded graph, reference AdamW and GELU formulas, and one oracle trip."""
 
 import math
 
@@ -60,6 +60,22 @@ def reference_adamw_step(vector: np.ndarray, grad: np.ndarray, state: nc.Optimiz
     state.m[:] = nc.ADAM_BETA1 * state.m + (1.0 - nc.ADAM_BETA1) * grad
     state.v[:] = nc.ADAM_BETA2 * state.v + (1.0 - nc.ADAM_BETA2) * (grad * grad)
     vector -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + nc.ADAM_EPS)
+
+
+GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def reference_gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`numcore.gelu_fwd` as one whole-array formula, making its own temporaries: (output, t)."""
+    t = np.tanh(GELU_C * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
+def reference_gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient that `numcore.gelu`'s backward passes to `x` under the upstream `g`, as one formula."""
+    sech2 = 1.0 - t * t
+    d_inner = GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+    return g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner)
 
 
 def oracle_trip(seed, od, user, prefs, net, max_len, depart_bin=0, speed_bin=0, traj_id=0) -> sg.Trajectory:

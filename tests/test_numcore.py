@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
-from helpers import finite_diff_check, reference_adamw_step, total
+from hypothesis.extra import numpy as hnp
+from helpers import finite_diff_check, reference_adamw_step, reference_gelu, reference_gelu_grad, total
 
 from trajforge import numcore as nc
 
@@ -56,6 +58,71 @@ class TestMatmul:
         assert rel.max() <= 1e-6
         # grad of sum(A@B) wrt A is the row-broadcast of B's column sums
         np.testing.assert_allclose(a.grad, np.tile(b_val.sum(axis=1), (3, 1)))
+
+
+class TestLinear:
+    @given(st.integers(1, 40), st.integers(1, 24), st.integers(1, 24), st.integers(0, 2**16))
+    @example(1, 64, 256, 0)  # a one-row input at the policy's feed-forward width
+    @example(356, 64, 256, 1)  # layer 0's rows
+    def test_equals_add_of_matmul_bytes_property(self, rows, d_in, d_out, seed):
+        rng = nc.make_rng(seed)
+        xs, ws, bs, g = (signed_normal(rng, s) for s in ((rows, d_in), (d_in, d_out), (d_out,), (rows, d_out)))
+
+        def run(affine):
+            x, w, b = nc.Tensor(xs), nc.Tensor(ws), nc.Tensor(bs)
+            out = affine(x, w, b)
+            nc.backward(total(nc.mul_const(out, g)))
+            return [a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)]
+
+        assert run(nc.linear) == run(lambda x, w, b: nc.add(nc.matmul(x, w), b))
+
+    def test_shapes_checked(self):
+        x, w = nc.Tensor(np.zeros((2, 3))), nc.Tensor(np.zeros((3, 4)))
+        with pytest.raises(nc.ShapeError, match=r"linear bias \(3,\)"):
+            nc.linear(x, w, nc.Tensor(np.zeros(3)))
+        with pytest.raises(nc.ShapeError, match="linear inner dimensions"):
+            nc.linear(x, nc.Tensor(np.zeros((2, 4))), nc.Tensor(np.zeros(4)))
+
+
+# finite inputs of every scale: GELU's tails saturate t to ±1, and its zeros and subnormals keep their signs
+gelu_inputs = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-8.0, 8.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1021), 1e-300, 1e300, -1e300, -1.7976931348623157e308]),
+)
+
+
+class TestGelu:
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=6), elements=gelu_inputs), st.data())
+    def test_bytes_equal_the_formulas_property(self, x, data):
+        g = data.draw(hnp.arrays(np.float64, x.shape, elements=gelu_inputs))
+        with np.errstate(over="ignore", invalid="ignore"):  # x^3 overflows past 1e103, and 0 * inf follows
+            out, t = nc.gelu_fwd(x)
+            ref_out, ref_t = reference_gelu(x)
+            assert out.tobytes() == ref_out.tobytes() and t.tobytes() == ref_t.tobytes()
+            leaf = nc.Tensor(x)
+            node = nc.gelu(leaf)
+            assert node.data.tobytes() == ref_out.tobytes()
+            node._bwd(g.copy())
+            assert leaf.grad.tobytes() == reference_gelu_grad(x, ref_t, g).tobytes()
+
+
+class TestDropout:
+    @pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
+    def test_bytes_and_stream_equal_mul_const_by_a_float_mask(self, rate):
+        rng = nc.make_rng(89)
+        xs, g = signed_normal(rng, (7, 5)), signed_normal(rng, (7, 5))
+
+        def float_mask(x, stream):
+            return nc.mul_const(x, (stream.random(x.shape) >= rate) / (1.0 - rate))
+
+        results = []
+        for drop in (lambda x, stream: nc.dropout(x, rate, stream), float_mask):
+            x, stream = nc.Tensor(xs), nc.make_rng(97, "dropout")
+            out = drop(x, stream)
+            nc.backward(total(nc.mul_const(out, g)))
+            results.append((out.data.tobytes(), x.grad.tobytes(), stream.random()))
+        assert results[0] == results[1]
 
 
 def masked_probs(x, mask=None):
@@ -354,11 +421,13 @@ class TestCompositeGradients:
         b1 = nc.Tensor(rng.normal(size=7))
         w2 = nc.Tensor(rng.normal(size=(7, 2)))
 
-        def f():
-            h = nc.gelu(nc.add(nc.matmul(x, w1), b1))
-            return nc.mean_all(nc.matmul(h, w2))
+        for affine in (lambda x, w, b: nc.add(nc.matmul(x, w), b), nc.linear):
 
-        assert finite_diff_check(f, [x, w1, b1, w2], eps=1e-5) <= 1e-6
+            def f():
+                h = nc.gelu(affine(x, w1, b1))
+                return nc.mean_all(nc.matmul(h, w2))
+
+            assert finite_diff_check(f, [x, w1, b1, w2], eps=1e-5) <= 1e-6
 
     def test_attention_block(self):
         rng = nc.make_rng(29)
@@ -666,7 +735,43 @@ class TestLazyGradients:
         nc.clip_grad_norm([a.grad], 1.0)
         np.testing.assert_allclose(a.grad, [3 / 13, 4 / 13, 12 / 13])
         np.testing.assert_array_equal(b.grad, [3.0, 4.0, 12.0])
-        np.testing.assert_array_equal(out.grad, [3.0, 4.0, 12.0])
+        assert out.grad is None  # an interior node's gradient goes once its closure has run
+
+    def test_handed_over_gradients_keep_their_bytes(self):
+        # add and sub hand their own g to the first operand instead of copying it; the sums keep the bits
+        # of a first share copied and later shares added in backward order
+        rng = nc.make_rng(79)
+        xs, g, g3 = signed_normal(rng, (4, 3)), signed_normal(rng, (4, 3)), signed_normal(rng, (12, 3))
+        w = nc.Tensor(rng.normal(size=(3, 3)))
+
+        def grad_of(build, upstream):
+            x = nc.Tensor(xs)
+            nc.backward(total(nc.mul_const(build(x), upstream)))
+            return x.grad.tobytes()
+
+        assert grad_of(lambda x: nc.add(x, x), g) == (g + g).tobytes()
+        assert grad_of(lambda x: nc.sub(x, x), g) == (g + -g).tobytes()
+        assert grad_of(lambda x: nc.concat_rows([x] * 3), g3) == (g3[:4] + g3[4:8] + g3[8:]).tobytes()
+        through_matmul = g + g @ w.data.T  # the add runs first, then the matmul adds its share
+        assert grad_of(lambda x: nc.add(x, nc.matmul(x, w)), g) == through_matmul.tobytes()
+        assert grad_of(lambda x: nc.add(nc.matmul(x, w), x), g) == through_matmul.tobytes()
+        assert grad_of(lambda x: nc.sub(x, nc.matmul(x, w)), g) == (g + -(g @ w.data.T)).tobytes()
+
+    def test_chain_backward_holds_a_few_gradients(self):
+        # 50 chained nodes over a (256, 64) leaf: each interior gradient goes once its closure has passed
+        # it on, so at most a node's gradient and its parent's share are alive, plus the leaf's
+        x = nc.Tensor(nc.make_rng(83).normal(size=(256, 64)))
+        h = x
+        for _ in range(50):
+            h = nc.mul_const(h, 1.0)
+        tracemalloc.start()
+        try:
+            nc.backward(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(x.grad, np.ones((256, 64)))
+        assert peak <= 3 * x.data.nbytes, f"backward peaked at {peak / x.data.nbytes:.1f} arrays"
 
     def test_mean_all_full_shape(self):
         x = nc.Tensor(np.zeros((2, 5)))
@@ -708,11 +813,10 @@ class TestGraphConsumption:
         record = nc.backward(loss)
         assert [id(node) for node in record.nodes if id(node) in inner] == inner  # order kept
         for node in record.nodes:
-            assert node.grad is not None
-            if id(node) in inner:
-                assert node._parents is None and node._bwd is None
+            if id(node) in inner:  # interior gradients go once consumed; leaves keep theirs
+                assert node._parents is None and node._bwd is None and node.grad is None
             else:
-                assert node._parents == () and node._bwd is None
+                assert node._parents == () and node._bwd is None and node.grad is not None
         for leaf in leaves:
             assert any(node is leaf for node in record.nodes)
 
