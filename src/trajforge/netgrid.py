@@ -11,6 +11,7 @@ boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,11 +191,12 @@ def hops_stack(net: Network, destinations) -> tuple[np.ndarray, np.ndarray]:
 
 def load_link_graph(path) -> LinkGraph:
     """Parse a link-graph file; a line that does not parse, names a negative link, lists more than 9
-    downstream links or one that the file does not define raises a ValueError that starts with
-    `path:line_no`."""
+    downstream links or one that the file does not define, or gives coords that are not finite or
+    belong to a link that the file does not define raises a ValueError that starts with `path:line_no`."""
     adjacency: dict[int, list[int]] = {}
     line_of: dict[int, int] = {}
     coords: dict[int, tuple[float, float]] = {}
+    coords_line: dict[int, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -206,7 +208,10 @@ def load_link_graph(path) -> LinkGraph:
                     if parts and parts[0] == "coords":
                         if len(parts) != 4:
                             raise ValueError("malformed coords line")
-                        coords[int(parts[1])] = (float(parts[2]), float(parts[3]))
+                        link, lon, lat = int(parts[1]), float(parts[2]), float(parts[3])
+                        if not (math.isfinite(lon) and math.isfinite(lat)):
+                            raise ValueError(f"non-finite coords {parts[2]} {parts[3]}")
+                        coords[link], coords_line[link] = (lon, lat), line_no
                     continue
                 if ":" not in line:
                     raise ValueError("expected 'link_id: down,...'")
@@ -228,6 +233,9 @@ def load_link_graph(path) -> LinkGraph:
             _check_downstream(link, downs, n)
         except ValueError as exc:
             raise ValueError(f"{path}:{line_of[link]}: {exc}") from exc
+    for link, line_no in coords_line.items():
+        if not 0 <= link < n:
+            raise ValueError(f"{path}:{line_no}: coords of unknown link {link}")
     return LinkGraph([adjacency.get(i, []) for i in range(n)], coords)
 
 

@@ -30,7 +30,6 @@ class TrainConfig:
     grad_clip: float = 1.0
     seed: int = 0
     patience: int = 5
-    target_train_nll: float | None = None  # optional hard stop once reached
 
     def __post_init__(self):
         require(
@@ -139,8 +138,6 @@ def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
         row = TrainLogRow(epoch, train_nll, float(np.mean(norms)), last_eval[0], last_eval[1], time.perf_counter() - t0)
         log.rows.append(row)
         if eval_trajs and bad_evals > cfg.patience:
-            break
-        if cfg.target_train_nll is not None and train_nll < cfg.target_train_nll:
             break
     if eval_trajs:
         model.vector[:] = best_params

@@ -418,11 +418,14 @@ def load_dataset(path, net: Network | None = None) -> Dataset:
     """Parse a dataset file and verify the connectivity invariant of every line.
 
     A line that does not parse raises a ValueError that starts with `path:line_no`, as does a
-    user_id, depart_bin or speed_bin that is negative or does not fit in int64, a position outside
-    the network, and a trajectory line before the #grid header of a file without a network supplied.
+    user_id, depart_bin or speed_bin that is negative or does not fit in int64, a user_id at or above
+    the #users count, a position outside the network, a move that does not lead to the next position,
+    a #links count other than the supplied network's, and a trajectory line before the #grid header
+    of a file without a network supplied.
     """
     user_count = None
     trajectories = []
+    line_of = []  # the line of each trajectory
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -433,8 +436,11 @@ def load_dataset(path, net: Network | None = None) -> Dataset:
                     w, h, cell_m = _header_fields(line, "width height cell_m")
                     net = GridNetwork(GridSpec(int(w), int(h), float(cell_m)))
                 elif line.startswith("#links"):
+                    (count,) = _header_fields(line, "count")
                     if net is None:
                         raise ValueError("link-graph dataset needs an explicit network")
+                    if int(count) != net.n_positions:
+                        raise ValueError(f"#links {count} does not match the network's {net.n_positions} links")
                 elif line.startswith("#users"):
                     (count,) = _header_fields(line, "count")
                     user_count = int(count)
@@ -458,19 +464,19 @@ def load_dataset(path, net: Network | None = None) -> Dataset:
                         raise ValueError("a trajectory line before the #grid header")
                     for pos in traj.positions:
                         net.check_position(pos)
+                    check_connectivity(traj, net)
                     trajectories.append(traj)
+                    line_of.append(line_no)
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
     if net is None:
         raise ValueError(f"{path}: missing #grid header and no network supplied")
     if user_count is None:
         user_count = max((t.user_id for t in trajectories), default=0) + 1
-    dataset = Dataset(net, trajectories, user_count)
-    for traj in trajectories:
-        check_connectivity(traj, net)
+    for traj, line_no in zip(trajectories, line_of):  # a #users header may follow the trajectory lines
         if traj.user_id >= user_count:
-            raise ValueError(f"trajectory {traj.traj_id}: user {traj.user_id} >= {user_count}")
-    return dataset
+            raise ValueError(f"{path}:{line_no}: trajectory {traj.traj_id}: user {traj.user_id} >= {user_count}")
+    return Dataset(net, trajectories, user_count)
 
 
 def save_preferences(prefs: PreferenceParams, path) -> None:
@@ -564,11 +570,15 @@ def ingest_csv(
 ) -> tuple[Dataset, IngestStats]:
     """vehicle_id,timestamp,lon,lat rows -> resampled grid trajectories.
 
-    Each vehicle's stream is resampled to fixed intervals keeping the last fix
-    per interval; missing intervals within the gap threshold repeat the cell
-    (a stay); larger gaps and non-adjacent cell jumps split the trajectory.
-    A trajectory is split again every `max_moves` moves, so that a model of
-    that `max_len` can embed it; consecutive parts share their boundary cell.
+    Each vehicle's stream is resampled to fixed intervals, keeping the last fix
+    of each interval, and its intervals are walked once in time order as one
+    trip of (fix, cell) pairs, cut by three rules:
+    - a gap of more than `max_gap_intervals` intervals, or a jump to a cell
+      that is not one move from the last cell, starts a new trip;
+    - a shorter gap repeats the last fix once per missing interval (a stay);
+    - a trip that has `max_moves` moves goes on in a new part that starts at
+      its last cell, so that a model of that `max_len` can embed each part.
+    A trip of one fix is dropped and counted in `IngestStats.dropped_short`.
     """
     lon_min, lat_min, lon_max, lat_max = bbox
     if not all(map(math.isfinite, bbox)):
@@ -579,8 +589,10 @@ def ingest_csv(
         raise ConfigError(f"resample_minutes must be finite and > 0, got {resample_minutes!r}")
     if not max_gap_intervals >= 1:
         raise ConfigError(f"max_gap_intervals must be >= 1, got {max_gap_intervals!r}")
-    if max_moves < 1:
+    if not max_moves >= 1:
         raise ConfigError("max_moves must be >= 1")
+    if max_moves % 1:
+        raise ConfigError(f"max_moves must be a whole number, got {max_moves!r}")
     net = GridNetwork(grid)
     stats = IngestStats()
     fixes: dict[str, list[tuple[float, float, float]]] = {}
@@ -610,57 +622,41 @@ def ingest_csv(
 
     interval = resample_minutes * 60.0
     trajectories: list[Trajectory] = []
-    user_ids = {vid: u for u, vid in enumerate(sorted(fixes))}
-    for vid in sorted(fixes):
+
+    def finish(trip: list[tuple[tuple[float, float, float], int]], user: int) -> None:
+        """Append the trajectory of a trip's (fix, cell) pairs; a trip of one fix is dropped as short."""
+        if len(trip) < 2:
+            stats.dropped_short += 1
+            return
+        (first, _), (second, _) = trip[:2]
+        cells = [cell for _, cell in trip]
+        actions = [net.action_between(a, b) for a, b in zip(cells, cells[1:])]
+        depart = datetime.fromtimestamp(first[0], tz=timezone.utc).hour
+        hours = (second[0] - first[0]) / 3600.0
+        km = _haversine_km(first[1], first[2], second[1], second[2])
+        speed = int(min(max(km / hours if hours > 0 else 0.0, 0.0), 119.0))
+        trajectories.append(Trajectory(len(trajectories), user, depart, speed, cells, actions))
+
+    for user, vid in enumerate(sorted(fixes)):
         stream = sorted(fixes[vid])
-        t0 = stream[0][0]
-        # last fix per interval
-        per_bin: dict[int, tuple[float, float, float]] = {}
-        for ts, lon, lat in stream:
-            per_bin[int((ts - t0) // interval)] = (ts, lon, lat)
-        bins = sorted(per_bin)
-        # stitch bins into runs, repeating cells across small gaps
-        runs: list[list[tuple[float, float, float]]] = [[per_bin[bins[0]]]]
-        for prev_b, b in zip(bins, bins[1:]):
-            gap = b - prev_b
-            if gap > max_gap_intervals:
-                runs.append([per_bin[b]])
-                continue
-            runs[-1].extend([per_bin[prev_b]] * (gap - 1))
-            runs[-1].append(per_bin[b])
-        # cells, splitting again at non-adjacent jumps
-        for run in runs:
-            pieces: list[list[tuple[float, float, float, int]]] = [[]]
-            for ts, lon, lat in run:
-                cell = cell_of(lon, lat)
-                if pieces[-1]:
-                    try:
-                        net.action_between(pieces[-1][-1][3], cell)
-                    except netgrid.ConnectivityError:
-                        pieces.append([])
-                pieces[-1].append((ts, lon, lat, cell))
-            # parts of at most max_moves moves; consecutive parts share their boundary cell
-            pieces = [p[s : s + max_moves + 1] for p in pieces for s in range(0, max(len(p) - 1, 1), max_moves)]
-            for piece in pieces:
-                if len(piece) < 2:
-                    stats.dropped_short += 1
-                    continue
-                cells = [p[3] for p in piece]
-                actions = [net.action_between(a, b) for a, b in zip(cells, cells[1:])]
-                first = datetime.fromtimestamp(piece[0][0], tz=timezone.utc)
-                hours = (piece[1][0] - piece[0][0]) / 3600.0
-                km = _haversine_km(piece[0][1], piece[0][2], piece[1][1], piece[1][2])
-                speed = int(min(max(km / hours if hours > 0 else 0.0, 0.0), 119.0))
-                trajectories.append(
-                    Trajectory(
-                        traj_id=len(trajectories),
-                        user_id=user_ids[vid],
-                        depart_bin=first.hour,
-                        speed_bin=speed,
-                        positions=cells,
-                        actions=actions,
-                        flag="complete",
-                    )
-                )
+        per_bin = {int((fix[0] - stream[0][0]) // interval): fix for fix in stream}  # the last fix of each interval
+        (last, fix), *rest = sorted(per_bin.items())
+        trip = [(fix, cell_of(fix[1], fix[2]))]  # the (fix, cell) pairs of the trip under way
+        for b, fix in rest:
+            cell = cell_of(fix[1], fix[2])
+            gap, last = b - last, b
+            steps = [trip[-1]] * (gap - 1) if gap <= max_gap_intervals else []  # a stay per missing interval
+            joined = gap <= max_gap_intervals and cell in net.succ[trip[-1][1]]
+            if joined:
+                steps.append((fix, cell))
+            for step in steps:
+                if len(trip) > max_moves:  # a trip of max_moves moves goes on in a part from its last cell
+                    finish(trip, user)
+                    trip = [trip[-1]]
+                trip.append(step)
+            if not joined:  # a long gap or a jump to a cell that is not one move away starts a new trip
+                finish(trip, user)
+                trip = [(fix, cell)]
+        finish(trip, user)
     stats.trajectories = len(trajectories)
-    return Dataset(net, trajectories, len(user_ids)), stats
+    return Dataset(net, trajectories, len(fixes)), stats

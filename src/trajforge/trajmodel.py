@@ -42,11 +42,14 @@ one `random()` double from the trip's own stream, drawn up front, which
 `Generator.choice` would.
 
 The decoder keeps its array path, unlike the critic's inference, which runs training code
-under `no_graph`: a decoder sharing `forward_batch`'s block loop under `no_graph` gave the
-same trips about 12% slower, 1923-2061 against 2229-2286 moves/s, from per-op overhead at
-one query row (seed 1, 80 held-out contexts, 2-epoch policy, medians of 5 passes, 3
-alternating runs; measured at context 12, when the window still slid, not at the whole-trip
-context of today). Sharing the loop belongs with a decoder that batches many trips.
+under `no_graph`: at one or two rows a graph-free `numcore` op costs more than its formula on
+arrays. A (2, 64) @ (64, 64) product takes 1.1 us as an array and 2.3-2.5 us as
+`nc.matmul`; a (2, 64) layer norm takes 9.1-10.1 us as `layer_norm_fwd` and 10.4-10.8 us as
+`nc.layer_norm`. A step runs 13 products and 6 layer norms, so those alone would add ~20 us
+to a `_Decoder.step` of 152-158 us, in a `generate_scored` of 192-211 us per move (one BLAS
+thread, 2-core VM; best of 7 timing loops per op over 4 runs, and medians of 5 passes over
+80 held-out contexts of perfbench's 2-epoch policy at seed 1, 1328 moves, over 3 runs).
+Sharing the loop belongs with a decoder that batches many trips.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """What several test modules share: a scalar loss and a finite-difference check over numcore's
-recorded graph, reference AdamW and GELU formulas, and one oracle trip."""
+recorded graph, reference AdamW and GELU formulas, one oracle trip, and a reference GPS ingestion."""
 
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 
+from trajforge import netgrid as ng
 from trajforge import numcore as nc
 from trajforge import synthgen as sg
 from trajforge.numcore import make_rng
@@ -84,3 +86,110 @@ def oracle_trip(seed, od, user, prefs, net, max_len, depart_bin=0, speed_bin=0, 
     rng = make_rng(seed) if isinstance(seed, int) else make_rng(*seed)
     [(positions, actions, flag)] = sg.oracle_trips(prefs, net, [user], [od[0]], [od[1]], rng.random((1, max(max_len, 0))))
     return sg.Trajectory(traj_id, user, depart_bin, speed_bin, positions, actions, flag)
+
+
+def reference_ingest_csv(
+    path,
+    grid: ng.GridSpec,
+    bbox: tuple[float, float, float, float],
+    resample_minutes: float = 10.0,
+    max_gap_intervals: int = 2,
+    max_moves: int = sg.SynthConfig.max_len,
+) -> tuple[sg.Dataset, sg.IngestStats]:
+    """`synthgen.ingest_csv` in three list passes per vehicle, kept as the reference that the one-pass
+    version must match: stitch intervals into runs, cut each run at jumps into pieces, then slice each
+    piece into parts of at most `max_moves` moves that share their boundary cell."""
+    lon_min, lat_min, lon_max, lat_max = bbox
+    if not all(map(math.isfinite, bbox)):
+        raise sg.ConfigError(f"bbox edges must be finite, got {bbox}")
+    if lon_max <= lon_min or lat_max <= lat_min:
+        raise sg.ConfigError(f"degenerate bbox {bbox}")
+    if not 0 < resample_minutes < math.inf:
+        raise sg.ConfigError(f"resample_minutes must be finite and > 0, got {resample_minutes!r}")
+    if not max_gap_intervals >= 1:
+        raise sg.ConfigError(f"max_gap_intervals must be >= 1, got {max_gap_intervals!r}")
+    if max_moves < 1:
+        raise sg.ConfigError("max_moves must be >= 1")
+    net = ng.GridNetwork(grid)
+    stats = sg.IngestStats()
+    fixes: dict[str, list[tuple[float, float, float]]] = {}
+    with open(path, encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line or line.lower().startswith(sg.CSV_COLUMNS[0]):
+                continue
+            stats.rows += 1
+            try:  # a row of fewer fields fails to unpack
+                vid, stamp, lon, lat = line.split(",")[: len(sg.CSV_COLUMNS)]
+                vid, ts, lon, lat = vid.strip(), sg._parse_timestamp(stamp), float(lon), float(lat)
+            except ValueError:
+                stats.unparsable += 1
+                continue
+            if not (lon_min <= lon < lon_max and lat_min <= lat < lat_max):
+                stats.out_of_bbox += 1
+                continue
+            fixes.setdefault(vid, []).append((ts, lon, lat))
+    if stats.rows and stats.unparsable > 0.5 * stats.rows:
+        raise sg.IngestionError(f"{stats.unparsable}/{stats.rows} rows unparsable in {path}")
+
+    def cell_of(lon: float, lat: float) -> int:
+        col = min(int((lon - lon_min) / (lon_max - lon_min) * grid.width), grid.width - 1)
+        row = min(int((lat - lat_min) / (lat_max - lat_min) * grid.height), grid.height - 1)
+        return net.cell_of(row, col)
+
+    interval = resample_minutes * 60.0
+    trajectories: list[sg.Trajectory] = []
+    user_ids = {vid: u for u, vid in enumerate(sorted(fixes))}
+    for vid in sorted(fixes):
+        stream = sorted(fixes[vid])
+        t0 = stream[0][0]
+        # last fix per interval
+        per_bin: dict[int, tuple[float, float, float]] = {}
+        for ts, lon, lat in stream:
+            per_bin[int((ts - t0) // interval)] = (ts, lon, lat)
+        bins = sorted(per_bin)
+        # stitch bins into runs, repeating cells across small gaps
+        runs: list[list[tuple[float, float, float]]] = [[per_bin[bins[0]]]]
+        for prev_b, b in zip(bins, bins[1:]):
+            gap = b - prev_b
+            if gap > max_gap_intervals:
+                runs.append([per_bin[b]])
+                continue
+            runs[-1].extend([per_bin[prev_b]] * (gap - 1))
+            runs[-1].append(per_bin[b])
+        # cells, splitting again at non-adjacent jumps
+        for run in runs:
+            pieces: list[list[tuple[float, float, float, int]]] = [[]]
+            for ts, lon, lat in run:
+                cell = cell_of(lon, lat)
+                if pieces[-1]:
+                    try:
+                        net.action_between(pieces[-1][-1][3], cell)
+                    except ng.ConnectivityError:
+                        pieces.append([])
+                pieces[-1].append((ts, lon, lat, cell))
+            # parts of at most max_moves moves; consecutive parts share their boundary cell
+            pieces = [p[s : s + max_moves + 1] for p in pieces for s in range(0, max(len(p) - 1, 1), max_moves)]
+            for piece in pieces:
+                if len(piece) < 2:
+                    stats.dropped_short += 1
+                    continue
+                cells = [p[3] for p in piece]
+                actions = [net.action_between(a, b) for a, b in zip(cells, cells[1:])]
+                first = datetime.fromtimestamp(piece[0][0], tz=timezone.utc)
+                hours = (piece[1][0] - piece[0][0]) / 3600.0
+                km = sg._haversine_km(piece[0][1], piece[0][2], piece[1][1], piece[1][2])
+                speed = int(min(max(km / hours if hours > 0 else 0.0, 0.0), 119.0))
+                trajectories.append(
+                    sg.Trajectory(
+                        traj_id=len(trajectories),
+                        user_id=user_ids[vid],
+                        depart_bin=first.hour,
+                        speed_bin=speed,
+                        positions=cells,
+                        actions=actions,
+                        flag="complete",
+                    )
+                )
+    stats.trajectories = len(trajectories)
+    return sg.Dataset(net, trajectories, len(user_ids)), stats

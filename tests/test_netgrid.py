@@ -222,6 +222,11 @@ class TestLinkGraphIO:
             ("1: -1", "link 1 references unknown downstream link -1"),
             ("1: 7", "link 1 references unknown downstream link 7"),  # links 0 and 1 only
             ("1: " + ",".join(["0"] * 10), "link 1 has out-degree 10 > 9"),
+            # coords that used to load silently, and that save_link_graph wrote back
+            ("# coords 7 1.0 2.0", "coords of unknown link 7"),
+            ("# coords -1 1.0 2.0", "coords of unknown link -1"),
+            ("# coords 0 nan 2.0", "non-finite coords nan 2.0"),
+            ("# coords 0 1.0 -inf", "non-finite coords 1.0 -inf"),
         ],
     )
     def test_malformed_line_named_by_path_and_line(self, tmp_path, line, message):

@@ -23,9 +23,19 @@ def test_declared_console_scripts_resolve():
 SRC = PYPROJECT.parent / "src" / "trajforge"
 PERFBENCH = PYPROJECT.parent / "perfbench"
 
-# public numcore functions that nothing in src/ calls, each kept for a reason
-UNCALLED_NUMCORE = {
-    "masked_kl_rows": "kept for phase-2 fine-tuning",
+# Public module-level functions and classes of src/ that nothing in src/ names and perfbench/ does not
+# read, each kept for a reason: (module, name) -> reason.
+UNREACHED_SRC = {
+    **{
+        ("synthgen", name): "a dataset file reader or writer, for the `trajforge` command (ROADMAP direction 13)"
+        for name in ("save_dataset", "load_dataset", "save_preferences", "load_preferences", "ingest_csv")
+    },
+    ("netgrid", "load_link_graph"): "a network file reader, for the `trajforge` command (ROADMAP direction 13)",
+    ("netgrid", "save_link_graph"): "a network file writer, for the `trajforge` command (ROADMAP direction 13)",
+    ("trajmodel", "load_checkpoint"): "a checkpoint reader, for the `trajforge` command (ROADMAP direction 13)",
+    ("rewardirl", "load_critic"): "a checkpoint reader, for the `trajforge` command (ROADMAP direction 13)",
+    ("tokenizer", "decode_episode"): "read only by tests, the inverse of encode_episode (ROADMAP direction 14)",
+    ("numcore", "masked_kl_rows"): "kept for phase-2 fine-tuning",
 }
 
 
@@ -76,37 +86,63 @@ def test_only_numcore_names_masked_logsumexp():
     assert found == [], "masked_logsumexp named outside numcore.py"
 
 
-def numcore_references() -> set[str]:
-    """Names of numcore reached from src/: `nc.f` attributes and names imported from numcore in the
-    other modules, and names that numcore's own code loads."""
+def trajforge_reads(tree: ast.AST) -> set[tuple[str, str]]:
+    """(module, name) of each trajforge name that `tree` reads: the names it imports from a trajforge module,
+    and the `alias.name` attributes of the trajforge modules it imports, relatively, as src/ does, or by
+    `from trajforge import ...`, as perfbench/ does."""
+    reads, modules = set(), {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        package = node.module if node.level == 0 else ".".join(filter(None, ["trajforge", node.module]))
+        if package == "trajforge":
+            modules |= {a.asname or a.name: a.name for a in node.names}
+        elif package.startswith("trajforge."):
+            reads |= {(package.removeprefix("trajforge."), a.name) for a in node.names}
+    reads |= {
+        (modules[n.value.id], n.attr)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in modules
+    }
+    return reads
+
+
+def src_references() -> set[tuple[str, str]]:
+    """(module, name) of each name that src/ reaches: the names each module reads from another, and the
+    names that each module's own code loads."""
     refs = set()
     for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        if path.name == "numcore.py":
-            refs |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            continue
-        aliases = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "numcore":
-                refs |= {a.name for a in node.names}
-            elif isinstance(node, ast.ImportFrom) and node.module is None:
-                aliases |= {a.asname or a.name for a in node.names if a.name == "numcore"}
-        refs |= {
-            n.attr
-            for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in aliases
-        }
+        refs |= trajforge_reads(tree)
+        refs |= {(path.stem, n.id) for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     return refs
+
+
+def public_names(module: str) -> set[str]:
+    """The public module-level functions and classes of src/'s `module`."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")}
 
 
 def test_numcore_holds_only_called_functions():
     """Every public numcore function is called from src/, or is on the allowlist with its reason."""
     tree = ast.parse((SRC / "numcore.py").read_text(encoding="utf-8"))
     public = {n.name for n in tree.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
-    assert set(UNCALLED_NUMCORE) <= public, "the allowlist names a function numcore no longer has"
-    refs = numcore_references()
-    assert sorted(public - refs - set(UNCALLED_NUMCORE)) == [], "public numcore functions that nothing in src/ calls"
-    assert sorted(set(UNCALLED_NUMCORE) & refs) == [], "allowlisted numcore functions that src/ now calls"
+    uncalled = {name for module, name in UNREACHED_SRC if module == "numcore"}
+    assert uncalled <= public, "the allowlist names a function numcore no longer has"
+    refs = {name for module, name in src_references() if module == "numcore"}
+    assert sorted(public - refs - uncalled) == [], "public numcore functions that nothing in src/ calls"
+    assert sorted(uncalled & refs) == [], "allowlisted numcore functions that src/ now calls"
+
+
+def test_src_holds_only_reached_names():
+    """Every public module-level function and class of src/ is named by src/ apart from its definition, or read
+    by perfbench/, or is on the allowlist with its reason."""
+    public = {(path.stem, name) for path in SRC.glob("*.py") for name in public_names(path.stem)}
+    reached = src_references() | perfbench_reads()
+    assert set(UNREACHED_SRC) <= public, "the allowlist names a function or class that src/ no longer has"
+    assert sorted(public - reached - set(UNREACHED_SRC)) == [], "public names that nothing in src/ or perfbench/ reaches"
+    assert sorted(set(UNREACHED_SRC) & reached) == [], "allowlisted names that src/ or perfbench/ now reaches"
 
 
 # The functions of src/ that may rebind a tensor's `data`. Every other write goes through the
@@ -140,23 +176,9 @@ def test_tensor_data_is_rebound_only_by_its_binders():
 
 
 def perfbench_reads() -> set[tuple[str, str]]:
-    """(module, name) of each trajforge name that perfbench/ reads: `module.name` attributes of the modules
-    it imports by `from trajforge import ...`, and the names of each `from trajforge.module import ...`."""
-    reads = set()
-    for path in sorted(PERFBENCH.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        modules = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "trajforge":
-                modules |= {a.asname or a.name: a.name for a in node.names}
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("trajforge."):
-                reads |= {(node.module.removeprefix("trajforge."), a.name) for a in node.names}
-        reads |= {
-            (modules[n.value.id], n.attr)
-            for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in modules
-        }
-    return reads
+    """(module, name) of each trajforge name that perfbench/ reads (`trajforge_reads`)."""
+    trees = (ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PERFBENCH.glob("*.py")))
+    return set().union(*map(trajforge_reads, trees))
 
 
 def test_names_that_perfbench_reads_exist():

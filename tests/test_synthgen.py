@@ -1,10 +1,12 @@
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from helpers import oracle_trip
+from helpers import oracle_trip, reference_ingest_csv
 from test_netgrid import networks
 
 from trajforge import netgrid as ng
@@ -483,11 +485,13 @@ class TestDatasetIO:
             # positions outside the 3x3 grid used to escape without path and line
             ("0|0|0|0|-1,0|5|complete", "position -1 outside network of 9 positions$"),
             ("0|0|0|0|9,10|5|complete", "position 9 outside network of 9 positions$"),
+            # a move that does not lead to the next position used to be named without path and line
+            ("1|0|0|0|0,8|5|complete", "trajectory 1: action 5 at step 0 does not lead from 0 to 8$"),
         ],
         ids=[
             "users-without-count", "grid-without-height", "non-integer-user", "non-integer-position",
             "negative-user", "negative-depart", "negative-speed", "huge-depart", "huge-speed", "user-past-int64",
-            "negative-position", "position-past-network",
+            "negative-position", "position-past-network", "disconnected-move",
         ],
     )
     def test_malformed_line_named_by_path_and_line(self, line, message, tmp_path):
@@ -495,6 +499,41 @@ class TestDatasetIO:
         path.write_text(f"#grid 3 3 1000.0\n\n{line}\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {message}"):
             sg.load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "lines, line_no",
+        [(["#users 1", "0|3|0|0|0,1|5|complete"], 3), (["0|3|0|0|0,1|5|complete", "#users 1"], 2)],
+        ids=["users-header-first", "users-header-last"],
+    )
+    def test_user_past_users_header_named_by_path_and_line(self, tmp_path, lines, line_no):
+        path = tmp_path / "users.txt"
+        path.write_text("\n".join(["#grid 3 3 1000.0", *lines]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line_no}: trajectory 0: user 3 >= 1$"):
+            sg.load_dataset(path)
+
+    def test_links_header_checked_against_network(self, tmp_path):
+        ring = ng.LinkGraph([[1], [2], [3], [0]])
+        path = tmp_path / "links.txt"
+        sg.save_dataset(sg.Dataset(ring, [sg.Trajectory(0, 0, 0, 0, [0, 1], [0])], 1), path)
+        assert sg.load_dataset(path, ring).trajectories[0].positions == [0, 1]
+        # the move 0 -> 1 is one on this network too, which used to let the file load
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: #links 4 does not match the network's 2 links$"):
+            sg.load_dataset(path, ng.LinkGraph([[1], [0]]))
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("#links abc", "invalid literal for int"),
+            ("#links", "#links needs count, got nothing$"),
+            ("#links 4 4", "#links needs count, got 4 4$"),
+        ],
+        ids=["non-integer-count", "no-count", "two-counts"],
+    )
+    def test_malformed_links_header_named_by_path_and_line(self, tmp_path, header, message):
+        path = tmp_path / "links.txt"
+        path.write_text(f"{header}\n#users 1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {message}"):
+            sg.load_dataset(path, ng.LinkGraph([[1], [2], [3], [0]]))
 
     def test_trajectory_before_grid_header_named(self, tmp_path):
         path = tmp_path / "late.txt"
@@ -539,6 +578,32 @@ class TestDatasetIO:
             np.testing.assert_array_equal(sg.load_preferences(path).theta, want)
 
 
+@st.composite
+def gps_rows(draw, bbox):
+    """GPS CSV rows of 1-3 vehicles on a grid 2-7 cells wide inside `bbox`, shuffled: each vehicle a walk of
+    up to 60 fixes, 0-45 minutes apart, whose steps are grid moves (a stay among them) or jumps to any cell;
+    with out-of-box and unparsable rows among them. Returns (grid, rows)."""
+    lon_min, lat_min, lon_max, lat_max = bbox
+    grid = ng.GridSpec(draw(st.integers(2, 7)), draw(st.integers(2, 7)))
+    bad_rows = ["garbage,row", "v0,noon,116.1,39.1", "v1,1201957200,117.0,39.1", "v2,1201957200,116.1,38.0"]
+    rows = draw(st.lists(st.sampled_from(bad_rows), max_size=4))
+    # seconds since the last fix, a grid move (0-8) or a jump (9-11), the jump's target, and the place in the cell
+    steps = st.tuples(st.integers(0, 45 * 60), st.integers(0, 11), st.integers(0, 48), st.floats(0, 0.999), st.floats(0, 0.999))
+    for vid in range(draw(st.integers(1, 3))):
+        t, row, col = 1201957200 + draw(st.integers(0, 86400)), 0, 0
+        for seconds, move, target, fx, fy in draw(st.lists(steps, min_size=1, max_size=60)):
+            t += seconds
+            if move < ng.N_ACTIONS:  # a grid move, clamped at the edge; 4 is the stay
+                row = min(max(row + move // 3 - 1, 0), grid.height - 1)
+                col = min(max(col + move % 3 - 1, 0), grid.width - 1)
+            else:  # a jump to any cell
+                row, col = divmod(target % (grid.width * grid.height), grid.width)
+            lon = lon_min + (col + fx) * (lon_max - lon_min) / grid.width
+            lat = lat_min + (row + fy) * (lat_max - lat_min) / grid.height
+            rows.append(f"v{vid},{t},{lon!r},{lat!r}")
+    return grid, draw(st.permutations(rows))
+
+
 class TestIngestCSV:
     BBOX = (116.0, 39.0, 116.5, 39.5)
     GRID = ng.GridSpec(5, 5, 1000.0)
@@ -547,6 +612,30 @@ class TestIngestCSV:
         path = tmp_path / "fixes.csv"
         path.write_text("\n".join(rows) + "\n")
         return path
+
+    @given(
+        gps_rows(BBOX),
+        st.sampled_from([5.0, 10.0, 15.0]),
+        st.integers(1, 5),
+        st.sampled_from([1, 2, 3, 5, 50]),
+    )
+    def test_one_pass_matches_list_pass_reference(self, stream, resample_minutes, max_gap_intervals, max_moves):
+        """The one-pass cut gives the trips, stats and user count of the three-pass reference."""
+        grid, rows = stream
+        options = dict(resample_minutes=resample_minutes, max_gap_intervals=max_gap_intervals, max_moves=max_moves)
+        with tempfile.TemporaryDirectory() as tmp:  # hypothesis rejects the function-scoped tmp_path
+            path = Path(tmp) / "fixes.csv"
+            path.write_text("\n".join(rows) + "\n")
+            got, want = (self._outcome(ingest, path, grid, options) for ingest in (sg.ingest_csv, reference_ingest_csv))
+        assert got == want
+
+    def _outcome(self, ingest, path, grid, options):
+        """(trajectories, stats, user count) of one ingestion, or the message of its IngestionError."""
+        try:
+            ds, stats = ingest(path, grid, self.BBOX, **options)
+        except sg.IngestionError as exc:
+            return str(exc)
+        return ds.trajectories, stats, ds.user_count
 
     def test_two_adjacent_fixes(self, tmp_path):
         # cells are 0.1 degrees wide; consecutive cells in the same row
@@ -651,6 +740,10 @@ class TestIngestCSV:
             (dict(max_gap_intervals=-1), "max_gap_intervals must be >= 1, got -1"),
             (dict(max_gap_intervals=0), "max_gap_intervals must be >= 1, got 0"),
             (dict(max_gap_intervals=float("nan")), "max_gap_intervals must be >= 1, got nan"),
+            # these used to raise a bare TypeError from the part slicing
+            (dict(max_moves=float("nan")), "max_moves must be >= 1"),
+            (dict(max_moves=2.5), "max_moves must be a whole number, got 2.5"),
+            (dict(max_moves=float("inf")), "max_moves must be a whole number, got inf"),
         ],
     )
     def test_bad_option_rejected_by_name(self, tmp_path, options, message):
