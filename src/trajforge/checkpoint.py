@@ -12,6 +12,10 @@ removed parameter keeps its draw, discarded, so that every later one starts from
 
 A checkpoint file is one JSON header line (keys sorted: config, format, kind, manifest,
 meta, version) followed by each parameter as little-endian float64, in manifest order.
+`load` is the one reader, for both kinds of model; the critic also takes the network it binds:
+
+    policy, meta = checkpoint.load(path, PolicyModel, vocab)
+    critic, meta = checkpoint.load(path, CriticModel, vocab, (net,))
 
 `require` is the field check that the configs' `__post_init__` run: the model configs that
 a checkpoint rebuilds, and the trainers' and generation's configs.
@@ -141,7 +145,6 @@ def load(path, model_type: type, expect_vocab: VocabSpec | None = None, build_ar
             raise CheckpointError(f"{path}: header {key!r} is missing or not a {type_.__name__}")
     try:
         cfg = model_type.config_type(**{**header["config"], "vocab": VocabSpec(**header["config"]["vocab"])})
-        cfg.vocab.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad {kind} config: {exc}") from exc
     if expect_vocab is not None and cfg.vocab != expect_vocab:

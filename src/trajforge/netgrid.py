@@ -191,8 +191,8 @@ def hops_stack(net: Network, destinations) -> tuple[np.ndarray, np.ndarray]:
 
 def load_link_graph(path) -> LinkGraph:
     """Parse a link-graph file; a line that does not parse, names a negative link, lists more than 9
-    downstream links or one that the file does not define, or gives coords that are not finite or
-    belong to a link that the file does not define raises a ValueError that starts with `path:line_no`."""
+    downstream links or one that the file does not define, or gives coords that are not finite, repeat
+    a link's or belong to a link that the file does not define raises a ValueError that starts with `path:line_no`."""
     adjacency: dict[int, list[int]] = {}
     line_of: dict[int, int] = {}
     coords: dict[int, tuple[float, float]] = {}
@@ -211,6 +211,8 @@ def load_link_graph(path) -> LinkGraph:
                         link, lon, lat = int(parts[1]), float(parts[2]), float(parts[3])
                         if not (math.isfinite(lon) and math.isfinite(lat)):
                             raise ValueError(f"non-finite coords {parts[2]} {parts[3]}")
+                        if link in coords_line:
+                            raise ValueError(f"duplicate coords of link {link}, first at line {coords_line[link]}")
                         coords[link], coords_line[link] = (lon, lat), line_no
                     continue
                 if ":" not in line:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import checkpoint, netgrid, numcore as nc
+from . import netgrid, numcore as nc
 from .checkpoint import ParamModel, require
 from .netgrid import EnvState, Network
 from .numcore import Tensor, make_rng
@@ -318,8 +318,3 @@ def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
         loss, expert, initial = (float(np.mean(col)) for col in zip(*parts))
         log.rows.append((epoch, loss, time.perf_counter() - t0, expert, initial))
     return critic, log
-
-
-def load_critic(path, net: Network, expect_vocab: VocabSpec | None = None) -> tuple[CriticModel, dict]:
-    """Rebuild a CriticModel bound to `net` bit-exactly; optional vocabulary compatibility check."""
-    return checkpoint.load(path, CriticModel, expect_vocab, (net,))

@@ -291,9 +291,11 @@ def oracle_trips(prefs: PreferenceParams, net: Network, users, origins, destinat
     return roll_out(net, origins, destinations, uniforms, lambda *step: oracle()(*step))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
-    """Synthetic benchmark declaration: grid, population prior, and uniform origin-destination sampling."""
+    """Synthetic benchmark declaration: grid, population prior, and uniform origin-destination sampling.
+
+    Frozen, since its fields are checked once, when it is made."""
 
     width: int = 5
     height: int = 5
@@ -307,7 +309,7 @@ class SynthConfig:
     speed_bins: int = 120
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.users < 1:
             raise ConfigError("users must be >= 1")
         if self.n_trajectories < 0:
@@ -339,7 +341,6 @@ def gen_dataset(cfg: SynthConfig) -> tuple[Dataset, PreferenceParams]:
     """N oracle trajectories, rolled out in one batch; trip `tid` draws its context from
     make_rng(seed, "traj", tid) and its moves from make_rng(seed, "traj-roll", tid): the trip that
     `oracle_trips` draws for it alone."""
-    cfg.validate()
     net = GridNetwork(GridSpec(cfg.width, cfg.height, cfg.cell_size_m))
     prefs = draw_preferences(cfg)
     contexts = np.empty((cfg.n_trajectories, 5), dtype=np.intp)  # user, origin, destination, depart, speed
@@ -419,13 +420,14 @@ def load_dataset(path, net: Network | None = None) -> Dataset:
 
     A line that does not parse raises a ValueError that starts with `path:line_no`, as does a
     user_id, depart_bin or speed_bin that is negative or does not fit in int64, a user_id at or above
-    the #users count, a position outside the network, a move that does not lead to the next position,
-    a #links count other than the supplied network's, and a trajectory line before the #grid header
-    of a file without a network supplied.
+    the #users count, a #users count below 1, a traj_id that an earlier line holds, a position outside
+    the network, a move that does not lead to the next position, a #grid or #links header that does
+    not describe the supplied network, and a trajectory line before the #grid header of a file
+    without a network supplied. A supplied network is the returned dataset's `net`.
     """
     user_count = None
     trajectories = []
-    line_of = []  # the line of each trajectory
+    line_of = {}  # traj_id -> its line
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -434,7 +436,11 @@ def load_dataset(path, net: Network | None = None) -> Dataset:
             try:
                 if line.startswith("#grid"):
                     w, h, cell_m = _header_fields(line, "width height cell_m")
-                    net = GridNetwork(GridSpec(int(w), int(h), float(cell_m)))
+                    spec = GridSpec(int(w), int(h), float(cell_m))
+                    if net is None:
+                        net = GridNetwork(spec)
+                    elif not (isinstance(net, GridNetwork) and net.spec == spec):
+                        raise ValueError(f"#grid {w} {h} {cell_m} does not match the network: {getattr(net, 'spec', 'a link graph')}")
                 elif line.startswith("#links"):
                     (count,) = _header_fields(line, "count")
                     if net is None:
@@ -444,6 +450,8 @@ def load_dataset(path, net: Network | None = None) -> Dataset:
                 elif line.startswith("#users"):
                     (count,) = _header_fields(line, "count")
                     user_count = int(count)
+                    if user_count < 1:
+                        raise ValueError(f"#users must be >= 1, got {count}")
                 else:
                     parts = line.split("|")
                     if len(parts) != 7:
@@ -460,22 +468,24 @@ def load_dataset(path, net: Network | None = None) -> Dataset:
                         actions=[int(a) for a in act_s.split(",") if a],
                         flag=flag,
                     )
+                    if traj.traj_id in line_of:
+                        raise ValueError(f"traj_id {traj.traj_id} repeated, first at line {line_of[traj.traj_id]}")
                     if net is None:
                         raise ValueError("a trajectory line before the #grid header")
                     for pos in traj.positions:
                         net.check_position(pos)
                     check_connectivity(traj, net)
                     trajectories.append(traj)
-                    line_of.append(line_no)
+                    line_of[traj.traj_id] = line_no
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
     if net is None:
         raise ValueError(f"{path}: missing #grid header and no network supplied")
     if user_count is None:
         user_count = max((t.user_id for t in trajectories), default=0) + 1
-    for traj, line_no in zip(trajectories, line_of):  # a #users header may follow the trajectory lines
+    for traj in trajectories:  # a #users header may follow the trajectory lines
         if traj.user_id >= user_count:
-            raise ValueError(f"{path}:{line_no}: trajectory {traj.traj_id}: user {traj.user_id} >= {user_count}")
+            raise ValueError(f"{path}:{line_of[traj.traj_id]}: trajectory {traj.traj_id}: user {traj.user_id} >= {user_count}")
     return Dataset(net, trajectories, user_count)
 
 

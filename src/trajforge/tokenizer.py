@@ -20,7 +20,7 @@ import numpy as np
 
 from . import netgrid
 from .netgrid import Network
-from .synthgen import SynthConfig, Trajectory
+from .synthgen import SynthConfig
 
 BLANK = netgrid.N_ACTIONS  # embedding row reserved for the missing decision
 COLUMN_TABLES = dict(  # the VocabSpec table each index column reads; `action` is the one column outside them
@@ -70,7 +70,7 @@ class VocabSpec:
     users: int
     max_timestep: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name, size in vars(self).items():
             if not isinstance(size, int) or size < 1:
                 raise EncodingError(f"vocabulary {name} must be an integer >= 1, got {size!r}")
@@ -78,7 +78,7 @@ class VocabSpec:
 
 def vocab_sizes(net: Network, config: SynthConfig) -> VocabSpec:
     """Exact embedding-table sizes of `net` and the users, bins and max_len of `config`."""
-    spec = VocabSpec(
+    return VocabSpec(
         positions=net.n_positions,
         actions=netgrid.N_ACTIONS + 1,
         depart_bins=config.depart_bins,
@@ -86,8 +86,6 @@ def vocab_sizes(net: Network, config: SynthConfig) -> VocabSpec:
         users=config.users,
         max_timestep=config.max_len + 1,  # a trajectory of max_len moves has max_len + 1 steps
     )
-    spec.validate()
-    return spec
 
 
 def check_columns(vocab: VocabSpec, columns: dict, where) -> None:
@@ -161,21 +159,6 @@ def _step_table(trajectories) -> EpisodeTokens:
         user=per_trip([t.user_id for t in trajectories]),
         action=np.fromiter(chain.from_iterable((*t.actions, BLANK) for t in trajectories), dtype=np.int64, count=n),
         timestep=np.arange(n, dtype=np.int64) - np.repeat(np.cumsum(steps) - steps, steps),
-    )
-
-
-def decode_episode(ep: EpisodeTokens, traj_id: int, flag: str) -> Trajectory:
-    """Inverse of `encode_trips` for a table of one trip; exact round trip."""
-    if ep.n_steps == 0 or ep.action[-1] != BLANK or not ep.decision_mask[:-1].all():
-        raise EncodingError("table does not hold one trip ending in its BLANK step")
-    return Trajectory(
-        traj_id=traj_id,
-        user_id=int(ep.user[0]),
-        depart_bin=int(ep.depart[0]),
-        speed_bin=int(ep.speed[0]),
-        positions=[int(p) for p in ep.position],
-        actions=[int(a) for a in ep.action[:-1]],
-        flag=flag,
     )
 
 

@@ -58,8 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import checkpoint, netgrid, numcore as nc
-from .checkpoint import CheckpointError, ParamModel, require  # noqa: F401 (callers catch tm.CheckpointError)
+from . import netgrid, numcore as nc
+from .checkpoint import ParamModel, require
 from .netgrid import Network
 from .numcore import Tensor, make_rng
 from .synthgen import Trajectory, roll_out
@@ -380,8 +380,3 @@ class _Decoder:
 def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     """(rows, d) -> (heads, rows, d / heads)."""
     return x.reshape(len(x), n_heads, -1).transpose(1, 0, 2)
-
-
-def load_checkpoint(path, expect_vocab: VocabSpec | None = None) -> tuple[PolicyModel, dict]:
-    """Rebuild a PolicyModel bit-exactly; optional vocabulary compatibility check."""
-    return checkpoint.load(path, PolicyModel, expect_vocab)

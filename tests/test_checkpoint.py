@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajforge import checkpoint as ck
 from trajforge import netgrid as ng
 from trajforge import pretrain as pt
 from trajforge import rewardirl as ri
@@ -41,9 +42,9 @@ def tiny_model(kind, n_layers=1):
     net, vocab = tiny_net_vocab()
     if kind == "policy":
         cfg = tm.ModelConfig(vocab, d_model=8, n_layers=n_layers, n_heads=2)
-        return tm.PolicyModel(cfg, rng=make_rng(5, "policy-fixture")), tm.load_checkpoint
+        return tm.PolicyModel(cfg, rng=make_rng(5, "policy-fixture")), lambda path: ck.load(path, tm.PolicyModel)
     critic = ri.CriticModel(ri.CriticConfig(vocab, d=8), net, rng=make_rng(5, "critic-fixture"))
-    return critic, lambda path: ri.load_critic(path, net)
+    return critic, lambda path: ck.load(path, ri.CriticModel, None, (net,))
 
 
 class TestFormatStability:
@@ -195,7 +196,7 @@ class TestMalformedHeader:
         model.save(path)
         line, blob = path.read_bytes().split(b"\n", 1)
         path.write_bytes(json.dumps(edit(json.loads(line))).encode() + b"\n" + blob)
-        with pytest.raises(tm.CheckpointError, match=message):
+        with pytest.raises(ck.CheckpointError, match=message):
             load(path)
 
     def test_policy_with_out_of_range_dropout_rejected(self, tmp_path):
@@ -204,7 +205,7 @@ class TestMalformedHeader:
         model.save(path)
         line, blob = path.read_bytes().split(b"\n", 1)
         path.write_bytes(json.dumps(full_dropout(json.loads(line))).encode() + b"\n" + blob)
-        with pytest.raises(tm.CheckpointError, match="bad policy config: dropout must lie in"):
+        with pytest.raises(ck.CheckpointError, match="bad policy config: dropout must lie in"):
             load(path)
 
     @pytest.mark.parametrize("kind", ["policy", "critic"])
@@ -218,7 +219,7 @@ class TestMalformedHeader:
             dict(model.parameters())[name].data.flat[-1] = value
         path = tmp_path / "m.ckpt"
         model.save(path)
-        with pytest.raises(tm.CheckpointError, match=rf"parameter {target} holds a non-finite value"):
+        with pytest.raises(ck.CheckpointError, match=rf"parameter {target} holds a non-finite value"):
             load(path)
 
     def test_policy_with_context_rejected(self, tmp_path):
@@ -228,8 +229,8 @@ class TestMalformedHeader:
         header["config"]["context"] = 4
         path = tmp_path / "m.ckpt"
         path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
-        with pytest.raises(tm.CheckpointError, match="bad policy config: .*'context'"):
-            tm.load_checkpoint(path)
+        with pytest.raises(ck.CheckpointError, match="bad policy config: .*'context'"):
+            ck.load(path, tm.PolicyModel)
 
     def test_policy_with_rtg_table_rejected(self, tmp_path):
         # a policy file from before the return-to-go token was dropped: emb_rtg sits after emb_action
@@ -242,5 +243,5 @@ class TestMalformedHeader:
         header["manifest"].insert(at, ["emb_rtg", [2, 8]])
         offset = 8 * sum(math.prod(shape) for _, shape in header["manifest"][:at])
         path.write_bytes(json.dumps(header).encode() + b"\n" + blob[:offset] + bytes(8 * 16) + blob[offset:])
-        with pytest.raises(tm.CheckpointError, match=r"manifest entry \['emb_rtg'"):
+        with pytest.raises(ck.CheckpointError, match=r"manifest entry \['emb_rtg'"):
             load(path)

@@ -235,6 +235,13 @@ class TestLinkGraphIO:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {re.escape(message)}"):
             ng.load_link_graph(path)
 
+    def test_repeated_coords_named_by_both_lines(self, tmp_path):
+        # the last line used to win
+        path = tmp_path / "net.links"
+        path.write_text("# coords 0 1.0 2.0\n0: 0\n# coords 0 3.0 4.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: duplicate coords of link 0, first at line 1$"):
+            ng.load_link_graph(path)
+
     def test_out_degree_cap(self):
         with pytest.raises(ValueError, match="out-degree"):
             ng.LinkGraph([list(range(10))] + [[] for _ in range(10)])

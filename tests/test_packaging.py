@@ -32,9 +32,7 @@ UNREACHED_SRC = {
     },
     ("netgrid", "load_link_graph"): "a network file reader, for the `trajforge` command (ROADMAP direction 13)",
     ("netgrid", "save_link_graph"): "a network file writer, for the `trajforge` command (ROADMAP direction 13)",
-    ("trajmodel", "load_checkpoint"): "a checkpoint reader, for the `trajforge` command (ROADMAP direction 13)",
-    ("rewardirl", "load_critic"): "a checkpoint reader, for the `trajforge` command (ROADMAP direction 13)",
-    ("tokenizer", "decode_episode"): "read only by tests, the inverse of encode_episode (ROADMAP direction 14)",
+    ("checkpoint", "load"): "the one checkpoint reader, for the `trajforge` command (ROADMAP direction 13)",
     ("numcore", "masked_kl_rows"): "kept for phase-2 fine-tuning",
 }
 

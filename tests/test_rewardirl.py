@@ -7,6 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from helpers import finite_diff_check, oracle_trip
 
+from trajforge import checkpoint as ck
 from trajforge import netgrid as ng
 from trajforge import numcore as nc
 from trajforge import rewardirl as ri
@@ -808,7 +809,7 @@ class TestCriticCheckpoint:
         net, critic = grid_critic(seed=13)
         path = tmp_path / "critic.ckpt"
         critic.save(path, meta={"epochs_done": 7})
-        loaded, meta = ri.load_critic(path, net)
+        loaded, meta = ck.load(path, ri.CriticModel, None, (net,))
         assert meta == {"epochs_done": 7}
         assert loaded.params_hash() == critic.params_hash()
 
@@ -818,8 +819,8 @@ class TestCriticCheckpoint:
         net, critic = grid_critic()
         path = tmp_path / "critic.ckpt"
         critic.save(path)
-        with pytest.raises(tm.CheckpointError, match="kind"):
-            tm.load_checkpoint(path)
+        with pytest.raises(ck.CheckpointError, match="kind"):
+            ck.load(path, tm.PolicyModel)
 
     def test_network_of_wrong_size_rejected(self, tmp_path):
         net, critic = grid_critic(grid=5)
@@ -829,4 +830,4 @@ class TestCriticCheckpoint:
         path = tmp_path / "critic.ckpt"
         critic.save(path)
         with pytest.raises(ValueError, match="16 positions for a critic vocabulary of 25"):
-            ri.load_critic(path, small)
+            ck.load(path, ri.CriticModel, None, (small,))

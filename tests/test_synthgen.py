@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tempfile
 from pathlib import Path
@@ -330,6 +331,30 @@ def uniform_rows(trips, max_moves):
 
 
 class TestGenDataset:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(users=0), "users must be >= 1"),
+            (dict(n_trajectories=-1), "n_trajectories must be >= 0"),
+            (dict(max_len=0), "max_len must be >= 1"),
+            (dict(archetypes=[]), "at least one archetype is required"),
+            (dict(archetypes=[[1.0, 2.0]]), "archetype [1.0, 2.0] must have 3 weights"),
+            (dict(depart_bins=25), "depart_bins in [1,24], speed_bins in [1,120]"),
+            (dict(speed_bins=0), "depart_bins in [1,24], speed_bins in [1,120]"),
+            (dict(theta_sigma=-0.5), "theta_sigma must be >= 0, got -0.5"),
+        ],
+        ids=["users", "n-trajectories", "max-len", "no-archetype", "short-archetype", "depart-bins", "speed-bins", "theta-sigma"],
+    )
+    def test_bad_config_rejected_when_made(self, fields, message):
+        # these used to be caught only by gen_dataset, so vocab_sizes built a vocabulary from them
+        with pytest.raises(sg.ConfigError, match=f"^{re.escape(message)}$"):
+            sg.SynthConfig(**fields)
+
+    def test_config_cannot_change_after_its_check(self):
+        # gen_dataset no longer checks its config, so a later users = 0 would reach numpy as "high <= 0"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sg.SynthConfig().users = 0
+
     @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
     def test_theta_sigma_below_zero_rejected_by_name(self, sigma):
         with pytest.raises(sg.ConfigError, match=f"^theta_sigma must be >= 0, got {sigma}$"):
@@ -442,7 +467,37 @@ class TestSplit:
         assert sorted(ds.train_idx + ds.eval_idx) == list(range(12))
 
 
+@st.composite
+def datasets(draw):
+    """A dataset on a grid or a link graph (`networks`): up to 6 random walks of 1-8 moves, each stopped early
+    at a dead end and dropped if it starts at one, with distinct traj_ids, any flag, any int64 bins, and a
+    #users count above every user_id."""
+    net, trips, bins = draw(networks()), [], st.integers(0, 2**63 - 1)
+    for traj_id in draw(st.lists(st.integers(-(2**63), 2**63 - 1), unique=True, max_size=6)):
+        positions, actions = [draw(st.integers(0, net.n_positions - 1))], []
+        for _ in range(draw(st.integers(1, 8))):
+            feasible = np.flatnonzero(net.succ[positions[-1]] >= 0).tolist()
+            if not feasible:
+                break
+            actions.append(draw(st.sampled_from(feasible)))
+            positions.append(int(net.succ[positions[-1], actions[-1]]))
+        if actions:
+            trips.append(sg.Trajectory(traj_id, draw(st.integers(0, 40)), draw(bins), draw(bins), positions, actions, draw(st.sampled_from(sg.FLAGS))))
+    return sg.Dataset(net, trips, draw(st.integers(max((t.user_id for t in trips), default=0) + 1, 50)))
+
+
 class TestDatasetIO:
+    @given(datasets())
+    def test_save_then_load_gives_back_the_dataset_property(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:  # hypothesis rejects the function-scoped tmp_path
+            path = Path(tmp) / "data.txt"
+            sg.save_dataset(ds, path)
+            loaded = sg.load_dataset(path, ds.net)
+            if isinstance(ds.net, ng.GridNetwork):
+                assert sg.load_dataset(path).net.spec == ds.net.spec
+        assert loaded.net is ds.net  # a grid file loaded with its network used to return a new grid
+        assert (loaded.trajectories, loaded.user_count) == (ds.trajectories, ds.user_count)
+
     def test_round_trip(self, tmp_path):
         cfg = sg.SynthConfig(users=3, n_trajectories=15, seed=4)
         ds, prefs = sg.gen_dataset(cfg)
@@ -487,11 +542,14 @@ class TestDatasetIO:
             ("0|0|0|0|9,10|5|complete", "position 9 outside network of 9 positions$"),
             # a move that does not lead to the next position used to be named without path and line
             ("1|0|0|0|0,8|5|complete", "trajectory 1: action 5 at step 0 does not lead from 0 to 8$"),
+            # counts that used to load as the dataset's user_count
+            ("#users -2", "#users must be >= 1, got -2$"),
+            ("#users 0", "#users must be >= 1, got 0$"),
         ],
         ids=[
             "users-without-count", "grid-without-height", "non-integer-user", "non-integer-position",
             "negative-user", "negative-depart", "negative-speed", "huge-depart", "huge-speed", "user-past-int64",
-            "negative-position", "position-past-network", "disconnected-move",
+            "negative-position", "position-past-network", "disconnected-move", "negative-users", "zero-users",
         ],
     )
     def test_malformed_line_named_by_path_and_line(self, line, message, tmp_path):
@@ -510,6 +568,27 @@ class TestDatasetIO:
         path.write_text("\n".join(["#grid 3 3 1000.0", *lines]) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line_no}: trajectory 0: user 3 >= 1$"):
             sg.load_dataset(path)
+
+    def test_repeated_traj_id_named_by_both_lines(self, tmp_path):
+        # used to load both trips
+        path = tmp_path / "twice.txt"
+        path.write_text("#grid 3 3 1000.0\n5|0|0|0|0,1|5|complete\n\n5|0|0|0|1,2|5|complete\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: traj_id 5 repeated, first at line 2$"):
+            sg.load_dataset(path)
+
+    def test_grid_header_checked_against_network(self, tmp_path):
+        path = tmp_path / "grid.txt"
+        path.write_text("#grid 3 3 1000.0\n#users 1\n0|0|0|0|0,1|5|complete\n")
+        grid = ng.GridNetwork(ng.GridSpec(3, 3))
+        assert sg.load_dataset(path, grid).net is grid
+        # each of these used to be replaced by a new 3x3 grid, against which the trip was checked
+        for net, have in [
+            (ng.LinkGraph([[1], [0]]), "a link graph"),
+            (ng.GridNetwork(ng.GridSpec(4, 3)), "GridSpec(width=4, height=3, cell_size_m=1000.0)"),
+            (ng.GridNetwork(ng.GridSpec(3, 3, 500.0)), "GridSpec(width=3, height=3, cell_size_m=500.0)"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:1: #grid 3 3 1000.0 does not match the network: {have}')}$"):
+                sg.load_dataset(path, net)
 
     def test_links_header_checked_against_network(self, tmp_path):
         ring = ng.LinkGraph([[1], [2], [3], [0]])

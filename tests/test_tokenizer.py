@@ -74,14 +74,15 @@ class TestDecode:
     @given(trip_lists())
     @example(SYNTHETIC_TRIPS)
     def test_round_trip_exact(self, trips):
+        """A one-trip table holds every field of its trip: positions, moves then BLANK, context, timesteps."""
         for traj in trips:
-            assert tk.decode_episode(tk.encode_trips([traj]), traj.traj_id, traj.flag) == traj
-
-    def test_more_or_less_than_one_trip_rejected(self):
-        two = tk.encode_trips([make_traj([0, 1], [5]), make_traj([1, 2], [5])])
-        for table in (two, two.slice(0, 1), two.slice(0, 0)):
-            with pytest.raises(tk.EncodingError, match="one trip"):
-                tk.decode_episode(table, 0, "complete")
+            table, n = tk.encode_trips([traj]), len(traj.positions)
+            assert table.position.tolist() == traj.positions
+            assert table.action.tolist() == [*traj.actions, tk.BLANK]
+            context = dict(origin=traj.origin, destination=traj.destination, depart=traj.depart_bin, speed=traj.speed_bin, user=traj.user_id)
+            for name, value in context.items():
+                assert getattr(table, name).tolist() == [value] * n, name
+            assert table.timestep.tolist() == list(range(n))
 
 
 class TestWindowize:
@@ -272,9 +273,17 @@ class TestVocabSizes:
         assert spec.max_timestep == 51
 
     def test_users_required(self):
-        net = ng.GridNetwork(ng.GridSpec(3, 3))
-        with pytest.raises(tk.EncodingError):
-            tk.vocab_sizes(net, sg.SynthConfig(users=0))
+        # the config rejects itself when made; vocab_sizes used to raise an EncodingError about the vocabulary
+        with pytest.raises(sg.ConfigError, match="^users must be >= 1$"):
+            sg.SynthConfig(users=0)
+
+    @pytest.mark.parametrize("value", [0, -1, 2.5, None])
+    @pytest.mark.parametrize("field", ["positions", "actions", "depart_bins", "speed_bins", "users", "max_timestep"])
+    def test_bad_size_rejected_when_made(self, field, value):
+        # a negative size used to reach the models and fail inside numpy, and 0 built an empty table
+        sizes = {**dict(positions=9, actions=10, depart_bins=3, speed_bins=3, users=2, max_timestep=5), field: value}
+        with pytest.raises(tk.EncodingError, match=f"^vocabulary {field} must be an integer >= 1, got {value!r}$"):
+            tk.VocabSpec(**sizes)
 
     def test_from_synth_config(self):
         cfg = sg.SynthConfig(width=4, height=3, users=7, max_len=20)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from helpers import finite_diff_check, oracle_trip
 
+from trajforge import checkpoint as ck
 from trajforge import netgrid as ng
 from trajforge import numcore as nc
 from trajforge import synthgen as sg
@@ -18,7 +20,8 @@ from trajforge.numcore import make_rng
 
 def small_model(d=16, layers=1, heads=2, users=4, grid=5, dropout=0.0, seed=1, max_len=20, init_std=0.02):
     net = ng.GridNetwork(ng.GridSpec(grid, grid))
-    vocab = tk.vocab_sizes(net, sg.SynthConfig(users=users, max_len=max_len))
+    # max_len 0, a vocabulary of one timestep, is no SynthConfig, so the timestep table is sized here
+    vocab = dataclasses.replace(tk.vocab_sizes(net, sg.SynthConfig(users=users)), max_timestep=max_len + 1)
     cfg = tm.ModelConfig(vocab=vocab, d_model=d, n_layers=layers, n_heads=heads, dropout=dropout, init_std=init_std)
     return net, tm.PolicyModel(cfg, rng=make_rng(seed))
 
@@ -613,7 +616,8 @@ class TestGenerate:
     def test_vocabulary_of_one_timestep_rejected(self):
         # the origin's timestep is the vocabulary's only one, which leaves no room for a move
         net = ng.GridNetwork(ng.GridSpec(5, 5))
-        cfg = tm.ModelConfig(vocab=tk.vocab_sizes(net, sg.SynthConfig(users=4, max_len=0)), d_model=8, n_heads=2)
+        vocab = dataclasses.replace(tk.vocab_sizes(net, sg.SynthConfig(users=4)), max_timestep=1)
+        cfg = tm.ModelConfig(vocab=vocab, d_model=8, n_heads=2)
         model = tm.PolicyModel(cfg, rng=make_rng(0))
         with pytest.raises(sg.GenerationError, match="max_len must allow at least one move"):
             tm.generate_scored(tm.GenerationContext(0, 24, 2, 7, 1, max_len=19), model, net)
@@ -812,7 +816,7 @@ class TestCheckpoint:
         net, model = small_model(d=8, layers=2)
         path = tmp_path / "policy.ckpt"
         model.save(path, meta={"epochs_done": 3})
-        loaded, meta = tm.load_checkpoint(path)
+        loaded, meta = ck.load(path, tm.PolicyModel)
         assert meta == {"epochs_done": 3}
         for (n1, t1), (n2, t2) in zip(model.parameters(), loaded.parameters()):
             assert n1 == n2
@@ -824,7 +828,7 @@ class TestCheckpoint:
         before = float(tm.batch_nll([window], model).data)
         path = tmp_path / "p.ckpt"
         model.save(path)
-        loaded, _ = tm.load_checkpoint(path)
+        loaded, _ = ck.load(path, tm.PolicyModel)
         assert float(tm.batch_nll([window], loaded).data) == before
 
     def test_vocab_mismatch_rejected(self, tmp_path):
@@ -832,14 +836,14 @@ class TestCheckpoint:
         path = tmp_path / "p.ckpt"
         model.save(path)
         other = tk.vocab_sizes(ng.GridNetwork(ng.GridSpec(3, 3)), sg.SynthConfig(users=4, max_len=20))
-        with pytest.raises(tm.CheckpointError, match="vocabulary"):
-            tm.load_checkpoint(path, expect_vocab=other)
+        with pytest.raises(ck.CheckpointError, match="vocabulary"):
+            ck.load(path, tm.PolicyModel, other)
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "corrupt.ckpt"
         path.write_bytes(b"not a checkpoint\n\x00\x01")
-        with pytest.raises(tm.CheckpointError):
-            tm.load_checkpoint(path)
+        with pytest.raises(ck.CheckpointError):
+            ck.load(path, tm.PolicyModel)
 
     def test_truncated_blob_rejected(self, tmp_path):
         net, model = small_model(d=8, layers=1)
@@ -847,5 +851,5 @@ class TestCheckpoint:
         model.save(path)
         data = path.read_bytes()
         path.write_bytes(data[:-16])
-        with pytest.raises(tm.CheckpointError, match="blob"):
-            tm.load_checkpoint(path)
+        with pytest.raises(ck.CheckpointError, match="blob"):
+            ck.load(path, tm.PolicyModel)
