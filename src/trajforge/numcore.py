@@ -13,6 +13,7 @@ helpers take an explicit counter-based RNG so replays are bit-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from contextlib import contextmanager
@@ -46,18 +47,35 @@ class DistributionError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer; a bool is no integer here, nor is an integral float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_integer_fields(cfg, error: type = ValueError) -> None:
+    """Raise `error` naming the first `int` field of the dataclass `cfg` that holds no integer (`_is_integer`)."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type in ("int", int) and not _is_integer(value):
+            raise error(f"{f.name} must be an integer, got {value!r}")
+
+
 def make_rng(*key) -> np.random.Generator:
     """Counter-based (Philox) generator keyed by a tuple of ints/strings.
 
     Streams with different keys are independent; the same key always yields
-    the same stream, regardless of platform or process.
+    the same stream, regardless of platform or process. A key part that is
+    neither a str nor an integer (a bool is neither) raises TypeError: an int() cast
+    would give 2.5 the stream of 2.
     """
     h = hashlib.blake2b(digest_size=16)
     for part in key:
         if isinstance(part, str):
             h.update(b"s" + part.encode("utf-8"))
-        else:
+        elif _is_integer(part):
             h.update(b"i" + int(part).to_bytes(16, "little", signed=True))
+        else:
+            raise TypeError(f"rng key part {part!r} is neither a str nor an integer")
     seed_int = int.from_bytes(h.digest(), "little")
     return np.random.Generator(np.random.Philox(key=seed_int))
 
@@ -76,11 +94,16 @@ def inverse_cdf(p, u) -> np.ndarray:
     `DistributionError` names the first row that is not.
     """
     p = np.asarray(p, dtype=np.float64)
-    cdf = p.cumsum(axis=-1)
-    total = cdf[..., -1:]
-    if not (p.min() >= 0 and np.abs(total - 1.0).max() <= SUM_ATOL):  # a NaN fails both tests, an inf the second
+    cdf = np.add.accumulate(p, -1)  # `ndarray.cumsum`, and below `min` and `max`, without their Python wrappers
+    if p.ndim == 2 and len(p) == 1:  # one row: its total as a Python float, which costs less than a (1, 1) array
+        total = float(cdf[0, -1])
+        off = abs(total - 1.0)
+    else:
+        total = cdf[..., -1:]
+        off = np.maximum.reduce(np.abs(total - 1.0), None)
+    if not (np.minimum.reduce(p, None) >= 0 and off <= SUM_ATOL):  # a NaN fails both tests, an inf the second
         rows = p.reshape(-1, p.shape[-1])
-        valid = (rows >= 0).all(axis=1) & (np.abs(total.reshape(-1) - 1.0) <= SUM_ATOL)
+        valid = (rows >= 0).all(axis=1) & (np.abs(cdf[..., -1].reshape(-1) - 1.0) <= SUM_ATOL)
         row = int(np.argmin(valid))
         raise DistributionError(row, f"probabilities must be finite, non-negative and sum to 1, got {rows[row]}")
     cdf /= total
@@ -398,23 +421,39 @@ def masked_logsumexp(x, mask) -> np.ndarray:
     Max-shifted for stability; masked entries contribute exactly nothing, and a
     slice with no allowed entry is rejected. `masked_log_softmax` turns it into log-probabilities.
     """
+    return _masked_lse(x, mask)[1][..., 0]
+
+
+def _masked_lse(x, mask) -> tuple[np.ndarray, np.ndarray]:
+    """`x` as a float64 array, and `masked_logsumexp` of it with the last axis kept (of length 1).
+    Each step after the max runs in place in the one buffer."""
     x = np.asarray(x, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != x.shape:
         raise ShapeError(f"mask shape {mask.shape} != data shape {x.shape}")
-    neg = np.where(mask, x, -np.inf)
-    m = neg.max(axis=-1, keepdims=True, initial=-np.inf)
+    shifted = np.where(mask, x, -np.inf)
+    if x.ndim == 2 and len(x) == 1:  # one row: its max as a Python float, which costs less than a (1, 1) array
+        m = float(np.maximum.reduce(shifted, None, initial=-np.inf))
+        empty = not m > -np.inf
+    else:
+        m = np.maximum.reduce(shifted, -1, keepdims=True, initial=-np.inf)
+        empty = not np.minimum.reduce(m, None, initial=np.inf) > -np.inf
     # a row with no allowed entry has max -inf; the mask is read only then, as reading it costs more than the max
-    if not m.min(initial=np.inf) > -np.inf and not mask.any(axis=-1).all():
+    if empty and not mask.any(axis=-1).all():
         raise ValueError("masked_logsumexp: a row has no allowed entries")
-    return (m + np.log(np.exp(neg - m).sum(axis=-1, keepdims=True)))[..., 0]
+    shifted -= m
+    np.exp(shifted, out=shifted)
+    lse = np.add.reduce(shifted, -1, keepdims=True)
+    np.log(lse, out=lse)
+    lse += m
+    return x, lse
 
 
 def masked_log_softmax(x, mask) -> np.ndarray:
     """Log-softmax of `x` over the entries where `mask` is True, along the last axis; exactly -inf
     elsewhere, whatever `x` holds there. The one masked softmax of the policy, critic and oracle."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(mask, x - masked_logsumexp(x, mask)[..., None], -np.inf)
+    x, lse = _masked_lse(x, mask)
+    return np.where(mask, x - lse, -np.inf)
 
 
 def masked_logsumexp_rows(a: Tensor, mask: np.ndarray) -> Tensor:
@@ -454,12 +493,18 @@ def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
     """Forward formula of `layer_norm` on arrays: (output, normalized x, 1 / std of each row).
 
     Means are sums over the width, which round exactly as `ndarray.mean` at a fraction of its overhead.
+    A (1, d) input takes its row's mean and variance as Python floats, with the same bits (the sums
+    run over the same contiguous row, and `math.sqrt` rounds as `np.sqrt`), and returns its 1 / std
+    as a float: at one row, the (1, 1) arrays cost more than the arithmetic.
     """
     d = x.shape[-1]
-    centered = x - x.sum(axis=-1, keepdims=True) / d
-    var = (centered * centered).sum(axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
+    if x.ndim == 2 and len(x) == 1:
+        xhat = x - float(np.add.reduce(x, None)) / d
+        inv_std = 1.0 / math.sqrt(float(np.add.reduce(xhat * xhat, None)) / d + eps)
+    else:
+        xhat = x - x.sum(axis=-1, keepdims=True) / d
+        inv_std = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
+    xhat *= inv_std
     return xhat * gain + bias, xhat, inv_std
 
 
@@ -566,16 +611,21 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     return _node(x.data * (keep / (1.0 - rate)), (x,), bwd)
 
 
-def masked_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, visible: np.ndarray):
+def masked_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, hidden: np.ndarray | None):
     """Forward formula of attention on per-head arrays: (context, weights).
 
     `qh` is (..., rows, head dim) and `kh`, `vh` are (..., keys, head dim); query row i attends to
-    key j where `visible[i, j]`, with softmax(q k^T / sqrt(head dim)) weights.
+    key j unless `hidden[i, j]`, and to every key when `hidden` is None, with softmax(q k^T /
+    sqrt(head dim)) weights. The weights are built in the one scores buffer: scaled, masked,
+    shifted, exponentiated and normalised in place, each step with the bits of its out-of-place form.
     """
-    scores = (qh @ kh.swapaxes(-1, -2)) * (1.0 / math.sqrt(qh.shape[-1]))
-    scores = np.where(visible, scores, -np.inf)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    w = e / e.sum(axis=-1, keepdims=True)
+    w = qh @ kh.swapaxes(-1, -2)
+    w *= 1.0 / math.sqrt(qh.shape[-1])
+    if hidden is not None:
+        np.copyto(w, -np.inf, where=hidden)
+    w -= np.maximum.reduce(w, -1, keepdims=True)
+    np.exp(w, out=w)
+    w /= np.add.reduce(w, -1, keepdims=True)
     return w @ vh, w
 
 
@@ -621,8 +671,8 @@ def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segmen
         offsets = q_at[q_rows] - starts[members, None]
         if np.any(offsets != offsets[0]):
             raise ShapeError(f"segments of length {t_len} hold their queries at different offsets")
-        visible = offsets[0][:, None] >= np.arange(t_len)
-        ctx_h, w = masked_attention(heads(q.data, q_rows), heads(k.data, rows), heads(v.data, rows), visible)
+        hidden = offsets[0][:, None] < np.arange(t_len)  # a query sees its own row and the rows before it
+        ctx_h, w = masked_attention(heads(q.data, q_rows), heads(k.data, rows), heads(v.data, rows), hidden)
         ctx[q_rows] = unheads(ctx_h, q_rows)
         groups.append((rows, q_rows, w))
 

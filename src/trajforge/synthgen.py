@@ -310,6 +310,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        numcore.check_integer_fields(self, ConfigError)
         if self.users < 1:
             raise ConfigError("users must be >= 1")
         if self.n_trajectories < 0:

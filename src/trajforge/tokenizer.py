@@ -72,7 +72,7 @@ class VocabSpec:
 
     def __post_init__(self):
         for name, size in vars(self).items():
-            if not isinstance(size, int) or size < 1:
+            if not isinstance(size, int) or isinstance(size, bool) or size < 1:
                 raise EncodingError(f"vocabulary {name} must be an integer >= 1, got {size!r}")
 
 

@@ -19,37 +19,49 @@ its query, attention output and feed-forward for those rows alone.
 evaluation, which calls it under `numcore.no_graph` (`pretrain.score_windows`)
 and so records none; a window without decisions is skipped, and dropout draws
 masks for the computed rows alone. Generation runs the same equations without
-a graph, incrementally (`_Decoder`):
-- a key/value cache holds each layer's keys and values of the whole trip so
-  far; a move appends only a_{t-1} and s_t (s_0 alone at t = 0), and the
-  pending a_t is never computed. A window is the whole trip, since `context` is
-  the vocabulary's `max_timestep`, so nothing ever leaves the cache;
-- its last layer runs the query for the s_t row alone;
-- it looks up the trip's five context rows once, and adds each state's position
-  row, those five rows and the timestep row in `forward_batch`'s order, so its
-  state tokens hold the same bits as `forward_batch`'s. A reassociated sum
-  would change the last ulp, which a trained policy's sampling amplifies.
-Its logits equal a fresh `forward_batch` of the trip so far to rounding.
+a graph, incrementally, over a batch of trips in lockstep (`_Decoder`):
+- every live trip is at the same step, so no row needs padding or a ragged
+  mask. Each layer's key and value caches, (trips, heads, 2 * context, head
+  dim) each, hold every live trip's keys and values so far, head by head. A
+  move writes only a_{t-1} and s_t (s_0 alone at t = 0), once, and the
+  pending a_t is never computed. A window is the whole trip, since `context`
+  is the vocabulary's `max_timestep`, so nothing ever leaves a cache but a
+  trip that ends: the caches drop its rows, copying only their filled part;
+- each layer below the last runs one product h @ [wq | wk | wv], and the last
+  h @ [wk | wv] and its query for the s_t rows alone;
+- it looks up each trip's five context rows once, and adds each state's
+  position row, those five rows and the timestep row in `forward_batch`'s
+  order, so its state tokens hold the same bits as `forward_batch`'s. A
+  reassociated sum would change the last ulp, which a trained policy's
+  sampling amplifies.
+Its logits equal a fresh `forward_batch` of each trip so far to rounding.
 
 The move loop itself is `synthgen.roll_out`, shared with the synthetic oracle:
-it advances a batch of trips in lockstep and draws every move, and
-`generate_scored` is its call of one trip, whose `probs` runs one decoder step
-and returns the policy's action probabilities (at temperature 0, the one-hot
-row of the feasible argmax). The decoder serves one trip per call; a decoder
-over the loop's B rows is the step that batches generation. A move is drawn by
-one `random()` double from the trip's own stream, drawn up front, which
-`roll_out` maps through `numcore.inverse_cdf`: it picks what
+it advances the trips in lockstep and draws every move. `generate` is one
+call of it over B contexts, whose `probs` runs one decoder step over the live
+trips and returns their action probabilities (at temperature 0, the one-hot
+row of the feasible argmax); `generate_scored` is `generate` of one context.
+A move is drawn by one `random()` double from the trip's own stream, drawn up
+front, which `roll_out` maps through `numcore.inverse_cdf`: it picks what
 `Generator.choice` would.
 
-The decoder keeps its array path, unlike the critic's inference, which runs training code
-under `no_graph`: at one or two rows a graph-free `numcore` op costs more than its formula on
-arrays. A (2, 64) @ (64, 64) product takes 1.1 us as an array and 2.3-2.5 us as
-`nc.matmul`; a (2, 64) layer norm takes 9.1-10.1 us as `layer_norm_fwd` and 10.4-10.8 us as
-`nc.layer_norm`. A step runs 13 products and 6 layer norms, so those alone would add ~20 us
-to a `_Decoder.step` of 152-158 us, in a `generate_scored` of 192-211 us per move (one BLAS
-thread, 2-core VM; best of 7 timing loops per op over 4 runs, and medians of 5 passes over
-80 held-out contexts of perfbench's 2-epoch policy at seed 1, 1328 moves, over 3 runs).
-Sharing the loop belongs with a decoder that batches many trips.
+At B = 1 every product has the shape of a one-trip pass (one row at t = 0,
+two after, and one row for the last layer's query and the head), and the
+tests pin the trips it draws. At B > 1 rows round otherwise: BLAS takes other
+kernels for more rows, and a one-row product runs as gemv, not gemm. A row's
+log-probabilities then stay within 1e-12 of its own `generate_scored` call.
+
+The decoder keeps its array path, unlike the critic's inference, which runs
+training code under `no_graph`: at one or two rows a graph-free `numcore` op
+costs more than its formula on arrays, and the B = 1 move is numpy call
+overhead. Its one- and two-row arrays take ~190 numpy calls per move, so the
+decoder fuses its input products, writes each cache once, adds in place, and
+`numcore`'s layer norm, masked log-softmax and inverse CDF take one row's
+statistics as Python floats. A `generate_scored` move takes 0.22-0.28 ms (p50
+of perfbench's rollout workload), and one `generate` call over 256 of
+perfbench's held-out contexts runs 16-22k moves/s against 3.0-4.7k for 256
+`generate_scored` calls (one BLAS thread, 2-core VM, perfbench's 2-epoch
+policy at seeds 1 and 2).
 """
 
 from __future__ import annotations
@@ -282,101 +294,159 @@ class GenerationResult:
     log_probs: np.ndarray  # log pi(a_t | history) per decision step
 
 
-def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) -> GenerationResult:
-    """Autoregressive rollout through `synthgen.roll_out`; deterministic given (context, model, seed).
+def generate(contexts: list[GenerationContext], model: PolicyModel, net: Network) -> list[GenerationResult]:
+    """Autoregressive rollout of B contexts in lockstep, in one `synthgen.roll_out` call whose `probs`
+    runs one decoder step over the live trips; deterministic given (contexts, model). Trip i draws
+    its moves from its own stream, make_rng(seed, "generate", traj_id), so it takes the moves of its
+    own `generate_scored` call up to rounding: at B > 1 the products round otherwise (see the module
+    docstring).
 
     Each move is scored by `numcore.masked_log_softmax` of the logits over the temperature (over 1
     when greedy), and `log_probs` holds that score of the move drawn.
 
-    Raises EncodingError (`check_columns`) naming an index of `ctx` outside the model's vocabulary, ValueError
-    for a network whose positions are not the model's, and GenerationError as `roll_out` does.
+    Raises ValueError naming the first context whose `max_len` or temperature differs from the
+    first's, EncodingError (`check_columns`) naming an index of a context outside the model's
+    vocabulary, ValueError for a network whose positions are not the model's, and GenerationError
+    as `roll_out` does.
     """
     vocab = model.cfg.vocab
     if net.n_positions != vocab.positions:
         raise ValueError(f"network of {net.n_positions} positions for a policy vocabulary of {vocab.positions}")
-    trip = dict(origin=[ctx.origin], destination=[ctx.destination], depart=[ctx.depart_bin], speed=[ctx.speed_bin], user=[ctx.user_id])
-    check_columns(vocab, trip, lambda row: "generation context")
-    max_moves = min(ctx.max_len, vocab.max_timestep - 1)
-    uniforms = make_rng(ctx.seed, "generate", ctx.traj_id).random((1, max_moves))
-    decoder = _Decoder(model, ctx)
-    temp = ctx.temperature if ctx.temperature > 0 else 1.0  # greedy decoding scores its moves at temperature 1
-    scored: list[np.ndarray] = []  # each move's log-probabilities
+    if not contexts:
+        return []
+    first = contexts[0]
+    for i, ctx in enumerate(contexts):
+        if (ctx.max_len, ctx.temperature) != (first.max_len, first.temperature):
+            raise ValueError(
+                f"context {i}: max_len {ctx.max_len} and temperature {ctx.temperature} differ from "
+                f"context 0's {first.max_len} and {first.temperature}"
+            )
+    columns = _context_columns(contexts)
+    check_columns(vocab, columns, lambda row: "generation context" if len(contexts) == 1 else f"generation context {row}")
+    max_moves = min(first.max_len, vocab.max_timestep - 1)
+    uniforms = np.array([make_rng(ctx.seed, "generate", ctx.traj_id).random(max_moves) for ctx in contexts])
+    decoder = _Decoder(model, columns)
+    temp = first.temperature if first.temperature > 0 else 1.0  # greedy decoding scores its moves at temperature 1
+    scored = np.empty((len(contexts), max_moves, N_ACTIONS))  # each move's log-probabilities
 
     def probs(rows: np.ndarray, positions: np.ndarray, prev_actions: np.ndarray) -> np.ndarray:
-        pos = int(positions[0])
-        logits = decoder.step(pos, int(prev_actions[0]))
-        feasible = net.feasible[pos]
-        scored.append(nc.masked_log_softmax(logits / temp, feasible))
-        if ctx.temperature == 0:  # the one-hot row of the argmax, lowest index on ties
-            return np.eye(N_ACTIONS)[[np.argmax(np.where(feasible, logits, -np.inf))]]
-        return np.exp(scored[-1])[None]
+        logits = decoder.step(rows, positions, prev_actions)
+        feasible = net.feasible[positions]
+        scored[rows, decoder.t - 1] = log_probs = nc.masked_log_softmax(logits / temp, feasible)
+        if first.temperature == 0:  # the one-hot row of the argmax, lowest index on ties
+            return np.eye(N_ACTIONS)[np.argmax(np.where(feasible, logits, -np.inf), axis=1)]
+        return np.exp(log_probs)
 
-    [(positions, actions, flag)] = roll_out(net, [ctx.origin], [ctx.destination], uniforms, probs)
-    traj = Trajectory(ctx.traj_id, ctx.user_id, ctx.depart_bin, ctx.speed_bin, positions, actions, flag)
-    return GenerationResult(traj, np.array([lp[a] for lp, a in zip(scored, actions)]))
+    out = roll_out(net, columns["origin"], columns["destination"], uniforms, probs)
+    results = []
+    for ctx, scores, (positions, actions, flag) in zip(contexts, scored, out):
+        traj = Trajectory(ctx.traj_id, ctx.user_id, ctx.depart_bin, ctx.speed_bin, positions, actions, flag)
+        results.append(GenerationResult(traj, scores[np.arange(len(actions)), actions]))
+    return results
+
+
+def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) -> GenerationResult:
+    """`generate` of the one context `ctx`: its products keep the shapes of one trip (see the module docstring)."""
+    return generate([ctx], model, net)[0]
+
+
+# a context's columns, named as `check_columns` and the embedding tables `emb_<name>` name them, with
+# their `GenerationContext` fields, in the order the decoder adds their rows
+_CONTEXT_COLUMNS = (("origin", "origin"), ("destination", "destination"), ("depart", "depart_bin"), ("speed", "speed_bin"), ("user", "user_id"))
+
+
+def _context_columns(contexts: list[GenerationContext]) -> dict:
+    """The contexts' indices of each context column, one list per column."""
+    return {name: [getattr(ctx, field) for ctx in contexts] for name, field in _CONTEXT_COLUMNS}
 
 
 class _Decoder:
-    """Graph-free `forward_batch` over one trip, fed one step at a time (the module docstring
-    describes the cache). After t steps, rows [0, 2t - 1) of `keys[i]` and `values[i]` hold layer
-    i's keys and values of the trip's tokens s_0 a_0 ... s_{t-1}."""
+    """Graph-free `forward_batch` over the live trips of a roll-out, fed one move at a time (the
+    module docstring describes the cache). Every live trip is at the same step t. After t steps,
+    `caches[i][0, b, :, :2t - 1]` and `caches[i][1, b, :, :2t - 1]` hold layer i's keys and values
+    of live trip b's tokens s_0 a_0 ... s_{t-1}, head by head."""
 
-    def __init__(self, model: PolicyModel, ctx: GenerationContext):
+    def __init__(self, model: PolicyModel, columns: dict):
+        """A decoder of the trips whose context indices are `columns` (`_context_columns`), checked."""
         cfg = model.cfg
         self.model = model
-        # the trip's fixed rows, looked up once and added in `forward_batch`'s order
-        self.context_rows = (
-            model.emb_origin.data[ctx.origin],
-            model.emb_destination.data[ctx.destination],
-            model.emb_depart.data[ctx.depart_bin],
-            model.emb_speed.data[ctx.speed_bin],
-            model.emb_user.data[ctx.user_id],
-        )
+        self.rows = np.arange(len(columns["origin"]))  # the trips still under way, as `roll_out` numbers them
         self.t = 0
-        self.keys = [np.empty((2 * cfg.context, cfg.d_model)) for _ in model.layers]
-        self.values = [np.empty((2 * cfg.context, cfg.d_model)) for _ in model.layers]
-        self.causal = np.tri(2 * cfg.context, dtype=bool)  # token i attends to tokens j <= i
+        # each trip's state-token rows in `forward_batch`'s order: its position, its five context rows,
+        # looked up here, and its timestep. A move writes the first and the last, and a reduce over
+        # the middle axis adds the seven one after another, as `forward_batch` does.
+        self.state_rows = np.empty((len(self.rows), 7, cfg.d_model))
+        for j, (name, _) in enumerate(_CONTEXT_COLUMNS, 1):
+            self.state_rows[:, j] = getattr(model, "emb_" + name).data.take(columns[name], axis=0)
+        head_dim = cfg.d_model // cfg.n_heads
+        self.caches = [np.empty((2, len(self.rows), cfg.n_heads, 2 * cfg.context, head_dim)) for _ in model.layers]
+        # each layer's arrays, and its input weights as one product: [wq | wk | wv], and [wk | wv] in
+        # the last, whose query reads the state rows alone
+        last = len(model.layers) - 1
+        self.layers = [{name: t.data for name, t in layer.items()} for layer in model.layers]
+        for i, layer in enumerate(self.layers):
+            layer["w_in"] = np.concatenate((layer["wq"], layer["wk"], layer["wv"])[i == last :], axis=1)
+        # at two rows per trip, a_{t-1} sees every key but s_t's: the first row hides the last column
+        self.pending = np.zeros((2, 2 * cfg.context), dtype=bool)
+        self.pending[0, -1] = True
 
-    def step(self, position: int, prev_action: int) -> np.ndarray:
-        """Action logits at step t, the vehicle at `position` after `prev_action` (unread at t = 0)."""
+    def step(self, rows: np.ndarray, positions: np.ndarray, prev_actions: np.ndarray) -> np.ndarray:
+        """Action logits (len(rows), 9) at step t of the trips `rows`, at `positions` after `prev_actions`
+        (unread at t = 0). `rows` are the decoder's live trips or fewer, in order: `roll_out` drops
+        finished trips, and the caches drop theirs with them."""
+        if len(rows) < len(self.rows):
+            self._keep(np.searchsorted(self.rows, rows))
+            self.rows = rows
         m, t = self.model, self.t
-        origin, destination, depart, speed, user = self.context_rows
         ts = m.emb_timestep.data
-        new = np.empty((min(t, 1) + 1, m.cfg.d_model))  # a_{t-1} and s_t; s_0 alone
+        new = np.empty((len(rows), min(t, 1) + 1, m.cfg.d_model))  # a_{t-1} and s_t of each trip; s_0 alone
         if t > 0:
-            new[0] = m.emb_action.data[prev_action] + ts[t - 1]
-        new[-1] = m.emb_position.data[position] + origin + destination + depart + speed + user + ts[t]
+            np.add(m.emb_action.data[prev_actions], ts[t - 1], out=new[:, 0])
+        self.state_rows[:, 0] = m.emb_position.data[positions]
+        self.state_rows[:, -1] = ts[t]
+        np.add.reduce(self.state_rows, 1, out=new[:, -1])
         self.t = t + 1
-        return self._run(nc.layer_norm_fwd(new, m.ln_emb_gain.data, m.ln_emb_bias.data)[0])
+        return self._run(nc.layer_norm_fwd(new.reshape(-1, m.cfg.d_model), m.ln_emb_gain.data, m.ln_emb_bias.data)[0])
+
+    def _keep(self, keep: np.ndarray) -> None:
+        """Keep the live trips `keep` (ascending indices among them), copying only the caches' filled part."""
+        filled = 2 * self.t - 1
+        self.state_rows = self.state_rows[keep]
+        for i, cache in enumerate(self.caches):
+            kept = np.empty((2, len(keep)) + cache.shape[2:])
+            kept[:, :, :, :filled] = cache[:, keep, :, :filled]
+            self.caches[i] = kept
 
     def _run(self, x: np.ndarray) -> np.ndarray:
-        """Append the rows `x` to the trip's tokens and return the logits read at its last row."""
+        """Append each trip's rows of `x` (trip-major, one or two per trip) to its tokens and return
+        the logits read at each trip's last row."""
         m = self.model
-        n_heads = m.cfg.n_heads
-        total = 2 * self.t - 1  # the trip's tokens so far, `x` the last of them
-        past = total - len(x)
-        visible = self.causal[past:total, :total]
-        last = len(m.layers) - 1
-        for i, layer in enumerate(m.layers):
-            h = nc.layer_norm_fwd(x, layer["ln1_gain"].data, layer["ln1_bias"].data)[0]
-            keys, values = self.keys[i], self.values[i]
-            keys[past:total] = h @ layer["wk"].data
-            values[past:total] = h @ layer["wv"].data
-            if i == last:
-                h, x, visible = h[-1:], x[-1:], visible[-1:]
-            q = _heads(h @ layer["wq"].data, n_heads)
-            ctx, _ = nc.masked_attention(q, _heads(keys[:total], n_heads), _heads(values[:total], n_heads), visible)
-            x = x + ctx.transpose(1, 0, 2).reshape(x.shape) @ layer["wo"].data
-            h2 = nc.layer_norm_fwd(x, layer["ln2_gain"].data, layer["ln2_bias"].data)[0]
-            ff = nc.gelu_fwd(h2 @ layer["ff_w1"].data + layer["ff_b1"].data)[0] @ layer["ff_w2"].data
-            x = x + (ff + layer["ff_b2"].data)
-        x = nc.layer_norm_fwd(x, m.ln_f_gain.data, m.ln_f_bias.data)[0]
-        logits = (x @ m.head_w.data + m.head_b.data)[0]
-        if not np.all(np.isfinite(logits)):
+        d, n_heads = m.cfg.d_model, m.cfg.n_heads
+        trips = len(self.rows)
+        r = len(x) // trips  # rows per trip
+        total = 2 * self.t - 1  # each trip's tokens so far, its rows of `x` the last of them
+        hidden = self.pending[:, -total:] if r == 2 else None
+        last = len(self.layers) - 1
+        for i, layer in enumerate(self.layers):
+            h = nc.layer_norm_fwd(x, layer["ln1_gain"], layer["ln1_bias"])[0]
+            hw = h @ layer["w_in"]
+            cache = self.caches[i]
+            cache[:, :, :, total - r : total] = hw[:, -2 * d :].reshape(trips, r, 2, n_heads, -1).transpose(2, 0, 3, 1, 4)
+            if i == last:  # past its keys and values, only the state rows are read
+                x = x[r - 1 :: r]
+                q = (h[r - 1 :: r] @ layer["wq"]).reshape(trips, n_heads, 1, -1)
+                hidden = None
+            else:
+                q = hw[:, :d].reshape(trips, r, n_heads, -1).transpose(0, 2, 1, 3)
+            ctx, _ = nc.masked_attention(q, cache[0, :, :, :total], cache[1, :, :, :total], hidden)
+            x += ctx.transpose(0, 2, 1, 3).reshape(x.shape) @ layer["wo"]
+            ff = nc.layer_norm_fwd(x, layer["ln2_gain"], layer["ln2_bias"])[0] @ layer["ff_w1"]
+            ff += layer["ff_b1"]
+            ff = nc.gelu_fwd(ff)[0] @ layer["ff_w2"]
+            ff += layer["ff_b2"]
+            x += ff
+        logits = nc.layer_norm_fwd(x, m.ln_f_gain.data, m.ln_f_bias.data)[0] @ m.head_w.data
+        logits += m.head_b.data
+        if not np.isfinite(logits).all():
             raise nc.EvaluationError("non-finite values in action logits")
         return logits
-
-
-def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    """(rows, d) -> (heads, rows, d / heads)."""
-    return x.reshape(len(x), n_heads, -1).transpose(1, 0, 2)

@@ -166,6 +166,11 @@ def fractional_vocab_size(header):
     return header
 
 
+def bool_vocab_size(header):
+    header["config"]["vocab"]["positions"] = True  # JSON true: a bool, which VocabSpec used to take as 1
+    return header
+
+
 def rtg_vocab(header):
     header["config"]["vocab"]["rtg"] = 2
     return header
@@ -186,9 +191,10 @@ class TestMalformedHeader:
             (drop("meta"), "'meta' is missing"),
             (unknown_config_key, "bad .* config"),
             (fractional_vocab_size, "vocabulary positions must be an integer"),
+            (bool_vocab_size, "vocabulary positions must be an integer >= 1, got True"),
             (rtg_vocab, "bad .* config"),
         ],
-        ids=["list", "no-manifest", "no-meta", "unknown-config-key", "fractional-vocab-size", "rtg-vocab"],
+        ids=["list", "no-manifest", "no-meta", "unknown-config-key", "fractional-vocab-size", "bool-vocab-size", "rtg-vocab"],
     )
     def test_raises_checkpoint_error(self, kind, edit, message, tmp_path):
         model, load = tiny_model(kind)

@@ -158,6 +158,23 @@ class TestSoftmax:
 class TestLogsumexp:
     """nc.masked_logsumexp: the one masked log-sum-exp that every softmax derives from."""
 
+    @given(st.integers(2, 5), st.integers(1, 12), st.integers(0, 2**16))
+    def test_one_row_bit_identical_to_its_row_of_a_batch_property(self, rows, width, seed):
+        # one row takes its max as a Python float; a taller input keeps a (rows, 1) array
+        rng = nc.make_rng(seed)
+        x = rng.normal(scale=rng.uniform(0.1, 50), size=(rows, width))
+        mask = rng.random((rows, width)) > 0.5
+        mask[np.arange(rows), rng.integers(0, width, size=rows)] = True  # every row keeps an entry
+        x[~mask] = rng.choice([np.nan, np.inf, -np.inf, 1e300], size=(~mask).sum())
+        lse, log_probs = nc.masked_logsumexp(x, mask), nc.masked_log_softmax(x, mask)
+        for i in range(rows):
+            assert nc.masked_logsumexp(x[i : i + 1], mask[i : i + 1]).tobytes() == lse[i : i + 1].tobytes()
+            assert nc.masked_log_softmax(x[i : i + 1], mask[i : i + 1]).tobytes() == log_probs[i : i + 1].tobytes()
+
+    def test_one_row_without_allowed_entries_rejected(self):
+        with pytest.raises(ValueError, match="^masked_logsumexp: a row has no allowed entries$"):
+            nc.masked_log_softmax(np.zeros((1, 3)), np.zeros((1, 3), dtype=bool))
+
     def test_uniform_nine(self):
         assert nc.masked_logsumexp(np.zeros(9), np.ones(9, dtype=bool)) == pytest.approx(math.log(9), abs=1e-12)
 
@@ -302,6 +319,20 @@ class TestLayerNorm:
         np.testing.assert_array_equal(got_inv_std, inv_std)
         np.testing.assert_array_equal(xhat, centered * inv_std)
         np.testing.assert_array_equal(out, centered * inv_std * gain + bias)
+
+
+    @given(st.integers(2, 6), st.integers(1, 70), st.floats(1e-3, 1e3), st.integers(0, 2**16))
+    def test_one_row_path_bit_identical_to_array_path_property(self, rows, width, scale, seed):
+        # a (1, d) input takes its mean and variance as Python floats; a taller input runs the array path
+        rng = np.random.default_rng(seed)
+        x, gain, bias = scale * rng.normal(size=(rows, width)), rng.normal(size=width), rng.normal(size=width)
+        out, xhat, inv_std = nc.layer_norm_fwd(x, gain, bias)
+        for i in range(rows):
+            for row in (x[i : i + 1], x[i::rows]):  # contiguous, and a strided view as the decoder passes
+                one_out, one_xhat, one_inv_std = nc.layer_norm_fwd(row, gain, bias)
+                assert isinstance(one_inv_std, float)
+                assert one_out.tobytes() == out[i : i + 1].tobytes() and one_xhat.tobytes() == xhat[i : i + 1].tobytes()
+                assert np.float64(one_inv_std).tobytes() == inv_std[i].tobytes()
 
 
 class TestAdamW:
@@ -515,6 +546,23 @@ def attention_with_grads(q, k, v, g, n_heads, segments, q_at=None):
     ctx = nc.block_causal_attention(q, k, v, n_heads, segments, q_at)
     nc.backward(total(nc.mul_const(ctx, g)))
     return ctx.data, q.grad, k.grad, v.grad
+
+
+class TestMaskedAttention:
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 6), st.sampled_from([1, 2, 8]), st.integers(0, 2**16))
+    def test_in_place_weights_are_the_out_of_place_formula_property(self, batch, rows, keys, head_dim, seed):
+        # scale, mask, shift, exp and normalise run in the one scores buffer, with the bits of the formula on fresh arrays
+        rng = np.random.default_rng(seed)
+        qh, kh, vh = rng.normal(size=(batch, rows, head_dim)), rng.normal(size=(batch, keys, head_dim)), rng.normal(size=(batch, keys, head_dim))
+        hidden = rng.random((rows, keys)) < 0.4
+        hidden[:, 0] = False  # every query sees a key
+        for mask in (hidden, None):
+            scores = (qh @ kh.swapaxes(-1, -2)) * (1.0 / math.sqrt(head_dim))
+            scores = np.where(~hidden if mask is not None else True, scores, -np.inf)
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            w = e / e.sum(axis=-1, keepdims=True)
+            ctx, got = nc.masked_attention(qh, kh, vh, mask)
+            assert got.tobytes() == w.tobytes() and ctx.tobytes() == (w @ vh).tobytes()
 
 
 class TestBlockAttention:
@@ -907,6 +955,12 @@ class TestInverseCdf:
         with pytest.raises(nc.DistributionError, match="row 1: probabilities must be finite, non-negative and sum to 1"):
             nc.inverse_cdf(np.stack([np.array([1.0, 0.0, 0.0]), p]), [0.5, 0.5])
 
+    @pytest.mark.parametrize("p", [[0.5, 0.5, np.nan], [1.5, -0.5, 0.0], [0.5, 0.4, 0.0]], ids=["nan", "negative", "sum-below-one"])
+    def test_one_row_rejects_as_a_batch_does(self, p):
+        # one row takes its total as a Python float; its checks are the batch's
+        with pytest.raises(nc.DistributionError, match="^row 0: probabilities must be finite, non-negative and sum to 1"):
+            nc.inverse_cdf(np.array([p]), [0.5])
+
     @pytest.mark.parametrize("seed", range(4))
     def test_sum_within_choice_tolerance_accepted(self, seed):
         p = np.array([0.5, 0.5 + 0.5 * nc.SUM_ATOL])
@@ -914,6 +968,15 @@ class TestInverseCdf:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("part", [2.5, 2.0, True, None, np.float64(2.0), np.bool_(True)])
+    def test_key_part_neither_str_nor_integer_rejected(self, part):
+        # make_rng(0, "generate", 2.5) used to give trip 2's stream, as the key took int(2.5)
+        with pytest.raises(TypeError, match="is neither a str nor an integer$"):
+            nc.make_rng(0, "generate", part)
+
+    def test_numpy_integer_key_part_keys_as_its_int(self):
+        np.testing.assert_array_equal(nc.make_rng(np.int64(3), "generate", np.int32(2)).random(4), nc.make_rng(3, "generate", 2).random(4))
+
     def test_rng_streams_replay(self):
         a = nc.make_rng(5, "stream").normal(size=10)
         b = nc.make_rng(5, "stream").normal(size=10)

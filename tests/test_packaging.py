@@ -1,8 +1,11 @@
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
+
+from trajforge import pretrain, rewardirl, synthgen, tokenizer, trajmodel
 
 tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
@@ -189,3 +192,30 @@ def test_names_that_perfbench_reads_exist():
         if not hasattr(importlib.import_module(f"trajforge.{module}"), name)
     ]
     assert missing == [], "names that perfbench/ reads but trajforge no longer has"
+
+
+def config_cases():
+    """Each config dataclass of src/ with valid arguments for its fields without defaults."""
+    vocab = tokenizer.VocabSpec(positions=9, actions=10, depart_bins=3, speed_bins=3, users=2, max_timestep=5)
+    return [
+        (tokenizer.VocabSpec, dict(positions=9, actions=10, depart_bins=3, speed_bins=3, users=2, max_timestep=5)),
+        (synthgen.SynthConfig, {}),
+        (trajmodel.ModelConfig, dict(vocab=vocab, d_model=8, n_heads=2)),
+        (rewardirl.CriticConfig, dict(vocab=vocab)),
+        (pretrain.TrainConfig, {}),
+        (rewardirl.IRLConfig, {}),
+        (trajmodel.GenerationContext, dict(origin=0, destination=8, depart_bin=0, speed_bin=0, user_id=0)),
+    ]
+
+
+@pytest.mark.parametrize("value", [True, 2.5])
+def test_config_int_fields_reject_bools_and_fractions_by_name(value):
+    """Every `int` field of every config rejects a bool and a non-integral number when the config is made,
+    with a ValueError that names the field: the `trajforge` command will map its arguments onto these fields."""
+    for config, valid in config_cases():
+        config(**valid)
+        int_fields = [f.name for f in dataclasses.fields(config) if f.type in ("int", int)]
+        assert int_fields, f"{config.__name__} has no int field"
+        for name in int_fields:
+            with pytest.raises(ValueError, match=rf"\b{name} must be an integer"):
+                config(**{**valid, name: value})

@@ -101,6 +101,15 @@ class TestTrainConfig:
     def test_bounds_themselves_accepted(self):
         pt.TrainConfig(epochs=1, batch_size=1, lr=0.0, weight_decay=0.0, grad_clip=1e-9, patience=0)
 
+    @pytest.mark.parametrize("field, value", [("epochs", 1.5), ("batch_size", True), ("patience", 2.0), ("seed", 0.5)])
+    def test_int_field_holding_bool_or_fraction_rejected_by_name(self, field, value):
+        # epochs 1.5 used to fail later as a bare TypeError
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            pt.TrainConfig(**{field: value})
+
+    def test_numpy_integer_fields_accepted(self):
+        pt.TrainConfig(epochs=np.int64(2), batch_size=np.int32(8), seed=np.int64(3), patience=np.int64(0))
+
 
 class TestPretrain:
     def test_eval_split_alone_not_trained_on(self):

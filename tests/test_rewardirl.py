@@ -456,12 +456,26 @@ class TestIRLConfig:
             ri.IRLConfig(**{field: value})
 
 
+    @pytest.mark.parametrize("field, value", [("batch_size", 2.5), ("epochs", True), ("seed", 1.0)])
+    def test_int_field_holding_bool_or_fraction_rejected_by_name(self, field, value):
+        # batch_size 2.5 used to fail later as a bare TypeError
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            ri.IRLConfig(**{field: value})
+
+
 class TestCriticConfig:
     @pytest.mark.parametrize("field, value", [("d", 0), ("d", -1), ("init_std", float("nan")), ("init_std", -0.5), ("init_std", float("inf"))])
     def test_out_of_range_rejected_by_name(self, field, value):
         vocab = tk.vocab_sizes(ng.GridNetwork(ng.GridSpec(3, 3)), sg.SynthConfig(users=2))
         with pytest.raises(ValueError, match=f"^{field} must be"):
             ri.CriticConfig(vocab, **{field: value})
+
+    @pytest.mark.parametrize("value", [True, 8.0])
+    def test_width_holding_bool_or_fraction_rejected_by_name(self, value):
+        # d True used to act as 1
+        vocab = tk.vocab_sizes(ng.GridNetwork(ng.GridSpec(3, 3)), sg.SynthConfig(users=2))
+        with pytest.raises(ValueError, match=f"^d must be an integer, got {value!r}$"):
+            ri.CriticConfig(vocab, d=value)
 
 
 class TestTrainCritic:

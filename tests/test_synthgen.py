@@ -342,8 +342,14 @@ class TestGenDataset:
             (dict(depart_bins=25), "depart_bins in [1,24], speed_bins in [1,120]"),
             (dict(speed_bins=0), "depart_bins in [1,24], speed_bins in [1,120]"),
             (dict(theta_sigma=-0.5), "theta_sigma must be >= 0, got -0.5"),
+            (dict(users=True), "users must be an integer, got True"),  # used to act as 1
+            (dict(max_len=2.5), "max_len must be an integer, got 2.5"),  # used to fail later as a bare TypeError
+            (dict(seed=np.float64(1.0)), "seed must be an integer, got np.float64(1.0)"),
         ],
-        ids=["users", "n-trajectories", "max-len", "no-archetype", "short-archetype", "depart-bins", "speed-bins", "theta-sigma"],
+        ids=[
+            "users", "n-trajectories", "max-len", "no-archetype", "short-archetype", "depart-bins", "speed-bins", "theta-sigma",
+            "users-bool", "max-len-fraction", "seed-float",
+        ],
     )
     def test_bad_config_rejected_when_made(self, fields, message):
         # these used to be caught only by gen_dataset, so vocab_sizes built a vocabulary from them

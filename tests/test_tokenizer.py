@@ -277,10 +277,11 @@ class TestVocabSizes:
         with pytest.raises(sg.ConfigError, match="^users must be >= 1$"):
             sg.SynthConfig(users=0)
 
-    @pytest.mark.parametrize("value", [0, -1, 2.5, None])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, None, True])
     @pytest.mark.parametrize("field", ["positions", "actions", "depart_bins", "speed_bins", "users", "max_timestep"])
     def test_bad_size_rejected_when_made(self, field, value):
-        # a negative size used to reach the models and fail inside numpy, and 0 built an empty table
+        # a negative size used to reach the models and fail inside numpy, 0 built an empty table, and
+        # True, an int to isinstance, was taken as 1
         sizes = {**dict(positions=9, actions=10, depart_bins=3, speed_bins=3, users=2, max_timestep=5), field: value}
         with pytest.raises(tk.EncodingError, match=f"^vocabulary {field} must be an integer >= 1, got {value!r}$"):
             tk.VocabSpec(**sizes)

@@ -296,10 +296,15 @@ def random_walk(net, origin, moves, seed):
     return positions, actions
 
 
+def decoder_step(decoder, rows, positions, prev_actions):
+    """One decoder step of the trips `rows` (indices into the decoder's contexts), as `roll_out` calls it."""
+    return decoder.step(np.asarray(rows, dtype=np.intp), np.asarray(positions, dtype=np.intp), np.asarray(prev_actions, dtype=np.intp))
+
+
 def decoder_logits(model, ctx, positions, actions):
     """Decoder logits at every step of a trip, fed one step at a time as generation does."""
-    decoder = tm._Decoder(model, ctx)
-    return [decoder.step(pos, actions[t - 1] if t else None) for t, pos in enumerate(positions)]
+    decoder = tm._Decoder(model, tm._context_columns([ctx]))
+    return [decoder_step(decoder, [0], [pos], [actions[t - 1] if t else -1])[0] for t, pos in enumerate(positions)]
 
 
 class TestForward:
@@ -351,6 +356,21 @@ class TestForward:
         vocab = tk.vocab_sizes(ng.GridNetwork(ng.GridSpec(3, 3)), sg.SynthConfig(users=2))
         with pytest.raises(ValueError, match=f"^{field} must be"):
             tm.ModelConfig(vocab, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, others", [("d_model", True, dict(n_heads=1)), ("n_layers", 2.0, {}), ("n_heads", 2.5, {}), ("ff_mult", True, {})]
+    )
+    def test_int_field_holding_bool_or_fraction_rejected_by_name(self, field, value, others):
+        # d_model True used to act as 1, and n_layers 2.0 to fail later as a bare TypeError
+        vocab = tk.vocab_sizes(ng.GridNetwork(ng.GridSpec(3, 3)), sg.SynthConfig(users=2))
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            tm.ModelConfig(vocab, **{field: value}, **others)
+
+    def test_numpy_integer_fields_accepted(self):
+        vocab = tk.vocab_sizes(ng.GridNetwork(ng.GridSpec(3, 3)), sg.SynthConfig(users=2))
+        cfg = tm.ModelConfig(vocab, d_model=np.int64(8), n_layers=np.int32(1), n_heads=np.int64(2), ff_mult=np.int64(2))
+        window = sample_window(ng.GridNetwork(ng.GridSpec(3, 3)), n_users=2, max_len=5)
+        assert tm.forward_batch([window], tm.PolicyModel(cfg)).logits.shape == (window.decision_mask.sum(), 9)
 
     @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1])
     def test_dropout_outside_unit_interval_rejected(self, rate):
@@ -720,11 +740,84 @@ class TestGenerate:
         traj = res.trajectory
         assert len(calls) == len(traj.actions) == len(res.log_probs)
         for t, a in enumerate(traj.actions):
-            replay = tm._Decoder(model, ctx)
-            for s in range(t + 1):
-                logits = replay.step(traj.positions[s], traj.actions[s - 1] if s else None)
+            logits = decoder_logits(model, ctx, traj.positions[: t + 1], traj.actions[:t])[-1]
             lp = nc.masked_log_softmax(logits / (temperature or 1.0), net.feasible[traj.positions[t]])
             assert lp[a].tobytes() == res.log_probs[t].tobytes()
+
+    @given(
+        temperature=st.sampled_from([0.0, 1.0]),
+        n_trips=st.integers(2, 6),
+        seed=st.integers(0, 2**16),
+        model_seed=st.integers(0, 3),
+    )
+    def test_batch_equals_sequential_property(self, temperature, n_trips, seed, model_seed):
+        # each row of one `generate` call takes its own `generate_scored` trip, its log-probs within
+        # 1e-12: at more than one trip the products round otherwise, never by enough to move a draw here
+        net, model = small_model(layers=2, max_len=12, seed=model_seed, init_std=0.5)
+        rng = np.random.default_rng(seed)
+        ends = [rng.choice(net.n_positions, size=2, replace=False) for _ in range(n_trips)]
+        contexts = [
+            tm.GenerationContext(int(o), int(d), int(rng.integers(24)), int(rng.integers(120)), int(rng.integers(4)),
+                                 max_len=12, temperature=temperature, seed=seed, traj_id=i)
+            for i, (o, d) in enumerate(ends)
+        ]
+        batch = tm.generate(contexts, model, net)
+        assert len(batch) == n_trips
+        for ctx, res in zip(contexts, batch):
+            one = tm.generate_scored(ctx, model, net)
+            assert res.trajectory == one.trajectory
+            np.testing.assert_allclose(res.log_probs, one.log_probs, rtol=0, atol=1e-12)
+
+    def test_batch_trips_leave_at_different_moves(self):
+        # the rows of one call end at different moves, so the decoder drops rows mid-batch
+        net, model = small_model(layers=2, max_len=12, seed=7, init_std=0.5)
+        trips = sg.gen_dataset(sg.SynthConfig(users=4, n_trajectories=40, max_len=12, seed=3))[0].trajectories
+        contexts = [
+            tm.GenerationContext(t.origin, t.destination, t.depart_bin, t.speed_bin, t.user_id, max_len=12, seed=5, traj_id=t.traj_id)
+            for t in trips
+        ]
+        batch = tm.generate(contexts, model, net)
+        assert len({len(r.trajectory.actions) for r in batch}) > 5
+        for ctx, res in zip(contexts, batch):
+            one = tm.generate_scored(ctx, model, net)
+            assert res.trajectory == one.trajectory
+            np.testing.assert_allclose(res.log_probs, one.log_probs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("field, value", [("max_len", 11), ("temperature", 0.5)])
+    def test_batch_of_differing_max_len_or_temperature_rejected(self, field, value):
+        net, model = small_model()
+        base = tm.GenerationContext(0, 24, 2, 7, 1, max_len=19)
+        odd = dataclasses.replace(base, **{field: value})
+        with pytest.raises(ValueError, match="^context 2: max_len .* and temperature .* differ from context 0's 19 and 1.0$"):
+            tm.generate([base, base, odd, odd], model, net)
+
+    def test_batch_context_outside_vocabulary_named_by_row(self):
+        net, model = small_model()
+        good, bad = tm.GenerationContext(0, 24, 2, 7, 1, max_len=19), tm.GenerationContext(0, 24, 2, 7, 4, max_len=19)
+        with pytest.raises(tk.EncodingError, match="^generation context 1: user 4 outside vocabulary of 4$"):
+            tm.generate([good, bad], model, net)
+
+    def test_empty_batch(self):
+        net, model = small_model()
+        assert tm.generate([], model, net) == []
+
+    @pytest.mark.parametrize(
+        "field, value", [("origin", 2.5), ("depart_bin", True), ("max_len", 2.5), ("traj_id", 2.5), ("seed", True), ("user_id", 1.0)]
+    )
+    def test_int_field_holding_bool_or_fraction_rejected_by_name(self, field, value):
+        # 2.5 used to pass check_columns by its cast and fail in the decoder, True to select a whole
+        # table, max_len 2.5 to fail inside numpy, and traj_id 2.5 to draw trip 2's stream
+        fields = {**dict(origin=0, destination=24, depart_bin=2, speed_bin=7, user_id=1), field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            tm.GenerationContext(**fields)
+
+    def test_numpy_integer_context_generates_as_int(self):
+        net, model = small_model()
+        fields = dict(origin=0, destination=24, depart_bin=2, speed_bin=7, user_id=1, max_len=19, seed=3, traj_id=4)
+        as_numpy = tm.GenerationContext(**{name: np.int64(value) for name, value in fields.items()})
+        want = tm.generate_scored(tm.GenerationContext(**fields), model, net)
+        got = tm.generate_scored(as_numpy, model, net)
+        assert (got.trajectory.positions, got.log_probs.tobytes()) == (want.trajectory.positions, want.log_probs.tobytes())
 
     def test_dead_end_flagged(self):
         graph = ng.LinkGraph([[1], []])
@@ -781,11 +874,11 @@ class TestDecoder:
         net, model = small_model(d=8, grid=4, seed=seed, init_std=0.5)
         ctx = tm.GenerationContext(5, 15, 2, 7, 1)
         positions, actions = random_walk(net, ctx.origin, moves, seed)
-        decoder = tm._Decoder(model, ctx)
+        decoder = tm._Decoder(model, tm._context_columns([ctx]))
         tokens, run = [], decoder._run
         decoder._run = lambda x: tokens.append(x[-1].copy()) or run(x)
         for t, pos in enumerate(positions):
-            decoder.step(pos, actions[t - 1] if t else None)
+            decoder_step(decoder, [0], [pos], [actions[t - 1] if t else -1])
             s_sum = (
                 model.emb_position.data[pos]
                 + model.emb_origin.data[ctx.origin]
@@ -803,12 +896,55 @@ class TestDecoder:
         net, model = small_model(d=8, layers=2, heads=2, seed=4)
         ctx = tm.GenerationContext(0, 24, 2, 7, 1)
         positions, actions = random_walk(net, ctx.origin, 6, seed=8)
-        decoder = tm._Decoder(model, ctx)
+        decoder = tm._Decoder(model, tm._context_columns([ctx]))
         rows, run = [], decoder._run
         decoder._run = lambda x: rows.append(len(x)) or run(x)
         for t, pos in enumerate(positions):
-            decoder.step(pos, actions[t - 1] if t else None)
+            decoder_step(decoder, [0], [pos], [actions[t - 1] if t else -1])
         assert rows == [1] + [2] * (len(positions) - 1)
+
+    @given(
+        st.integers(1, 3),
+        st.sampled_from([1, 2, 4]),
+        st.lists(st.integers(0, 9), min_size=2, max_size=5),
+        st.integers(0, 2**16),
+    )
+    def test_batch_matches_forward_batch_as_trips_leave_property(self, layers, heads, moves, seed):
+        # trips of different lengths leave the batch at different steps, and the caches drop their rows;
+        # every live trip's logits are still those of a fresh pass over its own trip so far
+        net, model = small_model(d=8, layers=layers, heads=heads, grid=4, seed=seed, init_std=0.5)
+        rng = np.random.default_rng(seed)
+        contexts = [
+            tm.GenerationContext(int(o), int(dst), int(dep), int(sp), int(u))
+            for o, dst, dep, sp, u in zip(*(rng.integers(0, n, size=len(moves)) for n in (16, 16, 24, 120, 4)))
+        ]
+        walks = [random_walk(net, ctx.origin, n, seed + i) for i, (ctx, n) in enumerate(zip(contexts, moves))]
+        decoder = tm._Decoder(model, tm._context_columns(contexts))
+        sizes = []
+        for t in range(max(moves) + 1):
+            live = [i for i, (positions, _) in enumerate(walks) if len(positions) > t]
+            sizes.append(len(live))
+            prev = [walks[i][1][t - 1] if t else -1 for i in live]
+            logits = decoder_step(decoder, live, [walks[i][0][t] for i in live], prev)
+            assert logits.shape == (len(live), 9)
+            for row, i in zip(logits, live):
+                window = prefix_window(contexts[i], walks[i][0][: t + 1], walks[i][1][:t])
+                np.testing.assert_allclose(row, tm.forward_batch([window], model).logits.data[-1], rtol=0, atol=1e-12)
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] == len(moves)
+
+    def test_batch_rows_run_per_move(self):
+        # each live trip runs a_{t-1} and s_t (s_0 alone at t = 0); a finished trip's rows leave
+        net, model = small_model(d=8, layers=2, heads=2, seed=4)
+        contexts = [tm.GenerationContext(0, 24, 2, 7, 1), tm.GenerationContext(3, 20, 1, 5, 2), tm.GenerationContext(12, 0, 0, 0, 3)]
+        walks = [random_walk(net, ctx.origin, n, seed=8 + n) for ctx, n in zip(contexts, (6, 2, 4))]
+        decoder = tm._Decoder(model, tm._context_columns(contexts))
+        rows, run = [], decoder._run
+        decoder._run = lambda x: rows.append(len(x)) or run(x)
+        for t in range(7):
+            live = [i for i, (positions, _) in enumerate(walks) if len(positions) > t]
+            decoder_step(decoder, live, [walks[i][0][t] for i in live], [walks[i][1][t - 1] if t else -1 for i in live])
+        assert rows == [3, 6, 6, 4, 4, 2, 2]
+        assert decoder.caches[0].shape[1] == 1  # the caches hold the one trip still under way
 
 
 class TestCheckpoint:
