@@ -101,6 +101,9 @@ class ParamModel:
         return clone
 
     def save(self, path, meta: dict | None = None) -> None:
+        """Write the checkpoint file. The header is serialized before the file is opened, so a config
+        or meta that JSON cannot hold raises TypeError and leaves no file; numpy scalars are written
+        as the Python numbers they hold."""
         header = {
             "format": MAGIC,
             "version": VERSION,
@@ -109,9 +112,22 @@ class ParamModel:
             "meta": meta or {},
             "manifest": _manifest(self.parameters()),
         }
+        line = json.dumps(header, sort_keys=True, default=_json_scalar).encode("utf-8") + b"\n"
         with open(path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+            fh.write(line)
             fh.write(self.vector.astype("<f8").tobytes())
+
+    def release_grads(self) -> None:
+        """Drop every parameter's `.grad`: a trainer calls it once, when its run ends (see `numcore`)."""
+        for t in self.param_tensors():
+            t.grad = None
+
+
+def _json_scalar(value):
+    """A numpy scalar as the Python number it holds, for `json.dumps`; TypeError for anything else."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _manifest(named) -> list:

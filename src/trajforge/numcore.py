@@ -7,8 +7,14 @@ Gradient buffers are lazy: the first gradient to reach a node becomes its
 `.grad` and later ones add into it. Leaves (tensors without a closure, such as
 parameters and inputs) keep their gradients; an interior node drops its own once
 its closure has run, so that closure owns its `g` and may hand it to a parent
-as that parent's `.grad`. No two tensors share a gradient buffer. All stochastic
-helpers take an explicit counter-based RNG so replays are bit-identical.
+as that parent's `.grad`. No two tensors share a gradient buffer. A leaf's `.grad`
+holds the gradient of the last `backward` that reached it until the next one
+replaces it. The trainers (`pretrain`, `train_critic`) set every parameter's
+`.grad` to None once, when their run ends (`ParamModel.release_grads`), so a
+returned model holds only its parameters. They do not release them after each
+step: the freed parameter-sized buffers let the allocator trim its heap, and the
+next step faults the pages back in. All stochastic helpers take an explicit
+counter-based RNG so replays are bit-identical.
 """
 
 from __future__ import annotations
@@ -489,8 +495,9 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return _node(nll.mean(), (logits,), bwd)
 
 
-def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
-    """Forward formula of `layer_norm` on arrays: (output, normalized x, 1 / std of each row).
+def _normalize(x: np.ndarray, eps: float):
+    """`x` at zero mean and unit variance along its last axis: (normalized x, 1 / std of each row),
+    the normalized x in a new array.
 
     Means are sums over the width, which round exactly as `ndarray.mean` at a fraction of its overhead.
     A (1, d) input takes its row's mean and variance as Python floats, with the same bits (the sums
@@ -505,15 +512,33 @@ def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
         xhat = x - x.sum(axis=-1, keepdims=True) / d
         inv_std = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
     xhat *= inv_std
-    return xhat * gain + bias, xhat, inv_std
+    return xhat, inv_std
+
+
+def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Forward formula of `layer_norm` on arrays, in one buffer: the normalized x (`_normalize`) is
+    scaled and shifted in place into the output, with the bits of `xhat * gain + bias`."""
+    out, _ = _normalize(x, eps)
+    out *= gain
+    out += bias
+    return out
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    One-buffer rule: with no graph recorded, the output is `layer_norm_fwd`'s, built in the array of
+    the normalized x. A recorded node keeps the normalized x and 1 / std for its backward, so its
+    output is a second array, made with the same in-place steps and so with the same bits.
+    """
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"gain/bias must have shape ({d},)")
-    out_val, xhat, inv_std = layer_norm_fwd(x.data, gain.data, bias.data, eps)
+    if not _recording:
+        return Tensor(layer_norm_fwd(x.data, gain.data, bias.data, eps))
+    xhat, inv_std = _normalize(x.data, eps)
+    out_val = xhat * gain.data
+    out_val += bias.data
 
     def bwd(g):
         reduce_axes = tuple(range(g.ndim - 1))
@@ -529,32 +554,48 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu_fwd(x: np.ndarray):
-    """Forward formula of `gelu` on arrays: (output, tanh of the inner term).
-
-    Tanh approximation, 0.5 x (1 + tanh(c (x + 0.044715 x^3))); powers by multiplication, which is
-    far cheaper than `**`. Only `t` and the output are allocated, each built in place, with the
-    bits of the whole-array formula: every step only commutes its operands, and the output's
-    `((1 + t) * 0.5) * x` equals `(0.5 * x) * (1 + t)`, as halving is exact except below 2^-1021,
-    where `1 + t` is exactly 1. `gelu` keeps `t` for its backward.
-    """
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """GELU's `t = tanh(c (x + 0.044715 x^3))` in one new array, built in place with the bits of that
+    whole-array formula: every step only commutes its operands. Powers by multiplication, which is
+    far cheaper than `**`."""
     t = x * x
     t *= x
     t *= 0.044715
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = t + 1.0
+    return t
+
+
+def _gelu_out(t: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """GELU's output `((1 + t) * 0.5) * x` in place in `out`, which may be `t` itself. It equals
+    `(0.5 * x) * (1 + t)`, as halving is exact except below 2^-1021, where `1 + t` is exactly 1."""
+    np.add(t, 1.0, out=out)
     out *= 0.5
     out *= x
-    return out, t
+    return out
+
+
+def gelu_fwd(x: np.ndarray) -> np.ndarray:
+    """Forward formula of `gelu` on arrays, tanh approximation 0.5 x (1 + tanh(c (x + 0.044715 x^3))),
+    in one buffer: the output is built in place in the array of `t` (`_gelu_tanh`, `_gelu_out`)."""
+    t = _gelu_tanh(x)
+    return _gelu_out(t, x, t)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation (`gelu_fwd`). The node keeps `t` and reads `x`'s data; the backward
-    builds `g * (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2))` in two scratch arrays,
-    step by step in that formula's order with at most its operands commuted, so with its bits."""
-    out_val, t = gelu_fwd(x.data)
+    """GELU, tanh approximation (`gelu_fwd`).
+
+    One-buffer rule: with no graph recorded, the output is `gelu_fwd`'s, built in the array of `t`.
+    A recorded node keeps `t` and reads `x`'s data, so its output is a second array, made with the
+    same in-place steps and so with the same bits. The backward builds `g * (0.5 (1 + t) + 0.5 x
+    (1 - t^2) c (1 + 3 * 0.044715 x^2))` in two scratch arrays, step by step in that formula's order
+    with at most its operands commuted, so with its bits.
+    """
+    if not _recording:
+        return Tensor(gelu_fwd(x.data))
+    t = _gelu_tanh(x.data)
+    out_val = _gelu_out(t, x.data, np.empty_like(t))
 
     def bwd(g):
         xd = x.data
@@ -577,10 +618,11 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    """Leaky ReLU as max(x, slope * x), valid for 0 <= slope <= 1 and cheaper than selecting on the sign."""
+    """Leaky ReLU as max(x, slope * x), valid for 0 <= slope <= 1 and cheaper than selecting on the sign;
+    the backward's factor is likewise max(x >= 0, slope): 1 or `slope`, as the mask picks."""
 
     def bwd(g):
-        _accum(x, g * np.where(x.data >= 0, 1.0, slope), fresh=True)
+        _accum(x, g * np.maximum(x.data >= 0, slope), fresh=True)
 
     return _node(np.maximum(x.data, slope * x.data), (x,), bwd)
 

@@ -101,7 +101,9 @@ def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
     Deterministic given cfg.seed. Early-stops after `patience` eval periods
     without improvement. Raises EncodingError for a trajectory the model's
     vocabulary cannot embed. Returns (model, TrainLog); the model carries the
-    best-eval checkpoint.
+    best-eval checkpoint. Each parameter's `.grad` holds the last step's
+    gradient while training runs; once the best parameters are restored, every
+    `.grad` is released, so the returned model holds only its parameters.
     """
     train_trajs = dataset.train()
     if not train_trajs:
@@ -141,6 +143,7 @@ def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
             break
     if eval_trajs:
         model.vector[:] = best_params
+    model.release_grads()
     return model, log
 
 

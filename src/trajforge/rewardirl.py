@@ -296,7 +296,8 @@ def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
     `_check_rows` names the training trajectory of the first transition that the critic cannot
     score: EncodingError for an index outside its vocabulary, and ValueError for a move out of a
     position with no feasible action, or into one other than as a complete trip's last move,
-    where V*(s') is undefined.
+    where V*(s') is undefined. Each parameter's `.grad` holds the last step's gradient while training
+    runs and is released when it ends, so the returned critic holds only its parameters.
     """
     trajs = dataset.train()
     transitions = transitions_from_dataset(dataset)
@@ -317,4 +318,5 @@ def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
             parts.append((p["loss"], p["expert_term"], p["initial_term"]))
         loss, expert, initial = (float(np.mean(col)) for col in zip(*parts))
         log.rows.append((epoch, loss, time.perf_counter() - t0, expert, initial))
+    critic.release_grads()
     return critic, log

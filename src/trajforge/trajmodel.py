@@ -406,7 +406,7 @@ class _Decoder:
         self.state_rows[:, -1] = ts[t]
         np.add.reduce(self.state_rows, 1, out=new[:, -1])
         self.t = t + 1
-        return self._run(nc.layer_norm_fwd(new.reshape(-1, m.cfg.d_model), m.ln_emb_gain.data, m.ln_emb_bias.data)[0])
+        return self._run(nc.layer_norm_fwd(new.reshape(-1, m.cfg.d_model), m.ln_emb_gain.data, m.ln_emb_bias.data))
 
     def _keep(self, keep: np.ndarray) -> None:
         """Keep the live trips `keep` (ascending indices among them), copying only the caches' filled part."""
@@ -428,7 +428,7 @@ class _Decoder:
         hidden = self.pending[:, -total:] if r == 2 else None
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            h = nc.layer_norm_fwd(x, layer["ln1_gain"], layer["ln1_bias"])[0]
+            h = nc.layer_norm_fwd(x, layer["ln1_gain"], layer["ln1_bias"])
             hw = h @ layer["w_in"]
             cache = self.caches[i]
             cache[:, :, :, total - r : total] = hw[:, -2 * d :].reshape(trips, r, 2, n_heads, -1).transpose(2, 0, 3, 1, 4)
@@ -440,12 +440,12 @@ class _Decoder:
                 q = hw[:, :d].reshape(trips, r, n_heads, -1).transpose(0, 2, 1, 3)
             ctx, _ = nc.masked_attention(q, cache[0, :, :, :total], cache[1, :, :, :total], hidden)
             x += ctx.transpose(0, 2, 1, 3).reshape(x.shape) @ layer["wo"]
-            ff = nc.layer_norm_fwd(x, layer["ln2_gain"], layer["ln2_bias"])[0] @ layer["ff_w1"]
+            ff = nc.layer_norm_fwd(x, layer["ln2_gain"], layer["ln2_bias"]) @ layer["ff_w1"]
             ff += layer["ff_b1"]
-            ff = nc.gelu_fwd(ff)[0] @ layer["ff_w2"]
+            ff = nc.gelu_fwd(ff) @ layer["ff_w2"]
             ff += layer["ff_b2"]
             x += ff
-        logits = nc.layer_norm_fwd(x, m.ln_f_gain.data, m.ln_f_bias.data)[0] @ m.head_w.data
+        logits = nc.layer_norm_fwd(x, m.ln_f_gain.data, m.ln_f_bias.data) @ m.head_w.data
         logits += m.head_b.data
         if not np.isfinite(logits).all():
             raise nc.EvaluationError("non-finite values in action logits")

@@ -1,7 +1,9 @@
 """What several test modules share: a scalar loss and a finite-difference check over numcore's
-recorded graph, reference AdamW and GELU formulas, one oracle trip, and a reference GPS ingestion."""
+recorded graph, the one peak-memory probe, reference AdamW, layer-norm and GELU formulas, one
+oracle trip, and a reference GPS ingestion."""
 
 import math
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -52,6 +54,17 @@ def finite_diff_check(f, params, eps: float = 1e-4) -> float:
     return worst
 
 
+def traced_peak(fn) -> int:
+    """The peak, in bytes, of the memory that Python's allocators hand out during one call `fn()`,
+    counting only what the call allocates (tracemalloc, started just before it)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def reference_adamw_step(vector: np.ndarray, grad: np.ndarray, state: nc.OptimizerState) -> None:
     """`numcore.adamw_step` as three whole-array formulas, each making its own temporaries."""
     state.step += 1
@@ -71,6 +84,14 @@ def reference_gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`numcore.gelu_fwd` as one whole-array formula, making its own temporaries: (output, t)."""
     t = np.tanh(GELU_C * (x + 0.044715 * (x * x * x)))
     return 0.5 * x * (1.0 + t), t
+
+
+def reference_layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+    """`numcore.layer_norm`'s forward as whole-array formulas with `ndarray.mean`, making their own
+    temporaries: (output, normalized x, 1 / std of each row)."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    return centered * inv_std * gain + bias, centered * inv_std, inv_std
 
 
 def reference_gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -73,6 +73,31 @@ class TestFormatStability:
         assert [name for name, _ in critic.parameters()] == expected
 
 
+class TestSave:
+    def test_numpy_integer_config_round_trips(self, tmp_path):
+        # a numpy scalar in the config or meta is written as the Python number it holds
+        _, vocab = tiny_net_vocab()
+        cfg = tm.ModelConfig(vocab, d_model=np.int64(8), n_heads=2)
+        model = tm.PolicyModel(cfg, rng=make_rng(3))
+        path = tmp_path / "numpy.ckpt"
+        model.save(path, {"epochs": np.int64(2), "nll": np.float64(1.5)})
+        assert json.loads(path.read_bytes().split(b"\n", 1)[0])["config"]["d_model"] == 8
+        loaded, meta = ck.load(path, tm.PolicyModel, vocab)
+        assert loaded.cfg == cfg and type(loaded.cfg.d_model) is int
+        assert loaded.params_hash() == model.params_hash()
+        assert meta == {"epochs": 2, "nll": 1.5}
+
+    def test_failed_save_leaves_no_file(self, tmp_path):
+        model, _ = tiny_model("policy")
+        path, kept = tmp_path / "new.ckpt", tmp_path / "kept.ckpt"
+        model.save(kept)
+        before = kept.read_bytes()
+        for target in (path, kept):
+            with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+                model.save(target, {"note": object()})
+        assert not path.exists() and kept.read_bytes() == before
+
+
 def assert_bound(model):
     """Every parameter's `data` is a view of `model.vector`, which holds them in manifest order."""
     named = model.parameters()

@@ -1,12 +1,19 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from helpers import finite_diff_check, reference_adamw_step, reference_gelu, reference_gelu_grad, total
+from helpers import (
+    finite_diff_check,
+    reference_adamw_step,
+    reference_gelu,
+    reference_gelu_grad,
+    reference_layer_norm,
+    total,
+    traced_peak,
+)
 
 from trajforge import numcore as nc
 
@@ -97,14 +104,40 @@ class TestGelu:
     def test_bytes_equal_the_formulas_property(self, x, data):
         g = data.draw(hnp.arrays(np.float64, x.shape, elements=gelu_inputs))
         with np.errstate(over="ignore", invalid="ignore"):  # x^3 overflows past 1e103, and 0 * inf follows
-            out, t = nc.gelu_fwd(x)
+            out, t = nc.gelu_fwd(x), nc._gelu_tanh(x)
             ref_out, ref_t = reference_gelu(x)
             assert out.tobytes() == ref_out.tobytes() and t.tobytes() == ref_t.tobytes()
             leaf = nc.Tensor(x)
             node = nc.gelu(leaf)
-            assert node.data.tobytes() == ref_out.tobytes()
+            with nc.no_graph():  # without a graph the output is built in t's own array
+                bare = nc.gelu(leaf)
+            assert bare._parents == () and bare._bwd is None
+            assert node.data.tobytes() == ref_out.tobytes() and bare.data.tobytes() == ref_out.tobytes()
             node._bwd(g.copy())
             assert leaf.grad.tobytes() == reference_gelu_grad(x, ref_t, g).tobytes()
+
+    def test_graph_free_peaks_at_one_output_array(self):
+        # a recorded node keeps t beside its output; without a graph t's array becomes the output
+        x = nc.Tensor(nc.make_rng(61).normal(size=(512, 256)))
+        one = x.data.nbytes
+
+        def bare():
+            with nc.no_graph():
+                nc.gelu(x)
+
+        bare_peak, recorded_peak = traced_peak(bare), traced_peak(lambda: nc.gelu(x))
+        assert bare_peak <= one + 4096, f"graph-free gelu peaked at {bare_peak / one:.3f} arrays"
+        assert recorded_peak >= 2 * one
+
+
+class TestLeakyRelu:
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=6), elements=st.floats()), st.data())
+    def test_backward_bytes_equal_selecting_the_slope_property(self, x, data):
+        # the backward's max(x >= 0, slope) picks 1 or slope as `where` would, NaN and -0.0 included
+        g = data.draw(hnp.arrays(np.float64, x.shape, elements=gelu_inputs))
+        leaf = nc.Tensor(x)
+        nc.leaky_relu(leaf, 0.01)._bwd(g.copy())
+        assert leaf.grad.tobytes() == (g * np.where(x >= 0, 1.0, 0.01)).tobytes()
 
 
 class TestDropout:
@@ -313,12 +346,30 @@ class TestLayerNorm:
         # the array helper divides sums by the width; ndarray.mean must round identically
         rng = np.random.default_rng(seed)
         x, gain, bias = scale * rng.normal(size=(rows, width)), rng.normal(size=width), rng.normal(size=width)
-        centered = x - x.mean(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
-        out, xhat, got_inv_std = nc.layer_norm_fwd(x, gain, bias)
+        ref_out, ref_xhat, inv_std = reference_layer_norm(x, gain, bias)
+        out, (xhat, got_inv_std) = nc.layer_norm_fwd(x, gain, bias), nc._normalize(x, 1e-5)
         np.testing.assert_array_equal(got_inv_std, inv_std)
-        np.testing.assert_array_equal(xhat, centered * inv_std)
-        np.testing.assert_array_equal(out, centered * inv_std * gain + bias)
+        np.testing.assert_array_equal(xhat, ref_xhat)
+        np.testing.assert_array_equal(out, ref_out)
+
+    @given(st.integers(1, 6), st.integers(1, 70), st.floats(1e-3, 1e3), st.integers(0, 2**16), st.booleans())
+    def test_graph_free_bits_equal_recorded_op_and_formula_property(self, rows, width, scale, seed, one_dim):
+        # without a graph the output is built in the normalized x's own array, with the same bits
+        rng = np.random.default_rng(seed)
+        x, gain, bias = scale * rng.normal(size=(rows, width)), rng.normal(size=width), rng.normal(size=width)
+        if one_dim:
+            x = x[0]
+
+        def run():
+            return nc.layer_norm(nc.Tensor(x), nc.Tensor(gain), nc.Tensor(bias))
+
+        recorded = run()
+        with nc.no_graph():
+            bare = run()
+        assert recorded._parents and bare._parents == () and bare._bwd is None
+        want = reference_layer_norm(x, gain, bias)[0].tobytes()
+        assert bare.data.tobytes() == want and recorded.data.tobytes() == want
+        assert nc.layer_norm_fwd(x, gain, bias).tobytes() == want
 
 
     @given(st.integers(2, 6), st.integers(1, 70), st.floats(1e-3, 1e3), st.integers(0, 2**16))
@@ -326,10 +377,10 @@ class TestLayerNorm:
         # a (1, d) input takes its mean and variance as Python floats; a taller input runs the array path
         rng = np.random.default_rng(seed)
         x, gain, bias = scale * rng.normal(size=(rows, width)), rng.normal(size=width), rng.normal(size=width)
-        out, xhat, inv_std = nc.layer_norm_fwd(x, gain, bias)
+        out, (xhat, inv_std) = nc.layer_norm_fwd(x, gain, bias), nc._normalize(x, 1e-5)
         for i in range(rows):
             for row in (x[i : i + 1], x[i::rows]):  # contiguous, and a strided view as the decoder passes
-                one_out, one_xhat, one_inv_std = nc.layer_norm_fwd(row, gain, bias)
+                one_out, (one_xhat, one_inv_std) = nc.layer_norm_fwd(row, gain, bias), nc._normalize(row, 1e-5)
                 assert isinstance(one_inv_std, float)
                 assert one_out.tobytes() == out[i : i + 1].tobytes() and one_xhat.tobytes() == xhat[i : i + 1].tobytes()
                 assert np.float64(one_inv_std).tobytes() == inv_std[i].tobytes()
@@ -812,12 +863,7 @@ class TestLazyGradients:
         h = x
         for _ in range(50):
             h = nc.mul_const(h, 1.0)
-        tracemalloc.start()
-        try:
-            nc.backward(h)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: nc.backward(h))
         np.testing.assert_array_equal(x.grad, np.ones((256, 64)))
         assert peak <= 3 * x.data.nbytes, f"backward peaked at {peak / x.data.nbytes:.1f} arrays"
 

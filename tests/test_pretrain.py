@@ -154,6 +154,28 @@ class TestPretrain:
         # the parts share their boundary cell, so no move is lost
         assert first.positions + second.positions[1:] == [i % 2 for i in range(61)]
 
+    @pytest.mark.parametrize("run", ["early-stopped", "no-eval-split"])
+    def test_gradients_kept_between_steps_and_released_at_the_end(self, run, monkeypatch):
+        # each step finds the last one's gradients (a release per step would make the allocator
+        # return and re-fault them every step); the returned model holds only its parameters
+        dataset, model, _, _ = tiny_setup()
+        if run == "early-stopped":  # lr 0 keeps the eval loss, so with patience 0 the second epoch stops
+            cfg = pt.TrainConfig(epochs=4, batch_size=8, lr=0.0, weight_decay=0.0, seed=1, patience=0)
+        else:
+            cfg = pt.TrainConfig(epochs=4, batch_size=8, seed=1)
+            dataset = sg.Dataset(dataset.net, dataset.trajectories, dataset.user_count, train_idx=dataset.train_idx)
+        held, apply_step = [], pt.apply_step
+
+        def step(m, loss, opt, clip):
+            held.append([t.grad is not None for t in m.param_tensors()])
+            return apply_step(m, loss, opt, clip)
+
+        monkeypatch.setattr(pt, "apply_step", step)
+        returned, log = pt.pretrain(dataset, model, cfg)
+        assert len(log.rows) == (2 if run == "early-stopped" else 4)
+        assert not any(held[0]) and len(held) > 2 and all(all(h) for h in held[1:])
+        assert returned is model and [name for name, t in model.parameters() if t.grad is not None] == []
+
     def test_zero_lr_leaves_eval_loss_unchanged(self):
         dataset, model, _, _ = tiny_setup()
         cfg = pt.TrainConfig(epochs=3, batch_size=8, lr=0.0, weight_decay=0.0, seed=1)

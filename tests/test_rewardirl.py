@@ -525,6 +525,21 @@ class TestTrainCritic:
         ri.train_critic(dataset, critic, ri.IRLConfig(lr=0.0, epochs=2))
         assert critic.params_hash() == before
 
+    def test_gradients_kept_between_steps_and_released_at_the_end(self, monkeypatch):
+        cfg_synth = sg.SynthConfig(width=3, height=3, users=2, n_trajectories=8, seed=1, max_len=8)
+        dataset, _ = sg.gen_dataset(cfg_synth)
+        net, critic = grid_critic()
+        held, apply_step = [], ri.apply_step
+
+        def step(m, loss, opt, clip):
+            held.append([t.grad is not None for t in m.param_tensors()])
+            return apply_step(m, loss, opt, clip)
+
+        monkeypatch.setattr(ri, "apply_step", step)
+        returned, _ = ri.train_critic(dataset, critic, ri.IRLConfig(epochs=3, batch_size=16))
+        assert not any(held[0]) and len(held) > 2 and all(all(h) for h in held[1:])
+        assert returned is critic and [name for name, t in critic.parameters() if t.grad is not None] == []
+
     def test_tabular_chain_expert_recovered(self):
         # 4 links; the expert always picks downstream index 0: 0 -> 1 -> 2 -> 3
         graph = ng.LinkGraph([[1, 0], [2, 0], [3, 0], []])

@@ -1,13 +1,12 @@
 import dataclasses
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from helpers import finite_diff_check, oracle_trip
+from helpers import finite_diff_check, oracle_trip, traced_peak
 
 from trajforge import checkpoint as ck
 from trajforge import netgrid as ng
@@ -391,20 +390,12 @@ class TestForward:
         net, model = small_model(d=32, layers=2, heads=2)
         windows = random_windows(model.cfg.vocab, [(8, i % 3 == 0) for i in range(64)], seed=4)
 
-        def peak(graph):
-            tracemalloc.start()
-            try:
-                if graph:
-                    out = tm.forward_batch(windows, model)
-                else:
-                    with nc.no_graph():
-                        out = tm.forward_batch(windows, model)
-                return tracemalloc.get_traced_memory()[1], out
-            finally:
-                tracemalloc.stop()
+        def bare_forward():
+            with nc.no_graph():
+                tm.forward_batch(windows, model)
 
-        recorded, _ = peak(graph=True)
-        bare, _ = peak(graph=False)
+        recorded = traced_peak(lambda: tm.forward_batch(windows, model))
+        bare = traced_peak(bare_forward)
         assert bare < 0.6 * recorded  # ~16 MB with the graph, ~6 MB without
 
     def test_overlength_window_rejected(self):
@@ -888,7 +879,7 @@ class TestDecoder:
                 + model.emb_user.data[ctx.user_id]
                 + model.emb_timestep.data[t]
             )
-            want = nc.layer_norm_fwd(s_sum[None], model.ln_emb_gain.data, model.ln_emb_bias.data)[0][0]
+            want = nc.layer_norm_fwd(s_sum[None], model.ln_emb_gain.data, model.ln_emb_bias.data)[0]
             assert tokens[t].tobytes() == want.tobytes()
 
     def test_rows_run_per_move(self):
