@@ -16,10 +16,6 @@ meta, version) followed by each parameter as little-endian float64, in manifest 
 
     policy, meta = checkpoint.load(path, PolicyModel, vocab)
     critic, meta = checkpoint.load(path, CriticModel, vocab, (net,))
-
-`require` is the field check that the configs' `__post_init__` run: the model configs that
-a checkpoint rebuilds, and the trainers' and generation's configs. It rejects a bool or a
-non-integral number in an `int` field by name, so a checkpoint header cannot smuggle one in.
 """
 
 from __future__ import annotations
@@ -31,20 +27,11 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .numcore import Tensor, check_integer_fields, make_rng
+from .numcore import Tensor, make_rng
 from .tokenizer import VocabSpec
 
 MAGIC = "trajforge-ckpt"
 VERSION = 1
-
-
-def require(cfg, *rules) -> None:
-    """Raise a ValueError naming the first field of `cfg` that breaks its rule: first an `int` field
-    that holds no integer (`numcore.check_integer_fields`), then the rules, which are (field, holds, bound)."""
-    check_integer_fields(cfg)
-    for name, holds, bound in rules:
-        if not holds:
-            raise ValueError(f"{name} must be {bound}, got {getattr(cfg, name)!r}")
 
 
 class CheckpointError(RuntimeError):

@@ -16,8 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numcore import require
+
 N_ACTIONS = 9
 STAY_ACTION = 4
+GRID_SIDE = (lambda side: side >= 2, ">= 2")  # a grid's width and height, as a `numcore.require` bound
 
 
 class BoundaryError(ValueError):
@@ -37,8 +40,7 @@ class GridSpec:
     cell_size_m: float = 1000.0
 
     def __post_init__(self):
-        if self.width < 2 or self.height < 2:
-            raise ValueError(f"grid must be at least 2x2, got {self.width}x{self.height}")
+        require(self, width=GRID_SIDE, height=GRID_SIDE)
 
 
 @dataclass

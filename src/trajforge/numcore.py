@@ -49,21 +49,41 @@ class DistributionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# RNG
+# Config fields and RNG
 # ---------------------------------------------------------------------------
 
 
-def _is_integer(value) -> bool:
+def is_integer(value) -> bool:
     """True for an int or a numpy integer; a bool is no integer here, nor is an integral float."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_integer_fields(cfg, error: type = ValueError) -> None:
-    """Raise `error` naming the first `int` field of the dataclass `cfg` that holds no integer (`_is_integer`)."""
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.type in ("int", int) and not _is_integer(value):
-            raise error(f"{f.name} must be an integer, got {value!r}")
+def is_real(value) -> bool:
+    """True for an integer (`is_integer`) or a float whose value is finite within float64's range."""
+    return (is_integer(value) or isinstance(value, (float, np.floating))) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+_INTEGER, _REAL = (is_integer, "an integer"), (is_real, "a finite real number")
+_FIELD_TYPES = {int: _INTEGER, "int": _INTEGER, float: _REAL, "float": _REAL}  # by annotation, postponed or not
+AT_LEAST_1 = (lambda value: value >= 1, ">= 1")
+NON_NEGATIVE = (lambda value: value >= 0, ">= 0")
+POSITIVE = (lambda value: value > 0, "> 0")
+
+
+def require(cfg, error: type = ValueError, **bounds) -> None:
+    """The one field check, and all that a config's `__post_init__` runs: raise `error`, as `<field> must
+    be <text>, got <value!r>`, for the first field of the dataclass `cfg` that breaks its rule.
+    Types come first, in field order: an `int` field must hold an integer (`is_integer`) and a `float`
+    field a finite real number (`is_real`); a bool is neither. Then the bounds, (test, text) pairs by
+    field name, in the order given, so no bound meets a None or a str in a typed field; a bound of an
+    untyped field must take any value. A rule that reads two fields is a second call, once the first
+    has checked both. So a checkpoint header cannot smuggle a bool, a fraction or a NaN into a config."""
+    types = [(f.name, _FIELD_TYPES[f.type]) for f in dataclasses.fields(cfg) if f.type in _FIELD_TYPES]
+    for name, (test, text) in [*types, *bounds.items()]:
+        value = getattr(cfg, name)
+        if not test(value):
+            raise error(f"{name} must be {text}, got {value!r}")
 
 
 def make_rng(*key) -> np.random.Generator:
@@ -78,7 +98,7 @@ def make_rng(*key) -> np.random.Generator:
     for part in key:
         if isinstance(part, str):
             h.update(b"s" + part.encode("utf-8"))
-        elif _is_integer(part):
+        elif is_integer(part):
             h.update(b"i" + int(part).to_bytes(16, "little", signed=True))
         else:
             raise TypeError(f"rng key part {part!r} is neither a str nor an integer")

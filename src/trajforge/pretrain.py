@@ -9,8 +9,8 @@ import numpy as np
 
 from . import numcore as nc
 from . import trajmodel as tm
-from .checkpoint import ParamModel, require
-from .numcore import make_rng
+from .checkpoint import ParamModel
+from .numcore import AT_LEAST_1, NON_NEGATIVE, POSITIVE, make_rng, require
 from .synthgen import Dataset, Trajectory
 from .tokenizer import check_vocab, encode_trips, windowize
 
@@ -33,13 +33,7 @@ class TrainConfig:
 
     def __post_init__(self):
         require(
-            self,
-            ("epochs", self.epochs >= 1, ">= 1"),
-            ("batch_size", self.batch_size >= 1, ">= 1"),
-            ("lr", self.lr >= 0, ">= 0"),
-            ("weight_decay", self.weight_decay >= 0, ">= 0"),
-            ("grad_clip", self.grad_clip > 0, "> 0"),
-            ("patience", self.patience >= 0, ">= 0"),
+            self, epochs=AT_LEAST_1, batch_size=AT_LEAST_1, lr=NON_NEGATIVE, weight_decay=NON_NEGATIVE, grad_clip=POSITIVE, patience=NON_NEGATIVE
         )
 
 

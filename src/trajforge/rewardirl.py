@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import netgrid, numcore as nc
-from .checkpoint import ParamModel, require
+from .checkpoint import ParamModel
 from .netgrid import EnvState, Network
-from .numcore import Tensor, make_rng
+from .numcore import AT_LEAST_1, NON_NEGATIVE, POSITIVE, Tensor, make_rng, require
 from .pretrain import apply_step
 from .synthgen import Dataset
 from .tokenizer import VocabSpec, check_columns, encode_trips
@@ -55,7 +55,7 @@ class CriticConfig:
     init_std: float = 0.02
 
     def __post_init__(self):
-        require(self, ("d", self.d >= 1, ">= 1"), ("init_std", 0.0 <= self.init_std < np.inf, "finite and >= 0"))
+        require(self, d=AT_LEAST_1, init_std=NON_NEGATIVE)
 
 
 @dataclass
@@ -71,12 +71,12 @@ class IRLConfig:
     def __post_init__(self):
         require(
             self,
-            ("gamma", 0.0 < self.gamma < 1.0, "in (0, 1)"),
-            ("alpha_phi", self.alpha_phi > 0, "> 0"),
-            ("lr", self.lr >= 0, ">= 0"),
-            ("batch_size", self.batch_size >= 1, ">= 1"),
-            ("epochs", self.epochs >= 1, ">= 1"),
-            ("grad_clip", self.grad_clip > 0, "> 0"),
+            gamma=(lambda gamma: 0 < gamma < 1, "in (0, 1)"),
+            alpha_phi=POSITIVE,
+            lr=NON_NEGATIVE,
+            batch_size=AT_LEAST_1,
+            epochs=AT_LEAST_1,
+            grad_clip=POSITIVE,
         )
 
 

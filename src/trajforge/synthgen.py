@@ -34,8 +34,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import netgrid, numcore
-from .netgrid import EnvState, GridNetwork, GridSpec, Network
-from .numcore import make_rng, masked_log_softmax
+from .netgrid import GRID_SIDE, EnvState, GridNetwork, GridSpec, Network
+from .numcore import AT_LEAST_1, NON_NEGATIVE, make_rng, masked_log_softmax, require
 
 N_FEATURES = 3  # progress, turn-change, stay
 FLAGS = ("complete", "truncated", "dead_end")  # reached the destination, ran out of moves, stuck
@@ -291,11 +291,21 @@ def oracle_trips(prefs: PreferenceParams, net: Network, users, origins, destinat
     return roll_out(net, origins, destinations, uniforms, lambda *step: oracle()(*step))
 
 
+def _weight_rows(rows) -> bool:
+    """True for one or more rows of `N_FEATURES` finite weights, as `draw_preferences` reads them."""
+    try:
+        weights = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError):  # a ragged list, or an entry that is no number
+        return False
+    return weights.ndim == 2 and len(weights) >= 1 and weights.shape[1] == N_FEATURES and bool(np.isfinite(weights).all())
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Synthetic benchmark declaration: grid, population prior, and uniform origin-destination sampling.
 
-    Frozen, since its fields are checked once, when it is made."""
+    Frozen, since its fields are checked once, when it is made: `numcore.require` checks each field's
+    type, then its bound, and raises ConfigError naming the first field that breaks one."""
 
     width: int = 5
     height: int = 5
@@ -310,22 +320,19 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        numcore.check_integer_fields(self, ConfigError)
-        if self.users < 1:
-            raise ConfigError("users must be >= 1")
-        if self.n_trajectories < 0:
-            raise ConfigError("n_trajectories must be >= 0")
-        if self.max_len < 1:
-            raise ConfigError("max_len must be >= 1")
-        if not self.archetypes:
-            raise ConfigError("at least one archetype is required")
-        for arch in self.archetypes:
-            if len(arch) != N_FEATURES:
-                raise ConfigError(f"archetype {arch} must have {N_FEATURES} weights")
-        if not 1 <= self.depart_bins <= 24 or not 1 <= self.speed_bins <= 120:
-            raise ConfigError("depart_bins in [1,24], speed_bins in [1,120]")
-        if not self.theta_sigma >= 0:
-            raise ConfigError(f"theta_sigma must be >= 0, got {self.theta_sigma!r}")
+        require(
+            self,
+            ConfigError,
+            width=GRID_SIDE,
+            height=GRID_SIDE,
+            users=AT_LEAST_1,
+            n_trajectories=NON_NEGATIVE,
+            archetypes=(_weight_rows, f"rows of {N_FEATURES} finite weights"),
+            theta_sigma=NON_NEGATIVE,
+            max_len=AT_LEAST_1,
+            depart_bins=(lambda bins: 1 <= bins <= 24, "in [1, 24]"),
+            speed_bins=(lambda bins: 1 <= bins <= 120, "in [1, 120]"),
+        )
 
 
 def draw_preferences(cfg: SynthConfig) -> PreferenceParams:
@@ -397,7 +404,7 @@ def save_dataset(dataset: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         if isinstance(dataset.net, GridNetwork):
             spec = dataset.net.spec
-            fh.write(f"#grid {spec.width} {spec.height} {spec.cell_size_m!r}\n")
+            fh.write(f"#grid {spec.width} {spec.height} {float(spec.cell_size_m)!r}\n")  # float(): a numpy float's repr names its type
         else:
             fh.write(f"#links {dataset.net.n_positions}\n")
         fh.write(f"#users {dataset.user_count}\n")
@@ -598,12 +605,13 @@ def ingest_csv(
         raise ConfigError(f"degenerate bbox {bbox}")
     if not 0 < resample_minutes < math.inf:
         raise ConfigError(f"resample_minutes must be finite and > 0, got {resample_minutes!r}")
+    for name, value in (("max_gap_intervals", max_gap_intervals), ("max_moves", max_moves)):
+        if not numcore.is_integer(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if not max_gap_intervals >= 1:
         raise ConfigError(f"max_gap_intervals must be >= 1, got {max_gap_intervals!r}")
     if not max_moves >= 1:
         raise ConfigError("max_moves must be >= 1")
-    if max_moves % 1:
-        raise ConfigError(f"max_moves must be a whole number, got {max_moves!r}")
     net = GridNetwork(grid)
     stats = IngestStats()
     fixes: dict[str, list[tuple[float, float, float]]] = {}

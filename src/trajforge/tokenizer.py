@@ -20,6 +20,7 @@ import numpy as np
 
 from . import netgrid
 from .netgrid import Network
+from .numcore import AT_LEAST_1, require
 from .synthgen import SynthConfig
 
 BLANK = netgrid.N_ACTIONS  # embedding row reserved for the missing decision
@@ -61,26 +62,22 @@ class EpisodeTokens:
 
 @dataclass
 class VocabSpec:
-    """Embedding-table sizes for a network and population."""
+    """Embedding-table sizes for a network and population; the action table always has N_ACTIONS + 1 rows."""
 
     positions: int
-    actions: int  # real actions plus the BLANK row
     depart_bins: int
     speed_bins: int
     users: int
     max_timestep: int
 
     def __post_init__(self):
-        for name, size in vars(self).items():
-            if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-                raise EncodingError(f"vocabulary {name} must be an integer >= 1, got {size!r}")
+        require(self, EncodingError, **dict.fromkeys(self.__dataclass_fields__, AT_LEAST_1))
 
 
 def vocab_sizes(net: Network, config: SynthConfig) -> VocabSpec:
     """Exact embedding-table sizes of `net` and the users, bins and max_len of `config`."""
     return VocabSpec(
         positions=net.n_positions,
-        actions=netgrid.N_ACTIONS + 1,
         depart_bins=config.depart_bins,
         speed_bins=config.speed_bins,
         users=config.users,

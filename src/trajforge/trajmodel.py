@@ -71,9 +71,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netgrid, numcore as nc
-from .checkpoint import ParamModel, require
+from .checkpoint import ParamModel
 from .netgrid import Network
-from .numcore import Tensor, make_rng
+from .numcore import AT_LEAST_1, NON_NEGATIVE, Tensor, make_rng, require
 from .synthgen import Trajectory, roll_out
 from .tokenizer import EpisodeTokens, VocabSpec, check_columns
 
@@ -97,17 +97,14 @@ class ModelConfig:
     def __post_init__(self):
         require(
             self,
-            ("d_model", self.d_model >= 1, ">= 1"),
-            ("n_heads", self.n_heads >= 1, ">= 1"),
-            ("ff_mult", self.ff_mult >= 1, ">= 1"),
-            ("init_std", 0.0 <= self.init_std < np.inf, "finite and >= 0"),
+            d_model=AT_LEAST_1,
+            n_layers=AT_LEAST_1,
+            n_heads=AT_LEAST_1,
+            dropout=(lambda p: 0 <= p < 1, "in [0, 1)"),
+            ff_mult=AT_LEAST_1,
+            init_std=NON_NEGATIVE,
         )
-        if self.d_model % self.n_heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
-        if self.n_layers < 1:
-            raise ValueError("n_layers must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+        require(self, d_model=(lambda d: d % self.n_heads == 0, f"a multiple of n_heads {self.n_heads}"))
 
     @property
     def context(self) -> int:
@@ -139,7 +136,7 @@ class PolicyModel(ParamModel):
         self.emb_depart = emb(v.depart_bins)
         self.emb_speed = emb(v.speed_bins)
         self.emb_user = emb(v.users)
-        self.emb_action = emb(v.actions)
+        self.emb_action = emb(N_ACTIONS + 1)  # the real actions plus the BLANK row
         emb(2)  # the draw of a retired table, kept so that every later parameter starts as it did
         self.emb_timestep = emb(v.max_timestep)
         self.ln_emb_gain = Tensor(np.ones(d))
@@ -178,6 +175,11 @@ class BatchForward:
     sizes: list[int]  # steps of each input window
 
 
+# a context's columns, named as `check_columns` and the embedding tables `emb_<name>` name them, with
+# their `GenerationContext` fields, in the order that `forward_batch` and the decoder add their rows
+_CONTEXT_COLUMNS = (("origin", "origin"), ("destination", "destination"), ("depart", "depart_bin"), ("speed", "speed_bin"), ("user", "user_id"))
+
+
 def forward_batch(windows: list[EpisodeTokens], model: PolicyModel, rng: np.random.Generator | None = None) -> BatchForward:
     """Run the policy over several windows in one recorded graph; logits of their decision steps.
 
@@ -207,14 +209,8 @@ def forward_batch(windows: list[EpisodeTokens], model: PolicyModel, rng: np.rand
 
     ts = nc.gather_rows(model.emb_timestep, cat("timestep"))
     s_sum = nc.gather_rows(model.emb_position, cat("position"))
-    for name, table in (
-        ("origin", model.emb_origin),
-        ("destination", model.emb_destination),
-        ("depart", model.emb_depart),
-        ("speed", model.emb_speed),
-        ("user", model.emb_user),
-    ):
-        s_sum = nc.add(s_sum, nc.gather_rows(table, cat(name)))
+    for name, _ in _CONTEXT_COLUMNS:
+        s_sum = nc.add(s_sum, nc.gather_rows(getattr(model, "emb_" + name), cat(name)))
     s_tok = nc.add(s_sum, ts)
     actions = cat("action")
     a_tok = nc.add(nc.gather_rows(model.emb_action, actions), ts)
@@ -285,7 +281,7 @@ class GenerationContext:
     traj_id: int = 0
 
     def __post_init__(self):
-        require(self, ("max_len", self.max_len >= 1, ">= 1"), ("temperature", self.temperature >= 0, ">= 0"))
+        require(self, max_len=AT_LEAST_1, temperature=NON_NEGATIVE)
 
 
 @dataclass
@@ -348,11 +344,6 @@ def generate(contexts: list[GenerationContext], model: PolicyModel, net: Network
 def generate_scored(ctx: GenerationContext, model: PolicyModel, net: Network) -> GenerationResult:
     """`generate` of the one context `ctx`: its products keep the shapes of one trip (see the module docstring)."""
     return generate([ctx], model, net)[0]
-
-
-# a context's columns, named as `check_columns` and the embedding tables `emb_<name>` name them, with
-# their `GenerationContext` fields, in the order the decoder adds their rows
-_CONTEXT_COLUMNS = (("origin", "origin"), ("destination", "destination"), ("depart", "depart_bin"), ("speed", "speed_bin"), ("user", "user_id"))
 
 
 def _context_columns(contexts: list[GenerationContext]) -> dict:

@@ -22,7 +22,8 @@ DATA = Path(__file__).parent / "data"
 # critic shared `checkpoint.ParamModel`, and re-written when the return-to-go token was dropped
 # (the policy lost `emb_rtg`, both vocabularies lost `rtg`; the critic's blob kept its bytes), and
 # the policy's again when its window length became the vocabulary's `max_timestep` (its config
-# lost `context`; blob and meta kept their bytes).
+# lost `context`; blob and meta kept their bytes), and both again when the action table's size
+# became the constant `N_ACTIONS + 1` (both vocabularies lost `actions`; blobs and meta kept their bytes).
 # Their params_hash (sha256 over names and <f8 bytes):
 PINNED_HASH = {
     "policy": "345721fe8033b0a876e775d9bf16335d1377b978a39872f667a62b8df234de96",
@@ -215,8 +216,8 @@ class TestMalformedHeader:
             (drop("manifest"), "'manifest' is missing"),
             (drop("meta"), "'meta' is missing"),
             (unknown_config_key, "bad .* config"),
-            (fractional_vocab_size, "vocabulary positions must be an integer"),
-            (bool_vocab_size, "vocabulary positions must be an integer >= 1, got True"),
+            (fractional_vocab_size, "positions must be an integer"),
+            (bool_vocab_size, "positions must be an integer, got True"),
             (rtg_vocab, "bad .* config"),
         ],
         ids=["list", "no-manifest", "no-meta", "unknown-config-key", "fractional-vocab-size", "bool-vocab-size", "rtg-vocab"],
@@ -236,7 +237,7 @@ class TestMalformedHeader:
         model.save(path)
         line, blob = path.read_bytes().split(b"\n", 1)
         path.write_bytes(json.dumps(full_dropout(json.loads(line))).encode() + b"\n" + blob)
-        with pytest.raises(ck.CheckpointError, match="bad policy config: dropout must lie in"):
+        with pytest.raises(ck.CheckpointError, match="bad policy config: dropout must be in"):
             load(path)
 
     @pytest.mark.parametrize("kind", ["policy", "critic"])

@@ -18,6 +18,27 @@ def networks(draw):
     return ng.LinkGraph(draw(st.lists(links, min_size=n, max_size=n)))
 
 
+class TestGridSpec:
+    @pytest.mark.parametrize(
+        "width, height, message",
+        [
+            (2.5, 3, "width must be an integer, got 2.5"),  # used to build 8 cells whose moves wrap across rows
+            (3, 3.0, "height must be an integer, got 3.0"),  # used to be saved as a #grid header load_dataset refuses
+            (True, 3, "width must be an integer, got True"),
+            (1, 3, "width must be >= 2, got 1"),
+            (3, 0, "height must be >= 2, got 0"),
+        ],
+    )
+    def test_bad_side_rejected_by_name(self, width, height, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ng.GridSpec(width, height)
+
+    @pytest.mark.parametrize("cell_size_m", [None, "1", float("nan"), float("inf")])
+    def test_bad_cell_size_rejected_by_name(self, cell_size_m):
+        with pytest.raises(ValueError, match=f"^cell_size_m must be a finite real number, got {re.escape(repr(cell_size_m))}$"):
+            ng.GridSpec(3, 3, cell_size_m)
+
+
 @pytest.fixture
 def grid3():
     return ng.GridNetwork(ng.GridSpec(3, 3))

@@ -1,11 +1,13 @@
 import ast
 import dataclasses
 import importlib
+import math
+import re
 from pathlib import Path
 
 import pytest
 
-from trajforge import pretrain, rewardirl, synthgen, tokenizer, trajmodel
+from trajforge import netgrid, pretrain, rewardirl, synthgen, tokenizer, trajmodel
 
 tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
@@ -196,9 +198,10 @@ def test_names_that_perfbench_reads_exist():
 
 def config_cases():
     """Each config dataclass of src/ with valid arguments for its fields without defaults."""
-    vocab = tokenizer.VocabSpec(positions=9, actions=10, depart_bins=3, speed_bins=3, users=2, max_timestep=5)
+    vocab = tokenizer.VocabSpec(positions=9, depart_bins=3, speed_bins=3, users=2, max_timestep=5)
     return [
-        (tokenizer.VocabSpec, dict(positions=9, actions=10, depart_bins=3, speed_bins=3, users=2, max_timestep=5)),
+        (tokenizer.VocabSpec, dict(positions=9, depart_bins=3, speed_bins=3, users=2, max_timestep=5)),
+        (netgrid.GridSpec, dict(width=3, height=3)),
         (synthgen.SynthConfig, {}),
         (trajmodel.ModelConfig, dict(vocab=vocab, d_model=8, n_heads=2)),
         (rewardirl.CriticConfig, dict(vocab=vocab)),
@@ -208,14 +211,50 @@ def config_cases():
     ]
 
 
-@pytest.mark.parametrize("value", [True, 2.5])
+@pytest.mark.parametrize("value", [True, 2.5, None, "1"])
 def test_config_int_fields_reject_bools_and_fractions_by_name(value):
-    """Every `int` field of every config rejects a bool and a non-integral number when the config is made,
-    with a ValueError that names the field: the `trajforge` command will map its arguments onto these fields."""
+    """Every `int` field of every config rejects a bool, a non-integral number, None and a str when the
+    config is made, with a ValueError that names the field: the `trajforge` command will map its
+    arguments onto these fields."""
     for config, valid in config_cases():
         config(**valid)
         int_fields = [f.name for f in dataclasses.fields(config) if f.type in ("int", int)]
         assert int_fields, f"{config.__name__} has no int field"
         for name in int_fields:
-            with pytest.raises(ValueError, match=rf"\b{name} must be an integer"):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
                 config(**{**valid, name: value})
+
+
+@pytest.mark.parametrize("value", [None, "1", True, math.nan, math.inf])
+def test_config_float_fields_reject_non_numbers_and_non_finite_by_name(value):
+    """Every `float` field of every config rejects None, a str, a bool, NaN and inf when the config is made,
+    with a ValueError that names the field, before any bound of the config can meet the value."""
+    float_fields = {config: [f.name for f in dataclasses.fields(config) if f.type in ("float", float)] for config, _ in config_cases()}
+    assert [config.__name__ for config, names in float_fields.items() if not names] == ["VocabSpec"]
+    for config, valid in config_cases():
+        for name in float_fields[config]:
+            with pytest.raises(ValueError, match=rf"^{name} must be a finite real number, got {re.escape(repr(value))}$"):
+                config(**{**valid, name: value})
+
+
+def test_config_post_init_only_calls_require():
+    """`numcore.require` is the one field check: each config's `__post_init__` is `require` calls and
+    raises nothing itself. Every dataclass of src/ named *Config, *Spec or *Context is a config."""
+    configs = {config.__name__: config for config, _ in config_cases()}
+    classes = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and node.name.endswith(("Config", "Spec", "Context")):
+                classes[node.name] = node
+    assert sorted(name for name, node in classes.items() if is_dataclass_def(node)) == sorted(configs)
+    for name in configs:
+        (post_init,) = [n for n in classes[name].body if isinstance(n, ast.FunctionDef) and n.name == "__post_init__"]
+        for stmt in post_init.body:
+            assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call), f"{name}.__post_init__ holds more than calls"
+            assert isinstance(stmt.value.func, ast.Name) and stmt.value.func.id == "require", f"{name}.__post_init__ calls another function"
+        assert not any(isinstance(n, ast.Raise) for n in ast.walk(post_init)), f"{name}.__post_init__ raises"
+
+
+def is_dataclass_def(node: ast.ClassDef) -> bool:
+    """True when `node` is decorated with `dataclass` or `dataclass(...)`."""
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass" for d in node.decorator_list)

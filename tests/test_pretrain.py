@@ -107,6 +107,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
             pt.TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [("lr", "0.1"), ("lr", math.inf), ("weight_decay", math.inf)])
+    def test_float_field_holding_non_number_or_non_finite_rejected_by_name(self, field, value):
+        # lr "0.1" used to raise a bare TypeError from its bound; lr or weight_decay inf was accepted,
+        # and pretrain then raised "non-finite values in action logits" from inside forward_batch
+        with pytest.raises(ValueError, match=f"^{field} must be a finite real number, got {value!r}$"):
+            pt.TrainConfig(**{field: value})
+
     def test_numpy_integer_fields_accepted(self):
         pt.TrainConfig(epochs=np.int64(2), batch_size=np.int32(8), seed=np.int64(3), patience=np.int64(0))
 

@@ -462,6 +462,13 @@ class TestIRLConfig:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
             ri.IRLConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [("gamma", None), ("lr", math.inf)])
+    def test_float_field_holding_non_number_or_non_finite_rejected_by_name(self, field, value):
+        # gamma None used to raise a bare TypeError from its bound; lr inf was accepted, and
+        # train_critic then raised TrainingDivergenceError for a non-finite loss
+        with pytest.raises(ValueError, match=f"^{field} must be a finite real number, got {value!r}$"):
+            ri.IRLConfig(**{field: value})
+
 
 class TestCriticConfig:
     @pytest.mark.parametrize("field, value", [("d", 0), ("d", -1), ("init_std", float("nan")), ("init_std", -0.5), ("init_std", float("inf"))])
@@ -476,6 +483,12 @@ class TestCriticConfig:
         vocab = tk.vocab_sizes(ng.GridNetwork(ng.GridSpec(3, 3)), sg.SynthConfig(users=2))
         with pytest.raises(ValueError, match=f"^d must be an integer, got {value!r}$"):
             ri.CriticConfig(vocab, d=value)
+
+    def test_init_std_none_rejected_by_name(self):
+        # it used to raise a bare TypeError from its bound
+        vocab = tk.vocab_sizes(ng.GridNetwork(ng.GridSpec(3, 3)), sg.SynthConfig(users=2))
+        with pytest.raises(ValueError, match="^init_std must be a finite real number, got None$"):
+            ri.CriticConfig(vocab, init_std=None)
 
 
 class TestTrainCritic:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -334,21 +335,27 @@ class TestGenDataset:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            (dict(users=0), "users must be >= 1"),
-            (dict(n_trajectories=-1), "n_trajectories must be >= 0"),
-            (dict(max_len=0), "max_len must be >= 1"),
-            (dict(archetypes=[]), "at least one archetype is required"),
-            (dict(archetypes=[[1.0, 2.0]]), "archetype [1.0, 2.0] must have 3 weights"),
-            (dict(depart_bins=25), "depart_bins in [1,24], speed_bins in [1,120]"),
-            (dict(speed_bins=0), "depart_bins in [1,24], speed_bins in [1,120]"),
+            (dict(users=0), "users must be >= 1, got 0"),
+            (dict(n_trajectories=-1), "n_trajectories must be >= 0, got -1"),
+            (dict(max_len=0), "max_len must be >= 1, got 0"),
+            (dict(archetypes=[]), "archetypes must be rows of 3 finite weights, got []"),
+            (dict(archetypes=[[1.0, 2.0]]), "archetypes must be rows of 3 finite weights, got [[1.0, 2.0]]"),
+            (dict(depart_bins=25), "depart_bins must be in [1, 24], got 25"),
+            (dict(speed_bins=0), "speed_bins must be in [1, 120], got 0"),
             (dict(theta_sigma=-0.5), "theta_sigma must be >= 0, got -0.5"),
             (dict(users=True), "users must be an integer, got True"),  # used to act as 1
             (dict(max_len=2.5), "max_len must be an integer, got 2.5"),  # used to fail later as a bare TypeError
             (dict(seed=np.float64(1.0)), "seed must be an integer, got np.float64(1.0)"),
+            # these used to be accepted: a grid 1 wide failed only in gen_dataset, as did a NaN weight
+            (dict(width=1), "width must be >= 2, got 1"),
+            (dict(archetypes=[[math.nan, 0, 0]]), "archetypes must be rows of 3 finite weights, got [[nan, 0, 0]]"),
+            (dict(cell_size_m=None), "cell_size_m must be a finite real number, got None"),
+            # this used to raise a bare TypeError from its bound
+            (dict(theta_sigma=None), "theta_sigma must be a finite real number, got None"),
         ],
         ids=[
             "users", "n-trajectories", "max-len", "no-archetype", "short-archetype", "depart-bins", "speed-bins", "theta-sigma",
-            "users-bool", "max-len-fraction", "seed-float",
+            "users-bool", "max-len-fraction", "seed-float", "width", "nan-archetype", "cell-size-none", "theta-sigma-none",
         ],
     )
     def test_bad_config_rejected_when_made(self, fields, message):
@@ -363,7 +370,8 @@ class TestGenDataset:
 
     @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
     def test_theta_sigma_below_zero_rejected_by_name(self, sigma):
-        with pytest.raises(sg.ConfigError, match=f"^theta_sigma must be >= 0, got {sigma}$"):
+        rule = "a finite real number" if math.isnan(sigma) else ">= 0"
+        with pytest.raises(sg.ConfigError, match=f"^theta_sigma must be {rule}, got {sigma}$"):
             sg.gen_dataset(sg.SynthConfig(theta_sigma=sigma, n_trajectories=1))
 
     @given(st.integers(0, 2**16), st.integers(1, 4), st.integers(0, 30), st.integers(1, 20), st.integers(2, 5))
@@ -503,6 +511,20 @@ class TestDatasetIO:
                 assert sg.load_dataset(path).net.spec == ds.net.spec
         assert loaded.net is ds.net  # a grid file loaded with its network used to return a new grid
         assert (loaded.trajectories, loaded.user_count) == (ds.trajectories, ds.user_count)
+
+    @given(
+        st.integers(2, 30) | st.integers(2, 30).map(np.int64),
+        st.integers(2, 30) | st.integers(2, 30).map(np.int32),
+        st.floats(allow_nan=False, allow_infinity=False) | st.floats(allow_nan=False, allow_infinity=False).map(np.float64) | st.integers(-(10**6), 10**6),
+    )
+    def test_any_accepted_grid_spec_round_trips_property(self, width, height, cell_size_m):
+        # a GridSpec(3, 3.0) used to be saved as "#grid 3 3.0", and a numpy cell size as "np.float64(...)",
+        # both of which load_dataset refused
+        spec = ng.GridSpec(width, height, cell_size_m)
+        with tempfile.TemporaryDirectory() as tmp:  # hypothesis rejects the function-scoped tmp_path
+            path = Path(tmp) / "data.txt"
+            sg.save_dataset(sg.Dataset(ng.GridNetwork(spec), [], 1), path)
+            assert sg.load_dataset(path).net.spec == spec
 
     def test_round_trip(self, tmp_path):
         cfg = sg.SynthConfig(users=3, n_trajectories=15, seed=4)
@@ -824,11 +846,16 @@ class TestIngestCSV:
             (dict(bbox=(116.0, -float("inf"), 116.5, 39.5)), "bbox edges must be finite, got (116.0, -inf, 116.5, 39.5)"),
             (dict(max_gap_intervals=-1), "max_gap_intervals must be >= 1, got -1"),
             (dict(max_gap_intervals=0), "max_gap_intervals must be >= 1, got 0"),
-            (dict(max_gap_intervals=float("nan")), "max_gap_intervals must be >= 1, got nan"),
+            (dict(max_gap_intervals=float("nan")), "max_gap_intervals must be an integer, got nan"),
             # these used to raise a bare TypeError from the part slicing
-            (dict(max_moves=float("nan")), "max_moves must be >= 1"),
-            (dict(max_moves=2.5), "max_moves must be a whole number, got 2.5"),
-            (dict(max_moves=float("inf")), "max_moves must be a whole number, got inf"),
+            (dict(max_moves=float("nan")), "max_moves must be an integer, got nan"),
+            (dict(max_moves=2.5), "max_moves must be an integer, got 2.5"),
+            (dict(max_moves=float("inf")), "max_moves must be an integer, got inf"),
+            # these used to be accepted: max_moves True as 1, 2.0 past its whole-number test, and max_gap_intervals as given
+            (dict(max_moves=True), "max_moves must be an integer, got True"),
+            (dict(max_moves=2.0), "max_moves must be an integer, got 2.0"),
+            (dict(max_gap_intervals=True), "max_gap_intervals must be an integer, got True"),
+            (dict(max_gap_intervals=2.5), "max_gap_intervals must be an integer, got 2.5"),
         ],
     )
     def test_bad_option_rejected_by_name(self, tmp_path, options, message):

@@ -178,7 +178,7 @@ class TestFormat:
 
 
 class TestCheckVocab:
-    VOCAB = tk.VocabSpec(positions=9, actions=10, depart_bins=24, speed_bins=120, users=2, max_timestep=4)
+    VOCAB = tk.VocabSpec(positions=9, depart_bins=24, speed_bins=120, users=2, max_timestep=4)
 
     def test_fitting_trajectory_accepted(self):
         tk.check_vocab([sg.Trajectory(1, 1, 23, 119, [0, 1, 2, 5], [5, 5, 7])], self.VOCAB)
@@ -225,7 +225,7 @@ class TestCheckVocab:
 @st.composite
 def vocab_columns(draw):
     """A random vocabulary and index columns in random order, each value in [-3, size + 3) of its table."""
-    vocab = tk.VocabSpec(*(draw(st.integers(1, 6)) for _ in range(6)))
+    vocab = tk.VocabSpec(*(draw(st.integers(1, 6)) for _ in range(5)))
     names = draw(st.lists(st.sampled_from([*tk.COLUMN_TABLES, "action"]), min_size=1, unique=True))
     rows = draw(st.integers(0, 6))
     columns = {}
@@ -237,11 +237,11 @@ def vocab_columns(draw):
 
 class TestCheckColumns:
     @given(vocab_columns())
-    @example((tk.VocabSpec(3, 10, 1, 1, 1, 1), {"user": np.array([0, -1]), "position": np.array([0, 3])}))
+    @example((tk.VocabSpec(3, 1, 1, 1, 1), {"user": np.array([0, -1]), "position": np.array([0, 3])}))
     # indices past int64, which used to escape as numpy's OverflowError; an earlier bad row is still named first
-    @example((tk.VocabSpec(3, 10, 2, 2, 2, 2), {"position": [0, 1, 2], "user": [0, 2**64, 0]}))
-    @example((tk.VocabSpec(3, 10, 2, 2, 2, 2), {"position": [3, 1], "user": [0, -(2**64)]}))
-    @example((tk.VocabSpec(3, 10, 2, 2, 2, 2), {"action": [0, 9], "user": [0, 2**63]}))
+    @example((tk.VocabSpec(3, 2, 2, 2, 2), {"position": [0, 1, 2], "user": [0, 2**64, 0]}))
+    @example((tk.VocabSpec(3, 2, 2, 2, 2), {"position": [3, 1], "user": [0, -(2**64)]}))
+    @example((tk.VocabSpec(3, 2, 2, 2, 2), {"action": [0, 9], "user": [0, 2**63]}))
     def test_first_bad_row_then_column_named_property(self, case):
         vocab, columns = case
         size = {name: ng.N_ACTIONS if name == "action" else getattr(vocab, tk.COLUMN_TABLES[name]) for name in columns}
@@ -266,7 +266,6 @@ class TestVocabSizes:
         net = ng.GridNetwork(ng.GridSpec(5, 5))
         spec = tk.vocab_sizes(net, sg.SynthConfig(users=20, max_len=50))
         assert spec.positions == 25
-        assert spec.actions == 10
         assert spec.depart_bins == 24
         assert spec.speed_bins == 120
         assert spec.users == 20
@@ -274,16 +273,17 @@ class TestVocabSizes:
 
     def test_users_required(self):
         # the config rejects itself when made; vocab_sizes used to raise an EncodingError about the vocabulary
-        with pytest.raises(sg.ConfigError, match="^users must be >= 1$"):
+        with pytest.raises(sg.ConfigError, match="^users must be >= 1, got 0$"):
             sg.SynthConfig(users=0)
 
     @pytest.mark.parametrize("value", [0, -1, 2.5, None, True])
-    @pytest.mark.parametrize("field", ["positions", "actions", "depart_bins", "speed_bins", "users", "max_timestep"])
+    @pytest.mark.parametrize("field", ["positions", "depart_bins", "speed_bins", "users", "max_timestep"])
     def test_bad_size_rejected_when_made(self, field, value):
         # a negative size used to reach the models and fail inside numpy, 0 built an empty table, and
         # True, an int to isinstance, was taken as 1
-        sizes = {**dict(positions=9, actions=10, depart_bins=3, speed_bins=3, users=2, max_timestep=5), field: value}
-        with pytest.raises(tk.EncodingError, match=f"^vocabulary {field} must be an integer >= 1, got {value!r}$"):
+        sizes = {**dict(positions=9, depart_bins=3, speed_bins=3, users=2, max_timestep=5), field: value}
+        rule = ">= 1" if value in (0, -1) else "an integer"
+        with pytest.raises(tk.EncodingError, match=f"^{field} must be {rule}, got {value!r}$"):
             tk.VocabSpec(**sizes)
 
     def test_from_synth_config(self):

@@ -357,10 +357,12 @@ class TestForward:
             tm.ModelConfig(vocab, **{field: value})
 
     @pytest.mark.parametrize(
-        "field, value, others", [("d_model", True, dict(n_heads=1)), ("n_layers", 2.0, {}), ("n_heads", 2.5, {}), ("ff_mult", True, {})]
+        "field, value, others",
+        [("d_model", True, dict(n_heads=1)), ("n_layers", 2.0, {}), ("n_heads", 2.5, {}), ("ff_mult", True, {}), ("d_model", None, {})],
     )
     def test_int_field_holding_bool_or_fraction_rejected_by_name(self, field, value, others):
-        # d_model True used to act as 1, and n_layers 2.0 to fail later as a bare TypeError
+        # d_model True used to act as 1, n_layers 2.0 to fail later as a bare TypeError, and d_model
+        # None to raise a bare TypeError from its bound, which ran before its integer check
         vocab = tk.vocab_sizes(ng.GridNetwork(ng.GridSpec(3, 3)), sg.SynthConfig(users=2))
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
             tm.ModelConfig(vocab, **{field: value}, **others)
@@ -619,9 +621,11 @@ class TestGenerate:
         with pytest.raises(tk.EncodingError, match=f"^generation context: {column} {value} outside vocabulary"):
             tm.generate_scored(tm.GenerationContext(**fields, max_len=19), model, net)
 
-    @pytest.mark.parametrize("temperature", [float("nan"), -0.5])
+    @pytest.mark.parametrize("temperature", [float("nan"), -0.5, None, float("inf")])
     def test_temperature_not_at_least_zero_rejected_by_name(self, temperature):
-        with pytest.raises(ValueError, match=f"^temperature must be >= 0, got {temperature}$"):
+        # None used to raise a bare TypeError from the bound, and inf to sample uniformly over the feasible moves
+        rule = ">= 0" if temperature == -0.5 else "a finite real number"
+        with pytest.raises(ValueError, match=f"^temperature must be {rule}, got {temperature}$"):
             tm.GenerationContext(0, 24, 2, 7, 1, temperature=temperature)
 
     def test_vocabulary_of_one_timestep_rejected(self):
