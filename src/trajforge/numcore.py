@@ -1,8 +1,8 @@
 """Dense float64 tensors with reverse-mode differentiation over a recorded op graph.
 
-Every differentiable operation builds a node holding its parents and a backward
-closure; `backward` replays the graph in reverse topological order and consumes
-it, so a graph serves one `backward`. Ops inside `no_graph()` record nothing.
+Every differentiable operation takes `Tensor`s and builds a node holding its
+parents and a backward closure; `backward` replays the graph in reverse
+topological order and consumes it, so a graph serves one `backward`. Ops inside `no_graph()` record nothing.
 Gradient buffers are lazy: the first gradient to reach a node becomes its
 `.grad` and later ones add into it. Leaves (tensors without a closure, such as
 parameters and inputs) keep their gradients; an interior node drops its own once
@@ -162,8 +162,6 @@ class Tensor:
 
 def param(rng: np.random.Generator, shape, std: float = 0.02) -> Tensor:
     """Gaussian-initialized leaf parameter."""
-    if std == 0.0:
-        return Tensor(np.zeros(shape))
     return Tensor(rng.normal(0.0, std, size=shape))
 
 
@@ -198,10 +196,10 @@ class ComputationRecord:
 def backward(root: Tensor) -> ComputationRecord:
     """Populate `.grad` on every leaf reachable from `root` (root grad = 1), replacing stale ones.
 
-    Ops add their parents' shares through `_accum`; a node that no share reached gets zeros. Once a
-    node's closure has run, its `.grad`, closure and parent links are dropped (`_parents` becomes
-    None), freeing the arrays it saved, so an interior gradient lives only until its closure has
-    passed it on; a later `backward` that reaches such a consumed node raises `GraphConsumedError`.
+    Each op's backward passes a share to every parent, so each node holds a `.grad` when its closure
+    runs. Once it has run, the node's `.grad`, closure and parent links are dropped (`_parents` becomes
+    None), freeing the arrays it saved, so an interior gradient lives only until its closure has passed
+    it on; a later `backward` that reaches such a consumed node raises `GraphConsumedError`.
     Leaves (parameters and inputs) keep their `.grad` and are never consumed; the record keeps its order.
     """
     record = ComputationRecord.from_root(root)
@@ -209,8 +207,6 @@ def backward(root: Tensor) -> ComputationRecord:
         node.grad = None
     root.grad = np.ones_like(root.data)
     for node in reversed(record.nodes):
-        if node.grad is None:
-            node.grad = np.zeros_like(node.data)
         if node._bwd is not None:
             node._bwd(node.grad)
             node._bwd, node._parents, node.grad = None, None, None
@@ -229,12 +225,9 @@ def assert_finite(t: Tensor, what: str = "tensor") -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a broadcast gradient back down to `shape`."""
+    """Sum a broadcast gradient back down to `shape` over its leading axes only, as a bias is broadcast."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
     return g
 
 
@@ -262,10 +255,6 @@ def _scatter_accum(t: Tensor, flat_idx: np.ndarray, g: np.ndarray) -> None:
     t.grad = np.bincount(flat_idx, weights=weights, minlength=t.data.size).reshape(t.data.shape)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 _recording = True
 
 
@@ -285,9 +274,7 @@ def _node(data, parents: tuple, bwd) -> Tensor:
     return Tensor(data, parents, bwd) if _recording else Tensor(data)
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
+def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):  # `b` takes its share first, so `g` itself can go to `a` (`a is b` sums g + g either way)
         _accum(b, g)
         _accum(a, g, fresh=True)
@@ -295,9 +282,7 @@ def add(a, b) -> Tensor:
     return _node(a.data + b.data, (a, b), bwd)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
+def sub(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         _accum(b, -g, fresh=True)
         _accum(a, g, fresh=True)
@@ -305,9 +290,7 @@ def sub(a, b) -> Tensor:
     return _node(a.data - b.data, (a, b), bwd)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
+def mul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         _accum(a, g * b.data, fresh=True)
         _accum(b, g * a.data, fresh=True)
@@ -333,7 +316,6 @@ def _check_matmul(op: str, a: Tensor, b: Tensor) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     _check_matmul("matmul", a, b)
 
     def bwd(g):
@@ -360,10 +342,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(out, (x, w, b), bwd)
 
 
-def concat_rows(tensors) -> Tensor:
+def concat_rows(tensors: list[Tensor]) -> Tensor:
     """Stack tensors by rows. The backward copies each slice of `g` it passes on: a view would keep
     the whole of `g` alive for as long as its parent holds the slice."""
-    tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.data.shape[0] for t in tensors]
 
     def bwd(g):

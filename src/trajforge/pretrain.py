@@ -49,13 +49,7 @@ class TrainLogRow:
 
 @dataclass
 class TrainLog:
-    rows: list[TrainLogRow] = field(default_factory=list)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,train_nll,grad_norm,eval_nll,eval_acc,seconds\n")
-            for r in self.rows:
-                fh.write(f"{r.epoch},{r.train_nll!r},{r.grad_norm!r},{r.eval_nll!r},{r.eval_acc!r},{r.seconds:.3f}\n")
+    rows: list = field(default_factory=list)  # per epoch: a TrainLogRow, or `rewardirl.train_critic`'s tuple of means
 
 
 def build_windows(trajectories: list[Trajectory], context: int):

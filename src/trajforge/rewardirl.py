@@ -31,7 +31,7 @@ timestep tables, so its columns leave them out.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from . import netgrid, numcore as nc
 from .checkpoint import ParamModel
 from .netgrid import EnvState, Network
 from .numcore import AT_LEAST_1, NON_NEGATIVE, POSITIVE, Tensor, make_rng, require
-from .pretrain import apply_step
+from .pretrain import TrainLog, apply_step
 from .synthgen import Dataset
 from .tokenizer import VocabSpec, check_columns, encode_trips
 
@@ -145,8 +145,7 @@ def bellman_margin(q_s: Tensor, q_next: Tensor, action, next_position, is_termin
     """
     is_terminal = np.asarray(is_terminal, dtype=bool)
     v_next = nc.masked_logsumexp_rows(q_next, net.feasible[next_position] | is_terminal[:, None])
-    v_next_live = nc.mul_const(v_next, (~is_terminal).astype(np.float64))
-    return nc.sub(nc.gather_per_row(q_s, action), nc.mul_const(v_next_live, gamma))
+    return nc.sub(nc.gather_per_row(q_s, action), nc.mul_const(v_next, gamma * ~is_terminal))
 
 
 def _margins(batch: TransitionBatch, critic: CriticModel, gamma: float) -> tuple[Tensor, Tensor]:
@@ -279,17 +278,6 @@ def iq_loss(batch: TransitionBatch, critic: CriticModel, cfg: IRLConfig):
     return loss, parts
 
 
-@dataclass
-class CriticLog:
-    rows: list = field(default_factory=list)  # (epoch, loss, seconds, expert_term, initial_term), epoch means
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,loss,seconds,expert_term,initial_term\n")
-            for epoch, loss, seconds, expert, initial in self.rows:
-                fh.write(f"{epoch},{loss!r},{seconds:.3f},{expert!r},{initial!r}\n")
-
-
 def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
     """Mini-batch optimization of the imitation objective; deterministic given seed.
 
@@ -297,7 +285,8 @@ def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
     score: EncodingError for an index outside its vocabulary, and ValueError for a move out of a
     position with no feasible action, or into one other than as a complete trip's last move,
     where V*(s') is undefined. Each parameter's `.grad` holds the last step's gradient while training
-    runs and is released when it ends, so the returned critic holds only its parameters.
+    runs and is released when it ends, so the returned critic holds only its parameters. Returns
+    (critic, `pretrain.TrainLog`), one (epoch, loss, seconds, expert_term, initial_term) row per epoch.
     """
     trajs = dataset.train()
     transitions = transitions_from_dataset(dataset)
@@ -307,7 +296,7 @@ def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
     cols = {name: getattr(transitions, name) for name in COLUMNS}
     _check_rows(critic, cols, transitions.is_terminal, lambda row: f"trajectory {trajs[trip[row]].traj_id}")
     opt = nc.adamw_init(critic.vector, cfg.lr, 0.0)
-    log = CriticLog()
+    log = TrainLog()
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         order = make_rng(cfg.seed, "critic-shuffle", epoch).permutation(len(transitions))

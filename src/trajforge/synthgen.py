@@ -305,14 +305,15 @@ class SynthConfig:
     """Synthetic benchmark declaration: grid, population prior, and uniform origin-destination sampling.
 
     Frozen, since its fields are checked once, when it is made: `numcore.require` checks each field's
-    type, then its bound, and raises ConfigError naming the first field that breaks one."""
+    type, then its bound, and raises ConfigError naming the first field that breaks one. The checked
+    `archetypes` are stored as a tuple of float tuples, so they cannot change in place either."""
 
     width: int = 5
     height: int = 5
     cell_size_m: float = 1000.0
     users: int = 20
     n_trajectories: int = 2000
-    archetypes: list = field(default_factory=lambda: [[6.0, 0.0, -1.0], [1.5, -2.0, -1.0]])
+    archetypes: tuple = ((6.0, 0.0, -1.0), (1.5, -2.0, -1.0))
     theta_sigma: float = 0.1
     max_len: int = 50
     depart_bins: int = 24
@@ -333,6 +334,7 @@ class SynthConfig:
             depart_bins=(lambda bins: 1 <= bins <= 24, "in [1, 24]"),
             speed_bins=(lambda bins: 1 <= bins <= 120, "in [1, 120]"),
         )
+        object.__setattr__(self, "archetypes", tuple(tuple(map(float, row)) for row in self.archetypes))
 
 
 def draw_preferences(cfg: SynthConfig) -> PreferenceParams:
@@ -601,10 +603,14 @@ def ingest_csv(
     lon_min, lat_min, lon_max, lat_max = bbox
     if not all(map(math.isfinite, bbox)):
         raise ConfigError(f"bbox edges must be finite, got {bbox}")
+    if not all(map(numcore.is_real, bbox)):  # a bool is finite to `math.isfinite`
+        raise ConfigError(f"bbox edges must be finite real numbers, got {bbox}")
     if lon_max <= lon_min or lat_max <= lat_min:
         raise ConfigError(f"degenerate bbox {bbox}")
     if not 0 < resample_minutes < math.inf:
         raise ConfigError(f"resample_minutes must be finite and > 0, got {resample_minutes!r}")
+    if not numcore.is_real(resample_minutes):  # and True is > 0
+        raise ConfigError(f"resample_minutes must be a finite real number, got {resample_minutes!r}")
     for name, value in (("max_gap_intervals", max_gap_intervals), ("max_moves", max_moves)):
         if not numcore.is_integer(value):
             raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,22 @@ class TestMalformedHeader:
         line, blob = path.read_bytes().split(b"\n", 1)
         path.write_bytes(json.dumps(edit(json.loads(line))).encode() + b"\n" + blob)
         with pytest.raises(ck.CheckpointError, match=message):
+            load(path)
+
+    def test_missing_file_rejected(self, tmp_path):
+        _, load = tiny_model("policy")
+        path = tmp_path / "absent.ckpt"
+        with pytest.raises(ck.CheckpointError, match=f"^cannot read checkpoint {re.escape(str(path))}: "):
+            load(path)
+
+    @pytest.mark.parametrize("kind", ["policy", "critic"])
+    def test_other_version_rejected(self, kind, tmp_path):
+        model, load = tiny_model(kind)
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        line, blob = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(json.dumps({**json.loads(line), "version": 2}).encode() + b"\n" + blob)
+        with pytest.raises(ck.CheckpointError, match=f"^{re.escape(str(path))}: checkpoint version 2 != 1$"):
             load(path)
 
     def test_policy_with_out_of_range_dropout_rejected(self, tmp_path):

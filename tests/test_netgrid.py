@@ -256,6 +256,12 @@ class TestLinkGraphIO:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {re.escape(message)}"):
             ng.load_link_graph(path)
 
+    def test_file_without_link_line_rejected(self, tmp_path):
+        path = tmp_path / "net.links"
+        path.write_text("# coords 0 1.0 2.0\n\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty link graph$"):
+            ng.load_link_graph(path)
+
     def test_repeated_coords_named_by_both_lines(self, tmp_path):
         # the last line used to win
         path = tmp_path / "net.links"

@@ -148,6 +148,37 @@ def test_src_holds_only_reached_names():
     assert sorted(set(UNREACHED_SRC) & reached) == [], "allowlisted names that src/ or perfbench/ now reaches"
 
 
+# Public methods and properties of public src/ classes that no attribute in src/ or perfbench/ names
+# outside their own definition, each kept for a reason: (module, class, name) -> reason.
+UNREACHED_METHODS: dict[tuple[str, str, str], str] = {}
+
+
+def test_src_methods_are_reached():
+    """Every public method and property of a public class of src/ is named as an attribute by src/ or
+    perfbench/ outside its own definition, or is on the allowlist with its reason:
+    `test_src_holds_only_reached_names` sees module-level names only."""
+    paths = [*sorted(SRC.glob("*.py")), *sorted(PERFBENCH.glob("*.py"))]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    attributes = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    methods = {
+        (path.stem, cls.name, fn.name): fn
+        for path, tree in trees.items()
+        if path.parent == SRC
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+    }
+    unreached = set()
+    for key, fn in methods.items():
+        own = {id(node) for node in ast.walk(fn)}
+        if not any(node.attr == fn.name and id(node) not in own for node in attributes):
+            unreached.add(key)
+    assert set(UNREACHED_METHODS) <= set(methods), "the allowlist names a method that src/ no longer has"
+    assert sorted(unreached - set(UNREACHED_METHODS)) == [], "public methods that nothing in src/ or perfbench/ names"
+    assert sorted(set(UNREACHED_METHODS) - unreached) == [], "allowlisted methods that src/ or perfbench/ now names"
+
+
 # The functions of src/ that may rebind a tensor's `data`. Every other write goes through the
 # array: a parameter's `data` is a view of its model's `vector`, and a rebound one would drop out
 # of copy, checkpoint, best snapshot and optimizer without an error.
@@ -239,7 +270,8 @@ def test_config_float_fields_reject_non_numbers_and_non_finite_by_name(value):
 
 def test_config_post_init_only_calls_require():
     """`numcore.require` is the one field check: each config's `__post_init__` is `require` calls and
-    raises nothing itself. Every dataclass of src/ named *Config, *Spec or *Context is a config."""
+    raises nothing itself. After them, a frozen config may store a checked field in a form that cannot
+    change in place, by `object.__setattr__`. Every dataclass of src/ named *Config, *Spec or *Context is a config."""
     configs = {config.__name__: config for config, _ in config_cases()}
     classes = {}
     for path in sorted(SRC.glob("*.py")):
@@ -251,7 +283,11 @@ def test_config_post_init_only_calls_require():
         (post_init,) = [n for n in classes[name].body if isinstance(n, ast.FunctionDef) and n.name == "__post_init__"]
         for stmt in post_init.body:
             assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call), f"{name}.__post_init__ holds more than calls"
-            assert isinstance(stmt.value.func, ast.Name) and stmt.value.func.id == "require", f"{name}.__post_init__ calls another function"
+        funcs = [ast.unparse(stmt.value.func) for stmt in post_init.body]
+        checks = funcs.count("require")
+        assert checks and funcs == ["require"] * checks + ["object.__setattr__"] * (len(funcs) - checks), (
+            f"{name}.__post_init__ calls another function, or stores a field before `require` has checked it"
+        )
         assert not any(isinstance(n, ast.Raise) for n in ast.walk(post_init)), f"{name}.__post_init__ raises"
 
 

@@ -43,6 +43,26 @@ def roll_out_networks(draw):
     return ng.LinkGraph(adjacency)
 
 
+class TestRecordsCheckedWhenMade:
+    @pytest.mark.parametrize(
+        "theta, message",
+        [(np.zeros((2, 2)), "theta must have shape (users, 3)"), ([[0.0, math.nan, 0.0]], "theta contains non-finite weights")],
+        ids=["two-features", "nan-weight"],
+    )
+    def test_preferences(self, theta, message):
+        with pytest.raises(sg.ConfigError, match=f"^{re.escape(message)}$"):
+            sg.PreferenceParams(theta)
+
+    @pytest.mark.parametrize(
+        "positions, actions, message",
+        [([0], [], "trajectory needs at least 2 positions"), ([0, 1], [5, 5], "actions must have one entry per move")],
+        ids=["one-position", "action-too-many"],
+    )
+    def test_trajectory(self, positions, actions, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sg.Trajectory(0, 0, 0, 0, positions, actions)
+
+
 class TestOracleProbs:
     def test_zero_weights_uniform(self, grid5):
         prefs = prefs_for([[0.0, 0.0, 0.0]])
@@ -352,10 +372,12 @@ class TestGenDataset:
             (dict(cell_size_m=None), "cell_size_m must be a finite real number, got None"),
             # this used to raise a bare TypeError from its bound
             (dict(theta_sigma=None), "theta_sigma must be a finite real number, got None"),
+            (dict(archetypes=[[1.0, 2.0, 3.0], [1.0, 2.0]]), "archetypes must be rows of 3 finite weights, got [[1.0, 2.0, 3.0], [1.0, 2.0]]"),
         ],
         ids=[
             "users", "n-trajectories", "max-len", "no-archetype", "short-archetype", "depart-bins", "speed-bins", "theta-sigma",
             "users-bool", "max-len-fraction", "seed-float", "width", "nan-archetype", "cell-size-none", "theta-sigma-none",
+            "ragged-archetypes",
         ],
     )
     def test_bad_config_rejected_when_made(self, fields, message):
@@ -367,6 +389,24 @@ class TestGenDataset:
         # gen_dataset no longer checks its config, so a later users = 0 would reach numpy as "high <= 0"
         with pytest.raises(dataclasses.FrozenInstanceError):
             sg.SynthConfig().users = 0
+
+    def test_archetypes_cannot_grow_after_their_check(self):
+        # a list used to take a NaN row, which gen_dataset then refused as "theta contains non-finite weights"
+        cfg = sg.SynthConfig(archetypes=[[6.0, 0, -1.0]])
+        assert cfg.archetypes == ((6.0, 0.0, -1.0),)
+        with pytest.raises(AttributeError):
+            cfg.archetypes.append([math.nan, 0.0, 0.0])
+
+    def test_archetype_weights_cannot_change_after_their_check(self):
+        cfg = sg.SynthConfig(archetypes=[[6.0, 0.0, -1.0]])
+        with pytest.raises(TypeError):
+            cfg.archetypes[0] = [math.nan, 0.0, 0.0]
+        with pytest.raises(TypeError):
+            cfg.archetypes[0][0] = math.nan
+
+    def test_config_is_hashable(self):
+        # the list used to raise "unhashable type: 'list'"
+        assert hash(sg.SynthConfig()) == hash(sg.SynthConfig(archetypes=[[6, 0, -1], [1.5, -2, -1]]))
 
     @pytest.mark.parametrize("sigma", [-1.0, float("nan")])
     def test_theta_sigma_below_zero_rejected_by_name(self, sigma):
@@ -471,6 +511,11 @@ class TestSplit:
         for i in ds.eval_idx:
             per_user[ds.trajectories[i].user_id] = per_user.get(ds.trajectories[i].user_id, 0) + 1
         assert per_user == {0: 1, 1: 1, 2: 1}
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_eval_fraction_outside_open_interval_rejected(self, fraction):
+        with pytest.raises(sg.SplitError, match=f"^eval_fraction must be in \\(0, 1\\), got {fraction}$"):
+            sg.split(self._dataset([4]), fraction, seed=0)
 
     def test_too_small(self):
         with pytest.raises(sg.SplitError):
@@ -648,11 +693,40 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: a trajectory line before the #grid header$"):
             sg.load_dataset(path)
 
+    def test_six_field_line_named_by_path_and_line(self, tmp_path):
+        path = tmp_path / "short.txt"
+        path.write_text("#grid 3 3 1000.0\n#users 1\n0|0|0|0|0,1|5\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: expected 7 fields, got 6$"):
+            sg.load_dataset(path)
+
+    def test_links_header_without_network_named(self, tmp_path):
+        path = tmp_path / "links.txt"
+        path.write_text("#links 4\n#users 1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: link-graph dataset needs an explicit network$"):
+            sg.load_dataset(path)
+
+    def test_no_grid_header_and_no_network_named(self, tmp_path):
+        path = tmp_path / "headless.txt"
+        path.write_text("#users 1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing #grid header and no network supplied$"):
+            sg.load_dataset(path)
+
+    def test_users_count_from_largest_user_id_without_header(self, tmp_path):
+        path = tmp_path / "no_users.txt"
+        path.write_text("#grid 3 3 1000.0\n0|4|0|0|0,1|5|complete\n1|2|0|0|1,2|5|complete\n")
+        assert sg.load_dataset(path).user_count == 5
+
     def test_unknown_flag_rejected_on_load(self, tmp_path):
         path = tmp_path / "typo.txt"
         path.write_text("#grid 3 3 1000.0\n#users 1\n7|0|0|0|0,1|5|compelte\n")
         with pytest.raises(ValueError, match="trajectory 7: flag 'compelte' is not one of complete, truncated, dead_end"):
             sg.load_dataset(path)
+
+    def test_preferences_without_header_named(self, tmp_path):
+        path, line = tmp_path / "theta.csv", "0,1.0,2.0,3.0\n"
+        path.write_text(line)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: unexpected header {line!r}')}$"):
+            sg.load_preferences(path)
 
     def test_preferences_round_trip(self, tmp_path):
         prefs = sg.PreferenceParams(np.array([[1.25, -2.5, 0.125], [0.1, 0.2, 0.3]]))
@@ -821,6 +895,12 @@ class TestIngestCSV:
         with pytest.raises(sg.ConfigError, match="max_moves"):
             sg.ingest_csv(path, self.GRID, self.BBOX, max_moves=0)
 
+    def test_header_row_skipped_and_not_counted(self, tmp_path):
+        path = self._write(tmp_path, [",".join(sg.CSV_COLUMNS), "v1,1201957200,116.05,39.05", "v1,1201957800,116.15,39.05"])
+        ds, stats = sg.ingest_csv(path, self.GRID, self.BBOX)
+        assert (stats.rows, stats.unparsable, stats.trajectories) == (2, 0, 1)
+        assert ds.trajectories[0].positions == [0, 1]
+
     def test_epoch_timestamps(self, tmp_path):
         path = self._write(tmp_path, ["v1,1201957200,116.05,39.05", "v1,1201957800,116.15,39.05"])
         ds, stats = sg.ingest_csv(path, self.GRID, self.BBOX)
@@ -856,6 +936,10 @@ class TestIngestCSV:
             (dict(max_moves=2.0), "max_moves must be an integer, got 2.0"),
             (dict(max_gap_intervals=True), "max_gap_intervals must be an integer, got True"),
             (dict(max_gap_intervals=2.5), "max_gap_intervals must be an integer, got 2.5"),
+            (dict(bbox=(116.5, 39.0, 116.0, 39.5)), "degenerate bbox (116.5, 39.0, 116.0, 39.5)"),
+            # these used to be accepted, as a 1-minute interval and as a western edge at 1.0
+            (dict(resample_minutes=True), "resample_minutes must be a finite real number, got True"),
+            (dict(bbox=(True, 39.0, 116.5, 39.5)), "bbox edges must be finite real numbers, got (True, 39.0, 116.5, 39.5)"),
         ],
     )
     def test_bad_option_rejected_by_name(self, tmp_path, options, message):

@@ -628,6 +628,16 @@ class TestGenerate:
         with pytest.raises(ValueError, match=f"^temperature must be {rule}, got {temperature}$"):
             tm.GenerationContext(0, 24, 2, 7, 1, temperature=temperature)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameter_raises_evaluation_error(self, value):
+        # the batched forward and the graph-free decoder each check their logits
+        net, model = small_model()
+        model.head_b.data[0] = value
+        with pytest.raises(nc.EvaluationError, match="^non-finite values in action logits$"):
+            tm.forward_batch([sample_window(net)], model)
+        with pytest.raises(nc.EvaluationError, match="^non-finite values in action logits$"):
+            tm.generate_scored(tm.GenerationContext(0, 24, 2, 7, 1, max_len=19), model, net)
+
     def test_vocabulary_of_one_timestep_rejected(self):
         # the origin's timestep is the vocabulary's only one, which leaves no room for a move
         net = ng.GridNetwork(ng.GridSpec(5, 5))
