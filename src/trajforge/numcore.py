@@ -9,9 +9,9 @@ parameters and inputs) keep their gradients; an interior node drops its own once
 its closure has run, so that closure owns its `g` and may hand it to a parent
 as that parent's `.grad`. No two tensors share a gradient buffer. A leaf's `.grad`
 holds the gradient of the last `backward` that reached it until the next one
-replaces it. The trainers (`pretrain`, `train_critic`) set every parameter's
-`.grad` to None once, when their run ends (`ParamModel.release_grads`), so a
-returned model holds only its parameters. They do not release them after each
+replaces it. `pretrain.fit`, the epoch loop of both learners, sets every
+parameter's `.grad` to None once, when its run ends (`ParamModel.release_grads`),
+so a trained model holds only its parameters. It does not release them after each
 step: the freed parameter-sized buffers let the allocator trim its heap, and the
 next step faults the pages back in. All stochastic helpers take an explicit
 counter-based RNG so replays are bit-identical.

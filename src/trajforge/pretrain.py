@@ -1,9 +1,10 @@
-"""Phase-1 trainer: behavioral cloning of actions with cross-entropy over one token window per trip."""
+"""`fit`, the one epoch loop of both learners, and the policy's behavioral cloning: action cross-entropy over one window per trip."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,19 +38,20 @@ class TrainConfig:
         )
 
 
-@dataclass
-class TrainLogRow:
+class TrainLogRow(NamedTuple):
+    """One epoch of `fit`, for either learner; the loss, the norm and the batch parts are epoch means over its batches."""
+
     epoch: int
-    train_nll: float
-    grad_norm: float  # epoch mean of the global gradient norms before clipping
-    eval_nll: float
-    eval_acc: float
+    train_nll: float  # the training loss: the policy's action NLL, or the critic's negated IQ objective
+    grad_norm: float  # the global gradient norm before clipping
     seconds: float
+    eval_nll: float  # the held-out score, NaN without one
+    parts: dict  # the batch losses' named parts, and the held-out score's
 
 
 @dataclass
 class TrainLog:
-    rows: list = field(default_factory=list)  # per epoch: a TrainLogRow, or `rewardirl.train_critic`'s tuple of means
+    rows: list = field(default_factory=list)  # one TrainLogRow per epoch
 
 
 def build_windows(trajectories: list[Trajectory], context: int):
@@ -78,61 +80,68 @@ def apply_step(model: ParamModel, loss, opt_state: nc.OptimizerState, grad_clip:
     return norm
 
 
-def batch_order(seed: int, epoch: int, n: int) -> np.ndarray:
-    """Shuffle order is a pure function of (seed, epoch)."""
-    return make_rng(seed, "shuffle", epoch).permutation(n)
+def batch_order(seed: int, stream: str, epoch: int, n: int) -> np.ndarray:
+    """Epoch `epoch`'s shuffle of `n` rows: a pure function of (seed, stream, epoch)."""
+    return make_rng(seed, stream, epoch).permutation(n)
+
+
+def fit(model: ParamModel, opt: nc.OptimizerState, n_rows: int, batch_loss, cfg, stream: str, score=None) -> TrainLog:
+    """Up to `cfg.epochs` epochs of `apply_step`s on `model.vector`, releasing the `.grad`s at the end; one `TrainLogRow` each.
+
+    Epoch e steps on `batch_loss(idx, e, start)`, a loss tensor and a dict of named floats, for each `cfg.batch_size`
+    rows `idx` at offset `start` of `batch_order(cfg.seed, stream, e, n_rows)`. Given `score`, each epoch ends with
+    `score()`, a held-out value to minimize and its named floats: an epoch lower than the best by more than 1e-9 keeps
+    its `model.vector`, more than `cfg.patience` epochs without gain stop the run, and the best vector is restored.
+    """
+    log = TrainLog()
+    best, best_vector, bad_evals = float("inf"), model.vector.copy(), 0
+    for epoch in range(cfg.epochs):
+        t0 = time.perf_counter()
+        order = batch_order(cfg.seed, stream, epoch, n_rows)
+        losses, norms, named = [], [], []
+        for start in range(0, n_rows, cfg.batch_size):
+            loss, floats = batch_loss(order[start : start + cfg.batch_size], epoch, start)
+            norms.append(apply_step(model, loss, opt, cfg.grad_clip))
+            losses.append(float(loss.data))
+            named.append(floats)
+        held_out, held_parts = score() if score else (float("nan"), {})
+        if held_out < best - 1e-9:  # never, without a score
+            best, best_vector, bad_evals = held_out, model.vector.copy(), 0
+        else:
+            bad_evals += 1
+        parts = {**{name: float(np.mean([p[name] for p in named])) for name in named[0]}, **held_parts}
+        log.rows.append(TrainLogRow(epoch, float(np.mean(losses)), float(np.mean(norms)), time.perf_counter() - t0, held_out, parts))
+        if score and bad_evals > cfg.patience:
+            break
+    if score:
+        model.vector[:] = best_vector
+    model.release_grads()
+    return log
 
 
 def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
-    """Mini-batch behavioral cloning; keeps the best-eval-loss parameters.
+    """Mini-batch behavioral cloning by `fit`, deterministic given cfg.seed; returns (model, TrainLog).
 
-    Deterministic given cfg.seed. Early-stops after `patience` eval periods
-    without improvement. Raises EncodingError for a trajectory the model's
-    vocabulary cannot embed. Returns (model, TrainLog); the model carries the
-    best-eval checkpoint. Each parameter's `.grad` holds the last step's
-    gradient while training runs; once the best parameters are restored, every
-    `.grad` is released, so the returned model holds only its parameters.
+    With an eval split, `fit` selects on the eval NLL (`score_windows`), early-stops and keeps the best epoch's
+    parameters. Each row holds the action NLL as `train_nll`, and the eval NLL as `eval_nll` and top-1 accuracy
+    as `parts["eval_acc"]` (NaN and absent with no eval split). EncodingError for a trip outside the vocabulary.
     """
     train_trajs = dataset.train()
     if not train_trajs:
         raise ValueError("empty training split")
-    eval_trajs = dataset.eval()
     windows = _checked_windows(train_trajs, model)
-    eval_windows = _checked_windows(eval_trajs, model)
+    eval_windows = _checked_windows(dataset.eval(), model)
+
+    def batch_loss(idx, epoch, start):
+        rng_drop = make_rng(cfg.seed, "dropout", epoch, start) if model.cfg.dropout > 0 else None
+        return supervised_loss(model, [windows[j] for j in idx], rng=rng_drop), {}
+
+    def score():
+        nll, acc = score_windows(eval_windows, model)
+        return nll, {"eval_acc": acc}
+
     opt = nc.adamw_init(model.vector, cfg.lr, cfg.weight_decay)
-    log = TrainLog()
-    best_nll = float("inf")
-    best_params = model.vector.copy()
-    bad_evals = 0
-    last_eval = (float("nan"), float("nan"))
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        order = batch_order(cfg.seed, epoch, len(windows))
-        losses, norms = [], []
-        for i in range(0, len(order), cfg.batch_size):
-            batch = [windows[j] for j in order[i : i + cfg.batch_size]]
-            rng_drop = make_rng(cfg.seed, "dropout", epoch, i) if model.cfg.dropout > 0 else None
-            loss = supervised_loss(model, batch, rng=rng_drop)
-            norms.append(apply_step(model, loss, opt, cfg.grad_clip))
-            losses.append(float(loss.data))
-        train_nll = float(np.mean(losses))
-        if eval_trajs:
-            last_eval = score_windows(eval_windows, model)
-            eval_nll = last_eval[0]
-            if eval_nll < best_nll - 1e-9:
-                best_nll = eval_nll
-                best_params = model.vector.copy()
-                bad_evals = 0
-            else:
-                bad_evals += 1
-        row = TrainLogRow(epoch, train_nll, float(np.mean(norms)), last_eval[0], last_eval[1], time.perf_counter() - t0)
-        log.rows.append(row)
-        if eval_trajs and bad_evals > cfg.patience:
-            break
-    if eval_trajs:
-        model.vector[:] = best_params
-    model.release_grads()
-    return model, log
+    return model, fit(model, opt, len(windows), batch_loss, cfg, "shuffle", score if eval_windows else None)
 
 
 def eval_policy(dataset: Dataset, model: tm.PolicyModel):

@@ -30,7 +30,6 @@ timestep tables, so its columns leave them out.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,7 @@ from . import netgrid, numcore as nc
 from .checkpoint import ParamModel
 from .netgrid import EnvState, Network
 from .numcore import AT_LEAST_1, NON_NEGATIVE, POSITIVE, Tensor, make_rng, require
-from .pretrain import TrainLog, apply_step
+from .pretrain import fit
 from .synthgen import Dataset
 from .tokenizer import VocabSpec, check_columns, encode_trips
 
@@ -258,7 +257,7 @@ def iq_loss(batch: TransitionBatch, critic: CriticModel, cfg: IRLConfig):
     J = E_expert[phi(Q(s,a) - gamma V*(s'))] - (1 - gamma) E_initial[V*(s0)]
     with phi(x) = x - x^2 / (4 alpha_phi); the expectation over s' is the
     observed next state (deterministic transitions) and terminal V* is 0.
-    Returns (loss tensor, diagnostics dict).
+    Returns (loss tensor, {"expert_term": ..., "initial_term": ...}).
     """
     if len(batch) == 0:
         raise ValueError("empty transition batch")
@@ -274,19 +273,19 @@ def iq_loss(batch: TransitionBatch, critic: CriticModel, cfg: IRLConfig):
     else:
         loss = nc.mul_const(expert_term, -1.0)
         init_val = 0.0
-    parts = {"expert_term": float(expert_term.data), "initial_term": init_val, "loss": float(loss.data)}
-    return loss, parts
+    return loss, {"expert_term": float(expert_term.data), "initial_term": init_val}
 
 
 def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
-    """Mini-batch optimization of the imitation objective; deterministic given seed.
+    """Mini-batch optimization of the imitation objective by `pretrain.fit`; deterministic given seed.
 
     `_check_rows` names the training trajectory of the first transition that the critic cannot
     score: EncodingError for an index outside its vocabulary, and ValueError for a move out of a
     position with no feasible action, or into one other than as a complete trip's last move,
-    where V*(s') is undefined. Each parameter's `.grad` holds the last step's gradient while training
-    runs and is released when it ends, so the returned critic holds only its parameters. Returns
-    (critic, `pretrain.TrainLog`), one (epoch, loss, seconds, expert_term, initial_term) row per epoch.
+    where V*(s') is undefined. Every epoch runs, with no held-out selection, and the returned critic
+    holds only its parameters. Returns (critic, `pretrain.TrainLog`): each `TrainLogRow` holds the
+    epoch's mean `iq_loss` (the negated objective) as `train_nll`, NaN as `eval_nll`, and the means of
+    `expert_term` and `initial_term` in `parts`.
     """
     trajs = dataset.train()
     transitions = transitions_from_dataset(dataset)
@@ -296,16 +295,4 @@ def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
     cols = {name: getattr(transitions, name) for name in COLUMNS}
     _check_rows(critic, cols, transitions.is_terminal, lambda row: f"trajectory {trajs[trip[row]].traj_id}")
     opt = nc.adamw_init(critic.vector, cfg.lr, 0.0)
-    log = TrainLog()
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        order = make_rng(cfg.seed, "critic-shuffle", epoch).permutation(len(transitions))
-        parts = []
-        for i in range(0, len(order), cfg.batch_size):
-            loss, p = iq_loss(transitions.take(order[i : i + cfg.batch_size]), critic, cfg)
-            apply_step(critic, loss, opt, cfg.grad_clip)
-            parts.append((p["loss"], p["expert_term"], p["initial_term"]))
-        loss, expert, initial = (float(np.mean(col)) for col in zip(*parts))
-        log.rows.append((epoch, loss, time.perf_counter() - t0, expert, initial))
-    critic.release_grads()
-    return critic, log
+    return critic, fit(critic, opt, len(transitions), lambda idx, epoch, start: iq_loss(transitions.take(idx), critic, cfg), cfg, "critic-shuffle")

@@ -600,17 +600,20 @@ def ingest_csv(
       its last cell, so that a model of that `max_len` can embed each part.
     A trip of one fix is dropped and counted in `IngestStats.dropped_short`.
     """
-    lon_min, lat_min, lon_max, lat_max = bbox
+    try:  # types first, so that a str or a bool fails by name; a float that is not finite fails the finite checks
+        lon_min, lat_min, lon_max, lat_max = bbox
+    except (TypeError, ValueError):
+        raise ConfigError(f"bbox must be four edges (lon_min, lat_min, lon_max, lat_max), got {bbox!r}") from None
+    if not all(numcore.is_real(edge) or isinstance(edge, float) for edge in bbox):
+        raise ConfigError(f"bbox edges must be finite real numbers, got {bbox}")
+    if not (numcore.is_real(resample_minutes) or isinstance(resample_minutes, float)):
+        raise ConfigError(f"resample_minutes must be a finite real number, got {resample_minutes!r}")
     if not all(map(math.isfinite, bbox)):
         raise ConfigError(f"bbox edges must be finite, got {bbox}")
-    if not all(map(numcore.is_real, bbox)):  # a bool is finite to `math.isfinite`
-        raise ConfigError(f"bbox edges must be finite real numbers, got {bbox}")
     if lon_max <= lon_min or lat_max <= lat_min:
         raise ConfigError(f"degenerate bbox {bbox}")
     if not 0 < resample_minutes < math.inf:
         raise ConfigError(f"resample_minutes must be finite and > 0, got {resample_minutes!r}")
-    if not numcore.is_real(resample_minutes):  # and True is > 0
-        raise ConfigError(f"resample_minutes must be a finite real number, got {resample_minutes!r}")
     for name, value in (("max_gap_intervals", max_gap_intervals), ("max_moves", max_moves)):
         if not numcore.is_integer(value):
             raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -79,6 +79,22 @@ def test_only_roll_out_draws_a_move():
     assert found == [], "inverse_cdf referenced outside synthgen.roll_out"
 
 
+def test_only_fit_steps_a_learner():
+    """`pretrain.fit` is the one epoch loop: nothing else in src/ imports or names `apply_step`, apart
+    from its own definition, which is no reference."""
+    found, inside = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "pretrain.py":
+            fit = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "fit")
+            allowed = {id(node) for node in ast.walk(fit)}
+        for node in references(tree, "apply_step"):
+            (inside if id(node) in allowed else found).append(f"{path.name}:{node.lineno}")
+    assert inside, "fit no longer steps with apply_step"
+    assert found == [], "apply_step referenced outside pretrain.fit"
+
+
 def test_only_numcore_names_masked_logsumexp():
     """Every masked softmax is `numcore.masked_log_softmax`: no src module but numcore imports or names
     `masked_logsumexp`, so none can write the log-softmax out by hand."""

@@ -224,9 +224,9 @@ class TestPretrain:
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_shuffle_pure_function_of_seed_epoch(self):
-        a = pt.batch_order(3, 7, 100)
-        b = pt.batch_order(3, 7, 100)
-        c = pt.batch_order(3, 8, 100)
+        a = pt.batch_order(3, "shuffle", 7, 100)
+        b = pt.batch_order(3, "shuffle", 7, 100)
+        c = pt.batch_order(3, "shuffle", 8, 100)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -260,7 +260,7 @@ class TestPretrain:
         windows = pt.build_windows(dataset.train(), replay.cfg.context)
         opt = nc.adamw_init(replay.vector, cfg.lr, cfg.weight_decay)
         norms = []
-        order = pt.batch_order(cfg.seed, 0, len(windows))
+        order = pt.batch_order(cfg.seed, "shuffle", 0, len(windows))
         for i in range(0, len(order), cfg.batch_size):
             batch = [windows[j] for j in order[i : i + cfg.batch_size]]
             nc.backward(pt.supervised_loss(replay, batch, make_rng(cfg.seed, "dropout", 0, i)))
@@ -279,7 +279,17 @@ class TestPretrain:
         assert encoded == [[t.traj_id for t in dataset.train()], [t.traj_id for t in dataset.eval()]]
         # the returned model holds the best epoch's parameters; eval_policy re-encodes and scores them alike
         best = min(log.rows, key=lambda r: r.eval_nll)
-        assert pt.eval_policy(dataset, model) == (best.eval_nll, best.eval_acc)
+        assert pt.eval_policy(dataset, model) == (best.eval_nll, best.parts["eval_acc"])
+
+    def test_trained_bytes_pinned(self):
+        # a tiny seeded run with dropout: its parameters and each epoch's loss, to the last bit. The
+        # matmuls here stay below BLAS's threading size, so the pin holds at any BLAS thread count;
+        # at larger sizes the bits still depend on it (ROADMAP Known defects, direction 17)
+        dataset, model, _, _ = tiny_setup(seed=3, d=16, dropout=0.1)
+        model, log = pt.pretrain(dataset, model, pt.TrainConfig(epochs=2, batch_size=8, seed=3))
+        assert model.params_hash().hex() == "2730bbd9838540e7b144d65da8726850c1c5fa68aafbc2e9c437aa473dad346f"
+        assert [repr(row.train_nll) for row in log.rows] == ["2.1968144519091486", "2.1752887867263744"]
+        assert [repr(row.eval_nll) for row in log.rows] == ["2.1719865389481465", "2.1678749466498486"]
 
     def test_dropout_training_still_deterministic(self):
         hashes = []

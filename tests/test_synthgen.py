@@ -940,6 +940,10 @@ class TestIngestCSV:
             # these used to be accepted, as a 1-minute interval and as a western edge at 1.0
             (dict(resample_minutes=True), "resample_minutes must be a finite real number, got True"),
             (dict(bbox=(True, 39.0, 116.5, 39.5)), "bbox edges must be finite real numbers, got (True, 39.0, 116.5, 39.5)"),
+            # these used to escape as a bare TypeError from a bound or from math.isfinite, and a bare ValueError from unpacking
+            (dict(resample_minutes="10"), "resample_minutes must be a finite real number, got '10'"),
+            (dict(bbox=("116.0", 39.0, 116.5, 39.5)), "bbox edges must be finite real numbers, got ('116.0', 39.0, 116.5, 39.5)"),
+            (dict(bbox=(116.0, 39.0, 116.5)), "bbox must be four edges (lon_min, lat_min, lon_max, lat_max), got (116.0, 39.0, 116.5)"),
         ],
     )
     def test_bad_option_rejected_by_name(self, tmp_path, options, message):
