@@ -672,29 +672,27 @@ def masked_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, hidden: np.
     return w @ vh, w
 
 
-def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments, q_at=None) -> Tensor:
+def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments, stride: int = 1) -> Tensor:
     """Multi-head causal attention applied independently to contiguous row segments.
 
     `segments` lists each segment's length in rows of `k` and `v`; a row attends to itself and earlier
-    rows of its segment. By default every row queries. `q_at` gives the query-subset form: the
-    ascending key row at which each row of `q` sits, so only those rows query and the context has one
-    row per query. Segments of one length must then hold their queries at the same offsets. Segments of
-    equal length run as one stacked matmul.
+    rows of its segment. The rows at offsets 0, stride, 2 * stride, ... of each segment query, so `q`
+    and the context hold ceil(L / stride) rows per segment of L rows, segment by segment; by default
+    every row queries. Segments of equal length run as one stacked matmul.
     """
     lengths = np.asarray(segments, dtype=np.intp)
     n_keys = k.data.shape[0]
     if lengths.sum() != n_keys or v.data.shape[0] != n_keys:
         raise ShapeError("segment lengths do not cover the sequence")
-    q_at = np.arange(n_keys) if q_at is None else np.asarray(q_at, dtype=np.intp)
-    if len(q_at) != q.data.shape[0] or np.any(np.diff(q_at) <= 0) or (q_at.size and (q_at[0] < 0 or q_at[-1] >= n_keys)):
-        raise ShapeError("query rows must be ascending key rows, one per row of q")
+    counts = -(-lengths // stride)
+    if counts.sum() != q.data.shape[0]:
+        raise ShapeError(f"q has {q.data.shape[0]} rows for {counts.sum()} queries at stride {stride}")
     d = q.data.shape[1]
     if d % n_heads != 0:
         raise ShapeError(f"model width {d} not divisible by {n_heads} heads")
     hd = d // n_heads
     scale = 1.0 / math.sqrt(hd)
     starts = np.cumsum(lengths) - lengths
-    counts = np.bincount(np.repeat(np.arange(len(lengths)), lengths)[q_at], minlength=len(lengths))
     q_starts = np.cumsum(counts) - counts
 
     def heads(x, rows):  # (G, T) row indices -> (G, heads, T, hd)
@@ -708,13 +706,9 @@ def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segmen
     for t_len in np.unique(lengths):
         members = np.flatnonzero(lengths == t_len)
         rows = starts[members, None] + np.arange(t_len)
-        if np.any(counts[members] != counts[members[0]]):
-            raise ShapeError(f"segments of length {t_len} hold different numbers of queries")
-        q_rows = q_starts[members, None] + np.arange(counts[members[0]])
-        offsets = q_at[q_rows] - starts[members, None]
-        if np.any(offsets != offsets[0]):
-            raise ShapeError(f"segments of length {t_len} hold their queries at different offsets")
-        hidden = offsets[0][:, None] < np.arange(t_len)  # a query sees its own row and the rows before it
+        offsets = np.arange(0, t_len, stride)
+        q_rows = q_starts[members, None] + np.arange(len(offsets))
+        hidden = offsets[:, None] < np.arange(t_len)  # a query sees its own row and the rows before it
         ctx_h, w = masked_attention(heads(q.data, q_rows), heads(k.data, rows), heads(v.data, rows), hidden)
         ctx[q_rows] = unheads(ctx_h, q_rows)
         groups.append((rows, q_rows, w))

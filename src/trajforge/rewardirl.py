@@ -21,11 +21,13 @@ The context part and the preference term are computed once per batch; Q(s, .) an
 Q(s', .) differ only in the link row. Inference runs the training code over rows under
 `numcore.no_graph`: `reward_rows` gives `iq_loss`'s margins and `log_policy_rows` the masked
 log-policy; `recover_reward` and `critic_policy` are their one-row calls on `EnvState`s.
+`transitions` builds the rows of any list of trips: a split of a `Dataset`, or generated trips.
 
 Checks. Rows are checked once per batch by `_check_rows`: `tokenizer.check_columns`, the one
 vocabulary check, against `tokenizer.COLUMN_TABLES`, then the dead-end rule. The scorers name
-a bad row by its index, and `train_critic` by its trajectory. The critic has no speed or
-timestep tables, so its columns leave them out.
+a bad row by its index, and `train_critic` by its trajectory, after it rejects a dataset on
+another network than the critic's. The critic has no speed or timestep tables, so its columns
+leave them out.
 """
 
 from __future__ import annotations
@@ -227,13 +229,8 @@ class TransitionBatch:
         return TransitionBatch(*(getattr(self, f.name)[idx] for f in self.__dataclass_fields__.values()))  # type: ignore[attr-defined]
 
 
-def transitions_from_dataset(dataset: Dataset, split: str = "train") -> TransitionBatch:
-    """Every transition of the "train" split (`Dataset.train`) or of the "eval" split."""
-    if split not in ("train", "eval"):
-        raise ValueError(f"split must be 'train' or 'eval', got {split!r}")
-    trajs = dataset.train() if split == "train" else dataset.eval()
-    if not trajs and split == "eval":
-        raise ValueError("no transitions: empty split 'eval'")
+def transitions(trajs) -> TransitionBatch:
+    """Every move of `trajs`, such as `Dataset.train()` or `Dataset.eval()`; no trips give an empty batch."""
     steps = encode_trips(trajs)
     dec = np.flatnonzero(steps.decision_mask)  # every move; the row after each is its s'
     complete = np.zeros(steps.n_steps, dtype=bool)
@@ -279,6 +276,7 @@ def iq_loss(batch: TransitionBatch, critic: CriticModel, cfg: IRLConfig):
 def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
     """Mini-batch optimization of the imitation objective by `pretrain.fit`; deterministic given seed.
 
+    ValueError first when the dataset's network has another successor table than the critic's. Then
     `_check_rows` names the training trajectory of the first transition that the critic cannot
     score: EncodingError for an index outside its vocabulary, and ValueError for a move out of a
     position with no feasible action, or into one other than as a complete trip's last move,
@@ -287,12 +285,14 @@ def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
     epoch's mean `iq_loss` (the negated objective) as `train_nll`, NaN as `eval_nll`, and the means of
     `expert_term` and `initial_term` in `parts`.
     """
+    if not np.array_equal(dataset.net.succ, critic.net.succ):
+        raise ValueError("the dataset's network is not the critic's")
     trajs = dataset.train()
-    transitions = transitions_from_dataset(dataset)
-    if len(transitions) == 0:
+    batch = transitions(trajs)
+    if len(batch) == 0:
         raise ValueError("dataset has no transitions")
-    trip = np.cumsum(transitions.is_initial) - 1  # each trip's first move is its one initial transition
-    cols = {name: getattr(transitions, name) for name in COLUMNS}
-    _check_rows(critic, cols, transitions.is_terminal, lambda row: f"trajectory {trajs[trip[row]].traj_id}")
+    trip = np.cumsum(batch.is_initial) - 1  # each trip's first move is its one initial transition
+    cols = {name: getattr(batch, name) for name in COLUMNS}
+    _check_rows(critic, cols, batch.is_terminal, lambda row: f"trajectory {trajs[trip[row]].traj_id}")
     opt = nc.adamw_init(critic.vector, cfg.lr, 0.0)
-    return critic, fit(critic, opt, len(transitions), lambda idx, epoch, start: iq_loss(transitions.take(idx), critic, cfg), cfg, "critic-shuffle")
+    return critic, fit(critic, opt, len(batch), lambda idx, epoch, start: iq_loss(batch.take(idx), critic, cfg), cfg, "critic-shuffle")

@@ -4,7 +4,7 @@ Per step the token order is (s_t, a_t). `encode_trips` lays trips back to back, 
 step; each trip ends in its terminal step, whose action is the single BLANK placeholder since
 no decision is made there. So a trip ends at each BLANK step, and the row after a decision
 step holds s', the state its move leads to. The policy's windows (`windowize`) and the
-critic's transitions (`rewardirl.transitions_from_dataset`) are both read from this table.
+critic's transitions (`rewardirl.transitions`) are both read from this table.
 
 `COLUMN_TABLES` names the `VocabSpec` table that each index column reads, and `check_columns`
 is the one vocabulary check: the trainers (`check_vocab`, `rewardirl.train_critic`), the

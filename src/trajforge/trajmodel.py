@@ -226,16 +226,16 @@ def forward_batch(windows: list[EpisodeTokens], model: PolicyModel, rng: np.rand
     x = nc.dropout(x, cfg.dropout, rng)
 
     segments = 2 * m - 1
-    q_at = None  # every row queries, up to the last layer
+    stride = 1  # every row queries, up to the last layer
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
         h = nc.layer_norm(x, layer["ln1_gain"], layer["ln1_bias"])
         k = nc.matmul(h, layer["wk"])
         v = nc.matmul(h, layer["wv"])
-        if i == last:  # past its keys and values, only the state rows are read
-            x, h, q_at = nc.gather_rows(x, s_rows), nc.gather_rows(h, s_rows), s_rows
+        if i == last:  # past its keys and values, only the state rows, at each window's even offsets, are read
+            x, h, stride = nc.gather_rows(x, s_rows), nc.gather_rows(h, s_rows), 2
         q = nc.matmul(h, layer["wq"])
-        ctx = nc.block_causal_attention(q, k, v, cfg.n_heads, segments, q_at)
+        ctx = nc.block_causal_attention(q, k, v, cfg.n_heads, segments, stride)
         attn_out = nc.dropout(nc.matmul(ctx, layer["wo"]), cfg.dropout, rng)
         x = nc.add(x, attn_out)
         h2 = nc.layer_norm(x, layer["ln2_gain"], layer["ln2_bias"])

@@ -136,13 +136,8 @@ def reference_iq_loss(batch, critic, cfg):
     return initial - expert, expert, initial
 
 
-def reference_transitions(dataset, split="train"):
-    """The per-row builder that `transitions_from_dataset` vectorizes."""
-    if split not in ("train", "eval"):
-        raise ValueError(f"split must be 'train' or 'eval', got {split!r}")
-    trajs = dataset.train() if split == "train" else dataset.eval()
-    if split == "eval" and not trajs:
-        raise ValueError("no transitions: empty split 'eval'")
+def reference_transitions(trajs):
+    """The per-row builder that `transitions` vectorizes."""
     cols = {k: [] for k in ("pos", "orig", "dest", "dep", "usr", "act", "nxt", "init", "term")}
     for traj in trajs:
         for t, a in enumerate(traj.actions):
@@ -186,30 +181,25 @@ def assert_batches_identical(got, want):
 class TestTransitions:
     @given(dataset=datasets(), split=st.sampled_from(["train", "eval"]))
     def test_matches_per_row_builder_property(self, dataset, split):
-        if split == "eval" and not dataset.eval():
-            for build in (ri.transitions_from_dataset, reference_transitions):
-                with pytest.raises(ValueError, match="empty split 'eval'"):
-                    build(dataset, split)
-            return
-        assert_batches_identical(ri.transitions_from_dataset(dataset, split), reference_transitions(dataset, split))
+        trips = dataset.train() if split == "train" else dataset.eval()
+        assert_batches_identical(ri.transitions(trips), reference_transitions(trips))
 
-    @pytest.mark.parametrize("split", ["evl", "Train", "", "all"])
-    def test_unknown_split_rejected(self, split):
-        net = ng.GridNetwork(ng.GridSpec(3, 3))
-        dataset = sg.Dataset(net, [sg.Trajectory(0, 1, 2, 0, [0, 1, 2], [5, 5])], 2, train_idx=[0], eval_idx=[0])
-        with pytest.raises(ValueError, match="split must be 'train' or 'eval'"):
-            ri.transitions_from_dataset(dataset, split)
+    def test_no_trips_give_an_empty_batch(self):
+        batch = ri.transitions([])
+        assert len(batch) == 0
+        assert_batches_identical(batch, reference_transitions([]))
 
     def test_empty_train_falls_back_to_all_trips(self):
         net = ng.GridNetwork(ng.GridSpec(3, 3))
         trajs = [sg.Trajectory(0, 1, 2, 0, [0, 1, 2], [5, 5], "truncated"), sg.Trajectory(1, 0, 3, 0, [4, 8], [8])]
-        batch = ri.transitions_from_dataset(sg.Dataset(net, trajs, 2))  # no split at all
+        train = sg.Dataset(net, trajs, 2).train()  # no split at all
+        batch = ri.transitions(train)
         np.testing.assert_array_equal(batch.position, [0, 1, 4])
         np.testing.assert_array_equal(batch.is_initial, [True, False, True])
         np.testing.assert_array_equal(batch.is_terminal, [False, False, True])
-        assert_batches_identical(batch, reference_transitions(sg.Dataset(net, trajs, 2)))
+        assert_batches_identical(batch, reference_transitions(train))
         # an eval split with an empty training split trains on nothing, never on its eval trips
-        assert len(ri.transitions_from_dataset(sg.Dataset(net, trajs, 2, train_idx=[], eval_idx=[1]))) == 0
+        assert len(ri.transitions(sg.Dataset(net, trajs, 2, train_idx=[], eval_idx=[1]).train())) == 0
 
 
 class TestQValues:
@@ -385,7 +375,7 @@ class TestIqLoss:
         net, critic = grid_critic(d=8, seed=5, init_std=0.3)
         cfg_synth = sg.SynthConfig(width=3, height=3, users=2, n_trajectories=6, seed=4, max_len=8)
         dataset, _ = sg.gen_dataset(cfg_synth)
-        batch = ri.transitions_from_dataset(dataset)
+        batch = ri.transitions(dataset.train())
         cfg = ri.IRLConfig()
 
         def f():
@@ -398,7 +388,7 @@ class TestIqLoss:
     def test_matches_concatenated_formula_replay(self):
         cfg_synth = sg.SynthConfig(width=3, height=3, users=2, n_trajectories=12, seed=7, max_len=8)
         dataset, _ = sg.gen_dataset(cfg_synth)
-        batch = ri.transitions_from_dataset(dataset)
+        batch = ri.transitions(dataset.train())
         cfg = ri.IRLConfig(gamma=0.8, alpha_phi=0.3)
         for seed, rows in ((5, slice(None)), (6, ~batch.is_initial)):
             net, critic = grid_critic(d=8, seed=seed, init_std=0.5)
@@ -411,7 +401,7 @@ class TestIqLoss:
     def test_unread_table_rows_get_exactly_zero_gradient(self):
         net, critic = grid_critic(d=3, seed=12, init_std=0.4)
         trajs = [sg.Trajectory(0, 1, 2, 0, [0, 1, 2], [5, 5]), sg.Trajectory(1, 1, 5, 0, [4, 5, 2], [5, 1], "truncated")]
-        batch = ri.transitions_from_dataset(sg.Dataset(net, trajs, 2))
+        batch = ri.transitions(sg.Dataset(net, trajs, 2).train())
         cfg = ri.IRLConfig()
 
         def f():
@@ -531,6 +521,15 @@ class TestTrainCritic:
         with pytest.raises(ValueError, match="^trajectory 4: next_position 1 has no feasible action$"):
             ri.train_critic(sg.Dataset(graph, [reached, stuck], 1), critic, ri.IRLConfig(epochs=1))
 
+    def test_dataset_on_another_network_rejected(self):
+        # a ring of 25 links has the grid's positions, but none of the grid trips' moves
+        cfg = sg.SynthConfig(n_trajectories=60, seed=3)
+        dataset, _ = sg.gen_dataset(cfg)
+        ring = ng.LinkGraph([[(i + 1) % 25, (i + 2) % 25] for i in range(25)])
+        critic = ri.CriticModel(ri.CriticConfig(tk.vocab_sizes(ring, cfg)), ring, rng=make_rng(0))
+        with pytest.raises(ValueError, match="^the dataset's network is not the critic's$"):
+            ri.train_critic(dataset, critic, ri.IRLConfig(epochs=2))
+
     def test_zero_lr_unchanged(self):
         cfg_synth = sg.SynthConfig(width=3, height=3, users=2, n_trajectories=8, seed=1, max_len=8)
         dataset, _ = sg.gen_dataset(cfg_synth)
@@ -612,7 +611,7 @@ class TestCriticLog:
         replay = critic.copy()
         cfg = ri.IRLConfig(epochs=1, batch_size=16, seed=1, grad_clip=0.05)
         _, log = ri.train_critic(dataset, critic, cfg)
-        transitions = ri.transitions_from_dataset(dataset)
+        transitions = ri.transitions(dataset.train())
         opt = nc.adamw_init(replay.vector, cfg.lr, 0.0)
         norms = []
         order = pt.batch_order(cfg.seed, "critic-shuffle", 0, len(transitions))
@@ -635,7 +634,7 @@ class TestRecoverReward:
         d, std = data.draw(st.sampled_from([1, 3, 8])), data.draw(st.sampled_from([0.02, 0.3, 1.0]))
         critic_cfg = ri.CriticConfig(vocab=vocab, d=d, init_std=std)
         critic = ri.CriticModel(critic_cfg, net, rng=make_rng(data.draw(st.integers(0, 2**16))))
-        batch = ri.transitions_from_dataset(dataset)
+        batch = ri.transitions(dataset.train())
         # a real move starts where some action is feasible; one into a dead end that does not end the trip has no soft value
         live = net.feasible[batch.position].any(axis=1) & (batch.is_terminal | net.feasible[batch.next_position].any(axis=1))
         batch = batch.take(np.flatnonzero(live))

@@ -158,7 +158,7 @@ class TestFormat:
         got = {}
         for split, trips in (("train", dataset.train()), ("eval", dataset.eval())):
             windows = pt.build_windows(trips, tk.vocab_sizes(dataset.net, cfg).max_timestep)
-            batch = ri.transitions_from_dataset(dataset, split)
+            batch = ri.transitions(trips)
             got[split] = (
                 len(windows),
                 arrays_digest(getattr(w, name) for w in windows for name in FIELDS),
