@@ -1,4 +1,4 @@
-"""`fit`, the one epoch loop of both learners, and the policy's behavioral cloning: action cross-entropy over one window per trip."""
+"""`fit`, the one epoch loop of both learners, and the policy's behavioral cloning: action cross-entropy over whole trips."""
 
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ from . import trajmodel as tm
 from .checkpoint import ParamModel
 from .numcore import AT_LEAST_1, NON_NEGATIVE, POSITIVE, make_rng, require
 from .synthgen import Dataset, Trajectory
-from .tokenizer import check_vocab, encode_trips, windowize
+from .tokenizer import check_vocab, encode_trips
 
-EVAL_CHUNK = 256  # windows per eval forward pass
+EVAL_CHUNK = 256  # trips per eval forward pass
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -55,18 +55,13 @@ class TrainLog:
 
 
 def build_windows(trajectories: list[Trajectory], context: int):
-    """One window per trip (`windowize`); EncodingError for a trip of more than `context` steps."""
-    return windowize(encode_trips(trajectories), context)
+    """Each trip's own step table (`encode_trips`), for perfbench's token count; `context` is not read."""
+    return [encode_trips([t]) for t in trajectories]
 
 
-def _checked_windows(trajectories: list[Trajectory], model: tm.PolicyModel):
-    """`build_windows` of the step table that `check_vocab` checked against the model's vocabulary."""
-    return windowize(check_vocab(trajectories, model.cfg.vocab), model.cfg.context)
-
-
-def supervised_loss(model: tm.PolicyModel, windows, rng=None):
-    """Mean action cross-entropy over every decision position in the batch."""
-    return tm.batch_nll(windows, model, rng=rng)
+def supervised_loss(model: tm.PolicyModel, trips, rng=None):
+    """Mean action cross-entropy over every decision step of the trips in the batch."""
+    return tm.batch_nll(trips, model, rng=rng)
 
 
 def apply_step(model: ParamModel, loss, opt_state: nc.OptimizerState, grad_clip: float) -> float:
@@ -122,47 +117,48 @@ def fit(model: ParamModel, opt: nc.OptimizerState, n_rows: int, batch_loss, cfg,
 def pretrain(dataset: Dataset, model: tm.PolicyModel, cfg: TrainConfig):
     """Mini-batch behavioral cloning by `fit`, deterministic given cfg.seed; returns (model, TrainLog).
 
-    With an eval split, `fit` selects on the eval NLL (`score_windows`), early-stops and keeps the best epoch's
+    With an eval split, `fit` selects on the eval NLL (`score_trips`), early-stops and keeps the best epoch's
     parameters. Each row holds the action NLL as `train_nll`, and the eval NLL as `eval_nll` and top-1 accuracy
-    as `parts["eval_acc"]` (NaN and absent with no eval split). EncodingError for a trip outside the vocabulary.
+    as `parts["eval_acc"]` (NaN and absent with no eval split). Both splits are checked before the first step
+    (`check_vocab`): EncodingError for a trip outside the vocabulary.
     """
-    train_trajs = dataset.train()
-    if not train_trajs:
+    train_trips, eval_trips = dataset.train(), dataset.eval()
+    if not train_trips:
         raise ValueError("empty training split")
-    windows = _checked_windows(train_trajs, model)
-    eval_windows = _checked_windows(dataset.eval(), model)
+    for trips in (train_trips, eval_trips):
+        check_vocab(trips, model.cfg.vocab)
 
     def batch_loss(idx, epoch, start):
         rng_drop = make_rng(cfg.seed, "dropout", epoch, start) if model.cfg.dropout > 0 else None
-        return supervised_loss(model, [windows[j] for j in idx], rng=rng_drop), {}
+        return supervised_loss(model, [train_trips[j] for j in idx], rng=rng_drop), {}
 
     def score():
-        nll, acc = score_windows(eval_windows, model)
+        nll, acc = score_trips(eval_trips, model)
         return nll, {"eval_acc": acc}
 
     opt = nc.adamw_init(model.vector, cfg.lr, cfg.weight_decay)
-    return model, fit(model, opt, len(windows), batch_loss, cfg, "shuffle", score if eval_windows else None)
+    return model, fit(model, opt, len(train_trips), batch_loss, cfg, "shuffle", score if eval_trips else None)
 
 
 def eval_policy(dataset: Dataset, model: tm.PolicyModel):
-    """Teacher-forced (nll, top-1 accuracy) over the eval split; EncodingError for a trip outside the vocabulary."""
-    return score_windows(_checked_windows(dataset.eval(), model), model)
+    """Teacher-forced (nll, top-1 accuracy) over the eval split (`score_trips`)."""
+    return score_trips(dataset.eval(), model)
 
 
-def score_windows(windows, model: tm.PolicyModel):
-    """Teacher-forced (nll, top-1 accuracy) over all decision steps of `windows`; `pretrain` builds them once.
+def score_trips(trips, model: tm.PolicyModel):
+    """Teacher-forced (nll, top-1 accuracy) over all decision steps of `trips`, `EVAL_CHUNK` trips per pass.
 
-    Nothing differentiates the score, so its passes run under `no_graph`.
+    Nothing differentiates the score, so its passes run under `no_graph`. ValueError for no trips, and
+    `forward_batch`'s EncodingError for a trip outside the vocabulary.
     """
-    if not windows:
-        raise ValueError("no windows to score: empty split 'eval'")
+    if not trips:
+        raise ValueError("no trips to score")
     total_nll = 0.0
     hits = 0
     count = 0
     with nc.no_graph():
-        for i in range(0, len(windows), EVAL_CHUNK):
-            part = windows[i : i + EVAL_CHUNK]
-            out = tm.forward_batch(part, model)
+        for i in range(0, len(trips), EVAL_CHUNK):
+            out = tm.forward_batch(trips[i : i + EVAL_CHUNK], model)
             total_nll += float(nc.cross_entropy(out.logits, out.actions).data) * len(out.actions)
             hits += int((out.logits.data.argmax(axis=1) == out.actions).sum())
             count += len(out.actions)

@@ -24,7 +24,8 @@ log-policy; `recover_reward` and `critic_policy` are their one-row calls on `Env
 `transitions` builds the rows of any list of trips: a split of a `Dataset`, or generated trips.
 
 Checks. Rows are checked once per batch by `_check_rows`: `tokenizer.check_columns`, the one
-vocabulary check, against `tokenizer.COLUMN_TABLES`, then the dead-end rule. The scorers name
+vocabulary check, against `tokenizer.COLUMN_TABLES`, then the dead-end rule, then that each
+transition's move is one of the critic's network (`succ`). The scorers name
 a bad row by its index, and `train_critic` by its trajectory, after it rejects a dataset on
 another network than the critic's. The critic has no speed or timestep tables, so its columns
 leave them out.
@@ -42,7 +43,7 @@ from .netgrid import EnvState, Network
 from .numcore import AT_LEAST_1, NON_NEGATIVE, POSITIVE, Tensor, make_rng, require
 from .pretrain import fit
 from .synthgen import Dataset
-from .tokenizer import VocabSpec, check_columns, encode_trips
+from .tokenizer import IS_VOCAB_SPEC, VocabSpec, check_columns, encode_trips
 
 N_ACTIONS = netgrid.N_ACTIONS
 LEAKY_SLOPE = 0.01
@@ -56,7 +57,7 @@ class CriticConfig:
     init_std: float = 0.02
 
     def __post_init__(self):
-        require(self, d=AT_LEAST_1, init_std=NON_NEGATIVE)
+        require(self, vocab=IS_VOCAB_SPEC, d=AT_LEAST_1, init_std=NON_NEGATIVE)
 
 
 @dataclass
@@ -163,14 +164,22 @@ def _check_rows(critic: CriticModel, cols: dict, ends=None, where=lambda row: f"
 
     First the indices (`check_columns`): EncodingError outside the critic's tables, ValueError for an action
     outside [0, 9). Then ValueError at a dead-end position, or at a dead-end next_position on a row whose `ends` is False.
+    Last, given `ends`, ValueError on a row whose action does not lead from its position to its next_position.
     """
     check_columns(critic.cfg.vocab, cols, where)
-    dead_s = critic.net.dead_end[cols["position"]]
-    stuck = dead_s if ends is None else dead_s | (critic.net.dead_end[cols["next_position"]] & ~ends)
+    net = critic.net
+    dead_s = net.dead_end[cols["position"]]
+    stuck = dead_s if ends is None else dead_s | (net.dead_end[cols["next_position"]] & ~ends)
     if np.count_nonzero(stuck):
         row = int(np.argmax(stuck))
         name = "position" if dead_s[row] else "next_position"
         raise ValueError(f"{where(row)}: {name} {cols[name][row]} has no feasible action")
+    if ends is not None:
+        off = net.succ[cols["position"], cols["action"]] != cols["next_position"]
+        if np.count_nonzero(off):
+            row = int(np.argmax(off))
+            position, action, next_position = (cols[name][row] for name in ("position", "action", "next_position"))
+            raise ValueError(f"{where(row)}: action {action} at position {position} does not lead to next_position {next_position}")
 
 
 def reward_rows(batch: TransitionBatch, critic: CriticModel, gamma: float) -> np.ndarray:
@@ -280,10 +289,10 @@ def train_critic(dataset: Dataset, critic: CriticModel, cfg: IRLConfig):
     `_check_rows` names the training trajectory of the first transition that the critic cannot
     score: EncodingError for an index outside its vocabulary, and ValueError for a move out of a
     position with no feasible action, or into one other than as a complete trip's last move,
-    where V*(s') is undefined. Every epoch runs, with no held-out selection, and the returned critic
-    holds only its parameters. Returns (critic, `pretrain.TrainLog`): each `TrainLogRow` holds the
-    epoch's mean `iq_loss` (the negated objective) as `train_nll`, NaN as `eval_nll`, and the means of
-    `expert_term` and `initial_term` in `parts`.
+    where V*(s') is undefined, or for a move that the network does not have. Every epoch runs, with
+    no held-out selection, and the returned critic holds only its parameters. Returns (critic,
+    `pretrain.TrainLog`): each `TrainLogRow` holds the epoch's mean `iq_loss` (the negated objective)
+    as `train_nll`, NaN as `eval_nll`, and the means of `expert_term` and `initial_term` in `parts`.
     """
     if not np.array_equal(dataset.net.succ, critic.net.succ):
         raise ValueError("the dataset's network is not the critic's")

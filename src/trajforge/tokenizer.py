@@ -1,10 +1,10 @@
-"""Trajectories to one table of (state, action) steps, and the policy's one window per trip of it.
+"""Trajectories to one table of (state, action) steps, which both learners read.
 
 Per step the token order is (s_t, a_t). `encode_trips` lays trips back to back, one row per
 step; each trip ends in its terminal step, whose action is the single BLANK placeholder since
 no decision is made there. So a trip ends at each BLANK step, and the row after a decision
-step holds s', the state its move leads to. The policy's windows (`windowize`) and the
-critic's transitions (`rewardirl.transitions`) are both read from this table.
+step holds s', the state its move leads to. The policy's batches (`trajmodel.forward_batch`)
+and the critic's transitions (`rewardirl.transitions`) are both read from this table.
 
 `COLUMN_TABLES` names the `VocabSpec` table that each index column reads, and `check_columns`
 is the one vocabulary check: the trainers (`check_vocab`, `rewardirl.train_critic`), the
@@ -36,7 +36,7 @@ class EncodingError(ValueError):
 
 @dataclass
 class EpisodeTokens:
-    """Per-step token indices of trips laid back to back (`encode_trips`), or of a window of one trip (`slice`)."""
+    """Per-step token indices of trips laid back to back (`encode_trips`)."""
 
     position: np.ndarray
     origin: np.ndarray
@@ -55,10 +55,6 @@ class EpisodeTokens:
     def decision_mask(self) -> np.ndarray:
         return self.action != BLANK
 
-    def slice(self, start: int, stop: int) -> "EpisodeTokens":
-        """Steps start:stop; absolute timesteps are preserved."""
-        return EpisodeTokens(*(getattr(self, name)[start:stop] for name in self.__dataclass_fields__))
-
 
 @dataclass
 class VocabSpec:
@@ -72,6 +68,9 @@ class VocabSpec:
 
     def __post_init__(self):
         require(self, EncodingError, **dict.fromkeys(self.__dataclass_fields__, AT_LEAST_1))
+
+
+IS_VOCAB_SPEC = (lambda vocab: isinstance(vocab, VocabSpec), "a VocabSpec")  # the `require` bound of a model config's vocab
 
 
 def vocab_sizes(net: Network, config: SynthConfig) -> VocabSpec:
@@ -158,18 +157,3 @@ def _step_table(trajectories) -> EpisodeTokens:
         timestep=np.arange(n, dtype=np.int64) - np.repeat(np.cumsum(steps) - steps, steps),
     )
 
-
-def windowize(tokens: EpisodeTokens, context: int) -> list[EpisodeTokens]:
-    """One window per trip of `tokens`: the trip's steps, in order.
-
-    Raises EncodingError for a non-empty table that does not end in a BLANK step, whose last trip has no end,
-    and for a trip of more than `context` steps, naming it by its place in the table.
-    """
-    if tokens.n_steps and tokens.action[-1] != BLANK:
-        raise EncodingError("step table does not end in a BLANK step")
-    stops = (np.flatnonzero(~tokens.decision_mask) + 1).tolist()  # one past each trip's terminal step
-    windows = [tokens.slice(start, stop) for start, stop in zip([0, *stops], stops)]
-    for i, w in enumerate(windows):
-        if w.n_steps > context:
-            raise EncodingError(f"trip {i} of {w.n_steps} steps exceeds context {context}")
-    return windows

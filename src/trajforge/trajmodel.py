@@ -8,25 +8,27 @@ each one `numcore.linear` node, so the graph keeps no pre-bias product.
 Infeasible actions are masked at sampling time, so generated trajectories are
 valid by construction.
 
-Both passes compute only the rows that reach a decision. A window with m
-decision steps runs as its first 2m - 1 tokens s_0 a_0 ... s_{m-1}: attention
-is causal, so nothing before them attends to the tokens after them (the last
-action, and a terminal step's s and BLANK). The last layer needs keys and
-values of every token, but only the state rows' outputs are read, so it runs
-its query, attention output and feed-forward for those rows alone.
+The policy reads whole trips: `ModelConfig.context` is the vocabulary's
+`max_timestep`, so every trip that the vocabulary admits fits. Both passes
+compute only the rows that reach a decision. A trip of m moves runs as its
+first 2m - 1 tokens s_0 a_0 ... s_{m-1}: attention is causal, so nothing
+before them attends to the tokens after them (the last action, and the
+terminal step's s and BLANK). The last layer needs keys and values of every
+token, but only the state rows' outputs are read, so it runs its query,
+attention output and feed-forward for those rows alone.
 
 `forward_batch` serves training, which records the autodiff graph, and
-evaluation, which calls it under `numcore.no_graph` (`pretrain.score_windows`)
-and so records none; a window without decisions is skipped, and dropout draws
-masks for the computed rows alone. Generation runs the same equations without
-a graph, incrementally, over a batch of trips in lockstep (`_Decoder`):
+evaluation, which calls it under `numcore.no_graph` (`pretrain.score_trips`)
+and so records none; dropout draws masks for the computed rows alone.
+Generation runs the same equations without a graph, incrementally, over a
+batch of trips in lockstep (`_Decoder`):
 - every live trip is at the same step, so no row needs padding or a ragged
   mask. Each layer's key and value caches, (trips, heads, 2 * context, head
   dim) each, hold every live trip's keys and values so far, head by head. A
   move writes only a_{t-1} and s_t (s_0 alone at t = 0), once, and the
-  pending a_t is never computed. A window is the whole trip, since `context`
-  is the vocabulary's `max_timestep`, so nothing ever leaves a cache but a
-  trip that ends: the caches drop its rows, copying only their filled part;
+  pending a_t is never computed. A cache has room for `context` steps, the
+  longest trip, so nothing ever leaves a cache but a trip that ends: the
+  caches drop its rows, copying only their filled part;
 - each layer below the last runs one product h @ [wq | wk | wv], and the last
   h @ [wk | wv] and its query for the s_t rows alone;
 - it looks up each trip's five context rows once, and adds each state's
@@ -75,13 +77,9 @@ from .checkpoint import ParamModel
 from .netgrid import Network
 from .numcore import AT_LEAST_1, NON_NEGATIVE, Tensor, make_rng, require
 from .synthgen import Trajectory, roll_out
-from .tokenizer import EpisodeTokens, VocabSpec, check_columns
+from .tokenizer import IS_VOCAB_SPEC, VocabSpec, check_columns, check_vocab
 
 N_ACTIONS = netgrid.N_ACTIONS
-
-
-class LossError(ValueError):
-    """A loss was requested over a window without decision steps."""
 
 
 @dataclass
@@ -97,6 +95,7 @@ class ModelConfig:
     def __post_init__(self):
         require(
             self,
+            vocab=IS_VOCAB_SPEC,
             d_model=AT_LEAST_1,
             n_layers=AT_LEAST_1,
             n_heads=AT_LEAST_1,
@@ -108,7 +107,7 @@ class ModelConfig:
 
     @property
     def context(self) -> int:
-        """Steps in a window: the vocabulary's `max_timestep`, so every trip the model can embed is one window."""
+        """Steps the policy reads at most: the vocabulary's `max_timestep`, so every trip the model can embed."""
         return self.vocab.max_timestep
 
 
@@ -168,11 +167,11 @@ class PolicyModel(ParamModel):
 
 @dataclass
 class BatchForward:
-    """Forward outputs for a list of windows processed as one graph."""
+    """Forward outputs for a list of trips processed as one graph."""
 
-    logits: Tensor  # (decision steps, N_ACTIONS), window by window
+    logits: Tensor  # (decision steps, N_ACTIONS), trip by trip
     actions: np.ndarray  # the action taken at each decision step, the cross-entropy target of its row
-    sizes: list[int]  # steps of each input window
+    sizes: list[int]  # steps of each input trip
 
 
 # a context's columns, named as `check_columns` and the embedding tables `emb_<name>` name them, with
@@ -180,32 +179,24 @@ class BatchForward:
 _CONTEXT_COLUMNS = (("origin", "origin"), ("destination", "destination"), ("depart", "depart_bin"), ("speed", "speed_bin"), ("user", "user_id"))
 
 
-def forward_batch(windows: list[EpisodeTokens], model: PolicyModel, rng: np.random.Generator | None = None) -> BatchForward:
-    """Run the policy over several windows in one recorded graph; logits of their decision steps.
+def forward_batch(trips: list[Trajectory], model: PolicyModel, rng: np.random.Generator | None = None) -> BatchForward:
+    """Run the policy over several trips in one recorded graph; logits of their decision steps.
 
-    Windows are embedded jointly; attention never crosses window boundaries. A window's decision
-    steps come first; only its terminal step, if it holds one, has none. Only rows that reach a
-    decision are computed (see the module docstring), and a window without decisions is skipped.
-    `rng` enables dropout (training); omit it for deterministic inference.
+    Trips are embedded jointly; attention never crosses trip boundaries. Only rows that reach a
+    decision are computed (see the module docstring). `rng` enables dropout (training); omit it for
+    deterministic inference. ValueError for no trips, and `check_vocab`'s EncodingError naming the
+    first trip with an index outside the vocabulary, a trip longer than `context` included.
     """
+    if not trips:
+        raise ValueError("no trips in batch")
     cfg = model.cfg
-    sizes = [w.n_steps for w in windows]
-    for w, t_len in zip(windows, sizes):
-        if t_len > cfg.context:
-            raise ValueError(f"window of {t_len} steps exceeds context {cfg.context}")
-        if t_len < 1:
-            raise ValueError("empty window")
-    lengths = np.asarray(sizes, dtype=np.intp)
-    starts = np.cumsum(lengths) - lengths
-    mask = np.concatenate([w.decision_mask for w in windows])
-    decisions = np.add.reduceat(mask, starts)
-    dec = np.flatnonzero(mask)  # the decision steps, as rows of the concatenated windows
-    if np.any(dec - np.repeat(starts, decisions) >= np.repeat(decisions, decisions)):
-        raise ValueError("a window has a decision step after its terminal step")
+    steps = check_vocab(trips, cfg.vocab)
+    m = np.array([len(t.actions) for t in trips])  # each trip's decision steps, all before its terminal one
+    dec = np.flatnonzero(steps.decision_mask)  # the decision steps, as rows of the step table
     total = len(dec)
 
     def cat(name):
-        return np.concatenate([getattr(w, name) for w in windows])[dec]
+        return getattr(steps, name)[dec]
 
     ts = nc.gather_rows(model.emb_timestep, cat("timestep"))
     s_sum = nc.gather_rows(model.emb_position, cat("position"))
@@ -215,8 +206,7 @@ def forward_batch(windows: list[EpisodeTokens], model: PolicyModel, rng: np.rand
     actions = cat("action")
     a_tok = nc.add(nc.gather_rows(model.emb_action, actions), ts)
 
-    # each window runs as its first 2m - 1 tokens: the cut drops its pending action, last in its stream
-    m = decisions[decisions > 0]
+    # each trip runs as its first 2m - 1 tokens: the cut drops its pending action, last in its stream
     perm, s_index = _interleave(total)
     perm = np.delete(perm, 2 * np.cumsum(m) - 1)
     s_rows = s_index - np.repeat(np.arange(len(m)), m)
@@ -232,7 +222,7 @@ def forward_batch(windows: list[EpisodeTokens], model: PolicyModel, rng: np.rand
         h = nc.layer_norm(x, layer["ln1_gain"], layer["ln1_bias"])
         k = nc.matmul(h, layer["wk"])
         v = nc.matmul(h, layer["wv"])
-        if i == last:  # past its keys and values, only the state rows, at each window's even offsets, are read
+        if i == last:  # past its keys and values, only the state rows, at each trip's even offsets, are read
             x, h, stride = nc.gather_rows(x, s_rows), nc.gather_rows(h, s_rows), 2
         q = nc.matmul(h, layer["wq"])
         ctx = nc.block_causal_attention(q, k, v, cfg.n_heads, segments, stride)
@@ -246,7 +236,7 @@ def forward_batch(windows: list[EpisodeTokens], model: PolicyModel, rng: np.rand
     x = nc.layer_norm(x, model.ln_f_gain, model.ln_f_bias)
     logits = nc.linear(x, model.head_w, model.head_b)
     nc.assert_finite(logits, "action logits")
-    return BatchForward(logits=logits, actions=actions, sizes=sizes)
+    return BatchForward(logits=logits, actions=actions, sizes=(m + 1).tolist())
 
 
 def _interleave(total: int) -> tuple[np.ndarray, np.ndarray]:
@@ -255,11 +245,9 @@ def _interleave(total: int) -> tuple[np.ndarray, np.ndarray]:
     return (np.arange(total)[:, None] + total * np.arange(2)).ravel(), 2 * np.arange(total)
 
 
-def batch_nll(windows: list[EpisodeTokens], model: PolicyModel, rng: np.random.Generator | None = None) -> Tensor:
-    """Mean cross-entropy over all decision positions of all windows."""
-    if not any(w.decision_mask.any() for w in windows):
-        raise LossError("no decision steps in batch")
-    out = forward_batch(windows, model, rng=rng)
+def batch_nll(trips: list[Trajectory], model: PolicyModel, rng: np.random.Generator | None = None) -> Tensor:
+    """Mean cross-entropy over all decision steps of all trips; `forward_batch` checks them."""
+    out = forward_batch(trips, model, rng=rng)
     return nc.cross_entropy(out.logits, out.actions)
 
 

@@ -66,9 +66,8 @@ class TestEvalPolicy:
         scores = pt.eval_policy(dataset, model)
         assert outs and all(o.logits._parents == () and o.logits._bwd is None for o in outs)
         monkeypatch.undo()
-        windows = pt.build_windows(dataset.eval(), model.cfg.context)
-        recorded = tm.forward_batch(windows, model).logits.data
-        actions = np.concatenate([w.action[w.decision_mask] for w in windows])
+        recorded = tm.forward_batch(dataset.eval(), model).logits.data
+        actions = np.concatenate([t.actions for t in dataset.eval()])
         assert scores[1] == np.mean(recorded.argmax(axis=1) == actions)
         assert scores[0] == pytest.approx(float(nc.cross_entropy(nc.Tensor(recorded), actions).data), rel=1e-12)
 
@@ -80,6 +79,21 @@ class TestEvalPolicy:
         assert a == b
         assert model.params_hash() == before
 
+
+    def test_scores_in_chunks_as_one_pass(self, monkeypatch):
+        dataset, model, _, _ = tiny_setup(d=8)
+        assert len(dataset.eval()) > 3
+        whole = pt.score_trips(dataset.eval(), model)
+        monkeypatch.setattr(pt, "EVAL_CHUNK", 3)
+        chunked = pt.score_trips(dataset.eval(), model)
+        assert chunked[1] == whole[1]
+        assert chunked[0] == pytest.approx(whole[0], rel=1e-12)
+
+    def test_empty_eval_split_rejected(self):
+        dataset, model, _, _ = tiny_setup()
+        no_eval = sg.Dataset(dataset.net, dataset.trajectories, dataset.user_count, train_idx=dataset.train_idx)
+        with pytest.raises(ValueError, match="^no trips to score$"):
+            pt.eval_policy(no_eval, model)
 
     def test_eval_user_outside_vocabulary_rejected_by_name(self):
         dataset, model, _, _ = tiny_setup(users=2)
@@ -145,7 +159,7 @@ class TestPretrain:
         with pytest.raises(tk.EncodingError, match=f"^trajectory {bad.traj_id}: user {value} outside int64$"):
             pt.pretrain(dataset, model, pt.TrainConfig(epochs=1))
         with pytest.raises(tk.EncodingError, match=f"^trajectory {bad.traj_id}: user {value} outside int64$"):
-            pt.build_windows([bad], model.cfg.context)
+            tm.forward_batch([bad], model)
 
     def test_long_ingested_trace_split_and_trained(self, tmp_path):
         path = write_zigzag(tmp_path)
@@ -212,13 +226,13 @@ class TestPretrain:
 
     def test_frozen_batch_descent_property(self):
         dataset, model, _, _ = tiny_setup(d=16)
-        windows = pt.build_windows(dataset.train(), model.cfg.context)[:8]
+        trips = dataset.train()[:8]
         from trajforge import numcore as nc
 
         opt = nc.adamw_init(model.vector, 1e-3, 0.0)
         losses = []
         for _ in range(10):
-            loss = pt.supervised_loss(model, windows)
+            loss = pt.supervised_loss(model, trips)
             losses.append(float(loss.data))
             pt.apply_step(model, loss, opt, grad_clip=1.0)
         assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -241,10 +255,10 @@ class TestPretrain:
 
     def test_divergence_aborts(self):
         dataset, model, _, _ = tiny_setup(d=8)
-        windows = pt.build_windows(dataset.train(), model.cfg.context)[:4]
+        trips = dataset.train()[:4]
         from trajforge import numcore as nc
 
-        loss = pt.supervised_loss(model, windows)
+        loss = pt.supervised_loss(model, trips)
         loss.data = np.float64("nan")
         opt = nc.adamw_init(model.vector, 1e-3, 0.0)
         with pytest.raises(pt.TrainingDivergenceError):
@@ -257,12 +271,12 @@ class TestPretrain:
         _, log = pt.pretrain(dataset, model, cfg)
         from trajforge import numcore as nc
 
-        windows = pt.build_windows(dataset.train(), replay.cfg.context)
+        trips = dataset.train()
         opt = nc.adamw_init(replay.vector, cfg.lr, cfg.weight_decay)
         norms = []
-        order = pt.batch_order(cfg.seed, "shuffle", 0, len(windows))
+        order = pt.batch_order(cfg.seed, "shuffle", 0, len(trips))
         for i in range(0, len(order), cfg.batch_size):
-            batch = [windows[j] for j in order[i : i + cfg.batch_size]]
+            batch = [trips[j] for j in order[i : i + cfg.batch_size]]
             nc.backward(pt.supervised_loss(replay, batch, make_rng(cfg.seed, "dropout", 0, i)))
             norms.append(math.sqrt(sum(float((p.grad**2).sum()) for p in replay.param_tensors())))
             # backward consumed that graph: the step rebuilds the same loss (same dropout stream)
@@ -270,13 +284,21 @@ class TestPretrain:
         assert max(norms) > cfg.grad_clip  # clipping was active, and the log holds the norms before it
         assert log.rows[0].grad_norm == pytest.approx(np.mean(norms), rel=1e-12)
 
-    def test_each_trip_encoded_once_and_eval_scores_unchanged(self, monkeypatch):
+    def test_splits_checked_first_then_each_batch_encoded_and_eval_scores_unchanged(self, monkeypatch):
         dataset, model, _, _ = tiny_setup(seed=2, d=8)
         encoded, encode = [], tk.encode_trips
         monkeypatch.setattr(tk, "encode_trips", lambda trajs: encoded.append([t.traj_id for t in trajs]) or encode(trajs))
-        model, log = pt.pretrain(dataset, model, pt.TrainConfig(epochs=3, batch_size=8, seed=2, patience=3))
+        cfg = pt.TrainConfig(epochs=3, batch_size=8, seed=2, patience=3)
+        model, log = pt.pretrain(dataset, model, cfg)
         assert len(log.rows) == 3
-        assert encoded == [[t.traj_id for t in dataset.train()], [t.traj_id for t in dataset.eval()]]
+        # both splits once, before the first step; then each batch in its epoch's order, and the eval split after each epoch
+        train_ids, eval_ids = [t.traj_id for t in dataset.train()], [t.traj_id for t in dataset.eval()]
+        want = [train_ids, eval_ids]
+        for epoch in range(cfg.epochs):
+            order = pt.batch_order(cfg.seed, "shuffle", epoch, len(train_ids))
+            want += [[train_ids[j] for j in order[i : i + cfg.batch_size]] for i in range(0, len(order), cfg.batch_size)]
+            want.append(eval_ids)
+        assert encoded == want
         # the returned model holds the best epoch's parameters; eval_policy re-encodes and scores them alike
         best = min(log.rows, key=lambda r: r.eval_nll)
         assert pt.eval_policy(dataset, model) == (best.eval_nll, best.parts["eval_acc"])

@@ -504,7 +504,8 @@ class TestTrainCritic:
         net, critic = grid_critic(users=1)
         vocab = critic.cfg.vocab
         positions = [0, 1, 2, 5, 8, 7, 6, 3, 0, 1, 2, 5, 8]
-        trip = sg.Trajectory(0, 0, 0, vocab.speed_bins, positions, [5] * (len(positions) - 1))
+        actions = [net.action_between(p, q) for p, q in zip(positions, positions[1:])]
+        trip = sg.Trajectory(0, 0, 0, vocab.speed_bins, positions, actions)
         assert len(positions) > vocab.max_timestep
         with pytest.raises(tk.EncodingError, match=f"^trajectory 0: speed {vocab.speed_bins} outside"):
             tk.check_vocab([trip], vocab)
@@ -529,6 +530,15 @@ class TestTrainCritic:
         critic = ri.CriticModel(ri.CriticConfig(tk.vocab_sizes(ring, cfg)), ring, rng=make_rng(0))
         with pytest.raises(ValueError, match="^the dataset's network is not the critic's$"):
             ri.train_critic(dataset, critic, ri.IRLConfig(epochs=2))
+
+    def test_move_off_the_network_rejected_by_name(self):
+        # on the critic's own network, a trip whose second action leads from 1 back to 0, not to 2
+        net, critic = grid_critic(users=1)
+        good = sg.Trajectory(3, 0, 0, 0, [0, 1, 2], [5, 5])
+        bad = sg.Trajectory(7, 0, 0, 0, [0, 1, 2], [5, 3])
+        ri.train_critic(sg.Dataset(net, [good], 1), critic, ri.IRLConfig(epochs=1))
+        with pytest.raises(ValueError, match="^trajectory 7: action 3 at position 1 does not lead to next_position 2$"):
+            ri.train_critic(sg.Dataset(net, [good, bad], 1), critic, ri.IRLConfig(epochs=1))
 
     def test_zero_lr_unchanged(self):
         cfg_synth = sg.SynthConfig(width=3, height=3, users=2, n_trajectories=8, seed=1, max_len=8)
@@ -635,9 +645,11 @@ class TestRecoverReward:
         critic_cfg = ri.CriticConfig(vocab=vocab, d=d, init_std=std)
         critic = ri.CriticModel(critic_cfg, net, rng=make_rng(data.draw(st.integers(0, 2**16))))
         batch = ri.transitions(dataset.train())
-        # a real move starts where some action is feasible; one into a dead end that does not end the trip has no soft value
-        live = net.feasible[batch.position].any(axis=1) & (batch.is_terminal | net.feasible[batch.next_position].any(axis=1))
-        batch = batch.take(np.flatnonzero(live))
+        # the random trips' moves made real: a feasible action, whose row's s' is where it leads
+        batch = batch.take(np.flatnonzero(net.feasible[batch.position, batch.action]))
+        batch.next_position = net.succ[batch.position, batch.action]
+        # a move into a dead end that does not end the trip has no soft value
+        batch = batch.take(np.flatnonzero(batch.is_terminal | ~net.dead_end[batch.next_position]))
         assume(len(batch) > 0)
         cfg = ri.IRLConfig(gamma=data.draw(st.sampled_from([0.5, 0.9])))
         margins, bellman_margin = [], ri.bellman_margin
@@ -710,10 +722,11 @@ class TestRecoverReward:
     def test_unit_q_against_nine_zero_actions(self):
         net, _ = grid_critic(grid=5)
         critic = stub_critic_with_q(net, 12, [0.0] * 9, d=8)
-        critic.w_base.data[0, 4] = 1.0  # Q(s, stay) = 1 at position 12 only
+        up_left = net.action_between(12, 6)
+        critic.w_base.data[0, up_left] = 1.0  # Q(s, up_left) = 1 at position 12 only
         state = mkstate(12, 17)
         nxt = mkstate(6, 17)  # interior, 9 feasible zero-Q actions
-        r = ri.recover_reward(state, 4, nxt, False, critic, 0.9)
+        r = ri.recover_reward(state, up_left, nxt, False, critic, 0.9)
         assert r == pytest.approx(1.0 - 0.9 * math.log(9), abs=1e-12)
 
     @pytest.mark.parametrize("field, value", [("origin", 2), ("destination", 11), ("depart_bin", 7), ("user_id", 2)])
@@ -760,17 +773,19 @@ class TestRecoverReward:
 
 @st.composite
 def scored_rows(draw):
-    """A random critic and 1-12 moves it can score: every s is live, and a dead-end s' ends its trip."""
+    """A random critic and 1-12 moves of its network that it can score: every s is live, and a dead-end s' ends its trip."""
     critic = draw(random_critics(st.one_of(networks(), dead_end_graphs())))
     net, v = critic.net, critic.cfg.vocab
     live = np.flatnonzero(~net.dead_end)
     assume(len(live) > 0)
     b = draw(st.integers(1, 12))
     rng = make_rng(draw(st.integers(0, 2**16)))
-    position, next_position = rng.choice(live, size=b), rng.integers(0, v.positions, size=b)
+    position = rng.choice(live, size=b)
+    action = np.array([rng.choice(np.flatnonzero(net.feasible[p])) for p in position])
+    next_position = net.succ[position, action]
     ctx = [rng.integers(0, n, size=b) for n in (v.positions, v.positions, v.depart_bins, v.users)]
     terminal = (rng.random(b) < 0.3) | net.dead_end[next_position]
-    return critic, ri.TransitionBatch(position, *ctx, rng.integers(0, 9, size=b), next_position, rng.random(b) < 0.5, terminal)
+    return critic, ri.TransitionBatch(position, *ctx, action, next_position, rng.random(b) < 0.5, terminal)
 
 
 def row_states(batch, i):
@@ -804,7 +819,7 @@ class TestRowScorers:
 
     @given(
         case=scored_rows(),
-        kind=st.sampled_from(["position", "origin", "destination", "depart", "user", "next_position", "action", "dead s", "dead s'"]),
+        kind=st.sampled_from(["position", "origin", "destination", "depart", "user", "next_position", "action", "dead s", "dead s'", "move"]),
         data=st.data(),
     )
     def test_errors_name_the_first_bad_row_property(self, case, kind, data):
@@ -814,8 +829,14 @@ class TestRowScorers:
         first = data.draw(st.integers(1, len(batch) - 1), label="first bad row")
         bad = [first, *data.draw(st.lists(st.integers(first + 1, len(batch) - 1), max_size=3) if first + 1 < len(batch) else st.just([]))]
         batch = batch.take(np.arange(len(batch)))  # a copy to corrupt
-        scores_s = kind not in ("next_position", "action", "dead s'")  # log_policy_rows reads s only
-        if kind.startswith("dead"):
+        scores_s = kind not in ("next_position", "action", "dead s'", "move")  # log_policy_rows reads s only
+        if kind == "move":  # an s' that the row's action does not lead to, on a row that ends its trip
+            assume(net.n_positions >= 2)
+            batch.next_position[bad] = (batch.next_position[bad] + 1) % net.n_positions
+            batch.is_terminal[bad] = True
+            p, a, q = batch.position[first], batch.action[first], batch.next_position[first]
+            error, message = ValueError, f"action {a} at position {p} does not lead to next_position {q}"
+        elif kind.startswith("dead"):
             assume(net.dead_end.any())
             dead = int(np.flatnonzero(net.dead_end)[0])
             column = "position" if kind == "dead s" else "next_position"
@@ -835,6 +856,19 @@ class TestRowScorers:
             with pytest.raises(error, match=f"^row {first}: {message}$"):
                 ri.log_policy_rows(critic, *policy_cols(batch))
 
+
+    def test_moves_off_the_network_rejected_by_row(self):
+        # a ring of 25 links has the grid's positions, but none of the grid trips' moves: their 204 rows
+        # used to score to finite rewards
+        cfg = sg.SynthConfig(n_trajectories=60, seed=3)
+        dataset, _ = sg.gen_dataset(cfg)
+        ring = ng.LinkGraph([[(i + 1) % 25, (i + 2) % 25] for i in range(25)])
+        critic = ri.CriticModel(ri.CriticConfig(tk.vocab_sizes(ring, cfg)), ring, rng=make_rng(0))
+        batch = ri.transitions(dataset.train())
+        assert len(batch) == 204 and not np.any(ring.succ[batch.position, batch.action] == batch.next_position)
+        p, a, q = batch.position[0], batch.action[0], batch.next_position[0]
+        with pytest.raises(ValueError, match=f"^row 0: action {a} at position {p} does not lead to next_position {q}$"):
+            ri.reward_rows(batch, critic, 0.9)
 
     def test_no_rows_score_to_empty_arrays(self):
         net, critic = grid_critic()

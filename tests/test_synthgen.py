@@ -13,6 +13,7 @@ from test_netgrid import networks
 
 from trajforge import netgrid as ng
 from trajforge import numcore as nc
+from trajforge import rewardirl as ri
 from trajforge import synthgen as sg
 from trajforge import tokenizer as tk
 from trajforge import trajmodel as tm
@@ -373,17 +374,23 @@ class TestGenDataset:
             # this used to raise a bare TypeError from its bound
             (dict(theta_sigma=None), "theta_sigma must be a finite real number, got None"),
             (dict(archetypes=[[1.0, 2.0, 3.0], [1.0, 2.0]]), "archetypes must be rows of 3 finite weights, got [[1.0, 2.0, 3.0], [1.0, 2.0]]"),
+            # the models' configs: these used to be accepted, and the model constructor raised a bare AttributeError
+            (dict(config=tm.ModelConfig, vocab=None), "vocab must be a VocabSpec, got None"),
+            (dict(config=ri.CriticConfig, vocab={"positions": 9}), "vocab must be a VocabSpec, got {'positions': 9}"),
         ],
         ids=[
             "users", "n-trajectories", "max-len", "no-archetype", "short-archetype", "depart-bins", "speed-bins", "theta-sigma",
             "users-bool", "max-len-fraction", "seed-float", "width", "nan-archetype", "cell-size-none", "theta-sigma-none",
-            "ragged-archetypes",
+            "ragged-archetypes", "policy-vocab-none", "critic-vocab-dict",
         ],
     )
     def test_bad_config_rejected_when_made(self, fields, message):
         # these used to be caught only by gen_dataset, so vocab_sizes built a vocabulary from them
-        with pytest.raises(sg.ConfigError, match=f"^{re.escape(message)}$"):
-            sg.SynthConfig(**fields)
+        fields = dict(fields)  # the parameter's dict is shared between runs
+        config = fields.pop("config", sg.SynthConfig)
+        error = sg.ConfigError if config is sg.SynthConfig else ValueError
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            config(**fields)
 
     def test_config_cannot_change_after_its_check(self):
         # gen_dataset no longer checks its config, so a later users = 0 would reach numpy as "high <= 0"

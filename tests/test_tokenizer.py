@@ -20,7 +20,7 @@ def make_traj(positions, actions, flag="complete", user=0, depart=3, speed=40, t
 
 @st.composite
 def trip_lists(draw, min_size=0):
-    """Random trips, unconnected moves allowed; trip i has user i, so a window names its trip."""
+    """Random trips, unconnected moves allowed; trip i has user i, so a step names its trip."""
     trips = []
     for i in range(draw(st.integers(min_size, 5))):
         positions = draw(st.lists(st.integers(0, 24), min_size=2, max_size=30))
@@ -86,59 +86,32 @@ class TestDecode:
 
 
 class TestWindowize:
-    def _episode(self, n_steps):
-        positions = list(range(n_steps))
-        actions = [5] * (n_steps - 1)
-        net = ng.GridNetwork(ng.GridSpec(n_steps + 1, 2))
-        traj = sg.Trajectory(0, 0, 0, 0, positions, actions, "complete")
-        sg.check_connectivity(traj, net)
-        return tk.encode_trips([traj])
+    """Each trip is the policy's window: its block of rows in the step table, read whole."""
 
-    def test_short_episode_single_window(self):
-        windows = tk.windowize(self._episode(5), context=12)
-        assert len(windows) == 1
-        assert windows[0].n_steps == 5
-
-    def test_exact_fit_single_window(self):
-        windows = tk.windowize(self._episode(12), context=12)
-        assert len(windows) == 1
-
-    def test_trip_longer_than_context_rejected(self):
-        table = tk.encode_trips([make_traj([0, 1], [5]), make_traj(list(range(13)), [5] * 12)])
-        with pytest.raises(tk.EncodingError, match="^trip 1 of 13 steps exceeds context 12$"):
-            tk.windowize(table, context=12)
-
-    @given(trip_lists(), st.integers(1, 31))
-    def test_coverage_property(self, trips, k):
+    @given(trip_lists())
+    def test_coverage_property(self, trips):
+        # each trip's rows are contiguous and in order, its timesteps run 0..n-1, its moves are its
+        # decision rows, each once, and a BLANK sits at its last row and nowhere else
         table = tk.encode_trips(trips)
-        if any(len(traj.positions) > k for traj in trips):
-            with pytest.raises(tk.EncodingError, match="exceeds context"):
-                tk.windowize(table, k)
-            return
-        windows = tk.windowize(table, k)
-        assert len(windows) == len(trips)  # one window per trip
-        covered = []
-        for w in windows:
-            assert 1 <= w.n_steps <= k
-            traj = trips[w.user[0]]  # no window crosses a trip: one user, consecutive steps, BLANK last if at all
-            assert (w.user == w.user[0]).all() and w.decision_mask[:-1].all()
-            assert w.position.tolist() == traj.positions[w.timestep[0] : w.timestep[-1] + 1]
-            covered.extend((int(w.user[0]), int(t)) for t in w.timestep[w.decision_mask])
-        assert set(covered) == {(i, t) for i, traj in enumerate(trips) for t in range(len(traj.actions))}
-        for name in FIELDS:  # put back together, the windows are the step table
-            got = np.concatenate([getattr(w, name) for w in windows]) if windows else getattr(table, name)
-            assert got.tobytes() == getattr(table, name).tobytes(), name
+        steps = np.array([len(t.positions) for t in trips], dtype=np.int64)
+        ends = np.cumsum(steps)
+        assert table.n_steps == steps.sum()
+        if trips:
+            np.testing.assert_array_equal(np.flatnonzero(np.diff(table.user)) + 1, ends[:-1])  # trip i has user i
+            np.testing.assert_array_equal(table.user[ends - steps], np.arange(len(trips)))
+        for traj, stop in zip(trips, ends):
+            rows = slice(stop - len(traj.positions), stop)
+            assert table.position[rows].tolist() == traj.positions
+            assert table.timestep[rows].tolist() == list(range(len(traj.positions)))
+        np.testing.assert_array_equal(np.flatnonzero(table.action == tk.BLANK), ends - 1)
+        decided = zip(table.user[table.decision_mask].tolist(), table.timestep[table.decision_mask].tolist())
+        assert list(decided) == [(i, t) for i, traj in enumerate(trips) for t in range(len(traj.actions))]
 
     def test_absolute_timesteps_preserved(self):
-        windows = tk.windowize(tk.encode_trips([make_traj([0, 1, 2], [5, 5]), make_traj(list(range(20)), [5] * 19)]), context=20)
-        assert windows[1].timestep.tolist() == list(range(20))
-
-    def test_table_without_final_blank_rejected(self):
-        table = tk.encode_trips([make_traj([0, 1, 2], [5, 5]), make_traj([2, 1], [3])])
-        assert tk.windowize(table.slice(0, 0), 4) == []
-        for stop in (2, 4):
-            with pytest.raises(tk.EncodingError, match="does not end in a BLANK step"):
-                tk.windowize(table.slice(0, stop), 4)
+        long_trip = make_traj(list(range(20)), [5] * 19)
+        table = tk.encode_trips([make_traj([0, 1, 2], [5, 5]), long_trip])
+        assert table.timestep[3:].tolist() == list(range(20))
+        np.testing.assert_array_equal(table.timestep[3:], tk.encode_trips([long_trip]).timestep)
 
 
 def arrays_digest(arrays):

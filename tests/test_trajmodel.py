@@ -25,10 +25,15 @@ def small_model(d=16, layers=1, heads=2, users=4, grid=5, dropout=0.0, seed=1, m
     return net, tm.PolicyModel(cfg, rng=make_rng(seed))
 
 
-def sample_window(net, seed=3, user=1, n_users=4, max_len=19):
+def sample_trip(net, seed=3, user=1, n_users=4, max_len=19):
+    """An oracle trip cut to its first 8 moves."""
     prefs = sg.PreferenceParams(make_rng(seed, "theta").normal(size=(n_users, 3)))
-    traj = oracle_trip(seed, (0, net.n_positions - 1), user, prefs, net, max_len, depart_bin=2, speed_bin=7)
-    return tk.encode_trips([traj]).slice(0, 8)  # its first 8 steps
+    return first_moves(oracle_trip(seed, (0, net.n_positions - 1), user, prefs, net, max_len, depart_bin=2, speed_bin=7), 8)
+
+
+def first_moves(traj, n):
+    """`traj` cut to its first `n` moves."""
+    return dataclasses.replace(traj, positions=traj.positions[: n + 1], actions=traj.actions[:n])
 
 
 logit_rows = st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9).map(np.array)
@@ -36,26 +41,27 @@ feasible_rows = st.lists(st.booleans(), min_size=9, max_size=9).filter(any).map(
 temperatures = st.floats(0.05, 10.0)
 
 
-def reference_forward(model, window):
-    """Independent plain-numpy replay of the architecture equations."""
+def reference_forward(model, trip):
+    """Independent plain-numpy replay of the architecture equations: the logits at each of the trip's moves."""
     cfg = model.cfg
-    t_len = window.n_steps
+    steps = tk.encode_trips([trip])
+    t_len = steps.n_steps
     d = cfg.d_model
 
     def g(t):
         return t.data
 
-    ts = g(model.emb_timestep)[window.timestep]
+    ts = g(model.emb_timestep)[steps.timestep]
     s_tok = (
-        g(model.emb_position)[window.position]
-        + g(model.emb_origin)[window.origin]
-        + g(model.emb_destination)[window.destination]
-        + g(model.emb_depart)[window.depart]
-        + g(model.emb_speed)[window.speed]
-        + g(model.emb_user)[window.user]
+        g(model.emb_position)[steps.position]
+        + g(model.emb_origin)[steps.origin]
+        + g(model.emb_destination)[steps.destination]
+        + g(model.emb_depart)[steps.depart]
+        + g(model.emb_speed)[steps.speed]
+        + g(model.emb_user)[steps.user]
         + ts
     )
-    a_tok = g(model.emb_action)[window.action] + ts
+    a_tok = g(model.emb_action)[steps.action] + ts
     seq = np.empty((2 * t_len, d))
     seq[0::2] = s_tok
     seq[1::2] = a_tok
@@ -86,7 +92,7 @@ def reference_forward(model, window):
         h2 = ln(x, layer["ln2_gain"], layer["ln2_bias"])
         x = x + gelu(h2 @ g(layer["ff_w1"]) + g(layer["ff_b1"])) @ g(layer["ff_w2"]) + g(layer["ff_b2"])
     x = ln(x, model.ln_f_gain, model.ln_f_bias)
-    return x[0::2] @ g(model.head_w) + g(model.head_b)
+    return (x[0::2] @ g(model.head_w) + g(model.head_b))[:-1]  # the terminal step makes no decision
 
 
 GELU_C = math.sqrt(2 / math.pi)
@@ -105,22 +111,23 @@ def ln_backward(dy, xhat, x, gain):
     return dx, (dy * xhat).sum(0), dy.sum(0)
 
 
-def reference_loss_and_grads(model, windows, masks=None):
-    """Mean action NLL over the decision steps of `windows` and its gradient for every parameter,
-    replayed in plain numpy over all 2T rows of every window in every layer.
+def reference_loss_and_grads(model, trips, masks=None):
+    """Mean action NLL over the decision steps of `trips` and its gradient for every parameter,
+    replayed in plain numpy over all 2T rows of every trip in every layer.
 
     `masks`, if given, lists the dropout masks in draw order (embedding, then each layer's attention
-    and feed-forward outputs), each over the 2 * (total steps) rows of the windows' token streams.
+    and feed-forward outputs), each over the 2 * (total steps) rows of the trips' token streams.
     """
     cfg = model.cfg
+    tables = [tk.encode_trips([trip]) for trip in trips]
     P = {name: t.data for name, t in model.parameters()}
     G = {name: np.zeros_like(value) for name, value in P.items()}
     d, hd = cfg.d_model, cfg.d_model // cfg.n_heads
     heads = [slice(i * hd, (i + 1) * hd) for i in range(cfg.n_heads)]
     n_layers = len(model.layers)
-    n_dec = sum(int(w.decision_mask.sum()) for w in windows)
+    n_dec = sum(int(w.decision_mask.sum()) for w in tables)
     loss, row0 = 0.0, 0
-    for w in windows:
+    for w in tables:
         n = 2 * w.n_steps
         drop = [np.ones((n, d))] * (1 + 2 * n_layers) if masks is None else [m[row0 : row0 + n] for m in masks]
         row0 += n
@@ -214,74 +221,50 @@ def reference_loss_and_grads(model, windows, masks=None):
     return loss, G
 
 
-def random_windows(vocab, specs, seed):
-    """Windows of random tokens, one per (steps, terminal) spec; a terminal window ends in a BLANK step."""
+def random_trips(vocab, sizes, seed):
+    """Trips of random tokens, one of each number of steps in `sizes`; their moves need not be the network's."""
     rng = np.random.default_rng(seed)
-    windows = []
-    for n, terminal in specs:
-        action = rng.integers(0, tk.BLANK, n)
-        if terminal:
-            action[-1] = tk.BLANK
-        t0 = int(rng.integers(0, vocab.max_timestep - n + 1))
-        windows.append(
-            tk.EpisodeTokens(
-                position=rng.integers(0, vocab.positions, n),
-                origin=rng.integers(0, vocab.positions, n),
-                destination=rng.integers(0, vocab.positions, n),
-                depart=rng.integers(0, vocab.depart_bins, n),
-                speed=rng.integers(0, vocab.speed_bins, n),
-                user=rng.integers(0, vocab.users, n),
-                action=action,
-                timestep=np.arange(t0, t0 + n),
-            )
+    return [
+        sg.Trajectory(
+            i,
+            int(rng.integers(vocab.users)),
+            int(rng.integers(vocab.depart_bins)),
+            int(rng.integers(vocab.speed_bins)),
+            rng.integers(0, vocab.positions, n).tolist(),
+            rng.integers(0, tk.BLANK, n - 1).tolist(),
         )
-    return windows
+        for i, n in enumerate(sizes)
+    ]
 
 
-def assert_matches_replay(model, windows, rng=None, masks=None):
+def assert_matches_replay(model, trips, rng=None, masks=None):
     """`batch_nll` and every parameter gradient equal the full-row replay within 1e-12 relative."""
-    loss = tm.batch_nll(windows, model, rng=rng)
+    loss = tm.batch_nll(trips, model, rng=rng)
     nc.backward(loss)
-    ref_loss, ref_grads = reference_loss_and_grads(model, windows, masks)
+    ref_loss, ref_grads = reference_loss_and_grads(model, trips, masks)
     assert abs(float(loss.data) - ref_loss) <= 1e-12 * abs(ref_loss)
     for name, t in model.parameters():
         scale = np.abs(ref_grads[name]).max()
         assert np.abs(t.grad - ref_grads[name]).max() <= 1e-12 * scale, name
 
 
-def computed_rows(windows):
-    """Rows of the windows' joint 2-token streams that `forward_batch` computes, in its order: those of
-    the embedding and every layer but the last (each window's first 2m - 1 tokens), and those of the
-    last layer (each window's m decision state tokens)."""
+def computed_rows(trips):
+    """Rows of the trips' joint 2-token streams that `forward_batch` computes, in its order: those of
+    the embedding and every layer but the last (each trip's first 2m - 1 tokens), and those of the
+    last layer (each trip's m decision state tokens)."""
     stream, states, row0 = [], [], 0
-    for w in windows:
-        m = int(w.decision_mask.sum())
-        stream.append(row0 + np.arange(max(2 * m - 1, 0)))
+    for t in trips:
+        m = len(t.actions)
+        stream.append(row0 + np.arange(2 * m - 1))
         states.append(row0 + 2 * np.arange(m))
-        row0 += 2 * w.n_steps
+        row0 += 2 * len(t.positions)
     return np.concatenate(stream), np.concatenate(states)
 
 
-def prefix_window(ctx, positions, actions):
-    """Tokens of the whole trip so far, of a trip being generated.
-
-    The pending decision gets the placeholder action 0, so `forward_batch` reads the last step;
-    nothing attends to that token."""
-    n = len(positions)
-
-    def full(value):
-        return np.full(n, value, dtype=np.int64)
-
-    return tk.EpisodeTokens(
-        position=np.array(positions, dtype=np.int64),
-        origin=full(ctx.origin),
-        destination=full(ctx.destination),
-        depart=full(ctx.depart_bin),
-        speed=full(ctx.speed_bin),
-        user=full(ctx.user_id),
-        action=np.array(actions + [0], dtype=np.int64),
-        timestep=np.arange(n, dtype=np.int64),
-    )
+def walk_trip(ctx, positions, actions):
+    """The trip of `ctx` that makes the moves `actions` through `positions`, its last being `ctx.destination`."""
+    assert positions[-1] == ctx.destination
+    return sg.Trajectory(ctx.traj_id, ctx.user_id, ctx.depart_bin, ctx.speed_bin, positions, actions)
 
 
 def random_walk(net, origin, moves, seed):
@@ -309,40 +292,36 @@ def decoder_logits(model, ctx, positions, actions):
 class TestForward:
     def test_single_step_shape(self):
         net, model = small_model()
-        window = sample_window(net).slice(0, 1)
-        out = tm.forward_batch([window], model)
+        out = tm.forward_batch([first_moves(sample_trip(net), 1)], model)
         assert out.logits.data.shape == (1, 9)
         assert np.all(np.isfinite(out.logits.data))
 
     def test_matches_independent_replay(self):
         net, model = small_model(d=4, layers=1, heads=1)
-        window = sample_window(net)
-        out = tm.forward_batch([window], model)
-        ref = reference_forward(model, window)
+        trip = sample_trip(net)
+        out = tm.forward_batch([trip], model)
+        ref = reference_forward(model, trip)
         np.testing.assert_allclose(out.logits.data, ref, rtol=1e-10, atol=1e-12)
 
     def test_matches_replay_multihead_multilayer(self):
         net, model = small_model(d=8, layers=2, heads=2, seed=9)
-        window = sample_window(net, seed=11)
-        out = tm.forward_batch([window], model)
-        ref = reference_forward(model, window)
+        trip = sample_trip(net, seed=11)
+        out = tm.forward_batch([trip], model)
+        ref = reference_forward(model, trip)
         np.testing.assert_allclose(out.logits.data, ref, rtol=1e-10, atol=1e-12)
 
     def test_causality_bit_identical(self):
         net, model = small_model()
-        window = sample_window(net)
-        t_len = window.n_steps
-        assert t_len >= 3
-        base = tm.forward_batch([window], model).logits.data.copy()
-        cut = t_len - 2
-        # perturb everything after s_cut: the action at cut and all later steps
-        mutated = window.slice(0, t_len)
-        mutated.action = mutated.action.copy()
-        mutated.position = mutated.position.copy()
-        mutated.action[cut] = (mutated.action[cut] + 1) % 9
-        mutated.action[cut + 1 :] = 0
-        mutated.position[cut + 1 :] = 1
-        after = tm.forward_batch([mutated], model).logits.data
+        trip = sample_trip(net)
+        moves = len(trip.actions)
+        assert moves >= 3
+        base = tm.forward_batch([trip], model).logits.data.copy()
+        cut = moves - 2
+        # perturb everything after s_cut: the action at cut and all later steps but the last position,
+        # which every step reads as its destination
+        actions = [*trip.actions[:cut], (trip.actions[cut] + 1) % 9] + [0] * (moves - cut - 1)
+        positions = trip.positions[: cut + 1] + [1] * (moves - cut - 1) + trip.positions[-1:]
+        after = tm.forward_batch([dataclasses.replace(trip, positions=positions, actions=actions)], model).logits.data
         assert np.array_equal(base[: cut + 1], after[: cut + 1])
         assert not np.array_equal(base[cut + 1 :], after[cut + 1 :])
 
@@ -370,8 +349,8 @@ class TestForward:
     def test_numpy_integer_fields_accepted(self):
         vocab = tk.vocab_sizes(ng.GridNetwork(ng.GridSpec(3, 3)), sg.SynthConfig(users=2))
         cfg = tm.ModelConfig(vocab, d_model=np.int64(8), n_layers=np.int32(1), n_heads=np.int64(2), ff_mult=np.int64(2))
-        window = sample_window(ng.GridNetwork(ng.GridSpec(3, 3)), n_users=2, max_len=5)
-        assert tm.forward_batch([window], tm.PolicyModel(cfg)).logits.shape == (window.decision_mask.sum(), 9)
+        trip = sample_trip(ng.GridNetwork(ng.GridSpec(3, 3)), n_users=2, max_len=5)
+        assert tm.forward_batch([trip], tm.PolicyModel(cfg)).logits.shape == (len(trip.actions), 9)
 
     @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1])
     def test_dropout_outside_unit_interval_rejected(self, rate):
@@ -380,31 +359,33 @@ class TestForward:
 
     def test_no_graph_logits_bit_identical_and_bare(self):
         net, model = small_model(d=8, layers=2, heads=2, init_std=0.5)
-        windows = random_windows(model.cfg.vocab, [(4, False), (2, True), (3, True)], seed=3)
-        recorded = tm.forward_batch(windows, model).logits
+        trips = random_trips(model.cfg.vocab, [5, 2, 3], seed=3)
+        recorded = tm.forward_batch(trips, model).logits
         with nc.no_graph():
-            bare = tm.forward_batch(windows, model).logits
+            bare = tm.forward_batch(trips, model).logits
         assert bare.data.tobytes() == recorded.data.tobytes()
         assert bare._parents == () and bare._bwd is None
         assert recorded._parents
 
     def test_no_graph_lowers_peak_memory(self):
         net, model = small_model(d=32, layers=2, heads=2)
-        windows = random_windows(model.cfg.vocab, [(8, i % 3 == 0) for i in range(64)], seed=4)
+        trips = random_trips(model.cfg.vocab, [8 if i % 3 == 0 else 9 for i in range(64)], seed=4)
 
         def bare_forward():
             with nc.no_graph():
-                tm.forward_batch(windows, model)
+                tm.forward_batch(trips, model)
 
-        recorded = traced_peak(lambda: tm.forward_batch(windows, model))
+        recorded = traced_peak(lambda: tm.forward_batch(trips, model))
         bare = traced_peak(bare_forward)
         assert bare < 0.6 * recorded  # ~16 MB with the graph, ~6 MB without
 
     def test_overlength_window_rejected(self):
-        net, model = small_model(max_len=1)  # a window holds at most 2 steps
-        window = sample_window(net)
-        with pytest.raises(ValueError, match="exceeds context"):
-            tm.forward_batch([window], model)
+        # a window is the whole trip: one longer than the context is named by check_vocab's timestep check
+        net, model = small_model(max_len=1)  # the policy reads at most 2 steps
+        fits, too_long = first_moves(sample_trip(net), 1), dataclasses.replace(sample_trip(net), traj_id=5)
+        tm.forward_batch([fits], model)
+        with pytest.raises(tk.EncodingError, match="^trajectory 5: timestep 2 outside vocabulary of 2$"):
+            tm.forward_batch([fits, too_long], model)
 
 
 class TestInterleave:
@@ -425,46 +406,43 @@ class TestInterleave:
         np.testing.assert_array_equal(got_perm, perm)
         np.testing.assert_array_equal(got_s_index, s_index)
 
-    def test_batch_equals_separate_windows(self):
-        net, model = small_model(layers=2, heads=2)
-        windows = [sample_window(net, seed=s) for s in (3, 4, 5)]
-        windows.append(windows[0].slice(0, 2))
-        joint = tm.forward_batch(windows, model)
+    @given(st.lists(st.integers(2, 21), min_size=1, max_size=6), st.integers(0, 2**16))
+    def test_batch_equals_separate_windows(self, sizes, seed):
+        # a window is the whole trip: each trip's rows of a batched pass are its own pass's
+        net, model = small_model(layers=2, heads=2, init_std=0.5)
+        trips = random_trips(model.cfg.vocab, sizes, seed)
+        joint = tm.forward_batch(trips, model)
+        assert joint.sizes == sizes
         start = 0
-        for w in windows:
-            solo = tm.forward_batch([w], model)
-            decisions = int(w.decision_mask.sum())
+        for trip in trips:
+            solo = tm.forward_batch([trip], model)
+            decisions = len(trip.actions)
             np.testing.assert_allclose(joint.logits.data[start : start + decisions], solo.logits.data, rtol=1e-12, atol=1e-14)
             start += decisions
+        assert start == len(joint.logits.data)
 
 
 class TestNllLoss:
     def test_uniform_logits_ln9(self):
         net, model = small_model()
         model.vector[:] = 0.0
-        window = sample_window(net)
-        loss = tm.batch_nll([window], model)
+        loss = tm.batch_nll([sample_trip(net)], model)
         assert float(loss.data) == pytest.approx(math.log(9), abs=1e-12)
 
-    def test_no_decision_steps_rejected(self):
+    def test_empty_batch_rejected(self):
+        # every trip makes a move, so only a batch of no trips has no decision step
         net, model = small_model()
-        prefs = sg.PreferenceParams(np.ones((1, 3)))
-        traj = oracle_trip(2, (0, 1), 0, prefs, net, 19)
-        ep = tk.encode_trips([traj])
-        terminal_only = ep.slice(ep.n_steps - 1, ep.n_steps)
-        assert terminal_only.action[0] == tk.BLANK
-        with pytest.raises(tm.LossError):
-            tm.batch_nll([terminal_only], model)
+        with pytest.raises(ValueError, match="^no trips in batch$"):
+            tm.batch_nll([], model)
 
     def test_gradient_matches_finite_differences(self):
         # well-scaled weights keep gradients away from the guard-denominator floor
         net, model = small_model(d=8, layers=1, heads=2, users=2, grid=3, max_len=6, init_std=0.3)
         prefs = sg.PreferenceParams(np.array([[2.0, 0.0, -1.0], [1.0, -1.0, 0.0]]))
         traj = oracle_trip(5, (0, 8), 0, prefs, net, 6, depart_bin=1, speed_bin=3)
-        window = tk.encode_trips([traj])
 
         def f():
-            return tm.batch_nll([window], model)
+            return tm.batch_nll([traj], model)
 
         err = finite_diff_check(f, model.param_tensors(), eps=1e-4)
         assert err <= 1e-4
@@ -476,69 +454,47 @@ class TestDecisionRows:
     @given(
         st.integers(1, 3),
         st.sampled_from([1, 2, 4]),
-        st.integers(1, 5),
-        st.lists(st.tuples(st.integers(1, 5), st.booleans()), min_size=1, max_size=4),
+        st.integers(2, 6),
+        st.lists(st.integers(2, 6), min_size=1, max_size=4),
         st.integers(0, 2**16),
     )
-    def test_loss_and_gradients_match_full_row_replay_property(self, layers, heads, context, specs, seed):
+    def test_loss_and_gradients_match_full_row_replay_property(self, layers, heads, context, sizes, seed):
         net, model = small_model(d=8, layers=layers, heads=heads, grid=4, seed=seed, max_len=context - 1, init_std=0.5)
-        windows = random_windows(model.cfg.vocab, [(min(n, context), terminal) for n, terminal in specs], seed)
-        if not any(w.decision_mask.any() for w in windows):
-            with pytest.raises(tm.LossError):
-                tm.batch_nll(windows, model)
-            return
-        assert_matches_replay(model, windows)
+        assert_matches_replay(model, random_trips(model.cfg.vocab, [min(n, context) for n in sizes], seed))
 
     def test_dropout_masks_are_drawn_at_the_computed_rows(self):
         rate = 0.2
         net, model = small_model(d=8, layers=2, heads=2, grid=4, dropout=rate, init_std=0.5)
-        windows = random_windows(model.cfg.vocab, [(4, False), (1, True), (3, True), (4, True), (2, False)], seed=5)
-        stream, states = computed_rows(windows)
+        trips = random_trips(model.cfg.vocab, [5, 2, 3, 4, 3], seed=5)
+        stream, states = computed_rows(trips)
         draws = make_rng(7, "dropout")
         masks = []
         for rows in (stream, stream, stream, states, states):  # embedding, layer 0, the last layer
-            mask = np.ones((2 * sum(w.n_steps for w in windows), 8))  # rows no loss reads keep ones
+            mask = np.ones((2 * sum(len(t.positions) for t in trips), 8))  # rows no loss reads keep ones
             mask[rows] = (draws.random((len(rows), 8)) >= rate) / (1 - rate)
             masks.append(mask)
-        assert_matches_replay(model, windows, rng=make_rng(7, "dropout"), masks=masks)
+        assert_matches_replay(model, trips, rng=make_rng(7, "dropout"), masks=masks)
 
     def test_dropout_stream_advances_by_the_computed_rows(self):
         net, model = small_model(d=8, layers=3, heads=2, grid=4, dropout=0.2)
-        windows = random_windows(model.cfg.vocab, [(4, True), (1, True), (3, False), (2, True)], seed=6)
-        stream, states = computed_rows(windows)
+        trips = random_trips(model.cfg.vocab, [4, 2, 4, 2], seed=6)
+        stream, states = computed_rows(trips)
         rng = make_rng(8, "dropout")
-        tm.batch_nll(windows, model, rng)
+        tm.batch_nll(trips, model, rng)
         fresh = make_rng(8, "dropout")
         for rows in [stream] * 5 + [states] * 2:
             fresh.random((len(rows), 8))
         assert rng.random() == fresh.random()
 
-    def test_terminal_only_windows_change_nothing(self):
-        # one-step windows sliced off each trip: each trip's last one holds only its terminal step
-        net, model = small_model(d=16, layers=2, heads=2, seed=3)
-        prefs = sg.PreferenceParams(make_rng(9, "theta").normal(size=(4, 3)))
-        trajs = [oracle_trip(s, (s % 5, 24 - s), s % 4, prefs, net, 19) for s in range(6)]
-        table = tk.encode_trips(trajs)
-        windows = [table.slice(i, i + 1) for i in range(table.n_steps)]
-        decided = [w for w in windows if w.decision_mask.any()]
-        assert len(windows) - len(decided) == len(trajs)
-        mixed = tm.forward_batch(windows, model)
-        assert mixed.sizes == [1] * len(windows)
-        assert tm.forward_batch([w for w in windows if not w.decision_mask.any()], model).logits.data.shape == (0, 9)
-        np.testing.assert_allclose(float(tm.batch_nll(windows, model).data), float(tm.batch_nll(decided, model).data), rtol=1e-14)
-        np.testing.assert_allclose(mixed.logits.data, tm.forward_batch(decided, model).logits.data, rtol=1e-13, atol=1e-15)
-
     def test_terminal_windows_gradient_matches_finite_differences(self):
         net, model = small_model(d=8, layers=2, heads=2, users=2, grid=3, max_len=6, init_std=0.3)
         prefs = sg.PreferenceParams(np.array([[2.0, 0.0, -1.0], [1.0, -1.0, 0.0]]))
+        # a window is the whole trip, so each ends in its terminal step: two trips, and the second's last move alone
         trajs = [oracle_trip(s, (0, 8), s % 2, prefs, net, 6, depart_bin=1, speed_bin=3) for s in (5, 6)]
-        episodes = [tk.encode_trips([traj]) for traj in trajs]
-        windows = [ep.slice(ep.n_steps - n, ep.n_steps) for ep, n in zip(episodes, (3, 2))]
-        windows.append(episodes[0].slice(episodes[0].n_steps - 1, episodes[0].n_steps))  # terminal step alone
-        assert all(w.action[-1] == tk.BLANK for w in windows)
+        last_move = dataclasses.replace(trajs[1], positions=trajs[1].positions[-2:], actions=trajs[1].actions[-1:])
 
         def f():
-            return tm.batch_nll(windows, model)
+            return tm.batch_nll([*trajs, last_move], model)
 
         assert finite_diff_check(f, model.param_tensors(), eps=1e-4) <= 1e-4
 
@@ -634,7 +590,7 @@ class TestGenerate:
         net, model = small_model()
         model.head_b.data[0] = value
         with pytest.raises(nc.EvaluationError, match="^non-finite values in action logits$"):
-            tm.forward_batch([sample_window(net)], model)
+            tm.forward_batch([sample_trip(net)], model)
         with pytest.raises(nc.EvaluationError, match="^non-finite values in action logits$"):
             tm.generate_scored(tm.GenerationContext(0, 24, 2, 7, 1, max_len=19), model, net)
 
@@ -864,14 +820,16 @@ class TestDecoder:
         st.integers(0, 2**16),
     )
     def test_matches_forward_batch_property(self, layers, heads, moves, seed):
-        # at every move, the decoder's cache of the trip so far scores what a fresh pass over it does
+        # at every move, the decoder's cache of the trip so far scores what one pass over the trip walked
+        # one move further does at that move: attention is causal, so no row reads a later step
         net, model = small_model(d=8, layers=layers, heads=heads, grid=4, seed=seed, init_std=0.5)
-        ctx = tm.GenerationContext(5, 15, 2, 7, 1, seed=seed)
-        positions, actions = random_walk(net, ctx.origin, moves, seed)
-        for t, logits in enumerate(decoder_logits(model, ctx, positions, actions)):
-            window = prefix_window(ctx, positions[: t + 1], actions[:t])
-            expected = tm.forward_batch([window], model).logits.data[-1]
-            np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
+        positions, actions = random_walk(net, 5, moves + 1, seed)
+        ctx = tm.GenerationContext(5, positions[-1], 2, 7, 1, seed=seed)
+        expected = tm.forward_batch([walk_trip(ctx, positions, actions)], model).logits.data
+        got = decoder_logits(model, ctx, positions[:-1], actions[:-1])
+        assert len(got) == len(expected) == moves + 1
+        for logits, want in zip(got, expected):
+            np.testing.assert_allclose(logits, want, rtol=0, atol=1e-12)
 
     @given(st.integers(1, 9), st.integers(0, 2**16))
     def test_state_tokens_are_the_ordered_element_sum_property(self, moves, seed):
@@ -919,22 +877,24 @@ class TestDecoder:
         # every live trip's logits are still those of a fresh pass over its own trip so far
         net, model = small_model(d=8, layers=layers, heads=heads, grid=4, seed=seed, init_std=0.5)
         rng = np.random.default_rng(seed)
+        origins, departs, speeds, users = (rng.integers(0, n, size=len(moves)) for n in (16, 24, 120, 4))
+        # trip i takes moves[i] + 1 decoder steps, and one pass over it walked one move further scores them
+        walks = [random_walk(net, int(o), n + 1, seed + i) for i, (o, n) in enumerate(zip(origins, moves))]
         contexts = [
-            tm.GenerationContext(int(o), int(dst), int(dep), int(sp), int(u))
-            for o, dst, dep, sp, u in zip(*(rng.integers(0, n, size=len(moves)) for n in (16, 16, 24, 120, 4)))
+            tm.GenerationContext(int(o), positions[-1], int(dep), int(sp), int(u))
+            for o, (positions, _), dep, sp, u in zip(origins, walks, departs, speeds, users)
         ]
-        walks = [random_walk(net, ctx.origin, n, seed + i) for i, (ctx, n) in enumerate(zip(contexts, moves))]
+        expected = [tm.forward_batch([walk_trip(ctx, *walk)], model).logits.data for ctx, walk in zip(contexts, walks)]
         decoder = tm._Decoder(model, tm._context_columns(contexts))
         sizes = []
         for t in range(max(moves) + 1):
-            live = [i for i, (positions, _) in enumerate(walks) if len(positions) > t]
+            live = [i for i, n in enumerate(moves) if n >= t]
             sizes.append(len(live))
             prev = [walks[i][1][t - 1] if t else -1 for i in live]
             logits = decoder_step(decoder, live, [walks[i][0][t] for i in live], prev)
             assert logits.shape == (len(live), 9)
             for row, i in zip(logits, live):
-                window = prefix_window(contexts[i], walks[i][0][: t + 1], walks[i][1][:t])
-                np.testing.assert_allclose(row, tm.forward_batch([window], model).logits.data[-1], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(row, expected[i][t], rtol=0, atol=1e-12)
         assert sizes == sorted(sizes, reverse=True) and sizes[0] == len(moves)
 
     def test_batch_rows_run_per_move(self):
@@ -965,12 +925,12 @@ class TestCheckpoint:
 
     def test_loss_identical_after_round_trip(self, tmp_path):
         net, model = small_model(d=8)
-        window = sample_window(net)
-        before = float(tm.batch_nll([window], model).data)
+        trip = sample_trip(net)
+        before = float(tm.batch_nll([trip], model).data)
         path = tmp_path / "p.ckpt"
         model.save(path)
         loaded, _ = ck.load(path, tm.PolicyModel)
-        assert float(tm.batch_nll([window], loaded).data) == before
+        assert float(tm.batch_nll([trip], loaded).data) == before
 
     def test_vocab_mismatch_rejected(self, tmp_path):
         net, model = small_model(grid=5)
