@@ -35,7 +35,7 @@ import numpy as np
 
 from . import netgrid, numcore
 from .netgrid import GRID_SIDE, EnvState, GridNetwork, GridSpec, Network
-from .numcore import AT_LEAST_1, NON_NEGATIVE, make_rng, masked_log_softmax, require
+from .numcore import AT_LEAST_1, NON_NEGATIVE, POSITIVE, make_rng, masked_log_softmax, require
 
 N_FEATURES = 3  # progress, turn-change, stay
 FLAGS = ("complete", "truncated", "dead_end")  # reached the destination, ran out of moves, stuck
@@ -545,22 +545,22 @@ def load_preferences(path) -> PreferenceParams:
 
 
 def _parse_timestamp(token: str) -> float:
+    """Seconds since the epoch of an epoch number or an ISO time (UTC unless it names its zone). ValueError for
+    neither, and for a time that `datetime` cannot hold (NaN, inf, years outside 1-9999): a trip's departure hour reads it."""
     token = token.strip()
     try:
         value = float(token)
     except ValueError:
-        pass
-    else:
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite timestamp {token!r}")
-        return value
+        try:
+            dt = datetime.fromisoformat(token)
+        except ValueError as exc:
+            raise ValueError(f"unparsable timestamp {token!r}") from exc
+        value = (dt if dt.tzinfo else dt.replace(tzinfo=timezone.utc)).timestamp()
     try:
-        dt = datetime.fromisoformat(token)
-    except ValueError as exc:
-        raise ValueError(f"unparsable timestamp {token!r}") from exc
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+        datetime.fromtimestamp(value, timezone.utc)
+    except (OverflowError, OSError, ValueError):
+        raise ValueError(f"timestamp {token!r} outside datetime's range") from None
+    return value
 
 
 def _haversine_km(lon1, lat1, lon2, lat2) -> float:
@@ -580,47 +580,46 @@ class IngestStats:
     dropped_short: int = 0
 
 
-def ingest_csv(
-    path,
-    grid: GridSpec,
-    bbox: tuple[float, float, float, float],
-    resample_minutes: float = 10.0,
-    max_gap_intervals: int = 2,
-    max_moves: int = SynthConfig.max_len,
-) -> tuple[Dataset, IngestStats]:
-    """vehicle_id,timestamp,lon,lat rows -> resampled grid trajectories.
+@dataclass(frozen=True)
+class IngestConfig:
+    """`ingest_csv`'s (lon, lat) box, which the grid spans, and its cut rules. Frozen and checked when made by
+    `numcore.require`, as `SynthConfig` is; a max edge must exceed its min edge."""
 
-    Each vehicle's stream is resampled to fixed intervals, keeping the last fix
-    of each interval, and its intervals are walked once in time order as one
-    trip of (fix, cell) pairs, cut by three rules:
-    - a gap of more than `max_gap_intervals` intervals, or a jump to a cell
-      that is not one move from the last cell, starts a new trip;
+    lon_min: float
+    lat_min: float
+    lon_max: float
+    lat_max: float
+    resample_minutes: float = 10.0
+    max_gap_intervals: int = 2
+    max_moves: int = SynthConfig.max_len
+
+    def __post_init__(self):
+        require(self, ConfigError, resample_minutes=POSITIVE, max_gap_intervals=AT_LEAST_1, max_moves=AT_LEAST_1)
+        require(
+            self,
+            ConfigError,
+            lon_max=(lambda lon: lon > self.lon_min, f"> lon_min {self.lon_min}"),
+            lat_max=(lambda lat: lat > self.lat_min, f"> lat_min {self.lat_min}"),
+        )
+
+
+def ingest_csv(path, grid: GridSpec, cfg: IngestConfig) -> tuple[Dataset, IngestStats]:
+    """vehicle_id,timestamp,lon,lat rows inside `cfg`'s box -> resampled trajectories on `grid`.
+
+    A row that does not parse, or whose timestamp `datetime` cannot hold, counts in
+    `IngestStats.unparsable`, and a fix outside the box in `out_of_bbox`; IngestionError when more
+    than half the rows do not parse. Each vehicle's stream is resampled to intervals of
+    `cfg.resample_minutes`, keeping the last fix of each interval, and its intervals are walked once
+    in time order as one trip of (fix, cell) pairs, cut by three rules:
+    - a gap of more than `cfg.max_gap_intervals` intervals, or a jump to a cell that is not one move
+      from the last cell, starts a new trip;
     - a shorter gap repeats the last fix once per missing interval (a stay);
-    - a trip that has `max_moves` moves goes on in a new part that starts at
-      its last cell, so that a model of that `max_len` can embed each part.
-    A trip of one fix is dropped and counted in `IngestStats.dropped_short`.
+    - a trip that has `cfg.max_moves` moves goes on in a new part that starts at its last cell, so
+      that a model of that `max_len` can embed each part.
+    A trip of one fix is dropped and counted in `IngestStats.dropped_short`. Vehicles become users
+    0, 1, ... in sorted order of their ids.
     """
-    try:  # types first, so that a str or a bool fails by name; a float that is not finite fails the finite checks
-        lon_min, lat_min, lon_max, lat_max = bbox
-    except (TypeError, ValueError):
-        raise ConfigError(f"bbox must be four edges (lon_min, lat_min, lon_max, lat_max), got {bbox!r}") from None
-    if not all(numcore.is_real(edge) or isinstance(edge, float) for edge in bbox):
-        raise ConfigError(f"bbox edges must be finite real numbers, got {bbox}")
-    if not (numcore.is_real(resample_minutes) or isinstance(resample_minutes, float)):
-        raise ConfigError(f"resample_minutes must be a finite real number, got {resample_minutes!r}")
-    if not all(map(math.isfinite, bbox)):
-        raise ConfigError(f"bbox edges must be finite, got {bbox}")
-    if lon_max <= lon_min or lat_max <= lat_min:
-        raise ConfigError(f"degenerate bbox {bbox}")
-    if not 0 < resample_minutes < math.inf:
-        raise ConfigError(f"resample_minutes must be finite and > 0, got {resample_minutes!r}")
-    for name, value in (("max_gap_intervals", max_gap_intervals), ("max_moves", max_moves)):
-        if not numcore.is_integer(value):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if not max_gap_intervals >= 1:
-        raise ConfigError(f"max_gap_intervals must be >= 1, got {max_gap_intervals!r}")
-    if not max_moves >= 1:
-        raise ConfigError("max_moves must be >= 1")
+    lon_min, lat_min, lon_max, lat_max = cfg.lon_min, cfg.lat_min, cfg.lon_max, cfg.lat_max
     net = GridNetwork(grid)
     stats = IngestStats()
     fixes: dict[str, list[tuple[float, float, float]]] = {}
@@ -648,7 +647,7 @@ def ingest_csv(
         row = min(int((lat - lat_min) / (lat_max - lat_min) * grid.height), grid.height - 1)
         return net.cell_of(row, col)
 
-    interval = resample_minutes * 60.0
+    interval = cfg.resample_minutes * 60.0
     trajectories: list[Trajectory] = []
 
     def finish(trip: list[tuple[tuple[float, float, float], int]], user: int) -> None:
@@ -673,12 +672,12 @@ def ingest_csv(
         for b, fix in rest:
             cell = cell_of(fix[1], fix[2])
             gap, last = b - last, b
-            steps = [trip[-1]] * (gap - 1) if gap <= max_gap_intervals else []  # a stay per missing interval
-            joined = gap <= max_gap_intervals and cell in net.succ[trip[-1][1]]
+            steps = [trip[-1]] * (gap - 1) if gap <= cfg.max_gap_intervals else []  # a stay per missing interval
+            joined = gap <= cfg.max_gap_intervals and cell in net.succ[trip[-1][1]]
             if joined:
                 steps.append((fix, cell))
             for step in steps:
-                if len(trip) > max_moves:  # a trip of max_moves moves goes on in a part from its last cell
+                if len(trip) > cfg.max_moves:  # a trip of max_moves moves goes on in a part from its last cell
                     finish(trip, user)
                     trip = [trip[-1]]
                 trip.append(step)

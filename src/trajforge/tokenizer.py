@@ -20,7 +20,7 @@ import numpy as np
 
 from . import netgrid
 from .netgrid import Network
-from .numcore import AT_LEAST_1, require
+from .numcore import AT_LEAST_1, is_integer, require
 from .synthgen import SynthConfig
 
 BLANK = netgrid.N_ACTIONS  # embedding row reserved for the missing decision
@@ -84,26 +84,42 @@ def vocab_sizes(net: Network, config: SynthConfig) -> VocabSpec:
     )
 
 
+def _integers(values) -> bool:
+    """True when every entry of `values` is an integer (`numcore.is_integer`): an array by its dtype, a
+    sequence by the set of its entries' types, so no entry costs a Python call."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        return values.dtype.kind in "iu"
+    return all(issubclass(kind, (int, np.integer)) and kind is not bool for kind in set(map(type, values)))
+
+
 def check_columns(vocab: VocabSpec, columns: dict, where) -> None:
     """Raise for the first row of the (B,) index `columns` with an index outside its table of `vocab`.
 
     `columns` maps names of `COLUMN_TABLES`, and `action`, to equal-length arrays. The error names
     the first bad row by `where(row)`, then that row's first bad column in `columns` order, and
-    its value: EncodingError outside a table, ValueError for an action outside [0, 9).
+    its value: EncodingError for an entry that is not an integer (`numcore.is_integer`; numpy would
+    truncate 1.7 to 1 and read True as 1) or is outside a table, ValueError for an action outside [0, 9).
     """
     names, values = list(columns), list(columns.values())
     limits = np.array([getattr(vocab, COLUMN_TABLES[name]) if name != "action" else netgrid.N_ACTIONS for name in names])
-    try:
-        idx = np.array(values, dtype=np.intp)
-        bad = idx.view(np.uintp) >= limits[:, None]  # a negative index reads as a huge unsigned one
-    except OverflowError:  # an index past int64, outside every table: compare the Python ints
+    idx = None
+    if all(map(_integers, values)):
+        try:
+            idx = np.array(values, dtype=np.intp)
+            bad = idx.view(np.uintp) >= limits[:, None]  # a negative index reads as a huge unsigned one
+        except OverflowError:  # an index past int64, outside every table
+            pass
+    if idx is None:  # compare the Python values; a non-integer fails its cell whatever its value
         idx = np.array(values, dtype=object)
-        bad = (idx < 0) | (idx >= limits[:, None])
+        bad = np.array([[not (is_integer(v) and 0 <= v < limit) for v in column] for column, limit in zip(idx, limits)], dtype=bool)
     if np.count_nonzero(bad):
         row, col = np.argwhere(bad.T)[0]  # the first bad row, and its first bad column
-        if names[col] == "action":
-            raise ValueError(f"{where(row)}: action {idx[col, row]} outside [0, {netgrid.N_ACTIONS})")
-        raise EncodingError(f"{where(row)}: {names[col]} {idx[col, row]} outside vocabulary of {limits[col]}")
+        name, value = names[col], idx[col, row]
+        if not is_integer(value):
+            raise EncodingError(f"{where(row)}: {name} {value} is not an integer")
+        if name == "action":
+            raise ValueError(f"{where(row)}: action {value} outside [0, {netgrid.N_ACTIONS})")
+        raise EncodingError(f"{where(row)}: {name} {value} outside vocabulary of {limits[col]}")
 
 
 def check_vocab(trajectories, vocab: VocabSpec) -> EpisodeTokens:
@@ -121,39 +137,49 @@ def check_vocab(trajectories, vocab: VocabSpec) -> EpisodeTokens:
 def encode_trips(trajectories) -> EpisodeTokens:
     """One table of the trips' steps, back to back; each trip's terminal step carries the BLANK action.
 
-    EncodingError names the first trip with an action outside [0, 9), then the first trip with an
-    index that does not fit in int64, and its field.
+    EncodingError names the first trip with an action outside [0, 9), then the first trip with a field
+    that is not an integer (`numcore.is_integer`) or does not fit in int64, that field and its value.
     """
-    for traj in trajectories:
+    table = _step_table(trajectories)
+    if table is not None:
+        return table
+    for traj in trajectories:  # the table failed, so some trip breaks one of these rules: name the first
         if any(not 0 <= a < netgrid.N_ACTIONS for a in traj.actions):
             raise EncodingError(f"trajectory {traj.traj_id} has an action outside [0, {netgrid.N_ACTIONS})")
-    try:
-        return _step_table(trajectories)
-    except OverflowError:
-        for traj in trajectories:
-            fields = dict(position=traj.positions, depart=[traj.depart_bin], speed=[traj.speed_bin], user=[traj.user_id])
-            for name, values in fields.items():
-                for value in values:
-                    if not -(2**63) <= value < 2**63:
-                        raise EncodingError(f"trajectory {traj.traj_id}: {name} {value} outside int64") from None
-        raise
+    for traj in trajectories:
+        fields = dict(position=traj.positions, depart=[traj.depart_bin], speed=[traj.speed_bin], user=[traj.user_id], action=traj.actions)
+        for name, values in fields.items():
+            for value in values:
+                if not is_integer(value):
+                    raise EncodingError(f"trajectory {traj.traj_id}: {name} {value} is not an integer")
+                if not -(2**63) <= value < 2**63:
+                    raise EncodingError(f"trajectory {traj.traj_id}: {name} {value} outside int64")
 
 
-def _step_table(trajectories) -> EpisodeTokens:
+def _step_table(trajectories) -> EpisodeTokens | None:
+    """The step table of `encode_trips`, or None for a field entry that is not an integer or does not fit
+    in int64, or a move outside [0, 9)."""
     steps = np.array([len(t.positions) for t in trajectories], dtype=np.int64)
-    n = int(steps.sum())
-
-    def per_trip(values):
-        return np.repeat(np.array(values, dtype=np.int64), steps)
-
+    positions = list(chain.from_iterable(t.positions for t in trajectories))
+    actions = list(chain.from_iterable((*t.actions, BLANK) for t in trajectories))
+    departs, speeds, users = [t.depart_bin for t in trajectories], [t.speed_bin for t in trajectories], [t.user_id for t in trajectories]
+    if not all(map(_integers, (positions, actions, departs, speeds, users))):
+        return None
+    try:
+        position, action = np.array(positions, dtype=np.int64), np.array(actions, dtype=np.int64)
+        depart, speed, user = (np.repeat(np.array(values, dtype=np.int64), steps) for values in (departs, speeds, users))
+    except OverflowError:
+        return None
+    if np.count_nonzero(action.view(np.uint64) >= BLANK) != len(trajectories):  # a BLANK ends each trip, and no move is outside [0, 9)
+        return None
+    starts = np.cumsum(steps) - steps
     return EpisodeTokens(
-        position=np.fromiter(chain.from_iterable(t.positions for t in trajectories), dtype=np.int64, count=n),
-        origin=per_trip([t.origin for t in trajectories]),
-        destination=per_trip([t.destination for t in trajectories]),
-        depart=per_trip([t.depart_bin for t in trajectories]),
-        speed=per_trip([t.speed_bin for t in trajectories]),
-        user=per_trip([t.user_id for t in trajectories]),
-        action=np.fromiter(chain.from_iterable((*t.actions, BLANK) for t in trajectories), dtype=np.int64, count=n),
-        timestep=np.arange(n, dtype=np.int64) - np.repeat(np.cumsum(steps) - steps, steps),
+        position=position,
+        origin=np.repeat(position[starts], steps),
+        destination=np.repeat(position[starts + steps - 1], steps),
+        depart=depart,
+        speed=speed,
+        user=user,
+        action=action,
+        timestep=np.arange(len(position), dtype=np.int64) - np.repeat(starts, steps),
     )
-

@@ -109,28 +109,12 @@ def oracle_trip(seed, od, user, prefs, net, max_len, depart_bin=0, speed_bin=0, 
     return sg.Trajectory(traj_id, user, depart_bin, speed_bin, positions, actions, flag)
 
 
-def reference_ingest_csv(
-    path,
-    grid: ng.GridSpec,
-    bbox: tuple[float, float, float, float],
-    resample_minutes: float = 10.0,
-    max_gap_intervals: int = 2,
-    max_moves: int = sg.SynthConfig.max_len,
-) -> tuple[sg.Dataset, sg.IngestStats]:
+def reference_ingest_csv(path, grid: ng.GridSpec, cfg: sg.IngestConfig) -> tuple[sg.Dataset, sg.IngestStats]:
     """`synthgen.ingest_csv` in three list passes per vehicle, kept as the reference that the one-pass
     version must match: stitch intervals into runs, cut each run at jumps into pieces, then slice each
     piece into parts of at most `max_moves` moves that share their boundary cell."""
-    lon_min, lat_min, lon_max, lat_max = bbox
-    if not all(map(math.isfinite, bbox)):
-        raise sg.ConfigError(f"bbox edges must be finite, got {bbox}")
-    if lon_max <= lon_min or lat_max <= lat_min:
-        raise sg.ConfigError(f"degenerate bbox {bbox}")
-    if not 0 < resample_minutes < math.inf:
-        raise sg.ConfigError(f"resample_minutes must be finite and > 0, got {resample_minutes!r}")
-    if not max_gap_intervals >= 1:
-        raise sg.ConfigError(f"max_gap_intervals must be >= 1, got {max_gap_intervals!r}")
-    if max_moves < 1:
-        raise sg.ConfigError("max_moves must be >= 1")
+    lon_min, lat_min, lon_max, lat_max = cfg.lon_min, cfg.lat_min, cfg.lon_max, cfg.lat_max
+    max_gap_intervals, max_moves = cfg.max_gap_intervals, cfg.max_moves
     net = ng.GridNetwork(grid)
     stats = sg.IngestStats()
     fixes: dict[str, list[tuple[float, float, float]]] = {}
@@ -158,7 +142,7 @@ def reference_ingest_csv(
         row = min(int((lat - lat_min) / (lat_max - lat_min) * grid.height), grid.height - 1)
         return net.cell_of(row, col)
 
-    interval = resample_minutes * 60.0
+    interval = cfg.resample_minutes * 60.0
     trajectories: list[sg.Trajectory] = []
     user_ids = {vid: u for u, vid in enumerate(sorted(fixes))}
     for vid in sorted(fixes):

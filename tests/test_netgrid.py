@@ -44,6 +44,14 @@ def grid3():
     return ng.GridNetwork(ng.GridSpec(3, 3))
 
 
+class TestCellOf:
+    @pytest.mark.parametrize("row, col", [(-1, 0), (3, 0), (0, -1), (0, 4)])
+    def test_cell_outside_grid_rejected_by_name(self, row, col):
+        grid = ng.GridNetwork(ng.GridSpec(4, 3))  # 4 columns, 3 rows
+        with pytest.raises(ng.BoundaryError, match=f"^{re.escape(f'cell ({row}, {col}) outside 4x3 grid')}$"):
+            grid.cell_of(row, col)
+
+
 class TestApplyAction:
     """`Network.step`: the position an action leads to, or the network's error for an infeasible one."""
 

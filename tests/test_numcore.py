@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,45 @@ gelu_inputs = st.one_of(
     st.floats(-8.0, 8.0),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1021), 1e-300, 1e300, -1e300, -1.7976931348623157e308]),
 )
+
+
+def zeros(*shape):
+    return nc.Tensor(np.zeros(shape))
+
+
+class TestOperandGuards:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: nc.matmul(zeros(3), zeros(3, 2)), nc.ShapeError, "matmul expects 2-D operands, got (3,) and (3, 2)"),
+            (lambda: nc.linear(zeros(2, 3), zeros(3, 4, 1), zeros(4)), nc.ShapeError, "linear expects 2-D operands, got (2, 3) and (3, 4, 1)"),
+            (lambda: nc.linear(zeros(2, 3), zeros(3, 4), zeros(1, 4)), nc.ShapeError, "linear bias (1, 4) does not match weight (3, 4)"),
+            (lambda: nc.gather_rows(zeros(3, 2), [0, 3]), IndexError, "gather_rows index out of range for table of 3 rows"),
+            (lambda: nc.gather_rows(zeros(3, 2), [-1]), IndexError, "gather_rows index out of range for table of 3 rows"),
+            (lambda: nc.gather_per_row(zeros(2, 3), [0, 3]), IndexError, "gather_per_row column index out of range"),
+            (lambda: nc.gather_per_row(zeros(2, 3), [-1, 0]), IndexError, "gather_per_row column index out of range"),
+            (lambda: nc.cross_entropy(zeros(2, 4), [0]), nc.ShapeError, "targets shape (1,) != (2,)"),
+            (lambda: nc.layer_norm(zeros(2, 3), zeros(2), zeros(3)), nc.ShapeError, "gain/bias must have shape (3,)"),
+            (lambda: nc.layer_norm(zeros(2, 3), zeros(3), zeros(3, 1)), nc.ShapeError, "gain/bias must have shape (3,)"),
+            (lambda: nc.block_causal_attention(zeros(4, 6), zeros(4, 6), zeros(4, 6), 4, [4]), nc.ShapeError, "model width 6 not divisible by 4 heads"),
+        ],
+        ids=[
+            "matmul-1d",
+            "linear-3d",
+            "linear-bias",
+            "gather_rows-past",
+            "gather_rows-negative",
+            "gather_per_row-past",
+            "gather_per_row-negative",
+            "cross_entropy-targets",
+            "layer_norm-gain",
+            "layer_norm-bias",
+            "attention-heads",
+        ],
+    )
+    def test_bad_operand_named(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestGelu:

@@ -9,13 +9,12 @@ import pytest
 
 from trajforge import netgrid, pretrain, rewardirl, synthgen, tokenizer, trajmodel
 
-tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
-
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_declared_console_scripts_resolve():
     """Every [project.scripts] target must import and name a callable."""
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11; only this test reads TOML
     scripts = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"].get("scripts", {})
     for name, target in scripts.items():
         module_name, _, attr_path = target.partition(":")
@@ -255,6 +254,7 @@ def config_cases():
         (pretrain.TrainConfig, {}),
         (rewardirl.IRLConfig, {}),
         (trajmodel.GenerationContext, dict(origin=0, destination=8, depart_bin=0, speed_bin=0, user_id=0)),
+        (synthgen.IngestConfig, dict(lon_min=116.0, lat_min=39.0, lon_max=116.5, lat_max=39.5)),
     ]
 
 

@@ -143,7 +143,7 @@ class TestPretrain:
         # ingested without splitting, the zig-zag is one 61-position trajectory,
         # longer than max_len 50 lets the model embed
         path = write_zigzag(tmp_path)
-        dataset, _ = sg.ingest_csv(path, ng.GridSpec(4, 4), ZIGZAG_BBOX, max_moves=60)
+        dataset, _ = sg.ingest_csv(path, ng.GridSpec(4, 4), sg.IngestConfig(*ZIGZAG_BBOX, max_moves=60))
         assert [len(t.positions) for t in dataset.trajectories] == [61]
         vocab = tk.vocab_sizes(dataset.net, sg.SynthConfig(users=1))
         model = tm.PolicyModel(tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, dropout=0.0))
@@ -163,7 +163,7 @@ class TestPretrain:
 
     def test_long_ingested_trace_split_and_trained(self, tmp_path):
         path = write_zigzag(tmp_path)
-        dataset, stats = sg.ingest_csv(path, ng.GridSpec(4, 4), ZIGZAG_BBOX)
+        dataset, stats = sg.ingest_csv(path, ng.GridSpec(4, 4), sg.IngestConfig(*ZIGZAG_BBOX))
         vocab = tk.vocab_sizes(dataset.net, sg.SynthConfig(users=1))
         model = tm.PolicyModel(tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=1, dropout=0.0))
         _, log = pt.pretrain(dataset, model, pt.TrainConfig(epochs=1))

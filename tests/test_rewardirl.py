@@ -290,6 +290,12 @@ class TestQRows:
             with pytest.raises(tk.EncodingError, match=f"^row 2: next_position {value} outside vocabulary of {size}$"):
                 ri.reward_rows(move_batch([*rows[:2], (good, 8, bad)]), critic, 0.9)
 
+    def test_non_integer_index_rejected_by_name(self):
+        # the intp cast used to score user 1.7 as user 1
+        net, critic = grid_critic(users=3)
+        with pytest.raises(tk.EncodingError, match=r"^row 0: user 1.7 is not an integer$"):
+            ri.log_policy_rows(critic, [4], [0], [8], [2], [1.7])
+
     def test_speed_bin_not_read(self):
         net, critic = grid_critic()
         state = mkstate(4, 8)
@@ -352,6 +358,11 @@ class TestIqLoss:
             is_initial=np.array([initial]),
             is_terminal=np.array([terminal]),
         )
+
+    def test_empty_batch_rejected(self):
+        net, critic = grid_critic()
+        with pytest.raises(ValueError, match="^empty transition batch$"):
+            ri.iq_loss(ri.transitions([]), critic, ri.IRLConfig())
 
     def test_terminal_transition_is_neg_phi(self):
         net, critic = grid_critic(seed=3)
@@ -498,6 +509,13 @@ class TestTrainCritic:
         column = dict(user_id="user", depart_bin="depart")[field]
         with pytest.raises(tk.EncodingError, match=f"^trajectory 3: {column} {2**64} outside int64$"):
             ri.train_critic(sg.Dataset(net, trajs, 2), critic, ri.IRLConfig(epochs=1))
+
+    @pytest.mark.parametrize("split", ["no trips", "eval split only"])
+    def test_empty_training_split_rejected(self, split):
+        net, critic = grid_critic()
+        dataset = sg.Dataset(net, [], 1) if split == "no trips" else sg.Dataset(net, [sg.Trajectory(0, 0, 0, 0, [0, 1], [5])], 1, [], [0])
+        with pytest.raises(ValueError, match="^dataset has no transitions$"):
+            ri.train_critic(dataset, critic, ri.IRLConfig(epochs=1))
 
     def test_speed_bin_and_length_outside_policy_tables_accepted(self):
         # the critic has no speed or timestep tables, so a trip the policy cannot embed still trains it

@@ -313,6 +313,12 @@ class TestRollOut:
         graph = ng.LinkGraph([[1, 2], [0], []])
         assert sg.roll_out(graph, [0], [1], uniform_rows(1, 1), lambda rows, pos, prev: one_hot(1, 1)) == [([0, 2], [1], "dead_end")]
 
+    @pytest.mark.parametrize("origins, destinations", [([[0]], [[8]]), ([0, 1], [8])])
+    def test_origins_not_one_row_per_trip_rejected(self, origins, destinations):
+        graph = ng.GridNetwork(ng.GridSpec(3, 3))
+        with pytest.raises(ValueError, match="^origins and destinations must be 1-D and of one length$"):
+            sg.roll_out(graph, origins, destinations, uniform_rows(1, 3), lambda rows, pos, prev: pytest.fail("drew a move"))
+
     @pytest.mark.parametrize(
         "origin, destination, max_moves, message",
         [
@@ -794,6 +800,7 @@ def gps_rows(draw, bbox):
 
 class TestIngestCSV:
     BBOX = (116.0, 39.0, 116.5, 39.5)
+    CFG = sg.IngestConfig(*BBOX)
     GRID = ng.GridSpec(5, 5, 1000.0)
 
     def _write(self, tmp_path, rows):
@@ -810,17 +817,17 @@ class TestIngestCSV:
     def test_one_pass_matches_list_pass_reference(self, stream, resample_minutes, max_gap_intervals, max_moves):
         """The one-pass cut gives the trips, stats and user count of the three-pass reference."""
         grid, rows = stream
-        options = dict(resample_minutes=resample_minutes, max_gap_intervals=max_gap_intervals, max_moves=max_moves)
+        cfg = sg.IngestConfig(*self.BBOX, resample_minutes, max_gap_intervals, max_moves)
         with tempfile.TemporaryDirectory() as tmp:  # hypothesis rejects the function-scoped tmp_path
             path = Path(tmp) / "fixes.csv"
             path.write_text("\n".join(rows) + "\n")
-            got, want = (self._outcome(ingest, path, grid, options) for ingest in (sg.ingest_csv, reference_ingest_csv))
+            got, want = (self._outcome(ingest, path, grid, cfg) for ingest in (sg.ingest_csv, reference_ingest_csv))
         assert got == want
 
-    def _outcome(self, ingest, path, grid, options):
+    def _outcome(self, ingest, path, grid, cfg):
         """(trajectories, stats, user count) of one ingestion, or the message of its IngestionError."""
         try:
-            ds, stats = ingest(path, grid, self.BBOX, **options)
+            ds, stats = ingest(path, grid, cfg)
         except sg.IngestionError as exc:
             return str(exc)
         return ds.trajectories, stats, ds.user_count
@@ -831,7 +838,7 @@ class TestIngestCSV:
             tmp_path,
             ["v1,2008-02-02 13:00:00,116.05,39.05", "v1,2008-02-02 13:10:00,116.15,39.05"],
         )
-        ds, stats = sg.ingest_csv(path, self.GRID, self.BBOX, resample_minutes=10)
+        ds, stats = sg.ingest_csv(path, self.GRID, self.CFG)
         assert stats.trajectories == 1
         traj = ds.trajectories[0]
         assert traj.positions == [0, 1]
@@ -844,7 +851,7 @@ class TestIngestCSV:
             tmp_path,
             ["v1,2008-02-02 13:00:00,116.05,39.05", "v1,2008-02-02 13:25:00,116.15,39.05"],
         )
-        ds, _ = sg.ingest_csv(path, self.GRID, self.BBOX, resample_minutes=10)
+        ds, _ = sg.ingest_csv(path, self.GRID, self.CFG)
         traj = ds.trajectories[0]
         assert traj.positions == [0, 0, 1]
         assert traj.actions[0] == ng.STAY_ACTION
@@ -859,7 +866,7 @@ class TestIngestCSV:
                 "v1,2008-02-02 13:20:00,116.45,39.35",
             ],
         )
-        ds, stats = sg.ingest_csv(path, self.GRID, self.BBOX, resample_minutes=10)
+        ds, stats = sg.ingest_csv(path, self.GRID, self.CFG)
         assert stats.dropped_short == 1
         assert len(ds.trajectories) == 1
         assert ds.trajectories[0].positions == [24, 19]
@@ -873,14 +880,14 @@ class TestIngestCSV:
                 "v1,2008-02-02 13:10:00,116.15,39.05",
             ],
         )
-        _, stats = sg.ingest_csv(path, self.GRID, self.BBOX)
+        _, stats = sg.ingest_csv(path, self.GRID, self.CFG)
         assert stats.unparsable == 1
         assert stats.trajectories == 1
 
     def test_mostly_unparsable_fails(self, tmp_path):
         path = self._write(tmp_path, ["x", "y", "z", "v1,2008-02-02 13:00:00,116.05,39.05"])
         with pytest.raises(sg.IngestionError):
-            sg.ingest_csv(path, self.GRID, self.BBOX)
+            sg.ingest_csv(path, self.GRID, self.CFG)
 
     def test_idempotent(self, tmp_path):
         rows = [
@@ -890,27 +897,26 @@ class TestIngestCSV:
             "v1,2008-02-02 13:10:00,116.15,39.05",
         ]
         path = self._write(tmp_path, rows)
-        ds1, _ = sg.ingest_csv(path, self.GRID, self.BBOX)
-        ds2, _ = sg.ingest_csv(path, self.GRID, self.BBOX)
+        ds1, _ = sg.ingest_csv(path, self.GRID, self.CFG)
+        ds2, _ = sg.ingest_csv(path, self.GRID, self.CFG)
         out1, out2 = tmp_path / "o1.txt", tmp_path / "o2.txt"
         sg.save_dataset(ds1, out1)
         sg.save_dataset(ds2, out2)
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_max_moves_must_be_positive(self, tmp_path):
-        path = self._write(tmp_path, ["v1,1201957200,116.05,39.05", "v1,1201957800,116.15,39.05"])
-        with pytest.raises(sg.ConfigError, match="max_moves"):
-            sg.ingest_csv(path, self.GRID, self.BBOX, max_moves=0)
+    def test_max_moves_must_be_positive(self):
+        with pytest.raises(sg.ConfigError, match=r"^max_moves must be >= 1, got 0$"):
+            dataclasses.replace(self.CFG, max_moves=0)
 
     def test_header_row_skipped_and_not_counted(self, tmp_path):
         path = self._write(tmp_path, [",".join(sg.CSV_COLUMNS), "v1,1201957200,116.05,39.05", "v1,1201957800,116.15,39.05"])
-        ds, stats = sg.ingest_csv(path, self.GRID, self.BBOX)
+        ds, stats = sg.ingest_csv(path, self.GRID, self.CFG)
         assert (stats.rows, stats.unparsable, stats.trajectories) == (2, 0, 1)
         assert ds.trajectories[0].positions == [0, 1]
 
     def test_epoch_timestamps(self, tmp_path):
         path = self._write(tmp_path, ["v1,1201957200,116.05,39.05", "v1,1201957800,116.15,39.05"])
-        ds, stats = sg.ingest_csv(path, self.GRID, self.BBOX)
+        ds, stats = sg.ingest_csv(path, self.GRID, self.CFG)
         assert stats.trajectories == 1
 
     @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "NaN"])
@@ -919,18 +925,26 @@ class TestIngestCSV:
             tmp_path,
             ["v1,1201957200,116.05,39.05", f"v1,{stamp},116.25,39.05", "v1,1201957800,116.15,39.05"],
         )
-        _, stats = sg.ingest_csv(path, self.GRID, self.BBOX)
+        _, stats = sg.ingest_csv(path, self.GRID, self.CFG)
         assert stats.unparsable == 1
         assert stats.trajectories == 1
+
+    @pytest.mark.parametrize("stamps", [(300000000000, 300000000600), ("0001-01-01T00:00:00+01:00", "0001-01-01T00:10:00+01:00")])
+    def test_timestamp_outside_datetime_range_counted_unparsable(self, tmp_path, stamps):
+        # such a row used to abort the whole ingest with a bare ValueError ("year 11476 is out of range")
+        rows = [f"v1,{stamps[0]},116.01,39.01", f"v1,{stamps[1]},116.11,39.01", "v2,0,116.01,39.01", "v2,600,116.11,39.01"]
+        ds, stats = sg.ingest_csv(self._write(tmp_path, rows), self.GRID, self.CFG)
+        assert (stats.rows, stats.unparsable, ds.user_count) == (4, 2, 1)
+        assert [(t.user_id, t.positions) for t in ds.trajectories] == [(0, [0, 1])]
 
     @pytest.mark.parametrize(
         "options, message",
         [
-            (dict(resample_minutes=0), "resample_minutes must be finite and > 0, got 0"),
-            (dict(resample_minutes=-10.0), "resample_minutes must be finite and > 0, got -10.0"),
-            (dict(resample_minutes=float("nan")), "resample_minutes must be finite and > 0, got nan"),
-            (dict(bbox=(116.0, 39.0, float("nan"), 39.5)), "bbox edges must be finite, got (116.0, 39.0, nan, 39.5)"),
-            (dict(bbox=(116.0, -float("inf"), 116.5, 39.5)), "bbox edges must be finite, got (116.0, -inf, 116.5, 39.5)"),
+            (dict(resample_minutes=0), "resample_minutes must be > 0, got 0"),
+            (dict(resample_minutes=-10.0), "resample_minutes must be > 0, got -10.0"),
+            (dict(resample_minutes=float("nan")), "resample_minutes must be a finite real number, got nan"),
+            (dict(lon_max=float("nan")), "lon_max must be a finite real number, got nan"),
+            (dict(lat_min=-float("inf")), "lat_min must be a finite real number, got -inf"),
             (dict(max_gap_intervals=-1), "max_gap_intervals must be >= 1, got -1"),
             (dict(max_gap_intervals=0), "max_gap_intervals must be >= 1, got 0"),
             (dict(max_gap_intervals=float("nan")), "max_gap_intervals must be an integer, got nan"),
@@ -943,19 +957,18 @@ class TestIngestCSV:
             (dict(max_moves=2.0), "max_moves must be an integer, got 2.0"),
             (dict(max_gap_intervals=True), "max_gap_intervals must be an integer, got True"),
             (dict(max_gap_intervals=2.5), "max_gap_intervals must be an integer, got 2.5"),
-            (dict(bbox=(116.5, 39.0, 116.0, 39.5)), "degenerate bbox (116.5, 39.0, 116.0, 39.5)"),
+            (dict(lon_min=116.5, lon_max=116.0), "lon_max must be > lon_min 116.5, got 116.0"),
             # these used to be accepted, as a 1-minute interval and as a western edge at 1.0
             (dict(resample_minutes=True), "resample_minutes must be a finite real number, got True"),
-            (dict(bbox=(True, 39.0, 116.5, 39.5)), "bbox edges must be finite real numbers, got (True, 39.0, 116.5, 39.5)"),
-            # these used to escape as a bare TypeError from a bound or from math.isfinite, and a bare ValueError from unpacking
+            (dict(lon_min=True), "lon_min must be a finite real number, got True"),
+            # these used to escape as a bare TypeError from a bound or from math.isfinite
             (dict(resample_minutes="10"), "resample_minutes must be a finite real number, got '10'"),
-            (dict(bbox=("116.0", 39.0, 116.5, 39.5)), "bbox edges must be finite real numbers, got ('116.0', 39.0, 116.5, 39.5)"),
-            (dict(bbox=(116.0, 39.0, 116.5)), "bbox must be four edges (lon_min, lat_min, lon_max, lat_max), got (116.0, 39.0, 116.5)"),
+            (dict(lon_min="116.0"), "lon_min must be a finite real number, got '116.0'"),
+            (dict(lat_min=39.5, lat_max=39.0), "lat_max must be > lat_min 39.5, got 39.0"),
+            (dict(lat_max=39.0), "lat_max must be > lat_min 39.0, got 39.0"),
         ],
     )
-    def test_bad_option_rejected_by_name(self, tmp_path, options, message):
+    def test_bad_option_rejected_by_name(self, options, message):
         # these used to raise ZeroDivisionError or a bare ValueError, count every fix out of the box, or drop every piece
-        path = self._write(tmp_path, ["v1,1201957200,116.05,39.05", "v1,1201957800,116.15,39.05"])
-        options = dict(dict(bbox=self.BBOX), **options)
         with pytest.raises(sg.ConfigError, match=f"^{re.escape(message)}$"):
-            sg.ingest_csv(path, self.GRID, **options)
+            dataclasses.replace(self.CFG, **options)

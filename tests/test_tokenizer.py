@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,25 @@ class TestCheckVocab:
         with pytest.raises(tk.EncodingError, match=f"^trajectory 7: {field} {value} outside int64$"):
             tk.encode_trips(trips)
 
+    @pytest.mark.parametrize(
+        "field, value", [("user", 1.7), ("depart", True), ("speed", 2.9), ("position", 1.0), ("action", 5.0), ("user", np.float64(2.0))]
+    )
+    def test_non_integer_named_not_truncated(self, field, value):
+        # numpy's int64 cast used to read user 1.7 as 1, True as 1, 2.9 as 2 and accept position 1.0; the first trip is sound
+        positions = [0, value, 2] if field == "position" else [0, 1, 2]
+        actions = [5, value] if field == "action" else [5, 5]
+        context = {field: value} if field in ("user", "depart", "speed") else {}
+        trips = [make_traj([0, 1], [5], traj_id=3), make_traj(positions, actions, traj_id=7, **context)]
+        with pytest.raises(tk.EncodingError, match=f"^trajectory 7: {field} {value} is not an integer$"):
+            tk.check_vocab(trips, self.VOCAB)
+        with pytest.raises(tk.EncodingError, match=f"^trajectory 7: {field} {value} is not an integer$"):
+            tk.encode_trips(trips)
+
+    def test_bad_action_named_before_a_field_past_int64(self):
+        trips = [make_traj([0, 2**64], [5], traj_id=3), make_traj([0, 1], [9], traj_id=7)]
+        with pytest.raises(tk.EncodingError, match=r"^trajectory 7 has an action outside \[0, 9\)$"):
+            tk.encode_trips(trips)
+
     def test_trip_of_first_bad_step_named_and_table_returned(self):
         trips = [make_traj([0, 1, 2], [5, 5], traj_id=3), make_traj([0, 1], [5], user=2, traj_id=7), make_traj([0, 1], [5], depart=24, traj_id=9)]
         with pytest.raises(tk.EncodingError, match="^trajectory 7: user 2 outside vocabulary of 2$"):
@@ -231,6 +251,25 @@ class TestCheckColumns:
             error, message = tk.EncodingError, f"^at {row}: {name} {value} outside vocabulary of {size[name]}$"
         with pytest.raises(error, match=message) as info:
             tk.check_columns(vocab, columns, lambda row: f"at {row}")
+        assert type(info.value) is error
+
+
+    @pytest.mark.parametrize(
+        "columns, error, message",
+        [
+            (dict(position=[0, 5], user=[0, 1.5]), tk.EncodingError, "at 1: position 5 outside vocabulary of 3"),
+            (dict(position=[0, 1], user=[0, 1.5]), tk.EncodingError, "at 1: user 1.5 is not an integer"),
+            (dict(position=np.array([0, 1]), user=np.array([0.0, 1.0])), tk.EncodingError, "at 0: user 0.0 is not an integer"),
+            (dict(user=[0, True], action=[9, 0]), ValueError, "at 0: action 9 outside [0, 9)"),
+            (dict(user=np.array([True, False])), tk.EncodingError, "at 0: user True is not an integer"),
+            (dict(position=[0, 2**64], user=[0.5, 0]), tk.EncodingError, "at 0: user 0.5 is not an integer"),
+            (dict(action=[1.0]), tk.EncodingError, "at 0: action 1.0 is not an integer"),
+        ],
+    )
+    def test_non_integer_named_in_row_then_column_order(self, columns, error, message):
+        # the intp cast used to truncate 1.5 and read True as 1
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+            tk.check_columns(tk.VocabSpec(3, 2, 2, 2, 2), columns, lambda row: f"at {row}")
         assert type(info.value) is error
 
 
