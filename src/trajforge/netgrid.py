@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import require
+from .numcore import is_integer, require
 
 N_ACTIONS = 9
 STAY_ACTION = 4
@@ -43,12 +43,13 @@ class GridSpec:
         require(self, width=GRID_SIDE, height=GRID_SIDE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnvState:
     """One decision context: where the vehicle is plus its fixed trip attributes.
 
     depart_bin and speed_bin are recorded at the first position and stay fixed
-    for the whole episode.
+    for the whole episode. Frozen, and checked when made by `numcore.require`:
+    each field must be an integer, so no reader truncates 1.7 or reads True as 1.
     """
 
     position: int
@@ -57,6 +58,9 @@ class EnvState:
     depart_bin: int
     speed_bin: int
     user_id: int
+
+    def __post_init__(self):
+        require(self)
 
 
 class Network:
@@ -83,12 +87,17 @@ class Network:
         return self.succ.shape[0]
 
     def check_position(self, pos: int) -> None:
-        """A negative position would wrap round when it indexes `succ`, so none is let through."""
+        """Indexing `succ`, a negative position would wrap round and numpy would reject a fraction or read
+        True as 1, so only an integer (`numcore.is_integer`) inside the network is let through."""
+        if not is_integer(pos):
+            raise ValueError(f"position {pos} is not an integer")
         if not 0 <= pos < self.n_positions:
             raise ValueError(f"position {pos} outside network of {self.n_positions} positions")
 
     def step(self, pos: int, a: int) -> int:
         self.check_position(pos)
+        if not is_integer(a):
+            raise ValueError(f"action {a} is not an integer")
         nxt = int(self.succ[pos, a]) if 0 <= a < N_ACTIONS else -1
         if nxt < 0:
             raise self.infeasible_error(f"action {a} is infeasible at position {pos}")
@@ -156,9 +165,9 @@ def hops_to(net: Network, destination: int) -> np.ndarray:
     One breadth-first search over `succ`, run once per destination; the network
     keeps the read-only table for later calls.
     """
+    net.check_position(destination)  # before the lookup, where 1.0 would find the table of 1
     table = net._hops.get(destination)
     if table is None:
-        net.check_position(destination)
         table = np.full(net.n_positions, -1, dtype=np.intp)
         table[destination] = 0
         # the extra entry stays False: it is where the -1 of an infeasible action points

@@ -20,6 +20,7 @@ counter-based RNG so replays are bit-identical.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 from contextlib import contextmanager
@@ -58,6 +59,15 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def all_integers(values) -> bool:
+    """True when every entry of `values` is an integer (`is_integer`): an array by its dtype, a
+    sequence by the set of its entries' types, so no entry costs a Python call."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        return values.dtype.kind in "iu"
+    kinds = set(map(type, values))
+    return kinds <= {int} or all(issubclass(kind, (int, np.integer)) and kind is not bool for kind in kinds)
+
+
 def is_real(value) -> bool:
     """True for an integer (`is_integer`) or a float whose value is finite within float64's range."""
     return (is_integer(value) or isinstance(value, (float, np.floating))) and -_FLOAT_MAX <= value <= _FLOAT_MAX
@@ -72,18 +82,23 @@ POSITIVE = (lambda value: value > 0, "> 0")
 
 
 def require(cfg, error: type = ValueError, **bounds) -> None:
-    """The one field check, and all that a config's `__post_init__` runs: raise `error`, as `<field> must
-    be <text>, got <value!r>`, for the first field of the dataclass `cfg` that breaks its rule.
-    Types come first, in field order: an `int` field must hold an integer (`is_integer`) and a `float`
-    field a finite real number (`is_real`); a bool is neither. Then the bounds, (test, text) pairs by
-    field name, in the order given, so no bound meets a None or a str in a typed field; a bound of an
-    untyped field must take any value. A rule that reads two fields is a second call, once the first
-    has checked both. So a checkpoint header cannot smuggle a bool, a fraction or a NaN into a config."""
-    types = [(f.name, _FIELD_TYPES[f.type]) for f in dataclasses.fields(cfg) if f.type in _FIELD_TYPES]
-    for name, (test, text) in [*types, *bounds.items()]:
+    """The one field check, and all that the `__post_init__` of a config or a record runs: raise `error`,
+    as `<field> must be <text>, got <value!r>`, for the first field of the dataclass `cfg` that breaks its
+    rule. Types come first, in field order: an `int` field must hold an integer (`is_integer`) and a
+    `float` field a finite real number (`is_real`); a bool is neither. Then the bounds, (test, text) pairs
+    by field name, in the order given, so no bound meets a None or a str in a typed field; a bound of an
+    untyped field must take any value, and may read a field whose bound came before it. So a checkpoint
+    header cannot smuggle a bool, a fraction or a NaN into a config, nor a caller a bad trip."""
+    for name, (test, text) in [*_typed_fields(type(cfg)), *bounds.items()]:
         value = getattr(cfg, name)
         if not test(value):
             raise error(f"{name} must be {text}, got {value!r}")
+
+
+@functools.cache
+def _typed_fields(cls) -> tuple:
+    """The (name, type rule) of each `int` or `float` field of the dataclass `cls`, read once per class."""
+    return tuple((f.name, _FIELD_TYPES[f.type]) for f in dataclasses.fields(cls) if f.type in _FIELD_TYPES)
 
 
 def make_rng(*key) -> np.random.Generator:

@@ -76,8 +76,26 @@ class PreferenceParams:
         return self.theta.shape[0]
 
 
-@dataclass
+_INDEX = (lambda value: 0 <= value < 2**63, "in [0, 2**63)")  # a trip's context index, as a `numcore.require` bound
+_POSITIONS = (lambda positions: _index_list(positions, 2**63) and len(positions) >= 2, "a list of two or more integers in [0, 2**63)")
+_MOVES = f"a list of one integer in [0, {netgrid.N_ACTIONS}) per move"
+_IS_FLAG = (lambda flag: isinstance(flag, str) and flag in FLAGS, f"one of {', '.join(FLAGS)}")
+
+
+def _index_list(values, stop: int) -> bool:
+    """True for a list of integers (`numcore.all_integers`) in [0, stop)."""
+    return isinstance(values, list) and numcore.all_integers(values) and (not values or 0 <= min(values) and max(values) < stop)
+
+
+@dataclass(frozen=True)
 class Trajectory:
+    """One recorded trip: its context, two or more positions and one action per move between them.
+
+    Frozen, and checked when made by `numcore.require`, in field order, so every trip fits the int64 step
+    table of `tokenizer.encode_trips`, which checks nothing itself. The lists are kept as given, not
+    copied, so no caller may change one in place.
+    """
+
     traj_id: int
     user_id: int
     depart_bin: int
@@ -87,12 +105,10 @@ class Trajectory:
     flag: str = "complete"  # one of FLAGS
 
     def __post_init__(self):
-        if self.flag not in FLAGS:
-            raise ValueError(f"trajectory {self.traj_id}: flag {self.flag!r} is not one of {', '.join(FLAGS)}")
-        if len(self.positions) < 2:
-            raise ValueError("trajectory needs at least 2 positions")
-        if len(self.actions) != len(self.positions) - 1:
-            raise ValueError("actions must have one entry per move")
+        require(
+            self, user_id=_INDEX, depart_bin=_INDEX, speed_bin=_INDEX, positions=_POSITIONS,
+            actions=(lambda actions: _index_list(actions, netgrid.N_ACTIONS) and len(actions) == len(self.positions) - 1, _MOVES), flag=_IS_FLAG,
+        )
 
     @property
     def origin(self) -> int:
@@ -154,22 +170,30 @@ def check_connectivity(traj: Trajectory, net: Network) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _index_rows(values, name: str) -> np.ndarray:
+    """The (B,) index `values` as an intp array, once `numcore.all_integers` has judged them all: the cast
+    would read 1.7 as 1 and True as 1, so GenerationError names the first row that holds no integer."""
+    if not numcore.all_integers(values):
+        row, value = next((row, value) for row, value in enumerate(values) if not numcore.is_integer(value))
+        raise GenerationError(f"row {row}: {name} {value} is not an integer")
+    return np.asarray(values, dtype=np.intp)
+
+
 def oracle_rows(prefs: PreferenceParams, net: Network, users, destinations):
     """The oracle of B trips, scored a batch of rows at a time.
 
     Returns `probs(rows, positions, prev_actions)`: the (len(rows), 9) action probabilities of
     trips `rows` at `positions`, after `prev_actions` (-1 at a trip's first move). Row i equals
     `oracle_action_probs` at that state bit for bit. The trips' `hops_to` tables are stacked once,
-    here, so a roll-out reads them at every step without rebuilding them. A user without a row of
-    `prefs.theta` raises `GenerationError` naming its row.
+    here, so a roll-out reads them at every step without rebuilding them. A user or destination that
+    is not an integer, and a user without a row of `prefs.theta`, raises `GenerationError` naming its row.
     """
-    users = np.asarray(users, dtype=np.intp)
+    users, destinations = _index_rows(users, "user"), _index_rows(destinations, "destination")
     outside = (users < 0) | (users >= prefs.n_users)
     if outside.any():
         row = int(np.argmax(outside))
         raise GenerationError(f"row {row}: user {users[row]} outside the {prefs.n_users} users of the preferences")
     theta = prefs.theta[users]
-    destinations = np.asarray(destinations, dtype=np.intp)
     table, index = netgrid.hops_stack(net, destinations)
     actions = np.arange(netgrid.N_ACTIONS)
 
@@ -227,13 +251,13 @@ def roll_out(net: Network, origins, destinations, uniforms, probs) -> list[tuple
     batch, so later steps compute only live rows, and no trip asks for a move at a dead end.
 
     The ends and the move limit are checked once, here, and a bad trip raises `GenerationError`
-    naming its row. Returns (positions, actions, flag) per trip, in row order.
+    naming its row: an end that is not an integer, is outside the network, equals the other end or
+    cannot be reached from it. Returns (positions, actions, flag) per trip, in row order.
     """
-    origins = np.asarray(origins, dtype=np.intp)
-    destinations = np.asarray(destinations, dtype=np.intp)
-    uniforms = np.asarray(uniforms, dtype=np.float64)
-    if origins.ndim != 1 or origins.shape != destinations.shape:
+    if np.ndim(origins) != 1 or np.shape(origins) != np.shape(destinations):
         raise ValueError("origins and destinations must be 1-D and of one length")
+    origins, destinations = _index_rows(origins, "origin"), _index_rows(destinations, "destination")
+    uniforms = np.asarray(uniforms, dtype=np.float64)
     if uniforms.ndim != 2 or len(uniforms) != len(origins):
         raise ValueError(f"uniforms of shape {uniforms.shape} for {len(origins)} trips: need one row per trip")
     for row, (origin, destination) in enumerate(zip(origins.tolist(), destinations.tolist())):
@@ -428,12 +452,11 @@ def _header_fields(line: str, names: str) -> list[str]:
 def load_dataset(path, net: Network | None = None) -> Dataset:
     """Parse a dataset file and verify the connectivity invariant of every line.
 
-    A line that does not parse raises a ValueError that starts with `path:line_no`, as does a
-    user_id, depart_bin or speed_bin that is negative or does not fit in int64, a user_id at or above
-    the #users count, a #users count below 1, a traj_id that an earlier line holds, a position outside
-    the network, a move that does not lead to the next position, a #grid or #links header that does
-    not describe the supplied network, and a trajectory line before the #grid header of a file
-    without a network supplied. A supplied network is the returned dataset's `net`.
+    A line that does not parse raises a ValueError that starts with `path:line_no`, as does a trip
+    that breaks a rule of `Trajectory`, a user_id at or above the #users count, a #users count below
+    1, a traj_id that an earlier line holds, a position outside the network, a move that does not
+    lead to the next position, a #grid or #links header that does not describe the supplied network,
+    and a trajectory line before the #grid header of a file without a network supplied. A supplied network is the returned dataset's `net`.
     """
     user_count = None
     trajectories = []
@@ -467,17 +490,8 @@ def load_dataset(path, net: Network | None = None) -> Dataset:
                     if len(parts) != 7:
                         raise ValueError(f"expected 7 fields, got {len(parts)}")
                     tid, user, depart, speed, pos_s, act_s, flag = parts
-                    context = dict(user_id=int(user), depart_bin=int(depart), speed_bin=int(speed))
-                    for name, value in context.items():
-                        if not 0 <= value < 2**63:
-                            raise ValueError(f"{name} {value} outside [0, 2**63)")
-                    traj = Trajectory(
-                        traj_id=int(tid),
-                        **context,
-                        positions=[int(p) for p in pos_s.split(",")],
-                        actions=[int(a) for a in act_s.split(",") if a],
-                        flag=flag,
-                    )
+                    positions, actions = [int(p) for p in pos_s.split(",")], [int(a) for a in act_s.split(",") if a]
+                    traj = Trajectory(int(tid), int(user), int(depart), int(speed), positions, actions, flag)
                     if traj.traj_id in line_of:
                         raise ValueError(f"traj_id {traj.traj_id} repeated, first at line {line_of[traj.traj_id]}")
                     if net is None:
@@ -594,10 +608,8 @@ class IngestConfig:
     max_moves: int = SynthConfig.max_len
 
     def __post_init__(self):
-        require(self, ConfigError, resample_minutes=POSITIVE, max_gap_intervals=AT_LEAST_1, max_moves=AT_LEAST_1)
         require(
-            self,
-            ConfigError,
+            self, ConfigError, resample_minutes=POSITIVE, max_gap_intervals=AT_LEAST_1, max_moves=AT_LEAST_1,
             lon_max=(lambda lon: lon > self.lon_min, f"> lon_min {self.lon_min}"),
             lat_max=(lambda lat: lat > self.lat_min, f"> lat_min {self.lat_min}"),
         )

@@ -4,7 +4,8 @@ Per step the token order is (s_t, a_t). `encode_trips` lays trips back to back, 
 step; each trip ends in its terminal step, whose action is the single BLANK placeholder since
 no decision is made there. So a trip ends at each BLANK step, and the row after a decision
 step holds s', the state its move leads to. The policy's batches (`trajmodel.forward_batch`)
-and the critic's transitions (`rewardirl.transitions`) are both read from this table.
+and the critic's transitions (`rewardirl.transitions`) are both read from this table. The table
+checks nothing of its own: a `synthgen.Trajectory` checks its indices and moves when it is made.
 
 `COLUMN_TABLES` names the `VocabSpec` table that each index column reads, and `check_columns`
 is the one vocabulary check: the trainers (`check_vocab`, `rewardirl.train_critic`), the
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import netgrid
 from .netgrid import Network
-from .numcore import AT_LEAST_1, is_integer, require
+from .numcore import AT_LEAST_1, all_integers, is_integer, require
 from .synthgen import SynthConfig
 
 BLANK = netgrid.N_ACTIONS  # embedding row reserved for the missing decision
@@ -84,14 +85,6 @@ def vocab_sizes(net: Network, config: SynthConfig) -> VocabSpec:
     )
 
 
-def _integers(values) -> bool:
-    """True when every entry of `values` is an integer (`numcore.is_integer`): an array by its dtype, a
-    sequence by the set of its entries' types, so no entry costs a Python call."""
-    if isinstance(values, np.ndarray) and values.dtype != object:
-        return values.dtype.kind in "iu"
-    return all(issubclass(kind, (int, np.integer)) and kind is not bool for kind in set(map(type, values)))
-
-
 def check_columns(vocab: VocabSpec, columns: dict, where) -> None:
     """Raise for the first row of the (B,) index `columns` with an index outside its table of `vocab`.
 
@@ -103,7 +96,7 @@ def check_columns(vocab: VocabSpec, columns: dict, where) -> None:
     names, values = list(columns), list(columns.values())
     limits = np.array([getattr(vocab, COLUMN_TABLES[name]) if name != "action" else netgrid.N_ACTIONS for name in names])
     idx = None
-    if all(map(_integers, values)):
+    if all(map(all_integers, values)):
         try:
             idx = np.array(values, dtype=np.intp)
             bad = idx.view(np.uintp) >= limits[:, None]  # a negative index reads as a huge unsigned one
@@ -137,41 +130,14 @@ def check_vocab(trajectories, vocab: VocabSpec) -> EpisodeTokens:
 def encode_trips(trajectories) -> EpisodeTokens:
     """One table of the trips' steps, back to back; each trip's terminal step carries the BLANK action.
 
-    EncodingError names the first trip with an action outside [0, 9), then the first trip with a field
-    that is not an integer (`numcore.is_integer`) or does not fit in int64, that field and its value.
+    It checks nothing: each `Trajectory` checked its fields when it was made, so every index fits in
+    int64, every move is in [0, 9), and a trip's one BLANK is its last row.
     """
-    table = _step_table(trajectories)
-    if table is not None:
-        return table
-    for traj in trajectories:  # the table failed, so some trip breaks one of these rules: name the first
-        if any(not 0 <= a < netgrid.N_ACTIONS for a in traj.actions):
-            raise EncodingError(f"trajectory {traj.traj_id} has an action outside [0, {netgrid.N_ACTIONS})")
-    for traj in trajectories:
-        fields = dict(position=traj.positions, depart=[traj.depart_bin], speed=[traj.speed_bin], user=[traj.user_id], action=traj.actions)
-        for name, values in fields.items():
-            for value in values:
-                if not is_integer(value):
-                    raise EncodingError(f"trajectory {traj.traj_id}: {name} {value} is not an integer")
-                if not -(2**63) <= value < 2**63:
-                    raise EncodingError(f"trajectory {traj.traj_id}: {name} {value} outside int64")
-
-
-def _step_table(trajectories) -> EpisodeTokens | None:
-    """The step table of `encode_trips`, or None for a field entry that is not an integer or does not fit
-    in int64, or a move outside [0, 9)."""
     steps = np.array([len(t.positions) for t in trajectories], dtype=np.int64)
-    positions = list(chain.from_iterable(t.positions for t in trajectories))
-    actions = list(chain.from_iterable((*t.actions, BLANK) for t in trajectories))
+    position = np.array(list(chain.from_iterable(t.positions for t in trajectories)), dtype=np.int64)
+    action = np.array(list(chain.from_iterable((*t.actions, BLANK) for t in trajectories)), dtype=np.int64)
     departs, speeds, users = [t.depart_bin for t in trajectories], [t.speed_bin for t in trajectories], [t.user_id for t in trajectories]
-    if not all(map(_integers, (positions, actions, departs, speeds, users))):
-        return None
-    try:
-        position, action = np.array(positions, dtype=np.int64), np.array(actions, dtype=np.int64)
-        depart, speed, user = (np.repeat(np.array(values, dtype=np.int64), steps) for values in (departs, speeds, users))
-    except OverflowError:
-        return None
-    if np.count_nonzero(action.view(np.uint64) >= BLANK) != len(trajectories):  # a BLANK ends each trip, and no move is outside [0, 9)
-        return None
+    depart, speed, user = (np.repeat(np.array(values, dtype=np.int64), steps) for values in (departs, speeds, users))
     starts = np.cumsum(steps) - steps
     return EpisodeTokens(
         position=position,

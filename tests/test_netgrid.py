@@ -152,6 +152,24 @@ class TestPositionRange:
         with pytest.raises(ValueError, match="outside network"):
             grid3.action_between(pos, 4)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda net: net.step(1.5, 0), "position 1.5 is not an integer"),
+            (lambda net: net.step(True, 5), "position True is not an integer"),
+            (lambda net: net.step(0, 5.0), "action 5.0 is not an integer"),
+            (lambda net: net.action_between(0, 1.0), "position 1.0 is not an integer"),
+            (lambda net: ng.hops_to(net, 1.0), "position 1.0 is not an integer"),
+            (lambda net: ng.hops_to(net, 1) is ng.hops_to(net, 1.0), "position 1.0 is not an integer"),
+        ],
+        ids=["step-position", "step-bool", "step-action", "action-between", "hops-to", "hops-to-cached"],
+    )
+    def test_non_integer_named(self, grid3, call, message):
+        # numpy raised a bare IndexError for 1.5 and 5.0 and a TypeError for True, action_between read 1.0
+        # as cell 1, and hops_to(1.0) failed inside numpy, or returned the table of 1 once it was cached
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(grid3)
+
 
 class TestShortestHops:
     """`hops_to(net, b)[a]`: the fewest moves from a to b, -1 when b cannot be reached."""

@@ -296,6 +296,12 @@ class TestQRows:
         with pytest.raises(tk.EncodingError, match=r"^row 0: user 1.7 is not an integer$"):
             ri.log_policy_rows(critic, [4], [0], [8], [2], [1.7])
 
+    @pytest.mark.parametrize("field, value", [("user_id", 1.7), ("depart_bin", True)])
+    def test_state_field_not_integer_named_when_made(self, field, value):
+        # critic_policy packed a state into one array, so user 1.7 was named as position 4.0 and depart_bin True read as 1
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            ng.EnvState(**{**dict(position=4, origin=0, destination=8, depart_bin=2, speed_bin=0, user_id=1), field: value})
+
     def test_speed_bin_not_read(self):
         net, critic = grid_critic()
         state = mkstate(4, 8)
@@ -502,13 +508,10 @@ class TestTrainCritic:
 
     @pytest.mark.parametrize("field", ["user_id", "depart_bin"])
     def test_index_outside_int64_rejected_by_name(self, field):
-        # an index past int64 used to escape as numpy's OverflowError
-        net, critic = grid_critic(users=1)
-        trajs = [sg.Trajectory(0, 0, 0, 0, [0, 1], [5]), sg.Trajectory(3, 0, 0, 0, [0, 1], [5])]
-        setattr(trajs[1], field, 2**64)
-        column = dict(user_id="user", depart_bin="depart")[field]
-        with pytest.raises(tk.EncodingError, match=f"^trajectory 3: {column} {2**64} outside int64$"):
-            ri.train_critic(sg.Dataset(net, trajs, 2), critic, ri.IRLConfig(epochs=1))
+        # an index past int64 used to escape as numpy's OverflowError; now the trip rejects it when made,
+        # before train_critic can meet it
+        with pytest.raises(ValueError, match=rf"^{field} must be in \[0, 2\*\*63\), got {2**64}$"):
+            dataclasses.replace(sg.Trajectory(3, 0, 0, 0, [0, 1], [5]), **{field: 2**64})
 
     @pytest.mark.parametrize("split", ["no trips", "eval split only"])
     def test_empty_training_split_rejected(self, split):

@@ -56,12 +56,22 @@ class TestRecordsCheckedWhenMade:
 
     @pytest.mark.parametrize(
         "positions, actions, message",
-        [([0], [], "trajectory needs at least 2 positions"), ([0, 1], [5, 5], "actions must have one entry per move")],
+        [
+            ([0], [], "positions must be a list of two or more integers in [0, 2**63), got [0]"),
+            ([0, 1], [5, 5], "actions must be a list of one integer in [0, 9) per move, got [5, 5]"),
+        ],
         ids=["one-position", "action-too-many"],
     )
     def test_trajectory(self, positions, actions, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sg.Trajectory(0, 0, 0, 0, positions, actions)
+
+    def test_trajectory_frozen(self):
+        # a trip could be given a second action for its one move after it was checked, and encode_trips
+        # then returned columns of unequal length
+        trip = sg.Trajectory(0, 0, 0, 0, [0, 1], [5])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trip.actions = [5, 5]
 
 
 class TestOracleProbs:
@@ -109,6 +119,18 @@ class TestOracleProbs:
             sg.oracle_action_probs(state, prefs, ds.net)
         with pytest.raises(sg.GenerationError, match=f"^row 1: user {user} outside"):
             sg.oracle_trips(prefs, ds.net, [0, user], [0, 0], [24, 24], np.zeros((2, 5)))
+
+    @pytest.mark.parametrize(
+        "users, destinations, message",
+        [([1.7], [8], "row 0: user 1.7 is not an integer"), ([1], [8.9], "row 0: destination 8.9 is not an integer"),
+         ([0, np.float64(1.0)], [8, 8], "row 1: user 1.0 is not an integer"), ([0, 1], np.array([8.0, 8.0]), "row 0: destination 8.0 is not an integer")],
+        ids=["fractional-user", "fractional-destination", "numpy-float-user", "float-array-destination"],
+    )
+    def test_non_integer_index_named_by_row_and_field(self, users, destinations, message):
+        # the intp cast used to return user 1's probabilities toward cell 8 for user 1.7 and destination 8.9
+        prefs = prefs_for([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(sg.GenerationError, match=f"^{re.escape(message)}$"):
+            sg.oracle_rows(prefs, ng.GridNetwork(ng.GridSpec(3, 3)), users, destinations)
 
     @pytest.mark.parametrize("net", [ng.GridNetwork(ng.GridSpec(2, 2)), ng.LinkGraph([[1], [0]])], ids=["grid", "links"])
     def test_position_outside_network(self, net):
@@ -343,6 +365,17 @@ class TestRollOut:
         bad = od[0] if od[0] not in range(25) else od[1]
         with pytest.raises(sg.GenerationError, match=f"row 0: position {bad} outside network of 25 positions"):
             oracle_trip(0, od, 0, prefs_for([[1.0, 0.0, 0.0]]), grid5, max_len=5)
+
+    @pytest.mark.parametrize(
+        "origins, destinations, message",
+        [([1.7], [8], "row 0: origin 1.7 is not an integer"), ([0, 1], [8, 8.0], "row 1: destination 8.0 is not an integer"),
+         ([True], [8], "row 0: origin True is not an integer"), (np.array([0.0]), [8], "row 0: origin 0.0 is not an integer")],
+        ids=["fractional-origin", "integral-float-destination", "bool-origin", "float-array-origin"],
+    )
+    def test_non_integer_end_named_by_row_and_field(self, origins, destinations, message):
+        # the intp cast used to roll out a trip from cell 1 for origin 1.7
+        with pytest.raises(sg.GenerationError, match=f"^{re.escape(message)}$"):
+            sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), origins, destinations, uniform_rows(len(origins), 5), lambda rows, pos, prev: pytest.fail("drew a move"))
 
     def test_empty_batch(self, grid5):
         assert sg.roll_out(grid5, [], [], uniform_rows(0, 5), lambda rows, pos, prev: pytest.fail("drew a move")) == []
@@ -617,14 +650,14 @@ class TestDatasetIO:
             ("0|x|0|0|0,1|5|complete", "invalid literal for int"),
             ("0|0|0|0|0,y|5|complete", "invalid literal for int"),
             # indices that used to pass, or to escape later as numpy's OverflowError
-            ("0|-1|0|0|0,1|5|complete", r"user_id -1 outside \[0, 2\*\*63\)$"),
-            ("0|0|-3|0|0,1|5|complete", r"depart_bin -3 outside \[0, 2\*\*63\)$"),
-            ("0|0|0|-3|0,1|5|complete", r"speed_bin -3 outside \[0, 2\*\*63\)$"),
-            ("0|0|100000000000000000000|0|0,1|5|complete", r"depart_bin 100000000000000000000 outside \[0, 2\*\*63\)$"),
-            ("0|0|0|100000000000000000000|0,1|5|complete", r"speed_bin 100000000000000000000 outside \[0, 2\*\*63\)$"),
-            ("0|9223372036854775808|0|0|0,1|5|complete", r"user_id 9223372036854775808 outside \[0, 2\*\*63\)$"),
+            ("0|-1|0|0|0,1|5|complete", r"user_id must be in \[0, 2\*\*63\), got -1$"),
+            ("0|0|-3|0|0,1|5|complete", r"depart_bin must be in \[0, 2\*\*63\), got -3$"),
+            ("0|0|0|-3|0,1|5|complete", r"speed_bin must be in \[0, 2\*\*63\), got -3$"),
+            ("0|0|100000000000000000000|0|0,1|5|complete", r"depart_bin must be in \[0, 2\*\*63\), got 100000000000000000000$"),
+            ("0|0|0|100000000000000000000|0,1|5|complete", r"speed_bin must be in \[0, 2\*\*63\), got 100000000000000000000$"),
+            ("0|9223372036854775808|0|0|0,1|5|complete", r"user_id must be in \[0, 2\*\*63\), got 9223372036854775808$"),
             # positions outside the 3x3 grid used to escape without path and line
-            ("0|0|0|0|-1,0|5|complete", "position -1 outside network of 9 positions$"),
+            ("0|0|0|0|-1,0|5|complete", r"positions must be a list of two or more integers in \[0, 2\*\*63\), got \[-1, 0\]$"),
             ("0|0|0|0|9,10|5|complete", "position 9 outside network of 9 positions$"),
             # a move that does not lead to the next position used to be named without path and line
             ("1|0|0|0|0,8|5|complete", "trajectory 1: action 5 at step 0 does not lead from 0 to 8$"),
@@ -732,7 +765,7 @@ class TestDatasetIO:
     def test_unknown_flag_rejected_on_load(self, tmp_path):
         path = tmp_path / "typo.txt"
         path.write_text("#grid 3 3 1000.0\n#users 1\n7|0|0|0|0,1|5|compelte\n")
-        with pytest.raises(ValueError, match="trajectory 7: flag 'compelte' is not one of complete, truncated, dead_end"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: flag must be one of complete, truncated, dead_end, got 'compelte'$"):
             sg.load_dataset(path)
 
     def test_preferences_without_header_named(self, tmp_path):

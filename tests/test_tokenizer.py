@@ -1,9 +1,10 @@
+import dataclasses
 import hashlib
 import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajforge import netgrid as ng
@@ -13,6 +14,7 @@ from trajforge import synthgen as sg
 from trajforge import tokenizer as tk
 
 FIELDS = ("position", "origin", "destination", "depart", "speed", "user", "action", "timestep")
+TRIP_FIELDS = dict(user="user_id", depart="depart_bin", speed="speed_bin")  # the Trajectory field of a context column
 
 
 def make_traj(positions, actions, flag="complete", user=0, depart=3, speed=40, traj_id=0):
@@ -29,6 +31,55 @@ def trip_lists(draw, min_size=0):
         flag = draw(st.sampled_from(["complete", "truncated", "dead_end"]))
         trips.append(sg.Trajectory(draw(st.integers(0, 999)), i, draw(st.integers(0, 23)), draw(st.integers(0, 119)), positions, actions, flag))
     return trips
+
+
+def field_values(stop):
+    """Values a caller might put in an index field below `stop`: ints inside, at and far outside the
+    bounds, integral and fractional floats, bools and numpy ints."""
+    return st.one_of(
+        st.integers(0, stop - 1),
+        st.sampled_from([-1, stop, 2**63 - 1, 2**63, 2**64]),
+        st.integers(-(2**64), 2**64),
+        st.integers(-3, 30).map(float),
+        st.floats(-3.0, 30.0),
+        st.booleans(),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.integers(0, 2**64 - 1).map(np.uint64),
+    )
+
+
+def is_index(value, stop) -> bool:
+    """The reference rule of a trip's index: an int or a numpy int, not a bool, in [0, stop)."""
+    return type(value) in (int, np.int64, np.uint64) and 0 <= value < stop
+
+
+@st.composite
+def trip_fields(draw):
+    """Keyword arguments of a `Trajectory`: valid, save that fewer than two positions may be drawn, and
+    that one field, or none, is drawn again from values that may break its rule. A list may lose or
+    gain an entry, have one replaced or be a tuple."""
+    n = draw(st.sampled_from([0, 1, 2, 2, 3, 4, 5]))
+    fields = dict(
+        traj_id=draw(st.integers()),
+        user_id=draw(st.integers(0, 3)),
+        depart_bin=draw(st.integers(0, 23)),
+        speed_bin=draw(st.integers(0, 119)),
+        positions=draw(st.lists(st.integers(0, 24), min_size=n, max_size=n)),
+        actions=draw(st.lists(st.integers(0, tk.BLANK - 1), min_size=max(n - 1, 0), max_size=max(n - 1, 0))),
+        flag=draw(st.sampled_from(sg.FLAGS)),
+    )
+    broken = draw(st.sampled_from([None, *fields]))
+    if broken == "flag":
+        fields[broken] = draw(st.sampled_from([*sg.FLAGS, "compelte", None]))
+    elif broken in ("positions", "actions"):
+        values, stop = fields[broken], 25 if broken == "positions" else tk.BLANK
+        how = draw(st.sampled_from(["replace", "replace", "shorten", "lengthen", "tuple"]))
+        if how == "replace" and values:
+            values[draw(st.integers(0, len(values) - 1))] = draw(field_values(stop))
+        fields[broken] = dict(shorten=values[:-1], lengthen=[*values, 0], tuple=tuple(values)).get(how, values)
+    elif broken is not None:
+        fields[broken] = draw(field_values(5 if broken == "traj_id" else 4))
+    return fields
 
 
 SYNTHETIC_TRIPS = sg.gen_dataset(sg.SynthConfig(users=4, n_trajectories=40, seed=3))[0].trajectories
@@ -57,10 +108,34 @@ class TestEncodeEpisode:
         np.testing.assert_array_equal(np.flatnonzero(ep.action == tk.BLANK), ends)
 
     def test_bad_action_rejected(self):
-        trips = [make_traj([0, 1], [5], traj_id=i) for i in range(3)]
-        trips[1].actions = [12]
-        with pytest.raises(tk.EncodingError, match=r"^trajectory 1 has an action outside \[0, 9\)$"):
-            tk.encode_trips(trips)
+        # rejected when the trip is made, so encode_trips never meets it
+        trip = make_traj([0, 1], [5], traj_id=1)
+        with pytest.raises(ValueError, match=r"^actions must be a list of one integer in \[0, 9\) per move, got \[12\]$"):
+            dataclasses.replace(trip, actions=[12])
+
+    @settings(max_examples=400)
+    @given(st.lists(trip_fields(), max_size=4))
+    def test_trip_made_exactly_when_its_rules_hold_property(self, fields):
+        # each trip checks itself when made, so encode_trips, which checks nothing, meets only trips that fit
+        trips = []
+        for kwargs in fields:
+            positions, actions = kwargs["positions"], kwargs["actions"]
+            ok = (
+                type(kwargs["traj_id"]) in (int, np.int64, np.uint64)
+                and all(is_index(kwargs[name], 2**63) for name in ("user_id", "depart_bin", "speed_bin"))
+                and type(positions) is list and len(positions) >= 2 and all(is_index(p, 2**63) for p in positions)
+                and type(actions) is list and len(actions) == len(positions) - 1 and all(is_index(a, tk.BLANK) for a in actions)
+                and kwargs["flag"] in sg.FLAGS
+            )
+            if ok:
+                trips.append(sg.Trajectory(**kwargs))
+            else:
+                with pytest.raises(ValueError, match=r"^\w+ must be "):
+                    sg.Trajectory(**kwargs)
+        table = tk.encode_trips(trips)
+        assert {len(getattr(table, name)) for name in FIELDS} == {sum(len(t.positions) for t in trips)}
+        assert np.count_nonzero(table.action == tk.BLANK) == len(trips)
+        np.testing.assert_array_equal(table.action[table.decision_mask], [a for t in trips for a in t.actions])
 
     @given(trip_lists(min_size=1))
     def test_batched_equals_sequential_property(self, trips):
@@ -176,33 +251,39 @@ class TestCheckVocab:
     @pytest.mark.parametrize("value", [2**64, -(2**64), 2**63])
     @pytest.mark.parametrize("field", ["position", "user", "depart", "speed"])
     def test_index_outside_int64_named(self, field, value):
-        # an index past int64 used to escape as numpy's OverflowError; the first trip fits
+        # an index past int64 used to escape as numpy's OverflowError; now the trip rejects it when made
         positions = [0, value] if field == "position" else [0, 1]
         context = {field: value} if field != "position" else {}
-        trips = [make_traj([0, 1], [5], traj_id=3), make_traj(positions, [5], traj_id=7, **context)]
-        with pytest.raises(tk.EncodingError, match=f"^trajectory 7: {field} {value} outside int64$"):
-            tk.check_vocab(trips, self.VOCAB)
-        with pytest.raises(tk.EncodingError, match=f"^trajectory 7: {field} {value} outside int64$"):
-            tk.encode_trips(trips)
+        if field == "position":
+            rule = f"positions must be a list of two or more integers in [0, 2**63), got {positions}"
+        else:
+            rule = f"{TRIP_FIELDS[field]} must be in [0, 2**63), got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+            make_traj(positions, [5], traj_id=7, **context)
 
     @pytest.mark.parametrize(
         "field, value", [("user", 1.7), ("depart", True), ("speed", 2.9), ("position", 1.0), ("action", 5.0), ("user", np.float64(2.0))]
     )
     def test_non_integer_named_not_truncated(self, field, value):
-        # numpy's int64 cast used to read user 1.7 as 1, True as 1, 2.9 as 2 and accept position 1.0; the first trip is sound
+        # numpy's int64 cast used to read user 1.7 as 1, True as 1, 2.9 as 2 and accept position 1.0; now the trip rejects it when made
         positions = [0, value, 2] if field == "position" else [0, 1, 2]
         actions = [5, value] if field == "action" else [5, 5]
         context = {field: value} if field in ("user", "depart", "speed") else {}
-        trips = [make_traj([0, 1], [5], traj_id=3), make_traj(positions, actions, traj_id=7, **context)]
-        with pytest.raises(tk.EncodingError, match=f"^trajectory 7: {field} {value} is not an integer$"):
-            tk.check_vocab(trips, self.VOCAB)
-        with pytest.raises(tk.EncodingError, match=f"^trajectory 7: {field} {value} is not an integer$"):
-            tk.encode_trips(trips)
+        if field == "position":
+            rule = f"positions must be a list of two or more integers in [0, 2**63), got {positions!r}"
+        elif field == "action":
+            rule = f"actions must be a list of one integer in [0, 9) per move, got {actions!r}"
+        else:
+            rule = f"{TRIP_FIELDS[field]} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+            make_traj(positions, actions, traj_id=7, **context)
 
-    def test_bad_action_named_before_a_field_past_int64(self):
-        trips = [make_traj([0, 2**64], [5], traj_id=3), make_traj([0, 1], [9], traj_id=7)]
-        with pytest.raises(tk.EncodingError, match=r"^trajectory 7 has an action outside \[0, 9\)$"):
-            tk.encode_trips(trips)
+    def test_fields_named_in_field_order(self):
+        # a trip names its first bad field: its positions before its actions
+        with pytest.raises(ValueError, match=r"^actions must be a list of one integer in \[0, 9\) per move, got \[9\]$"):
+            make_traj([0, 1], [9], traj_id=7)
+        with pytest.raises(ValueError, match=rf"^positions must be .*, got \[0, {2**64}\]$"):
+            make_traj([0, 2**64], [9], traj_id=3)
 
     def test_trip_of_first_bad_step_named_and_table_returned(self):
         trips = [make_traj([0, 1, 2], [5, 5], traj_id=3), make_traj([0, 1], [5], user=2, traj_id=7), make_traj([0, 1], [5], depart=24, traj_id=9)]

@@ -380,11 +380,10 @@ class TestForward:
         assert bare < 0.6 * recorded  # ~16 MB with the graph, ~6 MB without
 
     def test_non_integer_user_rejected_by_name(self):
-        # user 2.7 used to give user 2's logits
-        net, model = small_model()
-        trip = dataclasses.replace(sample_trip(net, user=2), user_id=2.7, traj_id=4)
-        with pytest.raises(tk.EncodingError, match=r"^trajectory 4: user 2.7 is not an integer$"):
-            tm.forward_batch([trip], model)
+        # user 2.7 used to give user 2's logits; now the trip rejects it when made, before forward_batch can meet it
+        net, _ = small_model()
+        with pytest.raises(ValueError, match=r"^user_id must be an integer, got 2.7$"):
+            dataclasses.replace(sample_trip(net, user=2), user_id=2.7, traj_id=4)
 
     def test_overlength_window_rejected(self):
         # a window is the whole trip: one longer than the context is named by check_vocab's timestep check
