@@ -1,8 +1,8 @@
 """Road environments: a grid world with 9 moves and a link graph with bounded out-degree.
 
 Each network is one successor table `succ[pos, a]`: the position that action
-`a` leads to from `pos`, or -1 where `a` is infeasible. Moves, feasibility and
-hop counts are all read off it. Grid actions map to 3x3 shifts via
+`a` leads to from `pos`, or -1 where `a` is infeasible. Moves are read off it,
+feasibility once and hop counts on first read, into read-only tables. Grid actions map to 3x3 shifts via
 k = (dy + 1) * 3 + (dx + 1), so action 4 is "stay". Link-graph actions index
 into each link's ordered downstream list. Action indices are zero-based
 throughout; any one-based external convention is converted at serialization
@@ -11,6 +11,7 @@ boundaries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,8 +68,10 @@ class Network:
     """A road network as one successor table.
 
     `succ[pos, a]` is the position that action `a` leads to from `pos`, or -1
-    where `a` is infeasible there; `feasible` is `succ >= 0`. A subclass only
-    builds the table and names the error that an infeasible move raises.
+    where `a` is infeasible there; `feasible` is `succ >= 0`. `hops[dest, pos]`
+    is the fewest moves from `pos` to `dest`, -1 where `dest` cannot be reached:
+    one breadth-first search over `succ` from every destination at once. A
+    subclass only builds the table and names the error that an infeasible move raises.
     """
 
     infeasible_error: type[ValueError] = ConnectivityError
@@ -80,7 +83,20 @@ class Network:
         self.feasible.flags.writeable = False
         self.dead_end = ~self.feasible.any(axis=1)  # no feasible action: a trip that lands here cannot go on
         self.dead_end.flags.writeable = False
-        self._hops: dict[int, np.ndarray] = {}
+
+    @functools.cached_property
+    def hops(self) -> np.ndarray:
+        """Built on first read, so a network whose hop counts nothing reads never pays for the (n, n) table."""
+        n = self.n_positions
+        table = np.eye(n, dtype=np.int32) - 1  # 0 at each destination, -1 until a search reaches it
+        frontier = np.eye(n, n + 1, dtype=bool)  # the extra column stays False: the -1 of an infeasible action reads it
+        hops = 0
+        while frontier.any():
+            hops += 1
+            frontier[:, :-1] = frontier[:, self.succ].any(axis=2) & (table < 0)
+            table[frontier[:, :-1]] = hops
+        table.flags.writeable = False
+        return table
 
     @property
     def n_positions(self) -> int:
@@ -157,41 +173,6 @@ def _check_downstream(link: int, downs: list[int], n: int) -> None:
     for d in downs:
         if not 0 <= d < n:
             raise ValueError(f"link {link} references unknown downstream link {d}")
-
-
-def hops_to(net: Network, destination: int) -> np.ndarray:
-    """Hop count from every position to `destination`, -1 where it cannot be reached.
-
-    One breadth-first search over `succ`, run once per destination; the network
-    keeps the read-only table for later calls.
-    """
-    net.check_position(destination)  # before the lookup, where 1.0 would find the table of 1
-    table = net._hops.get(destination)
-    if table is None:
-        table = np.full(net.n_positions, -1, dtype=np.intp)
-        table[destination] = 0
-        # the extra entry stays False: it is where the -1 of an infeasible action points
-        frontier = np.zeros(net.n_positions + 1, dtype=bool)
-        frontier[destination] = True
-        hops = 0
-        while frontier.any():
-            hops += 1
-            frontier[:-1] = frontier[net.succ].any(axis=1) & (table < 0)
-            table[frontier[:-1]] = hops
-        table.flags.writeable = False
-        net._hops[destination] = table
-    return table
-
-
-def hops_stack(net: Network, destinations) -> tuple[np.ndarray, np.ndarray]:
-    """The `hops_to` tables of many destinations, stacked once: `table[index[i]]` is
-    `hops_to(net, destinations[i])`, with one row per distinct destination."""
-    first: dict[int, int] = {}
-    index = np.array([first.setdefault(d, len(first)) for d in np.asarray(destinations).tolist()], dtype=np.intp)
-    table = np.empty((len(first), net.n_positions), dtype=np.intp)
-    for destination, row in first.items():
-        table[row] = hops_to(net, destination)
-    return table, index
 
 
 # ---------------------------------------------------------------------------

@@ -199,8 +199,7 @@ def log_policy_rows(critic: CriticModel, position, origin, destination, depart, 
 
 def critic_policy(state: EnvState, critic: CriticModel) -> np.ndarray:
     """Softmax of Q(s, .) over the actions feasible at one state, exactly 0 elsewhere: a one-row `log_policy_rows`."""
-    cols = np.array([state.position, state.origin, state.destination, state.depart_bin, state.user_id])
-    return np.exp(log_policy_rows(critic, *cols[:, None])[0])
+    return np.exp(log_policy_rows(critic, [state.position], [state.origin], [state.destination], [state.depart_bin], [state.user_id])[0])
 
 
 def recover_reward(state: EnvState, action: int, next_state: EnvState, is_terminal: bool, critic: CriticModel, gamma: float) -> float:
@@ -208,8 +207,9 @@ def recover_reward(state: EnvState, action: int, next_state: EnvState, is_termin
     for name in ("origin", "destination", "depart_bin", "user_id"):
         if getattr(next_state, name) != getattr(state, name):
             raise ValueError(f"next_state {name} {getattr(next_state, name)} differs from the state's {getattr(state, name)}")
-    cols = np.array([state.position, state.origin, state.destination, state.depart_bin, state.user_id, action, next_state.position])
-    return float(reward_rows(TransitionBatch(*cols[:, None], np.zeros(1, dtype=bool), np.array([is_terminal])), critic, gamma)[0])
+    cols = (state.position, state.origin, state.destination, state.depart_bin, state.user_id, action, next_state.position)
+    batch = TransitionBatch(*([value] for value in cols), np.zeros(1, dtype=bool), np.array([is_terminal]))  # one column per field, each checked by its name
+    return float(reward_rows(batch, critic, gamma)[0])
 
 
 # ---------------------------------------------------------------------------

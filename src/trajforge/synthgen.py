@@ -83,8 +83,8 @@ _IS_FLAG = (lambda flag: isinstance(flag, str) and flag in FLAGS, f"one of {', '
 
 
 def _index_list(values, stop: int) -> bool:
-    """True for a list of integers (`numcore.all_integers`) in [0, stop)."""
-    return isinstance(values, list) and numcore.all_integers(values) and (not values or 0 <= min(values) and max(values) < stop)
+    """True for a list or tuple of integers (`numcore.all_integers`) in [0, stop)."""
+    return isinstance(values, (list, tuple)) and numcore.all_integers(values) and (not values or 0 <= min(values) and max(values) < stop)
 
 
 @dataclass(frozen=True)
@@ -92,16 +92,16 @@ class Trajectory:
     """One recorded trip: its context, two or more positions and one action per move between them.
 
     Frozen, and checked when made by `numcore.require`, in field order, so every trip fits the int64 step
-    table of `tokenizer.encode_trips`, which checks nothing itself. The lists are kept as given, not
-    copied, so no caller may change one in place.
+    table of `tokenizer.encode_trips`, which checks nothing itself. The checked positions and actions,
+    given as lists or tuples, are stored as tuples, so they cannot change in place either.
     """
 
     traj_id: int
     user_id: int
     depart_bin: int
     speed_bin: int
-    positions: list[int]
-    actions: list[int]
+    positions: tuple[int, ...]
+    actions: tuple[int, ...]
     flag: str = "complete"  # one of FLAGS
 
     def __post_init__(self):
@@ -109,6 +109,8 @@ class Trajectory:
             self, user_id=_INDEX, depart_bin=_INDEX, speed_bin=_INDEX, positions=_POSITIONS,
             actions=(lambda actions: _index_list(actions, netgrid.N_ACTIONS) and len(actions) == len(self.positions) - 1, _MOVES), flag=_IS_FLAG,
         )
+        object.__setattr__(self, "positions", tuple(self.positions))
+        object.__setattr__(self, "actions", tuple(self.actions))
 
     @property
     def origin(self) -> int:
@@ -152,17 +154,16 @@ class Dataset:
 
 
 def check_connectivity(traj: Trajectory, net: Network) -> None:
-    """Every recorded move must reproduce the next position."""
-    for t, a in enumerate(traj.actions):
-        try:
-            landed = net.step(traj.positions[t], a)
-        except (netgrid.BoundaryError, netgrid.ConnectivityError):
-            landed = None
-        if landed != traj.positions[t + 1]:
-            raise ValueError(
-                f"trajectory {traj.traj_id}: action {a} at step {t} does not lead "
-                f"from {traj.positions[t]} to {traj.positions[t + 1]}"
-            )
+    """Every position must be inside the network, and every recorded move must reproduce the next
+    position: ValueError names the first position that is not, then the first move that does not."""
+    positions, actions = np.array(traj.positions), np.array(traj.actions, dtype=np.intp)
+    outside = positions >= net.n_positions  # a checked trip holds no negative position
+    if np.count_nonzero(outside):
+        raise ValueError(f"trajectory {traj.traj_id}: position {positions[np.argmax(outside)]} outside network of {net.n_positions} positions")
+    off = net.succ[positions[:-1], actions] != positions[1:]
+    if np.count_nonzero(off):
+        t = int(np.argmax(off))
+        raise ValueError(f"trajectory {traj.traj_id}: action {actions[t]} at step {t} does not lead from {positions[t]} to {positions[t + 1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +171,21 @@ def check_connectivity(traj: Trajectory, net: Network) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _index_rows(values, name: str) -> np.ndarray:
-    """The (B,) index `values` as an intp array, once `numcore.all_integers` has judged them all: the cast
-    would read 1.7 as 1 and True as 1, so GenerationError names the first row that holds no integer."""
-    if not numcore.all_integers(values):
-        row, value = next((row, value) for row, value in enumerate(values) if not numcore.is_integer(value))
-        raise GenerationError(f"row {row}: {name} {value} is not an integer")
-    return np.asarray(values, dtype=np.intp)
+def _index_rows(values, name: str, stop: int, within: str) -> np.ndarray:
+    """The (B,) index `values` as an intp array, once each row is judged an integer (`numcore.is_integer`)
+    in [0, stop): the cast would read 1.7 and True as 1 and fail past int64, and a table would read -1 as
+    its last row, so GenerationError names the first row that is not, as `name value outside within`."""
+    try:
+        rows = np.asarray(values, dtype=np.intp) if numcore.all_integers(values) else None
+    except OverflowError:  # an index past int64, outside every table
+        rows = None
+    if rows is not None and not np.count_nonzero(rows.view(np.uintp) >= stop):  # a negative index reads as a huge one
+        return rows
+    for row, value in enumerate(values):
+        if not numcore.is_integer(value):
+            raise GenerationError(f"row {row}: {name} {value} is not an integer")
+        if not 0 <= value < stop:
+            raise GenerationError(f"row {row}: {name} {value} outside {within}")
 
 
 def oracle_rows(prefs: PreferenceParams, net: Network, users, destinations):
@@ -184,27 +193,23 @@ def oracle_rows(prefs: PreferenceParams, net: Network, users, destinations):
 
     Returns `probs(rows, positions, prev_actions)`: the (len(rows), 9) action probabilities of
     trips `rows` at `positions`, after `prev_actions` (-1 at a trip's first move). Row i equals
-    `oracle_action_probs` at that state bit for bit. The trips' `hops_to` tables are stacked once,
-    here, so a roll-out reads them at every step without rebuilding them. A user or destination that
-    is not an integer, and a user without a row of `prefs.theta`, raises `GenerationError` naming its row.
+    `oracle_action_probs` at that state bit for bit. Each step reads the rows of the trips'
+    destinations in the network's `hops` table. A user without a row of `prefs.theta`, and a
+    destination outside the network, raises `GenerationError` naming its row (`_index_rows`).
     """
-    users, destinations = _index_rows(users, "user"), _index_rows(destinations, "destination")
-    outside = (users < 0) | (users >= prefs.n_users)
-    if outside.any():
-        row = int(np.argmax(outside))
-        raise GenerationError(f"row {row}: user {users[row]} outside the {prefs.n_users} users of the preferences")
+    users = _index_rows(users, "user", prefs.n_users, f"the {prefs.n_users} users of the preferences")
+    destinations = _index_rows(destinations, "destination", net.n_positions, f"network of {net.n_positions} positions")
     theta = prefs.theta[users]
-    table, index = netgrid.hops_stack(net, destinations)
     actions = np.arange(netgrid.N_ACTIONS)
 
     def probs(rows: np.ndarray, positions: np.ndarray, prev_actions: np.ndarray) -> np.ndarray:
-        hops = index[rows]
-        here = table[hops, positions]
+        dest = destinations[rows]
+        here = net.hops[dest, positions]
         if (here < 0).any():
             i = int(np.argmax(here < 0))
-            raise GenerationError(f"destination {destinations[rows[i]]} unreachable from {positions[i]}")
+            raise GenerationError(f"destination {dest[i]} unreachable from {positions[i]}")
         nxt = net.succ[positions]
-        there = table[hops[:, None], nxt]
+        there = net.hops[dest[:, None], nxt]
         progress = np.where(there < 0, -1.0, np.sign(here[:, None] - there))
         prev = prev_actions[:, None]
         turn = (actions != prev) & (prev >= 0)
@@ -233,8 +238,10 @@ def oracle_action_probs(
     the one-row call of `oracle_rows`.
     """
     net.check_position(state.position)
-    probs = oracle_rows(prefs, net, [state.user_id], [state.destination])
     prev = -1 if prev_action is None else prev_action
+    if not (numcore.is_integer(prev) and -1 <= prev < netgrid.N_ACTIONS):
+        raise GenerationError(f"prev_action must be None, -1 or an integer in [0, {netgrid.N_ACTIONS}), got {prev_action!r}")
+    probs = oracle_rows(prefs, net, [state.user_id], [state.destination])
     return probs(np.zeros(1, dtype=np.intp), np.array([state.position]), np.array([prev]))[0]
 
 
@@ -250,26 +257,25 @@ def roll_out(net: Network, origins, destinations, uniforms, probs) -> list[tuple
     last allowed move), else "truncated" after its last allowed move. A finished trip leaves the
     batch, so later steps compute only live rows, and no trip asks for a move at a dead end.
 
-    The ends and the move limit are checked once, here, and a bad trip raises `GenerationError`
-    naming its row: an end that is not an integer, is outside the network, equals the other end or
-    cannot be reached from it. Returns (positions, actions, flag) per trip, in row order.
+    The ends and the move limit are checked once, here, in whole-array tests (`_index_rows`, then the
+    network's `hops` table), and a bad trip raises `GenerationError` naming its row: an end that is
+    not an integer or is outside the network (every origin is judged before any destination), then
+    one that equals the other end or cannot be reached from it.
+    Returns (positions, actions, flag) per trip, in row order.
     """
     if np.ndim(origins) != 1 or np.shape(origins) != np.shape(destinations):
         raise ValueError("origins and destinations must be 1-D and of one length")
-    origins, destinations = _index_rows(origins, "origin"), _index_rows(destinations, "destination")
+    within = f"network of {net.n_positions} positions"
+    origins = _index_rows(origins, "origin", net.n_positions, within)
+    destinations = _index_rows(destinations, "destination", net.n_positions, within)
     uniforms = np.asarray(uniforms, dtype=np.float64)
     if uniforms.ndim != 2 or len(uniforms) != len(origins):
         raise ValueError(f"uniforms of shape {uniforms.shape} for {len(origins)} trips: need one row per trip")
-    for row, (origin, destination) in enumerate(zip(origins.tolist(), destinations.tolist())):
-        try:
-            net.check_position(origin)
-            net.check_position(destination)
-        except ValueError as exc:
-            raise GenerationError(f"row {row}: {exc}") from None
-        if origin == destination:
-            raise GenerationError(f"row {row}: origin equals destination")
-        if netgrid.hops_to(net, destination)[origin] < 0:
-            raise GenerationError(f"row {row}: destination {destination} unreachable from {origin}")
+    bad = (net.hops[destinations, origins] < 0) | (origins == destinations)
+    if np.count_nonzero(bad):
+        row = int(np.argmax(bad))
+        problem = "origin equals destination" if origins[row] == destinations[row] else f"destination {destinations[row]} unreachable from {origins[row]}"
+        raise GenerationError(f"row {row}: {problem}")
     if uniforms.shape[1] < 1:
         raise GenerationError("max_len must allow at least one move")
     if not len(origins):
@@ -496,8 +502,6 @@ def load_dataset(path, net: Network | None = None) -> Dataset:
                         raise ValueError(f"traj_id {traj.traj_id} repeated, first at line {line_of[traj.traj_id]}")
                     if net is None:
                         raise ValueError("a trajectory line before the #grid header")
-                    for pos in traj.positions:
-                        net.check_position(pos)
                     check_connectivity(traj, net)
                     trajectories.append(traj)
                     line_of[traj.traj_id] = line_no

@@ -1,8 +1,9 @@
 """What several test modules share: a scalar loss and a finite-difference check over numcore's
 recorded graph, the one peak-memory probe, reference AdamW, layer-norm and GELU formulas, one
-oracle trip, and a reference GPS ingestion."""
+oracle trip, a reference hop count and a reference GPS ingestion."""
 
 import math
+from collections import deque
 import tracemalloc
 from datetime import datetime, timezone
 
@@ -107,6 +108,27 @@ def oracle_trip(seed, od, user, prefs, net, max_len, depart_bin=0, speed_bin=0, 
     rng = make_rng(seed) if isinstance(seed, int) else make_rng(*seed)
     [(positions, actions, flag)] = sg.oracle_trips(prefs, net, [user], [od[0]], [od[1]], rng.random((1, max(max_len, 0))))
     return sg.Trajectory(traj_id, user, depart_bin, speed_bin, positions, actions, flag)
+
+
+def reference_hops_to(net: ng.Network, destination: int) -> list[int]:
+    """The fewest moves from each position to `destination`, -1 where it cannot be reached: a plain
+    breadth-first search from `destination` over the network's moves, reversed, one position at a time.
+    It is kept as the reference that `Network.hops`, a search from every destination at once, must match."""
+    into = [[] for _ in range(net.n_positions)]  # the positions one move before each position
+    for pos in range(net.n_positions):
+        for nxt in net.succ[pos].tolist():
+            if nxt >= 0:
+                into[nxt].append(pos)
+    hops = [-1] * net.n_positions
+    hops[destination] = 0
+    queue = deque([destination])
+    while queue:
+        here = queue.popleft()
+        for pos in into[here]:
+            if hops[pos] < 0:
+                hops[pos] = hops[here] + 1
+                queue.append(pos)
+    return hops
 
 
 def reference_ingest_csv(path, grid: ng.GridSpec, cfg: sg.IngestConfig) -> tuple[sg.Dataset, sg.IngestStats]:

@@ -6,6 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trajforge import netgrid as ng
+from trajforge import synthgen as sg
+
+from helpers import reference_hops_to
 
 
 @st.composite
@@ -159,71 +162,67 @@ class TestPositionRange:
             (lambda net: net.step(True, 5), "position True is not an integer"),
             (lambda net: net.step(0, 5.0), "action 5.0 is not an integer"),
             (lambda net: net.action_between(0, 1.0), "position 1.0 is not an integer"),
-            (lambda net: ng.hops_to(net, 1.0), "position 1.0 is not an integer"),
-            (lambda net: ng.hops_to(net, 1) is ng.hops_to(net, 1.0), "position 1.0 is not an integer"),
         ],
-        ids=["step-position", "step-bool", "step-action", "action-between", "hops-to", "hops-to-cached"],
+        ids=["step-position", "step-bool", "step-action", "action-between"],
     )
     def test_non_integer_named(self, grid3, call, message):
-        # numpy raised a bare IndexError for 1.5 and 5.0 and a TypeError for True, action_between read 1.0
-        # as cell 1, and hops_to(1.0) failed inside numpy, or returned the table of 1 once it was cached
+        # numpy raised a bare IndexError for 1.5 and 5.0 and a TypeError for True, and action_between read 1.0 as cell 1
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(grid3)
 
 
 class TestShortestHops:
-    """`hops_to(net, b)[a]`: the fewest moves from a to b, -1 when b cannot be reached."""
+    """`net.hops[b, a]`: the fewest moves from a to b, -1 when b cannot be reached."""
 
     def test_same_cell(self, grid3):
-        assert ng.hops_to(grid3, 4)[4] == 0
+        assert grid3.hops[4, 4] == 0
 
     def test_adjacent(self, grid3):
-        assert ng.hops_to(grid3, 1)[0] == 1
+        assert grid3.hops[1, 0] == 1
 
     def test_diagonal_corner(self, grid3):
-        assert ng.hops_to(grid3, grid3.cell_of(2, 2))[grid3.cell_of(0, 0)] == 2
+        assert grid3.hops[grid3.cell_of(2, 2), grid3.cell_of(0, 0)] == 2
 
     def test_unreachable(self):
         graph = ng.LinkGraph([[1], [], [1]])
-        assert ng.hops_to(graph, 2)[0] == -1
+        assert graph.hops[2, 0] == -1
 
     def test_triangle_inequality_property(self):
         grid = ng.GridNetwork(ng.GridSpec(4, 4))
         rng = np.random.default_rng(3)
         for _ in range(50):
             a, b, c = rng.integers(0, grid.n_positions, size=3)
-            dab = ng.hops_to(grid, b)[a]
-            dbc = ng.hops_to(grid, c)[b]
-            dac = ng.hops_to(grid, c)[a]
-            assert dac <= dab + dbc
+            assert grid.hops[c, a] <= grid.hops[b, a] + grid.hops[c, b]
 
     def test_hops_to_matches_pointwise(self, grid3):
         # a grid move shifts row and column by at most one each: hops are the Chebyshev distance
-        table = ng.hops_to(grid3, grid3.cell_of(2, 1))
+        table = grid3.hops[grid3.cell_of(2, 1)]
         for row in range(3):
             for col in range(3):
                 assert table[grid3.cell_of(row, col)] == max(abs(row - 2), abs(col - 1))
 
-    def test_hops_to_cached_per_destination(self, grid3):
-        dest = grid3.cell_of(2, 1)
-        table = ng.hops_to(grid3, dest)
-        assert ng.hops_to(grid3, dest) is table
-        assert table.dtype.kind == "i" and table.shape == (grid3.n_positions,)
+    def test_hops_table_read_only(self, grid3):
+        n = grid3.n_positions
+        assert "hops" not in vars(grid3)  # built on first read, then kept
+        assert grid3.hops.dtype == np.int32 and grid3.hops.shape == (n, n)
+        assert vars(grid3)["hops"] is grid3.hops
         with pytest.raises(ValueError):
-            table[0] = 5
+            grid3.hops[0, 5] = 5
 
-    @pytest.mark.parametrize("dest", [-1, 3])
+    @pytest.mark.parametrize("dest", [-1, 3, 2**64])
     def test_hops_to_destination_outside_network(self, dest):
-        with pytest.raises(ValueError, match="outside network"):
-            ng.hops_to(ng.LinkGraph([[1], [2], [0]]), dest)
+        # the table has no row for it, a row index of -1 would read the last one, and one past int64 used to
+        # escape from the intp cast as a bare OverflowError: the table's readers refuse each by name
+        net, prefs = ng.LinkGraph([[1], [2], [0]]), sg.PreferenceParams(np.zeros((1, sg.N_FEATURES)))
+        message = f"^row 0: destination {dest} outside network of 3 positions$"
+        with pytest.raises(sg.GenerationError, match=message):
+            sg.oracle_rows(prefs, net, [0], [dest])
+        with pytest.raises(sg.GenerationError, match=message):
+            sg.roll_out(net, [0], [dest], np.zeros((1, 2)), None)
 
-    @given(networks(), st.data())
-    def test_stack_rows_are_the_tables_property(self, net, data):
-        destinations = data.draw(st.lists(st.integers(0, net.n_positions - 1), max_size=6))
-        table, index = ng.hops_stack(net, destinations)
-        assert len(table) == len(set(destinations)) and index.shape == (len(destinations),)
-        for d, row in zip(destinations, index):
-            np.testing.assert_array_equal(table[row], ng.hops_to(net, d))
+    @given(networks())
+    def test_table_matches_reference_search_property(self, net):
+        np.testing.assert_array_equal(net.hops, [reference_hops_to(net, dest) for dest in range(net.n_positions)])
 
     def test_dead_end_has_no_feasible_action(self):
         graph = ng.LinkGraph([[1], [], [0, 1]])
@@ -233,7 +232,7 @@ class TestShortestHops:
     @given(networks())
     def test_breadth_first_equations_property(self, net):
         for dest in range(net.n_positions):
-            hops = ng.hops_to(net, dest)
+            hops = net.hops[dest]
             assert hops[dest] == 0
             for pos in range(net.n_positions):
                 if pos == dest:

@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trajforge import netgrid, pretrain, rewardirl, synthgen, tokenizer, trajmodel
@@ -222,6 +223,15 @@ def test_tensor_data_is_rebound_only_by_its_binders():
     stores = data_stores()
     assert DATA_BINDERS <= {(name, scope) for name, scope, _ in stores}, "a binder no longer assigns `.data`"
     assert [s for s in stores if s[:2] not in DATA_BINDERS] == [], "`.data` assigned outside the binders"
+
+
+@pytest.mark.parametrize("net", [netgrid.GridNetwork(netgrid.GridSpec(3, 2)), netgrid.LinkGraph([[1, 2], [], [0]])], ids=["grid", "links"])
+def test_network_arrays_are_read_only(net):
+    """A network's tables are built once and shared by every reader, so no numpy array it holds may change in place."""
+    net.hops  # built on first read
+    arrays = {name: value for name, value in vars(net).items() if isinstance(value, np.ndarray)}
+    assert {"succ", "feasible", "dead_end", "hops"} <= arrays.keys()
+    assert sorted(name for name, value in arrays.items() if value.flags.writeable) == []
 
 
 def perfbench_reads() -> set[tuple[str, str]]:

@@ -171,7 +171,7 @@ class TestPretrain:
         assert stats.trajectories == 2
         first, second = dataset.trajectories
         # the parts share their boundary cell, so no move is lost
-        assert first.positions + second.positions[1:] == [i % 2 for i in range(61)]
+        assert first.positions + second.positions[1:] == tuple(i % 2 for i in range(61))
 
     @pytest.mark.parametrize("run", ["early-stopped", "no-eval-split"])
     def test_gradients_kept_between_steps_and_released_at_the_end(self, run, monkeypatch):

@@ -713,6 +713,14 @@ class TestRecoverReward:
         with pytest.raises(ValueError, match=rf"^row 1: action {action} outside \[0, 9\)$"):  # the first bad row
             ri.reward_rows(move_batch(rows), critic, 0.9)
 
+    @pytest.mark.parametrize("action", [5.0, True])
+    def test_non_integer_action_named_as_action(self, action):
+        # the fields used to be packed into one array: 5.0 made every field a float, so the check named
+        # position 4.0, and True read as action 1
+        net, critic = grid_critic()
+        with pytest.raises(tk.EncodingError, match=f"^row 0: action {action} is not an integer$"):
+            ri.recover_reward(mkstate(4, 8), action, mkstate(5, 8), False, critic, 0.9)
+
     def test_non_terminal_dead_end_next_state_rejected_by_name(self):
         critic = dead_end_critic()
         with pytest.raises(ValueError, match="^row 0: next_position 2 has no feasible action$"):

@@ -73,6 +73,18 @@ class TestRecordsCheckedWhenMade:
         with pytest.raises(dataclasses.FrozenInstanceError):
             trip.actions = [5, 5]
 
+    def test_trajectory_lists_cannot_change_in_place(self):
+        # the checked lists used to be kept as given: appending to one passed, and encode_trips then
+        # returned a 2-row position column beside a 3-row action column, with no error
+        positions, actions = [0, 1], [5]
+        trip = sg.Trajectory(0, 0, 0, 0, positions, actions)
+        positions.append(2), actions.append(5)
+        assert (trip.positions, trip.actions) == ((0, 1), (5,))
+        with pytest.raises(AttributeError):
+            trip.actions.append(5)
+        table = tk.encode_trips([trip])
+        assert len(table.position) == len(table.action) == 2
+
 
 class TestOracleProbs:
     def test_zero_weights_uniform(self, grid5):
@@ -85,7 +97,7 @@ class TestOracleProbs:
         prefs = prefs_for([[10.0, 0.0, 0.0]])
         state = ng.EnvState(position=12, origin=12, destination=24, depart_bin=0, speed_bin=0, user_id=0)
         probs = sg.oracle_action_probs(state, prefs, grid5)
-        hops = ng.hops_to(grid5, 24)
+        hops = grid5.hops[24]
         reducing = [
             a
             for a in np.flatnonzero(grid5.feasible[12])
@@ -107,9 +119,10 @@ class TestOracleProbs:
         with pytest.raises(sg.GenerationError):
             sg.oracle_action_probs(state, prefs, graph)
 
-    @pytest.mark.parametrize("user", [-1, 20, 2**40])
+    @pytest.mark.parametrize("user", [-1, 20, 2**40, 2**64])
     def test_user_outside_preferences_named(self, user):
-        # -1 used to read the last user's weights and sample that user's trip; 20 failed inside numpy
+        # -1 used to read the last user's weights and sample that user's trip; 20 failed inside numpy,
+        # and 2**64 escaped from the intp cast as a bare OverflowError
         ds, prefs = sg.gen_dataset(sg.SynthConfig(seed=1))
         state = ng.EnvState(position=3, origin=3, destination=24, depart_bin=0, speed_bin=0, user_id=user)
         message = f"row 0: user {user} outside the 20 users of the preferences"
@@ -131,6 +144,14 @@ class TestOracleProbs:
         prefs = prefs_for([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(sg.GenerationError, match=f"^{re.escape(message)}$"):
             sg.oracle_rows(prefs, ng.GridNetwork(ng.GridSpec(3, 3)), users, destinations)
+
+    @pytest.mark.parametrize("prev_action", [2.5, True, 9, -2])
+    def test_bad_prev_action_named(self, grid5, prev_action):
+        # 2.5 used to count every action as a turn, with no error
+        state = ng.EnvState(position=12, origin=12, destination=24, depart_bin=0, speed_bin=0, user_id=0)
+        message = f"prev_action must be None, -1 or an integer in [0, 9), got {prev_action!r}"
+        with pytest.raises(sg.GenerationError, match=f"^{re.escape(message)}$"):
+            sg.oracle_action_probs(state, prefs_for([[1.0, 1.0, 0.0]]), grid5, prev_action=prev_action)
 
     @pytest.mark.parametrize("net", [ng.GridNetwork(ng.GridSpec(2, 2)), ng.LinkGraph([[1], [0]])], ids=["grid", "links"])
     def test_position_outside_network(self, net):
@@ -158,7 +179,7 @@ class TestOracleProbs:
     def test_matches_per_action_reference_property(self, net, theta, prev, data):
         prefs = prefs_for([theta])
         dest = data.draw(st.integers(0, net.n_positions - 1))
-        hops = ng.hops_to(net, dest)
+        hops = net.hops[dest]
         for pos in np.flatnonzero((hops >= 0) & net.feasible.any(axis=1)).tolist():
             state = ng.EnvState(pos, pos, dest, 0, 0, 0)
             probs = sg.oracle_action_probs(state, prefs, net, prev_action=prev)
@@ -174,7 +195,7 @@ class TestOracleProbs:
         states = []
         for _ in range(data.draw(st.integers(1, 6), label="rows")):
             dest = data.draw(cell)
-            starts = np.flatnonzero((ng.hops_to(net, dest) >= 0) & ~net.dead_end).tolist()
+            starts = np.flatnonzero((net.hops[dest] >= 0) & ~net.dead_end).tolist()
             if starts:
                 prev = data.draw(st.sampled_from([-1, *range(ng.N_ACTIONS)]))
                 states.append((data.draw(st.integers(0, users - 1)), dest, data.draw(st.sampled_from(starts)), prev))
@@ -192,7 +213,7 @@ class TestOracleProbs:
 
 def reference_probs(state, prefs, net, prev_action):
     """The oracle one feasible action at a time: theta . (progress, turn, stay) as a 3-term dot product."""
-    hops = ng.hops_to(net, state.destination)
+    hops = net.hops[state.destination]
     here = int(hops[state.position])
     scores = np.full(ng.N_ACTIONS, -np.inf)
     for a in np.flatnonzero(net.feasible[state.position]).tolist():
@@ -212,7 +233,7 @@ class TestGenTrajectory:
         prefs = prefs_for([[12.0, 0.0, 0.0]])
         traj = oracle_trip(1, (12, 13), 0, prefs, grid5, max_len=50)
         assert traj.complete
-        assert traj.positions == [12, 13]
+        assert traj.positions == (12, 13)
         assert len(traj.actions) == 1
 
     def test_same_seed_identical(self, grid5):
@@ -258,7 +279,7 @@ class TestRollOut:
     def test_oracle_and_policy_trips_property(self, net, max_moves, seed, data):
         cell = st.integers(0, net.n_positions - 1)
         destination = data.draw(cell, label="destination")
-        hops = ng.hops_to(net, destination)
+        hops = net.hops[destination]
         starts = np.flatnonzero((hops > 0) & net.feasible.any(axis=1)).tolist()
         assume(starts)
         origin = data.draw(st.sampled_from(starts), label="origin")
@@ -359,12 +380,18 @@ class TestRollOut:
         with pytest.raises(sg.GenerationError, match="row 2: destination 0 unreachable from 1"):
             sg.roll_out(graph, [3, 0, 1], [0, 2, 0], uniform_rows(3, 5), lambda rows, pos, prev: pytest.fail("drew a move"))
 
-    @pytest.mark.parametrize("od", [(25, 3), (-1, 3), (3, 25), (3, -1)])
+    @pytest.mark.parametrize("od", [(25, 3), (-1, 3), (3, 25), (3, -1), (2**64, 3), (-(2**64), 3), (3, 2**64)])
     def test_ends_outside_the_network_rejected(self, grid5, od):
-        # an origin past the last cell used to fail inside numpy; one of -1 wrapped round to the last cell
-        bad = od[0] if od[0] not in range(25) else od[1]
-        with pytest.raises(sg.GenerationError, match=f"row 0: position {bad} outside network of 25 positions"):
+        # an origin past the last cell used to fail inside numpy; one of -1 wrapped round to the last cell,
+        # and one past int64 escaped from the intp cast as a bare OverflowError
+        field, bad = ("origin", od[0]) if od[0] not in range(25) else ("destination", od[1])
+        with pytest.raises(sg.GenerationError, match=f"^row 0: {field} {bad} outside network of 25 positions$"):
             oracle_trip(0, od, 0, prefs_for([[1.0, 0.0, 0.0]]), grid5, max_len=5)
+
+    def test_origins_judged_before_destinations(self, grid5):
+        # both ends used to be judged row by row, which named row 0's destination here
+        with pytest.raises(sg.GenerationError, match="^row 1: origin 25 outside network of 25 positions$"):
+            sg.roll_out(grid5, [0, 25], [25, 1], uniform_rows(2, 5), lambda rows, pos, prev: pytest.fail("drew a move"))
 
     @pytest.mark.parametrize(
         "origins, destinations, message",
@@ -484,7 +511,7 @@ class TestGenDataset:
         trips = []
         for _ in range(data.draw(st.integers(1, 8), label="trips")):
             destination = data.draw(cell)
-            starts = np.flatnonzero((ng.hops_to(net, destination) > 0) & ~net.dead_end).tolist()
+            starts = np.flatnonzero((net.hops[destination] > 0) & ~net.dead_end).tolist()
             if starts:
                 trips.append((data.draw(st.integers(0, 1)), data.draw(st.sampled_from(starts)), destination))
         assume(trips)
@@ -493,7 +520,7 @@ class TestGenDataset:
         rolled = sg.oracle_trips(prefs, net, users, origins, destinations, uniforms)
         for i, (user, origin, destination) in enumerate(trips):
             alone = oracle_trip((seed, "trip", i), (origin, destination), user, prefs, net, max_len)
-            assert rolled[i] == (alone.positions, alone.actions, alone.flag)
+            assert rolled[i] == (list(alone.positions), list(alone.actions), alone.flag)
 
     def test_empty(self):
         cfg = sg.SynthConfig(n_trajectories=0, users=1)
@@ -506,6 +533,13 @@ class TestGenDataset:
         ds, prefs = sg.gen_dataset(cfg)
         assert prefs.theta.shape == (1, 3)
         assert all(t.user_id == 0 for t in ds.trajectories)
+
+    def test_connectivity_names_the_trip(self):
+        net = ng.GridNetwork(ng.GridSpec(3, 3))
+        with pytest.raises(ValueError, match="^trajectory 7: position 9 outside network of 9 positions$"):
+            sg.check_connectivity(sg.Trajectory(7, 0, 0, 0, [0, 1, 9], [5, 5]), net)
+        with pytest.raises(ValueError, match="^trajectory 7: action 5 at step 1 does not lead from 1 to 5$"):
+            sg.check_connectivity(sg.Trajectory(7, 0, 0, 0, [0, 1, 5], [5, 5]), net)
 
     def test_connectivity_invariants_hold(self):
         cfg = sg.SynthConfig(users=4, n_trajectories=60, seed=9)
@@ -636,6 +670,14 @@ class TestDatasetIO:
         sg.save_dataset(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_large_grid_loads_without_hop_table(self, tmp_path):
+        # the (n, n) hop table of a 300x300 grid would take 32 GB; loading reads only the successor table
+        path = tmp_path / "large.txt"
+        path.write_text("#grid 300 300 10.0\n#users 1\n0|0|0|0|0,1|5|complete\n")
+        ds = sg.load_dataset(path)
+        assert ds.trajectories[0].positions == (0, 1)
+        assert "hops" not in vars(ds.net)
+
     def test_connectivity_checked_on_load(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("#grid 3 3 1000.0\n#users 1\n0|0|0|0|0,5|1|complete\n")
@@ -658,7 +700,7 @@ class TestDatasetIO:
             ("0|9223372036854775808|0|0|0,1|5|complete", r"user_id must be in \[0, 2\*\*63\), got 9223372036854775808$"),
             # positions outside the 3x3 grid used to escape without path and line
             ("0|0|0|0|-1,0|5|complete", r"positions must be a list of two or more integers in \[0, 2\*\*63\), got \[-1, 0\]$"),
-            ("0|0|0|0|9,10|5|complete", "position 9 outside network of 9 positions$"),
+            ("0|0|0|0|9,10|5|complete", "trajectory 0: position 9 outside network of 9 positions$"),
             # a move that does not lead to the next position used to be named without path and line
             ("1|0|0|0|0,8|5|complete", "trajectory 1: action 5 at step 0 does not lead from 0 to 8$"),
             # counts that used to load as the dataset's user_count
@@ -713,7 +755,7 @@ class TestDatasetIO:
         ring = ng.LinkGraph([[1], [2], [3], [0]])
         path = tmp_path / "links.txt"
         sg.save_dataset(sg.Dataset(ring, [sg.Trajectory(0, 0, 0, 0, [0, 1], [0])], 1), path)
-        assert sg.load_dataset(path, ring).trajectories[0].positions == [0, 1]
+        assert sg.load_dataset(path, ring).trajectories[0].positions == (0, 1)
         # the move 0 -> 1 is one on this network too, which used to let the file load
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: #links 4 does not match the network's 2 links$"):
             sg.load_dataset(path, ng.LinkGraph([[1], [0]]))
@@ -865,6 +907,13 @@ class TestIngestCSV:
             return str(exc)
         return ds.trajectories, stats, ds.user_count
 
+    def test_large_grid_ingests_without_hop_table(self, tmp_path):
+        # the (n, n) hop table of a 300x300 grid would take 32 GB; ingestion reads only the successor table
+        path = self._write(tmp_path, ["v1,2008-02-02 13:00:00,116.0001,39.0001", "v1,2008-02-02 13:10:00,116.0021,39.0001"])
+        ds, stats = sg.ingest_csv(path, ng.GridSpec(300, 300, 100.0), self.CFG)
+        assert stats.trajectories == 1 and ds.trajectories[0].positions == (0, 1)
+        assert "hops" not in vars(ds.net)
+
     def test_two_adjacent_fixes(self, tmp_path):
         # cells are 0.1 degrees wide; consecutive cells in the same row
         path = self._write(
@@ -874,7 +923,7 @@ class TestIngestCSV:
         ds, stats = sg.ingest_csv(path, self.GRID, self.CFG)
         assert stats.trajectories == 1
         traj = ds.trajectories[0]
-        assert traj.positions == [0, 1]
+        assert traj.positions == (0, 1)
         assert len(traj.actions) == 1
         assert traj.depart_bin == 13
 
@@ -886,7 +935,7 @@ class TestIngestCSV:
         )
         ds, _ = sg.ingest_csv(path, self.GRID, self.CFG)
         traj = ds.trajectories[0]
-        assert traj.positions == [0, 0, 1]
+        assert traj.positions == (0, 0, 1)
         assert traj.actions[0] == ng.STAY_ACTION
 
     def test_jump_splits(self, tmp_path):
@@ -902,7 +951,7 @@ class TestIngestCSV:
         ds, stats = sg.ingest_csv(path, self.GRID, self.CFG)
         assert stats.dropped_short == 1
         assert len(ds.trajectories) == 1
-        assert ds.trajectories[0].positions == [24, 19]
+        assert ds.trajectories[0].positions == (24, 19)
 
     def test_unparsable_skipped_and_counted(self, tmp_path):
         path = self._write(
@@ -945,7 +994,7 @@ class TestIngestCSV:
         path = self._write(tmp_path, [",".join(sg.CSV_COLUMNS), "v1,1201957200,116.05,39.05", "v1,1201957800,116.15,39.05"])
         ds, stats = sg.ingest_csv(path, self.GRID, self.CFG)
         assert (stats.rows, stats.unparsable, stats.trajectories) == (2, 0, 1)
-        assert ds.trajectories[0].positions == [0, 1]
+        assert ds.trajectories[0].positions == (0, 1)
 
     def test_epoch_timestamps(self, tmp_path):
         path = self._write(tmp_path, ["v1,1201957200,116.05,39.05", "v1,1201957800,116.15,39.05"])
@@ -968,7 +1017,7 @@ class TestIngestCSV:
         rows = [f"v1,{stamps[0]},116.01,39.01", f"v1,{stamps[1]},116.11,39.01", "v2,0,116.01,39.01", "v2,600,116.11,39.01"]
         ds, stats = sg.ingest_csv(self._write(tmp_path, rows), self.GRID, self.CFG)
         assert (stats.rows, stats.unparsable, ds.user_count) == (4, 2, 1)
-        assert [(t.user_id, t.positions) for t in ds.trajectories] == [(0, [0, 1])]
+        assert [(t.user_id, t.positions) for t in ds.trajectories] == [(0, (0, 1))]
 
     @pytest.mark.parametrize(
         "options, message",

@@ -123,8 +123,8 @@ class TestEncodeEpisode:
             ok = (
                 type(kwargs["traj_id"]) in (int, np.int64, np.uint64)
                 and all(is_index(kwargs[name], 2**63) for name in ("user_id", "depart_bin", "speed_bin"))
-                and type(positions) is list and len(positions) >= 2 and all(is_index(p, 2**63) for p in positions)
-                and type(actions) is list and len(actions) == len(positions) - 1 and all(is_index(a, tk.BLANK) for a in actions)
+                and type(positions) in (list, tuple) and len(positions) >= 2 and all(is_index(p, 2**63) for p in positions)
+                and type(actions) in (list, tuple) and len(actions) == len(positions) - 1 and all(is_index(a, tk.BLANK) for a in actions)
                 and kwargs["flag"] in sg.FLAGS
             )
             if ok:
@@ -153,7 +153,7 @@ class TestDecode:
         """A one-trip table holds every field of its trip: positions, moves then BLANK, context, timesteps."""
         for traj in trips:
             table, n = tk.encode_trips([traj]), len(traj.positions)
-            assert table.position.tolist() == traj.positions
+            assert table.position.tolist() == list(traj.positions)
             assert table.action.tolist() == [*traj.actions, tk.BLANK]
             context = dict(origin=traj.origin, destination=traj.destination, depart=traj.depart_bin, speed=traj.speed_bin, user=traj.user_id)
             for name, value in context.items():
@@ -177,7 +177,7 @@ class TestWindowize:
             np.testing.assert_array_equal(table.user[ends - steps], np.arange(len(trips)))
         for traj, stop in zip(trips, ends):
             rows = slice(stop - len(traj.positions), stop)
-            assert table.position[rows].tolist() == traj.positions
+            assert table.position[rows].tolist() == list(traj.positions)
             assert table.timestep[rows].tolist() == list(range(len(traj.positions)))
         np.testing.assert_array_equal(np.flatnonzero(table.action == tk.BLANK), ends - 1)
         decided = zip(table.user[table.decision_mask].tolist(), table.timestep[table.decision_mask].tolist())

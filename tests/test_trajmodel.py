@@ -320,7 +320,7 @@ class TestForward:
         # perturb everything after s_cut: the action at cut and all later steps but the last position,
         # which every step reads as its destination
         actions = [*trip.actions[:cut], (trip.actions[cut] + 1) % 9] + [0] * (moves - cut - 1)
-        positions = trip.positions[: cut + 1] + [1] * (moves - cut - 1) + trip.positions[-1:]
+        positions = [*trip.positions[: cut + 1], *[1] * (moves - cut - 1), trip.positions[-1]]
         after = tm.forward_batch([dataclasses.replace(trip, positions=positions, actions=actions)], model).logits.data
         assert np.array_equal(base[: cut + 1], after[: cut + 1])
         assert not np.array_equal(base[cut + 1 :], after[cut + 1 :])
@@ -528,7 +528,7 @@ class TestSampleAction:
             ctx = tm.GenerationContext(origin, destination, 2, 7, 1, max_len=12, temperature=0.0, seed=3)
             res = tm.generate_scored(ctx, model, net)
             traj = res.trajectory
-            assert traj.actions == [int(np.argmax(net.feasible[p])) for p in traj.positions[:-1]]
+            assert list(traj.actions) == [int(np.argmax(net.feasible[p])) for p in traj.positions[:-1]]
             uniform = [np.log(1.0 / net.feasible[p].sum()) for p in traj.positions[:-1]]
             np.testing.assert_allclose(res.log_probs, uniform, rtol=1e-15)
 
@@ -626,7 +626,7 @@ class TestGenerate:
                     fields = dict(depart_bin=t.depart_bin, speed_bin=t.speed_bin, user_id=t.user_id, traj_id=t.traj_id)
                     ctx = tm.GenerationContext(t.origin, t.destination, max_len=12, temperature=temperature, seed=5, **fields)
                     traj = tm.generate_scored(ctx, model, net).trajectory
-                    digest.update(repr((traj.positions, traj.actions, traj.flag)).encode())
+                    digest.update(repr((list(traj.positions), list(traj.actions), traj.flag)).encode())
                     moves.append(len(traj.actions))
             assert sum(m > 4 for m in moves) > 40
             assert digest.hexdigest() == want, f"init_std {init_std}"
@@ -661,7 +661,7 @@ class TestGenerate:
         model = tm.PolicyModel(cfg, rng=make_rng(model_seed))
         cell = st.integers(0, net.n_positions - 1)
         origin, destination = data.draw(cell, label="origin"), data.draw(cell, label="destination")
-        assume(origin != destination and ng.hops_to(net, destination)[origin] >= 0)
+        assume(origin != destination and net.hops[destination][origin] >= 0)
         ctx = tm.GenerationContext(origin, destination, 1, 2, 1, max_len=12, temperature=temperature, seed=seed)
         res = tm.generate_scored(ctx, model, net)
         traj = res.trajectory
@@ -814,7 +814,7 @@ class TestGenerate:
         cfg = tm.ModelConfig(vocab=vocab, d_model=8, n_layers=1, n_heads=2, dropout=0.0, init_std=0.5)
         model = tm.PolicyModel(cfg, rng=make_rng(0))
         traj = tm.generate_scored(tm.GenerationContext(1, 2, 1, 2, 1, max_len=12, temperature=1.0, seed=27), model, net).trajectory
-        assert traj.positions == [1, 0, 1, 4, 1, 4, 6, 4, 6, 4, 6, 4, 3]
+        assert traj.positions == (1, 0, 1, 4, 1, 4, 6, 4, 6, 4, 6, 4, 3)
         assert traj.flag == "dead_end"
 
 
