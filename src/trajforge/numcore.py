@@ -687,28 +687,25 @@ def masked_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, hidden: np.
     return w @ vh, w
 
 
-def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments, stride: int = 1) -> Tensor:
+def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments) -> Tensor:
     """Multi-head causal attention applied independently to contiguous row segments.
 
-    `segments` lists each segment's length in rows of `k` and `v`; a row attends to itself and earlier
-    rows of its segment. The rows at offsets 0, stride, 2 * stride, ... of each segment query, so `q`
-    and the context hold ceil(L / stride) rows per segment of L rows, segment by segment; by default
-    every row queries. Segments of equal length run as one stacked matmul.
+    `segments` lists each segment's length in rows of `q`, `k` and `v`, which hold one row per token
+    each; a row attends to itself and earlier rows of its segment. Segments of equal length run as one
+    stacked matmul.
     """
     lengths = np.asarray(segments, dtype=np.intp)
     n_keys = k.data.shape[0]
     if lengths.sum() != n_keys or v.data.shape[0] != n_keys:
         raise ShapeError("segment lengths do not cover the sequence")
-    counts = -(-lengths // stride)
-    if counts.sum() != q.data.shape[0]:
-        raise ShapeError(f"q has {q.data.shape[0]} rows for {counts.sum()} queries at stride {stride}")
+    if q.data.shape[0] != n_keys:
+        raise ShapeError(f"q has {q.data.shape[0]} rows for {n_keys} keys")
     d = q.data.shape[1]
     if d % n_heads != 0:
         raise ShapeError(f"model width {d} not divisible by {n_heads} heads")
     hd = d // n_heads
     scale = 1.0 / math.sqrt(hd)
     starts = np.cumsum(lengths) - lengths
-    q_starts = np.cumsum(counts) - counts
 
     def heads(x, rows):  # (G, T) row indices -> (G, heads, T, hd)
         return x[rows].reshape(*rows.shape, n_heads, hd).transpose(0, 2, 1, 3)
@@ -719,22 +716,19 @@ def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segmen
     ctx = np.empty_like(q.data)
     groups = []
     for t_len in np.unique(lengths):
-        members = np.flatnonzero(lengths == t_len)
-        rows = starts[members, None] + np.arange(t_len)
-        offsets = np.arange(0, t_len, stride)
-        q_rows = q_starts[members, None] + np.arange(len(offsets))
-        hidden = offsets[:, None] < np.arange(t_len)  # a query sees its own row and the rows before it
-        ctx_h, w = masked_attention(heads(q.data, q_rows), heads(k.data, rows), heads(v.data, rows), hidden)
-        ctx[q_rows] = unheads(ctx_h, q_rows)
-        groups.append((rows, q_rows, w))
+        rows = starts[lengths == t_len, None] + np.arange(t_len)
+        hidden = np.triu(np.ones((t_len, t_len), dtype=bool), 1)  # a query sees its own row and the rows before it
+        ctx_h, w = masked_attention(heads(q.data, rows), heads(k.data, rows), heads(v.data, rows), hidden)
+        ctx[rows] = unheads(ctx_h, rows)
+        groups.append((rows, w))
 
     def bwd(g):
         gq, gk, gv = np.empty_like(g), np.empty_like(k.data), np.empty_like(v.data)
-        for rows, q_rows, w in groups:  # heads gathered again, not kept: forward-only passes would hold the copies
-            qh, kh, vh, gh = heads(q.data, q_rows), heads(k.data, rows), heads(v.data, rows), heads(g, q_rows)
+        for rows, w in groups:  # heads gathered again, not kept: forward-only passes would hold the copies
+            qh, kh, vh, gh = heads(q.data, rows), heads(k.data, rows), heads(v.data, rows), heads(g, rows)
             gw = gh @ vh.swapaxes(2, 3)
             gs = w * (gw - (w * gw).sum(axis=3, keepdims=True))
-            gq[q_rows] = unheads((gs @ kh) * scale, q_rows)
+            gq[rows] = unheads((gs @ kh) * scale, rows)
             gk[rows] = unheads((gs.swapaxes(2, 3) @ qh) * scale, rows)
             gv[rows] = unheads(w.swapaxes(2, 3) @ gh, rows)
         for t, grad in ((q, gq), (k, gk), (v, gv)):

@@ -171,20 +171,20 @@ def check_connectivity(traj: Trajectory, net: Network) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _index_rows(values, name: str, stop: int, within: str) -> np.ndarray:
+def _index_rows(values, name: str, stop: int, within: str, start: int = 0) -> np.ndarray:
     """The (B,) index `values` as an intp array, once each row is judged an integer (`numcore.is_integer`)
-    in [0, stop): the cast would read 1.7 and True as 1 and fail past int64, and a table would read -1 as
-    its last row, so GenerationError names the first row that is not, as `name value outside within`."""
+    in [start, stop): the cast would read 1.7 and True as 1 and fail past int64, and a table would read -1
+    as its last row, so GenerationError names the first row that is not, as `name value outside within`."""
     try:
         rows = np.asarray(values, dtype=np.intp) if numcore.all_integers(values) else None
     except OverflowError:  # an index past int64, outside every table
         rows = None
-    if rows is not None and not np.count_nonzero(rows.view(np.uintp) >= stop):  # a negative index reads as a huge one
+    if rows is not None and not np.count_nonzero((rows - start).view(np.uintp) >= stop - start):  # below start reads as huge
         return rows
     for row, value in enumerate(values):
         if not numcore.is_integer(value):
             raise GenerationError(f"row {row}: {name} {value} is not an integer")
-        if not 0 <= value < stop:
+        if not start <= value < stop:
             raise GenerationError(f"row {row}: {name} {value} outside {within}")
 
 
@@ -195,14 +195,19 @@ def oracle_rows(prefs: PreferenceParams, net: Network, users, destinations):
     trips `rows` at `positions`, after `prev_actions` (-1 at a trip's first move). Row i equals
     `oracle_action_probs` at that state bit for bit. Each step reads the rows of the trips'
     destinations in the network's `hops` table. A user without a row of `prefs.theta`, and a
-    destination outside the network, raises `GenerationError` naming its row (`_index_rows`).
+    destination outside the network, raises `GenerationError` naming its row (`_index_rows`), and
+    so does each step for a position outside the network or a previous action outside -1 and
+    [0, 9), naming its row of that step's arrays.
     """
+    within = f"network of {net.n_positions} positions"
     users = _index_rows(users, "user", prefs.n_users, f"the {prefs.n_users} users of the preferences")
-    destinations = _index_rows(destinations, "destination", net.n_positions, f"network of {net.n_positions} positions")
+    destinations = _index_rows(destinations, "destination", net.n_positions, within)
     theta = prefs.theta[users]
     actions = np.arange(netgrid.N_ACTIONS)
 
     def probs(rows: np.ndarray, positions: np.ndarray, prev_actions: np.ndarray) -> np.ndarray:
+        positions = _index_rows(positions, "position", net.n_positions, within)
+        prev_actions = _index_rows(prev_actions, "prev_action", netgrid.N_ACTIONS, f"-1 and [0, {netgrid.N_ACTIONS})", start=-1)
         dest = destinations[rows]
         here = net.hops[dest, positions]
         if (here < 0).any():

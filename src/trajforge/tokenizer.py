@@ -1,8 +1,8 @@
 """Trajectories to one table of (state, action) steps, which both learners read.
 
-Per step the token order is (s_t, a_t). `encode_trips` lays trips back to back, one row per
-step; each trip ends in its terminal step, whose action is the single BLANK placeholder since
-no decision is made there. So a trip ends at each BLANK step, and the row after a decision
+A step is one row: its state's indices and the action taken there. `encode_trips` lays trips
+back to back; each trip ends in its terminal step, whose action is the single BLANK placeholder
+since no decision is made there. So a trip ends at each BLANK step, and the row after a decision
 step holds s', the state its move leads to. The policy's batches (`trajmodel.forward_batch`)
 and the critic's transitions (`rewardirl.transitions`) are both read from this table. The table
 checks nothing of its own: a `synthgen.Trajectory` checks its indices and moves when it is made.

@@ -1,41 +1,39 @@
-"""Autoregressive transformer policy over interleaved (s, a) token streams.
+"""Autoregressive transformer policy over one token per decision step.
 
-State tokens are sums of element embeddings plus a learned timestep embedding,
-layer-normalized post-embedding. Blocks are pre-norm causal self-attention and
-GELU feed-forward; action logits are read at each step's state-token position.
-In `forward_batch`, the feed-forward's two affine maps and the action head are
-each one `numcore.linear` node, so the graph keeps no pre-bias product.
-Infeasible actions are masked at sampling time, so generated trajectories are
-valid by construction.
+A trip of m moves runs as m tokens. Step t's token sums the embeddings of its
+position, its five context columns, its timestep and the move that led to it
+(the action table's BLANK row at t = 0), and is layer-normalized. The terminal
+step makes no decision, so it has no token. Decision Transformer (Chen et al.
+2021) interleaves state and action tokens, but its tokens also carry returns;
+these carry none, so an action token would hold nothing that the next step's
+token does not. Blocks are pre-norm causal self-attention and GELU
+feed-forward; action logits are read at every token. In `forward_batch`, the
+feed-forward's two affine maps and the action head are each one
+`numcore.linear` node, so the graph keeps no pre-bias product. Infeasible
+actions are masked at sampling time, so generated trajectories are valid by
+construction.
 
 The policy reads whole trips: `ModelConfig.context` is the vocabulary's
-`max_timestep`, so every trip that the vocabulary admits fits. Both passes
-compute only the rows that reach a decision. A trip of m moves runs as its
-first 2m - 1 tokens s_0 a_0 ... s_{m-1}: attention is causal, so nothing
-before them attends to the tokens after them (the last action, and the
-terminal step's s and BLANK). The last layer needs keys and values of every
-token, but only the state rows' outputs are read, so it runs its query,
-attention output and feed-forward for those rows alone.
+`max_timestep`, so every trip that the vocabulary admits fits.
 
 `forward_batch` serves training, which records the autodiff graph, and
 evaluation, which calls it under `numcore.no_graph` (`pretrain.score_trips`)
-and so records none; dropout draws masks for the computed rows alone.
-Generation runs the same equations without a graph, incrementally, over a
-batch of trips in lockstep (`_Decoder`):
+and so records none. Generation runs the same equations without a graph,
+incrementally, over a batch of trips in lockstep (`_Decoder`):
 - every live trip is at the same step, so no row needs padding or a ragged
-  mask. Each layer's key and value caches, (trips, heads, 2 * context, head
-  dim) each, hold every live trip's keys and values so far, head by head. A
-  move writes only a_{t-1} and s_t (s_0 alone at t = 0), once, and the
-  pending a_t is never computed. A cache has room for `context` steps, the
-  longest trip, so nothing ever leaves a cache but a trip that ends: the
-  caches drop its rows, copying only their filled part;
-- each layer below the last runs one product h @ [wq | wk | wv], and the last
-  h @ [wk | wv] and its query for the s_t rows alone;
-- it looks up each trip's five context rows once, and adds each state's
-  position row, those five rows and the timestep row in `forward_batch`'s
-  order, so its state tokens hold the same bits as `forward_batch`'s. A
-  reassociated sum would change the last ulp, which a trained policy's
-  sampling amplifies.
+  mask. A move runs one row per live trip, its token of step t, through every
+  layer, and attends to every key cached so far. Each layer's key and value
+  caches, (trips, heads, context, head dim) each, hold every live trip's keys
+  and values, head by head: 0.10 MB per trip at default sizes. A cache has
+  room for `context` steps, the longest trip, so nothing ever leaves a cache
+  but a trip that ends: the caches drop its rows, copying only their filled
+  part;
+- each layer runs one product h @ [wq | wk | wv];
+- it looks up each trip's five context rows once, and adds each token's
+  position row, those five rows, the timestep row and the previous move's row
+  in `forward_batch`'s order, so its tokens hold the same bits as
+  `forward_batch`'s. A reassociated sum would change the last ulp, which a
+  trained policy's sampling amplifies.
 Its logits equal a fresh `forward_batch` of each trip so far to rounding.
 
 The move loop itself is `synthgen.roll_out`, shared with the synthetic oracle:
@@ -47,23 +45,21 @@ A move is drawn by one `random()` double from the trip's own stream, drawn up
 front, which `roll_out` maps through `numcore.inverse_cdf`: it picks what
 `Generator.choice` would.
 
-At B = 1 every product has the shape of a one-trip pass (one row at t = 0,
-two after, and one row for the last layer's query and the head), and the
+At B = 1 every product has the shape of a one-trip pass, one row, and the
 tests pin the trips it draws. At B > 1 rows round otherwise: BLAS takes other
 kernels for more rows, and a one-row product runs as gemv, not gemm. A row's
 log-probabilities then stay within 1e-12 of its own `generate_scored` call.
 
 The decoder keeps its array path, unlike the critic's inference, which runs
-training code under `no_graph`: at one or two rows a graph-free `numcore` op
-costs more than its formula on arrays, and the B = 1 move is numpy call
-overhead. Its one- and two-row arrays take ~190 numpy calls per move, so the
-decoder fuses its input products, writes each cache once, adds in place, and
-`numcore`'s layer norm, masked log-softmax and inverse CDF take one row's
-statistics as Python floats. A `generate_scored` move takes 0.22-0.28 ms (p50
-of perfbench's rollout workload), and one `generate` call over 256 of
-perfbench's held-out contexts runs 16-22k moves/s against 3.0-4.7k for 256
-`generate_scored` calls (one BLAS thread, 2-core VM, perfbench's 2-epoch
-policy at seeds 1 and 2).
+training code under `no_graph`: at one row a graph-free `numcore` op costs
+more than its formula on arrays, and the B = 1 move is numpy call overhead.
+So the decoder fuses its input products, writes each cache once, adds in
+place, and `numcore`'s layer norm, masked log-softmax and inverse CDF take one
+row's statistics as Python floats. A `generate_scored` move takes 0.15-0.21 ms
+(p50, each move at its trip's mean), and one `generate` call over 256 of
+perfbench's held-out contexts runs 36-39k moves/s against 5.8-7.0k for 256
+`generate_scored` calls (best of 3, one BLAS thread, 2-core VM, perfbench's
+2-epoch policy at seeds 1 and 2).
 """
 
 from __future__ import annotations
@@ -77,7 +73,7 @@ from .checkpoint import ParamModel
 from .netgrid import Network
 from .numcore import AT_LEAST_1, NON_NEGATIVE, Tensor, make_rng, require
 from .synthgen import Trajectory, roll_out
-from .tokenizer import IS_VOCAB_SPEC, VocabSpec, check_columns, check_vocab
+from .tokenizer import BLANK, IS_VOCAB_SPEC, VocabSpec, check_columns, check_vocab
 
 N_ACTIONS = netgrid.N_ACTIONS
 
@@ -182,9 +178,9 @@ _CONTEXT_COLUMNS = (("origin", "origin"), ("destination", "destination"), ("depa
 def forward_batch(trips: list[Trajectory], model: PolicyModel, rng: np.random.Generator | None = None) -> BatchForward:
     """Run the policy over several trips in one recorded graph; logits of their decision steps.
 
-    Trips are embedded jointly; attention never crosses trip boundaries. Only rows that reach a
-    decision are computed (see the module docstring). `rng` enables dropout (training); omit it for
-    deterministic inference. ValueError for no trips, and `check_vocab`'s EncodingError naming the
+    A trip of m moves runs as m rows, one token per decision step (see the module docstring), and
+    every row queries in every layer. Trips are embedded jointly; attention never crosses trip
+    boundaries. `rng` enables dropout (training); omit it for deterministic inference. ValueError for no trips, and `check_vocab`'s EncodingError naming the
     first trip with an index outside the vocabulary, a trip longer than `context` included.
     """
     if not trips:
@@ -193,39 +189,24 @@ def forward_batch(trips: list[Trajectory], model: PolicyModel, rng: np.random.Ge
     steps = check_vocab(trips, cfg.vocab)
     m = np.array([len(t.actions) for t in trips])  # each trip's decision steps, all before its terminal one
     dec = np.flatnonzero(steps.decision_mask)  # the decision steps, as rows of the step table
-    total = len(dec)
 
     def cat(name):
         return getattr(steps, name)[dec]
 
-    ts = nc.gather_rows(model.emb_timestep, cat("timestep"))
-    s_sum = nc.gather_rows(model.emb_position, cat("position"))
+    timestep = cat("timestep")
+    prev = np.where(timestep == 0, BLANK, steps.action[dec - 1])  # the move that led here, BLANK at a trip's first step
+    x = nc.gather_rows(model.emb_position, cat("position"))
     for name, _ in _CONTEXT_COLUMNS:
-        s_sum = nc.add(s_sum, nc.gather_rows(getattr(model, "emb_" + name), cat(name)))
-    s_tok = nc.add(s_sum, ts)
-    actions = cat("action")
-    a_tok = nc.add(nc.gather_rows(model.emb_action, actions), ts)
-
-    # each trip runs as its first 2m - 1 tokens: the cut drops its pending action, last in its stream
-    perm, s_index = _interleave(total)
-    perm = np.delete(perm, 2 * np.cumsum(m) - 1)
-    s_rows = s_index - np.repeat(np.arange(len(m)), m)
-
-    x = nc.gather_rows(nc.concat_rows([s_tok, a_tok]), perm)
+        x = nc.add(x, nc.gather_rows(getattr(model, "emb_" + name), cat(name)))
+    x = nc.add(x, nc.gather_rows(model.emb_timestep, timestep))
+    x = nc.add(x, nc.gather_rows(model.emb_action, prev))
     x = nc.layer_norm(x, model.ln_emb_gain, model.ln_emb_bias)
     x = nc.dropout(x, cfg.dropout, rng)
 
-    segments = 2 * m - 1
-    stride = 1  # every row queries, up to the last layer
-    last = len(model.layers) - 1
-    for i, layer in enumerate(model.layers):
+    for layer in model.layers:
         h = nc.layer_norm(x, layer["ln1_gain"], layer["ln1_bias"])
-        k = nc.matmul(h, layer["wk"])
-        v = nc.matmul(h, layer["wv"])
-        if i == last:  # past its keys and values, only the state rows, at each trip's even offsets, are read
-            x, h, stride = nc.gather_rows(x, s_rows), nc.gather_rows(h, s_rows), 2
-        q = nc.matmul(h, layer["wq"])
-        ctx = nc.block_causal_attention(q, k, v, cfg.n_heads, segments, stride)
+        q, k, v = (nc.matmul(h, layer[w]) for w in ("wq", "wk", "wv"))
+        ctx = nc.block_causal_attention(q, k, v, cfg.n_heads, m)
         attn_out = nc.dropout(nc.matmul(ctx, layer["wo"]), cfg.dropout, rng)
         x = nc.add(x, attn_out)
         h2 = nc.layer_norm(x, layer["ln2_gain"], layer["ln2_bias"])
@@ -236,13 +217,7 @@ def forward_batch(trips: list[Trajectory], model: PolicyModel, rng: np.random.Ge
     x = nc.layer_norm(x, model.ln_f_gain, model.ln_f_bias)
     logits = nc.linear(x, model.head_w, model.head_b)
     nc.assert_finite(logits, "action logits")
-    return BatchForward(logits=logits, actions=actions, sizes=(m + 1).tolist())
-
-
-def _interleave(total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the stacked [s; a] tokens (step i of kind k at k*total + i) in (s_t, a_t) stream
-    order, where it sits at 2i + k; and the stream positions of the state tokens."""
-    return (np.arange(total)[:, None] + total * np.arange(2)).ravel(), 2 * np.arange(total)
+    return BatchForward(logits=logits, actions=cat("action"), sizes=(m + 1).tolist())
 
 
 def batch_nll(trips: list[Trajectory], model: PolicyModel, rng: np.random.Generator | None = None) -> Tensor:
@@ -342,8 +317,8 @@ def _context_columns(contexts: list[GenerationContext]) -> dict:
 class _Decoder:
     """Graph-free `forward_batch` over the live trips of a roll-out, fed one move at a time (the
     module docstring describes the cache). Every live trip is at the same step t. After t steps,
-    `caches[i][0, b, :, :2t - 1]` and `caches[i][1, b, :, :2t - 1]` hold layer i's keys and values
-    of live trip b's tokens s_0 a_0 ... s_{t-1}, head by head."""
+    `caches[i][0, b, :, :t]` and `caches[i][1, b, :, :t]` hold layer i's keys and values of live
+    trip b's tokens of steps 0 ... t - 1, head by head."""
 
     def __init__(self, model: PolicyModel, columns: dict):
         """A decoder of the trips whose context indices are `columns` (`_context_columns`), checked."""
@@ -351,74 +326,54 @@ class _Decoder:
         self.model = model
         self.rows = np.arange(len(columns["origin"]))  # the trips still under way, as `roll_out` numbers them
         self.t = 0
-        # each trip's state-token rows in `forward_batch`'s order: its position, its five context rows,
-        # looked up here, and its timestep. A move writes the first and the last, and a reduce over
-        # the middle axis adds the seven one after another, as `forward_batch` does.
-        self.state_rows = np.empty((len(self.rows), 7, cfg.d_model))
+        # each trip's token rows in `forward_batch`'s order: its position, its five context rows,
+        # looked up here, its timestep and its previous move. A move writes the first and the last
+        # two, and a reduce over the middle axis adds the eight one after another, as `forward_batch` does.
+        self.state_rows = np.empty((len(self.rows), 8, cfg.d_model))
         for j, (name, _) in enumerate(_CONTEXT_COLUMNS, 1):
             self.state_rows[:, j] = getattr(model, "emb_" + name).data.take(columns[name], axis=0)
         head_dim = cfg.d_model // cfg.n_heads
-        self.caches = [np.empty((2, len(self.rows), cfg.n_heads, 2 * cfg.context, head_dim)) for _ in model.layers]
-        # each layer's arrays, and its input weights as one product: [wq | wk | wv], and [wk | wv] in
-        # the last, whose query reads the state rows alone
-        last = len(model.layers) - 1
+        self.caches = [np.empty((2, len(self.rows), cfg.n_heads, cfg.context, head_dim)) for _ in model.layers]
+        # each layer's arrays, and its input weights as one product [wq | wk | wv]
         self.layers = [{name: t.data for name, t in layer.items()} for layer in model.layers]
-        for i, layer in enumerate(self.layers):
-            layer["w_in"] = np.concatenate((layer["wq"], layer["wk"], layer["wv"])[i == last :], axis=1)
-        # at two rows per trip, a_{t-1} sees every key but s_t's: the first row hides the last column
-        self.pending = np.zeros((2, 2 * cfg.context), dtype=bool)
-        self.pending[0, -1] = True
+        for layer in self.layers:
+            layer["w_in"] = np.concatenate((layer["wq"], layer["wk"], layer["wv"]), axis=1)
 
     def step(self, rows: np.ndarray, positions: np.ndarray, prev_actions: np.ndarray) -> np.ndarray:
         """Action logits (len(rows), 9) at step t of the trips `rows`, at `positions` after `prev_actions`
-        (unread at t = 0). `rows` are the decoder's live trips or fewer, in order: `roll_out` drops
-        finished trips, and the caches drop theirs with them."""
+        (unread at t = 0, where the BLANK row stands in). `rows` are the decoder's live trips or fewer,
+        in order: `roll_out` drops finished trips, and the caches drop theirs with them."""
         if len(rows) < len(self.rows):
             self._keep(np.searchsorted(self.rows, rows))
             self.rows = rows
         m, t = self.model, self.t
-        ts = m.emb_timestep.data
-        new = np.empty((len(rows), min(t, 1) + 1, m.cfg.d_model))  # a_{t-1} and s_t of each trip; s_0 alone
-        if t > 0:
-            np.add(m.emb_action.data[prev_actions], ts[t - 1], out=new[:, 0])
         self.state_rows[:, 0] = m.emb_position.data[positions]
-        self.state_rows[:, -1] = ts[t]
-        np.add.reduce(self.state_rows, 1, out=new[:, -1])
+        self.state_rows[:, -2] = m.emb_timestep.data[t]
+        self.state_rows[:, -1] = m.emb_action.data[prev_actions if t else BLANK]
+        x = np.add.reduce(self.state_rows, 1)
         self.t = t + 1
-        return self._run(nc.layer_norm_fwd(new.reshape(-1, m.cfg.d_model), m.ln_emb_gain.data, m.ln_emb_bias.data))
+        return self._run(nc.layer_norm_fwd(x, m.ln_emb_gain.data, m.ln_emb_bias.data))
 
     def _keep(self, keep: np.ndarray) -> None:
         """Keep the live trips `keep` (ascending indices among them), copying only the caches' filled part."""
-        filled = 2 * self.t - 1
         self.state_rows = self.state_rows[keep]
         for i, cache in enumerate(self.caches):
             kept = np.empty((2, len(keep)) + cache.shape[2:])
-            kept[:, :, :, :filled] = cache[:, keep, :, :filled]
+            kept[:, :, :, : self.t] = cache[:, keep, :, : self.t]
             self.caches[i] = kept
 
     def _run(self, x: np.ndarray) -> np.ndarray:
-        """Append each trip's rows of `x` (trip-major, one or two per trip) to its tokens and return
-        the logits read at each trip's last row."""
+        """Append each trip's row of `x`, its token of step t - 1, to its tokens and return the logits read there."""
         m = self.model
         d, n_heads = m.cfg.d_model, m.cfg.n_heads
-        trips = len(self.rows)
-        r = len(x) // trips  # rows per trip
-        total = 2 * self.t - 1  # each trip's tokens so far, its rows of `x` the last of them
-        hidden = self.pending[:, -total:] if r == 2 else None
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
+        trips, t = len(x), self.t
+        for layer, cache in zip(self.layers, self.caches):
             h = nc.layer_norm_fwd(x, layer["ln1_gain"], layer["ln1_bias"])
             hw = h @ layer["w_in"]
-            cache = self.caches[i]
-            cache[:, :, :, total - r : total] = hw[:, -2 * d :].reshape(trips, r, 2, n_heads, -1).transpose(2, 0, 3, 1, 4)
-            if i == last:  # past its keys and values, only the state rows are read
-                x = x[r - 1 :: r]
-                q = (h[r - 1 :: r] @ layer["wq"]).reshape(trips, n_heads, 1, -1)
-                hidden = None
-            else:
-                q = hw[:, :d].reshape(trips, r, n_heads, -1).transpose(0, 2, 1, 3)
-            ctx, _ = nc.masked_attention(q, cache[0, :, :, :total], cache[1, :, :, :total], hidden)
-            x += ctx.transpose(0, 2, 1, 3).reshape(x.shape) @ layer["wo"]
+            cache[:, :, :, t - 1] = hw[:, d:].reshape(trips, 2, n_heads, -1).transpose(1, 0, 2, 3)
+            q = hw[:, :d].reshape(trips, n_heads, 1, -1)
+            ctx, _ = nc.masked_attention(q, cache[0, :, :, :t], cache[1, :, :, :t], None)
+            x += ctx.reshape(trips, d) @ layer["wo"]
             ff = nc.layer_norm_fwd(x, layer["ln2_gain"], layer["ln2_bias"]) @ layer["ff_w1"]
             ff += layer["ff_b1"]
             ff = nc.gelu_fwd(ff) @ layer["ff_w2"]

@@ -419,7 +419,7 @@ class TestLayerNorm:
         x, gain, bias = scale * rng.normal(size=(rows, width)), rng.normal(size=width), rng.normal(size=width)
         out, (xhat, inv_std) = nc.layer_norm_fwd(x, gain, bias), nc._normalize(x, 1e-5)
         for i in range(rows):
-            for row in (x[i : i + 1], x[i::rows]):  # contiguous, and a strided view as the decoder passes
+            for row in (x[i : i + 1], x[i::rows]):  # contiguous, and a strided view
                 one_out, (one_xhat, one_inv_std) = nc.layer_norm_fwd(row, gain, bias), nc._normalize(row, 1e-5)
                 assert isinstance(one_inv_std, float)
                 assert one_out.tobytes() == out[i : i + 1].tobytes() and one_xhat.tobytes() == xhat[i : i + 1].tobytes()
@@ -631,10 +631,10 @@ class TestCompositeGradients:
         np.testing.assert_array_equal(w.grad, np.concatenate([g_top, np.zeros((1, 3)), g_bottom]))
 
 
-def attention_with_grads(q, k, v, g, n_heads, segments, stride=1):
+def attention_with_grads(q, k, v, g, n_heads, segments):
     """Context and q/k/v gradients of block attention under the upstream gradient `g`."""
     q, k, v = nc.Tensor(q), nc.Tensor(k), nc.Tensor(v)
-    ctx = nc.block_causal_attention(q, k, v, n_heads, segments, stride)
+    ctx = nc.block_causal_attention(q, k, v, n_heads, segments)
     nc.backward(total(nc.mul_const(ctx, g)))
     return ctx.data, q.grad, k.grad, v.grad
 
@@ -695,49 +695,12 @@ class TestBlockAttention:
         with pytest.raises(nc.ShapeError):
             nc.block_causal_attention(x, x, x, 2, [1, 2])
 
-
-class TestQuerySubsetAttention:
-    """`stride` runs attention for some rows only; each must equal its row of the full attention."""
-
-    @given(
-        segments=st.lists(st.integers(1, 6), min_size=1, max_size=6),
-        n_heads=st.sampled_from([1, 2]),
-        stride=st.integers(1, 3),
-        seed=st.integers(0, 2**16),
-    )
-    def test_equals_full_attention_rows_property(self, segments, n_heads, stride, seed):
-        rng = nc.make_rng(59, seed)
-        q, k, v, g = (rng.normal(size=(sum(segments), 4)) for _ in range(4))
-        q_rows = np.flatnonzero(np.concatenate([np.arange(t_len) % stride == 0 for t_len in segments]))
-        g_full = np.zeros_like(g)
-        g_full[q_rows] = g[q_rows]
-        ctx, gq, gk, gv = attention_with_grads(q, k, v, g_full, n_heads, segments)
-        s_ctx, s_gq, s_gk, s_gv = attention_with_grads(q[q_rows], k, v, g[q_rows], n_heads, segments, stride)
-        assert s_ctx.shape == (len(q_rows), 4)
-        for subset, full in ((s_ctx, ctx[q_rows]), (s_gq, gq[q_rows]), (s_gk, gk), (s_gv, gv)):
-            np.testing.assert_allclose(subset, full, rtol=1e-13, atol=1e-15)
-
-    def test_finite_differences(self):
-        rng = nc.make_rng(61)
-        x = nc.Tensor(rng.normal(size=(13, 4)))
-        wq, wk, wv = (nc.Tensor(rng.normal(size=(4, 4), scale=0.5)) for _ in range(3))
-        segments = [5, 2, 5, 1]
-        q_rows = np.array([0, 2, 4, 5, 7, 9, 11, 12])  # the even offsets, as the policy's last layer queries its state rows
-        g = rng.normal(size=(len(q_rows), 4))
-
-        def f():
-            q = nc.matmul(nc.gather_rows(x, q_rows), wq)
-            ctx = nc.block_causal_attention(q, nc.matmul(x, wk), nc.matmul(x, wv), 2, segments, 2)
-            return total(nc.mul_const(ctx, g))
-
-        assert finite_diff_check(f, [x, wq, wk, wv], eps=1e-5) <= 1e-5
-
-    @pytest.mark.parametrize("stride, rows", [(1, 5), (1, 7), (2, 2), (2, 6), (3, 3)])
-    def test_malformed_queries_rejected(self, stride, rows):
-        # two segments of 3 rows hold 6 queries at stride 1, 4 at stride 2 and 2 at stride 3
+    @pytest.mark.parametrize("rows", [5, 7])
+    def test_malformed_queries_rejected(self, rows):
+        # two segments of 3 rows hold 6 keys, and every row queries
         x = nc.Tensor(np.zeros((6, 4)))
-        with pytest.raises(nc.ShapeError):
-            nc.block_causal_attention(nc.Tensor(np.zeros((rows, 4))), x, x, 2, [3, 3], stride)
+        with pytest.raises(nc.ShapeError, match=f"^q has {rows} rows for 6 keys$"):
+            nc.block_causal_attention(nc.Tensor(np.zeros((rows, 4))), x, x, 2, [3, 3])
 
 
 def signed_normal(rng, shape):

@@ -153,6 +153,19 @@ class TestOracleProbs:
         with pytest.raises(sg.GenerationError, match=f"^{re.escape(message)}$"):
             sg.oracle_action_probs(state, prefs_for([[1.0, 1.0, 0.0]]), grid5, prev_action=prev_action)
 
+    @pytest.mark.parametrize(
+        "positions, prev_actions, message",
+        [([-1], [-1], "row 0: position -1 outside network of 9 positions"), ([0, 9], [-1, -1], "row 1: position 9 outside network of 9 positions"),
+         ([0], [2.5], "row 0: prev_action 2.5 is not an integer"), ([0], [True], "row 0: prev_action True is not an integer"),
+         ([0, 0], [-1, 9], "row 1: prev_action 9 outside -1 and [0, 9)"), ([0, 0], [0, -2], "row 1: prev_action -2 outside -1 and [0, 9)")],
+        ids=["position-minus-1", "position-past-network", "fractional-prev", "bool-prev", "prev-9", "prev-minus-2"],
+    )
+    def test_bad_step_named_by_row(self, positions, prev_actions, message):
+        # the step used to read cell 8 through a position of -1, and to count every action as a turn after 2.5
+        probs = sg.oracle_rows(prefs_for([[1.0, 1.0, 0.0]]), ng.GridNetwork(ng.GridSpec(3, 3)), [0, 0], [8, 8])
+        with pytest.raises(sg.GenerationError, match=f"^{re.escape(message)}$"):
+            probs(np.arange(len(positions)), np.array(positions), np.array(prev_actions))
+
     @pytest.mark.parametrize("net", [ng.GridNetwork(ng.GridSpec(2, 2)), ng.LinkGraph([[1], [0]])], ids=["grid", "links"])
     def test_position_outside_network(self, net):
         state = ng.EnvState(position=-1, origin=0, destination=1, depart_bin=0, speed_bin=0, user_id=0)

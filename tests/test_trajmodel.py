@@ -51,20 +51,17 @@ def reference_forward(model, trip):
     def g(t):
         return t.data
 
-    ts = g(model.emb_timestep)[steps.timestep]
-    s_tok = (
+    prev = np.concatenate([[tk.BLANK], steps.action[:-1]])  # the move that led to each step, BLANK at the first
+    seq = (
         g(model.emb_position)[steps.position]
         + g(model.emb_origin)[steps.origin]
         + g(model.emb_destination)[steps.destination]
         + g(model.emb_depart)[steps.depart]
         + g(model.emb_speed)[steps.speed]
         + g(model.emb_user)[steps.user]
-        + ts
+        + g(model.emb_timestep)[steps.timestep]
+        + g(model.emb_action)[prev]
     )
-    a_tok = g(model.emb_action)[steps.action] + ts
-    seq = np.empty((2 * t_len, d))
-    seq[0::2] = s_tok
-    seq[1::2] = a_tok
 
     def ln(x, gain, bias):
         mu = x.mean(-1, keepdims=True)
@@ -83,7 +80,7 @@ def reference_forward(model, trip):
         for head in range(cfg.n_heads):
             sl = slice(head * hd, (head + 1) * hd)
             qh, kh, vh = q[:, sl], k[:, sl], v[:, sl]
-            for i in range(2 * t_len):
+            for i in range(t_len):
                 scores = np.array([qh[i] @ kh[j] / math.sqrt(hd) for j in range(i + 1)])
                 w = np.exp(scores - scores.max())
                 w /= w.sum()
@@ -92,7 +89,7 @@ def reference_forward(model, trip):
         h2 = ln(x, layer["ln2_gain"], layer["ln2_bias"])
         x = x + gelu(h2 @ g(layer["ff_w1"]) + g(layer["ff_b1"])) @ g(layer["ff_w2"]) + g(layer["ff_b2"])
     x = ln(x, model.ln_f_gain, model.ln_f_bias)
-    return (x[0::2] @ g(model.head_w) + g(model.head_b))[:-1]  # the terminal step makes no decision
+    return (x @ g(model.head_w) + g(model.head_b))[:-1]  # the terminal step makes no decision
 
 
 GELU_C = math.sqrt(2 / math.pi)
@@ -113,10 +110,10 @@ def ln_backward(dy, xhat, x, gain):
 
 def reference_loss_and_grads(model, trips, masks=None):
     """Mean action NLL over the decision steps of `trips` and its gradient for every parameter,
-    replayed in plain numpy over all 2T rows of every trip in every layer.
+    replayed in plain numpy over all T rows of every trip of T steps in every layer, its terminal step's too.
 
     `masks`, if given, lists the dropout masks in draw order (embedding, then each layer's attention
-    and feed-forward outputs), each over the 2 * (total steps) rows of the trips' token streams.
+    and feed-forward outputs), each over the rows of every step of the trips, back to back.
     """
     cfg = model.cfg
     tables = [tk.encode_trips([trip]) for trip in trips]
@@ -128,7 +125,7 @@ def reference_loss_and_grads(model, trips, masks=None):
     n_dec = sum(int(w.decision_mask.sum()) for w in tables)
     loss, row0 = 0.0, 0
     for w in tables:
-        n = 2 * w.n_steps
+        n = w.n_steps
         drop = [np.ones((n, d))] * (1 + 2 * n_layers) if masks is None else [m[row0 : row0 + n] for m in masks]
         row0 += n
         elements = [
@@ -139,10 +136,8 @@ def reference_loss_and_grads(model, trips, masks=None):
             ("emb_speed", w.speed),
             ("emb_user", w.user),
         ]
-        ts = P["emb_timestep"][w.timestep]
-        seq = np.empty((n, d))
-        seq[0::2] = sum(P[name][idx] for name, idx in elements) + ts
-        seq[1::2] = P["emb_action"][w.action] + ts
+        elements += [("emb_timestep", w.timestep), ("emb_action", np.concatenate([[tk.BLANK], w.action[:-1]]))]
+        seq = sum(P[name][idx] for name, idx in elements)
         y, seq_hat = ln_forward(seq, P["ln_emb_gain"], P["ln_emb_bias"])
         x = y * drop[0]
         caches = []
@@ -164,7 +159,7 @@ def reference_loss_and_grads(model, trips, masks=None):
             caches.append((p, x, h, h_hat, q, k, v, probs, ctx, x1, h2, h2_hat, u, t, gu))
             x = x1 + (gu @ p["ff_w2"] + p["ff_b2"]) * drop[2 + 2 * i]
         z, z_hat = ln_forward(x, P["ln_f_gain"], P["ln_f_bias"])
-        logits = z[0::2] @ P["head_w"] + P["head_b"]
+        logits = z @ P["head_w"] + P["head_b"]
         rows = np.flatnonzero(w.decision_mask)
         shifted = logits - logits.max(1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(1, keepdims=True))
@@ -174,10 +169,9 @@ def reference_loss_and_grads(model, trips, masks=None):
         dlogits[rows] = np.exp(logp[rows])
         dlogits[rows, w.action[rows]] -= 1
         dlogits /= n_dec
-        G["head_w"] += z[0::2].T @ dlogits
+        G["head_w"] += z.T @ dlogits
         G["head_b"] += dlogits.sum(0)
-        dz = np.zeros((n, d))
-        dz[0::2] = dlogits @ P["head_w"].T
+        dz = dlogits @ P["head_w"].T
         dx, dgain, dbias = ln_backward(dz, z_hat, x, P["ln_f_gain"])
         G["ln_f_gain"] += dgain
         G["ln_f_bias"] += dbias
@@ -215,9 +209,7 @@ def reference_loss_and_grads(model, trips, masks=None):
         G["ln_emb_gain"] += dgain
         G["ln_emb_bias"] += dbias
         for name, idx in elements:
-            np.add.at(G[name], idx, dseq[0::2])
-        np.add.at(G["emb_action"], w.action, dseq[1::2])
-        np.add.at(G["emb_timestep"], w.timestep, dseq[0::2] + dseq[1::2])
+            np.add.at(G[name], idx, dseq)
     return loss, G
 
 
@@ -249,16 +241,13 @@ def assert_matches_replay(model, trips, rng=None, masks=None):
 
 
 def computed_rows(trips):
-    """Rows of the trips' joint 2-token streams that `forward_batch` computes, in its order: those of
-    the embedding and every layer but the last (each trip's first 2m - 1 tokens), and those of the
-    last layer (each trip's m decision state tokens)."""
-    stream, states, row0 = [], [], 0
+    """Rows of the trips' steps, back to back, that `forward_batch` computes in every layer, in its
+    order: each trip's m decision steps, all but its terminal one."""
+    rows, row0 = [], 0
     for t in trips:
-        m = len(t.actions)
-        stream.append(row0 + np.arange(2 * m - 1))
-        states.append(row0 + 2 * np.arange(m))
-        row0 += 2 * len(t.positions)
-    return np.concatenate(stream), np.concatenate(states)
+        rows.append(row0 + np.arange(len(t.actions)))
+        row0 += len(t.positions)
+    return np.concatenate(rows)
 
 
 def walk_trip(ctx, positions, actions):
@@ -317,8 +306,8 @@ class TestForward:
         assert moves >= 3
         base = tm.forward_batch([trip], model).logits.data.copy()
         cut = moves - 2
-        # perturb everything after s_cut: the action at cut and all later steps but the last position,
-        # which every step reads as its destination
+        # perturb everything after step cut's token: the action at cut, which step cut + 1's token holds,
+        # and all later steps but the last position, which every step reads as its destination
         actions = [*trip.actions[:cut], (trip.actions[cut] + 1) % 9] + [0] * (moves - cut - 1)
         positions = [*trip.positions[: cut + 1], *[1] * (moves - cut - 1), trip.positions[-1]]
         after = tm.forward_batch([dataclasses.replace(trip, positions=positions, actions=actions)], model).logits.data
@@ -393,27 +382,8 @@ class TestForward:
         with pytest.raises(tk.EncodingError, match="^trajectory 5: timestep 2 outside vocabulary of 2$"):
             tm.forward_batch([fits, too_long], model)
 
-
-class TestInterleave:
-    def test_matches_per_window_loop(self):
-        sizes = [3, 1, 5, 3, 2]
-        total = sum(sizes)
-        perm = np.empty(2 * total, dtype=np.intp)
-        s_index = np.empty(total, dtype=np.intp)
-        seq_off = step_off = 0
-        for t_len in sizes:
-            rows = np.arange(t_len)
-            for k in range(2):
-                perm[seq_off + 2 * rows + k] = k * total + step_off + rows
-            s_index[step_off + rows] = seq_off + 2 * rows
-            seq_off += 2 * t_len
-            step_off += t_len
-        got_perm, got_s_index = tm._interleave(total)
-        np.testing.assert_array_equal(got_perm, perm)
-        np.testing.assert_array_equal(got_s_index, s_index)
-
     @given(st.lists(st.integers(2, 21), min_size=1, max_size=6), st.integers(0, 2**16))
-    def test_batch_equals_separate_windows(self, sizes, seed):
+    def test_batch_equals_separate_trips(self, sizes, seed):
         # a window is the whole trip: each trip's rows of a batched pass are its own pass's
         net, model = small_model(layers=2, heads=2, init_std=0.5)
         trips = random_trips(model.cfg.vocab, sizes, seed)
@@ -472,11 +442,11 @@ class TestDecisionRows:
         rate = 0.2
         net, model = small_model(d=8, layers=2, heads=2, grid=4, dropout=rate, init_std=0.5)
         trips = random_trips(model.cfg.vocab, [5, 2, 3, 4, 3], seed=5)
-        stream, states = computed_rows(trips)
+        rows = computed_rows(trips)
         draws = make_rng(7, "dropout")
         masks = []
-        for rows in (stream, stream, stream, states, states):  # embedding, layer 0, the last layer
-            mask = np.ones((2 * sum(len(t.positions) for t in trips), 8))  # rows no loss reads keep ones
+        for _ in range(5):  # embedding, layer 0, the last layer
+            mask = np.ones((sum(len(t.positions) for t in trips), 8))  # rows no loss reads keep ones
             mask[rows] = (draws.random((len(rows), 8)) >= rate) / (1 - rate)
             masks.append(mask)
         assert_matches_replay(model, trips, rng=make_rng(7, "dropout"), masks=masks)
@@ -484,11 +454,11 @@ class TestDecisionRows:
     def test_dropout_stream_advances_by_the_computed_rows(self):
         net, model = small_model(d=8, layers=3, heads=2, grid=4, dropout=0.2)
         trips = random_trips(model.cfg.vocab, [4, 2, 4, 2], seed=6)
-        stream, states = computed_rows(trips)
+        rows = computed_rows(trips)
         rng = make_rng(8, "dropout")
         tm.batch_nll(trips, model, rng)
         fresh = make_rng(8, "dropout")
-        for rows in [stream] * 5 + [states] * 2:
+        for _ in range(7):  # the embedding, and two per layer
             fresh.random((len(rows), 8))
         assert rng.random() == fresh.random()
 
@@ -616,8 +586,8 @@ class TestGenerate:
         # rarely moves a draw across a CDF boundary; the init_std 0.5 model's trips see it.
         trips = sg.gen_dataset(sg.SynthConfig(users=4, n_trajectories=40, max_len=12, seed=3))[0].trajectories
         for init_std, want in (
-            (0.02, "7575ad619100e3a6731d83e68ae6771aae132c13d0cdb90f408f8a872e894f73"),
-            (0.5, "3c57dd823d6d6ed21c9fc0718c391e81fad406908164ff3928f57953fe8e61e4"),
+            (0.02, "d9a8cdf738830be395cb1872750bb67b03b0d7adfcf38b66a0b5814010efe829"),
+            (0.5, "de93c3d58c3dd92752711b75cc509265bf2e5a0a776e4251f2d62a734b0a8ac7"),
         ):
             net, model = small_model(layers=2, max_len=12, seed=7, init_std=init_std)
             digest, moves = hashlib.sha256(), []
@@ -736,11 +706,12 @@ class TestGenerate:
             np.testing.assert_allclose(res.log_probs, one.log_probs, rtol=0, atol=1e-12)
 
     def test_batch_trips_leave_at_different_moves(self):
-        # the rows of one call end at different moves, so the decoder drops rows mid-batch
+        # the rows of one call end at different moves, so the decoder drops rows mid-batch; the streams of
+        # seed 6 end these 40 trips at 8 different lengths
         net, model = small_model(layers=2, max_len=12, seed=7, init_std=0.5)
         trips = sg.gen_dataset(sg.SynthConfig(users=4, n_trajectories=40, max_len=12, seed=3))[0].trajectories
         contexts = [
-            tm.GenerationContext(t.origin, t.destination, t.depart_bin, t.speed_bin, t.user_id, max_len=12, seed=5, traj_id=t.traj_id)
+            tm.GenerationContext(t.origin, t.destination, t.depart_bin, t.speed_bin, t.user_id, max_len=12, seed=6, traj_id=t.traj_id)
             for t in trips
         ]
         batch = tm.generate(contexts, model, net)
@@ -839,7 +810,7 @@ class TestDecoder:
 
     @given(st.integers(1, 9), st.integers(0, 2**16))
     def test_state_tokens_are_the_ordered_element_sum_property(self, moves, seed):
-        # every state row is the layer norm of forward_batch's ordered sum, bit for bit
+        # every token is the layer norm of forward_batch's ordered sum, the previous move last, bit for bit
         net, model = small_model(d=8, grid=4, seed=seed, init_std=0.5)
         ctx = tm.GenerationContext(5, 15, 2, 7, 1)
         positions, actions = random_walk(net, ctx.origin, moves, seed)
@@ -856,12 +827,13 @@ class TestDecoder:
                 + model.emb_speed.data[ctx.speed_bin]
                 + model.emb_user.data[ctx.user_id]
                 + model.emb_timestep.data[t]
+                + model.emb_action.data[actions[t - 1] if t else tk.BLANK]
             )
             want = nc.layer_norm_fwd(s_sum[None], model.ln_emb_gain.data, model.ln_emb_bias.data)[0]
             assert tokens[t].tobytes() == want.tobytes()
 
     def test_rows_run_per_move(self):
-        # a move runs a_{t-1} and s_t (s_0 alone at t = 0)
+        # a move runs the one token of step t
         net, model = small_model(d=8, layers=2, heads=2, seed=4)
         ctx = tm.GenerationContext(0, 24, 2, 7, 1)
         positions, actions = random_walk(net, ctx.origin, 6, seed=8)
@@ -870,7 +842,7 @@ class TestDecoder:
         decoder._run = lambda x: rows.append(len(x)) or run(x)
         for t, pos in enumerate(positions):
             decoder_step(decoder, [0], [pos], [actions[t - 1] if t else -1])
-        assert rows == [1] + [2] * (len(positions) - 1)
+        assert rows == [1] * len(positions)
 
     @given(
         st.integers(1, 3),
@@ -904,7 +876,7 @@ class TestDecoder:
         assert sizes == sorted(sizes, reverse=True) and sizes[0] == len(moves)
 
     def test_batch_rows_run_per_move(self):
-        # each live trip runs a_{t-1} and s_t (s_0 alone at t = 0); a finished trip's rows leave
+        # each live trip runs the one token of step t; a finished trip's rows leave
         net, model = small_model(d=8, layers=2, heads=2, seed=4)
         contexts = [tm.GenerationContext(0, 24, 2, 7, 1), tm.GenerationContext(3, 20, 1, 5, 2), tm.GenerationContext(12, 0, 0, 0, 3)]
         walks = [random_walk(net, ctx.origin, n, seed=8 + n) for ctx, n in zip(contexts, (6, 2, 4))]
@@ -914,7 +886,7 @@ class TestDecoder:
         for t in range(7):
             live = [i for i, (positions, _) in enumerate(walks) if len(positions) > t]
             decoder_step(decoder, live, [walks[i][0][t] for i in live], [walks[i][1][t - 1] if t else -1 for i in live])
-        assert rows == [3, 6, 6, 4, 4, 2, 2]
+        assert rows == [3, 3, 3, 2, 2, 1, 1]
         assert decoder.caches[0].shape[1] == 1  # the caches hold the one trip still under way
 
 
