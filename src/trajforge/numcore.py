@@ -380,10 +380,24 @@ def concat_rows(tensors: list[Tensor]) -> Tensor:
 ONEHOT_MAX_ROWS = 32
 
 
-def gather_rows(a: Tensor, idx) -> Tensor:
-    """Row lookup (embedding): out[i] = a[idx[i]]. Duplicate indices accumulate.
+def _index_array(what: str, idx, size: int, out_of_range: str) -> np.ndarray:
+    """`idx` as an intp array of entries in [0, `size`): the one index check of `gather_rows`,
+    `gather_per_row`, `cross_entropy` and `embed_sum`. First IndexError naming `what` (the op's
+    indices) and the first entry that is not an integer (`all_integers`: one dtype test for an
+    array, so every entry of a float or bool array fails, where an int() cast would read 1.7 as 1).
+    Then IndexError with the message `out_of_range` for an entry outside the range."""
+    if not all_integers(idx):
+        for i, value in enumerate(idx.ravel().tolist() if isinstance(idx, np.ndarray) else idx):
+            if not is_integer(value):
+                raise IndexError(f"{what} {value!r} at entry {i} is not an integer")
+    arr = np.asarray(idx)
+    if arr.size and (arr.min() < 0 or arr.max() >= size):
+        raise IndexError(out_of_range)
+    return arr.astype(np.intp, copy=False)
 
-    The backward takes one of three branches:
+
+def _gather_bwd(a: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
+    """Add the gradient `g` of the rows `a[idx]` into `a.grad`, by one of three branches:
     - more indices than rows, in a table of at most `ONEHOT_MAX_ROWS` rows: the rows must repeat, and
       the share is `onehot(idx) @ g`, which `_accum` adds after any gradient `a` already holds. That
       is within rounding of `np.add.at`, not equal to it: the share sums before it meets the prior
@@ -392,25 +406,59 @@ def gather_rows(a: Tensor, idx) -> Tensor:
       so the limit sits at their measured crossover (32-40 rows; table at `ONEHOT_MAX_ROWS`);
     - repeated rows of a larger table: `_scatter_accum`'s bincount, exactly as `np.add.at`;
     - distinct rows: a fancy-index add, with the bincount's bits.
+    No branch hands `g` itself to `a`, so `embed_sum` passes one `g` to every table.
     """
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
-        raise IndexError(f"gather_rows index out of range for table of {a.data.shape[0]} rows")
+    rows, n = len(a.data), idx.size
+    if rows < n and rows <= ONEHOT_MAX_ROWS:
+        onehot = np.zeros((rows, n))
+        onehot[idx.ravel(), np.arange(n)] = 1.0
+        _accum(a, (onehot @ g.reshape(n, -1)).reshape(a.data.shape), fresh=True)
+    elif rows < n or np.bincount(idx.ravel(), minlength=1).max() > 1:  # more indices than rows must repeat
+        width = math.prod(a.data.shape[1:])
+        _scatter_accum(a, (idx.reshape(-1, 1) * width + np.arange(width)).ravel(), g)
+    else:  # distinct rows round as the bincount does: 0.0 + prior (a signed zero turns positive), + g
+        a.grad = np.zeros_like(a.data) if a.grad is None else a.grad + 0.0
+        a.grad[idx] += g
+
+
+def gather_rows(a: Tensor, idx) -> Tensor:
+    """Row lookup (embedding): out[i] = a[idx[i]]. Duplicate indices accumulate (`_gather_bwd`).
+    IndexError names an entry of `idx` that is not an integer or not a row of `a` (`_index_array`)."""
+    idx = _index_array("gather_rows index", idx, a.data.shape[0], f"gather_rows index out of range for table of {a.data.shape[0]} rows")
+    return _node(a.data[idx], (a,), lambda g: _gather_bwd(a, idx, g))
+
+
+def embed_sum(tables: list[Tensor], indices: list) -> Tensor:
+    """Sum of row lookups as one node: out = tables[0][indices[0]] + tables[1][indices[1]] + ...
+
+    A token embedding of k tables is one graph node here, not k `gather_rows` and k - 1 `add`s. The
+    rows are added in list order into one buffer, so the output has the bits of the chain
+    `add(add(gather_rows(t0, i0), gather_rows(t1, i1)), ...)`. The backward passes its `g` to every
+    table in list order through `gather_rows`' branches (`_gather_bwd`), as the chain's gathers
+    receive it, so every table's gradient keeps the chain's bits too; a tensor listed twice takes
+    both shares. ShapeError for no tables, a count of index arrays other than of tables, or index
+    shapes or row shapes that differ; IndexError as `gather_rows`, naming the table by its place.
+    """
+    if not tables or len(indices) != len(tables):
+        raise ShapeError(f"embed_sum takes one index array per table, got {len(indices)} for {len(tables)} tables")
+    idxs = [
+        _index_array(f"embed_sum table {i} index", idx, len(t.data), f"embed_sum table {i} index out of range for {len(t.data)} rows")
+        for i, (t, idx) in enumerate(zip(tables, indices))
+    ]
+    for i, (t, idx) in enumerate(zip(tables, idxs)):
+        if idx.shape != idxs[0].shape or t.data.shape[1:] != tables[0].data.shape[1:]:
+            raise ShapeError(
+                f"embed_sum table {i}: rows {t.data.shape[1:]} at indices {idx.shape}, table 0's {tables[0].data.shape[1:]} at {idxs[0].shape}"
+            )
+    out = tables[0].data[idxs[0]]
+    for t, idx in zip(tables[1:], idxs[1:]):
+        out += t.data[idx]
 
     def bwd(g):
-        rows, n = len(a.data), idx.size
-        if rows < n and rows <= ONEHOT_MAX_ROWS:
-            onehot = np.zeros((rows, n))
-            onehot[idx.ravel(), np.arange(n)] = 1.0
-            _accum(a, (onehot @ g.reshape(n, -1)).reshape(a.data.shape), fresh=True)
-        elif rows < n or np.bincount(idx.ravel(), minlength=1).max() > 1:  # more indices than rows must repeat
-            width = math.prod(a.data.shape[1:])
-            _scatter_accum(a, (idx.reshape(-1, 1) * width + np.arange(width)).ravel(), g)
-        else:  # distinct rows round as the bincount does: 0.0 + prior (a signed zero turns positive), + g
-            a.grad = np.zeros_like(a.data) if a.grad is None else a.grad + 0.0
-            a.grad[idx] += g
+        for t, idx in zip(tables, idxs):
+            _gather_bwd(t, idx, g)
 
-    return _node(a.data[idx], (a,), bwd)
+    return _node(out, tuple(tables), bwd)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -425,11 +473,9 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def gather_per_row(a: Tensor, idx) -> Tensor:
-    """out[i] = a[i, idx[i]] for a 2-D tensor."""
-    idx = np.asarray(idx, dtype=np.intp)
+    """out[i] = a[i, idx[i]] for a 2-D tensor; IndexError names a bad column of `idx` (`_index_array`)."""
+    idx = _index_array("gather_per_row column index", idx, a.data.shape[1], "gather_per_row column index out of range")
     rows = np.arange(a.data.shape[0])
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[1]):
-        raise IndexError("gather_per_row column index out of range")
 
     def bwd(g):
         _scatter_accum(a, rows * a.data.shape[1] + idx, g)
@@ -492,13 +538,11 @@ def masked_logsumexp_rows(a: Tensor, mask: np.ndarray) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean of -log softmax(logits)[i, targets[i]] over rows."""
-    targets = np.asarray(targets, dtype=np.intp)
+    """Mean of -log softmax(logits)[i, targets[i]] over rows; IndexError names a bad target (`_index_array`)."""
     n, vocab = logits.data.shape
-    if targets.shape != (n,):
-        raise ShapeError(f"targets shape {targets.shape} != ({n},)")
-    if targets.size and (targets.min() < 0 or targets.max() >= vocab):
-        raise IndexError(f"target index out of range for vocabulary of {vocab}")
+    if np.shape(targets) != (n,):
+        raise ShapeError(f"targets shape {np.shape(targets)} != ({n},)")
+    targets = _index_array("cross_entropy target", targets, vocab, f"target index out of range for vocabulary of {vocab}")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = masked_logsumexp(shifted, np.ones(shifted.shape, dtype=bool))
     nll = lse - shifted[np.arange(n), targets]
@@ -687,16 +731,56 @@ def masked_attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, hidden: np.
     return w @ vh, w
 
 
-def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments) -> Tensor:
+@dataclass(frozen=True)
+class SegmentPlan:
+    """How `block_causal_attention` runs a list of segments, built once by `segment_plan` and read by every layer."""
+
+    order: np.ndarray  # the sequence's rows with the segments stably sorted by length: plan row i is row order[i]
+    blocks: tuple  # (first plan row, segments, length, causal mask) for each length, shortest first
+
+
+def segment_plan(lengths) -> SegmentPlan:
+    """The plan of contiguous segments of `lengths` rows each, in sequence order.
+
+    A stable sort by length puts the segments of each length next to each other, so each length is one
+    block of plan rows, run as one stacked product, with one causal mask: a query sees its own row and
+    the rows before it in its segment. ShapeError names the first segment whose length is not an
+    integer (`all_integers`), then the first below 1.
+    """
+    if not all_integers(lengths):
+        i, value = next((i, value) for i, value in enumerate(np.asarray(lengths, dtype=object).tolist()) if not is_integer(value))
+        raise ShapeError(f"segment {i} length must be an integer, got {value!r}")
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if len(lengths) and lengths.min() < 1:
+        i = int(np.argmax(lengths < 1))
+        raise ShapeError(f"segment {i} length must be >= 1, got {lengths[i]}")
+    by_length = np.argsort(lengths, kind="stable")
+    sorted_lengths = lengths[by_length]
+    plan_starts = np.cumsum(sorted_lengths) - sorted_lengths  # each segment's first plan row
+    starts = np.cumsum(lengths) - lengths
+    order = np.repeat(starts[by_length] - plan_starts, sorted_lengths) + np.arange(int(lengths.sum()))
+    blocks = []
+    if len(lengths):
+        hidden = np.triu(np.ones((sorted_lengths[-1],) * 2, dtype=bool), 1)
+        t_lens, firsts, counts = np.unique(sorted_lengths, return_index=True, return_counts=True)
+        for t_len, first, count in zip(t_lens.tolist(), firsts.tolist(), counts.tolist()):
+            blocks.append((int(plan_starts[first]), count, t_len, hidden[:t_len, :t_len]))
+    return SegmentPlan(order, tuple(blocks))
+
+
+def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, plan: SegmentPlan) -> Tensor:
     """Multi-head causal attention applied independently to contiguous row segments.
 
-    `segments` lists each segment's length in rows of `q`, `k` and `v`, which hold one row per token
-    each; a row attends to itself and earlier rows of its segment. Segments of equal length run as one
-    stacked matmul.
+    `plan` (`segment_plan`) lists the segments of the rows of `q`, `k` and `v`, which hold one row per
+    token each; a row attends to itself and earlier rows of its segment. q, k and v are permuted into
+    plan order once; each block's heads are reshaped views of its rows there, (segments, heads, length,
+    head dim), so the segments of one length run as one stacked `masked_attention` with the block's
+    mask. The context, and in the backward each gradient, is written block by block and put back in
+    sequence order once. The backward permutes q, k, v and `g` again rather than keep sorted copies,
+    which every forward-only pass would hold.
     """
-    lengths = np.asarray(segments, dtype=np.intp)
     n_keys = k.data.shape[0]
-    if lengths.sum() != n_keys or v.data.shape[0] != n_keys:
+    if len(plan.order) != n_keys or v.data.shape[0] != n_keys:
         raise ShapeError("segment lengths do not cover the sequence")
     if q.data.shape[0] != n_keys:
         raise ShapeError(f"q has {q.data.shape[0]} rows for {n_keys} keys")
@@ -705,36 +789,39 @@ def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segmen
         raise ShapeError(f"model width {d} not divisible by {n_heads} heads")
     hd = d // n_heads
     scale = 1.0 / math.sqrt(hd)
-    starts = np.cumsum(lengths) - lengths
+    order = plan.order
 
-    def heads(x, rows):  # (G, T) row indices -> (G, heads, T, hd)
-        return x[rows].reshape(*rows.shape, n_heads, hd).transpose(0, 2, 1, 3)
+    def heads(x, block):  # a view of the block's plan rows of `x` as (segments, heads, length, hd)
+        start, count, t_len, _ = block
+        return x[start : start + count * t_len].reshape(count, t_len, n_heads, hd).transpose(0, 2, 1, 3)
 
-    def unheads(xh, rows):
-        return xh.transpose(0, 2, 1, 3).reshape(*rows.shape, d)
+    def unsort(x):
+        out = np.empty_like(x)
+        out[order] = x
+        return out
 
-    ctx = np.empty_like(q.data)
-    groups = []
-    for t_len in np.unique(lengths):
-        rows = starts[lengths == t_len, None] + np.arange(t_len)
-        hidden = np.triu(np.ones((t_len, t_len), dtype=bool), 1)  # a query sees its own row and the rows before it
-        ctx_h, w = masked_attention(heads(q.data, rows), heads(k.data, rows), heads(v.data, rows), hidden)
-        ctx[rows] = unheads(ctx_h, rows)
-        groups.append((rows, w))
+    qs, ks, vs = q.data[order], k.data[order], v.data[order]
+    ctx = np.empty_like(qs)
+    weights = []
+    for block in plan.blocks:
+        ctx_h, w = masked_attention(heads(qs, block), heads(ks, block), heads(vs, block), block[3])
+        heads(ctx, block)[...] = ctx_h
+        weights.append(w)
 
     def bwd(g):
-        gq, gk, gv = np.empty_like(g), np.empty_like(k.data), np.empty_like(v.data)
-        for rows, w in groups:  # heads gathered again, not kept: forward-only passes would hold the copies
-            qh, kh, vh, gh = heads(q.data, rows), heads(k.data, rows), heads(v.data, rows), heads(g, rows)
+        qs, ks, vs, gs = q.data[order], k.data[order], v.data[order], g[order]
+        gq, gk, gv = np.empty_like(gs), np.empty_like(ks), np.empty_like(vs)
+        for block, w in zip(plan.blocks, weights):
+            qh, kh, vh, gh = (heads(x, block) for x in (qs, ks, vs, gs))
             gw = gh @ vh.swapaxes(2, 3)
-            gs = w * (gw - (w * gw).sum(axis=3, keepdims=True))
-            gq[rows] = unheads((gs @ kh) * scale, rows)
-            gk[rows] = unheads((gs.swapaxes(2, 3) @ qh) * scale, rows)
-            gv[rows] = unheads(w.swapaxes(2, 3) @ gh, rows)
+            gw = w * (gw - (w * gw).sum(axis=3, keepdims=True))  # the scores' gradient
+            heads(gq, block)[...] = (gw @ kh) * scale
+            heads(gk, block)[...] = (gw.swapaxes(2, 3) @ qh) * scale
+            heads(gv, block)[...] = w.swapaxes(2, 3) @ gh
         for t, grad in ((q, gq), (k, gk), (v, gv)):
-            _accum(t, grad, fresh=True)
+            _accum(t, unsort(grad), fresh=True)
 
-    return _node(ctx, (q, k, v), bwd)
+    return _node(unsort(ctx), (q, k, v), bwd)
 
 
 def masked_kl_rows(logits: Tensor, ref_logp: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -816,11 +903,12 @@ def adamw_step(vector: np.ndarray, grad: np.ndarray, state: OptimizerState) -> N
 
 
 def clip_grad_norm(grads, max_norm: float) -> float:
-    """Scale gradients in place so their global L2 norm is at most `max_norm` (> 0)."""
+    """Scale gradients in place so their global L2 norm is at most `max_norm` (> 0); return the norm
+    before clipping. A non-finite norm leaves them as they are: a scale of 0 would turn an inf into NaN."""
     if not max_norm > 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     total = math.sqrt(sum(float((g * g).sum()) for g in grads))
-    if total > max_norm and total > 0.0:
+    if max_norm < total < math.inf:
         scale = max_norm / total
         for g in grads:
             g *= scale

@@ -19,7 +19,7 @@ EVAL_CHUNK = 256  # trips per eval forward pass
 
 
 class TrainingDivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient."""
 
 
 @dataclass
@@ -65,12 +65,17 @@ def supervised_loss(model: tm.PolicyModel, trips, rng=None):
 
 
 def apply_step(model: ParamModel, loss, opt_state: nc.OptimizerState, grad_clip: float) -> float:
-    """Backward, clip the global gradient norm, and take one optimizer step on `model.vector`."""
+    """Backward, clip the global gradient norm, and take one optimizer step on `model.vector`.
+
+    TrainingDivergenceError for a non-finite loss or gradient norm, raised before the step, so
+    `model.vector` is left as it was: an inf gradient would be clipped by a scale of 0 into NaN."""
     if not np.isfinite(loss.data):
         raise TrainingDivergenceError(f"non-finite loss {float(loss.data)}")
     nc.backward(loss)
     grads = [p.grad for p in model.param_tensors()]
     norm = nc.clip_grad_norm(grads, grad_clip)
+    if not np.isfinite(norm):
+        raise TrainingDivergenceError(f"non-finite gradient norm {norm}")
     nc.adamw_step(model.vector, np.concatenate([g.ravel() for g in grads]), opt_state)
     return norm
 

@@ -18,9 +18,12 @@ shares. At these sizes no table exceeds `numcore.ONEHOT_MAX_ROWS` rows, so each 
 one-hot product of table rows * gathered rows * width multiply-adds: about 2.2M per step at
 B = 256 and d = 64, a third of it for the 2B link rows, in place of a bincount per table.
 The context part and the preference term are computed once per batch; Q(s, .) and
-Q(s', .) differ only in the link row. Inference runs the training code over rows under
-`numcore.no_graph`: `reward_rows` gives `iq_loss`'s margins and `log_policy_rows` the masked
-log-policy; `recover_reward` and `critic_policy` are their one-row calls on `EnvState`s.
+Q(s', .) differ only in the link row. The context part is one `numcore.embed_sum` node over
+its three projected tables, and the preference term the `add` of two, origin and destination
+plus departure and user, in the (a + b) + (c + d) order of its sum: three graph nodes for the
+seven lookups. Inference runs the training code over rows under `numcore.no_graph`:
+`reward_rows` gives `iq_loss`'s margins and `log_policy_rows` the masked log-policy;
+`recover_reward` and `critic_policy` are their one-row calls on `EnvState`s.
 `transitions` builds the rows of any list of trips: a split of a `Dataset`, or generated trips.
 
 Checks. Rows are checked once per batch by `_check_rows`: `tokenizer.check_columns`, the one
@@ -122,20 +125,17 @@ def q_values_batch(critic: CriticModel, position, origin, destination, depart, u
     c, d = critic, critic.cfg.d
     w_origin, w_destination, w_link, w_depart = (nc.slice_rows(c.w_state, k * d, (k + 1) * d) for k in range(4))
 
-    def proj(table, w, idx):
-        return nc.gather_rows(nc.matmul(table, w), idx)
-
-    ctx = nc.add(
-        nc.add(proj(c.emb_origin, w_origin, origin), proj(c.emb_destination, w_destination, destination)),
-        proj(c.emb_depart, w_depart, depart),
+    ctx = nc.embed_sum(
+        [nc.matmul(c.emb_origin, w_origin), nc.matmul(c.emb_destination, w_destination), nc.matmul(c.emb_depart, w_depart)],
+        [origin, destination, depart],
     )
     pref = nc.add(
-        nc.add(proj(c.emb_origin, c.w_pref, origin), proj(c.emb_destination, c.w_pref, destination)),
-        nc.add(proj(c.emb_depart, c.w_pref, depart), proj(c.emb_user, c.w_pref, user)),
+        nc.embed_sum([nc.matmul(c.emb_origin, c.w_pref), nc.matmul(c.emb_destination, c.w_pref)], [origin, destination]),
+        nc.embed_sum([nc.matmul(c.emb_depart, c.w_pref), nc.matmul(c.emb_user, c.w_pref)], [depart, user]),
     )
     links = np.atleast_2d(position)
     k = len(links)
-    h = nc.leaky_relu(nc.add(nc.concat_rows([ctx] * k), proj(c.emb_link, w_link, links.ravel())), LEAKY_SLOPE)
+    h = nc.leaky_relu(nc.add(nc.concat_rows([ctx] * k), nc.gather_rows(nc.matmul(c.emb_link, w_link), links.ravel())), LEAKY_SLOPE)
     return nc.add(nc.matmul(h, c.w_base), nc.concat_rows([pref] * k))
 
 

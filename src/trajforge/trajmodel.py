@@ -8,10 +8,13 @@ step makes no decision, so it has no token. Decision Transformer (Chen et al.
 these carry none, so an action token would hold nothing that the next step's
 token does not. Blocks are pre-norm causal self-attention and GELU
 feed-forward; action logits are read at every token. In `forward_batch`, the
-feed-forward's two affine maps and the action head are each one
-`numcore.linear` node, so the graph keeps no pre-bias product. Infeasible
-actions are masked at sampling time, so generated trajectories are valid by
-construction.
+token's eight lookups are one `numcore.embed_sum` node, with the bits of their
+chained sum; the trips' attention plan (`numcore.segment_plan`: the trips
+sorted by length, one block and one causal mask per length) is built once per
+call and read by every layer; the feed-forward's two affine maps and the
+action head are each one `numcore.linear` node, so the graph keeps no
+pre-bias product. Infeasible actions are masked at sampling time, so
+generated trajectories are valid by construction.
 
 The policy reads whole trips: `ModelConfig.context` is the vocabulary's
 `max_timestep`, so every trip that the vocabulary admits fits.
@@ -179,8 +182,10 @@ def forward_batch(trips: list[Trajectory], model: PolicyModel, rng: np.random.Ge
     """Run the policy over several trips in one recorded graph; logits of their decision steps.
 
     A trip of m moves runs as m rows, one token per decision step (see the module docstring), and
-    every row queries in every layer. Trips are embedded jointly; attention never crosses trip
-    boundaries. `rng` enables dropout (training); omit it for deterministic inference. ValueError for no trips, and `check_vocab`'s EncodingError naming the
+    every row queries in every layer. Trips are embedded jointly, by one `embed_sum` node over the
+    eight tables; attention never crosses trip boundaries, and every layer reads the one
+    `segment_plan` of the trips' lengths. `rng` enables dropout (training); omit it for
+    deterministic inference. ValueError for no trips, and `check_vocab`'s EncodingError naming the
     first trip with an index outside the vocabulary, a trip longer than `context` included.
     """
     if not trips:
@@ -195,18 +200,19 @@ def forward_batch(trips: list[Trajectory], model: PolicyModel, rng: np.random.Ge
 
     timestep = cat("timestep")
     prev = np.where(timestep == 0, BLANK, steps.action[dec - 1])  # the move that led here, BLANK at a trip's first step
-    x = nc.gather_rows(model.emb_position, cat("position"))
-    for name, _ in _CONTEXT_COLUMNS:
-        x = nc.add(x, nc.gather_rows(getattr(model, "emb_" + name), cat(name)))
-    x = nc.add(x, nc.gather_rows(model.emb_timestep, timestep))
-    x = nc.add(x, nc.gather_rows(model.emb_action, prev))
+    columns = [name for name, _ in _CONTEXT_COLUMNS]
+    x = nc.embed_sum(
+        [model.emb_position, *(getattr(model, "emb_" + name) for name in columns), model.emb_timestep, model.emb_action],
+        [cat("position"), *(cat(name) for name in columns), timestep, prev],
+    )
     x = nc.layer_norm(x, model.ln_emb_gain, model.ln_emb_bias)
     x = nc.dropout(x, cfg.dropout, rng)
 
+    plan = nc.segment_plan(m)
     for layer in model.layers:
         h = nc.layer_norm(x, layer["ln1_gain"], layer["ln1_bias"])
         q, k, v = (nc.matmul(h, layer[w]) for w in ("wq", "wk", "wv"))
-        ctx = nc.block_causal_attention(q, k, v, cfg.n_heads, m)
+        ctx = nc.block_causal_attention(q, k, v, cfg.n_heads, plan)
         attn_out = nc.dropout(nc.matmul(ctx, layer["wo"]), cfg.dropout, rng)
         x = nc.add(x, attn_out)
         h2 = nc.layer_norm(x, layer["ln2_gain"], layer["ln2_bias"])

@@ -118,7 +118,27 @@ class TestOperandGuards:
             (lambda: nc.cross_entropy(zeros(2, 4), [0]), nc.ShapeError, "targets shape (1,) != (2,)"),
             (lambda: nc.layer_norm(zeros(2, 3), zeros(2), zeros(3)), nc.ShapeError, "gain/bias must have shape (3,)"),
             (lambda: nc.layer_norm(zeros(2, 3), zeros(3), zeros(3, 1)), nc.ShapeError, "gain/bias must have shape (3,)"),
-            (lambda: nc.block_causal_attention(zeros(4, 6), zeros(4, 6), zeros(4, 6), 4, [4]), nc.ShapeError, "model width 6 not divisible by 4 heads"),
+            (lambda: nc.block_causal_attention(zeros(4, 6), zeros(4, 6), zeros(4, 6), 4, nc.segment_plan([4])), nc.ShapeError, "model width 6 not divisible by 4 heads"),
+            # an int() cast read these as other rows, columns or targets
+            (lambda: nc.gather_rows(zeros(3, 2), [1.7, 0.2]), IndexError, "gather_rows index 1.7 at entry 0 is not an integer"),
+            (lambda: nc.gather_rows(zeros(3, 2), [1, True]), IndexError, "gather_rows index True at entry 1 is not an integer"),
+            (lambda: nc.gather_rows(zeros(3, 2), np.array([[0.0], [1.0]])), IndexError, "gather_rows index 0.0 at entry 0 is not an integer"),
+            (lambda: nc.gather_per_row(zeros(4, 3), [0.5, 2.9, 1, 0]), IndexError, "gather_per_row column index 0.5 at entry 0 is not an integer"),
+            (lambda: nc.cross_entropy(zeros(2, 4), [0.5, 1]), IndexError, "cross_entropy target 0.5 at entry 0 is not an integer"),
+            (lambda: nc.cross_entropy(zeros(2, 4), [True, False]), IndexError, "cross_entropy target True at entry 0 is not an integer"),
+            (lambda: nc.embed_sum([zeros(3, 2), zeros(5, 2)], [[0, 1], [4, 2.0]]), IndexError, "embed_sum table 1 index 2.0 at entry 1 is not an integer"),
+            (lambda: nc.embed_sum([zeros(3, 2), zeros(5, 2)], [[0, 1], [4, 5]]), IndexError, "embed_sum table 1 index out of range for 5 rows"),
+            (lambda: nc.embed_sum([zeros(3, 2), zeros(5, 2)], [[0, 1]]), nc.ShapeError, "embed_sum takes one index array per table, got 1 for 2 tables"),
+            (lambda: nc.embed_sum([], []), nc.ShapeError, "embed_sum takes one index array per table, got 0 for 0 tables"),
+            (lambda: nc.embed_sum([zeros(3, 2), zeros(5, 3)], [[0], [4]]), nc.ShapeError, "embed_sum table 1: rows (3,) at indices (1,), table 0's (2,) at (1,)"),
+            (lambda: nc.embed_sum([zeros(3, 2), zeros(5, 2)], [[0], [4, 1]]), nc.ShapeError, "embed_sum table 1: rows (2,) at indices (2,), table 0's (2,) at (1,)"),
+            # block attention misread these lengths, or failed inside numpy
+            (lambda: nc.segment_plan([3.5]), nc.ShapeError, "segment 0 length must be an integer, got 3.5"),
+            (lambda: nc.segment_plan([True, 2]), nc.ShapeError, "segment 0 length must be an integer, got True"),
+            (lambda: nc.segment_plan(np.array([2, 1.5])), nc.ShapeError, "segment 0 length must be an integer, got 2.0"),
+            (lambda: nc.segment_plan([2, 0, 2.5]), nc.ShapeError, "segment 2 length must be an integer, got 2.5"),
+            (lambda: nc.segment_plan([2, 0, 3]), nc.ShapeError, "segment 1 length must be >= 1, got 0"),
+            (lambda: nc.segment_plan([-1, 4]), nc.ShapeError, "segment 0 length must be >= 1, got -1"),
         ],
         ids=[
             "matmul-1d",
@@ -132,6 +152,24 @@ class TestOperandGuards:
             "layer_norm-gain",
             "layer_norm-bias",
             "attention-heads",
+            "gather_rows-fraction",
+            "gather_rows-bool",
+            "gather_rows-float-2d",
+            "gather_per_row-fraction",
+            "cross_entropy-fraction",
+            "cross_entropy-bool",
+            "embed_sum-fraction",
+            "embed_sum-past",
+            "embed_sum-count",
+            "embed_sum-none",
+            "embed_sum-width",
+            "embed_sum-index-shape",
+            "segment-fraction",
+            "segment-bool",
+            "segment-float-array",
+            "segment-types-before-bounds",
+            "segment-zero",
+            "segment-negative",
         ],
     )
     def test_bad_operand_named(self, call, error, message):
@@ -559,7 +597,7 @@ class TestCompositeGradients:
         wv = nc.Tensor(rng.normal(size=(8, 8), scale=0.5))
 
         def f():
-            ctx = nc.block_causal_attention(nc.matmul(x, wq), nc.matmul(x, wk), nc.matmul(x, wv), n_heads=2, segments=[4])
+            ctx = nc.block_causal_attention(nc.matmul(x, wq), nc.matmul(x, wk), nc.matmul(x, wv), n_heads=2, plan=nc.segment_plan([4]))
             return nc.mean_all(ctx)
 
         assert finite_diff_check(f, [x, wq, wk, wv], eps=1e-5) <= 1e-5
@@ -573,10 +611,10 @@ class TestCompositeGradients:
             nc.Tensor(np.vstack([k1, k2])),
             nc.Tensor(np.vstack([v1, v2])),
             n_heads=2,
-            segments=[3, 5],
+            plan=nc.segment_plan([3, 5]),
         )
-        solo1 = nc.block_causal_attention(nc.Tensor(q1), nc.Tensor(k1), nc.Tensor(v1), n_heads=2, segments=[3])
-        solo2 = nc.block_causal_attention(nc.Tensor(q2), nc.Tensor(k2), nc.Tensor(v2), n_heads=2, segments=[5])
+        solo1 = nc.block_causal_attention(nc.Tensor(q1), nc.Tensor(k1), nc.Tensor(v1), n_heads=2, plan=nc.segment_plan([3]))
+        solo2 = nc.block_causal_attention(nc.Tensor(q2), nc.Tensor(k2), nc.Tensor(v2), n_heads=2, plan=nc.segment_plan([5]))
         np.testing.assert_array_equal(joint.data[:3], solo1.data)
         np.testing.assert_array_equal(joint.data[3:], solo2.data)
 
@@ -621,6 +659,18 @@ class TestCompositeGradients:
 
         assert finite_diff_check(f, [table], eps=1e-5) <= 1e-8
 
+    def test_embed_sum(self):
+        # a one-hot table read twice, a bincount table and a distinct-rows lookup, under one upstream gradient
+        rng = nc.make_rng(45)
+        small, large = nc.Tensor(rng.normal(size=(3, 4))), nc.Tensor(rng.normal(size=(nc.ONEHOT_MAX_ROWS + 3, 4)))
+        idx = [np.array([0, 2, 2, 1, 0]), np.array([7, 7, 0, nc.ONEHOT_MAX_ROWS + 2, 7]), np.array([2, 0, 1, 1, 2]), np.array([4, 3, 2, 1, 0])]
+        g = rng.normal(size=(5, 4))
+
+        def f():
+            return total(nc.mul_const(nc.embed_sum([small, large, small, large], idx), g))
+
+        assert finite_diff_check(f, [small, large], eps=1e-5) <= 1e-8
+
     def test_slice_rows_gradient_reaches_its_rows_only(self):
         rng = nc.make_rng(44)
         w = nc.Tensor(rng.normal(size=(6, 3)))
@@ -634,7 +684,7 @@ class TestCompositeGradients:
 def attention_with_grads(q, k, v, g, n_heads, segments):
     """Context and q/k/v gradients of block attention under the upstream gradient `g`."""
     q, k, v = nc.Tensor(q), nc.Tensor(k), nc.Tensor(v)
-    ctx = nc.block_causal_attention(q, k, v, n_heads, segments)
+    ctx = nc.block_causal_attention(q, k, v, n_heads, nc.segment_plan(segments))
     nc.backward(total(nc.mul_const(ctx, g)))
     return ctx.data, q.grad, k.grad, v.grad
 
@@ -684,7 +734,7 @@ class TestBlockAttention:
 
         def f():
             ctx = nc.block_causal_attention(
-                nc.matmul(x, wq), nc.matmul(x, wk), nc.matmul(x, wv), n_heads=2, segments=[3, 1, 3, 2, 1]
+                nc.matmul(x, wq), nc.matmul(x, wk), nc.matmul(x, wv), n_heads=2, plan=nc.segment_plan([3, 1, 3, 2, 1])
             )
             return total(nc.mul_const(ctx, g))
 
@@ -693,14 +743,14 @@ class TestBlockAttention:
     def test_segments_must_cover_rows(self):
         x = nc.Tensor(np.zeros((4, 4)))
         with pytest.raises(nc.ShapeError):
-            nc.block_causal_attention(x, x, x, 2, [1, 2])
+            nc.block_causal_attention(x, x, x, 2, nc.segment_plan([1, 2]))
 
     @pytest.mark.parametrize("rows", [5, 7])
     def test_malformed_queries_rejected(self, rows):
         # two segments of 3 rows hold 6 keys, and every row queries
         x = nc.Tensor(np.zeros((6, 4)))
         with pytest.raises(nc.ShapeError, match=f"^q has {rows} rows for 6 keys$"):
-            nc.block_causal_attention(nc.Tensor(np.zeros((rows, 4))), x, x, 2, [3, 3])
+            nc.block_causal_attention(nc.Tensor(np.zeros((rows, 4))), x, x, 2, nc.segment_plan([3, 3]))
 
 
 def signed_normal(rng, shape):
@@ -713,6 +763,43 @@ def onehot_share(rows, idx, g):
     """`gather_rows`' one-hot backward share, built independently: onehot(idx) @ g, one column per index."""
     idx = np.asarray(idx).ravel()
     return (np.arange(rows)[:, None] == idx).astype(np.float64) @ g.reshape(idx.size, -1)
+
+
+class TestEmbedSum:
+    """One node for a sum of row lookups, with the bits of the chain of `gather_rows` and `add` nodes that sums the same rows."""
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 2 * nc.ONEHOT_MAX_ROWS), st.booleans()), min_size=1, max_size=4),
+        st.integers(1, 3 * nc.ONEHOT_MAX_ROWS),
+        st.integers(1, 5),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**16),
+    )
+    @example([(8, True), (40, False), (3, False)], 5, 2, True, True, 0)  # the distinct-rows, bincount and one-hot branches
+    def test_equals_chained_gathers_bytes_property(self, specs, n, width, prior, twice, seed):
+        # tables on both sides of the one-hot limit, with distinct or repeated rows; `twice` lists table 0
+        # again at the end, and `prior` has a gather of table 0 give it a gradient before the sum's share
+        rng = nc.make_rng(seed)
+        datas = [signed_normal(rng, (rows, width)) for rows, _ in specs]
+        idxs = [rng.permutation(rows)[:n] if distinct and n <= rows else rng.integers(0, rows, n) for rows, distinct in specs]
+        extra, upstream = rng.integers(0, specs[0][0], n), signed_normal(rng, (n, width))
+
+        def run(embed):
+            tables = [nc.Tensor(data) for data in datas]
+            listed, indices = tables + tables[:1] * twice, idxs + [idxs[0][::-1].copy()] * twice
+            out = embed(listed, indices)
+            root = nc.add(nc.gather_rows(tables[0], extra), out) if prior else out
+            nc.backward(total(nc.mul_const(root, upstream)))
+            return [out.data.tobytes()] + [t.grad.tobytes() for t in tables]
+
+        def chain(tables, indices):
+            x = nc.gather_rows(tables[0], indices[0])
+            for table, idx in zip(tables[1:], indices[1:]):
+                x = nc.add(x, nc.gather_rows(table, idx))
+            return x
+
+        assert run(nc.embed_sum) == run(chain)
 
 
 class TestGatherGradients:
@@ -887,7 +974,7 @@ def small_graph(seed=5):
     x, w = nc.Tensor(rng.normal(size=(6, 4))), nc.Tensor(rng.normal(size=(4, 4)))
     gain, bias = nc.Tensor(np.ones(4)), nc.Tensor(np.zeros(4))
     h = nc.gelu(nc.layer_norm(nc.matmul(x, w), gain, bias))
-    ctx = nc.block_causal_attention(h, h, h, 2, [2, 4])
+    ctx = nc.block_causal_attention(h, h, h, 2, nc.segment_plan([2, 4]))
     return nc.cross_entropy(nc.add(ctx, h), [0, 1, 2, 3, 0, 1]), (x, w, gain)
 
 
@@ -941,6 +1028,13 @@ class TestGraphConsumption:
 
 
 class TestClipGradNorm:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_norm_returned_and_gradients_left(self, bad):
+        # a scale of max_norm / inf = 0 turned an inf entry into NaN and every other entry into 0
+        g = np.array([bad, 3.0, 4.0])
+        np.testing.assert_equal(nc.clip_grad_norm([g], 1.0), bad)
+        np.testing.assert_array_equal(g, [bad, 3.0, 4.0])
+
     @pytest.mark.parametrize("max_norm", [0.0, -1.0, float("nan")])
     def test_non_positive_bound_rejected(self, max_norm):
         g = np.array([3.0, 4.0])

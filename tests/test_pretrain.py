@@ -262,6 +262,24 @@ class TestPretrain:
         with pytest.raises(pt.TrainingDivergenceError):
             pt.apply_step(model, loss, opt, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_gradient_aborts_before_the_step(self, bad):
+        # an inf gradient was clipped by a scale of 0 into NaN, which AdamW wrote into the parameters
+        _, model, _, _ = tiny_setup(d=8)
+        params = model.param_tensors()
+
+        def bwd(g):
+            for p in params:
+                p.grad = np.zeros_like(p.data)
+            params[0].grad[0, 0] = bad
+
+        loss = nc.Tensor(1.0, tuple(params), bwd)
+        before = model.vector.copy()
+        opt = nc.adamw_init(model.vector, 1e-3, 0.05)
+        with pytest.raises(pt.TrainingDivergenceError, match=f"^non-finite gradient norm {bad}$"):
+            pt.apply_step(model, loss, opt, 1.0)
+        assert model.vector.tobytes() == before.tobytes() and opt.step == 0
+
     def test_logged_grad_norm_is_the_epoch_mean_before_clipping(self):
         dataset, model, _, _ = tiny_setup(seed=4, d=8, dropout=0.1)
         replay = model.copy()
@@ -300,6 +318,13 @@ class TestPretrain:
         # the returned model holds the best epoch's parameters; eval_policy re-encodes and scores them alike
         best = min(log.rows, key=lambda r: r.eval_nll)
         assert pt.eval_policy(dataset, model) == (best.eval_nll, best.parts["eval_acc"])
+
+    def test_step_graph_node_count_pinned(self):
+        # one node for the token embedding (not 8 gathers and 7 adds) and one attention node per layer:
+        # a change that splits them again changes the count
+        dataset, model, _, _ = tiny_setup(seed=3, d=16, dropout=0.1)
+        loss = pt.supervised_loss(model, dataset.train()[:8], make_rng(3, "dropout", 0, 0))
+        assert len(nc.backward(loss).nodes) == 46
 
     def test_trained_bytes_pinned(self):
         # a tiny seeded run with dropout: its parameters and each epoch's loss, to the last bit. The

@@ -402,6 +402,14 @@ class TestIqLoss:
         err = finite_diff_check(f, critic.param_tensors(), eps=1e-4)
         assert err <= 1e-4
 
+    def test_step_graph_node_count_pinned(self):
+        # one node for the context part and two for the preference term's embedding sums (not 7
+        # gathers and 5 adds): a change that splits them again changes the count
+        dataset, _ = sg.gen_dataset(sg.SynthConfig(width=3, height=3, users=2, n_trajectories=6, seed=4, max_len=8))
+        net, critic = grid_critic(d=8, seed=5)
+        loss, _ = ri.iq_loss(ri.transitions(dataset.train()), critic, ri.IRLConfig())
+        assert len(nc.backward(loss).nodes) == 46
+
     def test_matches_concatenated_formula_replay(self):
         cfg_synth = sg.SynthConfig(width=3, height=3, users=2, n_trajectories=12, seed=7, max_len=8)
         dataset, _ = sg.gen_dataset(cfg_synth)
