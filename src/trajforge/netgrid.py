@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import is_integer, require
+from .numcore import index_faults, is_integer, require
 
 N_ACTIONS = 9
 STAY_ACTION = 4
@@ -167,12 +167,13 @@ class LinkGraph(Network):
 
 
 def _check_downstream(link: int, downs: list[int], n: int) -> None:
-    """ValueError unless link `link`'s downstream list fits a row of `succ` and names only links below `n`."""
+    """ValueError unless link `link`'s downstream list fits a row of `succ` and names only integers below `n` (`index_faults`)."""
     if len(downs) > N_ACTIONS:
         raise ValueError(f"link {link} has out-degree {len(downs)} > {N_ACTIONS}")
-    for d in downs:
-        if not 0 <= d < n:
-            raise ValueError(f"link {link} references unknown downstream link {d}")
+    non_integer, outside = index_faults(downs, n)
+    if non_integer is not None or outside is not None:  # a row of `succ` would read 1.5 or True as 1
+        d = downs[min(i for i in (non_integer, outside) if i is not None)]
+        raise ValueError(f"link {link} references {'unknown' if is_integer(d) else 'non-integer'} downstream link {d}")
 
 
 # ---------------------------------------------------------------------------

@@ -59,13 +59,24 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def all_integers(values) -> bool:
-    """True when every entry of `values` is an integer (`is_integer`): an array by its dtype, a
-    sequence by the set of its entries' types, so no entry costs a Python call."""
-    if isinstance(values, np.ndarray) and values.dtype != object:
-        return values.dtype.kind in "iu"
-    kinds = set(map(type, values))
-    return kinds <= {int} or all(issubclass(kind, (int, np.integer)) and kind is not bool for kind in kinds)
+def index_faults(values, stop: int, start: int = 0) -> tuple:
+    """The one index check of the index column `values` (a list, a tuple, or an array read in flat order):
+    (its first entry that is not an integer (`is_integer`), its first integer outside [start, stop)), each None
+    when there is none. A passing integer array costs one unsigned compare (exact for start >= -2**63 and stop
+    <= 2**63), a list or tuple of ints `min` and `max`; any other column, or one that fails, is read as Python
+    values, so an int past int64 or an unsigned entry past 2**63 is judged as the value it holds."""
+    if type(values) in (list, tuple) and set(map(type, values)) <= {int} and (not values or start <= min(values) and max(values) < stop):
+        return None, None
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "iu" and -(2**63) <= start and stop <= 2**63:
+            low = max(start, 0) if values.dtype.kind == "u" else start  # no unsigned entry is below 0
+            wrapped = values.view(np.uintp) if values.dtype.itemsize == 8 else values.astype(np.uintp)
+            if not np.count_nonzero((wrapped - low % 2**64 if low else wrapped) >= stop - low):  # (entry - low) mod 2**64: below low wraps huge
+                return None, None
+        values = values.ravel().tolist()
+    integral = [is_integer(value) for value in values]
+    non_integer = next((i for i, ok in enumerate(integral) if not ok), None)
+    return non_integer, next((i for i, (ok, value) in enumerate(zip(integral, values)) if ok and not start <= int(value) < stop), None)
 
 
 def is_real(value) -> bool:
@@ -104,17 +115,20 @@ def _typed_fields(cls) -> tuple:
 def make_rng(*key) -> np.random.Generator:
     """Counter-based (Philox) generator keyed by a tuple of ints/strings.
 
-    Streams with different keys are independent; the same key always yields
-    the same stream, regardless of platform or process. A key part that is
-    neither a str nor an integer (a bool is neither) raises TypeError: an int() cast
-    would give 2.5 the stream of 2.
+    Streams with different keys are independent; the same key always yields the same stream,
+    regardless of platform or process. A key part that is neither a str nor an integer (a bool is
+    neither) raises TypeError: an int() cast would give 2.5 the stream of 2. An integer part outside
+    the signed 128-bit range, which keys no stream, raises ValueError.
     """
     h = hashlib.blake2b(digest_size=16)
     for part in key:
         if isinstance(part, str):
             h.update(b"s" + part.encode("utf-8"))
         elif is_integer(part):
-            h.update(b"i" + int(part).to_bytes(16, "little", signed=True))
+            try:
+                h.update(b"i" + int(part).to_bytes(16, "little", signed=True))
+            except OverflowError:
+                raise ValueError(f"rng key part {part} is outside the signed 128-bit range") from None
         else:
             raise TypeError(f"rng key part {part!r} is neither a str nor an integer")
     seed_int = int.from_bytes(h.digest(), "little")
@@ -381,19 +395,15 @@ ONEHOT_MAX_ROWS = 32
 
 
 def _index_array(what: str, idx, size: int, out_of_range: str) -> np.ndarray:
-    """`idx` as an intp array of entries in [0, `size`): the one index check of `gather_rows`,
-    `gather_per_row`, `cross_entropy` and `embed_sum`. First IndexError naming `what` (the op's
-    indices) and the first entry that is not an integer (`all_integers`: one dtype test for an
-    array, so every entry of a float or bool array fails, where an int() cast would read 1.7 as 1).
-    Then IndexError with the message `out_of_range` for an entry outside the range."""
-    if not all_integers(idx):
-        for i, value in enumerate(idx.ravel().tolist() if isinstance(idx, np.ndarray) else idx):
-            if not is_integer(value):
-                raise IndexError(f"{what} {value!r} at entry {i} is not an integer")
-    arr = np.asarray(idx)
-    if arr.size and (arr.min() < 0 or arr.max() >= size):
+    """`idx` as an intp array of entries in [0, `size`), the check of `gather_rows`, `gather_per_row`, `cross_entropy`
+    and `embed_sum` (`index_faults`): first IndexError naming `what` (the op's indices) and the first entry that is
+    not an integer (an int() cast reads 1.7 as 1), then IndexError `out_of_range` for an entry outside the range."""
+    non_integer, outside = index_faults(idx, size)
+    if non_integer is not None:
+        raise IndexError(f"{what} {np.asarray(idx, dtype=object).ravel()[non_integer]!r} at entry {non_integer} is not an integer")
+    if outside is not None:
         raise IndexError(out_of_range)
-    return arr.astype(np.intp, copy=False)
+    return np.asarray(idx).astype(np.intp, copy=False)
 
 
 def _gather_bwd(a: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
@@ -745,15 +755,14 @@ def segment_plan(lengths) -> SegmentPlan:
     A stable sort by length puts the segments of each length next to each other, so each length is one
     block of plan rows, run as one stacked product, with one causal mask: a query sees its own row and
     the rows before it in its segment. ShapeError names the first segment whose length is not an
-    integer (`all_integers`), then the first below 1.
+    integer, then the first outside [1, 2**63) (`index_faults`).
     """
-    if not all_integers(lengths):
-        i, value = next((i, value) for i, value in enumerate(np.asarray(lengths, dtype=object).tolist()) if not is_integer(value))
-        raise ShapeError(f"segment {i} length must be an integer, got {value!r}")
+    non_integer, outside = index_faults(lengths, 2**63, start=1)
+    if non_integer is not None:
+        raise ShapeError(f"segment {non_integer} length must be an integer, got {np.asarray(lengths, dtype=object)[non_integer]!r}")
+    if outside is not None:
+        raise ShapeError(f"segment {outside} length must be {'>= 1' if lengths[outside] < 1 else 'below 2**63'}, got {lengths[outside]}")
     lengths = np.asarray(lengths, dtype=np.intp)
-    if len(lengths) and lengths.min() < 1:
-        i = int(np.argmax(lengths < 1))
-        raise ShapeError(f"segment {i} length must be >= 1, got {lengths[i]}")
     by_length = np.argsort(lengths, kind="stable")
     sorted_lengths = lengths[by_length]
     plan_starts = np.cumsum(sorted_lengths) - sorted_lengths  # each segment's first plan row
@@ -776,8 +785,8 @@ def block_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, plan: 
     plan order once; each block's heads are reshaped views of its rows there, (segments, heads, length,
     head dim), so the segments of one length run as one stacked `masked_attention` with the block's
     mask. The context, and in the backward each gradient, is written block by block and put back in
-    sequence order once. The backward permutes q, k, v and `g` again rather than keep sorted copies,
-    which every forward-only pass would hold.
+    sequence order once. The backward permutes q, k, v and `g` again rather than keep sorted copies, which would
+    cost a recorded graph three (rows, d) arrays per layer until its backward (a `no_graph` pass records no closure).
     """
     n_keys = k.data.shape[0]
     if len(plan.order) != n_keys or v.data.shape[0] != n_keys:

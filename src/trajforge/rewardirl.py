@@ -27,11 +27,11 @@ seven lookups. Inference runs the training code over rows under `numcore.no_grap
 `transitions` builds the rows of any list of trips: a split of a `Dataset`, or generated trips.
 
 Checks. Rows are checked once per batch by `_check_rows`: `tokenizer.check_columns`, the one
-vocabulary check, against `tokenizer.COLUMN_TABLES`, then the dead-end rule, then that each
-transition's move is one of the critic's network (`succ`). The scorers name
-a bad row by its index, and `train_critic` by its trajectory, after it rejects a dataset on
-another network than the critic's. The critic has no speed or timestep tables, so its columns
-leave them out.
+vocabulary check, which judges each column by `numcore.index_faults` against its table of
+`tokenizer.COLUMN_TABLES`; then the dead-end rule, then that each transition's move is one of the
+critic's network (`succ`). The scorers name a bad row by its index, and `train_critic` by its
+trajectory, after it rejects a dataset on another network than the critic's. The critic has no
+speed or timestep tables, so its columns leave them out.
 """
 
 from __future__ import annotations

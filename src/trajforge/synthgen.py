@@ -35,7 +35,7 @@ import numpy as np
 
 from . import netgrid, numcore
 from .netgrid import GRID_SIDE, EnvState, GridNetwork, GridSpec, Network
-from .numcore import AT_LEAST_1, NON_NEGATIVE, POSITIVE, make_rng, masked_log_softmax, require
+from .numcore import AT_LEAST_1, NON_NEGATIVE, POSITIVE, index_faults, make_rng, masked_log_softmax, require
 
 N_FEATURES = 3  # progress, turn-change, stay
 FLAGS = ("complete", "truncated", "dead_end")  # reached the destination, ran out of moves, stuck
@@ -83,8 +83,8 @@ _IS_FLAG = (lambda flag: isinstance(flag, str) and flag in FLAGS, f"one of {', '
 
 
 def _index_list(values, stop: int) -> bool:
-    """True for a list or tuple of integers (`numcore.all_integers`) in [0, stop)."""
-    return isinstance(values, (list, tuple)) and numcore.all_integers(values) and (not values or 0 <= min(values) and max(values) < stop)
+    """True for a list or tuple of integers in [0, stop) (`numcore.index_faults`)."""
+    return isinstance(values, (list, tuple)) and index_faults(values, stop) == (None, None)
 
 
 @dataclass(frozen=True)
@@ -156,10 +156,10 @@ class Dataset:
 def check_connectivity(traj: Trajectory, net: Network) -> None:
     """Every position must be inside the network, and every recorded move must reproduce the next
     position: ValueError names the first position that is not, then the first move that does not."""
+    outside = index_faults(traj.positions, net.n_positions)[1]  # a checked trip holds integers only
+    if outside is not None:
+        raise ValueError(f"trajectory {traj.traj_id}: position {traj.positions[outside]} outside network of {net.n_positions} positions")
     positions, actions = np.array(traj.positions), np.array(traj.actions, dtype=np.intp)
-    outside = positions >= net.n_positions  # a checked trip holds no negative position
-    if np.count_nonzero(outside):
-        raise ValueError(f"trajectory {traj.traj_id}: position {positions[np.argmax(outside)]} outside network of {net.n_positions} positions")
     off = net.succ[positions[:-1], actions] != positions[1:]
     if np.count_nonzero(off):
         t = int(np.argmax(off))
@@ -172,20 +172,13 @@ def check_connectivity(traj: Trajectory, net: Network) -> None:
 
 
 def _index_rows(values, name: str, stop: int, within: str, start: int = 0) -> np.ndarray:
-    """The (B,) index `values` as an intp array, once each row is judged an integer (`numcore.is_integer`)
-    in [start, stop): the cast would read 1.7 and True as 1 and fail past int64, and a table would read -1
-    as its last row, so GenerationError names the first row that is not, as `name value outside within`."""
-    try:
-        rows = np.asarray(values, dtype=np.intp) if numcore.all_integers(values) else None
-    except OverflowError:  # an index past int64, outside every table
-        rows = None
-    if rows is not None and not np.count_nonzero((rows - start).view(np.uintp) >= stop - start):  # below start reads as huge
-        return rows
-    for row, value in enumerate(values):
-        if not numcore.is_integer(value):
-            raise GenerationError(f"row {row}: {name} {value} is not an integer")
-        if not start <= value < stop:
-            raise GenerationError(f"row {row}: {name} {value} outside {within}")
+    """The (B,) index `values` as an intp array once every row is an integer in [start, stop) (`numcore.index_faults`):
+    a cast reads 1.7 and True as 1 and fails past int64, a table -1 as its last row, so GenerationError names the first row that is not."""
+    non_integer, outside = index_faults(values, stop, start)
+    if non_integer is not None or outside is not None:
+        row = min(i for i in (non_integer, outside) if i is not None)
+        raise GenerationError(f"row {row}: {name} {values[row]} " + ("is not an integer" if row == non_integer else f"outside {within}"))
+    return np.asarray(values, dtype=np.intp)
 
 
 def oracle_rows(prefs: PreferenceParams, net: Network, users, destinations):

@@ -9,7 +9,8 @@ checks nothing of its own: a `synthgen.Trajectory` checks its indices and moves 
 
 `COLUMN_TABLES` names the `VocabSpec` table that each index column reads, and `check_columns`
 is the one vocabulary check: the trainers (`check_vocab`, `rewardirl.train_critic`), the
-critic's row scorers and `trajmodel.generate_scored` all reject an out-of-table index through it.
+critic's row scorers and `trajmodel.generate_scored` all reject an out-of-table index through it,
+which judges each column by `numcore.index_faults`, the one index check of the package.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import netgrid
 from .netgrid import Network
-from .numcore import AT_LEAST_1, all_integers, is_integer, require
+from .numcore import AT_LEAST_1, index_faults, is_integer, require
 from .synthgen import SynthConfig
 
 BLANK = netgrid.N_ACTIONS  # embedding row reserved for the missing decision
@@ -88,26 +89,19 @@ def vocab_sizes(net: Network, config: SynthConfig) -> VocabSpec:
 def check_columns(vocab: VocabSpec, columns: dict, where) -> None:
     """Raise for the first row of the (B,) index `columns` with an index outside its table of `vocab`.
 
-    `columns` maps names of `COLUMN_TABLES`, and `action`, to equal-length arrays. The error names
-    the first bad row by `where(row)`, then that row's first bad column in `columns` order, and
-    its value: EncodingError for an entry that is not an integer (`numcore.is_integer`; numpy would
-    truncate 1.7 to 1 and read True as 1) or is outside a table, ValueError for an action outside [0, 9).
+    `columns` maps names of `COLUMN_TABLES`, and `action`, to columns of one length (else ValueError), each judged
+    by `numcore.index_faults`. The error names the first bad row by `where(row)`, then that row's first bad
+    column in `columns` order, and its value as given: EncodingError for an entry that is not an integer
+    (numpy would read 1.7 or True as 1) or is outside a table, ValueError for an action outside [0, 9).
     """
     names, values = list(columns), list(columns.values())
-    limits = np.array([getattr(vocab, COLUMN_TABLES[name]) if name != "action" else netgrid.N_ACTIONS for name in names])
-    idx = None
-    if all(map(all_integers, values)):
-        try:
-            idx = np.array(values, dtype=np.intp)
-            bad = idx.view(np.uintp) >= limits[:, None]  # a negative index reads as a huge unsigned one
-        except OverflowError:  # an index past int64, outside every table
-            pass
-    if idx is None:  # compare the Python values; a non-integer fails its cell whatever its value
-        idx = np.array(values, dtype=object)
-        bad = np.array([[not (is_integer(v) and 0 <= v < limit) for v in column] for column, limit in zip(idx, limits)], dtype=bool)
-    if np.count_nonzero(bad):
-        row, col = np.argwhere(bad.T)[0]  # the first bad row, and its first bad column
-        name, value = names[col], idx[col, row]
+    if len(set(map(len, values))) > 1:  # a shorter column would broadcast against the others
+        raise ValueError(f"index columns of unequal lengths: {dict(zip(names, map(len, values)))}")
+    limits = [getattr(vocab, COLUMN_TABLES[name]) if name != "action" else netgrid.N_ACTIONS for name in names]
+    faults = [(min(i for i in pair if i is not None), col) for col, pair in enumerate(map(index_faults, values, limits)) if pair != (None, None)]
+    if faults:
+        row, col = min(faults)  # the first bad row, and its first bad column
+        name, value = names[col], values[col][row]
         if not is_integer(value):
             raise EncodingError(f"{where(row)}: {name} {value} is not an integer")
         if name == "action":

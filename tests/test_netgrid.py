@@ -301,3 +301,9 @@ class TestLinkGraphIO:
     def test_bad_reference(self):
         with pytest.raises(ValueError, match="unknown downstream"):
             ng.LinkGraph([[5]])
+
+    @pytest.mark.parametrize("down, shown", [(1.5, "1.5"), (True, "True"), (np.float64(1.0), "1.0")])
+    def test_non_integer_downstream_named(self, down, shown):
+        # a row of succ used to read each of these as the move 0 -> 1
+        with pytest.raises(ValueError, match=f"^link 0 references non-integer downstream link {re.escape(shown)}$"):
+            ng.LinkGraph([[down], []])

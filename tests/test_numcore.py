@@ -16,7 +16,10 @@ from helpers import (
     traced_peak,
 )
 
+from trajforge import netgrid as ng
 from trajforge import numcore as nc
+from trajforge import synthgen as sg
+from trajforge import tokenizer as tk
 
 
 def fd_grad(f, x, eps=1e-6):
@@ -139,6 +142,9 @@ class TestOperandGuards:
             (lambda: nc.segment_plan([2, 0, 2.5]), nc.ShapeError, "segment 2 length must be an integer, got 2.5"),
             (lambda: nc.segment_plan([2, 0, 3]), nc.ShapeError, "segment 1 length must be >= 1, got 0"),
             (lambda: nc.segment_plan([-1, 4]), nc.ShapeError, "segment 0 length must be >= 1, got -1"),
+            # a bare OverflowError, and a cast that named 2**63 as -2**63
+            (lambda: nc.segment_plan([2**70]), nc.ShapeError, f"segment 0 length must be below 2**63, got {2**70}"),
+            (lambda: nc.segment_plan(np.array([2**63], dtype=np.uint64)), nc.ShapeError, "segment 0 length must be below 2**63, got 9223372036854775808"),
         ],
         ids=[
             "matmul-1d",
@@ -170,11 +176,92 @@ class TestOperandGuards:
             "segment-types-before-bounds",
             "segment-zero",
             "segment-negative",
+            "segment-past-int64",
+            "segment-uint64",
         ],
     )
     def test_bad_operand_named(self, call, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call()
+
+
+INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+BIG_INTS = (2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**70, -(2**63), -(2**63) - 1, -(2**70))
+# entries of an index column: small and huge ints, numpy integers, bools, integral and fractional floats
+index_entries = st.one_of(
+    st.integers(-3, 11),
+    st.sampled_from(BIG_INTS),
+    st.integers(-3, 11).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.booleans(),
+    st.integers(-3, 11).map(float),
+    st.floats(-3, 11).filter(lambda x: not x.is_integer()),
+)
+
+
+@st.composite
+def index_columns(draw):
+    """A 1-D index column: a list or tuple of `index_entries`, or a numpy integer, bool or float array."""
+    form = draw(st.sampled_from(["list", "tuple", "int array", "other array"]))
+    if form == "int array":
+        info = np.iinfo(draw(st.sampled_from(INT_DTYPES)))
+        ints = st.integers(max(info.min, -3), min(info.max, 11)) | st.sampled_from([int(info.min), int(info.max)]) | st.integers(info.min, info.max)
+        return draw(hnp.arrays(info.dtype, st.integers(0, 6), elements=ints))
+    if form == "other array":
+        return draw(hnp.arrays(st.sampled_from([np.bool_, np.float64]), st.integers(0, 6), elements={"allow_nan": False}))
+    values = draw(st.lists(index_entries, max_size=6))
+    return values if form == "list" else tuple(values)
+
+
+def reference_index_faults(values, stop, start):
+    """(first non-integer, first integer outside [start, stop)) of `list(values)`, entry by entry."""
+    entries = list(values)
+    integral = [isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in entries]
+    non_integer = next((i for i, ok in enumerate(integral) if not ok), None)
+    outside = next((i for i, (v, ok) in enumerate(zip(entries, integral)) if ok and not start <= int(v) < stop), None)
+    return non_integer, outside
+
+
+class TestIndexFaults:
+    @given(index_columns(), st.integers(-3, 12), st.sampled_from([0, -1, 1, -(2**63)]))
+    def test_matches_python_reference_property(self, values, stop, start):
+        for bounds in ((stop, start), (2**63, 1), (2**63, -(2**63)), (2**64, 0)):
+            assert nc.index_faults(values, *bounds) == reference_index_faults(values, *bounds), bounds
+
+    @given(index_columns())
+    def test_callers_name_the_entry_by_its_value_property(self, values):
+        net = ng.GridNetwork(ng.GridSpec(3, 3))  # 9 positions, read as a table of 9 rows and a vocabulary of 9
+        entries = list(values)
+        non_integer, outside = reference_index_faults(values, 9, 0)
+        table = nc.Tensor(np.arange(9.0)[:, None])
+        if non_integer is None and outside is None:
+            assert nc.gather_rows(table, values).data[:, 0].tolist() == [float(v) for v in entries]
+        else:
+            if non_integer is not None:  # types before bounds
+                message = f"gather_rows index {entries[non_integer]} at entry {non_integer} is not an integer"
+            else:
+                message = "gather_rows index out of range for table of 9 rows"
+            with pytest.raises(IndexError, match=f"^{re.escape(message)}$"):
+                nc.gather_rows(table, values)
+            row = min(i for i in (non_integer, outside) if i is not None)  # the first bad row
+            integral = row != non_integer
+            message = f"row {row}: origin {entries[row]} " + ("outside network of 9 positions" if integral else "is not an integer")
+            with pytest.raises(sg.GenerationError, match=f"^{re.escape(message)}$"):
+                sg.roll_out(net, values, [0] * len(entries), np.zeros((len(entries), 1)), None)
+            vocab = tk.VocabSpec(positions=9, depart_bins=1, speed_bins=1, users=1, max_timestep=1)
+            message = f"at {row}: position {entries[row]} " + ("outside vocabulary of 9" if integral else "is not an integer")
+            with pytest.raises(tk.EncodingError, match=f"^{re.escape(message)}$"):
+                tk.check_columns(vocab, {"position": values}, lambda r: f"at {r}")
+        non_integer, outside = reference_index_faults(values, 2**63, 1)
+        if non_integer is not None:
+            message = f"segment {non_integer} length must be an integer, got {entries[non_integer]}"
+        elif outside is not None:
+            length = int(entries[outside])
+            message = f"segment {outside} length must be {'>= 1' if length < 1 else 'below 2**63'}, got {length}"
+        else:  # a valid plan of lengths up to 2**63 - 1 is not built here
+            return
+        with pytest.raises(nc.ShapeError, match=f"^{re.escape(message)}$"):
+            nc.segment_plan(values)
 
 
 class TestGelu:

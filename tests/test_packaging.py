@@ -105,6 +105,16 @@ def test_only_numcore_names_masked_logsumexp():
     assert found == [], "masked_logsumexp named outside numcore.py"
 
 
+def test_only_numcore_names_uintp():
+    """Every index column is judged by `numcore.index_faults`: no src module but numcore names `np.uintp`,
+    so none can write the unsigned range compare out by hand."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "numcore.py":
+            found += [f"{path.name}:{node.lineno}" for node in references(ast.parse(path.read_text(encoding="utf-8")), "uintp")]
+    assert found == [], "np.uintp named outside numcore.py"
+
+
 def trajforge_reads(tree: ast.AST) -> set[tuple[str, str]]:
     """(module, name) of each trajforge name that `tree` reads: the names it imports from a trajforge module,
     and the `alias.name` attributes of the trajforge modules it imports, relatively, as src/ does, or by

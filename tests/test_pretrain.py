@@ -151,6 +151,12 @@ class TestPretrain:
         with pytest.raises(tk.EncodingError, match="^trajectory 0: timestep 51 outside vocabulary of 51$"):
             pt.pretrain(dataset, model, pt.TrainConfig(epochs=1))
 
+    def test_seed_past_128_bits_named(self):
+        # int.to_bytes used to escape as a bare OverflowError
+        dataset, model, _, _ = tiny_setup()
+        with pytest.raises(ValueError, match=f"^rng key part {2**127} is outside the signed 128-bit range$"):
+            pt.pretrain(dataset, model, pt.TrainConfig(epochs=1, seed=2**127))
+
     @pytest.mark.parametrize("value", [2**64, -(2**64)])
     def test_user_outside_int64_rejected_by_name(self, value):
         # an index past int64 used to escape as numpy's OverflowError; now the trip rejects it when made,

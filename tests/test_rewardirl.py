@@ -296,6 +296,20 @@ class TestQRows:
         with pytest.raises(tk.EncodingError, match=r"^row 0: user 1.7 is not an integer$"):
             ri.log_policy_rows(critic, [4], [0], [8], [2], [1.7])
 
+    @pytest.mark.parametrize("value", [2**63, 2**64 - 1])
+    def test_unsigned_index_named_by_its_value(self, value):
+        # the intp cast used to name 2**63 as -9223372036854775808 and 2**64 - 1 as -1
+        net, critic = grid_critic()
+        position = np.array([value], dtype=np.uint64)
+        with pytest.raises(tk.EncodingError, match=f"^row 0: position {value} outside vocabulary of {net.n_positions}$"):
+            ri.log_policy_rows(critic, position, [0], [8], [0], [0])
+
+    def test_unequal_columns_named(self):
+        # numpy's stacking cast used to fail with its own message; a shorter column would broadcast against the others
+        _, critic = grid_critic()
+        with pytest.raises(ValueError, match=r"^index columns of unequal lengths: \{'position': 2, 'origin': 1, "):
+            ri.log_policy_rows(critic, [4, 5], [0], [8], [0], [0])
+
     @pytest.mark.parametrize("field, value", [("user_id", 1.7), ("depart_bin", True)])
     def test_state_field_not_integer_named_when_made(self, field, value):
         # critic_policy packed a state into one array, so user 1.7 was named as position 4.0 and depart_bin True read as 1

@@ -614,6 +614,14 @@ class TestGenerate:
         ctx2 = tm.GenerationContext(0, 24, 2, 7, 1, max_len=19, temperature=0.0, seed=999)
         assert tm.generate_scored(ctx1, model, net).trajectory.positions == tm.generate_scored(ctx2, model, net).trajectory.positions
 
+    @pytest.mark.parametrize("field, part", [("seed", 2**200), ("traj_id", -(2**130))])
+    def test_rng_key_past_128_bits_named(self, field, part):
+        # int.to_bytes used to escape as a bare OverflowError
+        net, model = small_model()
+        ctx = tm.GenerationContext(0, 24, 2, 7, 1, max_len=19, **{field: part})
+        with pytest.raises(ValueError, match=f"^rng key part {part} is outside the signed 128-bit range$"):
+            tm.generate([ctx], model, net)
+
     @given(
         on_grid=st.booleans(),
         temperature=st.sampled_from([0.0, 1.0]),
