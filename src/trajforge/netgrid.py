@@ -1,12 +1,11 @@
 """Road environments: a grid world with 9 moves and a link graph with bounded out-degree.
 
-Each network is one successor table `succ[pos, a]`: the position that action
-`a` leads to from `pos`, or -1 where `a` is infeasible. Moves are read off it,
-feasibility once and hop counts on first read, into read-only tables. Grid actions map to 3x3 shifts via
-k = (dy + 1) * 3 + (dx + 1), so action 4 is "stay". Link-graph actions index
-into each link's ordered downstream list. Action indices are zero-based
-throughout; any one-based external convention is converted at serialization
-boundaries.
+Each network is one successor table `succ[pos, a]`: the position that action `a` leads to from
+`pos`, or -1 where `a` is infeasible. Moves are read off it, feasibility once and hop counts on
+first read, into read-only tables; a network has no scalar move API. Grid actions map to 3x3 shifts
+via k = (dy + 1) * 3 + (dx + 1), so action 4 is "stay". Link-graph actions index into each link's
+ordered downstream list. Action indices are zero-based throughout; any one-based external
+convention is converted at serialization boundaries.
 """
 
 from __future__ import annotations
@@ -67,11 +66,12 @@ class EnvState:
 class Network:
     """A road network as one successor table.
 
-    `succ[pos, a]` is the position that action `a` leads to from `pos`, or -1
-    where `a` is infeasible there; `feasible` is `succ >= 0`. `hops[dest, pos]`
-    is the fewest moves from `pos` to `dest`, -1 where `dest` cannot be reached:
-    one breadth-first search over `succ` from every destination at once. A
-    subclass only builds the table and names the error that an infeasible move raises.
+    `succ[pos, a]` is the position that action `a` leads to from `pos`, or -1 where `a` is
+    infeasible there; `feasible` is `succ >= 0`. `hops[dest, pos]` is the fewest moves from `pos` to
+    `dest`, -1 where `dest` cannot be reached: one breadth-first search over `succ` from every
+    destination at once. A network is these read-only tables and no method: a move, or the action
+    between two positions, is read off `succ`. A subclass only builds the table and names the error
+    that an infeasible move raises (`infeasible_error`).
     """
 
     infeasible_error: type[ValueError] = ConnectivityError
@@ -101,32 +101,6 @@ class Network:
     @property
     def n_positions(self) -> int:
         return self.succ.shape[0]
-
-    def check_position(self, pos: int) -> None:
-        """Indexing `succ`, a negative position would wrap round and numpy would reject a fraction or read
-        True as 1, so only an integer (`numcore.is_integer`) inside the network is let through."""
-        if not is_integer(pos):
-            raise ValueError(f"position {pos} is not an integer")
-        if not 0 <= pos < self.n_positions:
-            raise ValueError(f"position {pos} outside network of {self.n_positions} positions")
-
-    def step(self, pos: int, a: int) -> int:
-        self.check_position(pos)
-        if not is_integer(a):
-            raise ValueError(f"action {a} is not an integer")
-        nxt = int(self.succ[pos, a]) if 0 <= a < N_ACTIONS else -1
-        if nxt < 0:
-            raise self.infeasible_error(f"action {a} is infeasible at position {pos}")
-        return nxt
-
-    def action_between(self, pos: int, nxt: int) -> int:
-        """The first action that leads from `pos` to `nxt`."""
-        self.check_position(pos)
-        self.check_position(nxt)  # a -1 here would match the infeasible entries
-        hits = np.flatnonzero(self.succ[pos] == nxt)
-        if not hits.size:
-            raise ConnectivityError(f"position {nxt} is not one move from position {pos}")
-        return int(hits[0])
 
 
 class GridNetwork(Network):

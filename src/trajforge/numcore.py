@@ -146,7 +146,8 @@ def inverse_cdf(p, u) -> np.ndarray:
     The count is read as the first entry above `u`; the last entry is 1, above every uniform.
 
     A row must be finite, non-negative and sum to 1 within `SUM_ATOL`, as `choice` requires;
-    `DistributionError` names the first row that is not.
+    `DistributionError` names the first row that is not. Each `u` must lie in [0, 1), unchecked here
+    (1.0, a negative or a NaN maps to index 0 whatever its probability); `synthgen.roll_out` checks it.
     """
     p = np.asarray(p, dtype=np.float64)
     cdf = np.add.accumulate(p, -1)  # `ndarray.cumsum`, and below `min` and `max`, without their Python wrappers
@@ -483,7 +484,9 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def gather_per_row(a: Tensor, idx) -> Tensor:
-    """out[i] = a[i, idx[i]] for a 2-D tensor; IndexError names a bad column of `idx` (`_index_array`)."""
+    """out[i] = a[i, idx[i]] for a 2-D tensor; ShapeError unless `idx` has one column per row, IndexError for a bad one (`_index_array`)."""
+    if np.shape(idx) != (len(a.data),):  # a shorter column would broadcast over every row
+        raise ShapeError(f"gather_per_row index shape {np.shape(idx)} != ({len(a.data)},)")
     idx = _index_array("gather_per_row column index", idx, a.data.shape[1], "gather_per_row column index out of range")
     rows = np.arange(a.data.shape[0])
 

@@ -163,10 +163,13 @@ def _check_rows(critic: CriticModel, cols: dict, ends=None, where=lambda row: f"
     """Raise for the first row of the (B,) index columns `cols` that the critic cannot score, naming it by `where(row)`.
 
     First the indices (`check_columns`): EncodingError outside the critic's tables, ValueError for an action
-    outside [0, 9). Then ValueError at a dead-end position, or at a dead-end next_position on a row whose `ends` is False.
-    Last, given `ends`, ValueError on a row whose action does not lead from its position to its next_position.
+    outside [0, 9); given `ends`, ValueError unless it has one entry per row. Then ValueError at a dead-end
+    position, or at a dead-end next_position on a row whose `ends` is False. Last, given `ends`, ValueError on
+    a row whose action does not lead from its position to its next_position.
     """
     check_columns(critic.cfg.vocab, cols, where)
+    if ends is not None and np.shape(ends) != (len(cols["position"]),):
+        raise ValueError(f"is_terminal of shape {np.shape(ends)} for index columns of length {len(cols['position'])}")
     net = critic.net
     dead_s = net.dead_end[cols["position"]]
     stuck = dead_s if ends is None else dead_s | (net.dead_end[cols["next_position"]] & ~ends)

@@ -187,11 +187,13 @@ def oracle_rows(prefs: PreferenceParams, net: Network, users, destinations):
     Returns `probs(rows, positions, prev_actions)`: the (len(rows), 9) action probabilities of
     trips `rows` at `positions`, after `prev_actions` (-1 at a trip's first move). Row i equals
     `oracle_action_probs` at that state bit for bit. Each step reads the rows of the trips'
-    destinations in the network's `hops` table. A user without a row of `prefs.theta`, and a
-    destination outside the network, raises `GenerationError` naming its row (`_index_rows`), and
-    so does each step for a position outside the network or a previous action outside -1 and
-    [0, 9), naming its row of that step's arrays.
+    destinations in the network's `hops` table. ValueError first for `users` and `destinations` that
+    are not 1-D and of one length. A user without a row of `prefs.theta`, and a destination outside
+    the network, raises `GenerationError` naming its row (`_index_rows`), and so does each step for a
+    position outside the network or a previous action outside -1 and [0, 9), naming its row of that step's arrays.
     """
+    if np.ndim(users) != 1 or np.shape(users) != np.shape(destinations):
+        raise ValueError("users and destinations must be 1-D and of one length")
     within = f"network of {net.n_positions} positions"
     users = _index_rows(users, "user", prefs.n_users, f"the {prefs.n_users} users of the preferences")
     destinations = _index_rows(destinations, "destination", net.n_positions, within)
@@ -235,7 +237,8 @@ def oracle_action_probs(
     `a` differs from `prev_action`, stay is 1 when `a` keeps the position. This is
     the one-row call of `oracle_rows`.
     """
-    net.check_position(state.position)
+    if not 0 <= state.position < net.n_positions:
+        raise ValueError(f"position {state.position} outside network of {net.n_positions} positions")
     prev = -1 if prev_action is None else prev_action
     if not (numcore.is_integer(prev) and -1 <= prev < netgrid.N_ACTIONS):
         raise GenerationError(f"prev_action must be None, -1 or an integer in [0, {netgrid.N_ACTIONS}), got {prev_action!r}")
@@ -253,12 +256,14 @@ def roll_out(net: Network, origins, destinations, uniforms, probs) -> list[tuple
     at `uniforms[i, t]`, and the width of `uniforms` is the move limit. Each landing is checked: a
     trip is "complete" at its destination, else "dead_end" where no action is feasible (also on its
     last allowed move), else "truncated" after its last allowed move. A finished trip leaves the
-    batch, so later steps compute only live rows, and no trip asks for a move at a dead end.
+    batch, so later steps compute only live rows, and no trip asks for a move at a dead end. A drawn
+    move that `succ` does not have raises the network's `infeasible_error`, naming the trip's row.
 
     The ends and the move limit are checked once, here, in whole-array tests (`_index_rows`, then the
     network's `hops` table), and a bad trip raises `GenerationError` naming its row: an end that is
     not an integer or is outside the network (every origin is judged before any destination), then
-    one that equals the other end or cannot be reached from it.
+    one that equals the other end or cannot be reached from it. Last, before the first `probs` call,
+    ValueError names the row, move and value of a uniform outside [0, 1), which `inverse_cdf` would map to action 0.
     Returns (positions, actions, flag) per trip, in row order.
     """
     if np.ndim(origins) != 1 or np.shape(origins) != np.shape(destinations):
@@ -278,6 +283,9 @@ def roll_out(net: Network, origins, destinations, uniforms, probs) -> list[tuple
         raise GenerationError("max_len must allow at least one move")
     if not len(origins):
         return []
+    if not (np.minimum.reduce(uniforms, None) >= 0 and np.maximum.reduce(uniforms, None) < 1):  # a NaN fails both
+        row, move = np.argwhere(~((uniforms >= 0) & (uniforms < 1)))[0]
+        raise ValueError(f"row {row}: uniform {uniforms[row, move]} of move {move} outside [0, 1)")
     # True where a landing leaves no feasible action, and in the extra last entry, which the -1 of an
     # infeasible move reads
     stuck_at = np.append(net.dead_end, True)
@@ -300,9 +308,10 @@ def roll_out(net: Network, origins, destinations, uniforms, probs) -> list[tuple
         arrived = nxt == targets
         ended = arrived | stuck_at[nxt]
         if np.count_nonzero(ended):  # one test per step, so that a batch of one stays cheap
-            bad = nxt < 0
-            for pos, a in zip(positions[bad].tolist(), actions[bad].tolist()):
-                net.step(pos, a)  # raises the network's error for the first move that is not one
+            bad = nxt < 0  # a drawn move that the network does not have
+            if np.count_nonzero(bad):
+                i = int(np.argmax(bad))
+                raise net.infeasible_error(f"row {rows[i]}: action {actions[i]} is infeasible at position {positions[i]}")
             for row, complete in zip(rows[ended].tolist(), arrived[ended].tolist()):
                 flags[row] = "complete" if complete else "dead_end"
             live = ~ended
@@ -671,7 +680,7 @@ def ingest_csv(path, grid: GridSpec, cfg: IngestConfig) -> tuple[Dataset, Ingest
             return
         (first, _), (second, _) = trip[:2]
         cells = [cell for _, cell in trip]
-        actions = [net.action_between(a, b) for a, b in zip(cells, cells[1:])]
+        actions = (net.succ[cells[:-1]] == np.array(cells[1:])[:, None]).argmax(axis=1).tolist()  # each move's first action to the next cell
         depart = datetime.fromtimestamp(first[0], tz=timezone.utc).hour
         hours = (second[0] - first[0]) / 3600.0
         km = _haversine_km(first[1], first[2], second[1], second[2])

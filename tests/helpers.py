@@ -189,11 +189,8 @@ def reference_ingest_csv(path, grid: ng.GridSpec, cfg: sg.IngestConfig) -> tuple
             pieces: list[list[tuple[float, float, float, int]]] = [[]]
             for ts, lon, lat in run:
                 cell = cell_of(lon, lat)
-                if pieces[-1]:
-                    try:
-                        net.action_between(pieces[-1][-1][3], cell)
-                    except ng.ConnectivityError:
-                        pieces.append([])
+                if pieces[-1] and cell not in net.succ[pieces[-1][-1][3]]:
+                    pieces.append([])
                 pieces[-1].append((ts, lon, lat, cell))
             # parts of at most max_moves moves; consecutive parts share their boundary cell
             pieces = [p[s : s + max_moves + 1] for p in pieces for s in range(0, max(len(p) - 1, 1), max_moves)]
@@ -202,7 +199,7 @@ def reference_ingest_csv(path, grid: ng.GridSpec, cfg: sg.IngestConfig) -> tuple
                     stats.dropped_short += 1
                     continue
                 cells = [p[3] for p in piece]
-                actions = [net.action_between(a, b) for a, b in zip(cells, cells[1:])]
+                actions = [int(np.flatnonzero(net.succ[a] == b)[0]) for a, b in zip(cells, cells[1:])]
                 first = datetime.fromtimestamp(piece[0][0], tz=timezone.utc)
                 hours = (piece[1][0] - piece[0][0]) / 3600.0
                 km = sg._haversine_km(piece[0][1], piece[0][2], piece[1][1], piece[1][2])

@@ -56,22 +56,21 @@ class TestCellOf:
 
 
 class TestApplyAction:
-    """`Network.step`: the position an action leads to, or the network's error for an infeasible one."""
+    """An action leads to `succ[pos, a]`; -1 marks one that the network does not have, whose error is `infeasible_error`."""
 
     def test_stay(self, grid3):
-        assert grid3.step(4, 4) == 4
+        assert grid3.succ[4, 4] == 4
 
     def test_corner_boundary(self, grid3):
-        with pytest.raises(ng.BoundaryError):
-            grid3.step(0, 0)  # shift (-1, -1) from (0, 0)
+        assert grid3.succ[0, 0] == -1 and grid3.infeasible_error is ng.BoundaryError  # shift (-1, -1) from (0, 0)
 
     def test_declared_mapping(self, grid3):
         # action 8 is shift (+1, +1): (1,1) -> (2,2) on a 3x3 grid
-        assert grid3.step(grid3.cell_of(1, 1), 8) == grid3.cell_of(2, 2)
+        assert grid3.succ[grid3.cell_of(1, 1), 8] == grid3.cell_of(2, 2)
 
     def test_link_graph_infeasible(self):
-        with pytest.raises(ng.ConnectivityError):
-            ng.LinkGraph([[1], []]).step(1, 0)
+        graph = ng.LinkGraph([[1], []])
+        assert graph.succ[1, 0] == -1 and graph.infeasible_error is ng.ConnectivityError
 
     def test_mapping_table(self, grid3):
         # the centre cell's successors spell out the (dx, dy) shift of each action
@@ -94,81 +93,14 @@ class TestFeasibleActions:
 
     @given(networks())
     def test_matches_apply_action_property(self, net):
+        # an action is feasible exactly where it leads to a position of the network
         assert net.feasible.shape == (net.n_positions, ng.N_ACTIONS)
-        for pos in range(net.n_positions):
-            for a in range(ng.N_ACTIONS):
-                try:
-                    net.step(pos, a)
-                    applies = True
-                except (ng.BoundaryError, ng.ConnectivityError):
-                    applies = False
-                assert net.feasible[pos, a] == applies
+        assert np.array_equal(net.feasible, (0 <= net.succ) & (net.succ < net.n_positions))
+        assert (net.succ >= -1).all()
 
     def test_table_read_only(self, grid3):
         with pytest.raises(ValueError):
             grid3.feasible[0, 0] = True
-
-
-class TestActionIndexOf:
-    """`action_between`: the zero-based action that moves a position to the next."""
-
-    def test_first_element(self):
-        graph = ng.LinkGraph([[4, 7, 9] + [0] * 0, [], [], [], [], [], [], [], [], []])
-        assert graph.action_between(0, 4) == 0
-
-    def test_third_element(self):
-        graph = ng.LinkGraph([[4, 7, 9], [], [], [], [], [], [], [], [], []])
-        assert graph.action_between(0, 9) == 2
-
-    def test_not_downstream(self):
-        graph = ng.LinkGraph([[4, 7, 9], [], [], [], [], [], [], [], [], []])
-        with pytest.raises(ng.ConnectivityError):
-            graph.action_between(0, 5)
-
-    def test_round_trip_property(self, grid3):
-        for cell in range(grid3.n_positions):
-            for a in np.flatnonzero(grid3.feasible[cell]).tolist():
-                nxt = grid3.step(cell, a)
-                assert grid3.action_between(cell, nxt) == a
-
-
-class TestPositionRange:
-    """A position outside the network is refused by name; a negative one must not wrap round."""
-
-    @pytest.mark.parametrize("pos", [-1, 2, 5])
-    def test_link_graph_step(self, pos):
-        with pytest.raises(ValueError, match="outside network"):
-            ng.LinkGraph([[1], [0]]).step(pos, 0)
-
-    @pytest.mark.parametrize("pos", [-1, 2])
-    def test_link_graph_action_between(self, pos):
-        graph = ng.LinkGraph([[1], [0]])
-        with pytest.raises(ValueError, match="outside network"):
-            graph.action_between(pos, 0)
-        with pytest.raises(ValueError, match="outside network"):
-            graph.action_between(0, pos)
-
-    @pytest.mark.parametrize("pos", [-1, 9])
-    def test_grid(self, grid3, pos):
-        with pytest.raises(ValueError, match="outside network"):
-            grid3.step(pos, 4)
-        with pytest.raises(ValueError, match="outside network"):
-            grid3.action_between(pos, 4)
-
-    @pytest.mark.parametrize(
-        "call, message",
-        [
-            (lambda net: net.step(1.5, 0), "position 1.5 is not an integer"),
-            (lambda net: net.step(True, 5), "position True is not an integer"),
-            (lambda net: net.step(0, 5.0), "action 5.0 is not an integer"),
-            (lambda net: net.action_between(0, 1.0), "position 1.0 is not an integer"),
-        ],
-        ids=["step-position", "step-bool", "step-action", "action-between"],
-    )
-    def test_non_integer_named(self, grid3, call, message):
-        # numpy raised a bare IndexError for 1.5 and 5.0 and a TypeError for True, and action_between read 1.0 as cell 1
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            call(grid3)
 
 
 class TestShortestHops:

@@ -118,6 +118,7 @@ class TestOperandGuards:
             (lambda: nc.gather_rows(zeros(3, 2), [-1]), IndexError, "gather_rows index out of range for table of 3 rows"),
             (lambda: nc.gather_per_row(zeros(2, 3), [0, 3]), IndexError, "gather_per_row column index out of range"),
             (lambda: nc.gather_per_row(zeros(2, 3), [-1, 0]), IndexError, "gather_per_row column index out of range"),
+            (lambda: nc.gather_per_row(zeros(3, 4), [2]), nc.ShapeError, "gather_per_row index shape (1,) != (3,)"),  # broadcast over every row
             (lambda: nc.cross_entropy(zeros(2, 4), [0]), nc.ShapeError, "targets shape (1,) != (2,)"),
             (lambda: nc.layer_norm(zeros(2, 3), zeros(2), zeros(3)), nc.ShapeError, "gain/bias must have shape (3,)"),
             (lambda: nc.layer_norm(zeros(2, 3), zeros(3), zeros(3, 1)), nc.ShapeError, "gain/bias must have shape (3,)"),
@@ -154,6 +155,7 @@ class TestOperandGuards:
             "gather_rows-negative",
             "gather_per_row-past",
             "gather_per_row-negative",
+            "gather_per_row-length",
             "cross_entropy-targets",
             "layer_norm-gain",
             "layer_norm-bias",

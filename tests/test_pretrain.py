@@ -47,7 +47,7 @@ class TestEvalPolicy:
             for _ in range(4):
                 a = int(rng.integers(0, 9))
                 actions.append(a)
-                positions.append(net.step(positions[-1], a))
+                positions.append(int(net.succ[positions[-1], a]))
             if positions[-1] == positions[0]:
                 continue
             trajs.append(sg.Trajectory(tid, 0, 0, 0, positions, actions, "complete"))

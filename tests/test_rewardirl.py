@@ -547,7 +547,7 @@ class TestTrainCritic:
         net, critic = grid_critic(users=1)
         vocab = critic.cfg.vocab
         positions = [0, 1, 2, 5, 8, 7, 6, 3, 0, 1, 2, 5, 8]
-        actions = [net.action_between(p, q) for p, q in zip(positions, positions[1:])]
+        actions = [int(np.flatnonzero(net.succ[p] == q)[0]) for p, q in zip(positions, positions[1:])]
         trip = sg.Trajectory(0, 0, 0, vocab.speed_bins, positions, actions)
         assert len(positions) > vocab.max_timestep
         with pytest.raises(tk.EncodingError, match=f"^trajectory 0: speed {vocab.speed_bins} outside"):
@@ -773,7 +773,7 @@ class TestRecoverReward:
     def test_unit_q_against_nine_zero_actions(self):
         net, _ = grid_critic(grid=5)
         critic = stub_critic_with_q(net, 12, [0.0] * 9, d=8)
-        up_left = net.action_between(12, 6)
+        up_left = 0  # shift (-1, -1): 12 -> 6 on a 5x5 grid
         critic.w_base.data[0, up_left] = 1.0  # Q(s, up_left) = 1 at position 12 only
         state = mkstate(12, 17)
         nxt = mkstate(6, 17)  # interior, 9 feasible zero-Q actions
@@ -919,6 +919,17 @@ class TestRowScorers:
         assert len(batch) == 204 and not np.any(ring.succ[batch.position, batch.action] == batch.next_position)
         p, a, q = batch.position[0], batch.action[0], batch.next_position[0]
         with pytest.raises(ValueError, match=f"^row 0: action {a} at position {p} does not lead to next_position {q}$"):
+            ri.reward_rows(batch, critic, 0.9)
+
+    def test_one_end_flag_per_row_required(self):
+        # a one-entry is_terminal used to broadcast over all 11 moves of these three trips, changing 8 of their rewards
+        cfg = sg.SynthConfig(n_trajectories=3, seed=1)
+        dataset, _ = sg.gen_dataset(cfg)
+        critic = ri.CriticModel(ri.CriticConfig(tk.vocab_sizes(dataset.net, cfg)), dataset.net, rng=make_rng(0))
+        batch = ri.transitions(dataset.trajectories)
+        assert len(batch) == 11
+        batch.is_terminal = np.array([True])
+        with pytest.raises(ValueError, match=r"^is_terminal of shape \(1,\) for index columns of length 11$"):
             ri.reward_rows(batch, critic, 0.9)
 
     def test_no_rows_score_to_empty_arrays(self):

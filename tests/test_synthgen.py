@@ -101,7 +101,7 @@ class TestOracleProbs:
         reducing = [
             a
             for a in np.flatnonzero(grid5.feasible[12])
-            if hops[grid5.step(12, a)] < hops[12]
+            if hops[grid5.succ[12, a]] < hops[12]
         ]
         assert probs[reducing].sum() >= 0.99
 
@@ -144,6 +144,15 @@ class TestOracleProbs:
         prefs = prefs_for([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(sg.GenerationError, match=f"^{re.escape(message)}$"):
             sg.oracle_rows(prefs, ng.GridNetwork(ng.GridSpec(3, 3)), users, destinations)
+
+    @pytest.mark.parametrize("users", [[0], [0, 0, 0]], ids=["one-user", "three-users"])
+    def test_one_user_per_trip_required(self, users):
+        # one user for two trips used to fail inside the step with a bare IndexError, and a third user went unread
+        grid3, message = ng.GridNetwork(ng.GridSpec(3, 3)), "^users and destinations must be 1-D and of one length$"
+        with pytest.raises(ValueError, match=message):
+            sg.oracle_trips(prefs_for([[1.0, 0.0, 0.0]]), grid3, users, [0, 1], [8, 8], uniform_rows(2, 5))
+        with pytest.raises(ValueError, match=message):
+            sg.oracle_rows(prefs_for([[1.0, 0.0, 0.0]]), grid3, users, [8, 8])
 
     @pytest.mark.parametrize("prev_action", [2.5, True, 9, -2])
     def test_bad_prev_action_named(self, grid5, prev_action):
@@ -230,7 +239,7 @@ def reference_probs(state, prefs, net, prev_action):
     here = int(hops[state.position])
     scores = np.full(ng.N_ACTIONS, -np.inf)
     for a in np.flatnonzero(net.feasible[state.position]).tolist():
-        nxt = net.step(state.position, a)
+        nxt = int(net.succ[state.position, a])
         there = int(hops[nxt])
         progress = -1.0 if there < 0 else float((here > there) - (here < there))
         turn = 1.0 if prev_action is not None and a != prev_action else 0.0
@@ -355,6 +364,33 @@ class TestRollOut:
         # action 5 moves one cell right: fine from 0, off the grid from 2
         with pytest.raises(ng.BoundaryError, match="action 5 is infeasible at position 2"):
             sg.roll_out(ng.GridNetwork(ng.GridSpec(3, 3)), [0, 2], [8, 6], uniform_rows(2, 5), lambda rows, pos, prev: one_hot(5, len(rows)))
+
+    @pytest.mark.parametrize(
+        "net, origins, destinations, action, message",
+        [
+            (ng.GridNetwork(ng.GridSpec(3, 3)), [0, 1], [4, 8], 5, "^row 1: action 5 is infeasible at position 5$"),
+            (ng.LinkGraph([[1, 2], [2], [0]]), [0, 1], [1, 0], 1, "^row 1: action 1 is infeasible at position 2$"),
+        ],
+        ids=["grid", "links"],
+    )
+    def test_infeasible_draw_named_by_its_trip(self, net, origins, destinations, action, message):
+        # trip 0 arrives after one move; then trip 1, alone in the batch, draws a move that its position does not have
+        def probs(rows, pos, prev):
+            return one_hot(8 if isinstance(net, ng.GridNetwork) else 0, 2) if len(rows) == 2 else one_hot(action, 1)
+
+        with pytest.raises(net.infeasible_error, match=message):
+            sg.roll_out(net, origins, destinations, uniform_rows(2, 5), probs)
+
+    @pytest.mark.parametrize("bad", [1.0, -0.25, np.nan], ids=["one", "negative", "nan"])
+    def test_uniform_outside_unit_interval_rejected(self, grid5, bad):
+        # such a uniform drew action 0 whatever its probability: a trip of one-hot moves on action 8 stepped to cell 0
+        uniforms = uniform_rows(2, 5)
+        uniforms[1, 3] = bad
+        message = f"^row 1: uniform {re.escape(str(bad))} of move 3 outside \\[0, 1\\)$"
+        with pytest.raises(ValueError, match=message):
+            sg.roll_out(grid5, [0, 4], [24, 20], uniforms, lambda rows, pos, prev: pytest.fail("drew a move"))
+        with pytest.raises(ValueError, match=message):
+            sg.oracle_trips(prefs_for([[1.0, 0.0, 0.0]]), grid5, [0, 0], [0, 4], [24, 20], uniforms)
 
     def test_bad_probability_row_named_by_its_trip(self):
         # trip 0 arrives after one move; then trip 1, alone in the batch, gets a NaN row

@@ -263,7 +263,7 @@ def random_walk(net, origin, moves, seed):
     for _ in range(moves):
         a = int(rng.choice(np.flatnonzero(net.feasible[positions[-1]])))
         actions.append(a)
-        positions.append(net.step(positions[-1], a))
+        positions.append(int(net.succ[positions[-1], a]))
     return positions, actions
 
 
