@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import index_faults, is_integer, require
+from .numcore import index_faults, is_integer, read_only, require
 
 N_ACTIONS = 9
 STAY_ACTION = 4
@@ -77,12 +77,9 @@ class Network:
     infeasible_error: type[ValueError] = ConnectivityError
 
     def __init__(self, succ: np.ndarray):
-        self.succ = np.asarray(succ, dtype=np.intp)
-        self.succ.flags.writeable = False
-        self.feasible = self.succ >= 0
-        self.feasible.flags.writeable = False
-        self.dead_end = ~self.feasible.any(axis=1)  # no feasible action: a trip that lands here cannot go on
-        self.dead_end.flags.writeable = False
+        self.succ = read_only(np.asarray(succ, dtype=np.intp))
+        self.feasible = read_only(self.succ >= 0)
+        self.dead_end = read_only(~self.feasible.any(axis=1))  # no feasible action: a trip that lands here cannot go on
 
     @functools.cached_property
     def hops(self) -> np.ndarray:
@@ -95,8 +92,7 @@ class Network:
             hops += 1
             frontier[:, :-1] = frontier[:, self.succ].any(axis=2) & (table < 0)
             table[frontier[:, :-1]] = hops
-        table.flags.writeable = False
-        return table
+        return read_only(table)
 
     @property
     def n_positions(self) -> int:

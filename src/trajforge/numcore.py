@@ -93,13 +93,17 @@ POSITIVE = (lambda value: value > 0, "> 0")
 
 
 def require(cfg, error: type = ValueError, **bounds) -> None:
-    """The one field check, and all that the `__post_init__` of a config or a record runs: raise `error`,
-    as `<field> must be <text>, got <value!r>`, for the first field of the dataclass `cfg` that breaks its
-    rule. Types come first, in field order: an `int` field must hold an integer (`is_integer`) and a
-    `float` field a finite real number (`is_real`); a bool is neither. Then the bounds, (test, text) pairs
-    by field name, in the order given, so no bound meets a None or a str in a typed field; a bound of an
-    untyped field must take any value, and may read a field whose bound came before it. So a checkpoint
-    header cannot smuggle a bool, a fraction or a NaN into a config, nor a caller a bad trip."""
+    """The one field check: raise `error`, as `<field> must be <text>, got <value!r>`, for the first field of
+    the dataclass `cfg` that breaks its rule. Types come first, in field order: an `int` field must hold an
+    integer (`is_integer`) and a `float` field a finite real number (`is_real`); a bool is neither. Then the
+    bounds, (test, text) pairs by field name, in the order given, so no bound meets a None or a str in a typed
+    field; a bound of an untyped field must take any value, and may read a field whose bound came before it.
+    So a checkpoint header cannot smuggle a bool, a fraction or a NaN into a config, nor a caller a bad trip.
+
+    One rule serves every config and record that checks itself: it is a frozen dataclass, and its
+    `__post_init__` is `require` calls, then at most `object.__setattr__` calls that store a checked field
+    in a form that cannot change in place (a tuple, or a `read_only` array). So no check is undone after
+    it passed, and `dataclasses.replace`, the one way to another value, runs the check again."""
     for name, (test, text) in [*_typed_fields(type(cfg)), *bounds.items()]:
         value = getattr(cfg, name)
         if not test(value):
@@ -110,6 +114,12 @@ def require(cfg, error: type = ValueError, **bounds) -> None:
 def _typed_fields(cls) -> tuple:
     """The (name, type rule) of each `int` or `float` field of the dataclass `cls`, read once per class."""
     return tuple((f.name, _FIELD_TYPES[f.type]) for f in dataclasses.fields(cls) if f.type in _FIELD_TYPES)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, made read-only in place: a table or a checked field that readers share and none may change."""
+    a.flags.writeable = False
+    return a
 
 
 def make_rng(*key) -> np.random.Generator:

@@ -22,7 +22,7 @@ class TrainingDivergenceError(RuntimeError):
     """Training produced a non-finite loss or gradient."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 60
     batch_size: int = 64

@@ -31,7 +31,12 @@ vocabulary check, which judges each column by `numcore.index_faults` against its
 `tokenizer.COLUMN_TABLES`; then the dead-end rule, then that each transition's move is one of the
 critic's network (`succ`). The scorers name a bad row by its index, and `train_critic` by its
 trajectory, after it rejects a dataset on another network than the critic's. The critic has no
-speed or timestep tables, so its columns leave them out.
+speed or timestep tables, so its columns leave them out. A `TransitionBatch` checks only its shape
+when made: every column 1-D, with one entry per transition. `iq_loss` checks no index, so its
+caller owns the batch's indices: `train_critic` checks every row once, before it trains, and an
+out-of-table index in a hand-built batch fails as the op's IndexError. A per-batch check would
+cost 1.5-2% of a critic step: `_check_rows` on 256 rows takes ~23 us, one `iq_loss` forward and
+backward 1.1-1.6 ms (one BLAS thread, 2-core VM).
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ LEAKY_SLOPE = 0.01
 COLUMNS = ("position", "origin", "destination", "depart", "user", "next_position", "action")  # a transition's checked columns
 
 
-@dataclass
+@dataclass(frozen=True)
 class CriticConfig:
     vocab: VocabSpec
     d: int = 64
@@ -63,7 +68,7 @@ class CriticConfig:
         require(self, vocab=IS_VOCAB_SPEC, d=AT_LEAST_1, init_std=NON_NEGATIVE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IRLConfig:
     gamma: float = 0.9
     alpha_phi: float = 0.5
@@ -162,14 +167,11 @@ def _margins(batch: TransitionBatch, critic: CriticModel, gamma: float) -> tuple
 def _check_rows(critic: CriticModel, cols: dict, ends=None, where=lambda row: f"row {row}") -> None:
     """Raise for the first row of the (B,) index columns `cols` that the critic cannot score, naming it by `where(row)`.
 
-    First the indices (`check_columns`): EncodingError outside the critic's tables, ValueError for an action
-    outside [0, 9); given `ends`, ValueError unless it has one entry per row. Then ValueError at a dead-end
-    position, or at a dead-end next_position on a row whose `ends` is False. Last, given `ends`, ValueError on
-    a row whose action does not lead from its position to its next_position.
+    First the indices (`check_columns`): EncodingError outside the critic's tables, ValueError for an action outside
+    [0, 9). Then ValueError at a dead-end position, or at a dead-end next_position on a row whose `ends` is False.
+    Last, given `ends`, ValueError on a row whose action does not lead from its position to its next_position.
     """
     check_columns(critic.cfg.vocab, cols, where)
-    if ends is not None and np.shape(ends) != (len(cols["position"]),):
-        raise ValueError(f"is_terminal of shape {np.shape(ends)} for index columns of length {len(cols['position'])}")
     net = critic.net
     dead_s = net.dead_end[cols["position"]]
     stuck = dead_s if ends is None else dead_s | (net.dead_end[cols["next_position"]] & ~ends)
@@ -220,9 +222,9 @@ def recover_reward(state: EnvState, action: int, next_state: EnvState, is_termin
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransitionBatch:
-    """Expert transitions as index arrays; s' shares the episode context of s."""
+    """Expert transitions as index arrays; s' shares the episode context of s. Checked as the module's "Checks." says."""
 
     position: np.ndarray
     origin: np.ndarray
@@ -233,6 +235,9 @@ class TransitionBatch:
     next_position: np.ndarray
     is_initial: np.ndarray
     is_terminal: np.ndarray
+
+    def __post_init__(self):
+        require(self, **dict.fromkeys(self.__dataclass_fields__, (lambda col: np.ndim(col) == 1 and len(col) == len(self), "1-D, with one entry per transition")))
 
     def __len__(self) -> int:
         return len(self.position)
@@ -266,7 +271,8 @@ def iq_loss(batch: TransitionBatch, critic: CriticModel, cfg: IRLConfig):
     J = E_expert[phi(Q(s,a) - gamma V*(s'))] - (1 - gamma) E_initial[V*(s0)]
     with phi(x) = x - x^2 / (4 alpha_phi); the expectation over s' is the
     observed next state (deterministic transitions) and terminal V* is 0.
-    Returns (loss tensor, {"expert_term": ..., "initial_term": ...}).
+    Returns (loss tensor, {"expert_term": ..., "initial_term": ...}). The batch's
+    indices go unchecked: the caller owns them (see the module's "Checks.").
     """
     if len(batch) == 0:
         raise ValueError("empty transition batch")

@@ -58,18 +58,27 @@ class SplitError(ValueError):
     """Dataset too small to split."""
 
 
-@dataclass
+def _weight_rows(rows) -> bool:
+    """True for one or more rows of `N_FEATURES` finite weights, as `draw_preferences` reads them."""
+    try:
+        weights = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError):  # a ragged list, or an entry that is no number
+        return False
+    return weights.ndim == 2 and len(weights) >= 1 and weights.shape[1] == N_FEATURES and bool(np.isfinite(weights).all())
+
+
+_WEIGHT_ROWS = (_weight_rows, f"rows of {N_FEATURES} finite weights")  # the `numcore.require` bound of a weight table
+
+
+@dataclass(frozen=True)
 class PreferenceParams:
-    """Per-user weight vectors over (progress, turn-change, stay) features."""
+    """Per-user weight vectors over (progress, turn-change, stay) features, checked as `SynthConfig.archetypes` is."""
 
     theta: np.ndarray  # (users, 3)
 
     def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=np.float64)
-        if self.theta.ndim != 2 or self.theta.shape[1] != N_FEATURES:
-            raise ConfigError(f"theta must have shape (users, {N_FEATURES})")
-        if not np.all(np.isfinite(self.theta)):
-            raise ConfigError("theta contains non-finite weights")
+        require(self, ConfigError, theta=_WEIGHT_ROWS)
+        object.__setattr__(self, "theta", numcore.read_only(np.array(self.theta, dtype=np.float64)))
 
     @property
     def n_users(self) -> int:
@@ -91,9 +100,9 @@ def _index_list(values, stop: int) -> bool:
 class Trajectory:
     """One recorded trip: its context, two or more positions and one action per move between them.
 
-    Frozen, and checked when made by `numcore.require`, in field order, so every trip fits the int64 step
-    table of `tokenizer.encode_trips`, which checks nothing itself. The checked positions and actions,
-    given as lists or tuples, are stored as tuples, so they cannot change in place either.
+    Frozen and checked when made, in field order, by the rule of `numcore.require`, so every trip fits the
+    int64 step table of `tokenizer.encode_trips`, which checks nothing itself. The checked positions and
+    actions, given as lists or tuples, are stored as tuples.
     """
 
     traj_id: int
@@ -328,22 +337,13 @@ def oracle_trips(prefs: PreferenceParams, net: Network, users, origins, destinat
     return roll_out(net, origins, destinations, uniforms, lambda *step: oracle()(*step))
 
 
-def _weight_rows(rows) -> bool:
-    """True for one or more rows of `N_FEATURES` finite weights, as `draw_preferences` reads them."""
-    try:
-        weights = np.asarray(rows, dtype=np.float64)
-    except (TypeError, ValueError):  # a ragged list, or an entry that is no number
-        return False
-    return weights.ndim == 2 and len(weights) >= 1 and weights.shape[1] == N_FEATURES and bool(np.isfinite(weights).all())
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     """Synthetic benchmark declaration: grid, population prior, and uniform origin-destination sampling.
 
-    Frozen, since its fields are checked once, when it is made: `numcore.require` checks each field's
-    type, then its bound, and raises ConfigError naming the first field that breaks one. The checked
-    `archetypes` are stored as a tuple of float tuples, so they cannot change in place either."""
+    Frozen and checked when made, by the rule of `numcore.require`: it checks each field's type, then its
+    bound, and raises ConfigError naming the first field that breaks one. The checked `archetypes` are
+    stored as a tuple of float tuples."""
 
     width: int = 5
     height: int = 5
@@ -365,7 +365,7 @@ class SynthConfig:
             height=GRID_SIDE,
             users=AT_LEAST_1,
             n_trajectories=NON_NEGATIVE,
-            archetypes=(_weight_rows, f"rows of {N_FEATURES} finite weights"),
+            archetypes=_WEIGHT_ROWS,
             theta_sigma=NON_NEGATIVE,
             max_len=AT_LEAST_1,
             depart_bins=(lambda bins: 1 <= bins <= 24, "in [1, 24]"),
@@ -535,7 +535,8 @@ def load_preferences(path) -> PreferenceParams:
     """Read `save_preferences`' CSV: one `user_id,progress,turn,stay` row per user, in any order.
 
     A row that does not parse raises a ValueError that starts with `path:line_no`, as does a repeated
-    user_id or a non-finite weight; a user_id below the largest one with no row of its own is named too.
+    user_id or a non-finite weight; a user_id below the largest one with no row of its own is named too,
+    and so is a file with no user row.
     """
     rows: dict[int, list[float]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -558,6 +559,8 @@ def load_preferences(path) -> PreferenceParams:
                 rows[user] = weights
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    if not rows:
+        raise ValueError(f"{path}: no user rows")
     missing = sorted(set(range(len(rows))) - set(rows))
     if missing:
         raise ValueError(f"{path}: no row for user_id {missing[0]}")
@@ -607,8 +610,8 @@ class IngestStats:
 
 @dataclass(frozen=True)
 class IngestConfig:
-    """`ingest_csv`'s (lon, lat) box, which the grid spans, and its cut rules. Frozen and checked when made by
-    `numcore.require`, as `SynthConfig` is; a max edge must exceed its min edge."""
+    """`ingest_csv`'s (lon, lat) box, which the grid spans, and its cut rules. Frozen and checked when made,
+    by the rule of `numcore.require`, as `SynthConfig` is; a max edge must exceed its min edge."""
 
     lon_min: float
     lat_min: float

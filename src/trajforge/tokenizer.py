@@ -58,7 +58,7 @@ class EpisodeTokens:
         return self.action != BLANK
 
 
-@dataclass
+@dataclass(frozen=True)
 class VocabSpec:
     """Embedding-table sizes for a network and population; the action table always has N_ACTIONS + 1 rows."""
 
@@ -89,12 +89,16 @@ def vocab_sizes(net: Network, config: SynthConfig) -> VocabSpec:
 def check_columns(vocab: VocabSpec, columns: dict, where) -> None:
     """Raise for the first row of the (B,) index `columns` with an index outside its table of `vocab`.
 
-    `columns` maps names of `COLUMN_TABLES`, and `action`, to columns of one length (else ValueError), each judged
-    by `numcore.index_faults`. The error names the first bad row by `where(row)`, then that row's first bad
-    column in `columns` order, and its value as given: EncodingError for an entry that is not an integer
-    (numpy would read 1.7 or True as 1) or is outside a table, ValueError for an action outside [0, 9).
+    `columns` maps names of `COLUMN_TABLES`, and `action`, to 1-D columns of one length (else ValueError, which
+    names a column that is not 1-D by its shape), each judged by `numcore.index_faults`. The error names the first
+    bad row by `where(row)`, then that row's first bad column in `columns` order, and its value as given:
+    EncodingError for an entry that is not an integer (numpy would read 1.7 or True as 1) or is outside a table,
+    ValueError for an action outside [0, 9).
     """
     names, values = list(columns), list(columns.values())
+    bad = next((name for name, col in columns.items() if np.ndim(col) != 1), None)
+    if bad is not None:  # a scalar has no length, and a (B, 1) column would gather a 3-D stack of rows
+        raise ValueError(f"index column {bad} of shape {np.shape(columns[bad])} is not 1-D")
     if len(set(map(len, values))) > 1:  # a shorter column would broadcast against the others
         raise ValueError(f"index columns of unequal lengths: {dict(zip(names, map(len, values)))}")
     limits = [getattr(vocab, COLUMN_TABLES[name]) if name != "action" else netgrid.N_ACTIONS for name in names]

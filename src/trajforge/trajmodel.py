@@ -81,7 +81,7 @@ from .tokenizer import BLANK, IS_VOCAB_SPEC, VocabSpec, check_columns, check_voc
 N_ACTIONS = netgrid.N_ACTIONS
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     vocab: VocabSpec
     d_model: int = 64
@@ -237,7 +237,7 @@ def batch_nll(trips: list[Trajectory], model: PolicyModel, rng: np.random.Genera
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenerationContext:
     origin: int
     destination: int

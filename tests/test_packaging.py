@@ -307,23 +307,40 @@ def test_config_float_fields_reject_non_numbers_and_non_finite_by_name(value):
                 config(**{**valid, name: value})
 
 
-POST_INIT_BEYOND_REQUIRE = {"PreferenceParams": "converts `theta` to a float array before it checks it"}
+def untyped_cases():
+    """The records of src/ that check themselves but have no `int` or `float` field, each with valid
+    arguments and one bad field value."""
+    columns = dict.fromkeys(rewardirl.COLUMNS, np.zeros(2, dtype=np.int64)) | dict.fromkeys(("is_initial", "is_terminal"), np.zeros(2, dtype=bool))
+    return [
+        (synthgen.PreferenceParams, dict(theta=[[1.0, 0.0, -1.0]]), dict(theta=np.zeros((0, synthgen.N_FEATURES)))),
+        (rewardirl.TransitionBatch, columns, dict(is_terminal=np.array([True]))),
+    ]
+
+
+def checked_records():
+    """(record, valid arguments, one bad field value) of every dataclass of src/ that checks itself: each
+    config case with None in its first `int` or `float` field, and the untyped records."""
+    typed = [
+        (config, valid, {next(f.name for f in dataclasses.fields(config) if f.type in ("int", int, "float", float)): None})
+        for config, valid in config_cases()
+    ]
+    return typed + untyped_cases()
 
 
 def test_config_post_init_only_calls_require():
-    """`numcore.require` is the one field check: the `__post_init__` of every dataclass of src/ that has
-    one, a config or a record such as `Trajectory`, is `require` calls and raises nothing itself. After
-    them, a frozen dataclass may store a checked field in a form that cannot change in place, by
-    `object.__setattr__`. `POST_INIT_BEYOND_REQUIRE` names each exception and its reason."""
-    configs = {config.__name__: config for config, _ in config_cases()}
+    """`numcore.require` is the one field check, and one rule holds for every dataclass of src/ with a
+    `__post_init__`, a config or a record such as `Trajectory`: it is frozen, and its `__post_init__` is
+    `require` calls and raises nothing itself. After them, it may store a checked field in a form that
+    cannot change in place, by `object.__setattr__`."""
+    records = {record.__name__: record for record, _, _ in checked_records()}
     post_inits = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.ClassDef) and is_dataclass_def(node):
                 post_inits.update((node.name, n) for n in node.body if isinstance(n, ast.FunctionDef) and n.name == "__post_init__")
-    assert POST_INIT_BEYOND_REQUIRE.keys() <= post_inits.keys(), "an exception that no longer has a __post_init__"
-    assert sorted(post_inits.keys() - POST_INIT_BEYOND_REQUIRE.keys()) == sorted(configs)
-    for name in configs:
+    assert sorted(post_inits) == sorted(records)
+    for name, record in records.items():
+        assert record.__dataclass_params__.frozen, f"{name} is not frozen"
         post_init = post_inits[name]
         for stmt in post_init.body:
             assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call), f"{name}.__post_init__ holds more than calls"
@@ -333,6 +350,42 @@ def test_config_post_init_only_calls_require():
             f"{name}.__post_init__ calls another function, or stores a field before `require` has checked it"
         )
         assert not any(isinstance(n, ast.Raise) for n in ast.walk(post_init)), f"{name}.__post_init__ raises"
+
+
+@pytest.mark.parametrize("record, valid, bad", checked_records(), ids=[record.__name__ for record, _, _ in checked_records()])
+def test_checked_records_keep_their_check(record, valid, bad):
+    """No field of a checked record can be assigned after its check, and `dataclasses.replace`, the one way
+    to another value, raises what making the record with that value raises."""
+    made = record(**valid)
+    for f in dataclasses.fields(record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(made, f.name, getattr(made, f.name))
+    with pytest.raises(ValueError) as when_made:
+        record(**{**valid, **bad})
+    with pytest.raises(when_made.type, match=f"^{re.escape(str(when_made.value))}$"):
+        dataclasses.replace(made, **bad)
+
+
+@pytest.mark.parametrize(
+    "make, field, value, message",
+    [
+        (rewardirl.IRLConfig, "gamma", 1.5, "gamma must be in (0, 1), got 1.5"),
+        (pretrain.TrainConfig, "lr", -0.5, "lr must be >= 0, got -0.5"),
+        (lambda: trajmodel.GenerationContext(0, 8, 0, 0, 0), "temperature", -2.0, "temperature must be >= 0, got -2.0"),
+        (lambda: tokenizer.VocabSpec(9, 3, 3, 2, 5), "users", 0, "users must be >= 1, got 0"),
+    ],
+    ids=["gamma", "lr", "temperature", "users"],
+)
+def test_checked_config_not_set_past_its_check(make, field, value, message):
+    # each assignment used to pass: a critic then trained at gamma 1.5, a policy pretrained at lr -0.5,
+    # a trip was generated at temperature -2.0, and ModelConfig accepted a vocabulary of 0 users
+    config = make()
+    kept = getattr(config, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, field, value)
+    assert getattr(config, field) == kept
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(config, **{field: value})
 
 
 def is_dataclass_def(node: ast.ClassDef) -> bool:

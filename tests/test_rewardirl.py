@@ -310,6 +310,18 @@ class TestQRows:
         with pytest.raises(ValueError, match=r"^index columns of unequal lengths: \{'position': 2, 'origin': 1, "):
             ri.log_policy_rows(critic, [4, 5], [0], [8], [0], [0])
 
+    def test_scalar_column_named(self):
+        # it used to fail as a bare TypeError: object of type 'int' has no len()
+        _, critic = grid_critic()
+        with pytest.raises(ValueError, match=r"^index column position of shape \(\) is not 1-D$"):
+            ri.log_policy_rows(critic, 4, 0, 8, 0, 0)
+
+    def test_two_dimensional_column_named(self):
+        # (1, 1) columns used to reach numcore.matmul as a ShapeError about (1, 1, 64) operands
+        _, critic = grid_critic()
+        with pytest.raises(ValueError, match=r"^index column position of shape \(1, 1\) is not 1-D$"):
+            ri.log_policy_rows(critic, *(np.array([[value]]) for value in (4, 0, 8, 0, 0)))
+
     @pytest.mark.parametrize("field, value", [("user_id", 1.7), ("depart_bin", True)])
     def test_state_field_not_integer_named_when_made(self, field, value):
         # critic_policy packed a state into one array, so user 1.7 was named as position 4.0 and depart_bin True read as 1
@@ -383,6 +395,14 @@ class TestIqLoss:
         net, critic = grid_critic()
         with pytest.raises(ValueError, match="^empty transition batch$"):
             ri.iq_loss(ri.transitions([]), critic, ri.IRLConfig())
+
+    def test_one_entry_initial_flag_rejected_when_the_batch_is_made(self):
+        # iq_loss used to broadcast a one-entry is_initial over the 11 moves of seed 1's first three trips with no
+        # error, taking a fresh critic's initial_term from 0.206 to 0.179 (is_terminal: TestRowScorers)
+        dataset, _ = sg.gen_dataset(sg.SynthConfig(n_trajectories=3, seed=1))
+        batch = ri.transitions(dataset.trajectories)
+        with pytest.raises(ValueError, match=r"^is_initial must be 1-D, with one entry per transition, got array\(\[ True\]\)$"):
+            dataclasses.replace(batch, is_initial=np.array([True]))
 
     def test_terminal_transition_is_neg_phi(self):
         net, critic = grid_critic(seed=3)
@@ -690,7 +710,7 @@ class TestRecoverReward:
         batch = ri.transitions(dataset.train())
         # the random trips' moves made real: a feasible action, whose row's s' is where it leads
         batch = batch.take(np.flatnonzero(net.feasible[batch.position, batch.action]))
-        batch.next_position = net.succ[batch.position, batch.action]
+        batch = dataclasses.replace(batch, next_position=net.succ[batch.position, batch.action])
         # a move into a dead end that does not end the trip has no soft value
         batch = batch.take(np.flatnonzero(batch.is_terminal | ~net.dead_end[batch.next_position]))
         assume(len(batch) > 0)
@@ -922,15 +942,14 @@ class TestRowScorers:
             ri.reward_rows(batch, critic, 0.9)
 
     def test_one_end_flag_per_row_required(self):
-        # a one-entry is_terminal used to broadcast over all 11 moves of these three trips, changing 8 of their rewards
+        # a one-entry is_terminal used to broadcast over all 11 moves of these three trips, changing 8 of their
+        # rewards; iq_loss met it with no check, taking a fresh critic's loss from 2.878 to 0.207
         cfg = sg.SynthConfig(n_trajectories=3, seed=1)
         dataset, _ = sg.gen_dataset(cfg)
-        critic = ri.CriticModel(ri.CriticConfig(tk.vocab_sizes(dataset.net, cfg)), dataset.net, rng=make_rng(0))
         batch = ri.transitions(dataset.trajectories)
         assert len(batch) == 11
-        batch.is_terminal = np.array([True])
-        with pytest.raises(ValueError, match=r"^is_terminal of shape \(1,\) for index columns of length 11$"):
-            ri.reward_rows(batch, critic, 0.9)
+        with pytest.raises(ValueError, match=r"^is_terminal must be 1-D, with one entry per transition, got array\(\[ True\]\)$"):
+            dataclasses.replace(batch, is_terminal=np.array([True]))
 
     def test_no_rows_score_to_empty_arrays(self):
         net, critic = grid_critic()

@@ -45,14 +45,20 @@ def roll_out_networks(draw):
 
 
 class TestRecordsCheckedWhenMade:
-    @pytest.mark.parametrize(
-        "theta, message",
-        [(np.zeros((2, 2)), "theta must have shape (users, 3)"), ([[0.0, math.nan, 0.0]], "theta contains non-finite weights")],
-        ids=["two-features", "nan-weight"],
-    )
-    def test_preferences(self, theta, message):
-        with pytest.raises(sg.ConfigError, match=f"^{re.escape(message)}$"):
+    # a (0, 3) theta used to be accepted, though no trip could use it: the oracle raised "user 0 outside the 0 users"
+    @pytest.mark.parametrize("theta", [np.zeros((2, 2)), [[0.0, math.nan, 0.0]], np.zeros((0, 3))], ids=["two-features", "nan-weight", "no-users"])
+    def test_preferences(self, theta):
+        with pytest.raises(sg.ConfigError, match=f"^{re.escape(f'theta must be rows of 3 finite weights, got {theta!r}')}$"):
             sg.PreferenceParams(theta)
+
+    def test_preferences_weights_cannot_change_in_place(self):
+        # theta used to be kept as given, so a write to the caller's array, or to prefs.theta, changed the oracle's weights
+        weights = np.array([[1.0, 0.0, -1.0]])
+        prefs = sg.PreferenceParams(weights)
+        weights[0, 0] = math.nan
+        assert prefs.theta.tolist() == [[1.0, 0.0, -1.0]] and prefs.theta.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            prefs.theta[0, 0] = math.nan
 
     @pytest.mark.parametrize(
         "positions, actions, message",
@@ -863,6 +869,13 @@ class TestDatasetIO:
         path, line = tmp_path / "theta.csv", "0,1.0,2.0,3.0\n"
         path.write_text(line)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: unexpected header {line!r}')}$"):
+            sg.load_preferences(path)
+
+    def test_preferences_header_only_named(self, tmp_path):
+        # it used to raise ConfigError "theta must have shape (users, 3)", which named no file
+        path = tmp_path / "theta.csv"
+        path.write_text("user_id,theta_progress,theta_turn,theta_stay\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: no user rows')}$"):
             sg.load_preferences(path)
 
     def test_preferences_round_trip(self, tmp_path):
